@@ -31,7 +31,7 @@ from .classifier import (
     read_assignments,
 )
 from .corpus import emit_corpus, read_corpus, validate_corpus
-from .errors import ConfigError, RefclassError, UsageError, ValidationError
+from .errors import ConfigError, ParseError, RefclassError, UsageError, ValidationError
 from .indicators import IndicatorConfig
 from .report import (
     MANIFEST_FILE,
@@ -122,7 +122,10 @@ def _threads_from_env() -> int:
 
 def _read_lines(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.readlines()
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
 def _sha256(path: str | Path) -> str:
@@ -131,7 +134,10 @@ def _sha256(path: str | Path) -> str:
 
 def _cmd_synth(ns: argparse.Namespace) -> int:
     with open(ns.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"synth config is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("synth config must be a JSON object")
     allowed = {f.name for f in dataclass_fields(SyntheticConfig)}
@@ -166,6 +172,28 @@ def _check_journal_categories(corpus, taxonomy) -> None:
         raise ValidationError("journals reference unknown categories: " + ", ".join(sorted(bad)))
 
 
+def _check_assignments(assignments, corpus, taxonomy) -> None:
+    strangers = sorted(a_id for a_id in assignments if a_id not in corpus.articles)
+    if strangers:
+        raise ValidationError(
+            f"assignments name {len(strangers)} article(s) not in the corpus", token=strangers[0]
+        )
+    for a_id, entry in assignments.items():
+        if entry.category is None:
+            continue
+        if entry.category not in taxonomy:
+            raise ValidationError(
+                f"assignment of {a_id!r} names a category missing from the taxonomy",
+                token=entry.category,
+            )
+        area = taxonomy.broad_area_of(entry.category)
+        if area != entry.broad_area:
+            raise ValidationError(
+                f"assignment of {a_id!r} files {entry.category!r} under "
+                f"{entry.broad_area!r}; the taxonomy says {area!r}"
+            )
+
+
 def _cmd_validate(ns: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
     corpus = read_corpus(_read_lines(ns.corpus))
@@ -195,6 +223,7 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
     corpus = read_corpus(_read_lines(ns.corpus))
     assignments = read_assignments(_read_lines(ns.assignments))
+    _check_assignments(assignments, corpus, taxonomy)
     journals = tuple(j.strip() for j in ns.journals.split(",") if j.strip())
     if not journals:
         raise UsageError("--journals must list at least one journal id")

@@ -155,12 +155,6 @@ class Corpus:
             citation_index
         )
         self._dangling = dangling_reference_count
-        by_journal: dict[str, list[str]] = {j: [] for j in journals}
-        for art in articles.values():
-            by_journal[art.journal_id].append(art.id)
-        self._by_journal: Mapping[str, tuple[str, ...]] = MappingProxyType(
-            {j: tuple(ids) for j, ids in by_journal.items()}
-        )
 
     @property
     def articles(self) -> Mapping[str, ArticleRecord]:
@@ -177,10 +171,6 @@ class Corpus:
     @property
     def dangling_reference_count(self) -> int:
         return self._dangling
-
-    @property
-    def articles_by_journal(self) -> Mapping[str, tuple[str, ...]]:
-        return self._by_journal
 
     def article(self, article_id: str) -> ArticleRecord:
         try:

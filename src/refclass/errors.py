@@ -13,36 +13,30 @@ class RefclassError(Exception):
     code = "internal"
 
 
-class ParseError(RefclassError):
+class InputError(RefclassError):
+    """An input fault, optionally located by line number and offending token."""
+
+    def __init__(self, message: str, line_no: int | None = None, token: str | None = None):
+        self.line_no = line_no
+        self.token = token
+        parts = [message]
+        if line_no is not None:
+            parts.append(f"line {line_no}")
+        if token is not None:
+            parts.append(f"token {token!r}")
+        super().__init__(", ".join(parts))
+
+
+class ParseError(InputError):
     """Malformed input line (wrong columns, bad tokens, bad numbers)."""
 
     code = "parse"
 
-    def __init__(self, message: str, line_no: int | None = None, token: str | None = None):
-        self.line_no = line_no
-        self.token = token
-        parts = [message]
-        if line_no is not None:
-            parts.append(f"line {line_no}")
-        if token is not None:
-            parts.append(f"token {token!r}")
-        super().__init__(", ".join(parts))
 
-
-class ValidationError(RefclassError):
+class ValidationError(InputError):
     """Structurally well-formed input that violates an invariant."""
 
     code = "validation"
-
-    def __init__(self, message: str, line_no: int | None = None, token: str | None = None):
-        self.line_no = line_no
-        self.token = token
-        parts = [message]
-        if line_no is not None:
-            parts.append(f"line {line_no}")
-        if token is not None:
-            parts.append(f"token {token!r}")
-        super().__init__(", ".join(parts))
 
 
 class UnknownNameError(RefclassError):

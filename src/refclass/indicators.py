@@ -7,24 +7,28 @@ years, divided by the count of those items, scaled by a correction factor
 table) yields per-field values; using all sources yields field baselines.
 Prestige is the ratio of a journal's field value to the field baseline.
 
-All aggregation is pure read-only work over the immutable corpus and
-assignment table: integer numerators and denominators are accumulated first
-and divided exactly once, so results are independent of evaluation order.
+Every indicator is a slice of one :class:`CountCube`: integer item and
+citation counts per (journal, broad area, publication year) cell, built in a
+single read-only pass over the immutable corpus and assignment table.
+Integer numerators and denominators are summed first and divided exactly
+once, so results are independent of evaluation order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .classifier import Assignment
-from .corpus import Corpus
+from .corpus import DOC_TYPES, Corpus
 from .errors import (
     ConfigError,
     DomainError,
     EmptyScopeError,
     UndefinedValueError,
-    UnknownNameError,
 )
 from .taxonomy import BROAD_AREAS, Taxonomy
 
@@ -56,8 +60,8 @@ class IndicatorConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if not self.kappa > 0:
-            raise ConfigError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ConfigError("kappa must be finite and positive")
         object.__setattr__(self, "denominator_doc_types", frozenset(self.denominator_doc_types))
         object.__setattr__(self, "citing_doc_types", frozenset(self.citing_doc_types))
         if not self.denominator_doc_types or not self.citing_doc_types:
@@ -106,35 +110,245 @@ class PrestigeValue:
     value: float
 
 
-def _area_of(assignments: Mapping[str, Assignment], article_id: str) -> str | None:
-    a = assignments.get(article_id)
-    return a.broad_area if a is not None else None
+_DOC_TYPE_SLOT = {t: i for i, t in enumerate(DOC_TYPES)}
 
 
-def _denominator_articles(
+def _doc_type_slots(doc_types: Iterable[str]) -> list[int]:
+    return sorted(_DOC_TYPE_SLOT[t] for t in doc_types if t in _DOC_TYPE_SLOT)
+
+
+class CountCube:
+    """Integer item and citation counts; every indicator is a slice of them.
+
+    ``den[scope, area, pub_year, doc_type]`` counts items.
+    ``num[scope, area, pub_year, citing_year]`` counts the citations that
+    items with a doc type in ``config.denominator_doc_types`` receive from
+    citers with a doc type in ``config.citing_doc_types``. Scope slots are the
+    requested journals in order plus one last slot for every other journal,
+    so :data:`ALL_SOURCES` is the sum over the scope axis. Area slot 0 holds
+    unclassified items, so :data:`ALL_AREAS` is the sum over the area axis.
+    Build one with :func:`count_cube`. Asking for a journal or a year the
+    cube was not built for raises ``KeyError`` or ``ValueError``.
+    """
+
+    def __init__(
+        self,
+        config: IndicatorConfig,
+        journals: tuple[str, ...],
+        area_slots: Mapping[str, int],
+        pub_years: tuple[int, int],
+        if_years: tuple[int, int],
+        den: np.ndarray,
+        num: np.ndarray,
+    ):
+        self.config = config
+        self.pub_years = pub_years
+        self.if_years = if_years
+        self.den = den
+        self.num = num
+        self._scope_slots = {j: i for i, j in enumerate(journals)}
+        self._area_slots = area_slots
+        self._cited = _doc_type_slots(config.denominator_doc_types)
+
+    def _scope(self, journal: str) -> slice:
+        if journal == ALL_SOURCES:
+            return slice(None)
+        i = self._scope_slots[journal]
+        return slice(i, i + 1)
+
+    def _area(self, area: str) -> slice:
+        if area == ALL_AREAS:
+            return slice(None)
+        i = self._area_slots.get(area)
+        return slice(0, 0) if i is None else slice(i, i + 1)
+
+    def _pub(self, lo: int, hi: int) -> slice:
+        first, last = self.pub_years
+        if lo > hi:
+            return slice(0, 0)
+        if lo < first or hi > last:
+            raise ValueError(f"publication years {lo}-{hi} were not counted ({first}-{last} were)")
+        return slice(lo - first, hi - first + 1)
+
+    def impact_factor(self, journal: str, year: int, area: str = ALL_AREAS) -> IfValue:
+        """One yearly impact value; see :func:`impact_factor`."""
+        first, last = self.if_years
+        if not first <= year <= last:
+            raise ValueError(f"impact year {year} was not counted ({first}-{last} were)")
+        cell = (
+            self._scope(journal),
+            self._area(area),
+            self._pub(year - self.config.window, year - 1),
+        )
+        denominator = int(self.den[cell][..., self._cited].sum())
+        if denominator == 0:
+            raise UndefinedValueError(
+                f"no qualifying articles for journal={journal} area={area} year={year}"
+            )
+        numerator = int(self.num[cell][..., year - first].sum())
+        value = self.config.kappa * (numerator / denominator)
+        return IfValue(journal, area, year, numerator, denominator, value)
+
+    def mean_impact_factor(self, journal: str, area: str = ALL_AREAS) -> MeanIfValue:
+        """Mean over ``config.if_year_range``; see :func:`mean_impact_factor`."""
+        yearly: list[IfValue] = []
+        skipped: list[int] = []
+        lo, hi = self.config.if_year_range
+        for year in range(lo, hi + 1):
+            try:
+                yearly.append(self.impact_factor(journal, year, area))
+            except UndefinedValueError:
+                skipped.append(year)
+        if not yearly:
+            raise UndefinedValueError(
+                f"impact value undefined in every year {lo}-{hi} for journal={journal} area={area}"
+            )
+        mean = sum(v.value for v in yearly) / len(yearly)
+        return MeanIfValue(journal, area, mean, tuple(yearly), tuple(skipped))
+
+    def summary_row(self, journal: str) -> SummaryRow:
+        """Counts and whole-journal mean of one scope; see :func:`summary_row`."""
+        cell = (self._scope(journal), slice(None), self._pub(*self.config.pub_window))
+        items = self.den[cell][..., self._cited]
+        try:
+            mean: float | None = self.mean_impact_factor(journal).value
+        except UndefinedValueError:
+            mean = None
+        return SummaryRow(
+            journal, int(items.sum()), int(items[:, 1:].sum()), int(self.num[cell].sum()), mean
+        )
+
+    def _area_counts(
+        self,
+        journals: tuple[str, ...] | None,
+        pub_window: tuple[int, int],
+        doc_types: Iterable[str],
+    ) -> dict[str, int]:
+        scopes = slice(None) if journals is None else [self._scope_slots[j] for j in journals]
+        items = self.den[scopes][:, :, self._pub(*pub_window)][..., _doc_type_slots(doc_types)]
+        per_area = items.sum(axis=(0, 2, 3))
+        return {
+            area: int(per_area[slot])
+            for area, slot in sorted(self._area_slots.items())
+            if per_area[slot]
+        }
+
+    def composition(
+        self,
+        journal_set: Iterable[str],
+        pub_window: tuple[int, int],
+        *,
+        doc_types: frozenset[str] = ARTICLE_ONLY,
+    ) -> CompositionTable:
+        """Composition of a set of the cube's journals; see :func:`composition`."""
+        journals = tuple(sorted(set(journal_set)))
+        if not journals:
+            raise EmptyScopeError("empty journal set")
+        counts = self._area_counts(journals, pub_window, doc_types)
+        total = sum(counts.values())
+        if total == 0:
+            raise EmptyScopeError(
+                f"no classified articles in journals {journals} within {pub_window}"
+            )
+        return CompositionTable(journals, tuple(pub_window), counts, total)
+
+    def representation(
+        self,
+        journal_set: Iterable[str],
+        pub_window: tuple[int, int],
+        *,
+        doc_types: frozenset[str] = ARTICLE_ONLY,
+    ) -> RepresentationTable:
+        """Representation of a set of the cube's journals; see :func:`representation`."""
+        inside = self.composition(journal_set, pub_window, doc_types=doc_types)
+        all_counts = self._area_counts(None, pub_window, doc_types)
+        all_total = sum(all_counts.values())
+        if all_total == 0:
+            raise EmptyScopeError(f"no classified articles in the corpus within {pub_window}")
+        share_all = {area: n / all_total for area, n in all_counts.items()}
+        ratios = {area: inside.share(area) / share for area, share in share_all.items()}
+        omitted = tuple(a for a in BROAD_AREAS if a not in share_all)
+        return RepresentationTable(
+            inside.journal_set, inside.pub_window, ratios, inside.shares, share_all, omitted
+        )
+
+
+def count_cube(
     corpus: Corpus,
     assignments: Mapping[str, Assignment],
-    journal: str,
-    years: tuple[int, int],
-    area: str,
-    doc_types: frozenset[str],
-) -> list[str]:
-    lo, hi = years
-    if journal == ALL_SOURCES:
-        candidates: Iterable[str] = corpus.articles
-    else:
-        candidates = corpus.articles_by_journal.get(journal)
-        if candidates is None:
-            raise UnknownNameError(f"unknown journal: {journal!r}")
-    out = []
-    for a_id in candidates:
-        art = corpus.articles[a_id]
-        if not lo <= art.year <= hi or art.doc_type not in doc_types:
-            continue
-        if area != ALL_AREAS and _area_of(assignments, a_id) != area:
-            continue
-        out.append(a_id)
-    return out
+    journals: Iterable[str],
+    config: IndicatorConfig,
+    *,
+    if_years: tuple[int, int] | None = None,
+    pub_window: tuple[int, int] | None = None,
+) -> CountCube:
+    """Count every item and citation the indicators can ask for, in one pass.
+
+    The cube serves impact values for the years ``if_years`` and item and
+    citation counts over the publication years ``pub_window``; either may be
+    None. Its year axes span only those years and its scope axis only
+    ``journals`` plus one slot for the rest, so its size does not depend on
+    the corpus. Assignments for ids outside the corpus are ignored; corpus
+    articles without one count as unclassified. Raises
+    :class:`UnknownNameError` for a journal that is not in the corpus.
+    """
+    journals = tuple(dict.fromkeys(journals))
+    for j in journals:
+        corpus.journal(j)
+    spans = [tuple(pub_window)] if pub_window is not None else []
+    if if_years is not None:
+        spans.append((if_years[0] - config.window, if_years[1] - 1))
+    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
+    pub_lo = min((lo for lo, _ in spans), default=0)
+    n_pub = max((hi for _, hi in spans), default=pub_lo - 1) - pub_lo + 1
+    cite_lo, cite_hi = if_years if if_years is not None else (0, -1)
+    n_cite = max(cite_hi - cite_lo + 1, 0)
+
+    scope_of = dict.fromkeys(corpus.journals, len(journals))
+    scope_of.update((j, i) for i, j in enumerate(journals))
+    areas = sorted({a.broad_area for a in assignments.values()} - {None})
+    area_slots = {area: i for i, area in enumerate(areas, start=1)}
+    area_of = {None: 0, **area_slots}
+    n_scopes, n_areas, n_types = len(journals) + 1, len(areas) + 1, len(DOC_TYPES)
+    n_den = n_scopes * n_areas * n_pub * n_types
+    n_num = n_scopes * n_areas * n_pub * n_cite
+
+    articles = corpus.articles
+    index = corpus.citation_index
+    assigned = assignments.get
+    cited_types = config.denominator_doc_types if n_cite else frozenset()
+    # Citers whose doc type does not count: empty under the default config,
+    # and a set test per edge is cheaper than a doc type lookup.
+    uncounted = frozenset(
+        a_id for a_id, art in articles.items() if art.doc_type not in config.citing_doc_types
+    )
+
+    # Flat keys: item cells first, then citation cells offset by n_den. The
+    # generator keeps no per-edge list alive.
+    def keys() -> Iterator[int]:
+        for a_id, art in articles.items():
+            p = art.year - pub_lo
+            if not 0 <= p < n_pub:
+                continue
+            entry = assigned(a_id)
+            area = 0 if entry is None else area_of[entry.broad_area]
+            cell = (scope_of[art.journal_id] * n_areas + area) * n_pub + p
+            yield cell * n_types + _DOC_TYPE_SLOT[art.doc_type]
+            if art.doc_type in cited_types:
+                base = n_den + cell * n_cite - cite_lo
+                for citer_id, citer_year in index.get(a_id, ()):
+                    if cite_lo <= citer_year <= cite_hi and citer_id not in uncounted:
+                        yield base + citer_year
+
+    flat = np.bincount(np.fromiter(keys(), dtype=np.int64), minlength=n_den + n_num)
+    den = flat[:n_den].reshape(n_scopes, n_areas, n_pub, n_types)
+    num = flat[n_den:].reshape(n_scopes, n_areas, n_pub, n_cite)
+    pub_years = (pub_lo, pub_lo + n_pub - 1)
+    return CountCube(config, journals, area_slots, pub_years, (cite_lo, cite_hi), den, num)
+
+
+def _scopes(journal: str) -> tuple[str, ...]:
+    return () if journal == ALL_SOURCES else (journal,)
 
 
 def impact_factor(
@@ -156,24 +370,8 @@ def impact_factor(
     """
     if config is None:
         config = IndicatorConfig()
-    window = (year - config.window, year - 1)
-    denom_ids = _denominator_articles(
-        corpus, assignments, journal, window, area, config.denominator_doc_types
-    )
-    if not denom_ids:
-        raise UndefinedValueError(
-            f"no qualifying articles for journal={journal} area={area} year={year}"
-        )
-    numerator = 0
-    citing_types = config.citing_doc_types
-    articles = corpus.articles
-    index = corpus.citation_index
-    for a_id in denom_ids:
-        for citer_id, citer_year in index.get(a_id, ()):
-            if citer_year == year and articles[citer_id].doc_type in citing_types:
-                numerator += 1
-    denominator = len(denom_ids)
-    return IfValue(journal, area, year, numerator, denominator, config.kappa * (numerator / denominator))
+    cube = count_cube(corpus, assignments, _scopes(journal), config, if_years=(year, year))
+    return cube.impact_factor(journal, year, area)
 
 
 def mean_impact_factor(
@@ -187,24 +385,15 @@ def mean_impact_factor(
 
     Years with a zero denominator are skipped and reported in
     ``skipped_years``; if every year is undefined the mean itself is
-    undefined and raises :class:`UndefinedValueError`.
+    undefined and raises :class:`UndefinedValueError`. Years are summed in
+    ascending order.
     """
     if config is None:
         config = IndicatorConfig()
-    yearly: list[IfValue] = []
-    skipped: list[int] = []
-    lo, hi = config.if_year_range
-    for year in range(lo, hi + 1):
-        try:
-            yearly.append(impact_factor(corpus, assignments, journal, year, area, config))
-        except UndefinedValueError:
-            skipped.append(year)
-    if not yearly:
-        raise UndefinedValueError(
-            f"impact value undefined in every year {lo}-{hi} for journal={journal} area={area}"
-        )
-    mean = sum(v.value for v in yearly) / len(yearly)
-    return MeanIfValue(journal, area, mean, tuple(yearly), tuple(skipped))
+    cube = count_cube(
+        corpus, assignments, _scopes(journal), config, if_years=config.if_year_range
+    )
+    return cube.mean_impact_factor(journal, area)
 
 
 def prestige(
@@ -240,26 +429,6 @@ class CompositionTable:
         return self.counts.get(area, 0) / self.total
 
 
-def _classified_area_counts(
-    corpus: Corpus,
-    assignments: Mapping[str, Assignment],
-    journal_set: frozenset[str] | None,
-    pub_window: tuple[int, int],
-    doc_types: frozenset[str],
-) -> dict[str, int]:
-    lo, hi = pub_window
-    counts: dict[str, int] = {}
-    for a_id, art in corpus.articles.items():
-        if journal_set is not None and art.journal_id not in journal_set:
-            continue
-        if not lo <= art.year <= hi or art.doc_type not in doc_types:
-            continue
-        area = _area_of(assignments, a_id)
-        if area is not None:
-            counts[area] = counts.get(area, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def composition(
     corpus: Corpus,
     assignments: Mapping[str, Assignment],
@@ -275,18 +444,9 @@ def composition(
     them as 0). Raises :class:`EmptyScopeError` when nothing in scope is
     classified.
     """
-    journals = tuple(sorted(set(journal_set)))
-    if not journals:
-        raise EmptyScopeError("empty journal set")
-    for j in journals:
-        corpus.journal(j)
-    counts = _classified_area_counts(corpus, assignments, frozenset(journals), pub_window, doc_types)
-    total = sum(counts.values())
-    if total == 0:
-        raise EmptyScopeError(
-            f"no classified articles in journals {journals} within {pub_window}"
-        )
-    return CompositionTable(journals, tuple(pub_window), counts, total)
+    journals = tuple(journal_set)
+    cube = count_cube(corpus, assignments, journals, IndicatorConfig(), pub_window=pub_window)
+    return cube.composition(journals, pub_window, doc_types=doc_types)
 
 
 @dataclass(frozen=True)
@@ -315,17 +475,9 @@ def representation(
     (0.0 when the set has no such articles); areas with zero all-sources
     share are omitted and listed in ``omitted_areas``.
     """
-    inside = composition(corpus, assignments, journal_set, pub_window, doc_types=doc_types)
-    all_counts = _classified_area_counts(corpus, assignments, None, tuple(pub_window), doc_types)
-    all_total = sum(all_counts.values())
-    if all_total == 0:
-        raise EmptyScopeError(f"no classified articles in the corpus within {pub_window}")
-    share_all = {area: n / all_total for area, n in all_counts.items()}
-    ratios = {area: inside.share(area) / share for area, share in share_all.items()}
-    omitted = tuple(a for a in BROAD_AREAS if a not in share_all)
-    return RepresentationTable(
-        inside.journal_set, inside.pub_window, ratios, inside.shares, share_all, omitted
-    )
+    journals = tuple(journal_set)
+    cube = count_cube(corpus, assignments, journals, IndicatorConfig(), pub_window=pub_window)
+    return cube.representation(journals, pub_window, doc_types=doc_types)
 
 
 @dataclass(frozen=True)
@@ -340,6 +492,40 @@ class RankingEntry:
 class RankingTable:
     area: str
     entries: tuple[RankingEntry, ...]
+
+
+def ranking_from_means(
+    corpus: Corpus,
+    taxonomy: Taxonomy,
+    area: str,
+    journals: Iterable[str],
+    mean_of: Callable[[str, str], float | None],
+) -> RankingTable:
+    """Rank journals within one broad area by ``mean_of(journal, area)``.
+
+    Journals carrying any multidisciplinary category are scored by their
+    ``area`` mean, disciplinary journals by their :data:`ALL_AREAS` mean;
+    ``mean_of`` returns None for an undefined mean. Sorted descending, ties
+    broken by journal id; journals with an undefined mean are listed last,
+    unranked.
+    """
+    scored: list[tuple[str, float, bool]] = []
+    undefined: list[tuple[str, bool]] = []
+    for j_id in sorted(set(journals)):
+        journal = corpus.journal(j_id)
+        multi = any(taxonomy.is_multidisciplinary(c) for c in journal.categories)
+        value = mean_of(j_id, area if multi else ALL_AREAS)
+        if value is None:
+            undefined.append((j_id, multi))
+        else:
+            scored.append((j_id, value, multi))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    entries = [
+        RankingEntry(j_id, value, multi, rank)
+        for rank, (j_id, value, multi) in enumerate(scored, start=1)
+    ]
+    entries += [RankingEntry(j_id, None, multi, None) for j_id, multi in sorted(undefined)]
+    return RankingTable(area, tuple(entries))
 
 
 def rank_journals(
@@ -359,25 +545,16 @@ def rank_journals(
     """
     if config is None:
         config = IndicatorConfig()
-    scored: list[tuple[str, float, bool]] = []
-    undefined: list[tuple[str, bool]] = []
-    for j_id in sorted(set(journals)):
-        journal = corpus.journal(j_id)
-        multi = any(taxonomy.is_multidisciplinary(c) for c in journal.categories)
+    journal_list = sorted(set(journals))
+    cube = count_cube(corpus, assignments, journal_list, config, if_years=config.if_year_range)
+
+    def mean_of(journal: str, scope_area: str) -> float | None:
         try:
-            mean = mean_impact_factor(
-                corpus, assignments, j_id, area if multi else ALL_AREAS, config
-            )
-            scored.append((j_id, mean.value, multi))
+            return cube.mean_impact_factor(journal, scope_area).value
         except UndefinedValueError:
-            undefined.append((j_id, multi))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    entries = [
-        RankingEntry(j_id, value, multi, rank)
-        for rank, (j_id, value, multi) in enumerate(scored, start=1)
-    ]
-    entries += [RankingEntry(j_id, None, multi, None) for j_id, multi in sorted(undefined)]
-    return RankingTable(area, tuple(entries))
+            return None
+
+    return ranking_from_means(corpus, taxonomy, area, journal_list, mean_of)
 
 
 @dataclass(frozen=True)
@@ -400,23 +577,12 @@ def summary_row(
     """Counts for one journal (or ALL_SOURCES): publication-window articles,
     how many are classified, citations received over the impact-year range,
     and the whole-journal mean impact value (None when undefined)."""
-    denom_ids = _denominator_articles(
+    cube = count_cube(
         corpus,
         assignments,
-        journal,
-        config.pub_window,
-        ALL_AREAS,
-        config.denominator_doc_types,
+        _scopes(journal),
+        config,
+        if_years=config.if_year_range,
+        pub_window=config.pub_window,
     )
-    classified = sum(1 for a_id in denom_ids if _area_of(assignments, a_id) is not None)
-    lo, hi = config.if_year_range
-    citations = 0
-    for a_id in denom_ids:
-        for citer_id, citer_year in corpus.citation_index.get(a_id, ()):
-            if lo <= citer_year <= hi and corpus.articles[citer_id].doc_type in config.citing_doc_types:
-                citations += 1
-    try:
-        mean: float | None = mean_impact_factor(corpus, assignments, journal, ALL_AREAS, config).value
-    except UndefinedValueError:
-        mean = None
-    return SummaryRow(journal, len(denom_ids), classified, citations, mean)
+    return cube.summary_row(journal)

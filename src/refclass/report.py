@@ -27,12 +27,9 @@ from .indicators import (
     RankingTable,
     RepresentationTable,
     SummaryRow,
-    composition,
-    mean_impact_factor,
+    count_cube,
     prestige,
-    rank_journals,
-    representation,
-    summary_row,
+    ranking_from_means,
 )
 from .taxonomy import Taxonomy
 
@@ -126,33 +123,32 @@ def build_report_tables(
 
     Scopes or cells whose value is undefined (zero denominator, nothing
     classified) are skipped rather than fabricated; the emitters render
-    whatever is present.
+    whatever is present. Every cell is a slice of one :class:`CountCube`.
     """
     if config is None:
         config = IndicatorConfig()
     journal_list = tuple(sorted(set(journals)))
-    for j in journal_list:
-        corpus.journal(j)
+    cube = count_cube(
+        corpus,
+        assignments,
+        journal_list,
+        config,
+        if_years=config.if_year_range,
+        pub_window=config.pub_window,
+    )
     areas = _target_areas(taxonomy)
 
-    summary = [summary_row(corpus, assignments, ALL_SOURCES, config)]
-    summary += [summary_row(corpus, assignments, j, config) for j in journal_list]
+    summary = [cube.summary_row(j) for j in (ALL_SOURCES,) + journal_list]
 
     compositions: list[tuple[str, CompositionTable]] = []
-    try:
-        compositions.append(
-            (COMBINED_SCOPE, composition(corpus, assignments, journal_list, config.pub_window))
-        )
-    except EmptyScopeError:
-        pass
-    for j in journal_list:
+    for scope, journal_set in [(COMBINED_SCOPE, journal_list)] + [(j, (j,)) for j in journal_list]:
         try:
-            compositions.append((j, composition(corpus, assignments, (j,), config.pub_window)))
+            compositions.append((scope, cube.composition(journal_set, config.pub_window)))
         except EmptyScopeError:
             continue
 
     try:
-        rep = representation(corpus, assignments, journal_list, config.pub_window)
+        rep = cube.representation(journal_list, config.pub_window)
     except EmptyScopeError:
         rep = None
 
@@ -160,7 +156,7 @@ def build_report_tables(
     for j in (ALL_SOURCES,) + journal_list:
         for area in (ALL_AREAS,) + areas:
             try:
-                field_if.append(mean_impact_factor(corpus, assignments, j, area, config))
+                field_if.append(cube.mean_impact_factor(j, area))
             except UndefinedValueError:
                 continue
 
@@ -180,8 +176,9 @@ def build_report_tables(
                     prestige(jm.value, base.value, journal_id=j, area=area)
                 )
 
+    means = {(m.journal_id, m.area): m.value for m in field_if}
     rankings = [
-        rank_journals(corpus, assignments, taxonomy, area, journal_list, config)
+        ranking_from_means(corpus, taxonomy, area, journal_list, lambda j, a: means.get((j, a)))
         for area in areas
     ]
 

@@ -229,6 +229,103 @@ def test_indicators_and_report_stages(toy_files, tmp_path, capsys):
     assert "command\treport" in (rep_dir / MANIFEST_FILE).read_text()
 
 
+def _classify_toy(corpus, taxonomy, tmp_path):
+    assignments = tmp_path / "assignments.tsv"
+    args = ["classify", "--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    assert run_cli(args + ["--out", str(assignments)]) == 0
+    return assignments
+
+
+def _indicators_args(corpus, taxonomy, assignments, out_dir):
+    return [
+        "indicators",
+        "--corpus",
+        str(corpus),
+        "--taxonomy",
+        str(taxonomy),
+        "--assignments",
+        str(assignments),
+        "--if-years",
+        "2008:2008",
+        "--journals",
+        "JG",
+        "--out-dir",
+        str(out_dir),
+    ]
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan", "-inf"])
+def test_indicators_rejects_non_finite_kappa(toy_files, tmp_path, capsys, kappa):
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    capsys.readouterr()
+    out_dir = tmp_path / "ind"
+    code = run_cli(_indicators_args(corpus, taxonomy, assignments, out_dir) + [f"--kappa={kappa}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "ZZZ_NOT_IN_CORPUS\tAstronomy & Astrophysics\tAstronomy\tjournal-seeded\t0\t0",
+        "P1\tNo Such Category\tAstronomy\tjournal-seeded\t0\t0",
+        "P1\tOncology\tAstronomy\tjournal-seeded\t0\t0",
+    ],
+    ids=["id-not-in-corpus", "category-not-in-taxonomy", "category-in-wrong-broad-area"],
+)
+def test_indicators_rejects_inconsistent_assignments(toy_files, tmp_path, capsys, row):
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    lines = [ln for ln in assignments.read_text().splitlines() if not ln.startswith("P1\t")]
+    assignments.write_text("\n".join(sorted(lines + [row])) + "\n")
+    capsys.readouterr()
+    out_dir = tmp_path / "ind"
+    assert run_cli(_indicators_args(corpus, taxonomy, assignments, out_dir)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:validation:")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_corpus_that_is_not_utf8_is_one_line_parse_error(tmp_path, toy_files, capsys):
+    _, taxonomy = toy_files
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"J\tJ1\tX\tOncology\nA\tP1\tJ1\t2010\tarticle\t\xff\n")
+    assert run_cli(["validate", "--corpus", str(bad), "--taxonomy", str(taxonomy)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:parse:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [b'{"num_fields": 3,', b"\xff{}"], ids=["truncated", "not-utf8"])
+def test_synth_config_that_is_not_json_is_one_line_config_error(tmp_path, capsys, content):
+    config = tmp_path / "synth.json"
+    config.write_bytes(content)
+    code = run_cli(
+        [
+            "synth",
+            "--config",
+            str(config),
+            "--seed",
+            "1",
+            "--out-corpus",
+            str(tmp_path / "c.tsv"),
+            "--out-truth",
+            str(tmp_path / "t.tsv"),
+            "--out-taxonomy",
+            str(tmp_path / "x.tsv"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:")
+    assert err.count("\n") == 1
+
+
 def test_report_rejects_missing_or_corrupt_tables(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()

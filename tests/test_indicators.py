@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from refclass.classifier import classify
+from refclass.classifier import Assignment, classify
 from refclass.corpus import build_corpus
 from refclass.errors import (
     DomainError,
@@ -16,8 +18,10 @@ from refclass.errors import (
 from refclass.indicators import (
     ALL_AREAS,
     ALL_SOURCES,
+    ARTICLE_ONLY,
     IndicatorConfig,
     composition,
+    count_cube,
     impact_factor,
     mean_impact_factor,
     prestige,
@@ -25,6 +29,7 @@ from refclass.indicators import (
     representation,
     summary_row,
 )
+from refclass.report import COMBINED_SCOPE, build_report_tables
 from refclass.synthetic import SyntheticConfig, generate_synthetic
 from refclass.errors import ConfigError
 
@@ -170,6 +175,151 @@ def test_impact_factor_matches_brute_force_scan():
                     continue
                 v = impact_factor(corpus, assignments, journal_id, year, area, config)
                 assert (v.numerator, v.denominator) == expected
+
+
+def brute_force_items(corpus, journals, years, doc_types):
+    # ids of items in ``journals`` (None: every journal) published in ``years``
+    lo, hi = years
+    return {
+        a.id
+        for a in corpus.articles.values()
+        if a.doc_type in doc_types
+        and lo <= a.year <= hi
+        and (journals is None or a.journal_id in journals)
+    }
+
+
+def brute_force_citations(corpus, cited, years, citing_doc_types):
+    lo, hi = years
+    return sum(
+        ref in cited
+        for citer in corpus.articles.values()
+        if lo <= citer.year <= hi and citer.doc_type in citing_doc_types
+        for ref in citer.references
+    )
+
+
+def brute_force_area_counts(corpus, assignments, journals, pub_window):
+    counts = Counter()
+    for a_id in brute_force_items(corpus, journals, pub_window, ARTICLE_ONLY):
+        entry = assignments.get(a_id)
+        if entry is not None and entry.broad_area is not None:
+            counts[entry.broad_area] += 1
+    return dict(sorted(counts.items()))
+
+
+@pytest.mark.parametrize(
+    "seed, config",
+    [
+        (3, IndicatorConfig(if_year_range=(2003, 2008), pub_window=(2001, 2007))),
+        (
+            29,
+            IndicatorConfig(
+                window=3,
+                kappa=1.7,
+                denominator_doc_types=frozenset({"article", "review"}),
+                citing_doc_types=frozenset({"article", "other"}),
+                if_year_range=(2004, 2009),
+                pub_window=(2002, 2005),
+            ),
+        ),
+    ],
+)
+def test_every_report_cell_matches_brute_force_scan(seed, config):
+    rng = np.random.default_rng(seed)
+    corpus, taxonomy = random_corpus(rng, max_articles=400)
+    some = sorted(corpus.articles)[:5]
+    # items far outside the configured years, cited and citing
+    far = [
+        article("OLD", "J00", 1950, refs=some[:2]),
+        article("FUT", "J01", 2090, refs=some[2:4]),
+        article("LNK", "J00", 2005, refs=("OLD", "FUT", some[4])),
+    ]
+    corpus = build_corpus([*corpus.journals.values(), *corpus.articles.values(), *far])
+    full = classify(corpus, taxonomy).assignments
+    # every fifth corpus article lacks an assignment; one assignment names no corpus article
+    assignments = {a_id: a for i, (a_id, a) in enumerate(full.items()) if i % 5}
+    assignments["NOT_IN_CORPUS"] = Assignment(
+        "NOT_IN_CORPUS", ONCO, "Medicine", "journal-seeded", 0, None
+    )
+    journals = sorted(corpus.journals)
+    areas = sorted({taxonomy.broad_area_of(c) for c in taxonomy.assignment_targets})
+    tables = build_report_tables(corpus, assignments, taxonomy, journals, config)
+
+    cube = count_cube(
+        corpus,
+        assignments,
+        journals,
+        config,
+        if_years=config.if_year_range,
+        pub_window=config.pub_window,
+    )
+    lo, hi = config.if_year_range
+    pub_lo = min(config.pub_window[0], lo - config.window)
+    pub_hi = max(config.pub_window[1], hi - 1)
+    assert (cube.pub_years, cube.if_years) == ((pub_lo, pub_hi), (lo, hi))
+    assert cube.den.shape[2] == pub_hi - pub_lo + 1 and cube.num.shape[3] == hi - lo + 1
+
+    field_if = {(m.journal_id, m.area): m for m in tables.field_if}
+    means = {}
+    for scope in (ALL_SOURCES, *journals):
+        for area in (ALL_AREAS, *areas):
+            yearly = [
+                (year, *brute_force_if(corpus, assignments, scope, year, area, config))
+                for year in range(lo, hi + 1)
+            ]
+            defined = [cell for cell in yearly if cell[2]]
+            for year, num, den in yearly:
+                if den:
+                    v = impact_factor(corpus, assignments, scope, year, area, config)
+                    assert (v.numerator, v.denominator) == (num, den)
+            m = field_if.get((scope, area))
+            if not defined:
+                assert m is None
+                continue
+            assert [(v.year, v.numerator, v.denominator) for v in m.yearly] == defined
+            assert m.skipped_years == tuple(year for year, _, den in yearly if not den)
+            means[(scope, area)] = sum(config.kappa * (n / d) for _, n, d in defined) / len(defined)
+            assert m.value == means[(scope, area)]
+
+    assert [r.journal_id for r in tables.summary] == [ALL_SOURCES, *journals]
+    for row in tables.summary:
+        scope = None if row.journal_id == ALL_SOURCES else {row.journal_id}
+        items = brute_force_items(corpus, scope, config.pub_window, config.denominator_doc_types)
+        classified = [i for i in items if getattr(assignments.get(i), "broad_area", None)]
+        citations = brute_force_citations(
+            corpus, items, config.if_year_range, config.citing_doc_types
+        )
+        mean = means.get((row.journal_id, ALL_AREAS))
+        assert (row.articles, row.articles_classified, row.citations, row.mean_if) == (
+            len(items),
+            len(classified),
+            citations,
+            mean,
+        )
+        assert summary_row(corpus, assignments, row.journal_id, config) == row
+
+    expected = {
+        scope: brute_force_area_counts(corpus, assignments, set(js), config.pub_window)
+        for scope, js in [(COMBINED_SCOPE, journals)] + [(j, [j]) for j in journals]
+    }
+    assert {scope: c.counts for scope, c in tables.compositions} == {
+        scope: counts for scope, counts in expected.items() if counts
+    }
+    all_counts = brute_force_area_counts(corpus, assignments, None, config.pub_window)
+    total = sum(all_counts.values())
+    assert tables.representation.share_all == {a: n / total for a, n in all_counts.items()}
+
+    assert [r.area for r in tables.rankings] == areas
+    for ranking in tables.rankings:
+        scored, undefined = [], []
+        for j in journals:
+            multi = any(taxonomy.is_multidisciplinary(c) for c in corpus.journals[j].categories)
+            value = means.get((j, ranking.area if multi else ALL_AREAS))
+            (undefined if value is None else scored).append((j, value))
+        scored.sort(key=lambda jv: (-jv[1], jv[0]))
+        assert [(e.journal_id, e.value) for e in ranking.entries] == scored + undefined
+        assert ranking == rank_journals(corpus, assignments, taxonomy, ranking.area, journals, config)
 
 
 def test_mean_impact_factor_skips_undefined_years(toy_taxonomy):
@@ -408,6 +558,9 @@ def test_indicator_config_validation():
         IndicatorConfig(window=0)
     with pytest.raises(ConfigError):
         IndicatorConfig(kappa=0.0)
+    for kappa in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            IndicatorConfig(kappa=kappa)
     with pytest.raises(ConfigError):
         IndicatorConfig(if_year_range=(2016, 2007))
     with pytest.raises(ConfigError):
