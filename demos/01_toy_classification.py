@@ -5,7 +5,7 @@ Usage: python3 demos/01_toy_classification.py
 
 from pathlib import Path
 
-from refclass import classify, load_taxonomy, read_corpus, seed_assignments, tally_references
+from refclass import classify, load_taxonomy, read_corpus, seed_assignments
 from refclass.corpus import validate_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -42,18 +42,15 @@ for a_id in sorted(seeds):
 print()
 
 # ---------------------------------------------------------------------------
-# Tallying: each labeled reference casts one vote for its category.
-# G1 cites two seeded astronomy articles, so its tally is unambiguous.
-# ---------------------------------------------------------------------------
-tally = tally_references(corpus.articles["G1"], seeds, taxonomy)
-print(f"votes for G1 at iteration 1: {tally.counts} (total {tally.total_votes})")
-print()
-
-# ---------------------------------------------------------------------------
 # The full run iterates to a fixed point with synchronous updates, then
-# breaks any remaining ties lexicographically.
+# breaks any remaining ties lexicographically. Each labeled reference casts
+# one vote for its category; G1 cites two seeded astronomy articles, so the
+# tally behind its label is unambiguous.
 # ---------------------------------------------------------------------------
 result = classify(corpus, taxonomy)
+g1 = result.assignments["G1"]
+print(f"votes for G1 at iteration {g1.iteration}: {g1.tally.counts} (total {g1.tally.total_votes})")
+print()
 print(f"converged after {result.iterations_run} iterations")
 for s in result.iteration_stats:
     print(f"  iteration {s.iteration}: {s.newly_classified} newly classified, {s.changed} changed")

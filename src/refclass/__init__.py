@@ -16,9 +16,7 @@ from .classifier import (
     VoteTally,
     classify,
     evaluate_accuracy,
-    resolve_tally,
     seed_assignments,
-    tally_references,
 )
 from .corpus import (
     ArticleRecord,
@@ -78,8 +76,6 @@ __all__ = [
     "rank_journals",
     "read_corpus",
     "representation",
-    "resolve_tally",
     "seed_assignments",
-    "tally_references",
     "validate_corpus",
 ]

@@ -6,7 +6,7 @@ article is repeatedly re-labeled by tallying the current labels of its
 in-corpus references and taking the strict plurality, until the label table
 reaches a fixed point or ``max_iterations`` passes have run. Updates are
 synchronous: iteration k+1 reads only iteration k's table, so the result is
-independent of traversal order and parallelism degree.
+independent of traversal order.
 
 Tie handling: under the default ``unclassified-until-stable`` policy a tied
 tally resolves to no label during iterations; once iteration stops, a single
@@ -19,15 +19,25 @@ Bookkeeping: an assignment's ``iteration`` and ``tally`` snapshot belong to
 the iteration that last changed its label (0 and an empty tally for seeds).
 Articles left unclassified carry ``iteration = 0`` and the final-table tally
 that failed to resolve.
+
+Kernel: article ids are encoded once as rows and seed labels as integer
+codes in sorted order; the in-corpus references of non-seeded articles
+become two ``int32`` arrays (article index, referenced row), with dangling
+references dropped. A single vote function runs one ``np.bincount`` over
+those edges to get each article's tally row, total, maximum, leader count
+and first leader; every iteration and the terminal pass call it. Tally
+memory is O(non-seeded articles x seed labels). The kernel runs on one
+thread, so the output cannot depend on a thread count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .corpus import ArticleRecord, Corpus
+import numpy as np
+
+from .corpus import Corpus
 from .errors import ConfigError, ParseError, ValidationError
 from .taxonomy import BROAD_AREA_SET, Taxonomy
 
@@ -52,18 +62,6 @@ class VoteTally:
 
     counts: dict[str, int]
     total_votes: int
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[str, int]) -> "VoteTally":
-        counts = dict(counts)
-        return cls(counts, sum(counts.values()))
-
-    def leaders(self) -> tuple[str, ...]:
-        """Labels holding the maximum count, sorted ascending; empty if no votes."""
-        if not self.counts:
-            return ()
-        top = max(self.counts.values())
-        return tuple(sorted(k for k, v in self.counts.items() if v == top))
 
 
 EMPTY_TALLY = VoteTally({}, 0)
@@ -130,66 +128,6 @@ def seed_assignments(corpus: Corpus, taxonomy: Taxonomy) -> dict[str, Assignment
     return table
 
 
-def tally_references(
-    article: ArticleRecord,
-    assignments: Mapping[str, Assignment],
-    taxonomy: Taxonomy,
-    mode: str = MODE_CATEGORY,
-) -> VoteTally:
-    """Count one vote per in-corpus reference that currently carries a label.
-
-    Dangling and unclassified references contribute nothing; an empty tally
-    is a valid result.
-    """
-    counts: dict[str, int] = {}
-    for ref in article.references:
-        a = assignments.get(ref)
-        if a is None:
-            continue
-        key = a.category if mode == MODE_CATEGORY else a.broad_area
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-    return VoteTally(counts, sum(counts.values()))
-
-
-def resolve_tally(
-    tally: VoteTally,
-    config: ClassifierConfig,
-    context: str | None = None,
-    *,
-    terminal: bool = False,
-) -> str | None:
-    """Resolve a tally to a label, or None.
-
-    Requires ``total_votes >= min_votes`` and a strict plurality; a tie
-    resolves lexicographically when the policy says so or in the terminal
-    pass, and to None otherwise. ``context`` (an article id) only decorates
-    diagnostics and never affects the result.
-    """
-    del context
-    if tally.total_votes < config.min_votes:
-        return None
-    leaders = tally.leaders()
-    if not leaders:
-        return None
-    if len(leaders) == 1:
-        return leaders[0]
-    if terminal or config.tie_policy == TIE_LEXICOGRAPHIC:
-        return leaders[0]
-    return None
-
-
-def _label_of(assignment: Assignment, mode: str) -> str | None:
-    return assignment.category if mode == MODE_CATEGORY else assignment.broad_area
-
-
-def _chunk(seq: list, n: int) -> list[list]:
-    if n <= 1 or len(seq) <= 1:
-        return [seq]
-    size = (len(seq) + n - 1) // n
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
 def classify(
     corpus: Corpus,
     taxonomy: Taxonomy,
@@ -199,111 +137,105 @@ def classify(
 ) -> ClassificationResult:
     """Run the full iterative classification to its fixed point.
 
-    ``threads`` partitions the per-article tally work of each iteration;
-    because every article reads only the previous iteration's table, the
-    result is byte-identical for any thread count.
+    One vote kernel serves every iteration and the terminal pass. ``threads``
+    must be >= 1 but selects nothing: the kernel runs on one thread, so the
+    result is the same for every value.
     """
     if config is None:
         config = ClassifierConfig()
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     seeds = seed_assignments(corpus, taxonomy)
-    mode = config.mode
+    area_mode = config.mode == MODE_BROAD_AREA
 
-    # Hot state: label table keyed by article id holding the vote key
-    # (category, or broad area in broad-area mode).
-    label: dict[str, str | None] = {a_id: _label_of(a, mode) for a_id, a in seeds.items()}
-    open_ids = sorted(a_id for a_id, a in seeds.items() if a.status != STATUS_SEEDED)
-    open_refs = [(a_id, corpus.articles[a_id].references) for a_id in open_ids]
+    # Encode once. Labels only come from seeds; their codes follow sorted
+    # order, so argmax over a row picks the lexicographically smallest leader.
+    keys = [a.broad_area if area_mode else a.category for a in seeds.values()]
+    names = sorted({k for k in keys if k is not None})
+    code = {name: c for c, name in enumerate(names)}
+    label = np.fromiter((code.get(k, -1) for k in keys), np.int32, count=len(keys))
+    open_rows = np.flatnonzero(label < 0)
+    ids = list(seeds)
+    open_ids = [ids[r] for r in open_rows.tolist()]
+    n_open, width = len(open_ids), max(len(names), 1)
 
-    # Per-article bookkeeping for non-seeded articles.
-    set_iteration: dict[str, int] = {}
-    via_tie: dict[str, bool] = {}
-    snapshot: dict[str, VoteTally] = {}
+    # Edges (open article index, referenced row); dangling references drop out.
+    row = {a_id: r for r, a_id in enumerate(ids)}
+    refs = [corpus.articles[a_id].references for a_id in open_ids]
+    lengths = np.fromiter(map(len, refs), np.int64, count=n_open)
+    dst = np.fromiter(
+        (row.get(ref, -1) for rs in refs for ref in rs), np.int32, count=int(lengths.sum())
+    )
+    src = np.repeat(np.arange(n_open, dtype=np.int32), lengths)
+    linked = dst >= 0
+    src, dst = src[linked], dst[linked]
 
-    def sweep(chunk: list[tuple[str, tuple[str, ...]]], prev: dict[str, str | None]):
-        get = prev.get
-        out = []
-        for a_id, refs in chunk:
-            counts: dict[str, int] = {}
-            for ref in refs:
-                key = get(ref)
-                if key is not None:
-                    counts[key] = counts.get(key, 0) + 1
-            tally = VoteTally(counts, sum(counts.values()))
-            resolved = resolve_tally(tally, config)
-            tied = resolved is not None and len(tally.leaders()) > 1
-            out.append((a_id, resolved, tied, tally))
-        return out
+    def votes(table: np.ndarray):
+        """Per open article: tally row, total votes, leader count, first leader."""
+        voted = table[dst]
+        keep = voted >= 0
+        flat = src[keep].astype(np.int64) * width + voted[keep]
+        counts = np.bincount(flat, minlength=n_open * width).reshape(n_open, width)
+        top = counts.max(axis=1)
+        at_top = np.count_nonzero(counts == top[:, None], axis=1)
+        return counts, counts.sum(axis=1), at_top, counts.argmax(axis=1)
+
+    # Per open article: iteration of the last label change, whether it came
+    # through a tie, and the tally snapshot of that change.
+    set_iteration = np.zeros(n_open, np.int64)
+    via_tie = np.zeros(n_open, bool)
+    snapshot = np.zeros((n_open, width), np.int32)
+    lexicographic = config.tie_policy == TIE_LEXICOGRAPHIC
 
     stats: list[IterationStats] = []
     iterations_run = 0
     for iteration in range(1, config.max_iterations + 1):
         iterations_run = iteration
-        if threads > 1 and len(open_refs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = [
-                    item
-                    for part in pool.map(lambda c: sweep(c, label), _chunk(open_refs, threads))
-                    for item in part
-                ]
-        else:
-            results = sweep(open_refs, label)
-        newly = changed = 0
-        next_label = dict(label)
-        for a_id, resolved, tied, tally in results:
-            old = label[a_id]
-            if resolved != old:
-                next_label[a_id] = resolved
-                if old is None and resolved is not None:
-                    newly += 1
-                else:
-                    changed += 1
-                if resolved is not None:
-                    set_iteration[a_id] = iteration
-                    via_tie[a_id] = tied
-                    snapshot[a_id] = tally
+        counts, total, at_top, best = votes(label)
+        tied = at_top > 1
+        won = (total >= config.min_votes) & (lexicographic | ~tied)
+        old = label[open_rows]
+        new = np.where(won, best, -1)
+        moved = new != old
+        set_now = moved & won
+        set_iteration[set_now] = iteration
+        via_tie[set_now] = tied[set_now]
+        snapshot[set_now] = counts[set_now]
+        label[open_rows] = new
+        newly = int(np.count_nonzero(moved & (old < 0)))
+        changed = int(np.count_nonzero(moved)) - newly
         stats.append(IterationStats(iteration, newly, changed))
-        label = next_label
         if newly == 0 and changed == 0:
             break
 
-    # Terminal pass: recompute open tallies from the final table; break
-    # remaining ties lexicographically, record final tallies for the rest.
-    final_sweep = sweep(open_refs, label)
-    for a_id, _resolved, _tied, tally in final_sweep:
-        if label[a_id] is None:
-            leaders = tally.leaders()
-            if tally.total_votes >= config.min_votes and len(leaders) > 1:
-                label[a_id] = leaders[0]
-                set_iteration[a_id] = iterations_run
-                via_tie[a_id] = True
-                snapshot[a_id] = tally
-            else:
-                snapshot[a_id] = tally
+    # Terminal pass: every tally reads the final table; break remaining ties
+    # and keep the final tally of every article still unlabeled.
+    counts, total, at_top, best = votes(label)
+    unlabeled = label[open_rows] < 0
+    broken = unlabeled & (total >= config.min_votes) & (at_top > 1)
+    label[open_rows[broken]] = best[broken]
+    set_iteration[broken] = iterations_run
+    via_tie[broken] = True
+    snapshot[unlabeled] = counts[unlabeled]
 
-    assignments: dict[str, Assignment] = {}
-    for a_id in corpus.articles:
-        seed = seeds[a_id]
-        if seed.status == STATUS_SEEDED:
-            assignments[a_id] = seed
+    nz_row, nz_col = np.nonzero(snapshot)
+    nz_count = snapshot[nz_row, nz_col].tolist()
+    bounds = np.searchsorted(nz_row, np.arange(n_open + 1)).tolist()
+    nz_col = nz_col.tolist()
+    final = label[open_rows].tolist()
+    set_iteration, via_tie = set_iteration.tolist(), via_tie.tolist()
+    assignments = dict(seeds)
+    for i, a_id in enumerate(open_ids):
+        lo, hi = bounds[i], bounds[i + 1]
+        tally_counts = {names[c]: n for c, n in zip(nz_col[lo:hi], nz_count[lo:hi])}
+        tally = VoteTally(tally_counts, sum(tally_counts.values()))
+        if final[i] < 0:
+            assignments[a_id] = Assignment(a_id, None, None, STATUS_UNCLASSIFIED, 0, tally)
             continue
-        value = label[a_id]
-        if value is None:
-            assignments[a_id] = Assignment(
-                a_id, None, None, STATUS_UNCLASSIFIED, 0, snapshot[a_id]
-            )
-        else:
-            status = STATUS_TIE_BROKEN if via_tie[a_id] else STATUS_REFERENCE
-            if mode == MODE_CATEGORY:
-                cat: str | None = value
-                area = taxonomy.broad_area_of(value)
-            else:
-                cat = None
-                area = value
-            assignments[a_id] = Assignment(
-                a_id, cat, area, status, set_iteration[a_id], snapshot[a_id]
-            )
+        value = names[final[i]]
+        cat, area = (None, value) if area_mode else (value, taxonomy.broad_area_of(value))
+        status = STATUS_TIE_BROKEN if via_tie[i] else STATUS_REFERENCE
+        assignments[a_id] = Assignment(a_id, cat, area, status, set_iteration[i], tally)
     return ClassificationResult(assignments, iterations_run, tuple(stats))
 
 

@@ -7,8 +7,9 @@ directory after validation. All output is written atomically; failures leave
 no partial files. Every error is a single line ``error:<code>:<message>`` on
 stderr with exit code 1 (2 for usage errors).
 
-``REFCLASS_THREADS`` caps classification parallelism (0 = auto); results are
-byte-identical for every thread count.
+``REFCLASS_THREADS`` must be a non-negative integer (0 = auto) when set, but
+it selects nothing: classification runs on one thread, so its output is the
+same for every value.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .report import (
     RunManifest,
     build_report_tables,
     emit_report,
+    write_files_atomic,
     write_text_atomic,
 )
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -120,7 +122,7 @@ def _threads_from_env() -> int:
     return n
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str | Path) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return fh.readlines()
@@ -145,14 +147,12 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     if unknown:
         raise ConfigError(f"unknown synth config keys: {', '.join(unknown)}")
     raw["seed"] = ns.seed
-    if "year_range" in raw:
-        raw["year_range"] = tuple(raw["year_range"])
-    rate = raw.get("field_citation_rate")
-    if isinstance(rate, dict):
-        raw["field_citation_rate"] = {int(k): float(v) for k, v in rate.items()}
     try:
+        rate = raw.get("field_citation_rate")
+        if isinstance(rate, dict):
+            raw["field_citation_rate"] = {int(k): float(v) for k, v in rate.items()}
         config = SyntheticConfig(**raw)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth config: {exc}") from None
     corpus, truth, taxonomy = generate_synthetic(config)
     write_text_atomic(ns.out_corpus, emit_corpus(corpus))
@@ -263,7 +263,7 @@ def _cmd_report(ns: argparse.Namespace) -> int:
         path = in_dir / name
         if not path.is_file():
             raise ValidationError(f"missing table file: {path}")
-        text = path.read_text(encoding="utf-8")
+        text = "".join(_read_lines(path))
         lines = text.splitlines()
         data = [ln for ln in lines if not ln.startswith("#")]
         if not lines or not lines[0].startswith("#"):
@@ -286,25 +286,8 @@ def _cmd_report(ns: argparse.Namespace) -> int:
         inputs=digests,
         outputs=tuple(sorted(TABLE_FILES + (MANIFEST_FILE,))),
     )
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staged = []
-    try:
-        for name in sorted(texts):
-            tmp = out_dir / f".{name}.tmp"
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(texts[name])
-            staged.append((tmp, out_dir / name))
-        tmp = out_dir / f".{MANIFEST_FILE}.tmp"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(manifest.to_lines()) + "\n")
-        staged.append((tmp, out_dir / MANIFEST_FILE))
-        for tmp, final in staged:
-            os.replace(tmp, final)
-    except BaseException:
-        for tmp, _final in staged:
-            tmp.unlink(missing_ok=True)
-        raise
+    texts[MANIFEST_FILE] = "\n".join(manifest.to_lines()) + "\n"
+    write_files_atomic(ns.out_dir, texts)
     return 0
 
 

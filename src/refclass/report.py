@@ -282,29 +282,40 @@ def write_text_atomic(path: Path | str, text: str) -> None:
         raise
 
 
-def emit_report(tables: ReportTables, manifest: RunManifest, out_dir: Path | str) -> list[str]:
-    """Write all table files plus ``manifest.tsv`` into ``out_dir``.
+def write_files_atomic(out_dir: Path | str, texts: Mapping[str, str]) -> list[str]:
+    """Write ``texts`` (file name -> content) into ``out_dir`` in two phases.
 
-    All files are staged as temps first and renamed together, so a failure
-    leaves the directory in its prior state. Returns the written paths in
-    file-name order. Re-running on identical tables produces byte-identical
-    files.
+    Every file is staged as a temp in ``out_dir`` first; the temps are then
+    renamed in file-name order with ``manifest.tsv`` last, so a new manifest
+    lands only after every other file has. On failure no temp is left and
+    the manifest keeps its prior content. Returns the written paths in
+    file-name order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    renders = render_tables(tables)
-    renders[MANIFEST_FILE] = "\n".join(manifest.to_lines()) + "\n"
     staged: list[tuple[Path, Path]] = []
     try:
-        for name in sorted(renders):
+        for name in sorted(texts, key=lambda n: (n == MANIFEST_FILE, n)):
             tmp = out / f".{name}.tmp"
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(renders[name])
             staged.append((tmp, out / name))
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(texts[name])
         for tmp, final in staged:
             os.replace(tmp, final)
     except BaseException:
         for tmp, _final in staged:
             tmp.unlink(missing_ok=True)
         raise
-    return [str(out / name) for name in sorted(renders)]
+    return [str(out / name) for name in sorted(texts)]
+
+
+def emit_report(tables: ReportTables, manifest: RunManifest, out_dir: Path | str) -> list[str]:
+    """Write all table files plus ``manifest.tsv`` into ``out_dir``.
+
+    Staged through :func:`write_files_atomic`. Returns the written paths in
+    file-name order. Re-running on identical tables produces byte-identical
+    files.
+    """
+    renders = render_tables(tables)
+    renders[MANIFEST_FILE] = "\n".join(manifest.to_lines()) + "\n"
+    return write_files_atomic(out_dir, renders)

@@ -48,6 +48,10 @@ from .taxonomy import BROAD_AREAS, MULTIDISCIPLINARY_FLAG, SubjectCategory, Taxo
 GENERAL_CATEGORY = "multidisciplinary"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of the synthetic world; validated on construction."""
@@ -65,24 +69,29 @@ class SyntheticConfig:
 
     def __post_init__(self):
         f = self.num_fields
-        if not isinstance(f, int) or f < 2:
+        if not _is_int(f) or f < 2:
             raise ConfigError("num_fields must be an integer >= 2")
         if f > len(BROAD_AREAS):
             raise ConfigError(
                 f"num_fields must be <= {len(BROAD_AREAS)} so each field maps to a distinct broad area"
             )
-        if self.journals_per_field < 1:
-            raise ConfigError("journals_per_field must be >= 1")
-        if self.num_general_journals < 0:
-            raise ConfigError("num_general_journals must be >= 0")
-        if self.articles_per_journal_year < 1:
-            raise ConfigError("articles_per_journal_year must be >= 1")
-        y0, y1 = self.year_range
+        for name, low in (
+            ("journals_per_field", 1),
+            ("num_general_journals", 0),
+            ("articles_per_journal_year", 1),
+        ):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}")
+        years = self.year_range
+        if not (isinstance(years, (tuple, list)) and len(years) == 2 and all(map(_is_int, years))):
+            raise ConfigError("year_range must be a pair of integers")
+        y0, y1 = years
         if y0 > y1:
             raise ConfigError("empty year_range")
         if y0 < 1900 or y1 > 2100:
             raise ConfigError("year_range outside sanity bounds 1900-2100")
-        object.__setattr__(self, "year_range", (int(y0), int(y1)))
+        object.__setattr__(self, "year_range", (y0, y1))
         if not self.mean_refs > 0:
             raise ConfigError("mean_refs must be positive")
         if not 0.0 <= self.p_intra <= 1.0:

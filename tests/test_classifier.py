@@ -13,14 +13,13 @@ from refclass.classifier import (
     STATUS_UNCLASSIFIED,
     TIE_LEXICOGRAPHIC,
     ClassifierConfig,
+    IterationStats,
     VoteTally,
     classify,
     emit_assignments,
     evaluate_accuracy,
     read_assignments,
-    resolve_tally,
     seed_assignments,
-    tally_references,
 )
 from refclass.corpus import build_corpus
 from refclass.errors import ConfigError, ValidationError
@@ -62,7 +61,7 @@ def test_seed_assignments(toy_taxonomy):
     assert {a.status for a in table.values()} <= {STATUS_SEEDED, STATUS_UNCLASSIFIED}
 
 
-def test_tally_counts_only_labeled_references(toy_taxonomy):
+def test_only_labeled_references_vote(toy_taxonomy):
     corpus = build_corpus(
         [
             journal("JA", ASTRO),
@@ -74,43 +73,133 @@ def test_tally_counts_only_labeled_references(toy_taxonomy):
             article("P", "JM", 2010, refs=("X0", "X1", "X2", "Y0", "Y1", "U1", "GONE")),
         ]
     )
-    table = seed_assignments(corpus, toy_taxonomy)
-    tally = tally_references(corpus.articles["P"], table, toy_taxonomy)
-    assert tally.counts == {ASTRO: 3, ONCO: 2}
-    assert tally.total_votes == 5
+    # the dangling GONE and the never-labeled U1 cast no vote
+    p = classify(corpus, toy_taxonomy).assignments["P"]
+    assert (p.status, p.category, p.iteration) == (STATUS_REFERENCE, ASTRO, 1)
+    assert p.tally == VoteTally({ASTRO: 3, ONCO: 2}, 5)
     # broad-area mode votes by area
-    area_tally = tally_references(corpus.articles["P"], table, toy_taxonomy, MODE_BROAD_AREA)
-    assert area_tally.counts == {"Astronomy": 3, "Medicine": 2}
-    # all-unclassified references -> empty tally
-    empty = tally_references(corpus.articles["U1"], table, toy_taxonomy)
-    assert empty == VoteTally({}, 0)
+    area = classify(corpus, toy_taxonomy, ClassifierConfig(mode=MODE_BROAD_AREA))
+    p = area.assignments["P"]
+    assert (p.status, p.category, p.broad_area) == (STATUS_REFERENCE, None, "Astronomy")
+    assert p.tally == VoteTally({"Astronomy": 3, "Medicine": 2}, 5)
+    # an empty tally is a valid outcome
+    u1 = classify(corpus, toy_taxonomy).assignments["U1"]
+    assert (u1.status, u1.iteration, u1.tally) == (STATUS_UNCLASSIFIED, 0, VoteTally({}, 0))
 
 
-def test_tally_matches_brute_force_recount(toy_taxonomy):
+def test_iteration_one_tallies_match_brute_force_recount():
     rng = np.random.default_rng(31)
     corpus, taxonomy = random_corpus(rng, max_articles=500)
-    table = seed_assignments(corpus, taxonomy)
-    for a_id in list(corpus.articles)[::7]:
-        art = corpus.articles[a_id]
+    seeds = seed_assignments(corpus, taxonomy)
+    result = classify(corpus, taxonomy, ClassifierConfig(max_iterations=1))
+    # labels set at iteration 1 carry tallies over the seed table; the rest
+    # carry tallies over the table after iteration 1 (terminal tie-breaks
+    # excluded, since every terminal tally reads the frozen table)
+    after_one = {
+        a_id: a.category
+        for a_id, a in result.assignments.items()
+        if a.status in (STATUS_SEEDED, STATUS_REFERENCE)
+    }
+    seed_table = {a_id: a.category for a_id, a in seeds.items()}
+    checked = 0
+    for a_id, a in result.assignments.items():
+        if a.status == STATUS_SEEDED:
+            continue
+        table = seed_table if a.status == STATUS_REFERENCE else after_one
         counts: dict[str, int] = {}
-        for ref in art.references:
-            entry = table.get(ref)
-            if entry is not None and entry.category is not None:
-                counts[entry.category] = counts.get(entry.category, 0) + 1
-        assert tally_references(art, table, taxonomy).counts == counts
+        for ref in corpus.articles[a_id].references:
+            if table.get(ref) is not None:
+                counts[table[ref]] = counts.get(table[ref], 0) + 1
+        assert a.tally == VoteTally(counts, sum(counts.values()))
+        checked += 1
+    assert checked > 0
 
 
-def test_resolve_tally_rules():
-    config = ClassifierConfig()
-    assert resolve_tally(VoteTally({"X": 3, "Y": 2}, 5), config) == "X"
-    assert resolve_tally(VoteTally({}, 0), config) is None
-    # tie: none during iterations, lexicographic in the terminal pass
-    tied = VoteTally({"X": 2, "Y": 2}, 4)
-    assert resolve_tally(tied, config) is None
-    assert resolve_tally(tied, config, terminal=True) == "X"
-    assert resolve_tally(tied, ClassifierConfig(tie_policy=TIE_LEXICOGRAPHIC)) == "X"
-    # vote threshold
-    assert resolve_tally(VoteTally({"X": 1}, 1), ClassifierConfig(min_votes=2)) is None
+def test_tie_rules_and_vote_threshold(toy_taxonomy):
+    # P ties one Astronomy vote against one Oncology vote; Q cites only P.
+    corpus = build_corpus(
+        [
+            journal("JA", ASTRO),
+            journal("JO", ONCO),
+            journal("JM", MULTI),
+            article("X", "JA", 2009),
+            article("Y", "JO", 2009),
+            article("P", "JM", 2010, refs=("X", "Y")),
+            article("Q", "JM", 2011, refs=("P",)),
+        ]
+    )
+    tied = VoteTally({ASTRO: 1, ONCO: 1}, 2)
+    # default policy: no label during iterations, broken in the terminal pass,
+    # and a terminal tie-break never feeds another article's tally
+    result = classify(corpus, toy_taxonomy)
+    assert result.iteration_stats[0].newly_classified == 0
+    p, q = result.assignments["P"], result.assignments["Q"]
+    assert (p.status, p.category, p.iteration) == (STATUS_TIE_BROKEN, ASTRO, 1)
+    assert p.tally == tied
+    assert (q.status, q.tally) == (STATUS_UNCLASSIFIED, VoteTally({}, 0))
+    # lexicographic policy: broken at once, so Q follows one iteration later
+    lex = classify(corpus, toy_taxonomy, ClassifierConfig(tie_policy=TIE_LEXICOGRAPHIC))
+    p, q = lex.assignments["P"], lex.assignments["Q"]
+    assert (p.status, p.category, p.iteration, p.tally) == (STATUS_TIE_BROKEN, ASTRO, 1, tied)
+    assert (q.status, q.category, q.iteration) == (STATUS_REFERENCE, ASTRO, 2)
+    assert q.tally == VoteTally({ASTRO: 1}, 1)
+    # below min_votes a tie is not broken, even in the terminal pass
+    strict = classify(corpus, toy_taxonomy, ClassifierConfig(min_votes=3))
+    p = strict.assignments["P"]
+    assert (p.status, p.category, p.iteration, p.tally) == (STATUS_UNCLASSIFIED, None, 0, tied)
+
+
+def test_corpus_without_seeds(toy_taxonomy):
+    corpus = build_corpus(
+        [
+            journal("JM", MULTI),
+            journal("JD", (ONCO, CELL)),
+            article("A", "JM", 2010, refs=("B",)),
+            article("B", "JD", 2010, refs=("A", "GONE")),
+        ]
+    )
+    result = classify(corpus, toy_taxonomy)
+    assert result.iterations_run == 1
+    assert result.iteration_stats == (IterationStats(1, 0, 0),)
+    for a in result.assignments.values():
+        assert (a.status, a.category, a.iteration, a.tally) == (
+            STATUS_UNCLASSIFIED,
+            None,
+            0,
+            VoteTally({}, 0),
+        )
+
+
+def test_corpus_without_open_articles(toy_taxonomy):
+    corpus = build_corpus(
+        [
+            journal("JA", ASTRO),
+            journal("JO", ONCO),
+            article("X", "JA", 2009),
+            article("Y", "JO", 2010, refs=("X", "GONE")),
+        ]
+    )
+    result = classify(corpus, toy_taxonomy)
+    assert result.assignments == seed_assignments(corpus, toy_taxonomy)
+    assert result.iteration_stats == (IterationStats(1, 0, 0),)
+
+
+def test_only_dangling_references_stay_unclassified(toy_taxonomy):
+    corpus = build_corpus(
+        [
+            journal("JA", ASTRO),
+            journal("JM", MULTI),
+            article("X", "JA", 2009),
+            article("P", "JM", 2010, refs=("GONE1", "GONE2")),
+        ]
+    )
+    p = classify(corpus, toy_taxonomy).assignments["P"]
+    assert (p.status, p.category, p.iteration, p.tally) == (
+        STATUS_UNCLASSIFIED,
+        None,
+        0,
+        VoteTally({}, 0),
+    )
 
 
 def test_classify_one_hop(toy_taxonomy):
@@ -195,6 +284,7 @@ def test_min_votes_threshold(toy_taxonomy):
     )
     strict = classify(corpus, toy_taxonomy, ClassifierConfig(min_votes=2))
     assert strict.assignments["P"].status == STATUS_UNCLASSIFIED
+    assert strict.assignments["P"].tally == VoteTally({ASTRO: 1}, 1)
     loose = classify(corpus, toy_taxonomy, ClassifierConfig(min_votes=1))
     assert loose.assignments["P"].category == ASTRO
 
@@ -277,8 +367,10 @@ def test_oracle_equivalence_sample():
         ClassifierConfig(min_votes=2),
         ClassifierConfig(mode=MODE_BROAD_AREA),
         ClassifierConfig(max_iterations=1),
+        ClassifierConfig(mode=MODE_BROAD_AREA, tie_policy=TIE_LEXICOGRAPHIC),
+        ClassifierConfig(max_iterations=2, min_votes=3),
     ]
-    for i in range(10):
+    for i in range(2 * len(configs)):
         corpus, taxonomy = random_corpus(rng, max_articles=300)
         config = configs[i % len(configs)]
         assert classify(corpus, taxonomy, config) == naive_classify(corpus, taxonomy, config)

@@ -326,6 +326,58 @@ def test_synth_config_that_is_not_json_is_one_line_config_error(tmp_path, capsys
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        pytest.param({"journals_per_field": 2.5}, id="float-count"),
+        pytest.param({"num_general_journals": "1"}, id="string-count"),
+        pytest.param({"articles_per_journal_year": True}, id="bool-count"),
+        pytest.param({"year_range": 2000}, id="scalar-year-range"),
+        pytest.param({"year_range": [2000.5, 2001]}, id="float-year"),
+        pytest.param({"year_range": [2000, 2001, 2002]}, id="three-years"),
+        pytest.param({"field_citation_rate": {"zero": 1.0}}, id="non-integer-field-key"),
+    ],
+)
+def test_synth_config_with_wrong_types_is_one_line_config_error(tmp_path, capsys, override):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({**SYNTH_CONFIG, **override}))
+    code = run_cli(
+        [
+            "synth",
+            "--config",
+            str(config),
+            "--seed",
+            "1",
+            "--out-corpus",
+            str(tmp_path / "c.tsv"),
+            "--out-truth",
+            str(tmp_path / "t.tsv"),
+            "--out-taxonomy",
+            str(tmp_path / "x.tsv"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "c.tsv").exists()
+
+
+def test_report_table_that_is_not_utf8_is_one_line_parse_error(toy_files, tmp_path, capsys):
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    in_dir = tmp_path / "ind"
+    assert run_cli(_indicators_args(corpus, taxonomy, assignments, in_dir)) == 0
+    with open(in_dir / "summary.tsv", "ab") as fh:
+        fh.write(b"\xff\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["report", "--in-dir", str(in_dir), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:parse:")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_report_rejects_missing_or_corrupt_tables(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()

@@ -166,6 +166,28 @@ def test_emit_report_failure_leaves_prior_state(tmp_path, toy_taxonomy):
     assert leftovers == []
 
 
+def test_emit_report_later_rename_failure_keeps_prior_manifest(tmp_path, toy_taxonomy):
+    tables = toy_tables(toy_taxonomy)
+    out = tmp_path / "out"
+    emit_report(tables, manifest_for(tables), out)
+    prior_manifest = (out / MANIFEST_FILE).read_bytes()
+    # summary.tsv is the last table renamed; a directory squatting on it
+    # fails the run after the other tables are in place
+    (out / "summary.tsv").unlink()
+    (out / "summary.tsv").mkdir()
+    rerun = RunManifest(
+        command="indicators",
+        version="0.1.0",
+        config={"window": "3"},
+        inputs={"corpus": "1" * 64},
+        outputs=tuple(sorted(TABLE_FILES + (MANIFEST_FILE,))),
+    )
+    with pytest.raises(OSError):
+        emit_report(tables, rerun, out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(TABLE_FILES + (MANIFEST_FILE,))
+    assert (out / MANIFEST_FILE).read_bytes() == prior_manifest
+
+
 def test_write_text_atomic(tmp_path):
     target = tmp_path / "x.tsv"
     write_text_atomic(target, "a\tb\n")

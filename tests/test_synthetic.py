@@ -159,6 +159,16 @@ def test_config_validation():
         )
     with pytest.raises(ConfigError, match="year_range"):
         small_config(year_range=(2005, 2000))
+    for bad in (2000, (2000.5, 2001), (2000, 2001, 2002), (True, 2001)):
+        with pytest.raises(ConfigError, match="year_range"):
+            small_config(year_range=bad)
+    for name, bad in (
+        ("journals_per_field", 2.5),
+        ("num_general_journals", "1"),
+        ("articles_per_journal_year", True),
+    ):
+        with pytest.raises(ConfigError, match=name):
+            small_config(**{name: bad})
     with pytest.raises(ConfigError, match="p_intra"):
         small_config(p_intra=1.5)
     with pytest.raises(ConfigError, match="sum to 1"):
