@@ -20,12 +20,13 @@ the iteration that last changed its label (0 and an empty tally for seeds).
 Articles left unclassified carry ``iteration = 0`` and the final-table tally
 that failed to resolve.
 
-Kernel: article ids are encoded once as rows and seed labels as integer
-codes in sorted order; the in-corpus references of non-seeded articles
-become two ``int32`` arrays (article index, referenced row), with dangling
-references dropped. A single vote function runs one ``np.bincount`` over
-those edges to get each article's tally row, total, maximum, leader count
-and first leader; every iteration and the terminal pass call it. Tally
+Kernel: seed labels are integer codes in sorted order, read per journal
+and spread to the corpus rows through their journal codes. The edges come
+from the corpus's CSR references of non-seeded articles, as two ``int32``
+arrays (article index, referenced row) with dangling references dropped. A
+single vote function runs one ``np.bincount`` over those edges to get each
+article's tally row, total, maximum, leader count and first leader; every
+iteration and the terminal pass call it. Tally
 memory is O(non-seeded articles x seed labels). The kernel runs on one
 thread, so the output cannot depend on a thread count.
 """
@@ -111,20 +112,27 @@ class ClassificationResult:
     iteration_stats: tuple[IterationStats, ...]
 
 
+def _seed_categories(corpus: Corpus, taxonomy: Taxonomy) -> list[str | None]:
+    """Per journal code: the category its articles are seeded with, or None."""
+    return [
+        j.categories[0] if taxonomy.is_classifier_journal(j) else None
+        for j in corpus.journals.values()
+    ]
+
+
 def seed_assignments(corpus: Corpus, taxonomy: Taxonomy) -> dict[str, Assignment]:
     """Iteration-0 table: classifier-journal articles seeded, everything else unclassified."""
+    seeded = [
+        None if cat is None else (cat, taxonomy.broad_area_of(cat))
+        for cat in _seed_categories(corpus, taxonomy)
+    ]
     table: dict[str, Assignment] = {}
-    classifier_journal = {
-        j_id: taxonomy.is_classifier_journal(j) for j_id, j in corpus.journals.items()
-    }
-    for art_id, art in corpus.articles.items():
-        if classifier_journal[art.journal_id]:
-            cat = corpus.journals[art.journal_id].categories[0]
-            table[art_id] = Assignment(
-                art_id, cat, taxonomy.broad_area_of(cat), STATUS_SEEDED, 0, EMPTY_TALLY
-            )
-        else:
+    for art_id, code in zip(corpus.ids, corpus.journal_codes.tolist()):
+        seed = seeded[code]
+        if seed is None:
             table[art_id] = Assignment(art_id, None, None, STATUS_UNCLASSIFIED, 0, EMPTY_TALLY)
+        else:
+            table[art_id] = Assignment(art_id, *seed, STATUS_SEEDED, 0, EMPTY_TALLY)
     return table
 
 
@@ -148,27 +156,28 @@ def classify(
     seeds = seed_assignments(corpus, taxonomy)
     area_mode = config.mode == MODE_BROAD_AREA
 
-    # Encode once. Labels only come from seeds; their codes follow sorted
-    # order, so argmax over a row picks the lexicographically smallest leader.
-    keys = [a.broad_area if area_mode else a.category for a in seeds.values()]
+    # Labels only come from seeds, so they are per journal. Their codes follow
+    # sorted order, so argmax over a row picks the lexicographically smallest
+    # leader.
+    keys = [
+        cat if cat is None or not area_mode else taxonomy.broad_area_of(cat)
+        for cat in _seed_categories(corpus, taxonomy)
+    ]
     names = sorted({k for k in keys if k is not None})
     code = {name: c for c, name in enumerate(names)}
-    label = np.fromiter((code.get(k, -1) for k in keys), np.int32, count=len(keys))
+    journal_label = np.array([code.get(k, -1) for k in keys], dtype=np.int32)
+    label = journal_label[corpus.journal_codes]
     open_rows = np.flatnonzero(label < 0)
-    ids = list(seeds)
-    open_ids = [ids[r] for r in open_rows.tolist()]
+    open_ids = [corpus.ids[r] for r in open_rows.tolist()]
     n_open, width = len(open_ids), max(len(names), 1)
 
-    # Edges (open article index, referenced row); dangling references drop out.
-    row = {a_id: r for r, a_id in enumerate(ids)}
-    refs = [corpus.articles[a_id].references for a_id in open_ids]
-    lengths = np.fromiter(map(len, refs), np.int64, count=n_open)
-    dst = np.fromiter(
-        (row.get(ref, -1) for rs in refs for ref in rs), np.int32, count=int(lengths.sum())
-    )
-    src = np.repeat(np.arange(n_open, dtype=np.int32), lengths)
-    linked = dst >= 0
-    src, dst = src[linked], dst[linked]
+    # Edges (open article index, referenced row) from the CSR; dangling
+    # references drop out.
+    open_index = np.full(len(corpus.ids), -1, dtype=np.int32)
+    open_index[open_rows] = np.arange(n_open, dtype=np.int32)
+    src = open_index[corpus.citer_rows()]
+    linked = (src >= 0) & (corpus.refs < len(corpus.ids))
+    src, dst = src[linked], corpus.refs[linked]
 
     def votes(table: np.ndarray):
         """Per open article: tally row, total votes, leader count, first leader."""

@@ -3,9 +3,14 @@
 Subcommands mirror the pipeline: ``synth`` generates a seeded corpus,
 ``validate`` checks one, ``classify`` produces the assignment table,
 ``indicators`` computes the report tables, and ``report`` re-emits a table
-directory after validation. All output is written atomically; failures leave
-no partial files. Every error is a single line ``error:<code>:<message>`` on
-stderr with exit code 1 (2 for usage errors).
+directory after validation. Output goes to uniquely named temp files that
+are then renamed into place, so a failure leaves no temp file behind and
+every output file holds its prior bytes or its new ones. A table directory
+(``indicators``, ``report``) changes as a whole: if a rename fails, every
+prior file is put back, so it holds all prior files or all new ones. A
+crash in the middle of the renames is not covered. Every error is a single
+line ``error:<code>:<message>`` on stderr with exit code 1 (2 for usage
+errors).
 
 ``REFCLASS_THREADS`` must be a non-negative integer (0 = auto) when set, but
 it selects nothing: classification runs on one thread, so its output is the
@@ -173,7 +178,7 @@ def _check_journal_categories(corpus, taxonomy) -> None:
 
 
 def _check_assignments(assignments, corpus, taxonomy) -> None:
-    strangers = sorted(a_id for a_id in assignments if a_id not in corpus.articles)
+    strangers = sorted(a_id for a_id in assignments if a_id not in corpus.row_of)
     if strangers:
         raise ValidationError(
             f"assignments name {len(strangers)} article(s) not in the corpus", token=strangers[0]

@@ -1,4 +1,4 @@
-"""Bibliographic corpus: typed records, TSV parsing, citation index, validation.
+"""Bibliographic corpus: integer rows, CSR references, TSV parsing, validation.
 
 Corpus file format (UTF-8, LF, TSV, ``#`` comments allowed):
 
@@ -10,19 +10,41 @@ Corpus file format (UTF-8, LF, TSV, ``#`` comments allowed):
 Canonical emission writes journals then articles, each sorted by id.
 Identifiers and category names may not contain tabs, newlines, or their own
 list separator; this keeps parse -> emit -> parse the identity.
+
+Storage: a :class:`Corpus` keeps articles as rows in sorted-id order, as
+integer columns (journal code into the sorted journal ids, year, doc-type
+code) plus CSR reference arrays (``indptr`` and per-reference codes, deduped
+in first-occurrence order). A reference to an id outside the corpus stays in
+the CSR with a code past the last row, indexing a table of dangling ids, so
+emission keeps its position. ``articles`` and ``citation_index`` are derived
+views: the first builds an :class:`ArticleRecord` on each access, the second
+is built once on first access. Every reader ends in one column builder,
+which checks the cross-record rules; :func:`read_corpus` validates each line
+once and never builds an :class:`ArticleRecord`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ParseError, UnknownNameError, ValidationError
 
 DOC_TYPES = ("article", "review", "other")
 
 DEFAULT_YEAR_BOUNDS = (1900, 2100)
+
+_DOC_CODE = {t: i for i, t in enumerate(DOC_TYPES)}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_token(value: str, what: str, forbidden: str) -> None:
@@ -72,6 +94,51 @@ class JournalRecord:
             _check_token(cat, "category name", "\t\n;")
 
 
+def _article_fields(
+    parts: list[str], line: str, line_no: int | None
+) -> tuple[str, str, int, str, str]:
+    """Check every rule of one article row once, in :func:`parse_record`'s order.
+
+    Returns id, journal id, year, doc type and the comma-joined references
+    with each one stripped.
+    """
+    if len(parts) != 6:
+        raise ParseError(f"article row needs 6 columns, got {len(parts)}", line_no, line)
+    _, art_id, journal_id, year_s, doc_type, refs_s = (p.strip() for p in parts)
+    try:
+        year = int(year_s)
+    except ValueError:
+        raise ParseError("non-integer year", line_no, year_s) from None
+    refs = refs_s
+    # Every whitespace character but " " is unprintable, so only a field
+    # holding one can have a token that str.strip() changes.
+    if " " in refs or not refs.isprintable():
+        refs = ",".join(token.strip() for token in refs.split(","))
+    if refs and (",," in refs or refs[0] == "," or refs[-1] == ","):
+        raise ParseError("empty reference id", line_no, refs_s)
+    if doc_type not in DOC_TYPES:
+        raise ParseError("unknown doc_type", line_no, doc_type)
+    # The ArticleRecord token rules. Splitting on tabs and commas leaves only
+    # a newline inside a line (or an empty or comma-holding id) to find.
+    if (
+        not art_id
+        or not journal_id
+        or "," in art_id
+        or "," in journal_id
+        or "\n" in art_id
+        or "\n" in journal_id
+        or "\n" in refs
+    ):
+        try:
+            _check_token(art_id, "article id", "\t\n,")
+            _check_token(journal_id, "journal id", "\t\n,")
+            for ref in refs.split(",") if refs else ():
+                _check_token(ref, "reference id", "\t\n,")
+        except ValidationError as exc:
+            raise ParseError(str(exc), line_no, art_id) from None
+    return art_id, journal_id, year, doc_type, refs
+
+
 def parse_record(line: str, line_no: int | None = None) -> ArticleRecord | JournalRecord:
     """Parse one corpus TSV row into a typed record.
 
@@ -81,26 +148,8 @@ def parse_record(line: str, line_no: int | None = None) -> ArticleRecord | Journ
     parts = line.rstrip("\n").split("\t")
     tag = parts[0]
     if tag == "A":
-        if len(parts) != 6:
-            raise ParseError(f"article row needs 6 columns, got {len(parts)}", line_no, line)
-        _, art_id, journal_id, year_s, doc_type, refs_s = (p.strip() for p in parts)
-        try:
-            year = int(year_s)
-        except ValueError:
-            raise ParseError("non-integer year", line_no, year_s) from None
-        refs: list[str] = []
-        if refs_s:
-            for token in refs_s.split(","):
-                token = token.strip()
-                if not token:
-                    raise ParseError("empty reference id", line_no, refs_s)
-                refs.append(token)
-        if doc_type not in DOC_TYPES:
-            raise ParseError("unknown doc_type", line_no, doc_type)
-        try:
-            return ArticleRecord(art_id, journal_id, year, doc_type, tuple(refs))
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no, art_id) from None
+        art_id, journal_id, year, doc_type, refs = _article_fields(parts, line, line_no)
+        return ArticleRecord(art_id, journal_id, year, doc_type, refs.split(",") if refs else ())
     if tag == "J":
         if len(parts) != 4:
             raise ParseError(f"journal row needs 4 columns, got {len(parts)}", line_no, line)
@@ -132,8 +181,40 @@ def emit_record(record: ArticleRecord | JournalRecord) -> str:
     return f"J\t{record.id}\t{record.name}\t{cats}"
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _ArticleView(Mapping):
+    """Read-only id -> :class:`ArticleRecord` view that builds each record on access."""
+
+    def __init__(self, corpus: Corpus):
+        self._corpus = corpus
+
+    def __getitem__(self, article_id: str) -> ArticleRecord:
+        return self._corpus._record(self._corpus.row_of[article_id])
+
+    def __contains__(self, article_id) -> bool:
+        return article_id in self._corpus.row_of
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._corpus.ids)
+
+    def __len__(self) -> int:
+        return len(self._corpus.ids)
+
+
 class Corpus:
-    """Immutable article/journal tables plus the inverse citation index.
+    """Immutable article rows, journal table and CSR reference arrays.
+
+    Row ``r`` is the article ``ids[r]`` (ids sorted); ``row_of`` inverts
+    ``ids``. Per row: ``journal_codes`` index ``journal_ids`` (sorted),
+    ``years`` and ``doc_types`` (codes into :data:`DOC_TYPES`). The
+    references of row ``r`` are ``refs[indptr[r]:indptr[r + 1]]`` in
+    first-occurrence order without duplicates; a code ``c < len(ids)`` is a
+    row, a larger code names ``dangling_ids[c - len(ids)]``. Arrays are
+    read-only.
 
     ``citation_index`` maps each in-corpus cited article id to the tuple of
     ``(citing_article_id, citing_year)`` pairs, sorted by citing id. It is
@@ -144,45 +225,297 @@ class Corpus:
 
     def __init__(
         self,
-        articles: dict[str, ArticleRecord],
+        ids: tuple[str, ...],
         journals: dict[str, JournalRecord],
-        citation_index: dict[str, tuple[tuple[str, int], ...]],
-        dangling_reference_count: int,
+        journal_codes: np.ndarray,
+        years: np.ndarray,
+        doc_types: np.ndarray,
+        indptr: np.ndarray,
+        refs: np.ndarray,
+        dangling_ids: tuple[str, ...],
     ):
-        self._articles: Mapping[str, ArticleRecord] = MappingProxyType(articles)
+        self.ids = ids
+        self.row_of: Mapping[str, int] = MappingProxyType(dict(zip(ids, range(len(ids)))))
         self._journals: Mapping[str, JournalRecord] = MappingProxyType(journals)
-        self._citation_index: Mapping[str, tuple[tuple[str, int], ...]] = MappingProxyType(
-            citation_index
-        )
-        self._dangling = dangling_reference_count
+        self.journal_ids = tuple(journals)
+        self.journal_codes = _frozen(journal_codes)
+        self.years = _frozen(years)
+        self.doc_types = _frozen(doc_types)
+        self.indptr = _frozen(indptr)
+        self.refs = _frozen(refs)
+        self.dangling_ids = dangling_ids
+        # Row ids then dangling ids, so a reference code indexes its id.
+        self._names = _frozen(np.array(ids + dangling_ids, dtype=object))
+        self._dangling = int(np.count_nonzero(refs >= len(ids)))
 
     @property
     def articles(self) -> Mapping[str, ArticleRecord]:
-        return self._articles
+        return _ArticleView(self)
 
     @property
     def journals(self) -> Mapping[str, JournalRecord]:
         return self._journals
 
-    @property
+    @cached_property
     def citation_index(self) -> Mapping[str, tuple[tuple[str, int], ...]]:
-        return self._citation_index
+        n = len(self.ids)
+        linked = self.refs < n
+        # CSR rows are in id order, so a stable sort by cited row keeps each
+        # cited article's citers sorted by id.
+        order = np.argsort(self.refs[linked], kind="stable")
+        cited = self.refs[linked][order]
+        ids, years = self.ids, self.years.tolist()
+        pairs = [(ids[r], years[r]) for r in self.citer_rows()[linked][order].tolist()]
+        bounds = np.searchsorted(cited, np.arange(n + 1)).tolist()
+        return MappingProxyType(
+            {ids[c]: tuple(pairs[bounds[c] : bounds[c + 1]]) for c in np.unique(cited).tolist()}
+        )
 
     @property
     def dangling_reference_count(self) -> int:
         return self._dangling
 
+    def citer_rows(self) -> np.ndarray:
+        """The citing row of every entry of ``refs``."""
+        return np.repeat(np.arange(len(self.ids), dtype=np.int32), np.diff(self.indptr))
+
+    def _record(self, row: int) -> ArticleRecord:
+        return ArticleRecord(
+            self.ids[row],
+            self.journal_ids[self.journal_codes[row]],
+            int(self.years[row]),
+            DOC_TYPES[self.doc_types[row]],
+            tuple(self._names[self.refs[self.indptr[row] : self.indptr[row + 1]]].tolist()),
+        )
+
     def article(self, article_id: str) -> ArticleRecord:
         try:
-            return self._articles[article_id]
+            row = self.row_of[article_id]
         except KeyError:
             raise UnknownNameError(f"unknown article: {article_id!r}") from None
+        return self._record(row)
 
     def journal(self, journal_id: str) -> JournalRecord:
         try:
             return self._journals[journal_id]
         except KeyError:
             raise UnknownNameError(f"unknown journal: {journal_id!r}") from None
+
+
+def _check_records(
+    ids: Sequence[str],
+    years: Sequence[int],
+    citer: np.ndarray,
+    target: np.ndarray,
+    journals: Sequence[JournalRecord],
+    journal_at: Sequence[int],
+    year_bounds: tuple[int, int],
+) -> None:
+    """Raise the first per-record fault in record order, or nothing.
+
+    Per article, in this order: duplicate id, year outside ``year_bounds``,
+    a reference to itself (``citer == target``, both record indices). A
+    journal row preceded by ``journal_at[j]`` article rows may repeat an id.
+    """
+    lo, hi = year_bounds
+    n = len(ids)
+    faults: list[tuple[int, int, ValidationError]] = []
+    if len(set(ids)) < n:
+        seen: set[str] = set()
+        for i, a_id in enumerate(ids):
+            if a_id in seen:
+                faults.append((i, 0, ValidationError("duplicate article id", token=a_id)))
+                break
+            seen.add(a_id)
+    for i, year in enumerate(years):
+        if not lo <= year <= hi:
+            msg = f"article {ids[i]!r} year {year} outside bounds [{lo}, {hi}]"
+            faults.append((i, 1, ValidationError(msg)))
+            break
+    selfish = citer[citer == target]
+    if len(selfish):
+        i = int(selfish.min())
+        faults.append((i, 2, ValidationError(f"article {ids[i]!r} cites itself")))
+    first = min(faults, key=lambda f: f[:2], default=(n, 0, None))
+    seen_journals: set[str] = set()
+    for j, rec in enumerate(journals):
+        if journal_at[j] > first[0]:
+            break
+        if rec.id in seen_journals:
+            raise ValidationError("duplicate journal id", token=rec.id)
+        seen_journals.add(rec.id)
+    if first[2] is not None:
+        raise first[2]
+
+
+def _assemble(
+    ids: Sequence[str],
+    journal_of: Sequence[str],
+    years: Sequence[int],
+    doc_types: Sequence[int],
+    citer: np.ndarray,
+    target: np.ndarray,
+    dangling_ids: tuple[str, ...],
+    journals: Sequence[JournalRecord],
+    journal_at: Sequence[int],
+    year_bounds: tuple[int, int],
+) -> Corpus:
+    """The one corpus constructor: check, sort rows by id, code, dedupe, build CSR.
+
+    Articles come in record order. Each reference is one ``(citer, target)``
+    pair of record indices in draw order; ``target >= len(ids)`` names
+    ``dangling_ids[target - len(ids)]``. Raises :class:`ValidationError`
+    for the first per-record fault (see :func:`_check_records`), then for
+    unresolvable journal ids (all offenders listed).
+    """
+    _check_records(ids, years, citer, target, journals, journal_at, year_bounds)
+    journal_table = dict(sorted((j.id, j) for j in journals))
+    journal_code = {j_id: c for c, j_id in enumerate(journal_table)}
+    unresolved = sorted(set(journal_of) - journal_code.keys())
+    if unresolved:
+        raise ValidationError("articles reference unknown journals: " + ", ".join(unresolved))
+
+    n, width = len(ids), len(ids) + len(dangling_ids)
+    order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.int64)
+    rank = np.arange(width, dtype=np.int64)
+    rank[order] = np.arange(n)
+    codes = np.fromiter(map(journal_code.__getitem__, journal_of), np.int32, count=n)
+
+    # Group references by citing row, keeping draw order inside each row,
+    # then keep the first occurrence of every (row, code) pair.
+    src, dst = rank[citer], rank[target]
+    by_row = np.argsort(src, kind="stable")
+    src, dst = src[by_row], dst[by_row]
+    _, first = np.unique(src * width + dst, return_index=True)
+    keep = np.zeros(len(src), dtype=bool)
+    keep[first] = True
+    src, dst = src[keep], dst[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+
+    return Corpus(
+        tuple(ids[i] for i in order.tolist()),
+        journal_table,
+        codes[order],
+        np.asarray(years, dtype=np.int64)[order],
+        np.asarray(doc_types, dtype=np.int8)[order],
+        indptr,
+        dst.astype(np.int32),
+        dangling_ids,
+    )
+
+
+class _Codes(dict):
+    """Article id -> record index; an unknown id gets the next code past the rows."""
+
+    def __init__(self, ids: Sequence[str]):
+        # The first row of an id wins, so a self-citation before a duplicate
+        # of that id is still seen as one.
+        super().__init__(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+        self.first_dangling = len(ids)
+        self.dangling: list[str] = []
+
+    def __missing__(self, ref: str) -> int:
+        code = self[ref] = self.first_dangling + len(self.dangling)
+        self.dangling.append(ref)
+        return code
+
+
+class _Rows:
+    """Article and journal rows in record order, as the readers collect them.
+
+    ``refs`` holds each article's references as one comma-joined string, so
+    no per-reference object outlives the line that produced it.
+    """
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.journal_of: list[str] = []
+        self.years: list[int] = []
+        self.doc_types: list[int] = []
+        self.counts: list[int] = []
+        self.refs: list[str] = []
+        self.journals: list[JournalRecord] = []
+        self.journal_at: list[int] = []
+
+    def add(self, item: tuple[str, str, int, str, str] | JournalRecord) -> None:
+        if isinstance(item, JournalRecord):
+            self.journal_at.append(len(self.ids))
+            self.journals.append(item)
+            return
+        art_id, journal_id, year, doc_type, refs = item
+        self.ids.append(art_id)
+        self.journal_of.append(journal_id)
+        self.years.append(year)
+        self.doc_types.append(_DOC_CODE[doc_type])
+        self.counts.append(refs.count(",") + 1 if refs else 0)
+        self.refs.append(refs)
+
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        codes = _Codes(self.ids)
+        tokens = chain.from_iterable(refs.split(",") for refs in self.refs if refs)
+        target = np.fromiter(map(codes.__getitem__, tokens), np.int64, count=sum(self.counts))
+        citer = np.repeat(np.arange(len(self.ids), dtype=np.int64), self.counts)
+        return citer, target, tuple(codes.dangling)
+
+    def check(self, year_bounds: tuple[int, int]) -> None:
+        citer, target, _ = self._edges()
+        _check_records(
+            self.ids, self.years, citer, target, self.journals, self.journal_at, year_bounds
+        )
+
+    def build(self, year_bounds: tuple[int, int]) -> Corpus:
+        citer, target, dangling = self._edges()
+        self.refs = []
+        return _assemble(
+            self.ids,
+            self.journal_of,
+            self.years,
+            self.doc_types,
+            citer,
+            target,
+            dangling,
+            self.journals,
+            self.journal_at,
+            year_bounds,
+        )
+
+
+def _collect(
+    items: Iterable[tuple[str, str, int, str, str] | JournalRecord],
+    year_bounds: tuple[int, int],
+) -> Corpus:
+    rows = _Rows()
+    try:
+        for item in items:
+            rows.add(item)
+    except Exception:
+        # Records are checked as they arrive, so a fault on an earlier row
+        # is raised before whatever stopped the input.
+        rows.check(year_bounds)
+        raise
+    return rows.build(year_bounds)
+
+
+def _record_rows(records: Iterable[ArticleRecord | JournalRecord]):
+    for rec in records:
+        if isinstance(rec, ArticleRecord):
+            yield rec.id, rec.journal_id, rec.year, rec.doc_type, ",".join(rec.references)
+        elif isinstance(rec, JournalRecord):
+            yield rec
+        else:
+            raise ValidationError(f"unsupported record type: {type(rec).__name__}")
+
+
+def _line_rows(source: Iterable[str]):
+    for line_no, raw in enumerate(source, start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        parts = raw.rstrip("\n").split("\t")
+        if parts[0] == "A":
+            yield _article_fields(parts, raw, line_no)
+        else:
+            yield parse_record(raw, line_no)
 
 
 def build_corpus(
@@ -198,60 +531,36 @@ def build_corpus(
     duplicate ids, self-citations, out-of-bounds years, or unresolvable
     journal ids (all offenders listed).
     """
-    articles: dict[str, ArticleRecord] = {}
-    journals: dict[str, JournalRecord] = {}
-    lo, hi = year_bounds
-    for rec in records:
-        if isinstance(rec, ArticleRecord):
-            if rec.id in articles:
-                raise ValidationError("duplicate article id", token=rec.id)
-            if not lo <= rec.year <= hi:
-                raise ValidationError(
-                    f"article {rec.id!r} year {rec.year} outside bounds [{lo}, {hi}]"
-                )
-            if rec.id in rec.references:
-                raise ValidationError(f"article {rec.id!r} cites itself")
-            deduped = tuple(dict.fromkeys(rec.references))
-            if len(deduped) != len(rec.references):
-                rec = replace(rec, references=deduped)
-            articles[rec.id] = rec
-        elif isinstance(rec, JournalRecord):
-            if rec.id in journals:
-                raise ValidationError("duplicate journal id", token=rec.id)
-            journals[rec.id] = rec
-        else:
-            raise ValidationError(f"unsupported record type: {type(rec).__name__}")
-
-    unresolved = sorted({a.journal_id for a in articles.values() if a.journal_id not in journals})
-    if unresolved:
-        raise ValidationError("articles reference unknown journals: " + ", ".join(unresolved))
-
-    articles = dict(sorted(articles.items()))
-    journals = dict(sorted(journals.items()))
-
-    index: dict[str, list[tuple[str, int]]] = {}
-    dangling = 0
-    for art in articles.values():
-        for ref in art.references:
-            if ref in articles:
-                index.setdefault(ref, []).append((art.id, art.year))
-            else:
-                dangling += 1
-    citation_index = {cited: tuple(entries) for cited, entries in sorted(index.items())}
-    return Corpus(articles, journals, citation_index, dangling)
+    return _collect(_record_rows(records), year_bounds)
 
 
 def read_corpus(
     source: Iterable[str], *, year_bounds: tuple[int, int] = DEFAULT_YEAR_BOUNDS
 ) -> Corpus:
-    """Parse and build a corpus from TSV lines in one step."""
-    return build_corpus(read_records(source), year_bounds=year_bounds)
+    """Parse and build a corpus from TSV lines in one step.
+
+    Raises exactly what ``build_corpus(read_records(source))`` raises.
+    """
+    return _collect(_line_rows(source), year_bounds)
 
 
 def emit_corpus(corpus: Corpus) -> str:
     """Render the canonical corpus file: journals then articles, sorted by id."""
-    lines = [emit_record(corpus.journals[j]) for j in sorted(corpus.journals)]
-    lines += [emit_record(corpus.articles[a]) for a in sorted(corpus.articles)]
+    lines = [emit_record(corpus.journals[j]) for j in corpus.journal_ids]
+    refs = corpus._names[corpus.refs].tolist()
+    bounds = corpus.indptr.tolist()
+    journal_ids = corpus.journal_ids
+    lines += [
+        f"A\t{a_id}\t{journal_ids[j]}\t{year}\t{DOC_TYPES[doc]}\t{','.join(refs[lo:hi])}"
+        for a_id, j, year, doc, lo, hi in zip(
+            corpus.ids,
+            corpus.journal_codes.tolist(),
+            corpus.years.tolist(),
+            corpus.doc_types.tolist(),
+            bounds,
+            bounds[1:],
+        )
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -282,22 +591,15 @@ class ValidationReport:
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """Produce per-corpus counts: sizes, dangling refs, doc types, year histogram."""
-    doc_counts: dict[str, int] = {}
-    year_counts: dict[int, int] = {}
-    journal_counts = {j: 0 for j in corpus.journals}
-    zero_refs = 0
-    for art in corpus.articles.values():
-        doc_counts[art.doc_type] = doc_counts.get(art.doc_type, 0) + 1
-        year_counts[art.year] = year_counts.get(art.year, 0) + 1
-        journal_counts[art.journal_id] += 1
-        if not art.references:
-            zero_refs += 1
+    doc_counts = np.bincount(corpus.doc_types, minlength=len(DOC_TYPES)).tolist()
+    years, year_counts = np.unique(corpus.years, return_counts=True)
+    journal_counts = np.bincount(corpus.journal_codes, minlength=len(corpus.journal_ids))
     return ValidationReport(
-        articles=len(corpus.articles),
-        journals=len(corpus.journals),
+        articles=len(corpus.ids),
+        journals=len(corpus.journal_ids),
         dangling_references=corpus.dangling_reference_count,
-        zero_reference_articles=zero_refs,
-        doc_type_counts=dict(sorted(doc_counts.items())),
-        year_counts=dict(sorted(year_counts.items())),
-        journal_article_counts=dict(sorted(journal_counts.items())),
+        zero_reference_articles=int(np.count_nonzero(np.diff(corpus.indptr) == 0)),
+        doc_type_counts={d: n for d, n in sorted(zip(DOC_TYPES, doc_counts)) if n},
+        year_counts=dict(zip(years.tolist(), year_counts.tolist())),
+        journal_article_counts=dict(zip(corpus.journal_ids, journal_counts.tolist())),
     )

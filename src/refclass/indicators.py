@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .classifier import Assignment
-from .corpus import DOC_TYPES, Corpus
+from .corpus import DEFAULT_YEAR_BOUNDS, DOC_TYPES, Corpus, _is_int
 from .errors import (
     ConfigError,
     DomainError,
@@ -37,6 +37,9 @@ ALL_SOURCES = "ALL_SOURCES"
 #: Area token: no broad-area restriction.
 ALL_AREAS = "ALL"
 
+#: Largest citation window: the span of the corpus year bounds.
+MAX_WINDOW = DEFAULT_YEAR_BOUNDS[1] - DEFAULT_YEAR_BOUNDS[0]
+
 ARTICLE_ONLY = frozenset({"article"})
 ALL_DOC_TYPES = frozenset({"article", "review", "other"})
 
@@ -47,7 +50,10 @@ class IndicatorConfig:
 
     ``denominator_doc_types`` filters the cited (citable) side, reviews are
     excluded by default; ``citing_doc_types`` filters the citing side, all
-    document types count by default.
+    document types count by default. ``window`` and both year ranges are
+    integers; the years lie within the corpus year bounds and the window
+    spans at most those bounds, which bounds the size of every
+    :class:`CountCube`.
     """
 
     window: int = 2
@@ -58,22 +64,27 @@ class IndicatorConfig:
     pub_window: tuple[int, int] = (2005, 2015)
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
+        lo_bound, hi_bound = DEFAULT_YEAR_BOUNDS
+        if not _is_int(self.window) or not 1 <= self.window <= MAX_WINDOW:
+            raise ConfigError(f"window must be an integer in [1, {MAX_WINDOW}]")
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ConfigError("kappa must be finite and positive")
         object.__setattr__(self, "denominator_doc_types", frozenset(self.denominator_doc_types))
         object.__setattr__(self, "citing_doc_types", frozenset(self.citing_doc_types))
         if not self.denominator_doc_types or not self.citing_doc_types:
             raise ConfigError("doc type sets must be non-empty")
-        for name, (lo, hi) in (
-            ("if_year_range", self.if_year_range),
-            ("pub_window", self.pub_window),
-        ):
+        for name in ("if_year_range", "pub_window"):
+            years = getattr(self, name)
+            if not (
+                isinstance(years, (tuple, list)) and len(years) == 2 and all(map(_is_int, years))
+            ):
+                raise ConfigError(f"{name} must be a pair of integers")
+            lo, hi = years
             if lo > hi:
                 raise ConfigError(f"empty {name}")
-        object.__setattr__(self, "if_year_range", tuple(int(y) for y in self.if_year_range))
-        object.__setattr__(self, "pub_window", tuple(int(y) for y in self.pub_window))
+            if lo < lo_bound or hi > hi_bound:
+                raise ConfigError(f"{name} outside year bounds {lo_bound}-{hi_bound}")
+            object.__setattr__(self, name, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -304,45 +315,44 @@ def count_cube(
     cite_lo, cite_hi = if_years if if_years is not None else (0, -1)
     n_cite = max(cite_hi - cite_lo + 1, 0)
 
-    scope_of = dict.fromkeys(corpus.journals, len(journals))
+    scope_of = dict.fromkeys(corpus.journal_ids, len(journals))
     scope_of.update((j, i) for i, j in enumerate(journals))
     areas = sorted({a.broad_area for a in assignments.values()} - {None})
     area_slots = {area: i for i, area in enumerate(areas, start=1)}
     area_of = {None: 0, **area_slots}
     n_scopes, n_areas, n_types = len(journals) + 1, len(areas) + 1, len(DOC_TYPES)
-    n_den = n_scopes * n_areas * n_pub * n_types
-    n_num = n_scopes * n_areas * n_pub * n_cite
 
-    articles = corpus.articles
-    index = corpus.citation_index
-    assigned = assignments.get
-    cited_types = config.denominator_doc_types if n_cite else frozenset()
-    # Citers whose doc type does not count: empty under the default config,
-    # and a set test per edge is cheaper than a doc type lookup.
-    uncounted = frozenset(
-        a_id for a_id, art in articles.items() if art.doc_type not in config.citing_doc_types
+    # One cell (scope, area, publication year) per row, -1 outside the years.
+    area = np.zeros(len(corpus.ids), dtype=np.int64)
+    row_of = corpus.row_of
+    for a_id, entry in assignments.items():
+        row = row_of.get(a_id)
+        if row is not None:
+            area[row] = area_of[entry.broad_area]
+    scope = np.array([scope_of[j] for j in corpus.journal_ids], dtype=np.int64)
+    pub = corpus.years - pub_lo
+    counted = (pub >= 0) & (pub < n_pub)
+    cell = np.where(counted, (scope[corpus.journal_codes] * n_areas + area) * n_pub + pub, -1)
+    den = np.bincount(
+        cell[counted] * n_types + corpus.doc_types[counted],
+        minlength=n_scopes * n_areas * n_pub * n_types,
     )
 
-    # Flat keys: item cells first, then citation cells offset by n_den. The
-    # generator keeps no per-edge list alive.
-    def keys() -> Iterator[int]:
-        for a_id, art in articles.items():
-            p = art.year - pub_lo
-            if not 0 <= p < n_pub:
-                continue
-            entry = assigned(a_id)
-            area = 0 if entry is None else area_of[entry.broad_area]
-            cell = (scope_of[art.journal_id] * n_areas + area) * n_pub + p
-            yield cell * n_types + _DOC_TYPE_SLOT[art.doc_type]
-            if art.doc_type in cited_types:
-                base = n_den + cell * n_cite - cite_lo
-                for citer_id, citer_year in index.get(a_id, ()):
-                    if cite_lo <= citer_year <= cite_hi and citer_id not in uncounted:
-                        yield base + citer_year
-
-    flat = np.bincount(np.fromiter(keys(), dtype=np.int64), minlength=n_den + n_num)
-    den = flat[:n_den].reshape(n_scopes, n_areas, n_pub, n_types)
-    num = flat[n_den:].reshape(n_scopes, n_areas, n_pub, n_cite)
+    # Citations: in-corpus references to a counted item with a cited doc type,
+    # from a citer of a counted doc type published in an impact year.
+    cited_types = config.denominator_doc_types if n_cite else frozenset()
+    cited_ok = counted & np.isin(corpus.doc_types, _doc_type_slots(cited_types))
+    citing_ok = np.isin(corpus.doc_types, _doc_type_slots(config.citing_doc_types))
+    citing_ok &= (corpus.years >= cite_lo) & (corpus.years <= cite_hi)
+    linked = corpus.refs < len(corpus.ids)
+    citer, cited = corpus.citer_rows()[linked], corpus.refs[linked]
+    hit = cited_ok[cited] & citing_ok[citer]
+    num = np.bincount(
+        cell[cited[hit]] * n_cite + (corpus.years[citer[hit]] - cite_lo),
+        minlength=n_scopes * n_areas * n_pub * n_cite,
+    )
+    den = den.reshape(n_scopes, n_areas, n_pub, n_types)
+    num = num.reshape(n_scopes, n_areas, n_pub, n_cite)
     pub_years = (pub_lo, pub_lo + n_pub - 1)
     return CountCube(config, journals, area_slots, pub_years, (cite_lo, cite_hi), den, num)
 

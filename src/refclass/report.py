@@ -3,13 +3,17 @@
 Every file is UTF-8 with LF endings, starts with a ``#`` header line that
 records the indicator configuration, then a column-name line, then data rows.
 Floating-point cells are rendered with 6 decimal places (round-half-even, as
-produced by ``format(x, '.6f')``); empty cells mean "undefined". Emission is
-write-to-temp plus atomic rename, so a failed run never leaves partial files.
+produced by ``format(x, '.6f')``); empty cells mean "undefined". Emission
+stages uniquely named temps and renames them into place, putting the prior
+files back if any rename fails, so a failed run leaves the directory as it
+was.
 """
 
 from __future__ import annotations
 
 import os
+import secrets
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -269,12 +273,18 @@ def render_tables(tables: ReportTables) -> dict[str, str]:
     return out
 
 
+def _temp_path(path: Path, kind: str) -> Path:
+    """A sibling name unique to this call: pid plus a random suffix."""
+    return path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(6)}.{kind}")
+
+
 def write_text_atomic(path: Path | str, text: str) -> None:
     """Write via a temp file in the same directory plus atomic rename."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = _temp_path(path, "tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -283,29 +293,50 @@ def write_text_atomic(path: Path | str, text: str) -> None:
 
 
 def write_files_atomic(out_dir: Path | str, texts: Mapping[str, str]) -> list[str]:
-    """Write ``texts`` (file name -> content) into ``out_dir`` in two phases.
+    """Write ``texts`` (file name -> content) into ``out_dir``: all or nothing.
 
-    Every file is staged as a temp in ``out_dir`` first; the temps are then
-    renamed in file-name order with ``manifest.tsv`` last, so a new manifest
-    lands only after every other file has. On failure no temp is left and
-    the manifest keeps its prior content. Returns the written paths in
-    file-name order.
+    Every file is staged as a uniquely named temp in ``out_dir`` first. Then,
+    in file-name order with ``manifest.tsv`` last, each existing target is
+    moved aside and its temp renamed into place. If any step fails, every
+    renamed file is put back, so the directory holds exactly its prior
+    files, and no temp is left. A crash in the middle of the renames is not
+    covered. Returns the written paths in file-name order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
+    aside: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
     try:
         for name in sorted(texts, key=lambda n: (n == MANIFEST_FILE, n)):
-            tmp = out / f".{name}.tmp"
-            staged.append((tmp, out / name))
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            final = out / name
+            tmp = _temp_path(final, "tmp")
+            with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+                staged.append((tmp, final))
                 fh.write(texts[name])
         for tmp, final in staged:
+            # A directory in the way is not moved; the rename below fails on it.
+            if final.is_file() or final.is_symlink():
+                backup = _temp_path(final, "old")
+                os.replace(final, backup)
+                aside.append((backup, final))
             os.replace(tmp, final)
+            placed.append(final)
     except BaseException:
+        # Best effort: a backup that cannot be put back stays on disk.
+        restored = {final for _backup, final in aside}
+        for final in placed:
+            if final not in restored:
+                with suppress(OSError):
+                    final.unlink()
+        for backup, final in aside:
+            with suppress(OSError):
+                os.replace(backup, final)
         for tmp, _final in staged:
             tmp.unlink(missing_ok=True)
         raise
+    for backup, _final in aside:
+        backup.unlink()
     return [str(out / name) for name in sorted(texts)]
 
 

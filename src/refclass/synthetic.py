@@ -41,15 +41,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ArticleRecord, Corpus, JournalRecord, build_corpus
+from .corpus import DEFAULT_YEAR_BOUNDS, Corpus, JournalRecord, _assemble, _is_int
 from .errors import ConfigError
 from .taxonomy import BROAD_AREAS, MULTIDISCIPLINARY_FLAG, SubjectCategory, Taxonomy
 
 GENERAL_CATEGORY = "multidisciplinary"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -199,6 +195,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
     ids: list[str] = []
     row_field: list[int] = []
     row_journal: list[str] = []
+    row_year: list[int] = []
     row_pos: list[int] = []  # position inside the (year, field) pool
     pools: dict[int, list[list[int]]] = {}  # year -> field -> rows
     year_rows: dict[int, tuple[int, int]] = {}  # year -> [start, end) rows
@@ -209,6 +206,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
         ids.append(f"A{row:07d}")
         row_field.append(field)
         row_journal.append(journal_id)
+        row_year.append(year)
         pool = pools[year][field]
         row_pos.append(len(pool))
         pool.append(row)
@@ -233,7 +231,10 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
         y: [np.array(p, dtype=np.int64) for p in by_field] for y, by_field in pools.items()
     }
 
-    refs: list[list[int]] = [[] for _ in range(n_articles)]
+    # Every (citer, target) pair, batch by batch in draw order; the corpus
+    # builder groups them by citer and keeps the first of each pair.
+    citers = [np.zeros(0, dtype=np.int64)]
+    targets = [np.zeros(0, dtype=np.int64)]
 
     # Phase 1: organic references, one vectorized batch per year.
     for year in years:
@@ -263,10 +264,8 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
             sel = valid & (tgt_field == f)
             if sel.any():
                 target_row[sel] = pool_arrays[year][f][idx[sel]]
-        citing = np.repeat(np.arange(start, end), counts)
-        for citer, tgt, ok in zip(citing.tolist(), target_row.tolist(), valid.tolist()):
-            if ok:
-                refs[citer].append(tgt)
+        citers.append(np.repeat(np.arange(start, end), counts)[valid])
+        targets.append(target_row[valid])
 
     # Phase 2: citations, realized as references from same-field articles of
     # the citing year to articles of earlier years.
@@ -279,28 +278,25 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
                 total = int(counts.sum())
                 if total:
                     citer_pool = pool_arrays[year][f]
-                    citers = citer_pool[(rng.random(total) * len(citer_pool)).astype(np.int64)]
-                    cited_rep = np.repeat(cited, counts)
-                    for citer, tgt in zip(citers.tolist(), cited_rep.tolist()):
-                        refs[citer].append(tgt)
+                    picks = (rng.random(total) * len(citer_pool)).astype(np.int64)
+                    citers.append(citer_pool[picks])
+                    targets.append(np.repeat(cited, counts))
         for f in range(nf):
             prior[f].append(pool_arrays[year][f])
 
-    records: list[ArticleRecord | JournalRecord] = list(journals)
-    for year in years:
-        start, end = year_rows[year]
-        for row in range(start, end):
-            records.append(
-                ArticleRecord(
-                    ids[row],
-                    row_journal[row],
-                    year,
-                    "article",
-                    tuple(ids[r] for r in refs[row]),
-                )
-            )
-
-    corpus = build_corpus(records)
+    # Rows are already in id order, so row numbers are the record indices.
+    corpus = _assemble(
+        ids,
+        row_journal,
+        row_year,
+        [0] * n_articles,  # every item is an "article"
+        np.concatenate(citers),
+        np.concatenate(targets),
+        (),
+        journals,
+        [0] * len(journals),
+        DEFAULT_YEAR_BOUNDS,
+    )
     truth = GroundTruth(
         field_of={ids[row]: row_field[row] for row in range(n_articles)},
         categories=tuple(field_category(f) for f in range(nf)),

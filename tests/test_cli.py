@@ -153,6 +153,42 @@ def test_synth_writes_deterministic_outputs(tmp_path):
     assert outs["one"] == outs["two"]
 
 
+def _synth(tmp_path, name: str = "synth") -> tuple:
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(SYNTH_CONFIG))
+    paths = tuple(tmp_path / f"{name}-{n}.tsv" for n in ("corpus", "truth", "taxonomy"))
+    args = ["--out-corpus", "--out-truth", "--out-taxonomy"]
+    flags = [x for pair in zip(args, map(str, paths)) for x in pair]
+    assert run_cli(["synth", "--config", str(config), "--seed", "7", *flags]) == 0
+    return paths
+
+
+def test_classify_and_indicators_build_no_article_records(tmp_path, monkeypatch):
+    from refclass.corpus import ArticleRecord
+
+    corpus, _truth, taxonomy = _synth(tmp_path)
+
+    def refuse(self):
+        raise AssertionError("an ArticleRecord was built")
+
+    monkeypatch.setattr(ArticleRecord, "__post_init__", refuse)
+    assignments = tmp_path / "assignments.tsv"
+    common = ["--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    assert run_cli(["classify", *common, "--out", str(assignments)]) == 0
+    indicators = [
+        "indicators",
+        *common,
+        "--assignments",
+        str(assignments),
+        "--if-years=2001:2003",
+        "--pub-years=2000:2003",
+        "--journals=JG00,JF00S00",
+        "--out-dir",
+        str(tmp_path / "tables"),
+    ]
+    assert run_cli(indicators) == 0
+
+
 def test_synth_rejects_unknown_config_keys(tmp_path, capsys):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({**SYNTH_CONFIG, "frobnicate": 1}))
@@ -262,6 +298,28 @@ def test_indicators_rejects_non_finite_kappa(toy_files, tmp_path, capsys, kappa)
     out_dir = tmp_path / "ind"
     code = run_cli(_indicators_args(corpus, taxonomy, assignments, out_dir) + [f"--kappa={kappa}"])
     assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--if-years=2001:99999999999",
+        "--window=99999999999",
+        "--pub-years=1:99999999",
+        "--window=0",
+        "--if-years=1899:2008",
+    ],
+)
+def test_indicators_rejects_out_of_bounds_years_and_window(toy_files, tmp_path, capsys, flag):
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    capsys.readouterr()
+    out_dir = tmp_path / "ind"
+    assert run_cli(_indicators_args(corpus, taxonomy, assignments, out_dir) + [flag]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:config:")
     assert err.count("\n") == 1

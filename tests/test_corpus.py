@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from refclass.corpus import (
+    DEFAULT_YEAR_BOUNDS,
     ArticleRecord,
     JournalRecord,
     build_corpus,
@@ -16,7 +19,7 @@ from refclass.corpus import (
     read_records,
     validate_corpus,
 )
-from refclass.errors import ParseError, UnknownNameError, ValidationError
+from refclass.errors import InputError, ParseError, UnknownNameError, ValidationError
 
 from conftest import article, journal, random_corpus
 
@@ -24,6 +27,15 @@ from conftest import article, journal, random_corpus
 def test_parse_article_row():
     rec = parse_record("A\tP1\tJ1\t2010\tarticle\tP2,P3")
     assert rec == ArticleRecord("P1", "J1", 2010, "article", ("P2", "P3"))
+
+
+def test_parse_strips_whitespace_around_every_field():
+    # no plain space in the reference field: only unprintable whitespace
+    line = "A\t P1\u3000\tJ1 \t 2010\t article\t\xa0P2,P3\u2003,P4\u3000X\n"
+    expected = ArticleRecord("P1", "J1", 2010, "article", ("P2", "P3", "P4\u3000X"))
+    assert parse_record(line) == expected
+    corpus = read_corpus(["J\tJ1\tName\tOncology\n", line])
+    assert corpus.article("P1") == expected
 
 
 def test_parse_journal_row():
@@ -225,3 +237,273 @@ def test_record_field_constraints():
         JournalRecord("J1", "Name", ())
     with pytest.raises(ValidationError):
         JournalRecord("J1", "Name", ("Onco;logy",))
+
+
+def reference_reading(lines) -> tuple:
+    """The record-at-a-time reading the array corpus must reproduce.
+
+    Records are validated in file order as they are parsed; the result is
+    the article records (references deduped), the citation index, the
+    dangling count, the validation lines and the canonical emission.
+    """
+    lo, hi = DEFAULT_YEAR_BOUNDS
+    articles: dict[str, ArticleRecord] = {}
+    journals: dict[str, JournalRecord] = {}
+    for rec in read_records(lines):
+        if isinstance(rec, ArticleRecord):
+            if rec.id in articles:
+                raise ValidationError("duplicate article id", token=rec.id)
+            if not lo <= rec.year <= hi:
+                msg = f"article {rec.id!r} year {rec.year} outside bounds [{lo}, {hi}]"
+                raise ValidationError(msg)
+            if rec.id in rec.references:
+                raise ValidationError(f"article {rec.id!r} cites itself")
+            articles[rec.id] = replace(rec, references=tuple(dict.fromkeys(rec.references)))
+        else:
+            if rec.id in journals:
+                raise ValidationError("duplicate journal id", token=rec.id)
+            journals[rec.id] = rec
+    unresolved = sorted({a.journal_id for a in articles.values()} - set(journals))
+    if unresolved:
+        raise ValidationError("articles reference unknown journals: " + ", ".join(unresolved))
+    articles = dict(sorted(articles.items()))
+    index: dict[str, list[tuple[str, int]]] = {}
+    dangling = 0
+    for art in articles.values():
+        for ref in art.references:
+            if ref in articles:
+                index.setdefault(ref, []).append((art.id, art.year))
+            else:
+                dangling += 1
+    counts: dict[str, dict] = {"doc_type": {}, "year": {}, "journal": dict.fromkeys(journals, 0)}
+    for art in articles.values():
+        for key, value in zip(counts, (art.doc_type, art.year, art.journal_id)):
+            counts[key][value] = counts[key].get(value, 0) + 1
+    report = [
+        f"articles\t{len(articles)}",
+        f"journals\t{len(journals)}",
+        f"dangling_references\t{dangling}",
+        f"zero_reference_articles\t{sum(not a.references for a in articles.values())}",
+    ]
+    for key in ("doc_type", "year", "journal"):
+        report += [f"{key}.{k}\t{n}" for k, n in sorted(counts[key].items())]
+    emitted = [emit_record(journals[j]) for j in sorted(journals)]
+    emitted += [emit_record(a) for a in articles.values()]
+    return (
+        articles,
+        {k: tuple(v) for k, v in sorted(index.items())},
+        dangling,
+        report,
+        "\n".join(emitted) + "\n",
+    )
+
+
+def reading_of(corpus) -> tuple:
+    return (
+        dict(corpus.articles.items()),
+        dict(corpus.citation_index),
+        corpus.dangling_reference_count,
+        validate_corpus(corpus).as_lines(),
+        emit_corpus(corpus),
+    )
+
+
+def messy_corpus_lines(rng: np.random.Generator) -> list[str]:
+    """Valid corpus text with every shape the reader must normalize."""
+    pads = ("", " ", "  ", "\u3000", "\xa0")
+
+    def pad(text: str) -> str:
+        return pads[int(rng.integers(len(pads)))] + text + pads[int(rng.integers(len(pads)))]
+
+    n_journals, n_articles = int(rng.integers(1, 5)), int(rng.integers(0, 40))
+    ids = [f"P{i:03d}" for i in rng.permutation(n_articles)]
+    lines = []
+    for j in range(n_journals):
+        cats = ";".join(pad(f"Cat {c}") for c in range(int(rng.integers(1, 3))))
+        lines.append(f"J\t{pad(f'J{j}')}\t{pad(f'Journal {j}')}\t{cats}\n")
+    for a_id in ids:
+        refs = []
+        for _ in range(int(rng.integers(0, 8))):
+            if rng.random() < 0.2:
+                refs.append(f"X{int(rng.integers(6))}")  # dangling, often repeated
+            else:
+                refs.append(ids[int(rng.integers(n_articles))])
+        refs = [pad(r) for r in refs if r != a_id]
+        doc_type = ("article", "review", "other")[int(rng.integers(3))]
+        fields = [f"J{int(rng.integers(n_journals))}", str(int(rng.integers(1990, 2021))), doc_type]
+        lines.append("\t".join(["A", pad(a_id), *map(pad, fields), ",".join(refs)]) + "\n")
+    rng.shuffle(lines)  # journals land before and after their articles
+    for extra in ("# comment\n", "\n", "   \n", "#A\tnot\ta\trow\n"):
+        if rng.random() < 0.5:
+            lines.insert(int(rng.integers(len(lines) + 1)), extra)
+    if lines and rng.random() < 0.5:
+        lines[-1] = lines[-1].rstrip("\n")
+    return lines
+
+
+def test_ingest_paths_agree_on_random_corpora():
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        lines = messy_corpus_lines(rng)
+        expected = reference_reading(lines)
+        assert reading_of(read_corpus(lines)) == expected
+        assert reading_of(build_corpus(list(read_records(lines)))) == expected
+
+
+def _lines(*rows: str) -> list[str]:
+    return [row + "\n" for row in rows]
+
+
+J1 = "J\tJ1\tJournal One\tOncology"
+
+
+def _a(art_id: str, year: str = "2010", refs: str = "", journal: str = "J1", doc: str = "article"):
+    return f"A\t{art_id}\t{journal}\t{year}\t{doc}\t{refs}"
+
+
+# Each file's first fault in file order, as the record-at-a-time reader
+# raised it: class, message, line number, token.
+MALFORMED = {
+    "short-article-row": (
+        [J1, "A\tP1\tJ1\t2010\tarticle"],
+        (ParseError, "article row needs 6 columns, got 5", 2, "A\tP1\tJ1\t2010\tarticle\n"),
+    ),
+    "long-article-row": (
+        [J1, _a("P1") + "\tx"],
+        (ParseError, "article row needs 6 columns, got 7", 2, "A\tP1\tJ1\t2010\tarticle\t\tx\n"),
+    ),
+    "non-integer-year": ([J1, _a("P1", year="20X0")], (ParseError, "non-integer year", 2, "20X0")),
+    "empty-reference": (
+        [J1, _a("P1"), _a("P2", refs="P1,,P1")],
+        (ParseError, "empty reference id", 3, "P1,,P1"),
+    ),
+    "blank-reference": (
+        [J1, _a("P1"), _a("P2", refs="P1, ,P1")],
+        (ParseError, "empty reference id", 3, "P1, ,P1"),
+    ),
+    "trailing-comma": (
+        [J1, _a("P1"), _a("P2", refs="P1,")],
+        (ParseError, "empty reference id", 3, "P1,"),
+    ),
+    "unknown-doc-type": (
+        [J1, _a("P1", doc="letter")],
+        (ParseError, "unknown doc_type", 2, "letter"),
+    ),
+    "unknown-tag": ([J1, "Q\tP1\tJ1"], (ParseError, "unknown record tag", 2, "Q")),
+    "padded-tag": ([J1, " " + _a("P1")], (ParseError, "unknown record tag", 2, " A")),
+    "short-journal-row": (
+        ["J\tJ1\tName"],
+        (ParseError, "journal row needs 4 columns, got 3", 1, "J\tJ1\tName\n"),
+    ),
+    "journal-without-categories": (
+        ["J\tJ1\tName\t"],
+        (ParseError, "journal 'J1' has no categories", 1, "J1"),
+    ),
+    "empty-category": (
+        ["J\tJ1\tName\tOncology;;Cell Biology"],
+        (ParseError, "empty category name", 1, "Oncology;;Cell Biology"),
+    ),
+    "empty-article-id": ([J1, _a(" ")], (ParseError, "empty article id", 2, "")),
+    "empty-journal-id": ([J1, _a("P1", journal=" ")], (ParseError, "empty journal id", 2, "P1")),
+    "newline-in-article-id": (
+        [J1, _a("P\n1")],
+        (ParseError, "article id contains forbidden character '\\n', token 'P\\n1'", 2, "P\n1"),
+    ),
+    "newline-in-reference": (
+        [J1, _a("P1"), _a("P2", refs="P1,X\nY")],
+        (ParseError, "reference id contains forbidden character '\\n', token 'X\\nY'", 3, "P2"),
+    ),
+    "duplicate-article": (
+        [J1, _a("P1"), _a("P2"), _a("P1", year="2011")],
+        (ValidationError, "duplicate article id", None, "P1"),
+    ),
+    "duplicate-journal": (
+        [J1, _a("P1"), J1],
+        (ValidationError, "duplicate journal id", None, "J1"),
+    ),
+    "year-below-bounds": (
+        [J1, _a("P1", year="1666")],
+        (ValidationError, "article 'P1' year 1666 outside bounds [1900, 2100]", None, None),
+    ),
+    "year-far-above-bounds": (
+        [J1, _a("P1", year="99999999999999999999")],
+        (
+            ValidationError,
+            "article 'P1' year 99999999999999999999 outside bounds [1900, 2100]",
+            None,
+            None,
+        ),
+    ),
+    "self-citation": (
+        [J1, _a("P1"), _a("P2", refs="P1,P2")],
+        (ValidationError, "article 'P2' cites itself", None, None),
+    ),
+    "self-citation-among-dangling": (
+        [J1, _a("P1", refs="X1,P1,X2")],
+        (ValidationError, "article 'P1' cites itself", None, None),
+    ),
+    "unknown-journals": (
+        [_a("P1", journal="J9"), J1, _a("P2", journal="J8"), _a("P3", journal="J9")],
+        (ValidationError, "articles reference unknown journals: J8, J9", None, None),
+    ),
+    "duplicate-before-bad-line": (
+        [J1, _a("P1"), _a("P1"), "A\tP3"],
+        (ValidationError, "duplicate article id", None, "P1"),
+    ),
+    "bad-line-before-duplicate": (
+        [J1, _a("P1"), "A\tP3", _a("P1")],
+        (ParseError, "article row needs 6 columns, got 2", 3, "A\tP3\n"),
+    ),
+    "self-citation-before-its-duplicate": (
+        [J1, _a("P1", refs="P2,P1"), _a("P2"), _a("P1")],
+        (ValidationError, "article 'P1' cites itself", None, None),
+    ),
+    "duplicate-before-self-citation": (
+        [J1, _a("P1"), _a("P1", refs="P1")],
+        (ValidationError, "duplicate article id", None, "P1"),
+    ),
+    "year-fault-before-duplicate-journal": (
+        [J1, _a("P1", year="1800"), J1],
+        (ValidationError, "article 'P1' year 1800 outside bounds [1900, 2100]", None, None),
+    ),
+    "duplicate-journal-before-year-fault": (
+        [J1, J1, _a("P1", year="1800")],
+        (ValidationError, "duplicate journal id", None, "J1"),
+    ),
+    "unknown-journal-then-bad-line": (
+        [_a("P1", journal="J9"), J1, "A\tP2"],
+        (ParseError, "article row needs 6 columns, got 2", 3, "A\tP2\n"),
+    ),
+    "year-fault-then-unknown-tag": (
+        [J1, _a("P1", year="2200"), "X"],
+        (ValidationError, "article 'P1' year 2200 outside bounds [1900, 2100]", None, None),
+    ),
+    "unknown-tag-then-year-fault": (
+        [J1, "X", _a("P1", year="2200")],
+        (ParseError, "unknown record tag", 2, "X"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_ingest_paths_raise_the_same_first_fault(name):
+    rows, (cls, message, line_no, token) = MALFORMED[name]
+    lines = _lines(*rows)
+    for read in (
+        read_corpus,
+        lambda ls: build_corpus(read_records(ls)),
+        reference_reading,
+    ):
+        with pytest.raises(cls) as exc:
+            read(lines)
+        assert type(exc.value) is cls
+        assert (exc.value.line_no, exc.value.token) == (line_no, token)
+        assert str(exc.value) == str(InputError(message, line_no, token))
+
+
+def test_build_corpus_checks_records_before_an_unsupported_one():
+    bad = [journal("J1", "Oncology"), article("P1", "J1", 1800), "not a record"]
+    with pytest.raises(ValidationError, match="outside bounds"):
+        build_corpus(bad)
+    with pytest.raises(ValidationError, match="unsupported record type: str"):
+        build_corpus(bad[:1] + bad[2:] + bad[1:2])

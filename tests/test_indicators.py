@@ -565,3 +565,21 @@ def test_indicator_config_validation():
         IndicatorConfig(if_year_range=(2016, 2007))
     with pytest.raises(ConfigError):
         IndicatorConfig(denominator_doc_types=frozenset())
+    # integer window and years, within the corpus year bounds
+    for bad in (
+        {"window": 2.0},
+        {"window": True},
+        {"window": 201},
+        {"window": 99999999999},
+        {"if_year_range": (2007.0, 2016)},
+        {"if_year_range": (False, 2016)},
+        {"if_year_range": 2007},
+        {"if_year_range": (2001, 99999999999)},
+        {"pub_window": (1, 99999999)},
+        {"pub_window": (1899, 2000)},
+        {"pub_window": ("2005", "2015")},
+    ):
+        with pytest.raises(ConfigError):
+            IndicatorConfig(**bad)
+    edge = IndicatorConfig(window=200, if_year_range=[1900, 2100], pub_window=(1900, 1900))
+    assert edge.if_year_range == (1900, 2100)

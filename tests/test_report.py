@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from refclass.classifier import classify
@@ -170,7 +172,7 @@ def test_emit_report_later_rename_failure_keeps_prior_manifest(tmp_path, toy_tax
     tables = toy_tables(toy_taxonomy)
     out = tmp_path / "out"
     emit_report(tables, manifest_for(tables), out)
-    prior_manifest = (out / MANIFEST_FILE).read_bytes()
+    prior = {name: (out / name).read_bytes() for name in TABLE_FILES + (MANIFEST_FILE,)}
     # summary.tsv is the last table renamed; a directory squatting on it
     # fails the run after the other tables are in place
     (out / "summary.tsv").unlink()
@@ -182,17 +184,29 @@ def test_emit_report_later_rename_failure_keeps_prior_manifest(tmp_path, toy_tax
         inputs={"corpus": "1" * 64},
         outputs=tuple(sorted(TABLE_FILES + (MANIFEST_FILE,))),
     )
+    changed = replace(tables, config=replace(tables.config, kappa=2.0))
+    assert render_tables(changed)["composition.tsv"].encode() != prior["composition.tsv"]
     with pytest.raises(OSError):
-        emit_report(tables, rerun, out)
+        emit_report(changed, rerun, out)
     assert sorted(p.name for p in out.iterdir()) == sorted(TABLE_FILES + (MANIFEST_FILE,))
-    assert (out / MANIFEST_FILE).read_bytes() == prior_manifest
+    assert (out / MANIFEST_FILE).read_bytes() == prior[MANIFEST_FILE]
+    for name in TABLE_FILES:
+        if name != "summary.tsv":
+            assert (out / name).read_bytes() == prior[name], name
 
 
 def test_write_text_atomic(tmp_path):
     target = tmp_path / "x.tsv"
+    # a temp another run is still writing under the old fixed name
+    other = tmp_path / ".x.tsv.tmp"
+    other.write_text("other run\n")
     write_text_atomic(target, "a\tb\n")
     assert target.read_text() == "a\tb\n"
-    assert list(tmp_path.iterdir()) == [target]
+    assert sorted(tmp_path.iterdir()) == [other, target]
+    assert other.read_text() == "other run\n"
+    plain = tmp_path / "plain.tsv"
+    plain.write_text("")
+    assert target.stat().st_mode == plain.stat().st_mode
 
 
 def test_manifest_lines_are_ordered():

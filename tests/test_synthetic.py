@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from refclass.corpus import emit_corpus, validate_corpus
@@ -43,6 +45,31 @@ def test_same_seed_is_byte_identical():
     assert emit_corpus(a[0]) == emit_corpus(b[0])
     assert a[1] == b[1]
     assert emit_taxonomy(a[2]) == emit_taxonomy(b[2])
+
+
+def test_output_digests_are_pinned():
+    # Recorded from the record-building generator this one replaced; the
+    # draw order and every emitted byte must not move.
+    cfg = SyntheticConfig(
+        num_fields=3,
+        journals_per_field=2,
+        num_general_journals=2,
+        articles_per_journal_year=12,
+        year_range=(2000, 2003),
+        mean_refs=6.0,
+        p_intra=0.7,
+        field_citation_rate=(1.0, 1.5, 2.0),
+        general_field_mix=(0.5, 0.25, 0.25),
+        seed=4242,
+    )
+    corpus, truth, taxonomy = generate_synthetic(cfg)
+    truth_text = "\n".join(truth.as_lines(taxonomy)) + "\n"
+    assert hashlib.sha256(emit_corpus(corpus).encode()).hexdigest() == (
+        "1d4763bf0a374acd251e59b64d9f37ef2795ac9544e8029ecc6266e2f4c1c160"
+    )
+    assert hashlib.sha256(truth_text.encode()).hexdigest() == (
+        "51cdcc9fac86e1f01ce22b38f9a656a031d3c099d4ac91297fa6302d0c8f19bb"
+    )
 
 
 def test_different_seed_differs():
