@@ -18,27 +18,36 @@ Under the ``lexicographic`` policy ties are broken immediately.
 Bookkeeping: an assignment's ``iteration`` and ``tally`` snapshot belong to
 the iteration that last changed its label (0 and an empty tally for seeds).
 Articles left unclassified carry ``iteration = 0`` and the final-table tally
-that failed to resolve.
+that failed to resolve. The result is an :class:`AssignmentTable`: per
+corpus row a category code, a broad-area code, a status code, the iteration
+and the total votes, plus the nonzero tally counts as CSR arrays. It builds
+an :class:`Assignment` only when an entry is read; :func:`read_assignments`
+returns the same kind of table in file order.
 
-Kernel: seed labels are integer codes in sorted order, read per journal
-and spread to the corpus rows through their journal codes. The edges come
-from the corpus's CSR references of non-seeded articles, as two ``int32``
-arrays (article index, referenced row) with dangling references dropped. A
-single vote function runs one ``np.bincount`` over those edges to get each
+Kernel: seed categories are integer codes in sorted order, read per journal
+and spread to the corpus rows through their journal codes; labels are those
+codes, or broad-area codes in broad-area mode. The edges come from the
+corpus's CSR references of non-seeded articles, as two ``int32`` arrays
+(article index, referenced row) with dangling references dropped. A single
+vote function runs one ``np.bincount`` over those edges to get each
 article's tally row, total, maximum, leader count and first leader; every
-iteration and the terminal pass call it. Tally
-memory is O(non-seeded articles x seed labels). The kernel runs on one
-thread, so the output cannot depend on a thread count.
+iteration and the terminal pass call it. Tally memory while iterating is
+O(non-seeded articles x seed labels). The kernel runs on one thread, so the
+output cannot depend on a thread count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from itertools import repeat
+from types import MappingProxyType
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _frozen
 from .errors import ConfigError, ParseError, ValidationError
 from .taxonomy import BROAD_AREA_SET, Taxonomy
 
@@ -47,6 +56,7 @@ STATUS_REFERENCE = "reference-classified"
 STATUS_TIE_BROKEN = "tie-broken"
 STATUS_UNCLASSIFIED = "unclassified"
 STATUSES = (STATUS_SEEDED, STATUS_REFERENCE, STATUS_TIE_BROKEN, STATUS_UNCLASSIFIED)
+_STATUS_CODE = {status: code for code, status in enumerate(STATUSES)}
 
 TIE_UNTIL_STABLE = "unclassified-until-stable"
 TIE_LEXICOGRAPHIC = "lexicographic"
@@ -63,9 +73,6 @@ class VoteTally:
 
     counts: dict[str, int]
     total_votes: int
-
-
-EMPTY_TALLY = VoteTally({}, 0)
 
 
 @dataclass(frozen=True)
@@ -105,35 +112,186 @@ class IterationStats:
     changed: int
 
 
+class AssignmentTable(Mapping):
+    """Read-only id -> :class:`Assignment` view over row-aligned columns.
+
+    Row ``r`` is the article ``ids[r]``. ``category[r]`` indexes
+    ``categories`` and ``area[r]`` indexes ``areas`` (both name tuples
+    sorted; -1 for none), ``status[r]`` indexes :data:`STATUSES`, and
+    ``iteration[r]`` and ``votes[r]`` are the assignment's iteration and
+    total votes. ``tally`` is ``(labels, indptr, label, count)``: the vote
+    counts of row ``r`` are ``count[k]`` for ``labels[label[k]]`` over
+    ``k`` in ``indptr[r]:indptr[r + 1]``; without it every tally holds only
+    its total. An :class:`Assignment` is built on each read; arrays are
+    read-only.
+    """
+
+    def __init__(
+        self,
+        ids: Sequence[str],
+        categories: tuple[str, ...],
+        category: np.ndarray,
+        areas: tuple[str, ...],
+        area: np.ndarray,
+        status: np.ndarray,
+        iteration: np.ndarray,
+        votes: np.ndarray,
+        *,
+        tally: tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None = None,
+        row_of: Mapping[str, int] | None = None,
+    ):
+        self.ids = ids
+        self.categories = categories
+        self.category = _frozen(category)
+        self.areas = areas
+        self.area = _frozen(area)
+        self.status = _frozen(status)
+        self.iteration = _frozen(iteration)
+        self.votes = _frozen(votes)
+        if tally is None:
+            empty = np.zeros(0, np.int32)
+            tally = ((), np.zeros(len(ids) + 1, np.int64), empty, empty)
+        labels, indptr, label, count = tally
+        self.tally = (labels, _frozen(indptr), _frozen(label), _frozen(count))
+        if row_of is not None:
+            self.row_of = row_of
+
+    @cached_property
+    def row_of(self) -> Mapping[str, int]:
+        return MappingProxyType(dict(zip(self.ids, range(len(self.ids)))))
+
+    @classmethod
+    def of(cls, assignments: Mapping[str, Assignment]) -> AssignmentTable:
+        """The table itself, or the columns of a plain mapping's entries.
+
+        A converted mapping keeps each tally's total but not its counts.
+        """
+        if isinstance(assignments, AssignmentTable):
+            return assignments
+        entries = list(assignments.values())
+        return _table_of(
+            list(assignments),
+            [a.category or "" for a in entries],
+            [a.broad_area or "" for a in entries],
+            [a.status for a in entries],
+            [a.iteration for a in entries],
+            [a.tally.total_votes if a.tally is not None else 0 for a in entries],
+        )
+
+    def corpus_rows(self, corpus: Corpus) -> np.ndarray:
+        """The corpus row of every entry, -1 for an id outside the corpus."""
+        get = corpus.row_of.get
+        return np.fromiter(map(get, self.ids, repeat(-1)), np.int64, count=len(self.ids))
+
+    def __getitem__(self, article_id: str) -> Assignment:
+        row = self.row_of[article_id]
+        category, area = int(self.category[row]), int(self.area[row])
+        labels, indptr, label, count = self.tally
+        lo, hi = indptr[row], indptr[row + 1]
+        counts = dict(zip([labels[c] for c in label[lo:hi].tolist()], count[lo:hi].tolist()))
+        return Assignment(
+            article_id,
+            self.categories[category] if category >= 0 else None,
+            self.areas[area] if area >= 0 else None,
+            STATUSES[self.status[row]],
+            int(self.iteration[row]),
+            VoteTally(counts, int(self.votes[row])),
+        )
+
+    def __contains__(self, article_id) -> bool:
+        return article_id in self.row_of
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _coded(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted distinct names of a column and each entry's code, -1 for ``""``."""
+    names = tuple(sorted(set(column) - {""}))
+    code = {name: i for i, name in enumerate(names)}
+    code[""] = -1
+    return names, np.fromiter(map(code.__getitem__, column), np.int32, count=len(column))
+
+
+def _table_of(
+    ids: Sequence[str],
+    categories: Sequence[str],
+    areas: Sequence[str],
+    statuses: Sequence[str],
+    iterations: Sequence[int],
+    votes: Sequence[int],
+) -> AssignmentTable:
+    """Code per-row string columns (``""`` for no category or area) into a table."""
+    category_names, category = _coded(categories)
+    area_names, area = _coded(areas)
+    status = np.fromiter(map(_STATUS_CODE.__getitem__, statuses), np.int8, count=len(statuses))
+    # Python ints keep any size: numpy falls back to an object array.
+    iteration, total_votes = np.array(iterations), np.array(votes)
+    return AssignmentTable(
+        ids, category_names, category, area_names, area, status, iteration, total_votes
+    )
+
+
+def _lookup(values: Sequence[int], codes: np.ndarray) -> np.ndarray:
+    """``values[code]`` for every code, -1 where the code is -1."""
+    return np.append(np.asarray(values, dtype=np.int32), np.int32(-1))[codes]
+
+
 @dataclass(frozen=True)
 class ClassificationResult:
-    assignments: dict[str, Assignment]
+    """Assignments by article id, plus how the iteration went.
+
+    :func:`classify` returns the assignments as an :class:`AssignmentTable`,
+    a lazy view over its result arrays; any mapping of ids to
+    :class:`Assignment` is accepted.
+    """
+
+    assignments: Mapping[str, Assignment]
     iterations_run: int
     iteration_stats: tuple[IterationStats, ...]
 
 
-def _seed_categories(corpus: Corpus, taxonomy: Taxonomy) -> list[str | None]:
-    """Per journal code: the category its articles are seeded with, or None."""
-    return [
+def _seeds(corpus: Corpus, taxonomy: Taxonomy) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted seed categories and each row's seed category code (-1: not seeded)."""
+    per_journal = [
         j.categories[0] if taxonomy.is_classifier_journal(j) else None
         for j in corpus.journals.values()
     ]
+    categories = tuple(sorted({c for c in per_journal if c is not None}))
+    code = {c: i for i, c in enumerate(categories)}
+    journal_category = [code.get(c, -1) for c in per_journal]
+    return categories, _lookup(journal_category, corpus.journal_codes)
 
 
-def seed_assignments(corpus: Corpus, taxonomy: Taxonomy) -> dict[str, Assignment]:
-    """Iteration-0 table: classifier-journal articles seeded, everything else unclassified."""
-    seeded = [
-        None if cat is None else (cat, taxonomy.broad_area_of(cat))
-        for cat in _seed_categories(corpus, taxonomy)
-    ]
-    table: dict[str, Assignment] = {}
-    for art_id, code in zip(corpus.ids, corpus.journal_codes.tolist()):
-        seed = seeded[code]
-        if seed is None:
-            table[art_id] = Assignment(art_id, None, None, STATUS_UNCLASSIFIED, 0, EMPTY_TALLY)
-        else:
-            table[art_id] = Assignment(art_id, *seed, STATUS_SEEDED, 0, EMPTY_TALLY)
-    return table
+def _area_codes(names: Sequence[str], taxonomy: Taxonomy) -> tuple[tuple[str, ...], list[int]]:
+    """Sorted broad areas of the categories ``names`` and each one's area code."""
+    areas = tuple(sorted({taxonomy.broad_area_of(c) for c in names}))
+    return areas, [areas.index(taxonomy.broad_area_of(c)) for c in names]
+
+
+def seed_assignments(corpus: Corpus, taxonomy: Taxonomy) -> AssignmentTable:
+    """Iteration-0 table: classifier-journal articles seeded, everything else unclassified.
+
+    A lazy view over per-row arrays, like :attr:`ClassificationResult.assignments`.
+    """
+    categories, category = _seeds(corpus, taxonomy)
+    areas, category_area = _area_codes(categories, taxonomy)
+    n = len(corpus.ids)
+    status = np.where(category >= 0, _STATUS_CODE[STATUS_SEEDED], _STATUS_CODE[STATUS_UNCLASSIFIED])
+    return AssignmentTable(
+        corpus.ids,
+        categories,
+        category,
+        areas,
+        _lookup(category_area, category),
+        status.astype(np.int8),
+        np.zeros(n, np.int64),
+        np.zeros(n, np.int64),
+        row_of=corpus.row_of,
+    )
 
 
 def classify(
@@ -147,36 +305,30 @@ def classify(
 
     One vote kernel serves every iteration and the terminal pass. ``threads``
     must be >= 1 but selects nothing: the kernel runs on one thread, so the
-    result is the same for every value.
+    result is the same for every value. The assignments are an
+    :class:`AssignmentTable` over the corpus rows.
     """
     if config is None:
         config = ClassifierConfig()
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    seeds = seed_assignments(corpus, taxonomy)
     area_mode = config.mode == MODE_BROAD_AREA
 
-    # Labels only come from seeds, so they are per journal. Their codes follow
-    # sorted order, so argmax over a row picks the lexicographically smallest
-    # leader.
-    keys = [
-        cat if cat is None or not area_mode else taxonomy.broad_area_of(cat)
-        for cat in _seed_categories(corpus, taxonomy)
-    ]
-    names = sorted({k for k in keys if k is not None})
-    code = {name: c for c, name in enumerate(names)}
-    journal_label = np.array([code.get(k, -1) for k in keys], dtype=np.int32)
-    label = journal_label[corpus.journal_codes]
+    # Labels only come from seeds. Their codes follow sorted order, so argmax
+    # over a row picks the lexicographically smallest leader.
+    categories, category = _seeds(corpus, taxonomy)
+    areas, category_area = _area_codes(categories, taxonomy)
+    names = areas if area_mode else categories
+    label = _lookup(category_area, category) if area_mode else category.copy()
     open_rows = np.flatnonzero(label < 0)
-    open_ids = [corpus.ids[r] for r in open_rows.tolist()]
-    n_open, width = len(open_ids), max(len(names), 1)
+    n_rows, n_open, width = len(corpus.ids), len(open_rows), max(len(names), 1)
 
     # Edges (open article index, referenced row) from the CSR; dangling
     # references drop out.
-    open_index = np.full(len(corpus.ids), -1, dtype=np.int32)
+    open_index = np.full(n_rows, -1, dtype=np.int32)
     open_index[open_rows] = np.arange(n_open, dtype=np.int32)
     src = open_index[corpus.citer_rows()]
-    linked = (src >= 0) & (corpus.refs < len(corpus.ids))
+    linked = (src >= 0) & (corpus.refs < n_rows)
     src, dst = src[linked], corpus.refs[linked]
 
     def votes(table: np.ndarray):
@@ -227,24 +379,35 @@ def classify(
     via_tie[broken] = True
     snapshot[unlabeled] = counts[unlabeled]
 
-    nz_row, nz_col = np.nonzero(snapshot)
-    nz_count = snapshot[nz_row, nz_col].tolist()
-    bounds = np.searchsorted(nz_row, np.arange(n_open + 1)).tolist()
-    nz_col = nz_col.tolist()
-    final = label[open_rows].tolist()
-    set_iteration, via_tie = set_iteration.tolist(), via_tie.tolist()
-    assignments = dict(seeds)
-    for i, a_id in enumerate(open_ids):
-        lo, hi = bounds[i], bounds[i + 1]
-        tally_counts = {names[c]: n for c, n in zip(nz_col[lo:hi], nz_count[lo:hi])}
-        tally = VoteTally(tally_counts, sum(tally_counts.values()))
-        if final[i] < 0:
-            assignments[a_id] = Assignment(a_id, None, None, STATUS_UNCLASSIFIED, 0, tally)
-            continue
-        value = names[final[i]]
-        cat, area = (None, value) if area_mode else (value, taxonomy.broad_area_of(value))
-        status = STATUS_TIE_BROKEN if via_tie[i] else STATUS_REFERENCE
-        assignments[a_id] = Assignment(a_id, cat, area, status, set_iteration[i], tally)
+    final = label[open_rows]
+    status = np.full(n_rows, _STATUS_CODE[STATUS_SEEDED], np.int8)
+    status[open_rows] = np.select(
+        [final < 0, via_tie],
+        [_STATUS_CODE[STATUS_UNCLASSIFIED], _STATUS_CODE[STATUS_TIE_BROKEN]],
+        _STATUS_CODE[STATUS_REFERENCE],
+    )
+    iterations = np.zeros(n_rows, np.int64)
+    iterations[open_rows] = np.where(final < 0, 0, set_iteration)
+    total_votes = np.zeros(n_rows, np.int64)
+    total_votes[open_rows] = snapshot.sum(axis=1)
+    # The tally snapshots as CSR over all rows; seeds hold none.
+    tally_rows, tally_label = np.nonzero(snapshot)
+    indptr = np.zeros(n_rows + 1, np.int64)
+    np.cumsum(np.bincount(open_rows[tally_rows], minlength=n_rows), out=indptr[1:])
+    tally = (names, indptr, tally_label.astype(np.int32), snapshot[tally_rows, tally_label])
+    label_area = range(len(areas)) if area_mode else category_area
+    assignments = AssignmentTable(
+        corpus.ids,
+        categories,
+        category if area_mode else label,
+        areas,
+        _lookup(label_area, label),
+        status,
+        iterations,
+        total_votes,
+        tally=tally,
+        row_of=corpus.row_of,
+    )
     return ClassificationResult(assignments, iterations_run, tuple(stats))
 
 
@@ -273,26 +436,29 @@ def evaluate_accuracy(result: ClassificationResult, truth, taxonomy: Taxonomy) -
     articles only. Raises :class:`ValidationError` if the result covers an
     article the truth does not.
     """
-    missing = [a_id for a_id in result.assignments if a_id not in truth.field_of]
+    table = AssignmentTable.of(result.assignments)
+    missing = [a_id for a_id in table.ids if a_id not in truth.field_of]
     if missing:
         raise ValidationError(f"articles missing from ground truth: {missing[:5]}")
-    total = len(result.assignments)
+    total = len(table.ids)
     classified = 0
     cat_seen = cat_right = 0
     area_seen = area_right = 0
     confusion: dict[tuple[str, str], int] = {}
-    for a_id, a in result.assignments.items():
-        if a.broad_area is None:
+    area_names = table.areas + (None,)  # code -1 (none) reads the trailing None
+    for a_id, category, area in zip(table.ids, table.category.tolist(), table.area.tolist()):
+        broad_area = area_names[area]
+        if broad_area is None:
             continue
         classified += 1
         true_cat = truth.category_of(a_id)
         true_area = taxonomy.broad_area_of(true_cat)
-        if a.category is not None:
+        if category >= 0:
             cat_seen += 1
-            cat_right += a.category == true_cat
+            cat_right += table.categories[category] == true_cat
         area_seen += 1
-        area_right += a.broad_area == true_area
-        key = (true_area, a.broad_area)
+        area_right += broad_area == true_area
+        key = (true_area, broad_area)
         confusion[key] = confusion.get(key, 0) + 1
     return AccuracyReport(
         total=total,
@@ -310,22 +476,65 @@ def emit_assignments(result: ClassificationResult) -> str:
     Columns: article_id, category, broad_area, status, iteration,
     total_votes. Unclassified rows carry empty category and broad_area.
     """
-    lines = []
-    for a_id in sorted(result.assignments):
-        a = result.assignments[a_id]
-        votes = a.tally.total_votes if a.tally is not None else 0
-        lines.append(
-            f"{a_id}\t{a.category or ''}\t{a.broad_area or ''}\t{a.status}\t{a.iteration}\t{votes}"
+    table = AssignmentTable.of(result.assignments)
+    order = np.array(sorted(range(len(table.ids)), key=table.ids.__getitem__), dtype=np.int64)
+
+    def names(values: tuple[str, ...], codes: np.ndarray) -> list[str]:
+        return np.array(values + ("",), dtype=object)[codes[order]].tolist()
+
+    rows = zip(
+        [table.ids[r] for r in order.tolist()],
+        names(table.categories, table.category),
+        names(table.areas, table.area),
+        names(STATUSES, table.status),
+        table.iteration[order].tolist(),
+        table.votes[order].tolist(),
+    )
+    return "\n".join([f"{a}\t{c}\t{b}\t{s}\t{i}\t{v}" for a, c, b, s, i, v in rows]) + "\n"
+
+
+def read_assignments(source: Iterable[str]) -> AssignmentTable:
+    """Parse an assignment TSV into an :class:`AssignmentTable` in file order.
+
+    Tally details are not stored: each tally holds only its total. Raises
+    the first fault in file order.
+    """
+    numbered = [
+        (line_no, raw)
+        for line_no, raw in enumerate(source, start=1)
+        if raw.strip() and not raw.startswith("#")
+    ]
+    rows = [raw.rstrip("\n").split("\t") for _, raw in numbered]
+    # Check whole columns; on any fault, the row-by-row reading finds the first.
+    if rows and all(len(parts) == 6 for parts in rows):
+        ids, cats, areas, statuses, iteration_s, votes_s = (
+            list(map(str.strip, column)) for column in zip(*rows)
         )
-    return "\n".join(lines) + "\n"
+        try:
+            iterations = list(map(int, iteration_s))
+            votes = list(map(int, votes_s))
+        except ValueError:
+            pass
+        else:
+            if (
+                all(ids)
+                and len(set(ids)) == len(ids)
+                and _STATUS_CODE.keys() >= set(statuses)
+                and BROAD_AREA_SET >= set(areas) - {""}
+                and all(
+                    (area == "") == (status == STATUS_UNCLASSIFIED) and (area or not cat)
+                    for cat, area, status in zip(cats, areas, statuses)
+                )
+            ):
+                return _table_of(ids, cats, areas, statuses, iterations, votes)
+    return _read_rows(numbered)
 
 
-def read_assignments(source: Iterable[str]) -> dict[str, Assignment]:
-    """Parse an assignment TSV back into a table (tally details are not stored)."""
-    table: dict[str, Assignment] = {}
-    for line_no, raw in enumerate(source, start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
+def _read_rows(numbered: list[tuple[int, str]]) -> AssignmentTable:
+    """Check and parse one row at a time; raises the first fault in file order."""
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    seen: set[str] = set()
+    for line_no, raw in numbered:
         parts = raw.rstrip("\n").split("\t")
         if len(parts) != 6:
             raise ParseError(f"assignment row needs 6 columns, got {len(parts)}", line_no, raw)
@@ -345,9 +554,9 @@ def read_assignments(source: Iterable[str]) -> dict[str, Assignment]:
             votes = int(votes_s)
         except ValueError:
             raise ParseError("non-integer iteration or votes", line_no, raw) from None
-        if a_id in table:
+        if a_id in seen:
             raise ValidationError("duplicate article id", line_no, a_id)
-        table[a_id] = Assignment(
-            a_id, cat or None, area or None, status, iteration, VoteTally({}, votes)
-        )
-    return table
+        seen.add(a_id)
+        for column, value in zip(columns, (a_id, cat, area, status, iteration, votes)):
+            column.append(value)
+    return _table_of(*columns)

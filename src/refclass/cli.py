@@ -27,10 +27,13 @@ import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .classifier import (
     MODES,
     TIE_POLICIES,
+    AssignmentTable,
     ClassifierConfig,
     classify,
     emit_assignments,
@@ -177,26 +180,41 @@ def _check_journal_categories(corpus, taxonomy) -> None:
         raise ValidationError("journals reference unknown categories: " + ", ".join(sorted(bad)))
 
 
-def _check_assignments(assignments, corpus, taxonomy) -> None:
-    strangers = sorted(a_id for a_id in assignments if a_id not in corpus.row_of)
+def _check_assignments(assignments: AssignmentTable, corpus, taxonomy) -> None:
+    rows = assignments.corpus_rows(corpus)
+    strangers = sorted(assignments.ids[r] for r in np.flatnonzero(rows < 0).tolist())
     if strangers:
         raise ValidationError(
             f"assignments name {len(strangers)} article(s) not in the corpus", token=strangers[0]
         )
-    for a_id, entry in assignments.items():
-        if entry.category is None:
-            continue
-        if entry.category not in taxonomy:
-            raise ValidationError(
-                f"assignment of {a_id!r} names a category missing from the taxonomy",
-                token=entry.category,
-            )
-        area = taxonomy.broad_area_of(entry.category)
-        if area != entry.broad_area:
-            raise ValidationError(
-                f"assignment of {a_id!r} files {entry.category!r} under "
-                f"{entry.broad_area!r}; the taxonomy says {area!r}"
-            )
+    # Per category name, the code of its taxonomy area in the table; a name
+    # missing from the taxonomy, or whose area no row names, gets -2, which
+    # matches no row.
+    area_code = {area: code for code, area in enumerate(assignments.areas)}
+    expected = np.array(
+        [
+            area_code.get(taxonomy.broad_area_of(cat), -2) if cat in taxonomy else -2
+            for cat in assignments.categories
+        ],
+        dtype=np.int64,
+    )
+    category = assignments.category
+    filed = np.flatnonzero(category >= 0)
+    wrong = filed[expected[category[filed]] != assignments.area[filed]]
+    if len(wrong) == 0:
+        return
+    a_id = assignments.ids[wrong[0]]
+    entry = assignments[a_id]
+    if entry.category not in taxonomy:
+        raise ValidationError(
+            f"assignment of {a_id!r} names a category missing from the taxonomy",
+            token=entry.category,
+        )
+    area = taxonomy.broad_area_of(entry.category)
+    raise ValidationError(
+        f"assignment of {a_id!r} files {entry.category!r} under "
+        f"{entry.broad_area!r}; the taxonomy says {area!r}"
+    )
 
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
@@ -319,3 +337,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .classifier import Assignment
+from .classifier import Assignment, AssignmentTable
 from .corpus import DEFAULT_YEAR_BOUNDS, DOC_TYPES, Corpus, _is_int
 from .errors import (
     ConfigError,
@@ -299,8 +299,9 @@ def count_cube(
     citation counts over the publication years ``pub_window``; either may be
     None. Its year axes span only those years and its scope axis only
     ``journals`` plus one slot for the rest, so its size does not depend on
-    the corpus. Assignments for ids outside the corpus are ignored; corpus
-    articles without one count as unclassified. Raises
+    the corpus. ``assignments`` is read as an :class:`AssignmentTable`, so a
+    plain mapping is converted once. Assignments for ids outside the corpus
+    are ignored; corpus articles without one count as unclassified. Raises
     :class:`UnknownNameError` for a journal that is not in the corpus.
     """
     journals = tuple(dict.fromkeys(journals))
@@ -317,18 +318,19 @@ def count_cube(
 
     scope_of = dict.fromkeys(corpus.journal_ids, len(journals))
     scope_of.update((j, i) for i, j in enumerate(journals))
-    areas = sorted({a.broad_area for a in assignments.values()} - {None})
-    area_slots = {area: i for i, area in enumerate(areas, start=1)}
-    area_of = {None: 0, **area_slots}
-    n_scopes, n_areas, n_types = len(journals) + 1, len(areas) + 1, len(DOC_TYPES)
+    # Area slots: 0 for unclassified, then every area the table names, sorted.
+    table = AssignmentTable.of(assignments)
+    present = np.unique(table.area[table.area >= 0])
+    area_slots = {table.areas[c]: slot for slot, c in enumerate(present.tolist(), start=1)}
+    slot_of = np.zeros(len(table.areas) + 1, dtype=np.int64)  # code -1 reads the last
+    slot_of[present] = np.arange(1, len(present) + 1)
+    n_scopes, n_areas, n_types = len(journals) + 1, len(area_slots) + 1, len(DOC_TYPES)
 
     # One cell (scope, area, publication year) per row, -1 outside the years.
     area = np.zeros(len(corpus.ids), dtype=np.int64)
-    row_of = corpus.row_of
-    for a_id, entry in assignments.items():
-        row = row_of.get(a_id)
-        if row is not None:
-            area[row] = area_of[entry.broad_area]
+    rows = table.corpus_rows(corpus)
+    inside = rows >= 0
+    area[rows[inside]] = slot_of[table.area[inside]]
     scope = np.array([scope_of[j] for j in corpus.journal_ids], dtype=np.int64)
     pub = corpus.years - pub_lo
     counted = (pub >= 0) & (pub < n_pub)
@@ -452,11 +454,13 @@ def composition(
     Shares are over classified articles only and sum to 1; areas with no
     classified article in scope are absent from ``counts`` (``share`` reports
     them as 0). Raises :class:`EmptyScopeError` when nothing in scope is
-    classified.
+    classified, and :class:`ConfigError` when ``pub_window`` is not a valid
+    :attr:`IndicatorConfig.pub_window`, before anything is counted.
     """
     journals = tuple(journal_set)
-    cube = count_cube(corpus, assignments, journals, IndicatorConfig(), pub_window=pub_window)
-    return cube.composition(journals, pub_window, doc_types=doc_types)
+    config = IndicatorConfig(pub_window=pub_window)
+    cube = count_cube(corpus, assignments, journals, config, pub_window=config.pub_window)
+    return cube.composition(journals, config.pub_window, doc_types=doc_types)
 
 
 @dataclass(frozen=True)
@@ -483,11 +487,14 @@ def representation(
 
     Ratios are defined for every area with a positive all-sources share
     (0.0 when the set has no such articles); areas with zero all-sources
-    share are omitted and listed in ``omitted_areas``.
+    share are omitted and listed in ``omitted_areas``. Raises
+    :class:`ConfigError` when ``pub_window`` is not a valid
+    :attr:`IndicatorConfig.pub_window`, before anything is counted.
     """
     journals = tuple(journal_set)
-    cube = count_cube(corpus, assignments, journals, IndicatorConfig(), pub_window=pub_window)
-    return cube.representation(journals, pub_window, doc_types=doc_types)
+    config = IndicatorConfig(pub_window=pub_window)
+    cube = count_cube(corpus, assignments, journals, config, pub_window=config.pub_window)
+    return cube.representation(journals, config.pub_window, doc_types=doc_types)
 
 
 @dataclass(frozen=True)

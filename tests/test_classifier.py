@@ -12,6 +12,8 @@ from refclass.classifier import (
     STATUS_TIE_BROKEN,
     STATUS_UNCLASSIFIED,
     TIE_LEXICOGRAPHIC,
+    Assignment,
+    ClassificationResult,
     ClassifierConfig,
     IterationStats,
     VoteTally,
@@ -22,7 +24,7 @@ from refclass.classifier import (
     seed_assignments,
 )
 from refclass.corpus import build_corpus
-from refclass.errors import ConfigError, ValidationError
+from refclass.errors import ConfigError, InputError, ParseError, ValidationError
 from refclass.synthetic import SyntheticConfig, generate_synthetic
 
 from conftest import article, journal, random_corpus
@@ -455,3 +457,127 @@ def test_emit_and_read_assignments(toy_taxonomy):
         assert table[a_id].broad_area == a.broad_area
         assert table[a_id].status == a.status
         assert table[a_id].iteration == a.iteration
+
+
+def test_emit_assignments_sorts_any_mapping():
+    corpus, taxonomy = random_corpus(np.random.default_rng(5), max_articles=200)
+    result = classify(corpus, taxonomy)
+    text = emit_assignments(result)
+    backwards = dict(reversed(list(result.assignments.items())))
+    assert emit_assignments(ClassificationResult(backwards, 1, ())) == text
+    shuffled = read_assignments(reversed(text.splitlines(keepends=True)))
+    assert list(shuffled) == list(backwards)
+    assert emit_assignments(ClassificationResult(shuffled, 1, ())) == text
+
+
+SEED_ROW ="P1\tOncology\tMedicine\tjournal-seeded\t0\t0"
+OPEN_ROW = "P2\t\t\tunclassified\t0\t3"
+REF_ROW = "P3\tAstronomy & Astrophysics\tAstronomy\treference-classified\t1\t4"
+
+# rows of a malformed assignment file -> the first fault, as the row-by-row
+# reader raised it: (class, message, line_no, token)
+MALFORMED_ASSIGNMENTS = {
+    "wrong-column-count": (
+        [SEED_ROW, "P4\tOncology\tMedicine\tjournal-seeded\t0"],
+        (
+            ParseError,
+            "assignment row needs 6 columns, got 5",
+            2,
+            "P4\tOncology\tMedicine\tjournal-seeded\t0\n",
+        ),
+    ),
+    "empty-id": (
+        [SEED_ROW, " \tOncology\tMedicine\tjournal-seeded\t0\t0"],
+        (ParseError, "empty article id", 2, " \tOncology\tMedicine\tjournal-seeded\t0\t0\n"),
+    ),
+    "unknown-status": (
+        [SEED_ROW, "P4\tOncology\tMedicine\tseeded\t0\t0"],
+        (ParseError, "unknown status", 2, "seeded"),
+    ),
+    "no-area-on-a-labeled-status": (
+        [SEED_ROW, "P4\t\t\treference-classified\t1\t2"],
+        (ParseError, "status/broad_area mismatch", 2, "P4\t\t\treference-classified\t1\t2\n"),
+    ),
+    "area-on-unclassified": (
+        [SEED_ROW, "P4\tOncology\tMedicine\tunclassified\t0\t0"],
+        (
+            ParseError,
+            "status/broad_area mismatch",
+            2,
+            "P4\tOncology\tMedicine\tunclassified\t0\t0\n",
+        ),
+    ),
+    "category-without-area": (
+        [SEED_ROW, "P4\tOncology\t\tunclassified\t0\t0"],
+        (ParseError, "category without broad_area", 2, "P4\tOncology\t\tunclassified\t0\t0\n"),
+    ),
+    "unknown-area": (
+        [SEED_ROW, "P4\tOncology\tOncology\tjournal-seeded\t0\t0"],
+        (ParseError, "unknown broad area", 2, "Oncology"),
+    ),
+    "non-integer-iteration": (
+        [SEED_ROW, "P4\tOncology\tMedicine\tjournal-seeded\tone\t0"],
+        (
+            ParseError,
+            "non-integer iteration or votes",
+            2,
+            "P4\tOncology\tMedicine\tjournal-seeded\tone\t0\n",
+        ),
+    ),
+    "non-integer-votes": (
+        [SEED_ROW, "P4\tOncology\tMedicine\tjournal-seeded\t0\t2.0"],
+        (
+            ParseError,
+            "non-integer iteration or votes",
+            2,
+            "P4\tOncology\tMedicine\tjournal-seeded\t0\t2.0\n",
+        ),
+    ),
+    "duplicate-id": (
+        [SEED_ROW, OPEN_ROW, "# comment", "", " P1 \t\t\tunclassified\t0\t0"],
+        (ValidationError, "duplicate article id", 5, "P1"),
+    ),
+    "duplicate-before-bad-columns": (
+        [SEED_ROW, OPEN_ROW, SEED_ROW, "P9\tOncology"],
+        (ValidationError, "duplicate article id", 3, "P1"),
+    ),
+    "bad-columns-before-duplicate": (
+        [SEED_ROW, "P9\tOncology", OPEN_ROW, SEED_ROW],
+        (ParseError, "assignment row needs 6 columns, got 2", 2, "P9\tOncology\n"),
+    ),
+    "unknown-status-before-bad-votes": (
+        [SEED_ROW, "P4\t\t\tpending\t0\t0", "P5\t\t\tunclassified\t0\tmany"],
+        (ParseError, "unknown status", 2, "pending"),
+    ),
+    "bad-votes-before-unknown-status": (
+        [SEED_ROW, "P5\t\t\tunclassified\t0\tmany", "P4\t\t\tpending\t0\t0"],
+        (ParseError, "non-integer iteration or votes", 2, "P5\t\t\tunclassified\t0\tmany\n"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ASSIGNMENTS))
+def test_read_assignments_raises_the_first_fault(name):
+    rows, (cls, message, line_no, token) = MALFORMED_ASSIGNMENTS[name]
+    with pytest.raises(cls) as exc:
+        read_assignments([row + "\n" for row in rows])
+    assert type(exc.value) is cls
+    assert (exc.value.line_no, exc.value.token) == (line_no, token)
+    assert str(exc.value) == str(InputError(message, line_no, token))
+
+
+def test_read_assignments_strips_padded_fields():
+    lines = [
+        "# padded fields strip to valid values\n",
+        " P1 \t Oncology \tMedicine \t journal-seeded\t 0 \t+0\r\n",
+        "\n",
+        "P2\t \t\tunclassified \t0\t 3\n",
+        REF_ROW + "  \n",
+    ]
+    table = read_assignments(lines)
+    assert list(table) == ["P1", "P2", "P3"]
+    assert dict(table) == {
+        "P1": Assignment("P1", ONCO, "Medicine", STATUS_SEEDED, 0, VoteTally({}, 0)),
+        "P2": Assignment("P2", None, None, STATUS_UNCLASSIFIED, 0, VoteTally({}, 3)),
+        "P3": Assignment("P3", ASTRO, "Astronomy", STATUS_REFERENCE, 1, VoteTally({}, 4)),
+    }

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from refclass.cli import run_cli
+import refclass
+from refclass.classifier import read_assignments
+from refclass.cli import _check_assignments, run_cli
+from refclass.corpus import read_corpus
+from refclass.errors import ValidationError
 from refclass.report import MANIFEST_FILE, TABLE_FILES
+from refclass.taxonomy import load_taxonomy
 
 from conftest import TOY_TAXONOMY_TEXT
 
@@ -187,6 +196,37 @@ def test_classify_and_indicators_build_no_article_records(tmp_path, monkeypatch)
         str(tmp_path / "tables"),
     ]
     assert run_cli(indicators) == 0
+
+
+def test_classify_and_indicators_build_no_assignment_records(tmp_path, monkeypatch):
+    from refclass.classifier import Assignment, VoteTally
+
+    corpus, _truth, taxonomy = _synth(tmp_path)
+    built = []
+    for cls in (Assignment, VoteTally):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assignments = tmp_path / "assignments.tsv"
+    common = ["--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    assert run_cli(["classify", *common, "--out", str(assignments)]) == 0
+    indicators = [
+        "indicators",
+        *common,
+        "--assignments",
+        str(assignments),
+        "--if-years=2001:2003",
+        "--pub-years=2000:2003",
+        "--journals=JG00,JF00S00",
+        "--out-dir",
+        str(tmp_path / "tables"),
+    ]
+    assert run_cli(indicators) == 0
+    assert built == []
 
 
 def test_synth_rejects_unknown_config_keys(tmp_path, capsys):
@@ -489,3 +529,65 @@ def test_threads_env_does_not_change_output(toy_files, tmp_path, monkeypatch):
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "synth" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["refclass", "refclass.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    src = str(Path(refclass.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    args = ["validate", "--corpus", "missing", "--taxonomy", "missing"]
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:io:")
+    assert proc.stderr.count("\n") == 1
+
+
+# assignment rows checked against the toy corpus and taxonomy -> the error
+# the parent raised: (message, token)
+INCONSISTENT_ASSIGNMENTS = {
+    "stranger-before-bad-category": (
+        [
+            "P1\tNo Such Category\tAstronomy\tjournal-seeded\t0\t0",
+            "ZZ\t\t\tunclassified\t0\t0",
+            "AA\t\t\tunclassified\t0\t0",
+        ],
+        ("assignments name 2 article(s) not in the corpus", "AA"),
+    ),
+    "wrong-area-first-in-file": (
+        [
+            "P3\tOncology\tAstronomy\tjournal-seeded\t0\t0",
+            "P1\tNo Such Category\tAstronomy\tjournal-seeded\t0\t0",
+        ],
+        (
+            "assignment of 'P3' files 'Oncology' under 'Astronomy'; the taxonomy says 'Medicine'",
+            None,
+        ),
+    ),
+    "missing-category-first-in-file": (
+        [
+            "P3\tNo Such Category\tMedicine\tjournal-seeded\t0\t0",
+            "P1\tOncology\tAstronomy\tjournal-seeded\t0\t0",
+        ],
+        ("assignment of 'P3' names a category missing from the taxonomy", "No Such Category"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INCONSISTENT_ASSIGNMENTS))
+def test_check_assignments_raises_the_first_inconsistency(name):
+    rows, (message, token) = INCONSISTENT_ASSIGNMENTS[name]
+    taxonomy = load_taxonomy(TOY_TAXONOMY_TEXT.splitlines(keepends=True))
+    corpus = read_corpus(TOY_CORPUS_TEXT.splitlines(keepends=True))
+    with pytest.raises(ValidationError) as exc:
+        _check_assignments(read_assignments([row + "\n" for row in rows]), corpus, taxonomy)
+    assert (exc.value.line_no, exc.value.token) == (None, token)
+    assert str(exc.value) == str(ValidationError(message, token=token))

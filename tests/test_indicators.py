@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from refclass import indicators
 from refclass.classifier import Assignment, classify
 from refclass.corpus import build_corpus
 from refclass.errors import (
@@ -404,6 +405,22 @@ def test_composition_errors(toy_taxonomy):
         composition(corpus, assignments, ("JSET_A",), (1990, 1995))
     with pytest.raises(UnknownNameError):
         composition(corpus, assignments, ("NOPE",), (2005, 2015))
+
+
+@pytest.mark.parametrize("pub_window", [(1, 10**9), (2015, 2005), (2005.0, 2015)])
+@pytest.mark.parametrize("entry", [composition, representation])
+def test_library_pub_window_is_checked_before_counting(
+    toy_taxonomy, monkeypatch, pub_window, entry
+):
+    corpus = composition_corpus()
+    assignments = classify(corpus, toy_taxonomy).assignments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_cube ran")
+
+    monkeypatch.setattr(indicators, "count_cube", refuse)
+    with pytest.raises(ConfigError, match="pub_window"):
+        entry(corpus, assignments, ("JSET_A",), pub_window)
 
 
 def test_representation_back_derived_values(toy_taxonomy):
