@@ -39,7 +39,7 @@ from .classifier import (
     emit_assignments,
     read_assignments,
 )
-from .corpus import emit_corpus, read_corpus, validate_corpus
+from .corpus import Corpus, emit_corpus, read_corpus, validate_corpus
 from .errors import ConfigError, ParseError, RefclassError, UsageError, ValidationError
 from .indicators import IndicatorConfig
 from .report import (
@@ -138,6 +138,13 @@ def _read_lines(path: str | Path) -> list[str]:
             raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
+def _read_corpus_file(path: str | Path) -> Corpus:
+    # The whole file is decoded before any line is parsed, so a non-UTF-8
+    # file is still one parse error; the list iterator drops the line list
+    # once the parser has consumed it, before the corpus arrays are built.
+    return read_corpus(iter(_read_lines(path)))
+
+
 def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -219,7 +226,7 @@ def _check_assignments(assignments: AssignmentTable, corpus, taxonomy) -> None:
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
-    corpus = read_corpus(_read_lines(ns.corpus))
+    corpus = _read_corpus_file(ns.corpus)
     _check_journal_categories(corpus, taxonomy)
     report = validate_corpus(corpus)
     for line in report.as_lines():
@@ -229,7 +236,7 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
-    corpus = read_corpus(_read_lines(ns.corpus))
+    corpus = _read_corpus_file(ns.corpus)
     _check_journal_categories(corpus, taxonomy)
     config = ClassifierConfig(
         max_iterations=ns.max_iter,
@@ -244,7 +251,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 
 def _cmd_indicators(ns: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
-    corpus = read_corpus(_read_lines(ns.corpus))
+    corpus = _read_corpus_file(ns.corpus)
     assignments = read_assignments(_read_lines(ns.assignments))
     _check_assignments(assignments, corpus, taxonomy)
     journals = tuple(j.strip() for j in ns.journals.split(",") if j.strip())

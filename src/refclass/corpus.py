@@ -21,6 +21,13 @@ views: the first builds an :class:`ArticleRecord` on each access, the second
 is built once on first access. Every reader ends in one column builder,
 which checks the cross-record rules; :func:`read_corpus` validates each line
 once and never builds an :class:`ArticleRecord`.
+
+The builder codes rows and references as ``int32``, so rows plus dangling
+ids must stay below ``2**31``. It drops repeated references with one stable
+sort of an ``int64`` (row, code) key and a neighbour compare. It skips the
+id sort when ids arrive strictly ascending, as in every file
+:func:`emit_corpus` writes, and the grouping by citing row when the
+references already arrive grouped.
 """
 
 from __future__ import annotations
@@ -28,13 +35,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UnknownNameError, ValidationError
+from .errors import ConfigError, ParseError, UnknownNameError, ValidationError
 
 DOC_TYPES = ("article", "review", "other")
 
@@ -45,6 +52,19 @@ _DOC_CODE = {t: i for i, t in enumerate(DOC_TYPES)}
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_year_bounds(year_bounds) -> tuple[int, int]:
+    """Return ``year_bounds`` as ``(lo, hi)``: ints with ``lo <= hi`` inside int64."""
+    try:
+        lo, hi = year_bounds
+    except (TypeError, ValueError):
+        raise ConfigError(f"year_bounds must be a pair of integers, got {year_bounds!r}") from None
+    if not (_is_int(lo) and _is_int(hi)):
+        raise ConfigError(f"year_bounds must be a pair of integers, got {year_bounds!r}")
+    if not -(2**63) <= lo <= hi <= 2**63 - 1:
+        raise ConfigError(f"year_bounds must satisfy lo <= hi within int64, got {year_bounds!r}")
+    return lo, hi
 
 
 def _check_token(value: str, what: str, forbidden: str) -> None:
@@ -366,7 +386,16 @@ def _assemble(
     pair of record indices in draw order; ``target >= len(ids)`` names
     ``dangling_ids[target - len(ids)]``. Raises :class:`ValidationError`
     for the first per-record fault (see :func:`_check_records`), then for
-    unresolvable journal ids (all offenders listed).
+    unresolvable journal ids (all offenders listed), then when the rows and
+    dangling ids together reach ``2**31`` codes.
+
+    Row and reference codes are ``int32``; only the dedupe key
+    ``src * width + dst`` is ``int64``. One stable argsort of that key puts
+    every repeat right after its first occurrence, so a neighbour compare
+    drops the repeats and keeps draw order. Two sorts are skipped when the
+    input makes them a no-op: the id sort when the ids arrive strictly
+    ascending (every file :func:`emit_corpus` writes), and the grouping of
+    references by citing row when they already arrive grouped.
     """
     _check_records(ids, years, citer, target, journals, journal_at, year_bounds)
     journal_table = dict(sorted((j.id, j) for j in journals))
@@ -374,35 +403,42 @@ def _assemble(
     unresolved = sorted(set(journal_of) - journal_code.keys())
     if unresolved:
         raise ValidationError("articles reference unknown journals: " + ", ".join(unresolved))
-
     n, width = len(ids), len(ids) + len(dangling_ids)
-    order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.int64)
-    rank = np.arange(width, dtype=np.int64)
-    rank[order] = np.arange(n)
-    codes = np.fromiter(map(journal_code.__getitem__, journal_of), np.int32, count=n)
+    if width >= 2**31:
+        raise ValidationError(f"{width} article and dangling ids reach the 2**31 code limit")
 
-    # Group references by citing row, keeping draw order inside each row,
-    # then keep the first occurrence of every (row, code) pair.
-    src, dst = rank[citer], rank[target]
-    by_row = np.argsort(src, kind="stable")
-    src, dst = src[by_row], dst[by_row]
-    _, first = np.unique(src * width + dst, return_index=True)
-    keep = np.zeros(len(src), dtype=bool)
-    keep[first] = True
+    codes = np.fromiter(map(journal_code.__getitem__, journal_of), np.int32, count=n)
+    years = np.asarray(years, dtype=np.int64)
+    doc_types = np.asarray(doc_types, dtype=np.int8)
+    # Duplicate ids were rejected above, so ascending means strictly ascending.
+    if all(map(str.__le__, ids, islice(ids, 1, None))):
+        src, dst = citer.astype(np.int32, copy=False), target.astype(np.int32, copy=False)
+    else:
+        order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.int32)
+        rank = np.arange(width, dtype=np.int32)
+        rank[order] = np.arange(n, dtype=np.int32)
+        src, dst = rank[citer], rank[target]
+        ids = [ids[i] for i in order.tolist()]
+        codes, years, doc_types = codes[order], years[order], doc_types[order]
+
+    # Group references by citing row, keeping draw order inside each row.
+    if len(src) > 1 and not (src[1:] >= src[:-1]).all():
+        by_row = np.argsort(src, kind="stable")
+        src, dst = src[by_row], dst[by_row]
+        del by_row
+    # Keep the first occurrence of every (row, code) pair: a stable sort of
+    # the pair key leaves each repeat right behind an equal key.
+    key = src.astype(np.int64) * width + dst
+    perm = np.argsort(key, kind="stable")
+    key = key[perm]
+    keep = np.ones(len(key), dtype=bool)
+    keep[perm[1:][key[1:] == key[:-1]]] = False
+    del key, perm
     src, dst = src[keep], dst[keep]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
-    return Corpus(
-        tuple(ids[i] for i in order.tolist()),
-        journal_table,
-        codes[order],
-        np.asarray(years, dtype=np.int64)[order],
-        np.asarray(doc_types, dtype=np.int8)[order],
-        indptr,
-        dst.astype(np.int32),
-        dangling_ids,
-    )
+    return Corpus(tuple(ids), journal_table, codes, years, doc_types, indptr, dst, dangling_ids)
 
 
 class _Codes(dict):
@@ -454,8 +490,8 @@ class _Rows:
     def _edges(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         codes = _Codes(self.ids)
         tokens = chain.from_iterable(refs.split(",") for refs in self.refs if refs)
-        target = np.fromiter(map(codes.__getitem__, tokens), np.int64, count=sum(self.counts))
-        citer = np.repeat(np.arange(len(self.ids), dtype=np.int64), self.counts)
+        target = np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(self.counts))
+        citer = np.repeat(np.arange(len(self.ids), dtype=np.int32), self.counts)
         return citer, target, tuple(codes.dangling)
 
     def check(self, year_bounds: tuple[int, int]) -> None:
@@ -529,9 +565,10 @@ def build_corpus(
     Duplicate reference entries within one article are collapsed to a single
     occurrence (first-occurrence order). Raises :class:`ValidationError` for
     duplicate ids, self-citations, out-of-bounds years, or unresolvable
-    journal ids (all offenders listed).
+    journal ids (all offenders listed), and :class:`ConfigError` for
+    ``year_bounds`` that are not two integers ``lo <= hi`` within int64.
     """
-    return _collect(_record_rows(records), year_bounds)
+    return _collect(_record_rows(records), _check_year_bounds(year_bounds))
 
 
 def read_corpus(
@@ -541,7 +578,7 @@ def read_corpus(
 
     Raises exactly what ``build_corpus(read_records(source))`` raises.
     """
-    return _collect(_line_rows(source), year_bounds)
+    return _collect(_line_rows(source), _check_year_bounds(year_bounds))
 
 
 def emit_corpus(corpus: Corpus) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from refclass.corpus import (
     DEFAULT_YEAR_BOUNDS,
     ArticleRecord,
     JournalRecord,
+    _assemble,
     build_corpus,
     emit_corpus,
     emit_record,
@@ -19,7 +21,14 @@ from refclass.corpus import (
     read_records,
     validate_corpus,
 )
-from refclass.errors import InputError, ParseError, UnknownNameError, ValidationError
+from refclass.errors import (
+    ConfigError,
+    InputError,
+    ParseError,
+    UnknownNameError,
+    ValidationError,
+)
+from refclass.synthetic import SyntheticConfig, generate_synthetic
 
 from conftest import article, journal, random_corpus
 
@@ -507,3 +516,148 @@ def test_build_corpus_checks_records_before_an_unsupported_one():
         build_corpus(bad)
     with pytest.raises(ValidationError, match="unsupported record type: str"):
         build_corpus(bad[:1] + bad[2:] + bad[1:2])
+
+
+def brute_force_csr(ids, dangling_ids, citer, target) -> tuple:
+    """Sorted ids, CSR ``indptr`` and reference codes built one pair at a time."""
+    names = list(ids) + list(dangling_ids)
+    kept: list[list[str]] = [[] for _ in ids]
+    for c, t in zip(citer.tolist(), target.tolist()):
+        if names[t] not in kept[c]:
+            kept[c].append(names[t])
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    code = {ids[r]: i for i, r in enumerate(order)}
+    code.update((d, len(ids) + i) for i, d in enumerate(dangling_ids))
+    indptr = [0]
+    refs: list[int] = []
+    for r in order:
+        refs += [code[name] for name in kept[r]]
+        indptr.append(len(refs))
+    return tuple(ids[r] for r in order), order, indptr, refs
+
+
+@pytest.mark.parametrize("shape", ("sorted-grouped", "sorted-shuffled", "unsorted", "no-refs"))
+def test_builder_matches_brute_force_csr(shape):
+    rng = np.random.default_rng(7)
+    journals = [journal("J0", "Oncology"), journal("J1", "Cell Biology")]
+    for _ in range(40):
+        n, n_dangling = int(rng.integers(2, 60)), int(rng.integers(0, 6))
+        ids = [f"P{i:03d}" for i in range(n)]
+        if shape == "unsorted":
+            ids = [ids[i] for i in rng.permutation(n)]
+        dangling = tuple(f"X{i}" for i in range(n_dangling))
+        m = 0 if shape == "no-refs" else int(rng.integers(0, 6 * n))
+        citer = rng.integers(n, size=m)
+        if shape == "sorted-grouped":
+            citer.sort()
+        target = rng.integers(n + n_dangling, size=m)
+        selfish = target == citer
+        target[selfish] = (target[selfish] + 1) % (n + n_dangling)
+        journal_of = [f"J{int(j)}" for j in rng.integers(2, size=n)]
+        years = rng.integers(1990, 2021, size=n).tolist()
+        doc_types = rng.integers(3, size=n).tolist()
+        corpus = _assemble(
+            ids,
+            journal_of,
+            years,
+            doc_types,
+            citer,
+            target,
+            dangling,
+            journals,
+            [0, 0],
+            DEFAULT_YEAR_BOUNDS,
+        )
+        sorted_ids, order, indptr, refs = brute_force_csr(ids, dangling, citer, target)
+        assert corpus.ids == sorted_ids
+        assert corpus.dangling_ids == dangling
+        assert corpus.indptr.tolist() == indptr
+        assert corpus.refs.tolist() == refs
+        assert corpus.refs.dtype == np.int32
+        assert corpus.journal_codes.tolist() == [int(journal_of[r][1]) for r in order]
+        assert corpus.years.tolist() == [years[r] for r in order]
+        assert corpus.doc_types.tolist() == [doc_types[r] for r in order]
+
+
+def test_ingest_paths_agree_on_canonical_corpora():
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        messy = messy_corpus_lines(rng)
+        expected = reference_reading(messy)
+        # Canonical rows arrive in id order; repeat some references so the
+        # builder still has duplicates to drop next to the dangling ones.
+        lines = []
+        for line in emit_corpus(read_corpus(messy)).splitlines(keepends=True):
+            head, _, refs = line.rstrip("\n").rpartition("\t")
+            if line.startswith("A") and refs and rng.random() < 0.5:
+                refs = refs.split(",")
+                refs += [refs[int(i)] for i in rng.integers(len(refs), size=3)]
+                line = f"{head}\t{','.join(refs)}\n"
+            lines.append(line)
+        assert reference_reading(lines) == expected
+        assert reading_of(read_corpus(lines)) == expected
+        assert reading_of(build_corpus(read_records(lines))) == expected
+
+
+def test_read_corpus_traced_peak_is_bounded():
+    config = SyntheticConfig(
+        num_fields=10,
+        journals_per_field=5,
+        num_general_journals=2,
+        articles_per_journal_year=10,
+        year_range=(2000, 2004),
+        mean_refs=20.0,
+        p_intra=0.8,
+        field_citation_rate=0.5,
+        general_field_mix=[0.1] * 10,
+        seed=20250810,
+    )
+    corpus, _, _ = generate_synthetic(config)
+    text = emit_corpus(corpus)
+    lines = text.splitlines(keepends=True)
+    assert len(corpus.ids) == 2600
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        read_corpus(lines)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 5 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
+
+
+BAD_YEAR_BOUNDS = {
+    "past-int64": (1900, 10**20),
+    "below-int64": (-(2**63) - 1, 2100),
+    "strings": ("a", "b"),
+    "floats": (1900.0, 2100.0),
+    "bool": (True, 2100),
+    "reversed": (2100, 1900),
+    "one-value": (1900,),
+    "three-values": (1900, 2000, 2100),
+    "not-a-pair": 1900,
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_YEAR_BOUNDS))
+def test_year_bounds_are_checked_before_parsing(name):
+    bounds = BAD_YEAR_BOUNDS[name]
+    lines = _lines(J1, _a("P1", year="99999999999999999999"), "not a row")
+    with pytest.raises(ConfigError, match="year_bounds"):
+        read_corpus(lines, year_bounds=bounds)
+    with pytest.raises(ConfigError, match="year_bounds"):
+        build_corpus(["not a record"], year_bounds=bounds)
+
+
+def test_widest_year_bounds_reject_a_year_past_int64():
+    lines = _lines(J1, _a("P1", year="99999999999999999999"))
+    widest = (-(2**63), 2**63 - 1)
+    with pytest.raises(ValidationError, match="outside bounds"):
+        read_corpus(lines, year_bounds=widest)
+    corpus = read_corpus(_lines(J1, _a("P1", year=str(2**63 - 1))), year_bounds=widest)
+    assert corpus.years.tolist() == [2**63 - 1]
