@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, _frozen
+from .corpus import Corpus, _frozen, _is_int
 from .errors import ConfigError, ParseError, ValidationError
 from .taxonomy import BROAD_AREA_SET, Taxonomy
 
@@ -83,10 +83,10 @@ class ClassifierConfig:
     mode: str = MODE_CATEGORY
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.min_votes < 1:
-            raise ConfigError("min_votes must be >= 1")
+        if not _is_int(self.max_iterations) or self.max_iterations < 1:
+            raise ConfigError("max_iterations must be an integer >= 1")
+        if not _is_int(self.min_votes) or self.min_votes < 1:
+            raise ConfigError("min_votes must be an integer >= 1")
         if self.tie_policy not in TIE_POLICIES:
             raise ConfigError(f"unknown tie_policy: {self.tie_policy!r}")
         if self.mode not in MODES:
@@ -304,14 +304,14 @@ def classify(
     """Run the full iterative classification to its fixed point.
 
     One vote kernel serves every iteration and the terminal pass. ``threads``
-    must be >= 1 but selects nothing: the kernel runs on one thread, so the
-    result is the same for every value. The assignments are an
-    :class:`AssignmentTable` over the corpus rows.
+    must be an integer >= 1 but selects nothing: the kernel runs on one
+    thread, so the result is the same for every value. The assignments are
+    an :class:`AssignmentTable` over the corpus rows.
     """
     if config is None:
         config = ClassifierConfig()
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
+    if not _is_int(threads) or threads < 1:
+        raise ConfigError("threads must be an integer >= 1")
     area_mode = config.mode == MODE_BROAD_AREA
 
     # Labels only come from seeds. Their codes follow sorted order, so argmax
@@ -496,52 +496,24 @@ def emit_assignments(result: ClassificationResult) -> str:
 def read_assignments(source: Iterable[str]) -> AssignmentTable:
     """Parse an assignment TSV into an :class:`AssignmentTable` in file order.
 
-    Tally details are not stored: each tally holds only its total. Raises
-    the first fault in file order.
+    Reads one row at a time straight from ``source`` and raises the first
+    fault in file order. Each distinct category, area and status name is
+    kept as one string object. Tally details are not stored: each tally
+    holds only its total.
     """
-    numbered = [
-        (line_no, raw)
-        for line_no, raw in enumerate(source, start=1)
-        if raw.strip() and not raw.startswith("#")
-    ]
-    rows = [raw.rstrip("\n").split("\t") for _, raw in numbered]
-    # Check whole columns; on any fault, the row-by-row reading finds the first.
-    if rows and all(len(parts) == 6 for parts in rows):
-        ids, cats, areas, statuses, iteration_s, votes_s = (
-            list(map(str.strip, column)) for column in zip(*rows)
-        )
-        try:
-            iterations = list(map(int, iteration_s))
-            votes = list(map(int, votes_s))
-        except ValueError:
-            pass
-        else:
-            if (
-                all(ids)
-                and len(set(ids)) == len(ids)
-                and _STATUS_CODE.keys() >= set(statuses)
-                and BROAD_AREA_SET >= set(areas) - {""}
-                and all(
-                    (area == "") == (status == STATUS_UNCLASSIFIED) and (area or not cat)
-                    for cat, area, status in zip(cats, areas, statuses)
-                )
-            ):
-                return _table_of(ids, cats, areas, statuses, iterations, votes)
-    return _read_rows(numbered)
-
-
-def _read_rows(numbered: list[tuple[int, str]]) -> AssignmentTable:
-    """Check and parse one row at a time; raises the first fault in file order."""
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    ids, cats, areas, statuses, iterations, votes = ([], [], [], [], [], [])
+    name = {}.setdefault  # one object per distinct category, area and status
     seen: set[str] = set()
-    for line_no, raw in numbered:
+    for line_no, raw in enumerate(source, start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
         parts = raw.rstrip("\n").split("\t")
         if len(parts) != 6:
             raise ParseError(f"assignment row needs 6 columns, got {len(parts)}", line_no, raw)
         a_id, cat, area, status, iteration_s, votes_s = (p.strip() for p in parts)
         if not a_id:
             raise ParseError("empty article id", line_no, raw)
-        if status not in STATUSES:
+        if status not in _STATUS_CODE:
             raise ParseError("unknown status", line_no, status)
         if (area == "") != (status == STATUS_UNCLASSIFIED):
             raise ParseError("status/broad_area mismatch", line_no, raw)
@@ -550,13 +522,17 @@ def _read_rows(numbered: list[tuple[int, str]]) -> AssignmentTable:
         if area and area not in BROAD_AREA_SET:
             raise ParseError("unknown broad area", line_no, area)
         try:
-            iteration = int(iteration_s)
-            votes = int(votes_s)
+            iteration, total = int(iteration_s), int(votes_s)
         except ValueError:
             raise ParseError("non-integer iteration or votes", line_no, raw) from None
         if a_id in seen:
             raise ValidationError("duplicate article id", line_no, a_id)
         seen.add(a_id)
-        for column, value in zip(columns, (a_id, cat, area, status, iteration, votes)):
-            column.append(value)
-    return _table_of(*columns)
+        ids.append(a_id)
+        cats.append(name(cat, cat))
+        areas.append(name(area, area))
+        statuses.append(name(status, status))
+        iterations.append(iteration)
+        votes.append(total)
+    del seen  # free it before the columns are coded into arrays
+    return _table_of(ids, cats, areas, statuses, iterations, votes)

@@ -252,7 +252,8 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 def _cmd_indicators(ns: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
     corpus = _read_corpus_file(ns.corpus)
-    assignments = read_assignments(_read_lines(ns.assignments))
+    # As for the corpus, the list iterator lets the lines go once parsed.
+    assignments = read_assignments(iter(_read_lines(ns.assignments)))
     _check_assignments(assignments, corpus, taxonomy)
     journals = tuple(j.strip() for j in ns.journals.split(",") if j.strip())
     if not journals:

@@ -23,11 +23,12 @@ which checks the cross-record rules; :func:`read_corpus` validates each line
 once and never builds an :class:`ArticleRecord`.
 
 The builder codes rows and references as ``int32``, so rows plus dangling
-ids must stay below ``2**31``. It drops repeated references with one stable
-sort of an ``int64`` (row, code) key and a neighbour compare. It skips the
-id sort when ids arrive strictly ascending, as in every file
-:func:`emit_corpus` writes, and the grouping by citing row when the
-references already arrive grouped.
+ids must stay below ``2**31``. It sorts an ``int64`` (row, code) key in
+place and compares neighbours to see whether any reference repeats; only
+then does a stable sort of that key find the repeats to drop. It skips the
+id sort when ids arrive strictly ascending, and the grouping by citing row
+when the references already arrive grouped. Files :func:`emit_corpus`
+writes take all three shortcuts: sorted ids, grouped and without repeats.
 """
 
 from __future__ import annotations
@@ -390,12 +391,14 @@ def _assemble(
     dangling ids together reach ``2**31`` codes.
 
     Row and reference codes are ``int32``; only the dedupe key
-    ``src * width + dst`` is ``int64``. One stable argsort of that key puts
-    every repeat right after its first occurrence, so a neighbour compare
-    drops the repeats and keeps draw order. Two sorts are skipped when the
-    input makes them a no-op: the id sort when the ids arrive strictly
-    ascending (every file :func:`emit_corpus` writes), and the grouping of
-    references by citing row when they already arrive grouped.
+    ``src * width + dst`` is ``int64``. Sorting a copy of that key in place
+    and comparing neighbours shows whether any pair repeats. Only then does
+    a stable argsort of the key put every repeat right after its first
+    occurrence, so a neighbour compare drops the repeats and keeps draw
+    order. Sorts are skipped when the input makes them a no-op: the id sort
+    when the ids arrive strictly ascending, the grouping of references by
+    citing row when they already arrive grouped, and the argsort when no
+    pair repeats. Every file :func:`emit_corpus` writes skips all three.
     """
     _check_records(ids, years, citer, target, journals, journal_at, year_bounds)
     journal_table = dict(sorted((j.id, j) for j in journals))
@@ -426,15 +429,21 @@ def _assemble(
         by_row = np.argsort(src, kind="stable")
         src, dst = src[by_row], dst[by_row]
         del by_row
-    # Keep the first occurrence of every (row, code) pair: a stable sort of
-    # the pair key leaves each repeat right behind an equal key.
+    # Keep the first occurrence of every (row, code) pair. A sorted copy of
+    # the pair key shows whether any pair repeats; if one does, a stable
+    # sort leaves each repeat right behind an equal key.
     key = src.astype(np.int64) * width + dst
-    perm = np.argsort(key, kind="stable")
-    key = key[perm]
-    keep = np.ones(len(key), dtype=bool)
-    keep[perm[1:][key[1:] == key[:-1]]] = False
-    del key, perm
-    src, dst = src[keep], dst[keep]
+    key.sort()
+    repeats = bool((key[1:] == key[:-1]).any())
+    del key
+    if repeats:
+        key = src.astype(np.int64) * width + dst
+        perm = np.argsort(key, kind="stable")
+        key = key[perm]
+        keep = np.ones(len(key), dtype=bool)
+        keep[perm[1:][key[1:] == key[:-1]]] = False
+        del key, perm
+        src, dst = src[keep], dst[keep]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 

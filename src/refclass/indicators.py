@@ -341,18 +341,27 @@ def count_cube(
     )
 
     # Citations: in-corpus references to a counted item with a cited doc type,
-    # from a citer of a counted doc type published in an impact year.
+    # from a citer of a counted doc type published in an impact year. The
+    # references are filtered before any key is built; the key adds two
+    # per-row tables, cell * n_cite and the citing-year offset, in int32
+    # unless the cube has 2**31 cells.
     cited_types = config.denominator_doc_types if n_cite else frozenset()
     cited_ok = counted & np.isin(corpus.doc_types, _doc_type_slots(cited_types))
     citing_ok = np.isin(corpus.doc_types, _doc_type_slots(config.citing_doc_types))
     citing_ok &= (corpus.years >= cite_lo) & (corpus.years <= cite_hi)
-    linked = corpus.refs < len(corpus.ids)
-    citer, cited = corpus.citer_rows()[linked], corpus.refs[linked]
-    hit = cited_ok[cited] & citing_ok[citer]
-    num = np.bincount(
-        cell[cited[hit]] * n_cite + (corpus.years[citer[hit]] - cite_lo),
-        minlength=n_scopes * n_areas * n_pub * n_cite,
-    )
+    n_num = n_scopes * n_areas * n_pub * n_cite
+    key_type = np.int32 if n_num < 2**31 else np.int64
+    citer = corpus.citer_rows()
+    hit = citing_ok[citer]
+    citer, cited = citer[hit], corpus.refs[hit]
+    hit = cited < len(corpus.ids)
+    hit[hit] = cited_ok[cited[hit]]
+    citer, cited = citer[hit], cited[hit]
+    del hit
+    key = np.where(cited_ok, cell * n_cite, 0).astype(key_type)[cited]
+    key += np.where(citing_ok, corpus.years - cite_lo, 0).astype(key_type)[citer]
+    del citer, cited
+    num = np.bincount(key, minlength=n_num)
     den = den.reshape(n_scopes, n_areas, n_pub, n_types)
     num = num.reshape(n_scopes, n_areas, n_pub, n_cite)
     pub_years = (pub_lo, pub_lo + n_pub - 1)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from refclass.corpus import ArticleRecord, Corpus, JournalRecord, build_corpus
+from refclass.synthetic import SyntheticConfig
 from refclass.taxonomy import Taxonomy, load_taxonomy
 
 TOY_TAXONOMY_TEXT = """\
@@ -35,6 +38,37 @@ def article(a_id: str, j_id: str, year: int, refs=(), doc_type: str = "article")
 
 def corpus_of(*records) -> Corpus:
     return build_corpus(records)
+
+
+def ten_field_config(articles_per_journal_year: int) -> SyntheticConfig:
+    """The criterion-1 synthetic shape (10 fields, 52 journals) at a given size."""
+    return SyntheticConfig(
+        num_fields=10,
+        journals_per_field=5,
+        num_general_journals=2,
+        articles_per_journal_year=articles_per_journal_year,
+        year_range=(2000, 2004),
+        mean_refs=20.0,
+        p_intra=0.8,
+        field_citation_rate=0.5,
+        general_field_mix=[0.1] * 10,
+        seed=20250810,
+    )
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` allocates at its peak, over what was live before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def random_corpus(rng: np.random.Generator, max_articles: int = 500) -> tuple[Corpus, Taxonomy]:

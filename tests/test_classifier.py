@@ -27,7 +27,7 @@ from refclass.corpus import build_corpus
 from refclass.errors import ConfigError, InputError, ParseError, ValidationError
 from refclass.synthetic import SyntheticConfig, generate_synthetic
 
-from conftest import article, journal, random_corpus
+from conftest import article, journal, random_corpus, ten_field_config, traced_peak
 from naive_classifier import naive_classify
 
 ASTRO = "Astronomy & Astrophysics"
@@ -430,7 +430,7 @@ def test_evaluate_accuracy_half_wrong(toy_taxonomy):
     assert report.confusion[("Astronomy", "Medicine")] == 1
 
 
-def test_config_validation():
+def test_config_validation(toy_taxonomy):
     with pytest.raises(ConfigError):
         ClassifierConfig(max_iterations=0)
     with pytest.raises(ConfigError):
@@ -439,6 +439,14 @@ def test_config_validation():
         ClassifierConfig(tie_policy="random")
     with pytest.raises(ConfigError):
         ClassifierConfig(mode="article-level")
+    # Only non-bool ints pass: a NaN would compare false against every bound.
+    for bad in (float("nan"), float("inf"), 2.5, 3.0, "3", True, None):
+        with pytest.raises(ConfigError):
+            ClassifierConfig(max_iterations=bad)
+        with pytest.raises(ConfigError):
+            ClassifierConfig(min_votes=bad)
+        with pytest.raises(ConfigError):
+            classify(seeded_corpus(), toy_taxonomy, threads=bad)
 
 
 def test_emit_and_read_assignments(toy_taxonomy):
@@ -581,3 +589,12 @@ def test_read_assignments_strips_padded_fields():
         "P2": Assignment("P2", None, None, STATUS_UNCLASSIFIED, 0, VoteTally({}, 3)),
         "P3": Assignment("P3", ASTRO, "Astronomy", STATUS_REFERENCE, 1, VoteTally({}, 4)),
     }
+
+
+def test_read_assignments_traced_peak_is_bounded():
+    corpus, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=10))
+    text = emit_assignments(classify(corpus, taxonomy))
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == 2600
+    peak = traced_peak(lambda: read_assignments(lines))
+    assert peak <= 6 * len(text), f"traced peak {peak / len(text):.1f}x the text length"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,9 +27,9 @@ from refclass.errors import (
     UnknownNameError,
     ValidationError,
 )
-from refclass.synthetic import SyntheticConfig, generate_synthetic
+from refclass.synthetic import generate_synthetic
 
-from conftest import article, journal, random_corpus
+from conftest import article, journal, random_corpus, ten_field_config, traced_peak
 
 
 def test_parse_article_row():
@@ -536,10 +535,13 @@ def brute_force_csr(ids, dangling_ids, citer, target) -> tuple:
     return tuple(ids[r] for r in order), order, indptr, refs
 
 
-@pytest.mark.parametrize("shape", ("sorted-grouped", "sorted-shuffled", "unsorted", "no-refs"))
+@pytest.mark.parametrize(
+    "shape", ("sorted-grouped", "sorted-shuffled", "unsorted", "no-refs", "no-repeats")
+)
 def test_builder_matches_brute_force_csr(shape):
     rng = np.random.default_rng(7)
     journals = [journal("J0", "Oncology"), journal("J1", "Cell Biology")]
+    repeats = 0
     for _ in range(40):
         n, n_dangling = int(rng.integers(2, 60)), int(rng.integers(0, 6))
         ids = [f"P{i:03d}" for i in range(n)]
@@ -547,12 +549,20 @@ def test_builder_matches_brute_force_csr(shape):
             ids = [ids[i] for i in rng.permutation(n)]
         dangling = tuple(f"X{i}" for i in range(n_dangling))
         m = 0 if shape == "no-refs" else int(rng.integers(0, 6 * n))
-        citer = rng.integers(n, size=m)
-        if shape == "sorted-grouped":
-            citer.sort()
-        target = rng.integers(n + n_dangling, size=m)
-        selfish = target == citer
-        target[selfish] = (target[selfish] + 1) % (n + n_dangling)
+        if shape == "no-repeats":
+            # Distinct (citer, target) pairs in random order, none a self-citation.
+            width = n + n_dangling
+            pairs = rng.choice(n * width, size=min(m, n * width), replace=False)
+            citer, target = np.divmod(pairs, width)
+            citer, target = citer[citer != target], target[citer != target]
+        else:
+            citer = rng.integers(n, size=m)
+            if shape == "sorted-grouped":
+                citer.sort()
+            target = rng.integers(n + n_dangling, size=m)
+            selfish = target == citer
+            target[selfish] = (target[selfish] + 1) % (n + n_dangling)
+        repeats += len(set(zip(citer.tolist(), target.tolist()))) < len(citer)
         journal_of = [f"J{int(j)}" for j in rng.integers(2, size=n)]
         years = rng.integers(1990, 2021, size=n).tolist()
         doc_types = rng.integers(3, size=n).tolist()
@@ -577,6 +587,12 @@ def test_builder_matches_brute_force_csr(shape):
         assert corpus.journal_codes.tolist() == [int(journal_of[r][1]) for r in order]
         assert corpus.years.tolist() == [years[r] for r in order]
         assert corpus.doc_types.tolist() == [doc_types[r] for r in order]
+    # The builder sorts to drop repeats only when some pair repeats: every
+    # shape with drawn pairs takes that branch, the other two skip it.
+    if shape in ("no-refs", "no-repeats"):
+        assert repeats == 0
+    else:
+        assert repeats > 0
 
 
 def test_ingest_paths_agree_on_canonical_corpora():
@@ -600,33 +616,11 @@ def test_ingest_paths_agree_on_canonical_corpora():
 
 
 def test_read_corpus_traced_peak_is_bounded():
-    config = SyntheticConfig(
-        num_fields=10,
-        journals_per_field=5,
-        num_general_journals=2,
-        articles_per_journal_year=10,
-        year_range=(2000, 2004),
-        mean_refs=20.0,
-        p_intra=0.8,
-        field_citation_rate=0.5,
-        general_field_mix=[0.1] * 10,
-        seed=20250810,
-    )
-    corpus, _, _ = generate_synthetic(config)
+    corpus, _, _ = generate_synthetic(ten_field_config(articles_per_journal_year=10))
     text = emit_corpus(corpus)
     lines = text.splitlines(keepends=True)
     assert len(corpus.ids) == 2600
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        read_corpus(lines)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak = traced_peak(lambda: read_corpus(lines))
     assert peak <= 5 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
 
 

@@ -34,7 +34,7 @@ from refclass.report import COMBINED_SCOPE, build_report_tables
 from refclass.synthetic import SyntheticConfig, generate_synthetic
 from refclass.errors import ConfigError
 
-from conftest import article, journal, random_corpus
+from conftest import article, journal, random_corpus, ten_field_config, traced_peak
 
 ASTRO = "Astronomy & Astrophysics"
 ONCO = "Oncology"
@@ -600,3 +600,22 @@ def test_indicator_config_validation():
             IndicatorConfig(**bad)
     edge = IndicatorConfig(window=200, if_year_range=[1900, 2100], pub_window=(1900, 1900))
     assert edge.if_year_range == (1900, 2100)
+
+
+def test_count_cube_traced_peak_is_bounded():
+    corpus, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=40))
+    assignments = classify(corpus, taxonomy).assignments
+    config = IndicatorConfig(if_year_range=(2002, 2004), pub_window=(2000, 2004))
+    n_refs = len(corpus.refs)
+    assert n_refs > 200_000
+    peak = traced_peak(
+        lambda: count_cube(
+            corpus,
+            assignments,
+            ("JF00S00", "JF05S02", "JG00"),
+            config,
+            if_years=config.if_year_range,
+            pub_window=config.pub_window,
+        )
+    )
+    assert peak <= 20 * n_refs, f"traced peak {peak / n_refs:.1f} bytes per reference"
