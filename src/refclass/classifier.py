@@ -32,8 +32,7 @@ corpus's CSR references of non-seeded articles, as two ``int32`` arrays
 vote function runs one ``np.bincount`` over those edges to get each
 article's tally row, total, maximum, leader count and first leader; every
 iteration and the terminal pass call it. Tally memory while iterating is
-O(non-seeded articles x seed labels). The kernel runs on one thread, so the
-output cannot depend on a thread count.
+O(non-seeded articles x seed labels). The kernel runs on one thread.
 """
 
 from __future__ import annotations
@@ -228,8 +227,8 @@ def _table_of(
     category_names, category = _coded(categories)
     area_names, area = _coded(areas)
     status = np.fromiter(map(_STATUS_CODE.__getitem__, statuses), np.int8, count=len(statuses))
-    # Python ints keep any size: numpy falls back to an object array.
-    iteration, total_votes = np.array(iterations), np.array(votes)
+    iteration = np.array(iterations, dtype=np.int64)
+    total_votes = np.array(votes, dtype=np.int64)
     return AssignmentTable(
         ids, category_names, category, area_names, area, status, iteration, total_votes
     )
@@ -298,20 +297,15 @@ def classify(
     corpus: Corpus,
     taxonomy: Taxonomy,
     config: ClassifierConfig | None = None,
-    *,
-    threads: int = 1,
 ) -> ClassificationResult:
     """Run the full iterative classification to its fixed point.
 
-    One vote kernel serves every iteration and the terminal pass. ``threads``
-    must be an integer >= 1 but selects nothing: the kernel runs on one
-    thread, so the result is the same for every value. The assignments are
-    an :class:`AssignmentTable` over the corpus rows.
+    One vote kernel, run on one thread, serves every iteration and the
+    terminal pass. The assignments are an :class:`AssignmentTable` over the
+    corpus rows.
     """
     if config is None:
         config = ClassifierConfig()
-    if not _is_int(threads) or threads < 1:
-        raise ConfigError("threads must be an integer >= 1")
     area_mode = config.mode == MODE_BROAD_AREA
 
     # Labels only come from seeds. Their codes follow sorted order, so argmax
@@ -525,6 +519,8 @@ def read_assignments(source: Iterable[str]) -> AssignmentTable:
             iteration, total = int(iteration_s), int(votes_s)
         except ValueError:
             raise ParseError("non-integer iteration or votes", line_no, raw) from None
+        if not (0 <= iteration < 2**63 and 0 <= total < 2**63):
+            raise ParseError("iteration and votes must be in [0, 2**63)", line_no, raw)
         if a_id in seen:
             raise ValidationError("duplicate article id", line_no, a_id)
         seen.add(a_id)

@@ -3,18 +3,15 @@
 Subcommands mirror the pipeline: ``synth`` generates a seeded corpus,
 ``validate`` checks one, ``classify`` produces the assignment table,
 ``indicators`` computes the report tables, and ``report`` re-emits a table
-directory after validation. Output goes to uniquely named temp files that
-are then renamed into place, so a failure leaves no temp file behind and
-every output file holds its prior bytes or its new ones. A table directory
-(``indicators``, ``report``) changes as a whole: if a rename fails, every
-prior file is put back, so it holds all prior files or all new ones. A
-crash in the middle of the renames is not covered. Every error is a single
-line ``error:<code>:<message>`` on stderr with exit code 1 (2 for usage
-errors).
-
-``REFCLASS_THREADS`` must be a non-negative integer (0 = auto) when set, but
-it selects nothing: classification runs on one thread, so its output is the
-same for every value.
+directory after validation. Each command that writes files writes them all
+with one :func:`~refclass.report.write_files_atomic` call: every output is
+staged as a uniquely named temp and renamed into place, and if any step
+fails every prior file is put back. So a failure leaves no temp file behind,
+no output is ever absent, and the outputs of one command (the three
+``synth`` files, or a whole table directory) hold all their prior bytes or
+all their new ones. A crash in the middle of the renames is not covered.
+Every error is a single line ``error:<code>:<message>`` on stderr with exit
+code 1 (2 for usage errors).
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -50,7 +46,7 @@ from .report import (
     build_report_tables,
     emit_report,
     write_files_atomic,
-    write_text_atomic,
+    write_table_dir,
 )
 from .synthetic import SyntheticConfig, generate_synthetic
 from .taxonomy import emit_taxonomy, load_taxonomy
@@ -115,21 +111,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("REFCLASS_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"REFCLASS_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError("REFCLASS_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
 def _read_lines(path: str | Path) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -146,7 +127,12 @@ def _read_corpus_file(path: str | Path) -> Corpus:
 
 
 def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    # Hashed in blocks: reading the corpus whole can set the indicators peak RSS.
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _cmd_synth(ns: argparse.Namespace) -> int:
@@ -170,10 +156,14 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth config: {exc}") from None
     corpus, truth, taxonomy = generate_synthetic(config)
-    write_text_atomic(ns.out_corpus, emit_corpus(corpus))
     truth_lines = ["# article_id\tfield\tcategory\tbroad_area"] + truth.as_lines(taxonomy)
-    write_text_atomic(ns.out_truth, "\n".join(truth_lines) + "\n")
-    write_text_atomic(ns.out_taxonomy, emit_taxonomy(taxonomy))
+    write_files_atomic(
+        {
+            ns.out_corpus: emit_corpus(corpus),
+            ns.out_truth: "\n".join(truth_lines) + "\n",
+            ns.out_taxonomy: emit_taxonomy(taxonomy),
+        }
+    )
     return 0
 
 
@@ -244,8 +234,8 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
         tie_policy=ns.tie_policy,
         mode=ns.mode,
     )
-    result = classify(corpus, taxonomy, config, threads=_threads_from_env())
-    write_text_atomic(ns.out, emit_assignments(result))
+    result = classify(corpus, taxonomy, config)
+    write_files_atomic({ns.out: emit_assignments(result)})
     return 0
 
 
@@ -318,7 +308,7 @@ def _cmd_report(ns: argparse.Namespace) -> int:
         outputs=tuple(sorted(TABLE_FILES + (MANIFEST_FILE,))),
     )
     texts[MANIFEST_FILE] = "\n".join(manifest.to_lines()) + "\n"
-    write_files_atomic(ns.out_dir, texts)
+    write_table_dir(ns.out_dir, texts)
     return 0
 
 

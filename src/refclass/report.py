@@ -3,10 +3,14 @@
 Every file is UTF-8 with LF endings, starts with a ``#`` header line that
 records the indicator configuration, then a column-name line, then data rows.
 Floating-point cells are rendered with 6 decimal places (round-half-even, as
-produced by ``format(x, '.6f')``); empty cells mean "undefined". Emission
-stages uniquely named temps and renames them into place, putting the prior
-files back if any rename fails, so a failed run leaves the directory as it
-was.
+produced by ``format(x, '.6f')``); empty cells mean "undefined".
+
+:func:`write_files_atomic` is the one staged-write helper: every CLI command
+that writes files calls it once for all of them. It stages uniquely named
+temps, keeps each prior file under a hard-linked backup name while its temp
+is renamed over it, and puts every prior file back if any step fails, so the
+outputs of one command change together. A crash in the middle of the renames
+is not covered.
 """
 
 from __future__ import annotations
@@ -278,75 +282,74 @@ def _temp_path(path: Path, kind: str) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(6)}.{kind}")
 
 
-def write_text_atomic(path: Path | str, text: str) -> None:
-    """Write via a temp file in the same directory plus atomic rename."""
-    path = Path(path)
-    tmp = _temp_path(path, "tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def write_files_atomic(files: Mapping[Path | str, str]) -> None:
+    """Write ``files`` (path -> text) in the order given: all or nothing.
 
-
-def write_files_atomic(out_dir: Path | str, texts: Mapping[str, str]) -> list[str]:
-    """Write ``texts`` (file name -> content) into ``out_dir``: all or nothing.
-
-    Every file is staged as a uniquely named temp in ``out_dir`` first. Then,
-    in file-name order with ``manifest.tsv`` last, each existing target is
-    moved aside and its temp renamed into place. If any step fails, every
-    renamed file is put back, so the directory holds exactly its prior
-    files, and no temp is left. A crash in the middle of the renames is not
-    covered. Returns the written paths in file-name order.
+    Every file is staged as a uniquely named sibling temp first. Then, in
+    order, each existing target is kept under a backup name by a hard link
+    and its temp renamed over it, so no target is ever absent. If any step
+    fails, the replaced files are put back, newest first, so every target
+    holds its prior bytes (or stays absent) and no temp is left. A crash in
+    the middle of the renames is not covered. Keeping a target needs hard
+    links: where the file system has none, rewriting an existing file fails
+    and the prior files stay.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
-    aside: list[tuple[Path, Path]] = []
-    placed: list[Path] = []
+    placed: list[tuple[Path, Path | None]] = []
     try:
-        for name in sorted(texts, key=lambda n: (n == MANIFEST_FILE, n)):
-            final = out / name
+        for path, text in files.items():
+            final = Path(path)
             tmp = _temp_path(final, "tmp")
             with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
                 staged.append((tmp, final))
-                fh.write(texts[name])
+                fh.write(text)
         for tmp, final in staged:
-            # A directory in the way is not moved; the rename below fails on it.
+            backup = None
+            # A directory in the way is not kept; the rename below fails on it.
             if final.is_file() or final.is_symlink():
                 backup = _temp_path(final, "old")
-                os.replace(final, backup)
-                aside.append((backup, final))
+                os.link(final, backup, follow_symlinks=False)
+            placed.append((final, backup))
             os.replace(tmp, final)
-            placed.append(final)
     except BaseException:
         # Best effort: a backup that cannot be put back stays on disk.
-        restored = {final for _backup, final in aside}
-        for final in placed:
-            if final not in restored:
-                with suppress(OSError):
-                    final.unlink()
-        for backup, final in aside:
+        for final, backup in reversed(placed):
             with suppress(OSError):
-                os.replace(backup, final)
+                if backup is None:
+                    final.unlink()
+                else:
+                    os.replace(backup, final)
+                    # Still there if its swap failed: renaming a link over
+                    # another link to the same file does nothing.
+                    backup.unlink(missing_ok=True)
         for tmp, _final in staged:
             tmp.unlink(missing_ok=True)
         raise
-    for backup, _final in aside:
-        backup.unlink()
+    for _final, backup in placed:
+        if backup is not None:
+            backup.unlink()
+
+
+def write_table_dir(out_dir: Path | str, texts: Mapping[str, str]) -> list[str]:
+    """Write ``texts`` (file name -> content) into ``out_dir``, creating it.
+
+    One :func:`write_files_atomic` call, with ``manifest.tsv`` last. Returns
+    the written paths in file-name order.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    names = sorted(texts, key=lambda n: (n == MANIFEST_FILE, n))
+    write_files_atomic({out / name: texts[name] for name in names})
     return [str(out / name) for name in sorted(texts)]
 
 
 def emit_report(tables: ReportTables, manifest: RunManifest, out_dir: Path | str) -> list[str]:
     """Write all table files plus ``manifest.tsv`` into ``out_dir``.
 
-    Staged through :func:`write_files_atomic`. Returns the written paths in
+    Staged through :func:`write_table_dir`. Returns the written paths in
     file-name order. Re-running on identical tables produces byte-identical
     files.
     """
     renders = render_tables(tables)
     renders[MANIFEST_FILE] = "\n".join(manifest.to_lines()) + "\n"
-    return write_files_atomic(out_dir, renders)
+    return write_table_dir(out_dir, renders)

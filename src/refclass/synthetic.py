@@ -88,8 +88,9 @@ class SyntheticConfig:
         if y0 < 1900 or y1 > 2100:
             raise ConfigError("year_range outside sanity bounds 1900-2100")
         object.__setattr__(self, "year_range", (y0, y1))
-        if not self.mean_refs > 0:
-            raise ConfigError("mean_refs must be positive")
+        # numpy's Poisson sampler rejects means a little below 2**63; NaN fails too.
+        if not 0 < self.mean_refs <= 2.0**62:
+            raise ConfigError("mean_refs must be positive and at most 2**62")
         if not 0.0 <= self.p_intra <= 1.0:
             raise ConfigError("p_intra must be in [0, 1]")
         rate = self.field_citation_rate
@@ -104,14 +105,14 @@ class SyntheticConfig:
             rates = tuple(float(r) for r in rate)
         if len(rates) != f:
             raise ConfigError("field_citation_rate must cover every field")
-        if any(not r > 0 for r in rates):
-            raise ConfigError("field_citation_rate entries must be positive")
+        if not all(0 < r <= 2.0**62 for r in rates):
+            raise ConfigError("field_citation_rate entries must be positive and at most 2**62")
         object.__setattr__(self, "field_citation_rate", rates)
         mix = tuple(float(m) for m in self.general_field_mix)
         if len(mix) != f:
             raise ConfigError("general_field_mix must have one entry per field")
-        if any(m < 0 for m in mix):
-            raise ConfigError("general_field_mix entries must be >= 0")
+        if not all(0 <= m <= 1 for m in mix):
+            raise ConfigError("general_field_mix entries must be in [0, 1]")
         if abs(sum(mix) - 1.0) > 1e-9:
             raise ConfigError("general_field_mix must sum to 1")
         object.__setattr__(self, "general_field_mix", mix)

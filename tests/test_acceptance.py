@@ -58,7 +58,7 @@ def test_criterion_1_classification_accuracy_and_runtime():
         )
         t0 = time.perf_counter()
         corpus, truth, taxonomy = generate_synthetic(config)
-        result = classify(corpus, taxonomy, threads=1)
+        result = classify(corpus, taxonomy)
         report = evaluate_accuracy(result, truth, taxonomy)
         elapsed = time.perf_counter() - t0
         assert 45_000 <= len(corpus.articles) <= 55_000

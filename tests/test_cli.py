@@ -162,6 +162,27 @@ def test_synth_writes_deterministic_outputs(tmp_path):
     assert outs["one"] == outs["two"]
 
 
+def test_failed_synth_keeps_every_prior_output(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SYNTH_CONFIG))
+    out = tmp_path / "out"
+    out.mkdir()
+    corpus, truth, taxonomy = (out / n for n in ("c.tsv", "t.tsv", "x.tsv"))
+    outs = ["--out-corpus", corpus, "--out-truth", truth, "--out-taxonomy", taxonomy]
+
+    def synth(seed: str) -> int:
+        return run_cli(["synth", "--config", str(config), "--seed", seed, *map(str, outs)])
+
+    assert synth("1") == 0
+    prior = {p: p.read_bytes() for p in (corpus, truth)}
+    taxonomy.unlink()
+    taxonomy.mkdir()  # the last output is blocked
+    assert synth("2") == 1
+    assert capsys.readouterr().err.startswith("error:io:")
+    assert {p: p.read_bytes() for p in (corpus, truth)} == prior
+    assert sorted(p.name for p in out.iterdir()) == ["c.tsv", "t.tsv", "x.tsv"]
+
+
 def _synth(tmp_path, name: str = "synth") -> tuple:
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(SYNTH_CONFIG))
@@ -434,6 +455,11 @@ def test_synth_config_that_is_not_json_is_one_line_config_error(tmp_path, capsys
         pytest.param({"year_range": [2000.5, 2001]}, id="float-year"),
         pytest.param({"year_range": [2000, 2001, 2002]}, id="three-years"),
         pytest.param({"field_citation_rate": {"zero": 1.0}}, id="non-integer-field-key"),
+        pytest.param({"mean_refs": float("inf")}, id="infinite-mean-refs"),
+        pytest.param({"mean_refs": 1e30}, id="huge-mean-refs"),
+        pytest.param({"field_citation_rate": float("inf")}, id="infinite-citation-rate"),
+        pytest.param({"field_citation_rate": 1e19}, id="huge-citation-rate"),
+        pytest.param({"general_field_mix": [float("nan"), 0.5, 0.5]}, id="nan-field-mix"),
     ],
 )
 def test_synth_config_with_wrong_types_is_one_line_config_error(tmp_path, capsys, override):
@@ -482,48 +508,6 @@ def test_report_rejects_missing_or_corrupt_tables(tmp_path, capsys):
     code = run_cli(["report", "--in-dir", str(in_dir), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:validation:")
-
-
-def test_threads_env_must_be_integer(toy_files, tmp_path, capsys, monkeypatch):
-    corpus, taxonomy = toy_files
-    monkeypatch.setenv("REFCLASS_THREADS", "lots")
-    code = run_cli(
-        [
-            "classify",
-            "--corpus",
-            str(corpus),
-            "--taxonomy",
-            str(taxonomy),
-            "--out",
-            str(tmp_path / "o.tsv"),
-        ]
-    )
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:config:")
-
-
-def test_threads_env_does_not_change_output(toy_files, tmp_path, monkeypatch):
-    corpus, taxonomy = toy_files
-    outs = []
-    for threads in ("1", "8", "0"):
-        monkeypatch.setenv("REFCLASS_THREADS", threads)
-        out = tmp_path / f"a{threads}.tsv"
-        assert (
-            run_cli(
-                [
-                    "classify",
-                    "--corpus",
-                    str(corpus),
-                    "--taxonomy",
-                    str(taxonomy),
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
 
 
 def test_help_exits_zero(capsys):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import refclass.report as report_module
 from refclass.classifier import classify
 from refclass.corpus import build_corpus
 from refclass.indicators import IndicatorConfig, PrestigeValue
@@ -19,7 +22,7 @@ from refclass.report import (
     emit_report,
     fmt_float,
     render_tables,
-    write_text_atomic,
+    write_files_atomic,
 )
 
 from conftest import article, journal
@@ -195,18 +198,83 @@ def test_emit_report_later_rename_failure_keeps_prior_manifest(tmp_path, toy_tax
             assert (out / name).read_bytes() == prior[name], name
 
 
-def test_write_text_atomic(tmp_path):
+def test_write_files_atomic(tmp_path):
     target = tmp_path / "x.tsv"
     # a temp another run is still writing under the old fixed name
     other = tmp_path / ".x.tsv.tmp"
     other.write_text("other run\n")
-    write_text_atomic(target, "a\tb\n")
+    write_files_atomic({target: "a\tb\n"})
     assert target.read_text() == "a\tb\n"
     assert sorted(tmp_path.iterdir()) == [other, target]
     assert other.read_text() == "other run\n"
     plain = tmp_path / "plain.tsv"
     plain.write_text("")
     assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_no_prior_target_is_ever_absent(tmp_path, toy_taxonomy, monkeypatch):
+    single = tmp_path / "single.tsv"
+    single.write_text("prior\n")
+    tables = toy_tables(toy_taxonomy)
+    out = tmp_path / "out"
+    emit_report(tables, manifest_for(tables), out)
+    prior = [single] + [out / name for name in TABLE_FILES + (MANIFEST_FILE,)]
+    renames = []
+    os_replace = os.replace
+
+    def checked_replace(src, dst):
+        assert all(p.exists() for p in prior), renames
+        os_replace(src, dst)
+        assert all(p.exists() for p in prior), renames
+        renames.append(dst)
+
+    monkeypatch.setattr(report_module.os, "replace", checked_replace)
+    write_files_atomic({single: "new\n"})
+    assert single.read_text() == "new\n"
+    emit_report(tables, manifest_for(tables), out)
+    assert len(renames) == 8
+    # a rewrite that fails on its last table puts every prior file back
+    (out / "summary.tsv").unlink()
+    (out / "summary.tsv").mkdir()
+    changed = replace(tables, config=replace(tables.config, kappa=2.0))
+    with pytest.raises(OSError):
+        emit_report(changed, manifest_for(changed), out)
+    assert len(renames) > 8
+
+
+def test_failed_rename_drops_its_backup_and_temp(tmp_path, monkeypatch):
+    fresh = tmp_path / "fresh.tsv"
+    kept = tmp_path / "kept.tsv"
+    kept.write_text("prior\n")
+    os_replace = os.replace
+
+    def refuse_kept(src, dst):
+        if Path(src).suffix == ".tmp" and Path(dst) == kept:
+            raise PermissionError("refused")
+        os_replace(src, dst)
+
+    monkeypatch.setattr(report_module.os, "replace", refuse_kept)
+    with pytest.raises(PermissionError):
+        write_files_atomic({fresh: "new\n", kept: "new\n"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.tsv"]
+    assert kept.read_text() == "prior\n"
+
+
+def test_without_hard_links_an_existing_target_is_kept(tmp_path, monkeypatch):
+    fresh = tmp_path / "fresh.tsv"
+    kept = tmp_path / "kept.tsv"
+    kept.write_text("prior\n")
+
+    def no_links(*args, **kwargs):
+        raise PermissionError("hard links not supported")
+
+    monkeypatch.setattr(report_module.os, "link", no_links)
+    with pytest.raises(PermissionError):
+        write_files_atomic({fresh: "new\n", kept: "new\n"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.tsv"]
+    assert kept.read_text() == "prior\n"
+    write_files_atomic({fresh: "new\n"})  # a new file needs no link
+    assert fresh.read_text() == "new\n"
 
 
 def test_manifest_lines_are_ordered():

@@ -202,6 +202,15 @@ def test_config_validation():
         small_config(general_field_mix=(0.9, 0.2))
     with pytest.raises(ConfigError, match="positive"):
         small_config(field_citation_rate=(1.0, 0.0))
+    # numpy's Poisson sampler would raise on these, or on int(nan) in the quotas.
+    for bad in (float("inf"), 1e30):
+        with pytest.raises(ConfigError, match="mean_refs"):
+            small_config(mean_refs=bad)
+    for bad in (float("inf"), 1e19, (1.0, float("nan"))):
+        with pytest.raises(ConfigError, match="field_citation_rate"):
+            small_config(field_citation_rate=bad)
+    with pytest.raises(ConfigError, match="general_field_mix"):
+        small_config(general_field_mix=(float("nan"), 0.5))
     with pytest.raises(ConfigError, match="seed"):
         small_config(seed=-4)
     with pytest.raises(ConfigError, match="missing fields"):
