@@ -30,8 +30,10 @@ codes, or broad-area codes in broad-area mode. The edges come from the
 corpus's CSR references of non-seeded articles, as two ``int32`` arrays
 (article index, referenced row) with dangling references dropped. A single
 vote function runs one ``np.bincount`` over those edges to get each
-article's tally row, total, maximum, leader count and first leader; every
-iteration and the terminal pass call it. Tally memory while iterating is
+article's tally row, total, maximum, leader count and first leader. It runs
+once on the seed table and again after every iteration that moved a label,
+so each iteration and the terminal pass read the tallies of the current
+table, and no table is tallied twice. Tally memory while iterating is
 O(non-seeded articles x seed labels). The kernel runs on one thread.
 """
 
@@ -344,9 +346,9 @@ def classify(
 
     stats: list[IterationStats] = []
     iterations_run = 0
+    counts, total, at_top, best = votes(label)
     for iteration in range(1, config.max_iterations + 1):
         iterations_run = iteration
-        counts, total, at_top, best = votes(label)
         tied = at_top > 1
         won = (total >= config.min_votes) & (lexicographic | ~tied)
         old = label[open_rows]
@@ -362,10 +364,10 @@ def classify(
         stats.append(IterationStats(iteration, newly, changed))
         if newly == 0 and changed == 0:
             break
+        counts, total, at_top, best = votes(label)
 
-    # Terminal pass: every tally reads the final table; break remaining ties
-    # and keep the final tally of every article still unlabeled.
-    counts, total, at_top, best = votes(label)
+    # Terminal pass: the tallies above read the final table; break remaining
+    # ties and keep the final tally of every article still unlabeled.
     unlabeled = label[open_rows] < 0
     broken = unlabeled & (total >= config.min_votes) & (at_top > 1)
     label[open_rows[broken]] = best[broken]

@@ -270,7 +270,6 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
             "taxonomy": _sha256(ns.taxonomy),
             "assignments": _sha256(ns.assignments),
         },
-        outputs=tuple(sorted(TABLE_FILES + (MANIFEST_FILE,))),
     )
     emit_report(tables, manifest, ns.out_dir)
     return 0
@@ -300,15 +299,8 @@ def _cmd_report(ns: argparse.Namespace) -> int:
     in_manifest = in_dir / MANIFEST_FILE
     if in_manifest.is_file():
         digests[MANIFEST_FILE] = _sha256(in_manifest)
-    manifest = RunManifest(
-        command="report",
-        version=__version__,
-        config={},
-        inputs=digests,
-        outputs=tuple(sorted(TABLE_FILES + (MANIFEST_FILE,))),
-    )
-    texts[MANIFEST_FILE] = "\n".join(manifest.to_lines()) + "\n"
-    write_table_dir(ns.out_dir, texts)
+    manifest = RunManifest(command="report", version=__version__, config={}, inputs=digests)
+    write_table_dir(ns.out_dir, texts, manifest)
     return 0
 
 

@@ -20,7 +20,9 @@ emission keeps its position. ``articles`` and ``citation_index`` are derived
 views: the first builds an :class:`ArticleRecord` on each access, the second
 is built once on first access. Every reader ends in one column builder,
 which checks the cross-record rules; :func:`read_corpus` validates each line
-once and never builds an :class:`ArticleRecord`.
+once and never builds an :class:`ArticleRecord`. Article years must lie in
+:data:`YEAR_BOUNDS`, the one year range that synthesis and the indicators
+check too; no reader takes another.
 
 The builder codes rows and references as ``int32``, so rows plus dangling
 ids must stay below ``2**31``. It sorts an ``int64`` (row, code) key in
@@ -42,30 +44,19 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, UnknownNameError, ValidationError
+from .errors import ParseError, UnknownNameError, ValidationError
 
 DOC_TYPES = ("article", "review", "other")
 
-DEFAULT_YEAR_BOUNDS = (1900, 2100)
+#: The one year range of every stage: corpus years, synthetic years and
+#: indicator years all lie within it, ends included.
+YEAR_BOUNDS = (1900, 2100)
 
 _DOC_CODE = {t: i for i, t in enumerate(DOC_TYPES)}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_year_bounds(year_bounds) -> tuple[int, int]:
-    """Return ``year_bounds`` as ``(lo, hi)``: ints with ``lo <= hi`` inside int64."""
-    try:
-        lo, hi = year_bounds
-    except (TypeError, ValueError):
-        raise ConfigError(f"year_bounds must be a pair of integers, got {year_bounds!r}") from None
-    if not (_is_int(lo) and _is_int(hi)):
-        raise ConfigError(f"year_bounds must be a pair of integers, got {year_bounds!r}")
-    if not -(2**63) <= lo <= hi <= 2**63 - 1:
-        raise ConfigError(f"year_bounds must satisfy lo <= hi within int64, got {year_bounds!r}")
-    return lo, hi
 
 
 def _check_token(value: str, what: str, forbidden: str) -> None:
@@ -330,15 +321,14 @@ def _check_records(
     target: np.ndarray,
     journals: Sequence[JournalRecord],
     journal_at: Sequence[int],
-    year_bounds: tuple[int, int],
 ) -> None:
     """Raise the first per-record fault in record order, or nothing.
 
-    Per article, in this order: duplicate id, year outside ``year_bounds``,
+    Per article, in this order: duplicate id, year outside :data:`YEAR_BOUNDS`,
     a reference to itself (``citer == target``, both record indices). A
     journal row preceded by ``journal_at[j]`` article rows may repeat an id.
     """
-    lo, hi = year_bounds
+    lo, hi = YEAR_BOUNDS
     n = len(ids)
     faults: list[tuple[int, int, ValidationError]] = []
     if len(set(ids)) < n:
@@ -379,7 +369,6 @@ def _assemble(
     dangling_ids: tuple[str, ...],
     journals: Sequence[JournalRecord],
     journal_at: Sequence[int],
-    year_bounds: tuple[int, int],
 ) -> Corpus:
     """The one corpus constructor: check, sort rows by id, code, dedupe, build CSR.
 
@@ -400,7 +389,7 @@ def _assemble(
     citing row when they already arrive grouped, and the argsort when no
     pair repeats. Every file :func:`emit_corpus` writes skips all three.
     """
-    _check_records(ids, years, citer, target, journals, journal_at, year_bounds)
+    _check_records(ids, years, citer, target, journals, journal_at)
     journal_table = dict(sorted((j.id, j) for j in journals))
     journal_code = {j_id: c for c, j_id in enumerate(journal_table)}
     unresolved = sorted(set(journal_of) - journal_code.keys())
@@ -503,13 +492,11 @@ class _Rows:
         citer = np.repeat(np.arange(len(self.ids), dtype=np.int32), self.counts)
         return citer, target, tuple(codes.dangling)
 
-    def check(self, year_bounds: tuple[int, int]) -> None:
+    def check(self) -> None:
         citer, target, _ = self._edges()
-        _check_records(
-            self.ids, self.years, citer, target, self.journals, self.journal_at, year_bounds
-        )
+        _check_records(self.ids, self.years, citer, target, self.journals, self.journal_at)
 
-    def build(self, year_bounds: tuple[int, int]) -> Corpus:
+    def build(self) -> Corpus:
         citer, target, dangling = self._edges()
         self.refs = []
         return _assemble(
@@ -522,14 +509,10 @@ class _Rows:
             dangling,
             self.journals,
             self.journal_at,
-            year_bounds,
         )
 
 
-def _collect(
-    items: Iterable[tuple[str, str, int, str, str] | JournalRecord],
-    year_bounds: tuple[int, int],
-) -> Corpus:
+def _collect(items: Iterable[tuple[str, str, int, str, str] | JournalRecord]) -> Corpus:
     rows = _Rows()
     try:
         for item in items:
@@ -537,9 +520,9 @@ def _collect(
     except Exception:
         # Records are checked as they arrive, so a fault on an earlier row
         # is raised before whatever stopped the input.
-        rows.check(year_bounds)
+        rows.check()
         raise
-    return rows.build(year_bounds)
+    return rows.build()
 
 
 def _record_rows(records: Iterable[ArticleRecord | JournalRecord]):
@@ -563,31 +546,24 @@ def _line_rows(source: Iterable[str]):
             yield parse_record(raw, line_no)
 
 
-def build_corpus(
-    records: Iterable[ArticleRecord | JournalRecord],
-    *,
-    year_bounds: tuple[int, int] = DEFAULT_YEAR_BOUNDS,
-) -> Corpus:
+def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
     """Assemble a validated :class:`Corpus` from parsed records.
 
     Journals may appear before or after the articles that reference them.
     Duplicate reference entries within one article are collapsed to a single
     occurrence (first-occurrence order). Raises :class:`ValidationError` for
-    duplicate ids, self-citations, out-of-bounds years, or unresolvable
-    journal ids (all offenders listed), and :class:`ConfigError` for
-    ``year_bounds`` that are not two integers ``lo <= hi`` within int64.
+    duplicate ids, self-citations, years outside :data:`YEAR_BOUNDS`, or
+    unresolvable journal ids (all offenders listed).
     """
-    return _collect(_record_rows(records), _check_year_bounds(year_bounds))
+    return _collect(_record_rows(records))
 
 
-def read_corpus(
-    source: Iterable[str], *, year_bounds: tuple[int, int] = DEFAULT_YEAR_BOUNDS
-) -> Corpus:
+def read_corpus(source: Iterable[str]) -> Corpus:
     """Parse and build a corpus from TSV lines in one step.
 
     Raises exactly what ``build_corpus(read_records(source))`` raises.
     """
-    return _collect(_line_rows(source), _check_year_bounds(year_bounds))
+    return _collect(_line_rows(source))
 
 
 def emit_corpus(corpus: Corpus) -> str:

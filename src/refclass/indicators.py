@@ -17,13 +17,13 @@ once, so results are independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .classifier import Assignment, AssignmentTable
-from .corpus import DEFAULT_YEAR_BOUNDS, DOC_TYPES, Corpus, _is_int
+from .corpus import DOC_TYPES, YEAR_BOUNDS, Corpus, _is_int
 from .errors import (
     ConfigError,
     DomainError,
@@ -38,7 +38,7 @@ ALL_SOURCES = "ALL_SOURCES"
 ALL_AREAS = "ALL"
 
 #: Largest citation window: the span of the corpus year bounds.
-MAX_WINDOW = DEFAULT_YEAR_BOUNDS[1] - DEFAULT_YEAR_BOUNDS[0]
+MAX_WINDOW = YEAR_BOUNDS[1] - YEAR_BOUNDS[0]
 
 ARTICLE_ONLY = frozenset({"article"})
 ALL_DOC_TYPES = frozenset({"article", "review", "other"})
@@ -64,7 +64,7 @@ class IndicatorConfig:
     pub_window: tuple[int, int] = (2005, 2015)
 
     def __post_init__(self):
-        lo_bound, hi_bound = DEFAULT_YEAR_BOUNDS
+        lo_bound, hi_bound = YEAR_BOUNDS
         if not _is_int(self.window) or not 1 <= self.window <= MAX_WINDOW:
             raise ConfigError(f"window must be an integer in [1, {MAX_WINDOW}]")
         if not (math.isfinite(self.kappa) and self.kappa > 0):
@@ -387,10 +387,10 @@ def impact_factor(
     :data:`ALL_AREAS` (unclassified items are excluded from area-restricted
     counts but included in whole-journal counts). Numerator: citations from
     qualifying citers of exactly ``year`` to that item set. Raises
-    :class:`UndefinedValueError` when the denominator is zero.
+    :class:`ConfigError` when ``year`` is not an integer within the year
+    bounds, and :class:`UndefinedValueError` when the denominator is zero.
     """
-    if config is None:
-        config = IndicatorConfig()
+    config = replace(config or IndicatorConfig(), if_year_range=(year, year))
     cube = count_cube(corpus, assignments, _scopes(journal), config, if_years=(year, year))
     return cube.impact_factor(journal, year, area)
 

@@ -55,6 +55,9 @@ TABLE_FILES = (
 
 MANIFEST_FILE = "manifest.tsv"
 
+#: Every file of a table directory, as the manifest lists them.
+_OUTPUTS = ",".join(sorted(TABLE_FILES + (MANIFEST_FILE,)))
+
 TABLE_COLUMNS = {
     "summary.tsv": ("journal_id", "articles", "articles_classified", "citations", "mean_if"),
     "composition.tsv": ("scope", "area", "count", "share"),
@@ -90,13 +93,12 @@ class RunManifest:
     version: str
     config: dict[str, str]
     inputs: dict[str, str]
-    outputs: tuple[str, ...]
 
     def to_lines(self) -> list[str]:
         lines = ["key\tvalue", f"command\t{self.command}", f"version\t{self.version}"]
         lines += [f"config.{k}\t{v}" for k, v in sorted(self.config.items())]
         lines += [f"input.{k}.sha256\t{v}" for k, v in sorted(self.inputs.items())]
-        lines.append("outputs\t" + ",".join(self.outputs))
+        lines.append(f"outputs\t{_OUTPUTS}")
         return lines
 
 
@@ -330,17 +332,21 @@ def write_files_atomic(files: Mapping[Path | str, str]) -> None:
             backup.unlink()
 
 
-def write_table_dir(out_dir: Path | str, texts: Mapping[str, str]) -> list[str]:
-    """Write ``texts`` (file name -> content) into ``out_dir``, creating it.
+def write_table_dir(
+    out_dir: Path | str, texts: Mapping[str, str], manifest: RunManifest
+) -> list[str]:
+    """Write ``texts`` (table file name -> content) and ``manifest`` into ``out_dir``.
 
-    One :func:`write_files_atomic` call, with ``manifest.tsv`` last. Returns
+    Creates the directory, then makes one :func:`write_files_atomic` call
+    with the tables in file-name order and ``manifest.tsv`` last. Returns
     the written paths in file-name order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = sorted(texts, key=lambda n: (n == MANIFEST_FILE, n))
-    write_files_atomic({out / name: texts[name] for name in names})
-    return [str(out / name) for name in sorted(texts)]
+    files = {out / name: texts[name] for name in sorted(texts)}
+    files[out / MANIFEST_FILE] = "\n".join(manifest.to_lines()) + "\n"
+    write_files_atomic(files)
+    return sorted(map(str, files))
 
 
 def emit_report(tables: ReportTables, manifest: RunManifest, out_dir: Path | str) -> list[str]:
@@ -350,6 +356,4 @@ def emit_report(tables: ReportTables, manifest: RunManifest, out_dir: Path | str
     file-name order. Re-running on identical tables produces byte-identical
     files.
     """
-    renders = render_tables(tables)
-    renders[MANIFEST_FILE] = "\n".join(manifest.to_lines()) + "\n"
-    return write_table_dir(out_dir, renders)
+    return write_table_dir(out_dir, render_tables(tables), manifest)

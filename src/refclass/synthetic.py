@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import DEFAULT_YEAR_BOUNDS, Corpus, JournalRecord, _assemble, _is_int
+from .corpus import YEAR_BOUNDS, Corpus, JournalRecord, _assemble, _is_int
 from .errors import ConfigError
 from .taxonomy import BROAD_AREAS, MULTIDISCIPLINARY_FLAG, SubjectCategory, Taxonomy
 
@@ -85,8 +85,9 @@ class SyntheticConfig:
         y0, y1 = years
         if y0 > y1:
             raise ConfigError("empty year_range")
-        if y0 < 1900 or y1 > 2100:
-            raise ConfigError("year_range outside sanity bounds 1900-2100")
+        lo, hi = YEAR_BOUNDS
+        if y0 < lo or y1 > hi:
+            raise ConfigError(f"year_range outside sanity bounds {lo}-{hi}")
         object.__setattr__(self, "year_range", (y0, y1))
         # numpy's Poisson sampler rejects means a little below 2**63; NaN fails too.
         if not 0 < self.mean_refs <= 2.0**62:
@@ -133,9 +134,6 @@ class GroundTruth:
 
     def category_of(self, article_id: str) -> str:
         return self.categories[self.field_of[article_id]]
-
-    def area_of(self, article_id: str, taxonomy: Taxonomy) -> str:
-        return taxonomy.broad_area_of(self.category_of(article_id))
 
     def as_lines(self, taxonomy: Taxonomy) -> list[str]:
         lines = []
@@ -296,7 +294,6 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
         (),
         journals,
         [0] * len(journals),
-        DEFAULT_YEAR_BOUNDS,
     )
     truth = GroundTruth(
         field_of={ids[row]: row_field[row] for row in range(n_articles)},

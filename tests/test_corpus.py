@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from refclass.corpus import (
-    DEFAULT_YEAR_BOUNDS,
+    YEAR_BOUNDS,
     ArticleRecord,
     JournalRecord,
     _assemble,
@@ -27,6 +27,7 @@ from refclass.errors import (
     UnknownNameError,
     ValidationError,
 )
+from refclass.indicators import IndicatorConfig
 from refclass.synthetic import generate_synthetic
 
 from conftest import article, journal, random_corpus, ten_field_config, traced_peak
@@ -254,7 +255,7 @@ def reference_reading(lines) -> tuple:
     the article records (references deduped), the citation index, the
     dangling count, the validation lines and the canonical emission.
     """
-    lo, hi = DEFAULT_YEAR_BOUNDS
+    lo, hi = YEAR_BOUNDS
     articles: dict[str, ArticleRecord] = {}
     journals: dict[str, JournalRecord] = {}
     for rec in read_records(lines):
@@ -576,7 +577,6 @@ def test_builder_matches_brute_force_csr(shape):
             dangling,
             journals,
             [0, 0],
-            DEFAULT_YEAR_BOUNDS,
         )
         sorted_ids, order, indptr, refs = brute_force_csr(ids, dangling, citer, target)
         assert corpus.ids == sorted_ids
@@ -624,34 +624,20 @@ def test_read_corpus_traced_peak_is_bounded():
     assert peak <= 5 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
 
 
-BAD_YEAR_BOUNDS = {
-    "past-int64": (1900, 10**20),
-    "below-int64": (-(2**63) - 1, 2100),
-    "strings": ("a", "b"),
-    "floats": (1900.0, 2100.0),
-    "bool": (True, 2100),
-    "reversed": (2100, 1900),
-    "one-value": (1900,),
-    "three-values": (1900, 2000, 2100),
-    "not-a-pair": 1900,
-    "none": None,
-}
-
-
-@pytest.mark.parametrize("name", sorted(BAD_YEAR_BOUNDS))
-def test_year_bounds_are_checked_before_parsing(name):
-    bounds = BAD_YEAR_BOUNDS[name]
-    lines = _lines(J1, _a("P1", year="99999999999999999999"), "not a row")
-    with pytest.raises(ConfigError, match="year_bounds"):
-        read_corpus(lines, year_bounds=bounds)
-    with pytest.raises(ConfigError, match="year_bounds"):
-        build_corpus(["not a record"], year_bounds=bounds)
-
-
-def test_widest_year_bounds_reject_a_year_past_int64():
-    lines = _lines(J1, _a("P1", year="99999999999999999999"))
-    widest = (-(2**63), 2**63 - 1)
-    with pytest.raises(ValidationError, match="outside bounds"):
-        read_corpus(lines, year_bounds=widest)
-    corpus = read_corpus(_lines(J1, _a("P1", year=str(2**63 - 1))), year_bounds=widest)
-    assert corpus.years.tolist() == [2**63 - 1]
+@pytest.mark.parametrize(
+    "year, accepted", [(1899, False), (1900, True), (2100, True), (2101, False)]
+)
+def test_every_stage_shares_one_year_range(year, accepted):
+    """Ingest, synthesis and indicators accept and reject the same years."""
+    checks = [
+        (ValidationError, lambda: read_corpus(_lines(J1, _a("P1", year=str(year))))),
+        (ConfigError, lambda: replace(ten_field_config(1), year_range=(year, year))),
+        (ConfigError, lambda: IndicatorConfig(if_year_range=(year, year))),
+        (ConfigError, lambda: IndicatorConfig(pub_window=(year, year))),
+    ]
+    for error, check in checks:
+        if accepted:
+            check()
+        else:
+            with pytest.raises(error, match="outside"):
+                check()

@@ -602,6 +602,16 @@ def test_indicator_config_validation():
     assert edge.if_year_range == (1900, 2100)
 
 
+@pytest.mark.parametrize("year", [10**20, 2011.0, "2011", True, 1850])
+def test_impact_year_is_checked_like_the_config_years(year):
+    corpus = build_corpus(
+        [journal("J1", ONCO), article("P1", "J1", 2010), article("P2", "J1", 2011, refs=("P1",))]
+    )
+    assert impact_factor(corpus, {}, "J1", 2011).numerator == 1
+    with pytest.raises(ConfigError, match="if_year_range"):
+        impact_factor(corpus, {}, "J1", year)
+
+
 def test_count_cube_traced_peak_is_bounded():
     corpus, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=40))
     assignments = classify(corpus, taxonomy).assignments

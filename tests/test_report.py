@@ -58,7 +58,6 @@ def manifest_for(tables) -> RunManifest:
         version="0.1.0",
         config={"window": str(tables.config.window), "kappa": fmt_float(tables.config.kappa)},
         inputs={"corpus": "0" * 64},
-        outputs=tuple(sorted(TABLE_FILES + (MANIFEST_FILE,))),
     )
 
 
@@ -185,7 +184,6 @@ def test_emit_report_later_rename_failure_keeps_prior_manifest(tmp_path, toy_tax
         version="0.1.0",
         config={"window": "3"},
         inputs={"corpus": "1" * 64},
-        outputs=tuple(sorted(TABLE_FILES + (MANIFEST_FILE,))),
     )
     changed = replace(tables, config=replace(tables.config, kappa=2.0))
     assert render_tables(changed)["composition.tsv"].encode() != prior["composition.tsv"]
@@ -283,13 +281,15 @@ def test_manifest_lines_are_ordered():
         version="0.1.0",
         config={"window": "2", "kappa": "1.040000"},
         inputs={"corpus": "ab", "taxonomy": "cd"},
-        outputs=("a.tsv", "b.tsv"),
     )
     lines = manifest.to_lines()
     assert lines[0] == "key\tvalue"
     assert lines[1] == "command\tindicators"
     assert "config.kappa\t1.040000" in lines
-    assert lines[-1] == "outputs\ta.tsv,b.tsv"
+    assert lines[-1] == (
+        "outputs\tcomposition.tsv,field_if.tsv,manifest.tsv,prestige.tsv,"
+        "ranking.tsv,representation.tsv,summary.tsv"
+    )
     assert lines.index("config.kappa\t1.040000") < lines.index("config.window\t2")
 
 
