@@ -24,7 +24,6 @@ from .corpus import (
     JournalRecord,
     ValidationReport,
     build_corpus,
-    parse_record,
     read_corpus,
     validate_corpus,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "impact_factor",
     "load_taxonomy",
     "mean_impact_factor",
-    "parse_record",
     "prestige",
     "rank_journals",
     "read_corpus",

@@ -7,9 +7,11 @@ Corpus file format (UTF-8, LF, TSV, ``#`` comments allowed):
 * journal rows: ``J<TAB>id<TAB>name<TAB>categories`` with semicolon-separated
   category names.
 
-Canonical emission writes journals then articles, each sorted by id.
-Identifiers and category names may not contain tabs, newlines, or their own
-list separator; this keeps parse -> emit -> parse the identity.
+:func:`read_corpus` is the one reader and :func:`emit_corpus` the one writer;
+emission puts journals then articles, each sorted by id. Ids, journal names
+and category names hold no tab, ``\n`` or ``\r`` (ids and categories no list
+separator either), so read -> emit -> read is the identity, also through a
+file read with universal newlines.
 
 Storage: a :class:`Corpus` keeps articles as rows in sorted-id order, as
 integer columns (journal code into the sorted journal ids, year, doc-type
@@ -18,11 +20,12 @@ in first-occurrence order). A reference to an id outside the corpus stays in
 the CSR with a code past the last row, indexing a table of dangling ids, so
 emission keeps its position. ``articles`` and ``citation_index`` are derived
 views: the first builds an :class:`ArticleRecord` on each access, the second
-is built once on first access. Every reader ends in one column builder,
-which checks the cross-record rules; :func:`read_corpus` validates each line
-once and never builds an :class:`ArticleRecord`. Article years must lie in
-:data:`YEAR_BOUNDS`, the one year range that synthesis and the indicators
-check too; no reader takes another.
+is built once on first access. :func:`read_corpus` and :func:`build_corpus`
+(from records) end in one column builder, which checks the cross-record
+rules; :func:`read_corpus` validates each line once and never builds an
+:class:`ArticleRecord`. Article years must lie in :data:`YEAR_BOUNDS`, the
+one year range that synthesis and the indicators check too; no reader takes
+another.
 
 The builder codes rows and references as ``int32``, so rows plus dangling
 ids must stay below ``2**31``. It sorts an ``int64`` (row, code) key in
@@ -79,12 +82,12 @@ class ArticleRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "references", tuple(self.references))
-        _check_token(self.id, "article id", "\t\n,")
-        _check_token(self.journal_id, "journal id", "\t\n,")
+        _check_token(self.id, "article id", "\t\n\r,")
+        _check_token(self.journal_id, "journal id", "\t\n\r,")
         if self.doc_type not in DOC_TYPES:
             raise ValidationError("unknown doc_type", token=self.doc_type)
         for ref in self.references:
-            _check_token(ref, "reference id", "\t\n,")
+            _check_token(ref, "reference id", "\t\n\r,")
 
 
 @dataclass(frozen=True)
@@ -97,19 +100,19 @@ class JournalRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "categories", tuple(self.categories))
-        _check_token(self.id, "journal id", "\t\n,")
-        if "\t" in self.name or "\n" in self.name:
+        _check_token(self.id, "journal id", "\t\n\r,")
+        if any(ch in self.name for ch in "\t\n\r"):
             raise ValidationError("journal name contains forbidden character", token=self.name)
         if not self.categories:
             raise ValidationError(f"journal {self.id!r} has no categories")
         for cat in self.categories:
-            _check_token(cat, "category name", "\t\n;")
+            _check_token(cat, "category name", "\t\n\r;")
 
 
 def _article_fields(
     parts: list[str], line: str, line_no: int | None
 ) -> tuple[str, str, int, str, str]:
-    """Check every rule of one article row once, in :func:`parse_record`'s order.
+    """Check every rule of one article row once; the first broken rule raises.
 
     Returns id, journal id, year, doc type and the comma-joined references
     with each one stripped.
@@ -131,7 +134,7 @@ def _article_fields(
     if doc_type not in DOC_TYPES:
         raise ParseError("unknown doc_type", line_no, doc_type)
     # The ArticleRecord token rules. Splitting on tabs and commas leaves only
-    # a newline inside a line (or an empty or comma-holding id) to find.
+    # an empty or comma-holding id, or a "\n" or "\r" in the line, to find.
     if (
         not art_id
         or not journal_id
@@ -140,57 +143,16 @@ def _article_fields(
         or "\n" in art_id
         or "\n" in journal_id
         or "\n" in refs
+        or "\r" in line
     ):
         try:
-            _check_token(art_id, "article id", "\t\n,")
-            _check_token(journal_id, "journal id", "\t\n,")
+            _check_token(art_id, "article id", "\t\n\r,")
+            _check_token(journal_id, "journal id", "\t\n\r,")
             for ref in refs.split(",") if refs else ():
-                _check_token(ref, "reference id", "\t\n,")
+                _check_token(ref, "reference id", "\t\n\r,")
         except ValidationError as exc:
             raise ParseError(str(exc), line_no, art_id) from None
     return art_id, journal_id, year, doc_type, refs
-
-
-def parse_record(line: str, line_no: int | None = None) -> ArticleRecord | JournalRecord:
-    """Parse one corpus TSV row into a typed record.
-
-    Field order and count are enforced exactly; errors carry the line number
-    and offending token.
-    """
-    parts = line.rstrip("\n").split("\t")
-    tag = parts[0]
-    if tag == "A":
-        art_id, journal_id, year, doc_type, refs = _article_fields(parts, line, line_no)
-        return ArticleRecord(art_id, journal_id, year, doc_type, refs.split(",") if refs else ())
-    if tag == "J":
-        if len(parts) != 4:
-            raise ParseError(f"journal row needs 4 columns, got {len(parts)}", line_no, line)
-        _, j_id, name, cats_s = (p.strip() for p in parts)
-        cats = [c.strip() for c in cats_s.split(";")] if cats_s else []
-        if any(not c for c in cats):
-            raise ParseError("empty category name", line_no, cats_s)
-        try:
-            return JournalRecord(j_id, name, tuple(cats))
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no, j_id) from None
-    raise ParseError("unknown record tag", line_no, tag)
-
-
-def read_records(source: Iterable[str]) -> Iterator[ArticleRecord | JournalRecord]:
-    """Yield typed records from corpus TSV lines, skipping comments and blanks."""
-    for line_no, raw in enumerate(source, start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        yield parse_record(raw, line_no)
-
-
-def emit_record(record: ArticleRecord | JournalRecord) -> str:
-    """Render one record as its canonical TSV row (no trailing newline)."""
-    if isinstance(record, ArticleRecord):
-        refs = ",".join(record.references)
-        return f"A\t{record.id}\t{record.journal_id}\t{record.year}\t{record.doc_type}\t{refs}"
-    cats = ";".join(record.categories)
-    return f"J\t{record.id}\t{record.name}\t{cats}"
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -542,12 +504,24 @@ def _line_rows(source: Iterable[str]):
         parts = raw.rstrip("\n").split("\t")
         if parts[0] == "A":
             yield _article_fields(parts, raw, line_no)
-        else:
-            yield parse_record(raw, line_no)
+            continue
+        if parts[0] != "J":
+            raise ParseError("unknown record tag", line_no, parts[0])
+        if len(parts) != 4:
+            raise ParseError(f"journal row needs 4 columns, got {len(parts)}", line_no, raw)
+        _, j_id, name, cats_s = (p.strip() for p in parts)
+        cats = [c.strip() for c in cats_s.split(";")] if cats_s else []
+        if any(not c for c in cats):
+            raise ParseError("empty category name", line_no, cats_s)
+        try:
+            record = JournalRecord(j_id, name, tuple(cats))
+        except ValidationError as exc:
+            raise ParseError(str(exc), line_no, j_id) from None
+        yield record
 
 
 def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
-    """Assemble a validated :class:`Corpus` from parsed records.
+    """Assemble a validated :class:`Corpus` from in-memory records.
 
     Journals may appear before or after the articles that reference them.
     Duplicate reference entries within one article are collapsed to a single
@@ -559,16 +533,18 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
 
 
 def read_corpus(source: Iterable[str]) -> Corpus:
-    """Parse and build a corpus from TSV lines in one step.
+    """Parse and build a corpus from TSV lines, skipping blanks and ``#`` lines.
 
-    Raises exactly what ``build_corpus(read_records(source))`` raises.
+    Raises the first fault in file order: a :class:`ParseError` with line
+    number and token for a malformed line, unless the rows before it already
+    broke a rule of :func:`build_corpus`, whose error is raised instead.
     """
     return _collect(_line_rows(source))
 
 
 def emit_corpus(corpus: Corpus) -> str:
     """Render the canonical corpus file: journals then articles, sorted by id."""
-    lines = [emit_record(corpus.journals[j]) for j in corpus.journal_ids]
+    lines = [f"J\t{j.id}\t{j.name}\t{';'.join(j.categories)}" for j in corpus.journals.values()]
     refs = corpus._names[corpus.refs].tolist()
     bounds = corpus.indptr.tolist()
     journal_ids = corpus.journal_ids

@@ -535,6 +535,11 @@ def test_python_m_runs_the_cli(tmp_path, module):
     assert proc.stderr.count("\n") == 1
 
 
+def test_every_public_name_resolves():
+    missing = [name for name in refclass.__all__ if not hasattr(refclass, name)]
+    assert missing == []
+
+
 # assignment rows checked against the toy corpus and taxonomy -> the error
 # the parent raised: (message, token)
 INCONSISTENT_ASSIGNMENTS = {

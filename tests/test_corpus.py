@@ -1,4 +1,4 @@
-"""Record parsing, corpus building, citation-index inversion, validation."""
+"""Corpus reading and building, citation-index inversion, validation."""
 
 from __future__ import annotations
 
@@ -14,10 +14,7 @@ from refclass.corpus import (
     _assemble,
     build_corpus,
     emit_corpus,
-    emit_record,
-    parse_record,
     read_corpus,
-    read_records,
     validate_corpus,
 )
 from refclass.errors import (
@@ -34,29 +31,35 @@ from conftest import article, journal, random_corpus, ten_field_config, traced_p
 
 
 def test_parse_article_row():
-    rec = parse_record("A\tP1\tJ1\t2010\tarticle\tP2,P3")
-    assert rec == ArticleRecord("P1", "J1", 2010, "article", ("P2", "P3"))
+    corpus = read_corpus(["J\tJ1\tName\tOncology\n", "A\tP1\tJ1\t2010\tarticle\tP2,P3"])
+    assert corpus.article("P1") == ArticleRecord("P1", "J1", 2010, "article", ("P2", "P3"))
 
 
 def test_parse_strips_whitespace_around_every_field():
     # no plain space in the reference field: only unprintable whitespace
     line = "A\t P1\u3000\tJ1 \t 2010\t article\t\xa0P2,P3\u2003,P4\u3000X\n"
     expected = ArticleRecord("P1", "J1", 2010, "article", ("P2", "P3", "P4\u3000X"))
-    assert parse_record(line) == expected
     corpus = read_corpus(["J\tJ1\tName\tOncology\n", line])
     assert corpus.article("P1") == expected
 
 
 def test_parse_journal_row():
-    rec = parse_record("J\tJ1\tNature-like\tMultidisciplinary Sciences")
-    assert rec == JournalRecord("J1", "Nature-like", ("Multidisciplinary Sciences",))
-    multi = parse_record("J\tJ2\tBoth\tOncology;Cell Biology")
-    assert multi.categories == ("Oncology", "Cell Biology")
+    corpus = read_corpus(
+        ["J\tJ1\tNature-like\tMultidisciplinary Sciences\n", "J\tJ2\tBoth\tOncology;Cell Biology"]
+    )
+    assert corpus.journal("J1") == JournalRecord(
+        "J1", "Nature-like", ("Multidisciplinary Sciences",)
+    )
+    assert corpus.journal("J2").categories == ("Oncology", "Cell Biology")
+
+
+# Skipped lines put the row under test at the line number each test expects.
+SKIPPED = ["# corpus\n", "\n", "   \n", "# J\tJ1\tName\n", "\t\n", "#\n"]
 
 
 def test_parse_non_integer_year():
     with pytest.raises(ParseError) as exc:
-        parse_record("A\tP9\tJ1\t20X5\tarticle\t", line_no=7)
+        read_corpus(SKIPPED + ["A\tP9\tJ1\t20X5\tarticle\t"])
     assert "non-integer year" in str(exc.value)
     assert exc.value.line_no == 7
 
@@ -75,15 +78,15 @@ def test_parse_non_integer_year():
 )
 def test_parse_errors(line, fragment):
     with pytest.raises(ParseError) as exc:
-        parse_record(line, line_no=3)
+        read_corpus(SKIPPED[:2] + [line])
     assert fragment in str(exc.value)
     assert exc.value.line_no == 3
 
 
-def test_read_records_skips_comments_and_blanks():
+def test_read_corpus_skips_comments_and_blanks():
     text = "# corpus\n\nJ\tJ1\tN\tOncology\nA\tP1\tJ1\t2010\tarticle\t\n"
-    recs = list(read_records(text.splitlines(keepends=True)))
-    assert len(recs) == 2
+    corpus = read_corpus(text.splitlines(keepends=True))
+    assert (corpus.ids, corpus.journal_ids) == (("P1",), ("J1",))
 
 
 def test_single_edge_inversion():
@@ -180,25 +183,37 @@ def test_citation_index_inversion_round_trip():
             assert sorted(rebuilt[a_id]) == in_corpus_refs
 
 
-def test_parse_emit_parse_identity():
+def test_build_emit_read_identity():
     rng = np.random.default_rng(7)
     doc_types = ("article", "review", "other")
-    for i in range(300):
-        if rng.random() < 0.5:
-            rec = ArticleRecord(
-                f"P{i}",
-                f"J{int(rng.integers(5))}",
-                int(rng.integers(1900, 2101)),
-                doc_types[int(rng.integers(3))],
-                tuple(f"R{int(rng.integers(50))}" for _ in range(int(rng.integers(0, 5)))),
+    for _ in range(20):
+        n_journals, n_articles = int(rng.integers(1, 6)), int(rng.integers(0, 30))
+        records = [
+            JournalRecord(
+                f"J{j}",
+                f"Journal {j}",
+                tuple(f"C{c}" for c in range(int(rng.integers(1, 4)))),
             )
-        else:
-            rec = JournalRecord(
-                f"J{i}",
-                f"Journal {i}",
-                tuple(f"C{j}" for j in range(int(rng.integers(1, 4)))),
+            for j in range(n_journals)
+        ]
+        for i in rng.permutation(n_articles).tolist():
+            # In-corpus, dangling and repeated references, none to itself.
+            refs = [f"{'PR'[int(rng.integers(2))]}{int(rng.integers(30))}" for _ in range(5)]
+            records.append(
+                ArticleRecord(
+                    f"P{i}",
+                    f"J{int(rng.integers(n_journals))}",
+                    int(rng.integers(1900, 2101)),
+                    doc_types[int(rng.integers(3))],
+                    tuple(r for r in refs[: int(rng.integers(0, 6))] if r != f"P{i}"),
+                )
             )
-        assert parse_record(emit_record(rec)) == rec
+        built = build_corpus(records)
+        text = emit_corpus(built)
+        read = read_corpus(text.splitlines(keepends=True))
+        assert dict(read.articles) == dict(built.articles)
+        assert dict(read.journals) == dict(built.journals)
+        assert emit_corpus(read) == text
 
 
 def test_canonical_emission_sorted_and_stable():
@@ -238,14 +253,77 @@ def test_validation_report_counts():
 
 
 def test_record_field_constraints():
-    with pytest.raises(ValidationError):
-        ArticleRecord("", "J1", 2010, "article")
-    with pytest.raises(ValidationError):
-        ArticleRecord("P,1", "J1", 2010, "article")
-    with pytest.raises(ValidationError):
-        JournalRecord("J1", "Name", ())
-    with pytest.raises(ValidationError):
-        JournalRecord("J1", "Name", ("Onco;logy",))
+    for make in [
+        lambda: ArticleRecord("", "J1", 2010, "article"),
+        lambda: ArticleRecord("P,1", "J1", 2010, "article"),
+        lambda: ArticleRecord("P\r1", "J1", 2010, "article"),
+        lambda: ArticleRecord("P1", "J\r1", 2010, "article"),
+        lambda: ArticleRecord("P1", "J1", 2010, "article", ("X\rY",)),
+        lambda: JournalRecord("J1", "Name", ()),
+        lambda: JournalRecord("J1", "Name", ("Onco;logy",)),
+        lambda: JournalRecord("J\r1", "Name", ("Oncology",)),
+        lambda: JournalRecord("J1", "Na\rme", ("Oncology",)),
+        lambda: JournalRecord("J1", "Name", ("Onco\rlogy",)),
+    ]:
+        with pytest.raises(ValidationError):
+            make()
+
+
+def naive_token_fault(value: str, what: str, forbidden: str) -> str | None:
+    """The corpus token rule spelled out: the fault message, or None."""
+    if not value:
+        return f"empty {what}"
+    bad = [ch for ch in forbidden if ch in value]
+    return f"{what} contains forbidden character {bad[0]!r}, token {value!r}" if bad else None
+
+
+def naive_records(lines):
+    """Corpus records one line at a time, parsed without the library's reader.
+
+    A malformed line raises the :class:`ParseError` (message, line number
+    and token) that :func:`read_corpus` must raise for it.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        cols = raw.rstrip("\n").split("\t")
+        if cols[0] not in ("A", "J"):
+            raise ParseError("unknown record tag", line_no, cols[0])
+        kind, width = ("article", 6) if cols[0] == "A" else ("journal", 4)
+        if len(cols) != width:
+            raise ParseError(f"{kind} row needs {width} columns, got {len(cols)}", line_no, raw)
+        cols = [c.strip() for c in cols]
+        if cols[0] == "A":
+            _, a_id, j_id, year_s, doc_type, refs_s = cols
+            try:
+                year = int(year_s)
+            except ValueError:
+                raise ParseError("non-integer year", line_no, year_s) from None
+            refs = [r.strip() for r in refs_s.split(",")] if refs_s else []
+            if "" in refs:
+                raise ParseError("empty reference id", line_no, refs_s)
+            if doc_type not in ("article", "review", "other"):
+                raise ParseError("unknown doc_type", line_no, doc_type)
+            tokens = [(a_id, "article id"), (j_id, "journal id")]
+            faults = [naive_token_fault(v, what, "\t\n\r,") for v, what in tokens]
+            faults += [naive_token_fault(r, "reference id", "\t\n\r,") for r in refs]
+            if any(faults):
+                raise ParseError(next(filter(None, faults)), line_no, a_id)
+            yield ArticleRecord(a_id, j_id, year, doc_type, tuple(refs))
+        else:
+            _, j_id, name, cats_s = cols
+            cats = [c.strip() for c in cats_s.split(";")] if cats_s else []
+            if "" in cats:
+                raise ParseError("empty category name", line_no, cats_s)
+            faults = [naive_token_fault(j_id, "journal id", "\t\n\r,")]
+            if any(ch in name for ch in "\t\n\r"):
+                faults.append(f"journal name contains forbidden character, token {name!r}")
+            if not cats:
+                faults.append(f"journal {j_id!r} has no categories")
+            faults += [naive_token_fault(c, "category name", "\t\n\r;") for c in cats]
+            if any(faults):
+                raise ParseError(next(filter(None, faults)), line_no, j_id)
+            yield JournalRecord(j_id, name, tuple(cats))
 
 
 def reference_reading(lines) -> tuple:
@@ -258,7 +336,7 @@ def reference_reading(lines) -> tuple:
     lo, hi = YEAR_BOUNDS
     articles: dict[str, ArticleRecord] = {}
     journals: dict[str, JournalRecord] = {}
-    for rec in read_records(lines):
+    for rec in naive_records(lines):
         if isinstance(rec, ArticleRecord):
             if rec.id in articles:
                 raise ValidationError("duplicate article id", token=rec.id)
@@ -296,8 +374,13 @@ def reference_reading(lines) -> tuple:
     ]
     for key in ("doc_type", "year", "journal"):
         report += [f"{key}.{k}\t{n}" for k, n in sorted(counts[key].items())]
-    emitted = [emit_record(journals[j]) for j in sorted(journals)]
-    emitted += [emit_record(a) for a in articles.values()]
+    emitted = [
+        f"J\t{j.id}\t{j.name}\t{';'.join(j.categories)}" for _, j in sorted(journals.items())
+    ]
+    emitted += [
+        f"A\t{a.id}\t{a.journal_id}\t{a.year}\t{a.doc_type}\t{','.join(a.references)}"
+        for a in articles.values()
+    ]
     return (
         articles,
         {k: tuple(v) for k, v in sorted(index.items())},
@@ -356,7 +439,16 @@ def test_ingest_paths_agree_on_random_corpora():
         lines = messy_corpus_lines(rng)
         expected = reference_reading(lines)
         assert reading_of(read_corpus(lines)) == expected
-        assert reading_of(build_corpus(list(read_records(lines)))) == expected
+        assert reading_of(build_corpus(list(naive_records(lines)))) == expected
+
+
+def test_crlf_lines_read_like_lf_lines():
+    # The "\r" of a CRLF line end is whitespace around the last field.
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        lines = messy_corpus_lines(rng)
+        crlf = [line.replace("\n", "\r\n") for line in lines]
+        assert reading_of(read_corpus(crlf)) == reading_of(read_corpus(lines))
 
 
 def _lines(*rows: str) -> list[str]:
@@ -370,8 +462,8 @@ def _a(art_id: str, year: str = "2010", refs: str = "", journal: str = "J1", doc
     return f"A\t{art_id}\t{journal}\t{year}\t{doc}\t{refs}"
 
 
-# Each file's first fault in file order, as the record-at-a-time reader
-# raised it: class, message, line number, token.
+# Each file's first fault in file order, as the naive reader raises it:
+# class, message, line number, token.
 MALFORMED = {
     "short-article-row": (
         [J1, "A\tP1\tJ1\t2010\tarticle"],
@@ -421,6 +513,23 @@ MALFORMED = {
     "newline-in-reference": (
         [J1, _a("P1"), _a("P2", refs="P1,X\nY")],
         (ParseError, "reference id contains forbidden character '\\n', token 'X\\nY'", 3, "P2"),
+    ),
+    "carriage-return-in-article-id": (
+        [J1, _a("P\r1")],
+        (ParseError, "article id contains forbidden character '\\r', token 'P\\r1'", 2, "P\r1"),
+    ),
+    "carriage-return-in-reference": (
+        [J1, _a("P1"), _a("P2", refs="P1,X\rY")],
+        (ParseError, "reference id contains forbidden character '\\r', token 'X\\rY'", 3, "P2"),
+    ),
+    "carriage-return-in-journal-name": (
+        ["J\tJ1\tJournal\rOne\tOncology"],
+        (
+            ParseError,
+            "journal name contains forbidden character, token 'Journal\\rOne'",
+            1,
+            "J1",
+        ),
     ),
     "duplicate-article": (
         [J1, _a("P1"), _a("P2"), _a("P1", year="2011")],
@@ -498,11 +607,7 @@ MALFORMED = {
 def test_ingest_paths_raise_the_same_first_fault(name):
     rows, (cls, message, line_no, token) = MALFORMED[name]
     lines = _lines(*rows)
-    for read in (
-        read_corpus,
-        lambda ls: build_corpus(read_records(ls)),
-        reference_reading,
-    ):
+    for read in (read_corpus, reference_reading):
         with pytest.raises(cls) as exc:
             read(lines)
         assert type(exc.value) is cls
@@ -612,7 +717,7 @@ def test_ingest_paths_agree_on_canonical_corpora():
             lines.append(line)
         assert reference_reading(lines) == expected
         assert reading_of(read_corpus(lines)) == expected
-        assert reading_of(build_corpus(read_records(lines))) == expected
+        assert reading_of(build_corpus(naive_records(lines))) == expected
 
 
 def test_read_corpus_traced_peak_is_bounded():

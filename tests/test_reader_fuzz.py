@@ -1,0 +1,115 @@
+"""Fuzzed library readers: only RefclassError escapes, and an accepted corpus round-trips."""
+
+from __future__ import annotations
+
+import io
+from typing import Callable
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from refclass.classifier import read_assignments
+from refclass.corpus import emit_corpus, read_corpus
+from refclass.errors import RefclassError
+from refclass.taxonomy import load_taxonomy
+
+# Every separator the readers split on, the comment mark, the line ends a
+# file reader translates, and whitespace that str.strip() removes.
+SEPARATORS = "\t,;#\n\r\x85\u3000\xa0 "
+TOKEN = st.text(alphabet=SEPARATORS + "AJPX12", max_size=6)
+PAD = st.sampled_from(("", " ", "\r", "\xa0", "\u3000", "\x85"))
+JOURNAL_ROWS = "J\tJ1\tJournal One\tOncology\nJ\tJ2\tJournal Two\tOncology;Cell Biology\n"
+TAXONOMY_ROWS = "Oncology\tMedicine\t\nCell Biology\tBioscience\t\n"
+
+
+def name(head: str) -> st.SearchStrategy[str]:
+    """``head`` and then characters every corpus token may hold inside."""
+    return st.text(alphabet="ab# \x85\xa0\u3000", max_size=3).map(head.__add__)
+
+
+def cell(noisy: bool, *values: str | st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    """A padded value: a string or a draw among ``values``, or a noisy token too if ``noisy``."""
+    options = [v if isinstance(v, st.SearchStrategy) else st.just(v) for v in values]
+    value = st.one_of(*options, TOKEN) if noisy else st.one_of(*options)
+    return st.builds(lambda a, v, b: a + v + b, PAD, value, PAD)
+
+
+def row(*cells: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.tuples(*cells).map("\t".join)
+
+
+def corpus_row(noisy: bool) -> st.SearchStrategy[str]:
+    article = row(
+        st.just("A"),
+        cell(noisy, name("P")),
+        cell(noisy, "J1", "J2"),
+        cell(noisy, "2010", "2011"),
+        cell(noisy, "article", "review", "other"),
+        st.lists(cell(noisy, name("X"), "P1"), max_size=4).map(",".join),
+    )
+    journal = row(
+        st.just("J"),
+        cell(noisy, name("J")),
+        cell(noisy, name("Journal"), ""),
+        cell(noisy, "Oncology", name("C"), st.tuples(name("C"), name("C")).map(";".join)),
+    )
+    return article | journal
+
+
+def taxonomy_row(noisy: bool) -> st.SearchStrategy[str]:
+    return row(
+        cell(noisy, "Astronomy", "Geochemistry", "Multidisciplinary Sciences"),
+        cell(noisy, "Astronomy", "Geosciences", "Bioscience"),
+        cell(noisy, "", "multidisciplinary"),
+    )
+
+
+def assignment_row(noisy: bool) -> st.SearchStrategy[str]:
+    return row(
+        cell(noisy, "P1", "P2", "P3", "X9"),
+        cell(noisy, "Oncology", ""),
+        cell(noisy, "Medicine", ""),
+        cell(noisy, "journal-seeded", "reference-classified", "tie-broken", "unclassified"),
+        cell(noisy, "0", "1"),
+        cell(noisy, "0", "3"),
+    )
+
+
+def text_of(
+    row_of: Callable[[bool], st.SearchStrategy[str]], header: str = ""
+) -> st.SearchStrategy[str]:
+    """Rows after the valid ``header`` rows or not; half the texts mix in noise."""
+    head = st.sampled_from((header, ""))
+    clean = st.lists(row_of(False), max_size=6)
+    noisy = st.lists(row_of(True) | TOKEN, max_size=6)
+    return st.builds(lambda h, rows: h + "\n".join(rows), head, clean | noisy)
+
+
+def lines_of(text: str) -> list[str]:
+    """The text as a library caller passes it: lines split on "\\n" only."""
+    return list(io.StringIO(text, newline="\n"))
+
+
+def read_or_reject(reader, text: str):
+    try:
+        return reader(lines_of(text))
+    except RefclassError:
+        return None
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    corpus=text_of(corpus_row, JOURNAL_ROWS),
+    assignments=text_of(assignment_row),
+    taxonomy=text_of(taxonomy_row, TAXONOMY_ROWS),
+)
+@example(corpus="J\tJ1\tN\tOncology\nA\tP\r1\tJ1\t2010\tarticle\t\n", assignments="", taxonomy="")
+def test_readers_raise_only_refclass_errors_and_corpora_round_trip(corpus, assignments, taxonomy):
+    read_or_reject(read_assignments, assignments)
+    read_or_reject(load_taxonomy, taxonomy)
+    accepted = read_or_reject(read_corpus, corpus)
+    if accepted is not None:
+        emitted = emit_corpus(accepted)
+        # A file is read with universal newlines, so a "\r" inside a token
+        # would end its line there.
+        assert emit_corpus(read_corpus(io.StringIO(emitted, newline=None))) == emitted
