@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UnknownNameError, ValidationError
+from .errors import ConfigError, ParseError, UnknownNameError, ValidationError
 
 DOC_TYPES = ("article", "review", "other")
 
@@ -60,6 +60,21 @@ _DOC_CODE = {t: i for i, t in enumerate(DOC_TYPES)}
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _year_pair(years, name: str) -> tuple[int, int]:
+    """``years`` as a non-empty ``(lo, hi)`` range within :data:`YEAR_BOUNDS`.
+
+    Raises :class:`ConfigError` naming the knob ``name`` otherwise.
+    """
+    if not (isinstance(years, (tuple, list)) and len(years) == 2 and all(map(_is_int, years))):
+        raise ConfigError(f"{name} must be a pair of integers")
+    lo, hi = years
+    if lo > hi:
+        raise ConfigError(f"empty {name}")
+    if lo < YEAR_BOUNDS[0] or hi > YEAR_BOUNDS[1]:
+        raise ConfigError(f"{name} outside year bounds {YEAR_BOUNDS[0]}-{YEAR_BOUNDS[1]}")
+    return lo, hi
 
 
 def _check_token(value: str, what: str, forbidden: str) -> None:

@@ -16,14 +16,14 @@ once, so results are independent of evaluation order.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .classifier import Assignment, AssignmentTable
-from .corpus import DOC_TYPES, YEAR_BOUNDS, Corpus, _is_int
+from .corpus import DOC_TYPES, YEAR_BOUNDS, Corpus, _is_int, _year_pair
 from .errors import (
     ConfigError,
     DomainError,
@@ -44,16 +44,32 @@ ARTICLE_ONLY = frozenset({"article"})
 ALL_DOC_TYPES = frozenset({"article", "review", "other"})
 
 
+def _doc_type_set(doc_types, name: str) -> frozenset[str]:
+    """``doc_types`` as a non-empty frozenset of :data:`DOC_TYPES` names.
+
+    Raises :class:`ConfigError` naming the knob ``name`` otherwise; a string
+    is refused rather than read as a set of its letters.
+    """
+    try:
+        types = frozenset(() if isinstance(doc_types, str) else doc_types)
+    except TypeError:
+        types = frozenset()
+    if not types or not types <= ALL_DOC_TYPES:
+        raise ConfigError(f"{name} must be a non-empty set of {', '.join(DOC_TYPES)}")
+    return types
+
+
 @dataclass(frozen=True)
 class IndicatorConfig:
     """Knobs of the impact computation.
 
     ``denominator_doc_types`` filters the cited (citable) side, reviews are
     excluded by default; ``citing_doc_types`` filters the citing side, all
-    document types count by default. ``window`` and both year ranges are
-    integers; the years lie within the corpus year bounds and the window
-    spans at most those bounds, which bounds the size of every
-    :class:`CountCube`.
+    document types count by default. Each is a non-empty set of names from
+    :data:`~refclass.corpus.DOC_TYPES`. ``kappa`` is a finite positive int or
+    float. ``window`` and both year ranges are integers; the years lie within
+    the corpus year bounds and the window spans at most those bounds, which
+    bounds the size of every :class:`CountCube`.
     """
 
     window: int = 2
@@ -64,27 +80,20 @@ class IndicatorConfig:
     pub_window: tuple[int, int] = (2005, 2015)
 
     def __post_init__(self):
-        lo_bound, hi_bound = YEAR_BOUNDS
         if not _is_int(self.window) or not 1 <= self.window <= MAX_WINDOW:
             raise ConfigError(f"window must be an integer in [1, {MAX_WINDOW}]")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ConfigError("kappa must be finite and positive")
-        object.__setattr__(self, "denominator_doc_types", frozenset(self.denominator_doc_types))
-        object.__setattr__(self, "citing_doc_types", frozenset(self.citing_doc_types))
-        if not self.denominator_doc_types or not self.citing_doc_types:
-            raise ConfigError("doc type sets must be non-empty")
+        kappa = self.kappa
+        # Compared exactly, so an int too large for a float fails here too.
+        if not (
+            isinstance(kappa, (int, float))
+            and not isinstance(kappa, bool)
+            and 0 < kappa <= sys.float_info.max
+        ):
+            raise ConfigError("kappa must be a finite positive number")
+        for name in ("denominator_doc_types", "citing_doc_types"):
+            object.__setattr__(self, name, _doc_type_set(getattr(self, name), name))
         for name in ("if_year_range", "pub_window"):
-            years = getattr(self, name)
-            if not (
-                isinstance(years, (tuple, list)) and len(years) == 2 and all(map(_is_int, years))
-            ):
-                raise ConfigError(f"{name} must be a pair of integers")
-            lo, hi = years
-            if lo > hi:
-                raise ConfigError(f"empty {name}")
-            if lo < lo_bound or hi > hi_bound:
-                raise ConfigError(f"{name} outside year bounds {lo_bound}-{hi_bound}")
-            object.__setattr__(self, name, (lo, hi))
+            object.__setattr__(self, name, _year_pair(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ _DOC_TYPE_SLOT = {t: i for i, t in enumerate(DOC_TYPES)}
 
 
 def _doc_type_slots(doc_types: Iterable[str]) -> list[int]:
-    return sorted(_DOC_TYPE_SLOT[t] for t in doc_types if t in _DOC_TYPE_SLOT)
+    return sorted(_DOC_TYPE_SLOT[t] for t in doc_types)
 
 
 class CountCube:
@@ -134,12 +143,15 @@ class CountCube:
     ``den[scope, area, pub_year, doc_type]`` counts items.
     ``num[scope, area, pub_year, citing_year]`` counts the citations that
     items with a doc type in ``config.denominator_doc_types`` receive from
-    citers with a doc type in ``config.citing_doc_types``. Scope slots are the
-    requested journals in order plus one last slot for every other journal,
-    so :data:`ALL_SOURCES` is the sum over the scope axis. Area slot 0 holds
-    unclassified items, so :data:`ALL_AREAS` is the sum over the area axis.
-    Build one with :func:`count_cube`. Asking for a journal or a year the
-    cube was not built for raises ``KeyError`` or ``ValueError``.
+    citers with a doc type in ``config.citing_doc_types``. Citing years are
+    ``config.if_year_range``; publication years start at ``first_pub_year``
+    and cover ``config.pub_window`` and every impact year's citation window.
+    Scope slots are the requested journals in order plus one last slot for
+    every other journal, so :data:`ALL_SOURCES` is the sum over the scope
+    axis. Area slot 0 holds unclassified items, so :data:`ALL_AREAS` is the
+    sum over the area axis. Build one with :func:`count_cube`. Asking for a
+    journal the cube was not built for raises ``KeyError``, and for an
+    impact year outside ``config.if_year_range`` ``ValueError``.
     """
 
     def __init__(
@@ -147,14 +159,12 @@ class CountCube:
         config: IndicatorConfig,
         journals: tuple[str, ...],
         area_slots: Mapping[str, int],
-        pub_years: tuple[int, int],
-        if_years: tuple[int, int],
+        first_pub_year: int,
         den: np.ndarray,
         num: np.ndarray,
     ):
         self.config = config
-        self.pub_years = pub_years
-        self.if_years = if_years
+        self.first_pub_year = first_pub_year
         self.den = den
         self.num = num
         self._scope_slots = {j: i for i, j in enumerate(journals)}
@@ -174,16 +184,11 @@ class CountCube:
         return slice(0, 0) if i is None else slice(i, i + 1)
 
     def _pub(self, lo: int, hi: int) -> slice:
-        first, last = self.pub_years
-        if lo > hi:
-            return slice(0, 0)
-        if lo < first or hi > last:
-            raise ValueError(f"publication years {lo}-{hi} were not counted ({first}-{last} were)")
-        return slice(lo - first, hi - first + 1)
+        return slice(lo - self.first_pub_year, hi - self.first_pub_year + 1)
 
     def impact_factor(self, journal: str, year: int, area: str = ALL_AREAS) -> IfValue:
         """One yearly impact value; see :func:`impact_factor`."""
-        first, last = self.if_years
+        first, last = self.config.if_year_range
         if not first <= year <= last:
             raise ValueError(f"impact year {year} was not counted ({first}-{last} were)")
         cell = (
@@ -230,13 +235,11 @@ class CountCube:
         )
 
     def _area_counts(
-        self,
-        journals: tuple[str, ...] | None,
-        pub_window: tuple[int, int],
-        doc_types: Iterable[str],
+        self, journals: tuple[str, ...] | None, doc_types: Iterable[str]
     ) -> dict[str, int]:
         scopes = slice(None) if journals is None else [self._scope_slots[j] for j in journals]
-        items = self.den[scopes][:, :, self._pub(*pub_window)][..., _doc_type_slots(doc_types)]
+        pub = self._pub(*self.config.pub_window)
+        items = self.den[scopes][:, :, pub][..., _doc_type_slots(doc_types)]
         per_area = items.sum(axis=(0, 2, 3))
         return {
             area: int(per_area[slot])
@@ -245,37 +248,32 @@ class CountCube:
         }
 
     def composition(
-        self,
-        journal_set: Iterable[str],
-        pub_window: tuple[int, int],
-        *,
-        doc_types: frozenset[str] = ARTICLE_ONLY,
+        self, journal_set: Iterable[str], *, doc_types: frozenset[str] = ARTICLE_ONLY
     ) -> CompositionTable:
-        """Composition of a set of the cube's journals; see :func:`composition`."""
+        """Composition of some of the cube's journals; see :func:`composition`."""
         journals = tuple(sorted(set(journal_set)))
         if not journals:
             raise EmptyScopeError("empty journal set")
-        counts = self._area_counts(journals, pub_window, doc_types)
+        counts = self._area_counts(journals, doc_types)
         total = sum(counts.values())
+        pub_window = self.config.pub_window
         if total == 0:
             raise EmptyScopeError(
                 f"no classified articles in journals {journals} within {pub_window}"
             )
-        return CompositionTable(journals, tuple(pub_window), counts, total)
+        return CompositionTable(journals, pub_window, counts, total)
 
     def representation(
-        self,
-        journal_set: Iterable[str],
-        pub_window: tuple[int, int],
-        *,
-        doc_types: frozenset[str] = ARTICLE_ONLY,
+        self, journal_set: Iterable[str], *, doc_types: frozenset[str] = ARTICLE_ONLY
     ) -> RepresentationTable:
-        """Representation of a set of the cube's journals; see :func:`representation`."""
-        inside = self.composition(journal_set, pub_window, doc_types=doc_types)
-        all_counts = self._area_counts(None, pub_window, doc_types)
+        """Representation of some of the cube's journals; see :func:`representation`."""
+        inside = self.composition(journal_set, doc_types=doc_types)
+        all_counts = self._area_counts(None, doc_types)
         all_total = sum(all_counts.values())
         if all_total == 0:
-            raise EmptyScopeError(f"no classified articles in the corpus within {pub_window}")
+            raise EmptyScopeError(
+                f"no classified articles in the corpus within {self.config.pub_window}"
+            )
         share_all = {area: n / all_total for area, n in all_counts.items()}
         ratios = {area: inside.share(area) / share for area, share in share_all.items()}
         omitted = tuple(a for a in BROAD_AREAS if a not in share_all)
@@ -289,32 +287,26 @@ def count_cube(
     assignments: Mapping[str, Assignment],
     journals: Iterable[str],
     config: IndicatorConfig,
-    *,
-    if_years: tuple[int, int] | None = None,
-    pub_window: tuple[int, int] | None = None,
 ) -> CountCube:
     """Count every item and citation the indicators can ask for, in one pass.
 
-    The cube serves impact values for the years ``if_years`` and item and
-    citation counts over the publication years ``pub_window``; either may be
-    None. Its year axes span only those years and its scope axis only
-    ``journals`` plus one slot for the rest, so its size does not depend on
-    the corpus. ``assignments`` is read as an :class:`AssignmentTable`, so a
-    plain mapping is converted once. Assignments for ids outside the corpus
-    are ignored; corpus articles without one count as unclassified. Raises
+    The cube serves impact values for the years ``config.if_year_range`` and
+    item and citation counts over the publication years
+    ``config.pub_window``. Its year axes span only those years and the
+    impact years' citation windows, and its scope axis only ``journals``
+    plus one slot for the rest, so its size does not depend on the corpus.
+    ``assignments`` is read as an :class:`AssignmentTable`, so a plain
+    mapping is converted once. Assignments for ids outside the corpus are
+    ignored; corpus articles without one count as unclassified. Raises
     :class:`UnknownNameError` for a journal that is not in the corpus.
     """
     journals = tuple(dict.fromkeys(journals))
     for j in journals:
         corpus.journal(j)
-    spans = [tuple(pub_window)] if pub_window is not None else []
-    if if_years is not None:
-        spans.append((if_years[0] - config.window, if_years[1] - 1))
-    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
-    pub_lo = min((lo for lo, _ in spans), default=0)
-    n_pub = max((hi for _, hi in spans), default=pub_lo - 1) - pub_lo + 1
-    cite_lo, cite_hi = if_years if if_years is not None else (0, -1)
-    n_cite = max(cite_hi - cite_lo + 1, 0)
+    cite_lo, cite_hi = config.if_year_range
+    pub_lo = min(config.pub_window[0], cite_lo - config.window)
+    n_pub = max(config.pub_window[1], cite_hi - 1) - pub_lo + 1
+    n_cite = cite_hi - cite_lo + 1
 
     scope_of = dict.fromkeys(corpus.journal_ids, len(journals))
     scope_of.update((j, i) for i, j in enumerate(journals))
@@ -345,8 +337,7 @@ def count_cube(
     # references are filtered before any key is built; the key adds two
     # per-row tables, cell * n_cite and the citing-year offset, in int32
     # unless the cube has 2**31 cells.
-    cited_types = config.denominator_doc_types if n_cite else frozenset()
-    cited_ok = counted & np.isin(corpus.doc_types, _doc_type_slots(cited_types))
+    cited_ok = counted & np.isin(corpus.doc_types, _doc_type_slots(config.denominator_doc_types))
     citing_ok = np.isin(corpus.doc_types, _doc_type_slots(config.citing_doc_types))
     citing_ok &= (corpus.years >= cite_lo) & (corpus.years <= cite_hi)
     n_num = n_scopes * n_areas * n_pub * n_cite
@@ -364,8 +355,7 @@ def count_cube(
     num = np.bincount(key, minlength=n_num)
     den = den.reshape(n_scopes, n_areas, n_pub, n_types)
     num = num.reshape(n_scopes, n_areas, n_pub, n_cite)
-    pub_years = (pub_lo, pub_lo + n_pub - 1)
-    return CountCube(config, journals, area_slots, pub_years, (cite_lo, cite_hi), den, num)
+    return CountCube(config, journals, area_slots, pub_lo, den, num)
 
 
 def _scopes(journal: str) -> tuple[str, ...]:
@@ -391,7 +381,7 @@ def impact_factor(
     bounds, and :class:`UndefinedValueError` when the denominator is zero.
     """
     config = replace(config or IndicatorConfig(), if_year_range=(year, year))
-    cube = count_cube(corpus, assignments, _scopes(journal), config, if_years=(year, year))
+    cube = count_cube(corpus, assignments, _scopes(journal), config)
     return cube.impact_factor(journal, year, area)
 
 
@@ -409,11 +399,7 @@ def mean_impact_factor(
     undefined and raises :class:`UndefinedValueError`. Years are summed in
     ascending order.
     """
-    if config is None:
-        config = IndicatorConfig()
-    cube = count_cube(
-        corpus, assignments, _scopes(journal), config, if_years=config.if_year_range
-    )
+    cube = count_cube(corpus, assignments, _scopes(journal), config or IndicatorConfig())
     return cube.mean_impact_factor(journal, area)
 
 
@@ -468,8 +454,9 @@ def composition(
     """
     journals = tuple(journal_set)
     config = IndicatorConfig(pub_window=pub_window)
-    cube = count_cube(corpus, assignments, journals, config, pub_window=config.pub_window)
-    return cube.composition(journals, config.pub_window, doc_types=doc_types)
+    doc_types = _doc_type_set(doc_types, "doc_types")
+    cube = count_cube(corpus, assignments, journals, config)
+    return cube.composition(journals, doc_types=doc_types)
 
 
 @dataclass(frozen=True)
@@ -502,8 +489,9 @@ def representation(
     """
     journals = tuple(journal_set)
     config = IndicatorConfig(pub_window=pub_window)
-    cube = count_cube(corpus, assignments, journals, config, pub_window=config.pub_window)
-    return cube.representation(journals, config.pub_window, doc_types=doc_types)
+    doc_types = _doc_type_set(doc_types, "doc_types")
+    cube = count_cube(corpus, assignments, journals, config)
+    return cube.representation(journals, doc_types=doc_types)
 
 
 @dataclass(frozen=True)
@@ -569,10 +557,8 @@ def rank_journals(
     Sorted descending, ties broken by journal id; journals with an undefined
     mean are listed last, unranked.
     """
-    if config is None:
-        config = IndicatorConfig()
     journal_list = sorted(set(journals))
-    cube = count_cube(corpus, assignments, journal_list, config, if_years=config.if_year_range)
+    cube = count_cube(corpus, assignments, journal_list, config or IndicatorConfig())
 
     def mean_of(journal: str, scope_area: str) -> float | None:
         try:
@@ -603,12 +589,4 @@ def summary_row(
     """Counts for one journal (or ALL_SOURCES): publication-window articles,
     how many are classified, citations received over the impact-year range,
     and the whole-journal mean impact value (None when undefined)."""
-    cube = count_cube(
-        corpus,
-        assignments,
-        _scopes(journal),
-        config,
-        if_years=config.if_year_range,
-        pub_window=config.pub_window,
-    )
-    return cube.summary_row(journal)
+    return count_cube(corpus, assignments, _scopes(journal), config).summary_row(journal)

@@ -138,14 +138,7 @@ def build_report_tables(
     if config is None:
         config = IndicatorConfig()
     journal_list = tuple(sorted(set(journals)))
-    cube = count_cube(
-        corpus,
-        assignments,
-        journal_list,
-        config,
-        if_years=config.if_year_range,
-        pub_window=config.pub_window,
-    )
+    cube = count_cube(corpus, assignments, journal_list, config)
     areas = _target_areas(taxonomy)
 
     summary = [cube.summary_row(j) for j in (ALL_SOURCES,) + journal_list]
@@ -153,12 +146,12 @@ def build_report_tables(
     compositions: list[tuple[str, CompositionTable]] = []
     for scope, journal_set in [(COMBINED_SCOPE, journal_list)] + [(j, (j,)) for j in journal_list]:
         try:
-            compositions.append((scope, cube.composition(journal_set, config.pub_window)))
+            compositions.append((scope, cube.composition(journal_set)))
         except EmptyScopeError:
             continue
 
     try:
-        rep = cube.representation(journal_list, config.pub_window)
+        rep = cube.representation(journal_list)
     except EmptyScopeError:
         rep = None
 

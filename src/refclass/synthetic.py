@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import YEAR_BOUNDS, Corpus, JournalRecord, _assemble, _is_int
+from .corpus import Corpus, JournalRecord, _assemble, _is_int, _year_pair
 from .errors import ConfigError
 from .taxonomy import BROAD_AREAS, MULTIDISCIPLINARY_FLAG, SubjectCategory, Taxonomy
 
@@ -79,16 +79,7 @@ class SyntheticConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}")
-        years = self.year_range
-        if not (isinstance(years, (tuple, list)) and len(years) == 2 and all(map(_is_int, years))):
-            raise ConfigError("year_range must be a pair of integers")
-        y0, y1 = years
-        if y0 > y1:
-            raise ConfigError("empty year_range")
-        lo, hi = YEAR_BOUNDS
-        if y0 < lo or y1 > hi:
-            raise ConfigError(f"year_range outside sanity bounds {lo}-{hi}")
-        object.__setattr__(self, "year_range", (y0, y1))
+        object.__setattr__(self, "year_range", _year_pair(self.year_range, "year_range"))
         # numpy's Poisson sampler rejects means a little below 2**63; NaN fails too.
         if not 0 < self.mean_refs <= 2.0**62:
             raise ConfigError("mean_refs must be positive and at most 2**62")

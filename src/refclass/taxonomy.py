@@ -7,18 +7,18 @@ The taxonomy file format is TSV with three fixed columns::
 where ``flags`` is empty or the literal ``multidisciplinary``. Lines starting
 with ``#`` are comments; blank lines are skipped. Category names are opaque
 canonical strings compared byte-wise; only surrounding whitespace is trimmed.
+A name holds no tab, ``\n`` or ``\r``, so load -> emit -> load is the
+identity, also through a file read with universal newlines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
+from .corpus import JournalRecord, _check_token
 from .errors import ParseError, UnknownNameError, ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .corpus import JournalRecord
 
 #: The 14 canonical broad-area names, in canonical order.
 BROAD_AREAS: tuple[str, ...] = (
@@ -63,8 +63,7 @@ class Taxonomy:
     def __init__(self, categories: Iterable[SubjectCategory]):
         cats: dict[str, SubjectCategory] = {}
         for cat in categories:
-            if not cat.name:
-                raise ValidationError("empty category name")
+            _check_token(cat.name, "category name", "\t\n\r")
             if cat.broad_area not in BROAD_AREA_SET:
                 raise ValidationError(
                     f"unknown broad area for category {cat.name!r}", token=cat.broad_area
@@ -113,7 +112,7 @@ class Taxonomy:
     def is_multidisciplinary(self, name: str) -> bool:
         return self.category(name).multidisciplinary
 
-    def is_classifier_journal(self, journal: "JournalRecord") -> bool:
+    def is_classifier_journal(self, journal: JournalRecord) -> bool:
         """True iff the journal has exactly one category and it is not multidisciplinary.
 
         Articles in such journals carry a trustworthy, journal-level subject

@@ -247,18 +247,11 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
     areas = sorted({taxonomy.broad_area_of(c) for c in taxonomy.assignment_targets})
     tables = build_report_tables(corpus, assignments, taxonomy, journals, config)
 
-    cube = count_cube(
-        corpus,
-        assignments,
-        journals,
-        config,
-        if_years=config.if_year_range,
-        pub_window=config.pub_window,
-    )
+    cube = count_cube(corpus, assignments, journals, config)
     lo, hi = config.if_year_range
     pub_lo = min(config.pub_window[0], lo - config.window)
     pub_hi = max(config.pub_window[1], hi - 1)
-    assert (cube.pub_years, cube.if_years) == ((pub_lo, pub_hi), (lo, hi))
+    assert cube.first_pub_year == pub_lo
     assert cube.den.shape[2] == pub_hi - pub_lo + 1 and cube.num.shape[3] == hi - lo + 1
 
     field_if = {(m.journal_id, m.area): m for m in tables.field_if}
@@ -310,6 +303,12 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
     all_counts = brute_force_area_counts(corpus, assignments, None, config.pub_window)
     total = sum(all_counts.values())
     assert tables.representation.share_all == {a: n / total for a, n in all_counts.items()}
+    # The library functions count over their own config-sized cubes.
+    for scope, table in tables.compositions:
+        js = journals if scope == COMBINED_SCOPE else [scope]
+        assert composition(corpus, assignments, js, config.pub_window) == table
+    rep = representation(corpus, assignments, journals, config.pub_window)
+    assert rep == tables.representation
 
     assert [r.area for r in tables.rankings] == areas
     for ranking in tables.rankings:
@@ -407,20 +406,34 @@ def test_composition_errors(toy_taxonomy):
         composition(corpus, assignments, ("NOPE",), (2005, 2015))
 
 
-@pytest.mark.parametrize("pub_window", [(1, 10**9), (2015, 2005), (2005.0, 2015)])
-@pytest.mark.parametrize("entry", [composition, representation])
-def test_library_pub_window_is_checked_before_counting(
-    toy_taxonomy, monkeypatch, pub_window, entry
-):
+def assert_config_error_before_counting(monkeypatch, taxonomy, entry, match, *args, **kwargs):
     corpus = composition_corpus()
-    assignments = classify(corpus, toy_taxonomy).assignments
+    assignments = classify(corpus, taxonomy).assignments
 
     def refuse(*args, **kwargs):
         raise AssertionError("count_cube ran")
 
     monkeypatch.setattr(indicators, "count_cube", refuse)
-    with pytest.raises(ConfigError, match="pub_window"):
-        entry(corpus, assignments, ("JSET_A",), pub_window)
+    with pytest.raises(ConfigError, match=match):
+        entry(corpus, assignments, ("JSET_A",), *args, **kwargs)
+
+
+@pytest.mark.parametrize("pub_window", [(1, 10**9), (2015, 2005), (2005.0, 2015)])
+@pytest.mark.parametrize("entry", [composition, representation])
+def test_library_pub_window_is_checked_before_counting(
+    toy_taxonomy, monkeypatch, pub_window, entry
+):
+    assert_config_error_before_counting(monkeypatch, toy_taxonomy, entry, "pub_window", pub_window)
+
+
+@pytest.mark.parametrize("doc_types", ["article", {"bogus"}, {"article", "Article"}, set()])
+@pytest.mark.parametrize("entry", [composition, representation])
+def test_library_doc_types_are_checked_before_counting(
+    toy_taxonomy, monkeypatch, doc_types, entry
+):
+    assert_config_error_before_counting(
+        monkeypatch, toy_taxonomy, entry, "doc_types", (2005, 2015), doc_types=doc_types
+    )
 
 
 def test_representation_back_derived_values(toy_taxonomy):
@@ -595,9 +608,21 @@ def test_indicator_config_validation():
         {"pub_window": (1, 99999999)},
         {"pub_window": (1899, 2000)},
         {"pub_window": ("2005", "2015")},
+        # a finite positive int or float kappa
+        {"kappa": "1"},
+        {"kappa": 10**400},
+        {"kappa": True},
+        # non-empty sets of known doc type names
+        {"citing_doc_types": "article"},
+        {"denominator_doc_types": "article"},
+        {"citing_doc_types": {"bogus"}},
+        {"denominator_doc_types": {"article", "bogus"}},
+        {"citing_doc_types": None},
     ):
         with pytest.raises(ConfigError):
             IndicatorConfig(**bad)
+    assert IndicatorConfig(kappa=2).kappa == 2
+    assert IndicatorConfig(kappa=1e308).kappa == 1e308
     edge = IndicatorConfig(window=200, if_year_range=[1900, 2100], pub_window=(1900, 1900))
     assert edge.if_year_range == (1900, 2100)
 
@@ -619,13 +644,6 @@ def test_count_cube_traced_peak_is_bounded():
     n_refs = len(corpus.refs)
     assert n_refs > 200_000
     peak = traced_peak(
-        lambda: count_cube(
-            corpus,
-            assignments,
-            ("JF00S00", "JF05S02", "JG00"),
-            config,
-            if_years=config.if_year_range,
-            pub_window=config.pub_window,
-        )
+        lambda: count_cube(corpus, assignments, ("JF00S00", "JF05S02", "JG00"), config)
     )
     assert peak <= 20 * n_refs, f"traced peak {peak / n_refs:.1f} bytes per reference"

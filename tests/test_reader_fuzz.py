@@ -1,4 +1,4 @@
-"""Fuzzed library readers: only RefclassError escapes, and an accepted corpus round-trips."""
+"""Fuzzed library readers: only RefclassError escapes; accepted corpora and taxonomies round-trip."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from refclass.classifier import read_assignments
 from refclass.corpus import emit_corpus, read_corpus
 from refclass.errors import RefclassError
-from refclass.taxonomy import load_taxonomy
+from refclass.taxonomy import emit_taxonomy, load_taxonomy
 
 # Every separator the readers split on, the comment mark, the line ends a
 # file reader translates, and whitespace that str.strip() removes.
@@ -113,3 +113,13 @@ def test_readers_raise_only_refclass_errors_and_corpora_round_trip(corpus, assig
         # A file is read with universal newlines, so a "\r" inside a token
         # would end its line there.
         assert emit_corpus(read_corpus(io.StringIO(emitted, newline=None))) == emitted
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(taxonomy=text_of(taxonomy_row, TAXONOMY_ROWS))
+@example(taxonomy="Onc\rology\tMedicine\t\nCell Biology\tBioscience\t\n")
+def test_accepted_taxonomies_round_trip(taxonomy):
+    accepted = read_or_reject(load_taxonomy, taxonomy)
+    if accepted is not None:
+        emitted = emit_taxonomy(accepted)
+        assert emit_taxonomy(load_taxonomy(io.StringIO(emitted, newline=None))) == emitted
