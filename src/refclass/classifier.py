@@ -26,15 +26,14 @@ returns the same kind of table in file order.
 
 Kernel: seed categories are integer codes in sorted order, read per journal
 and spread to the corpus rows through their journal codes; labels are those
-codes, or broad-area codes in broad-area mode. The edges come from the
-corpus's CSR references of non-seeded articles, as two ``int32`` arrays
-(article index, referenced row) with dangling references dropped. A single
-vote function runs one ``np.bincount`` over those edges to get each
-article's tally row, total, maximum, leader count and first leader. It runs
-once on the seed table and again after every iteration that moved a label,
-so each iteration and the terminal pass read the tallies of the current
-table, and no table is tallied twice. Tally memory while iterating is
-O(non-seeded articles x seed labels). The kernel runs on one thread.
+codes, or broad-area codes in broad-area mode. The edges are the rows the
+non-seeded articles reference, cut from the corpus's CSR with per-article
+offsets, dangling references dropped. One vote function fills a reused
+``int32`` tally matrix (non-seeded articles x seed labels) with one
+``np.bincount`` per fixed block of articles, so its transients are O(block).
+It runs once on the seed table and again after every iteration that moved
+a label, so each iteration and the terminal pass read the tallies of the
+current table, and no table is tallied twice. The kernel runs on one thread.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ TIE_POLICIES = (TIE_UNTIL_STABLE, TIE_LEXICOGRAPHIC)
 MODE_CATEGORY = "category-level"
 MODE_BROAD_AREA = "broad-area-level"
 MODES = (MODE_CATEGORY, MODE_BROAD_AREA)
+_BLOCK_CELLS = 1 << 14  # tally cells the vote kernel counts per block
 
 
 @dataclass(frozen=True)
@@ -319,20 +319,31 @@ def classify(
     open_rows = np.flatnonzero(label < 0)
     n_rows, n_open, width = len(corpus.ids), len(open_rows), max(len(names), 1)
 
-    # Edges (open article index, referenced row) from the CSR; dangling
-    # references drop out.
-    open_index = np.full(n_rows, -1, dtype=np.int32)
-    open_index[open_rows] = np.arange(n_open, dtype=np.int32)
-    src = open_index[corpus.citer_rows()]
-    linked = (src >= 0) & (corpus.refs < n_rows)
-    src, dst = src[linked], corpus.refs[linked]
+    # Edges straight from the CSR: open article i cites the rows
+    # dst[edge_ptr[i]:edge_ptr[i + 1]]; dangling references drop out.
+    refs_per_row = np.diff(corpus.indptr)
+    dst = corpus.refs[np.repeat(label < 0, refs_per_row)]
+    edge_ptr = np.zeros(n_open + 1, np.int64)
+    np.cumsum(refs_per_row[open_rows], out=edge_ptr[1:])
+    dangling = np.flatnonzero(dst >= n_rows)
+    edge_ptr -= np.searchsorted(dangling, edge_ptr)
+    dst = np.delete(dst, dangling)
+    block = max(_BLOCK_CELLS // width, 1)
+    counts = np.empty((n_open, width), np.int32)
 
     def votes(table: np.ndarray):
-        """Per open article: tally row, total votes, leader count, first leader."""
-        voted = table[dst]
-        keep = voted >= 0
-        flat = src[keep].astype(np.int64) * width + voted[keep]
-        counts = np.bincount(flat, minlength=n_open * width).reshape(n_open, width)
+        """Per open article: tally row, total votes, leader count, first leader.
+
+        Fills ``counts`` a block of open articles at a time; key column 0 of a
+        block catches the unlabeled (-1) references and is dropped.
+        """
+        for lo in range(0, n_open, block):
+            span = edge_ptr[lo : lo + block + 1]
+            rows = len(span) - 1
+            key = np.repeat(np.arange(rows) * (width + 1) + 1, np.diff(span))
+            key += table[dst[span[0] : span[-1]]]
+            tally = np.bincount(key, minlength=rows * (width + 1))
+            counts[lo : lo + rows] = tally.reshape(rows, width + 1)[:, 1:]
         top = counts.max(axis=1)
         at_top = np.count_nonzero(counts == top[:, None], axis=1)
         return counts, counts.sum(axis=1), at_top, counts.argmax(axis=1)

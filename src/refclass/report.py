@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import secrets
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -277,6 +277,17 @@ def _temp_path(path: Path, kind: str) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(6)}.{kind}")
 
 
+@contextmanager
+def _naming(target: Path):
+    """Re-raise a file error as one that names ``target``, not its temp or backup."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
+
+
 def write_files_atomic(files: Mapping[Path | str, str]) -> None:
     """Write ``files`` (path -> text) in the order given: all or nothing.
 
@@ -287,7 +298,8 @@ def write_files_atomic(files: Mapping[Path | str, str]) -> None:
     holds its prior bytes (or stays absent) and no temp is left. A crash in
     the middle of the renames is not covered. Keeping a target needs hard
     links: where the file system has none, rewriting an existing file fails
-    and the prior files stay.
+    and the prior files stay. A failed step raises an :class:`OSError` that
+    names its target path.
     """
     staged: list[tuple[Path, Path]] = []
     placed: list[tuple[Path, Path | None]] = []
@@ -295,17 +307,18 @@ def write_files_atomic(files: Mapping[Path | str, str]) -> None:
         for path, text in files.items():
             final = Path(path)
             tmp = _temp_path(final, "tmp")
-            with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            with _naming(final), open(tmp, "x", encoding="utf-8", newline="\n") as fh:
                 staged.append((tmp, final))
                 fh.write(text)
         for tmp, final in staged:
             backup = None
-            # A directory in the way is not kept; the rename below fails on it.
-            if final.is_file() or final.is_symlink():
-                backup = _temp_path(final, "old")
-                os.link(final, backup, follow_symlinks=False)
-            placed.append((final, backup))
-            os.replace(tmp, final)
+            with _naming(final):
+                # A directory in the way is not kept; the rename below fails on it.
+                if final.is_file() or final.is_symlink():
+                    backup = _temp_path(final, "old")
+                    os.link(final, backup, follow_symlinks=False)
+                placed.append((final, backup))
+                os.replace(tmp, final)
     except BaseException:
         # Best effort: a backup that cannot be put back stays on disk.
         for final, backup in reversed(placed):

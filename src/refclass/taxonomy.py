@@ -7,8 +7,10 @@ The taxonomy file format is TSV with three fixed columns::
 where ``flags`` is empty or the literal ``multidisciplinary``. Lines starting
 with ``#`` are comments; blank lines are skipped. Category names are opaque
 canonical strings compared byte-wise; only surrounding whitespace is trimmed.
-A name holds no tab, ``\n`` or ``\r``, so load -> emit -> load is the
-identity, also through a file read with universal newlines.
+A name holds no tab, ``\n`` or ``\r``, no surrounding whitespace and no
+leading ``#``, so load -> emit -> load is the identity, also through a file
+read with universal newlines; :class:`Taxonomy` enforces this on every
+category, as it does a ``bool`` multidisciplinary flag.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ class Taxonomy:
         cats: dict[str, SubjectCategory] = {}
         for cat in categories:
             _check_token(cat.name, "category name", "\t\n\r")
+            # The file reader strips each column and skips "#" lines.
+            if cat.name != cat.name.strip() or cat.name.startswith("#"):
+                raise ValidationError(
+                    "category name has surrounding whitespace or a leading '#'", token=cat.name
+                )
+            if not isinstance(cat.multidisciplinary, bool):
+                raise ValidationError(
+                    f"multidisciplinary flag of category {cat.name!r} must be a bool, "
+                    f"got {cat.multidisciplinary!r}"
+                )
             if cat.broad_area not in BROAD_AREA_SET:
                 raise ValidationError(
                     f"unknown broad area for category {cat.name!r}", token=cat.broad_area

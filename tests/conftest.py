@@ -56,6 +56,22 @@ def ten_field_config(articles_per_journal_year: int) -> SyntheticConfig:
     )
 
 
+def open_field_config(articles_per_journal_year: int) -> SyntheticConfig:
+    """The mostly-open benchmark shape (10 fields x 1 journal + 40 general) at a given size."""
+    return SyntheticConfig(
+        num_fields=10,
+        journals_per_field=1,
+        num_general_journals=40,
+        articles_per_journal_year=articles_per_journal_year,
+        year_range=(2000, 2004),
+        mean_refs=20.0,
+        p_intra=0.8,
+        field_citation_rate=0.5,
+        general_field_mix=[0.1] * 10,
+        seed=20250810,
+    )
+
+
 def traced_peak(call) -> int:
     """Bytes that ``call()`` allocates at its peak, over what was live before it."""
     tracing = tracemalloc.is_tracing()

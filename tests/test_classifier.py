@@ -5,13 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from refclass import classifier
 from refclass.classifier import (
     MODE_BROAD_AREA,
+    MODES,
     STATUS_REFERENCE,
     STATUS_SEEDED,
     STATUS_TIE_BROKEN,
     STATUS_UNCLASSIFIED,
+    STATUSES,
     TIE_LEXICOGRAPHIC,
+    TIE_POLICIES,
     Assignment,
     ClassificationResult,
     ClassifierConfig,
@@ -27,7 +31,14 @@ from refclass.corpus import build_corpus
 from refclass.errors import ConfigError, InputError, ParseError, ValidationError
 from refclass.synthetic import SyntheticConfig, generate_synthetic
 
-from conftest import article, journal, random_corpus, ten_field_config, traced_peak
+from conftest import (
+    article,
+    journal,
+    open_field_config,
+    random_corpus,
+    ten_field_config,
+    traced_peak,
+)
 from naive_classifier import naive_classify
 
 ASTRO = "Astronomy & Astrophysics"
@@ -377,6 +388,36 @@ def test_oracle_equivalence_sample():
         assert classify(corpus, taxonomy, config) == naive_classify(corpus, taxonomy, config)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_vote_blocks_do_not_change_the_result(monkeypatch, block):
+    # Every corpus below fits in one default block; a block of 1-7 open
+    # articles puts block edges between articles, dangling and zero-reference
+    # ones included.
+    rng = np.random.default_rng(700 + block)
+    seeded = STATUSES.index(STATUS_SEEDED)
+    for mode in MODES:
+        for tie_policy in TIE_POLICIES:
+            config = ClassifierConfig(mode=mode, tie_policy=tie_policy)
+            corpus, taxonomy = random_corpus(rng, max_articles=150)
+            base = classify(corpus, taxonomy, config)
+            table = base.assignments
+            assert np.count_nonzero(table.status != seeded) > block
+            with monkeypatch.context() as patch:
+                # the kernel's block is _BLOCK_CELLS // width open articles
+                width = max(len(table.tally[0]), 1)
+                patch.setattr(classifier, "_BLOCK_CELLS", block * width)
+                blocked = classify(corpus, taxonomy, config)
+            got = blocked.assignments
+            for column in ("status", "category", "area", "iteration", "votes"):
+                np.testing.assert_array_equal(getattr(got, column), getattr(table, column))
+            assert got.tally[0] == table.tally[0]
+            for got_part, base_part in zip(got.tally[1:], table.tally[1:]):
+                np.testing.assert_array_equal(got_part, base_part)
+            assert blocked.iteration_stats == base.iteration_stats
+            assert blocked.iterations_run == base.iterations_run
+            assert blocked == naive_classify(corpus, taxonomy, config)
+
+
 def test_evaluate_accuracy_trivial_cases():
     cfg = SyntheticConfig(
         num_fields=2,
@@ -624,3 +665,13 @@ def test_read_assignments_traced_peak_is_bounded():
     assert len(lines) == 2600
     peak = traced_peak(lambda: read_assignments(lines))
     assert peak <= 6 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
+
+
+def test_classify_traced_peak_is_bounded():
+    corpus, _, taxonomy = generate_synthetic(open_field_config(articles_per_journal_year=40))
+    n_refs = len(corpus.refs)
+    assert n_refs > 200_000
+    for mode in MODES:
+        config = ClassifierConfig(mode=mode)
+        peak = traced_peak(lambda: classify(corpus, taxonomy, config))
+        assert peak <= 20 * n_refs, f"{mode}: traced peak {peak / n_refs:.1f} bytes per reference"

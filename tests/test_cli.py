@@ -92,6 +92,17 @@ def test_missing_corpus_is_io_error(toy_files, tmp_path, capsys):
     assert not (tmp_path / "out.tsv").exists()
 
 
+def test_missing_output_directory_is_io_error_naming_the_output(toy_files, tmp_path, capsys):
+    corpus, taxonomy = toy_files
+    out = tmp_path / "missing" / "assignments.tsv"
+    code = run_cli(
+        ["classify", "--corpus", str(corpus), "--taxonomy", str(taxonomy), "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error:io:[Errno 2] No such file or directory: '{out}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "taxonomy.tsv"]
+
+
 def test_malformed_corpus_is_parse_error(tmp_path, toy_files, capsys):
     _, taxonomy = toy_files
     bad = tmp_path / "bad.tsv"
@@ -178,7 +189,8 @@ def test_failed_synth_keeps_every_prior_output(tmp_path, capsys):
     taxonomy.unlink()
     taxonomy.mkdir()  # the last output is blocked
     assert synth("2") == 1
-    assert capsys.readouterr().err.startswith("error:io:")
+    # the error names the blocked output, not the temp file renamed onto it
+    assert capsys.readouterr().err == f"error:io:[Errno 21] Is a directory: '{taxonomy}'\n"
     assert {p: p.read_bytes() for p in (corpus, truth)} == prior
     assert sorted(p.name for p in out.iterdir()) == ["c.tsv", "t.tsv", "x.tsv"]
 

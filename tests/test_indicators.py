@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refclass import indicators
 from refclass.classifier import Assignment, classify
-from refclass.corpus import build_corpus
+from refclass.corpus import DOC_TYPES, YEAR_BOUNDS, build_corpus
 from refclass.errors import (
     DomainError,
     EmptyScopeError,
+    RefclassError,
     UndefinedValueError,
     UnknownNameError,
 )
@@ -20,7 +24,9 @@ from refclass.indicators import (
     ALL_AREAS,
     ALL_SOURCES,
     ARTICLE_ONLY,
+    IfValue,
     IndicatorConfig,
+    RankingEntry,
     composition,
     count_cube,
     impact_factor,
@@ -31,6 +37,7 @@ from refclass.indicators import (
     summary_row,
 )
 from refclass.report import COMBINED_SCOPE, build_report_tables
+from refclass.taxonomy import BROAD_AREAS
 from refclass.synthetic import SyntheticConfig, generate_synthetic
 from refclass.errors import ConfigError
 
@@ -200,9 +207,9 @@ def brute_force_citations(corpus, cited, years, citing_doc_types):
     )
 
 
-def brute_force_area_counts(corpus, assignments, journals, pub_window):
+def brute_force_area_counts(corpus, assignments, journals, pub_window, doc_types=ARTICLE_ONLY):
     counts = Counter()
-    for a_id in brute_force_items(corpus, journals, pub_window, ARTICLE_ONLY):
+    for a_id in brute_force_items(corpus, journals, pub_window, doc_types):
         entry = assignments.get(a_id)
         if entry is not None and entry.broad_area is not None:
             counts[entry.broad_area] += 1
@@ -647,3 +654,159 @@ def test_count_cube_traced_peak_is_bounded():
         lambda: count_cube(corpus, assignments, ("JF00S00", "JF05S02", "JG00"), config)
     )
     assert peak <= 20 * n_refs, f"traced peak {peak / n_refs:.1f} bytes per reference"
+
+
+# Mostly years the random corpora publish in (2000-2009), sometimes the
+# bounds, and just past them where a year is an argument. Hypothesis favours
+# the first entries, so years with citations come first.
+LO, HI = YEAR_BOUNDS
+CORPUS_YEARS = (*range(2005, 2012), *range(1999, 2005))
+YEAR = st.sampled_from((*CORPUS_YEARS, LO - 1, LO, HI, HI + 1))
+VALID_YEAR = st.sampled_from((*CORPUS_YEARS, LO, HI))
+CORPUS_YEAR = st.sampled_from(CORPUS_YEARS)  # keeps the brute-force scans over impact years short
+DOC_TYPE_SETS = [frozenset(c) for k in (1, 2, 3) for c in combinations(DOC_TYPES, k)]
+
+
+def year_pair(years: st.SearchStrategy[int]) -> st.SearchStrategy[tuple[int, int]]:
+    return st.tuples(years, years).map(lambda pair: tuple(sorted(pair)))
+
+
+def outcome(call):
+    """What ``call()`` returns, or the refclass error it raises; anything else escapes."""
+    try:
+        return call()
+    except RefclassError as exc:
+        return exc
+
+
+def brute_force_mean(corpus, assignments, journal_id, area, config):
+    """(year, numerator, denominator) of every defined year, and the mean (None if none)."""
+    lo, hi = config.if_year_range
+    yearly = [
+        (year, *brute_force_if(corpus, assignments, journal_id, year, area, config))
+        for year in range(lo, hi + 1)
+    ]
+    defined = [cell for cell in yearly if cell[2]]
+    if not defined:
+        return defined, None
+    return defined, sum(config.kappa * (n / d) for _, n, d in defined) / len(defined)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(seed, data):
+    corpus, taxonomy = random_corpus(np.random.default_rng(seed), max_articles=300)
+    full = classify(corpus, taxonomy).assignments
+    if data.draw(st.booleans(), "plain mapping"):
+        # every third article lacks an assignment; one names no corpus article
+        assignments = {a_id: a for i, (a_id, a) in enumerate(full.items()) if i % 3}
+        assignments["NOT_IN_CORPUS"] = Assignment(
+            "NOT_IN_CORPUS", ONCO, "Medicine", "tie-broken", 1, None
+        )
+    else:
+        assignments = full
+    config = IndicatorConfig(
+        window=data.draw(st.integers(1, 4), "window"),
+        kappa=data.draw(st.sampled_from((1.0, 1.04, 3, 0.25)), "kappa"),
+        denominator_doc_types=data.draw(st.sampled_from(DOC_TYPE_SETS), "denominator_doc_types"),
+        citing_doc_types=data.draw(st.sampled_from(DOC_TYPE_SETS), "citing_doc_types"),
+        if_year_range=data.draw(year_pair(CORPUS_YEAR), "if_year_range"),
+        pub_window=data.draw(year_pair(VALID_YEAR), "pub_window"),
+    )
+    in_corpus = sorted(corpus.journals)
+    journal_id = data.draw(st.sampled_from((*in_corpus, ALL_SOURCES, "NOPE")), "journal")
+    journal_set = data.draw(st.lists(st.sampled_from((*in_corpus, "NOPE")), max_size=5), "set")
+    areas = (ALL_AREAS, *taxonomy.areas_in_use, "Physics", "Alchemy")
+    area = data.draw(st.sampled_from(areas), "area")
+    known = journal_id != "NOPE"
+    known_set = "NOPE" not in journal_set
+
+    year = data.draw(YEAR, "year")
+    for j, a in dict.fromkeys([(journal_id, area), (ALL_SOURCES, area), (journal_id, ALL_AREAS)]):
+        got = outcome(lambda: impact_factor(corpus, assignments, j, year, a, config))
+        if not LO <= year <= HI:
+            assert type(got) is ConfigError
+        elif j == "NOPE":
+            assert type(got) is UnknownNameError
+        else:
+            num, den = brute_force_if(corpus, assignments, j, year, a, config)
+            if den:
+                assert got == IfValue(j, a, year, num, den, config.kappa * (num / den))
+            else:
+                assert type(got) is UndefinedValueError
+
+    got = outcome(lambda: mean_impact_factor(corpus, assignments, journal_id, area, config))
+    defined, mean = brute_force_mean(corpus, assignments, journal_id, area, config)
+    if not known:
+        assert type(got) is UnknownNameError
+    elif mean is None:
+        assert type(got) is UndefinedValueError
+    else:
+        assert [(v.year, v.numerator, v.denominator) for v in got.yearly] == defined
+        assert got.value == mean
+
+    got = outcome(lambda: summary_row(corpus, assignments, journal_id, config))
+    if not known:
+        assert type(got) is UnknownNameError
+    else:
+        scope = None if journal_id == ALL_SOURCES else {journal_id}
+        items = brute_force_items(corpus, scope, config.pub_window, config.denominator_doc_types)
+        classified = [i for i in items if getattr(assignments.get(i), "broad_area", None)]
+        citations = brute_force_citations(
+            corpus, items, config.if_year_range, config.citing_doc_types
+        )
+        assert (got.articles, got.articles_classified, got.citations, got.mean_if) == (
+            len(items),
+            len(classified),
+            citations,
+            brute_force_mean(corpus, assignments, journal_id, ALL_AREAS, config)[1],
+        )
+
+    got = outcome(lambda: rank_journals(corpus, assignments, taxonomy, area, journal_set, config))
+    if not known_set:
+        assert type(got) is UnknownNameError
+    else:
+        scored, undefined = [], []
+        for j in sorted(set(journal_set)):
+            multi = any(taxonomy.is_multidisciplinary(c) for c in corpus.journals[j].categories)
+            scope_area = area if multi else ALL_AREAS
+            value = brute_force_mean(corpus, assignments, j, scope_area, config)[1]
+            (undefined if value is None else scored).append((j, value, multi))
+        scored.sort(key=lambda entry: (-entry[1], entry[0]))
+        assert got.entries == tuple(
+            [RankingEntry(j, v, multi, rank) for rank, (j, v, multi) in enumerate(scored, 1)]
+            + [RankingEntry(j, None, multi, None) for j, _, multi in undefined]
+        )
+
+    pub_window = data.draw(year_pair(YEAR), "composition pub_window")
+    doc_types = data.draw(st.sampled_from((*DOC_TYPE_SETS, "article", frozenset())), "doc_types")
+    got_in = outcome(
+        lambda: composition(corpus, assignments, journal_set, pub_window, doc_types=doc_types)
+    )
+    got_rep = outcome(
+        lambda: representation(corpus, assignments, journal_set, pub_window, doc_types=doc_types)
+    )
+    lo, hi = pub_window
+    if not LO <= lo <= hi <= HI or isinstance(doc_types, str) or not doc_types:
+        assert type(got_in) is type(got_rep) is ConfigError
+        return
+    if not known_set:
+        assert type(got_in) is type(got_rep) is UnknownNameError
+        return
+    inside = brute_force_area_counts(corpus, assignments, set(journal_set), pub_window, doc_types)
+    if not journal_set or not inside:
+        assert type(got_in) is type(got_rep) is EmptyScopeError
+        return
+    total = sum(inside.values())
+    assert (got_in.journal_set, got_in.counts, got_in.total) == (
+        tuple(sorted(set(journal_set))),
+        inside,
+        total,
+    )
+    everywhere = brute_force_area_counts(corpus, assignments, None, pub_window, doc_types)
+    all_total = sum(everywhere.values())
+    share_all = {a: n / all_total for a, n in everywhere.items()}
+    assert got_rep.share_set == {a: n / total for a, n in inside.items()}
+    assert got_rep.share_all == share_all
+    assert got_rep.ratios == {a: inside.get(a, 0) / total / s for a, s in share_all.items()}
+    assert got_rep.omitted_areas == tuple(a for a in BROAD_AREAS if a not in share_all)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from refclass.classifier import read_assignments
 from refclass.corpus import emit_corpus, read_corpus
 from refclass.errors import RefclassError
-from refclass.taxonomy import emit_taxonomy, load_taxonomy
+from refclass.taxonomy import SubjectCategory, Taxonomy, emit_taxonomy, load_taxonomy
 
 # Every separator the readers split on, the comment mark, the line ends a
 # file reader translates, and whitespace that str.strip() removes.
@@ -118,8 +118,36 @@ def test_readers_raise_only_refclass_errors_and_corpora_round_trip(corpus, assig
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(taxonomy=text_of(taxonomy_row, TAXONOMY_ROWS))
 @example(taxonomy="Onc\rology\tMedicine\t\nCell Biology\tBioscience\t\n")
+@example(taxonomy=" #Onc\tMedicine\t\nCell Biology\tBioscience\t\n")
 def test_accepted_taxonomies_round_trip(taxonomy):
     accepted = read_or_reject(load_taxonomy, taxonomy)
     if accepted is not None:
         emitted = emit_taxonomy(accepted)
         assert emit_taxonomy(load_taxonomy(io.StringIO(emitted, newline=None))) == emitted
+
+
+NAME_CHARS = "Onc# \t\r\n\x85\xa0\u3000"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    categories=st.lists(
+        st.tuples(
+            st.text(alphabet=NAME_CHARS, max_size=5),
+            st.sampled_from(("Medicine", "Bioscience", " Medicine")),
+            st.sampled_from((False, True, "yes", 0, 1, None)),
+        ),
+        max_size=4,
+    )
+)
+@example(categories=[(" Onc ", "Medicine", False), ("Cell Biology", "Bioscience", False)])
+@example(categories=[("Onc", "Medicine", "yes"), ("Cell Biology", "Bioscience", False)])
+def test_constructed_taxonomies_round_trip(categories):
+    try:
+        taxonomy = Taxonomy([SubjectCategory(*fields) for fields in categories])
+    except RefclassError:
+        return
+    emitted = emit_taxonomy(taxonomy)
+    reread = load_taxonomy(io.StringIO(emitted, newline=None))
+    assert reread.categories == taxonomy.categories
+    assert emit_taxonomy(reread) == emitted

@@ -130,6 +130,30 @@ def test_round_trip_is_idempotent(toy_taxonomy):
     assert reloaded.assignment_targets == toy_taxonomy.assignment_targets
 
 
+@pytest.mark.parametrize(
+    "category",
+    [
+        SubjectCategory(" Onc ", "Medicine"),
+        SubjectCategory("Onc\xa0", "Medicine"),
+        SubjectCategory("#Onc", "Medicine"),
+        SubjectCategory("Oncology", "Medicine", "yes"),
+        SubjectCategory("Oncology", "Medicine", 1),
+        SubjectCategory("Oncology", "Medicine", None),
+    ],
+)
+def test_categories_that_would_not_read_back_are_rejected(category):
+    # load_taxonomy strips each column, skips "#" lines and knows only the
+    # multidisciplinary flag, so emit_taxonomy could not write these faithfully
+    with pytest.raises(ValidationError):
+        Taxonomy([category, SubjectCategory("Cell Biology", "Bioscience")])
+
+
+def test_indented_hash_name_is_rejected_not_emitted_as_a_comment():
+    with pytest.raises(ValidationError) as exc:
+        load_taxonomy([" #Onc\tMedicine\t\n", "Cell Biology\tBioscience\t\n"])
+    assert exc.value.token == "#Onc"
+
+
 def test_direct_construction_validates():
     with pytest.raises(ValidationError):
         Taxonomy([SubjectCategory("A", "Nonsense")])
