@@ -517,7 +517,9 @@ def read_assignments(source: Iterable[str]) -> AssignmentTable:
         parts = raw.rstrip("\n").split("\t")
         if len(parts) != 6:
             raise ParseError(f"assignment row needs 6 columns, got {len(parts)}", line_no, raw)
-        a_id, cat, area, status, iteration_s, votes_s = (p.strip() for p in parts)
+        a_id, cat, area, status, iteration_s, votes_s = parts
+        a_id, cat, area, status = a_id.strip(), cat.strip(), area.strip(), status.strip()
+        iteration_s, votes_s = iteration_s.strip(), votes_s.strip()
         if not a_id:
             raise ParseError("empty article id", line_no, raw)
         if status not in _STATUS_CODE:

@@ -121,8 +121,10 @@ def _read_lines(path: str | Path) -> list[str]:
 
 def _read_corpus_file(path: str | Path) -> Corpus:
     # The whole file is decoded before any line is parsed, so a non-UTF-8
-    # file is still one parse error; the list iterator drops the line list
-    # once the parser has consumed it, before the corpus arrays are built.
+    # file is still one parse error. Only the iterator holds the line list:
+    # a one-process read drops it when the parser has consumed it, and a
+    # two-process read copies it and empties the copy, so no line is left
+    # when the corpus arrays are built.
     return read_corpus(iter(_read_lines(path)))
 
 

@@ -34,10 +34,26 @@ then does a stable sort of that key find the repeats to drop. It skips the
 id sort when ids arrive strictly ascending, and the grouping by citing row
 when the references already arrive grouped. Files :func:`emit_corpus`
 writes take all three shortcuts: sorted ids, grouped and without repeats.
+
+Two processes: when ``os.fork`` exists, the CPU affinity holds at least two
+CPUs, no other Python thread runs and the input has at least
+:data:`_FORK_LINES` lines, :func:`read_corpus` holds the lines in a list and
+forks one worker for the second half. Each process runs the same line loop
+on its half and codes its own references against the ids of both halves;
+the worker pipes its rows and codes back, and the parent merges them and
+builds the corpus once. Results and errors are those of the one-process
+read, which runs whenever one of the conditions fails, the fork fails or
+the worker fails. The price: a caller that passes an open file has all its
+lines in memory during the read.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -83,6 +99,9 @@ def _check_token(value: str, what: str, forbidden: str) -> None:
     for ch in forbidden:
         if ch in value:
             raise ValidationError(f"{what} contains forbidden character {ch!r}", token=value)
+    # The readers strip every field, so a padded token would not read back.
+    if value != value.strip():
+        raise ValidationError(f"{what} has surrounding whitespace", token=value)
 
 
 @dataclass(frozen=True)
@@ -118,6 +137,8 @@ class JournalRecord:
         _check_token(self.id, "journal id", "\t\n\r,")
         if any(ch in self.name for ch in "\t\n\r"):
             raise ValidationError("journal name contains forbidden character", token=self.name)
+        if self.name != self.name.strip():
+            raise ValidationError("journal name has surrounding whitespace", token=self.name)
         if not self.categories:
             raise ValidationError(f"journal {self.id!r} has no categories")
         for cat in self.categories:
@@ -134,7 +155,9 @@ def _article_fields(
     """
     if len(parts) != 6:
         raise ParseError(f"article row needs 6 columns, got {len(parts)}", line_no, line)
-    _, art_id, journal_id, year_s, doc_type, refs_s = (p.strip() for p in parts)
+    _, art_id, journal_id, year_s, doc_type, refs_s = parts
+    art_id, journal_id, year_s = art_id.strip(), journal_id.strip(), year_s.strip()
+    doc_type, refs_s = doc_type.strip(), refs_s.strip()
     try:
         year = int(year_s)
     except ValueError:
@@ -462,44 +485,57 @@ class _Rows:
         self.counts.append(refs.count(",") + 1 if refs else 0)
         self.refs.append(refs)
 
-    def _edges(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-        codes = _Codes(self.ids)
+    def extend(self, items: Iterable[tuple[str, str, int, str, str] | JournalRecord]) -> _Rows:
+        try:
+            for item in items:
+                self.add(item)
+        except Exception:
+            # Records are checked as they arrive, so a fault on an earlier row
+            # is raised before whatever stopped the input.
+            self.check()
+            raise
+        return self
+
+    def append(self, other: _Rows) -> None:
+        """Put the rows of ``other``, whose references are coded, after these."""
+        self.journal_at += [len(self.ids) + at for at in other.journal_at]
+        self.journals += other.journals
+        self.ids += other.ids
+        self.journal_of += other.journal_of
+        self.years += other.years
+        self.doc_types += other.doc_types
+        self.counts += other.counts
+
+    def targets(self, codes: _Codes) -> np.ndarray:
+        """The code of every reference in draw order; new ids join ``codes.dangling``."""
         tokens = chain.from_iterable(refs.split(",") for refs in self.refs if refs)
-        target = np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(self.counts))
-        citer = np.repeat(np.arange(len(self.ids), dtype=np.int32), self.counts)
-        return citer, target, tuple(codes.dangling)
+        return np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(self.counts))
+
+    def _citer(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.ids), dtype=np.int32), self.counts)
 
     def check(self) -> None:
-        citer, target, _ = self._edges()
-        _check_records(self.ids, self.years, citer, target, self.journals, self.journal_at)
+        target = self.targets(_Codes(self.ids))
+        _check_records(self.ids, self.years, self._citer(), target, self.journals, self.journal_at)
 
-    def build(self) -> Corpus:
-        citer, target, dangling = self._edges()
+    def build(self, target: np.ndarray | None = None, dangling: tuple[str, ...] = ()) -> Corpus:
+        """The corpus of these rows, with ``target`` and ``dangling`` if already coded."""
+        if target is None:
+            codes = _Codes(self.ids)
+            target, dangling = self.targets(codes), tuple(codes.dangling)
+            del codes
         self.refs = []
         return _assemble(
             self.ids,
             self.journal_of,
             self.years,
             self.doc_types,
-            citer,
+            self._citer(),
             target,
             dangling,
             self.journals,
             self.journal_at,
         )
-
-
-def _collect(items: Iterable[tuple[str, str, int, str, str] | JournalRecord]) -> Corpus:
-    rows = _Rows()
-    try:
-        for item in items:
-            rows.add(item)
-    except Exception:
-        # Records are checked as they arrive, so a fault on an earlier row
-        # is raised before whatever stopped the input.
-        rows.check()
-        raise
-    return rows.build()
 
 
 def _record_rows(records: Iterable[ArticleRecord | JournalRecord]):
@@ -512,8 +548,8 @@ def _record_rows(records: Iterable[ArticleRecord | JournalRecord]):
             raise ValidationError(f"unsupported record type: {type(rec).__name__}")
 
 
-def _line_rows(source: Iterable[str]):
-    for line_no, raw in enumerate(source, start=1):
+def _line_rows(source: Iterable[str], start: int = 1):
+    for line_no, raw in enumerate(source, start=start):
         if not raw.strip() or raw.startswith("#"):
             continue
         parts = raw.rstrip("\n").split("\t")
@@ -524,7 +560,8 @@ def _line_rows(source: Iterable[str]):
             raise ParseError("unknown record tag", line_no, parts[0])
         if len(parts) != 4:
             raise ParseError(f"journal row needs 4 columns, got {len(parts)}", line_no, raw)
-        _, j_id, name, cats_s = (p.strip() for p in parts)
+        _, j_id, name, cats_s = parts
+        j_id, name, cats_s = j_id.strip(), name.strip(), cats_s.strip()
         cats = [c.strip() for c in cats_s.split(";")] if cats_s else []
         if any(not c for c in cats):
             raise ParseError("empty category name", line_no, cats_s)
@@ -544,7 +581,110 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
     duplicate ids, self-citations, years outside :data:`YEAR_BOUNDS`, or
     unresolvable journal ids (all offenders listed).
     """
-    return _collect(_record_rows(records))
+    return _Rows().extend(_record_rows(records)).build()
+
+
+#: Shorter inputs are read in one process: forking and merging would cost
+#: more than the second core saves.
+_FORK_LINES = 4096
+
+
+def _can_fork() -> bool:
+    """Whether a read may fork: a second CPU is ours and no other Python thread runs."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _article_ids(lines: Iterable[str]) -> list[str]:
+    """The id of every article line: the ids the parse gives if every line parses."""
+    return [raw.split("\t", 2)[1].strip() for raw in lines if raw.startswith("A\t")]
+
+
+def _second_half(lines: list[str], mid: int) -> tuple[_Rows, np.ndarray, list[str]]:
+    """The worker's share of :func:`_read_halves`: ``lines[mid:]`` parsed and coded.
+
+    References are coded against the ids of every line; an id outside them
+    gets the next code past them in its order of first appearance in this
+    half, and joins the returned dangling list.
+    """
+    rows = _Rows().extend(_line_rows(islice(lines, mid, None), start=mid + 1))
+    codes = _Codes(_article_ids(islice(lines, mid)) + rows.ids)
+    target = rows.targets(codes)
+    rows.refs = []
+    return rows, target, codes.dangling
+
+
+def _read_halves(lines: list[str]) -> Corpus:
+    """:func:`read_corpus` of ``lines``, the second half read by a forked worker.
+
+    Each process parses its half with the one line loop and codes its own
+    references against the ids of both halves (the other half's taken
+    straight from its ``A`` lines). The worker pipes back its rows, codes
+    and dangling ids and exits; the parent recodes the worker's dangling ids
+    after its own and builds the corpus. A fault in the first half raises
+    here after the worker is killed; if the worker fails in any way, the
+    parent parses the second half itself, so every result and every error
+    is the one-process reader's. Empties ``lines`` before the build.
+    """
+    mid = len(lines) // 2
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that a process with other OS threads, such as
+            # numpy's idle BLAS pool, forks; the worker calls no BLAS.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return _Rows().extend(_line_rows(lines)).build()
+    if pid == 0:
+        # The worker never returns into the caller's code: whatever happens,
+        # it exits here, printing nothing, and a failure shows as its status.
+        status = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(_second_half(lines, mid), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    status = None
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            rows = _Rows().extend(_line_rows(islice(lines, mid)))
+            codes = _Codes(rows.ids + _article_ids(islice(lines, mid, None)))
+            target = rows.targets(codes)
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status or not payload:
+        rows.extend(_line_rows(islice(lines, mid, None), start=mid + 1))
+        lines.clear()
+        return rows.build()
+    lines.clear()
+    rows.refs = []
+    other, other_target, other_dangling = pickle.loads(payload)
+    del payload
+    # The worker's dangling codes follow the rows in its own order; recode
+    # them through this half's table, which keeps first-appearance order.
+    n = codes.first_dangling
+    recode = np.fromiter(map(codes.__getitem__, other_dangling), np.int32, len(other_dangling))
+    dangling = other_target >= n
+    other_target[dangling] = recode[other_target[dangling] - n]
+    rows.append(other)
+    target = np.concatenate([target, other_target])
+    dangling_ids = tuple(codes.dangling)
+    del codes, other, other_target
+    return rows.build(target, dangling_ids)
 
 
 def read_corpus(source: Iterable[str]) -> Corpus:
@@ -553,8 +693,20 @@ def read_corpus(source: Iterable[str]) -> Corpus:
     Raises the first fault in file order: a :class:`ParseError` with line
     number and token for a malformed line, unless the rows before it already
     broke a rule of :func:`build_corpus`, whose error is raised instead.
+
+    Where the process can fork (``os.fork`` exists, its CPU affinity holds
+    at least two CPUs and no other Python thread runs), the lines are first
+    taken into a list, held until they are parsed; from
+    :data:`_FORK_LINES` lines on, a forked worker reads the second half
+    (see :func:`_read_halves`). The result and every error are the same
+    either way.
     """
-    return _collect(_line_rows(source))
+    if _can_fork():
+        lines = list(source)
+        if len(lines) >= _FORK_LINES:
+            return _read_halves(lines)
+        source = lines
+    return _Rows().extend(_line_rows(source)).build()
 
 
 def emit_corpus(corpus: Corpus) -> str:

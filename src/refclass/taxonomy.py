@@ -66,11 +66,9 @@ class Taxonomy:
         cats: dict[str, SubjectCategory] = {}
         for cat in categories:
             _check_token(cat.name, "category name", "\t\n\r")
-            # The file reader strips each column and skips "#" lines.
-            if cat.name != cat.name.strip() or cat.name.startswith("#"):
-                raise ValidationError(
-                    "category name has surrounding whitespace or a leading '#'", token=cat.name
-                )
+            # The file reader skips "#" lines.
+            if cat.name.startswith("#"):
+                raise ValidationError("category name has a leading '#'", token=cat.name)
             if not isinstance(cat.multidisciplinary, bool):
                 raise ValidationError(
                     f"multidisciplinary flag of category {cat.name!r} must be a bool, "

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import refclass.corpus as corpus_module
 from refclass.corpus import (
     YEAR_BOUNDS,
     ArticleRecord,
@@ -186,34 +190,56 @@ def test_citation_index_inversion_round_trip():
 def test_build_emit_read_identity():
     rng = np.random.default_rng(7)
     doc_types = ("article", "review", "other")
-    for _ in range(20):
+    rejected = 0
+    for _ in range(40):
         n_journals, n_articles = int(rng.integers(1, 6)), int(rng.integers(0, 30))
-        records = [
-            JournalRecord(
-                f"J{j}",
-                f"Journal {j}",
-                tuple(f"C{c}" for c in range(int(rng.integers(1, 4)))),
-            )
+        journals = [
+            [f"J{j}", f"Journal {j}", [f"C{c}" for c in range(int(rng.integers(1, 4)))]]
             for j in range(n_journals)
         ]
+        articles = []
         for i in rng.permutation(n_articles).tolist():
             # In-corpus, dangling and repeated references, none to itself.
             refs = [f"{'PR'[int(rng.integers(2))]}{int(rng.integers(30))}" for _ in range(5)]
-            records.append(
-                ArticleRecord(
+            articles.append(
+                [
                     f"P{i}",
                     f"J{int(rng.integers(n_journals))}",
                     int(rng.integers(1900, 2101)),
                     doc_types[int(rng.integers(3))],
-                    tuple(r for r in refs[: int(rng.integers(0, 6))] if r != f"P{i}"),
-                )
+                    [r for r in refs[: int(rng.integers(0, 6))] if r != f"P{i}"],
+                ]
             )
-        built = build_corpus(records)
+        # Some corpora pad one id or name with whitespace, which the reader
+        # would strip: the records must reject it.
+        padded = None
+        if rng.random() < 0.3:
+            slots = [(j, f) for j in journals for f in (0, 1)]
+            slots += [(j[2], c) for j in journals for c in range(len(j[2]))]
+            slots += [(a, f) for a in articles for f in (0, 1)]
+            slots += [(a[4], r) for a in articles for r in range(len(a[4]))]
+            holder, at = slots[int(rng.integers(len(slots)))]
+            pad = (" ", "\xa0", "\u3000")[int(rng.integers(3))]
+            padded = holder[at] = (pad + holder[at], holder[at] + pad)[int(rng.integers(2))]
+
+        def records():
+            return [JournalRecord(j, name, tuple(cats)) for j, name, cats in journals] + [
+                ArticleRecord(a, j, year, doc, tuple(refs)) for a, j, year, doc, refs in articles
+            ]
+
+        if padded is not None:
+            with pytest.raises(ValidationError, match="has surrounding whitespace") as exc:
+                records()
+            assert exc.value.token == padded
+            rejected += 1
+            continue
+        built = build_corpus(records())
         text = emit_corpus(built)
         read = read_corpus(text.splitlines(keepends=True))
         assert dict(read.articles) == dict(built.articles)
         assert dict(read.journals) == dict(built.journals)
         assert emit_corpus(read) == text
+    assert 0 < rejected < 40
 
 
 def test_canonical_emission_sorted_and_stable():
@@ -264,6 +290,13 @@ def test_record_field_constraints():
         lambda: JournalRecord("J\r1", "Name", ("Oncology",)),
         lambda: JournalRecord("J1", "Na\rme", ("Oncology",)),
         lambda: JournalRecord("J1", "Name", ("Onco\rlogy",)),
+        # The reader strips every field, so none of these would read back.
+        lambda: ArticleRecord(" P1 ", "J1", 2010, "article"),
+        lambda: ArticleRecord("P1", "J1\u3000", 2010, "article"),
+        lambda: ArticleRecord("P1", "J1", 2010, "article", ("P2", "\xa0X")),
+        lambda: JournalRecord(" J1", "Name", ("Oncology",)),
+        lambda: JournalRecord("J1", " Journal ", ("Oncology",)),
+        lambda: JournalRecord("J1", "Name", ("Oncology", "Cell Biology ")),
     ]:
         with pytest.raises(ValidationError):
             make()
@@ -727,6 +760,144 @@ def test_read_corpus_traced_peak_is_bounded():
     assert len(corpus.ids) == 2600
     peak = traced_peak(lambda: read_corpus(lines))
     assert peak <= 5 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
+
+
+FORK_LINES = corpus_module._FORK_LINES
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Read every input of one line or more in two processes; yields the worker pids."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(corpus_module, "_FORK_LINES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_fault(read, lines, expected):
+    cls, message, line_no, token = expected
+    with pytest.raises(cls) as exc:
+        read(lines)
+    assert type(exc.value) is cls
+    assert (exc.value.line_no, exc.value.token) == (line_no, token)
+    assert str(exc.value) == str(InputError(message, line_no, token))
+
+
+def test_two_process_read_agrees_on_random_corpora(forks):
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        lines = messy_corpus_lines(rng)
+        assert reading_of(read_corpus(lines)) == reference_reading(lines)
+        assert_no_child()
+    assert len(forks) == 150
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_two_process_read_raises_the_same_first_fault(name, forks, capfd):
+    rows, expected = MALFORMED[name]
+    assert_same_fault(read_corpus, _lines(*rows), expected)
+    assert_no_child()
+    assert len(forks) == 1
+    assert capfd.readouterr().err == ""
+
+
+def synthetic_lines() -> list[str]:
+    corpus, _, _ = generate_synthetic(ten_field_config(articles_per_journal_year=20))
+    return emit_corpus(corpus).splitlines(keepends=True)
+
+
+def test_two_process_read_of_a_synthetic_corpus(forks, monkeypatch):
+    lines = synthetic_lines()
+    assert len(lines) >= FORK_LINES
+    monkeypatch.setattr(corpus_module, "_FORK_LINES", FORK_LINES)
+    two = read_corpus(iter(lines))
+    assert_no_child()
+    assert len(forks) == 1
+    # One CPU in the affinity mask means one process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one = read_corpus(lines)
+    assert len(forks) == 1
+    assert emit_corpus(two) == emit_corpus(one) == "".join(lines)
+    for name in ("journal_codes", "years", "doc_types", "indptr", "refs"):
+        assert getattr(two, name).tolist() == getattr(one, name).tolist()
+    assert two.dangling_ids == one.dangling_ids
+
+
+def test_two_process_read_raises_faults_of_either_half(forks):
+    lines = synthetic_lines()
+    first = lines[:10] + ["A\tP\n"] + lines[10:]
+    short_row = (ParseError, "article row needs 6 columns, got 2", 11, "A\tP\n")
+    assert_same_fault(read_corpus, first, short_row)
+    assert_no_child()
+    last = lines + ["X\n"]
+    assert_same_fault(read_corpus, last, (ParseError, "unknown record tag", len(last), "X"))
+    assert_no_child()
+    duplicate = lines[:100] + lines[-1:] + lines[100:]
+    a_id = lines[-1].split("\t")[1]
+    assert_same_fault(read_corpus, duplicate, (ValidationError, "duplicate article id", None, a_id))
+    assert_no_child()
+    assert len(forks) == 3
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda *args: 1 / 0,  # a fault in the worker's parse
+        lambda *args: os._exit(0),  # an empty payload
+        lambda *args: os.kill(os.getpid(), signal.SIGKILL),  # a killed worker
+    ],
+    ids=["raises", "empty-payload", "killed"],
+)
+def test_failed_worker_leaves_every_result_and_fault_unchanged(fault, forks, monkeypatch, capfd):
+    monkeypatch.setattr(corpus_module, "_second_half", fault)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        lines = messy_corpus_lines(rng)
+        assert reading_of(read_corpus(lines)) == reference_reading(lines)
+        assert_no_child()
+    for rows, expected in MALFORMED.values():
+        assert_same_fault(read_corpus, _lines(*rows), expected)
+        assert_no_child()
+    assert len(forks) == 20 + len(MALFORMED)
+    assert capfd.readouterr().err == ""
+
+
+def test_read_is_sequential_when_fork_fails(forks, monkeypatch):
+    def fail():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "fork", fail)
+    lines = messy_corpus_lines(np.random.default_rng(11))
+    assert reading_of(read_corpus(lines)) == reference_reading(lines)
+
+
+def test_no_fork_while_another_python_thread_runs(monkeypatch):
+    monkeypatch.setattr(corpus_module, "_FORK_LINES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a second thread running"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        lines = messy_corpus_lines(np.random.default_rng(3))
+        assert reading_of(read_corpus(lines)) == reference_reading(lines)
+    finally:
+        stop.set()
+        thread.join()
 
 
 @pytest.mark.parametrize(
