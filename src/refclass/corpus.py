@@ -36,19 +36,22 @@ when the references already arrive grouped. Files :func:`emit_corpus`
 writes take all three shortcuts: sorted ids, grouped and without repeats.
 
 Two processes: when ``os.fork`` exists, the CPU affinity holds at least two
-CPUs, no other Python thread runs and the input has at least
-:data:`_FORK_LINES` lines, :func:`read_corpus` holds the lines in a list and
-forks one worker for the second half. Each process runs the same line loop
-on its half and codes its own references against the ids of both halves;
-the worker pipes its rows and codes back, and the parent merges them and
-builds the corpus once. Results and errors are those of the one-process
-read, which runs whenever one of the conditions fails, the fork fails or
-the worker fails. The price: a caller that passes an open file has all its
-lines in memory during the read.
+CPUs, no other Python thread runs, ``SIGCHLD`` is not ignored and the input
+has at least :data:`_FORK_LINES` lines, :func:`read_corpus` holds the lines
+in a list and forks one worker for the second half. Each process runs the
+same line loop on its half and codes its own references against the ids of
+both halves; the worker pipes its rows and codes back, and the parent
+merges them and builds the corpus once. Results and errors are those of the
+one-process read, which runs whenever one of the conditions fails, the fork
+fails or the worker fails. The price: a caller that passes an open file has
+all its lines in memory during the read, and the two processes together
+hold more memory than one. A CPU quota (a cgroup limit) is not detected:
+under a one-CPU quota with a two-CPU affinity mask the read still forks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -584,18 +587,26 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
     return _Rows().extend(_record_rows(records)).build()
 
 
-#: Shorter inputs are read in one process: forking and merging would cost
-#: more than the second core saves.
-_FORK_LINES = 4096
+#: Shorter inputs are read in one process. Timed in-process on prefixes of
+#: a synthetic corpus (2 cores), the fork lost at 5,000 lines and fewer and
+#: won clearly from 8,000 lines on.
+_FORK_LINES = 8000
 
 
 def _can_fork() -> bool:
-    """Whether a read may fork: a second CPU is ours and no other Python thread runs."""
+    """Whether a read may fork and reap its own worker.
+
+    A second CPU must be in the affinity mask, no other Python thread may
+    run, and ``SIGCHLD`` must be neither ignored nor set outside Python: with
+    it ignored the kernel reaps children itself, so the worker's pid could
+    be reused before a kill, and waiting for it would wait for every child.
+    """
     return (
         hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and threading.active_count() == 1
+        and signal.getsignal(signal.SIGCHLD) not in (signal.SIG_IGN, None)
     )
 
 
@@ -627,8 +638,9 @@ def _read_halves(lines: list[str]) -> Corpus:
     and dangling ids and exits; the parent recodes the worker's dangling ids
     after its own and builds the corpus. A fault in the first half raises
     here after the worker is killed; if the worker fails in any way, the
-    parent parses the second half itself, so every result and every error
-    is the one-process reader's. Empties ``lines`` before the build.
+    parent reads all of ``lines`` itself, so every result and every error
+    is the one-process reader's. Empties ``lines`` before a two-process
+    build.
     """
     mid = len(lines) // 2
     r, w = os.pipe()
@@ -644,7 +656,8 @@ def _read_halves(lines: list[str]) -> Corpus:
         return _Rows().extend(_line_rows(lines)).build()
     if pid == 0:
         # The worker never returns into the caller's code: whatever happens,
-        # it exits here, printing nothing, and a failure shows as its status.
+        # it exits here, printing nothing, and a failure leaves a payload
+        # that does not load.
         status = 1
         try:
             os.close(r)
@@ -654,26 +667,29 @@ def _read_halves(lines: list[str]) -> Corpus:
         finally:
             os._exit(status)
     os.close(w)
-    status = None
+    payload = None
     try:
         with os.fdopen(r, "rb") as pipe:
             rows = _Rows().extend(_line_rows(islice(lines, mid)))
             codes = _Codes(rows.ids + _article_ids(islice(lines, mid, None)))
             target = rows.targets(codes)
             payload = pipe.read()
-        status = os.waitpid(pid, 0)[1]
     finally:
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
+        # A SIGCHLD handler of the caller's may have reaped the worker already.
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            if payload is None:
+                # A fault in this half: the worker's rows are not wanted.
+                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if status or not payload:
-        rows.extend(_line_rows(islice(lines, mid, None), start=mid + 1))
-        lines.clear()
-        return rows.build()
-    lines.clear()
     rows.refs = []
-    other, other_target, other_dangling = pickle.loads(payload)
+    # The payload alone tells whether the worker succeeded: an empty or cut
+    # off pickle fails to load, whatever the worker's exit status was.
+    try:
+        other, other_target, other_dangling = pickle.loads(payload)
+    except (EOFError, pickle.UnpicklingError):
+        return _Rows().extend(_line_rows(lines)).build()
     del payload
+    lines.clear()
     # The worker's dangling codes follow the rows in its own order; recode
     # them through this half's table, which keeps first-appearance order.
     n = codes.first_dangling
@@ -695,11 +711,11 @@ def read_corpus(source: Iterable[str]) -> Corpus:
     broke a rule of :func:`build_corpus`, whose error is raised instead.
 
     Where the process can fork (``os.fork`` exists, its CPU affinity holds
-    at least two CPUs and no other Python thread runs), the lines are first
-    taken into a list, held until they are parsed; from
-    :data:`_FORK_LINES` lines on, a forked worker reads the second half
-    (see :func:`_read_halves`). The result and every error are the same
-    either way.
+    at least two CPUs, no other Python thread runs and ``SIGCHLD`` is not
+    ignored), the lines are first taken into a list, held until they are
+    parsed; from :data:`_FORK_LINES` lines on, a forked worker reads the
+    second half (see :func:`_read_halves`). The result and every error are
+    the same either way.
     """
     if _can_fork():
         lines = list(source)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
 import signal
 import threading
 from dataclasses import replace
@@ -816,7 +818,7 @@ def test_two_process_read_raises_the_same_first_fault(name, forks, capfd):
 
 
 def synthetic_lines() -> list[str]:
-    corpus, _, _ = generate_synthetic(ten_field_config(articles_per_journal_year=20))
+    corpus, _, _ = generate_synthetic(ten_field_config(articles_per_journal_year=32))
     return emit_corpus(corpus).splitlines(keepends=True)
 
 
@@ -853,17 +855,24 @@ def test_two_process_read_raises_faults_of_either_half(forks):
     assert len(forks) == 3
 
 
+def cut_dump(obj, file, protocol):
+    file.write(pickle.dumps(obj, protocol)[:-100])
+
+
 @pytest.mark.parametrize(
-    "fault",
+    "target, fault",
     [
-        lambda *args: 1 / 0,  # a fault in the worker's parse
-        lambda *args: os._exit(0),  # an empty payload
-        lambda *args: os.kill(os.getpid(), signal.SIGKILL),  # a killed worker
+        ("refclass.corpus._second_half", lambda *args: 1 / 0),  # a fault in the worker's parse
+        ("refclass.corpus._second_half", lambda *args: os._exit(0)),  # an empty payload
+        ("refclass.corpus._second_half", lambda *args: os.kill(os.getpid(), signal.SIGKILL)),
+        ("pickle.dump", cut_dump),  # exit status 0 after a cut-off payload
     ],
-    ids=["raises", "empty-payload", "killed"],
+    ids=["raises", "empty-payload", "killed", "cut-payload"],
 )
-def test_failed_worker_leaves_every_result_and_fault_unchanged(fault, forks, monkeypatch, capfd):
-    monkeypatch.setattr(corpus_module, "_second_half", fault)
+def test_failed_worker_leaves_every_result_and_fault_unchanged(
+    target, fault, forks, monkeypatch, capfd
+):
+    monkeypatch.setattr(target, fault)
     rng = np.random.default_rng(5)
     for _ in range(20):
         lines = messy_corpus_lines(rng)
@@ -883,6 +892,75 @@ def test_read_is_sequential_when_fork_fails(forks, monkeypatch):
     monkeypatch.setattr(os, "fork", fail)
     lines = messy_corpus_lines(np.random.default_rng(11))
     assert reading_of(read_corpus(lines)) == reference_reading(lines)
+
+
+def test_no_fork_while_sigchld_is_ignored(forks):
+    # The kernel would reap the worker itself, and a wait for it would wait
+    # for every child of the process.
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        lines = messy_corpus_lines(np.random.default_rng(13))
+        assert reading_of(read_corpus(lines)) == reference_reading(lines)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert forks == []
+
+
+def reap_children(signum, frame):
+    with contextlib.suppress(ChildProcessError):
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+
+
+def test_two_process_read_under_a_reaping_sigchld_handler(forks):
+    previous = signal.signal(signal.SIGCHLD, reap_children)
+    try:
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            lines = messy_corpus_lines(rng)
+            assert reading_of(read_corpus(lines)) == reference_reading(lines)
+            assert_no_child()
+        for rows, expected in MALFORMED.values():
+            assert_same_fault(read_corpus, _lines(*rows), expected)
+            assert_no_child()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forks) == 30 + len(MALFORMED)
+
+
+def test_worker_reaped_by_someone_else_first(forks, monkeypatch):
+    """The reader neither fails nor kills again when its worker is already gone."""
+    waitpid, kill = os.waitpid, os.kill
+    gone = []
+
+    def reaped_waitpid(pid, options):
+        if pid not in forks:
+            return waitpid(pid, options)
+        waitpid(pid, 0)
+        gone.append(pid)
+        raise ChildProcessError
+
+    def reaped_kill(pid, sig):
+        assert pid in forks and pid not in gone
+        kill(pid, signal.SIGKILL)
+        waitpid(pid, 0)
+        gone.append(pid)
+        raise ProcessLookupError
+
+    monkeypatch.setattr(os, "waitpid", reaped_waitpid)
+    monkeypatch.setattr(os, "kill", reaped_kill)
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        lines = messy_corpus_lines(rng)
+        assert reading_of(read_corpus(lines)) == reference_reading(lines)
+    for rows, expected in MALFORMED.values():
+        assert_same_fault(read_corpus, _lines(*rows), expected)
+    # A fault in the parent's half, so the worker is killed.
+    bad_first = ["X\n"] + messy_corpus_lines(rng)
+    assert_same_fault(read_corpus, bad_first, (ParseError, "unknown record tag", 1, "X"))
+    monkeypatch.undo()
+    assert_no_child()
+    assert sorted(gone) == sorted(forks) and len(forks) == 11 + len(MALFORMED)
 
 
 def test_no_fork_while_another_python_thread_runs(monkeypatch):
