@@ -121,10 +121,9 @@ def _read_lines(path: str | Path) -> list[str]:
 
 def _read_corpus_file(path: str | Path) -> Corpus:
     # The whole file is decoded before any line is parsed, so a non-UTF-8
-    # file is still one parse error. Only the iterator holds the line list:
-    # a one-process read drops it when the parser has consumed it, and a
-    # two-process read copies it and empties the copy, so no line is left
-    # when the corpus arrays are built.
+    # file is still one parse error. Only the iterator holds the line list,
+    # which read_corpus copies into its own list and empties once every line
+    # is checked, so no line is left when the corpus arrays are built.
     return read_corpus(iter(_read_lines(path)))
 
 
@@ -153,7 +152,7 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     try:
         rate = raw.get("field_citation_rate")
         if isinstance(rate, dict):
-            raw["field_citation_rate"] = {int(k): float(v) for k, v in rate.items()}
+            raw["field_citation_rate"] = {int(k): v for k, v in rate.items()}
         config = SyntheticConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth config: {exc}") from None

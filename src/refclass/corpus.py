@@ -21,11 +21,11 @@ the CSR with a code past the last row, indexing a table of dangling ids, so
 emission keeps its position. ``articles`` and ``citation_index`` are derived
 views: the first builds an :class:`ArticleRecord` on each access, the second
 is built once on first access. :func:`read_corpus` and :func:`build_corpus`
-(from records) end in one column builder, which checks the cross-record
-rules; :func:`read_corpus` validates each line once and never builds an
-:class:`ArticleRecord`. Article years must lie in :data:`YEAR_BOUNDS`, the
-one year range that synthesis and the indicators check too; no reader takes
-another.
+(from records) check each record as it arrives, in file order, and end in
+one column builder; :func:`read_corpus` validates each line once and never
+builds an :class:`ArticleRecord`. Article years must lie in
+:data:`YEAR_BOUNDS`, the one year range that synthesis and the indicators
+check too; no reader takes another.
 
 The builder codes rows and references as ``int32``, so rows plus dangling
 ids must stay below ``2**31``. It sorts an ``int64`` (row, code) key in
@@ -35,15 +35,15 @@ id sort when ids arrive strictly ascending, and the grouping by citing row
 when the references already arrive grouped. Files :func:`emit_corpus`
 writes take all three shortcuts: sorted ids, grouped and without repeats.
 
-Two processes: when ``os.fork`` exists, the CPU affinity holds at least two
+:func:`read_corpus` always takes its input into a list first. Two
+processes: when ``os.fork`` exists, the CPU affinity holds at least two
 CPUs, no other Python thread runs, ``SIGCHLD`` is not ignored and the input
-has at least :data:`_FORK_LINES` lines, :func:`read_corpus` holds the lines
-in a list and forks one worker for the second half. Each process runs the
-same line loop on its half and codes its own references against the ids of
-both halves; the worker pipes its rows and codes back, and the parent
-merges them and builds the corpus once. Results and errors are those of the
-one-process read, which runs whenever one of the conditions fails, the fork
-fails or the worker fails. The price: a caller that passes an open file has
+has at least :data:`_FORK_LINES` lines, it forks one worker for the second
+half. Each process checks and codes its own half; the worker pipes its rows
+and codes back, and the parent merges them and builds the corpus once.
+Results and errors are those of the one-process read, which runs whenever
+one of the conditions fails, the fork fails, the worker fails or an id
+appears in both halves. The price: a caller that passes an open file has
 all its lines in memory during the read, and the two processes together
 hold more memory than one. A CPU quota (a cgroup limit) is not detected:
 under a one-CPU quota with a two-CPU affinity mask the read still forks.
@@ -317,51 +317,6 @@ class Corpus:
             raise UnknownNameError(f"unknown journal: {journal_id!r}") from None
 
 
-def _check_records(
-    ids: Sequence[str],
-    years: Sequence[int],
-    citer: np.ndarray,
-    target: np.ndarray,
-    journals: Sequence[JournalRecord],
-    journal_at: Sequence[int],
-) -> None:
-    """Raise the first per-record fault in record order, or nothing.
-
-    Per article, in this order: duplicate id, year outside :data:`YEAR_BOUNDS`,
-    a reference to itself (``citer == target``, both record indices). A
-    journal row preceded by ``journal_at[j]`` article rows may repeat an id.
-    """
-    lo, hi = YEAR_BOUNDS
-    n = len(ids)
-    faults: list[tuple[int, int, ValidationError]] = []
-    if len(set(ids)) < n:
-        seen: set[str] = set()
-        for i, a_id in enumerate(ids):
-            if a_id in seen:
-                faults.append((i, 0, ValidationError("duplicate article id", token=a_id)))
-                break
-            seen.add(a_id)
-    for i, year in enumerate(years):
-        if not lo <= year <= hi:
-            msg = f"article {ids[i]!r} year {year} outside bounds [{lo}, {hi}]"
-            faults.append((i, 1, ValidationError(msg)))
-            break
-    selfish = citer[citer == target]
-    if len(selfish):
-        i = int(selfish.min())
-        faults.append((i, 2, ValidationError(f"article {ids[i]!r} cites itself")))
-    first = min(faults, key=lambda f: f[:2], default=(n, 0, None))
-    seen_journals: set[str] = set()
-    for j, rec in enumerate(journals):
-        if journal_at[j] > first[0]:
-            break
-        if rec.id in seen_journals:
-            raise ValidationError("duplicate journal id", token=rec.id)
-        seen_journals.add(rec.id)
-    if first[2] is not None:
-        raise first[2]
-
-
 def _assemble(
     ids: Sequence[str],
     journal_of: Sequence[str],
@@ -371,16 +326,15 @@ def _assemble(
     target: np.ndarray,
     dangling_ids: tuple[str, ...],
     journals: Sequence[JournalRecord],
-    journal_at: Sequence[int],
 ) -> Corpus:
-    """The one corpus constructor: check, sort rows by id, code, dedupe, build CSR.
+    """The one corpus constructor: sort rows by id, code, dedupe, build CSR.
 
-    Articles come in record order. Each reference is one ``(citer, target)``
-    pair of record indices in draw order; ``target >= len(ids)`` names
+    Articles come in record order, already checked record by record (see
+    :meth:`_Rows.extend`). Each reference is one ``(citer, target)`` pair
+    of record indices in draw order; ``target >= len(ids)`` names
     ``dangling_ids[target - len(ids)]``. Raises :class:`ValidationError`
-    for the first per-record fault (see :func:`_check_records`), then for
-    unresolvable journal ids (all offenders listed), then when the rows and
-    dangling ids together reach ``2**31`` codes.
+    for unresolvable journal ids (all offenders listed), then when the rows
+    and dangling ids together reach ``2**31`` codes.
 
     Row and reference codes are ``int32``; only the dedupe key
     ``src * width + dst`` is ``int64``. Sorting a copy of that key in place
@@ -392,7 +346,6 @@ def _assemble(
     citing row when they already arrive grouped, and the argsort when no
     pair repeats. Every file :func:`emit_corpus` writes skips all three.
     """
-    _check_records(ids, years, citer, target, journals, journal_at)
     journal_table = dict(sorted((j.id, j) for j in journals))
     journal_code = {j_id: c for c, j_id in enumerate(journal_table)}
     unresolved = sorted(set(journal_of) - journal_code.keys())
@@ -405,7 +358,7 @@ def _assemble(
     codes = np.fromiter(map(journal_code.__getitem__, journal_of), np.int32, count=n)
     years = np.asarray(years, dtype=np.int64)
     doc_types = np.asarray(doc_types, dtype=np.int8)
-    # Duplicate ids were rejected above, so ascending means strictly ascending.
+    # Callers pass no repeated id, so ascending means strictly ascending.
     if all(map(str.__le__, ids, islice(ids, 1, None))):
         src, dst = citer.astype(np.int32, copy=False), target.astype(np.int32, copy=False)
     else:
@@ -446,9 +399,7 @@ class _Codes(dict):
     """Article id -> record index; an unknown id gets the next code past the rows."""
 
     def __init__(self, ids: Sequence[str]):
-        # The first row of an id wins, so a self-citation before a duplicate
-        # of that id is still seen as one.
-        super().__init__(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+        super().__init__(zip(ids, range(len(ids))))
         self.first_dangling = len(ids)
         self.dangling: list[str] = []
 
@@ -459,7 +410,7 @@ class _Codes(dict):
 
 
 class _Rows:
-    """Article and journal rows in record order, as the readers collect them.
+    """Article and journal rows in record order, checked as the readers collect them.
 
     ``refs`` holds each article's references as one comma-joined string, so
     no per-reference object outlives the line that produced it.
@@ -473,71 +424,67 @@ class _Rows:
         self.counts: list[int] = []
         self.refs: list[str] = []
         self.journals: list[JournalRecord] = []
-        self.journal_at: list[int] = []
-
-    def add(self, item: tuple[str, str, int, str, str] | JournalRecord) -> None:
-        if isinstance(item, JournalRecord):
-            self.journal_at.append(len(self.ids))
-            self.journals.append(item)
-            return
-        art_id, journal_id, year, doc_type, refs = item
-        self.ids.append(art_id)
-        self.journal_of.append(journal_id)
-        self.years.append(year)
-        self.doc_types.append(_DOC_CODE[doc_type])
-        self.counts.append(refs.count(",") + 1 if refs else 0)
-        self.refs.append(refs)
 
     def extend(self, items: Iterable[tuple[str, str, int, str, str] | JournalRecord]) -> _Rows:
-        try:
-            for item in items:
-                self.add(item)
-        except Exception:
-            # Records are checked as they arrive, so a fault on an earlier row
-            # is raised before whatever stopped the input.
-            self.check()
-            raise
+        """Add ``items`` in order, raising at the first record that breaks a rule.
+
+        A repeated journal id raises; per article, in this order, a repeated
+        id, a year outside :data:`YEAR_BOUNDS` and a self-citation. The seen
+        ids stay local, out of the rows a worker pickles.
+        """
+        lo, hi = YEAR_BOUNDS
+        seen_ids: set[str] = set()
+        seen_journals: set[str] = set()
+        for item in items:
+            if isinstance(item, JournalRecord):
+                if item.id in seen_journals:
+                    raise ValidationError("duplicate journal id", token=item.id)
+                seen_journals.add(item.id)
+                self.journals.append(item)
+                continue
+            art_id, journal_id, year, doc_type, refs = item
+            if art_id in seen_ids:
+                raise ValidationError("duplicate article id", token=art_id)
+            seen_ids.add(art_id)
+            if not lo <= year <= hi:
+                raise ValidationError(f"article {art_id!r} year {year} outside bounds [{lo}, {hi}]")
+            if art_id in refs and art_id in refs.split(","):
+                raise ValidationError(f"article {art_id!r} cites itself")
+            self.ids.append(art_id)
+            self.journal_of.append(journal_id)
+            self.years.append(year)
+            self.doc_types.append(_DOC_CODE[doc_type])
+            self.counts.append(refs.count(",") + 1 if refs else 0)
+            self.refs.append(refs)
         return self
 
     def append(self, other: _Rows) -> None:
-        """Put the rows of ``other``, whose references are coded, after these."""
-        self.journal_at += [len(self.ids) + at for at in other.journal_at]
-        self.journals += other.journals
-        self.ids += other.ids
-        self.journal_of += other.journal_of
-        self.years += other.years
-        self.doc_types += other.doc_types
-        self.counts += other.counts
+        """Put the rows of ``other`` after these; both have their references coded."""
+        for name, column in vars(other).items():
+            getattr(self, name).extend(column)
 
     def targets(self, codes: _Codes) -> np.ndarray:
-        """The code of every reference in draw order; new ids join ``codes.dangling``."""
+        """The code of every reference in draw order, then drops the strings.
+
+        An id not in ``codes`` joins ``codes.dangling``.
+        """
         tokens = chain.from_iterable(refs.split(",") for refs in self.refs if refs)
-        return np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(self.counts))
-
-    def _citer(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.ids), dtype=np.int32), self.counts)
-
-    def check(self) -> None:
-        target = self.targets(_Codes(self.ids))
-        _check_records(self.ids, self.years, self._citer(), target, self.journals, self.journal_at)
-
-    def build(self, target: np.ndarray | None = None, dangling: tuple[str, ...] = ()) -> Corpus:
-        """The corpus of these rows, with ``target`` and ``dangling`` if already coded."""
-        if target is None:
-            codes = _Codes(self.ids)
-            target, dangling = self.targets(codes), tuple(codes.dangling)
-            del codes
+        target = np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(self.counts))
         self.refs = []
+        return target
+
+    def build(self, target: np.ndarray, dangling: tuple[str, ...]) -> Corpus:
+        """The corpus of these rows, whose references ``target`` codes."""
+        citer = np.repeat(np.arange(len(self.ids), dtype=np.int32), self.counts)
         return _assemble(
             self.ids,
             self.journal_of,
             self.years,
             self.doc_types,
-            self._citer(),
+            citer,
             target,
             dangling,
             self.journals,
-            self.journal_at,
         )
 
 
@@ -584,7 +531,9 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
     duplicate ids, self-citations, years outside :data:`YEAR_BOUNDS`, or
     unresolvable journal ids (all offenders listed).
     """
-    return _Rows().extend(_record_rows(records)).build()
+    rows = _Rows().extend(_record_rows(records))
+    codes = _Codes(rows.ids)
+    return rows.build(rows.targets(codes), tuple(codes.dangling))
 
 
 #: Shorter inputs are read in one process. Timed in-process on prefixes of
@@ -615,32 +564,33 @@ def _article_ids(lines: Iterable[str]) -> list[str]:
     return [raw.split("\t", 2)[1].strip() for raw in lines if raw.startswith("A\t")]
 
 
-def _second_half(lines: list[str], mid: int) -> tuple[_Rows, np.ndarray, list[str]]:
-    """The worker's share of :func:`_read_halves`: ``lines[mid:]`` parsed and coded.
+def _coded_rows(lines: list[str], lo: int, hi: int) -> tuple[_Rows, np.ndarray, _Codes]:
+    """``lines[lo:hi]`` parsed and checked, with their references coded.
 
-    References are coded against the ids of every line; an id outside them
-    gets the next code past them in its order of first appearance in this
-    half, and joins the returned dangling list.
+    References are coded against the ids of every line, those outside
+    ``lines[lo:hi]`` taken straight from their ``A`` lines; an id outside
+    them gets the next code past them in its order of first appearance in
+    ``lines[lo:hi]``, and joins ``codes.dangling``.
     """
-    rows = _Rows().extend(_line_rows(islice(lines, mid, None), start=mid + 1))
-    codes = _Codes(_article_ids(islice(lines, mid)) + rows.ids)
-    target = rows.targets(codes)
-    rows.refs = []
-    return rows, target, codes.dangling
+    rows = _Rows().extend(_line_rows(islice(lines, lo, hi), start=lo + 1))
+    codes = _Codes(
+        _article_ids(islice(lines, lo)) + rows.ids + _article_ids(islice(lines, hi, None))
+    )
+    return rows, rows.targets(codes), codes
 
 
-def _read_halves(lines: list[str]) -> Corpus:
-    """:func:`read_corpus` of ``lines``, the second half read by a forked worker.
+def _read_halves(lines: list[str]) -> tuple[_Rows, np.ndarray, _Codes] | None:
+    """:func:`_coded_rows` of all ``lines``, the second half read by a forked worker.
 
-    Each process parses its half with the one line loop and codes its own
-    references against the ids of both halves (the other half's taken
-    straight from its ``A`` lines). The worker pipes back its rows, codes
-    and dangling ids and exits; the parent recodes the worker's dangling ids
-    after its own and builds the corpus. A fault in the first half raises
-    here after the worker is killed; if the worker fails in any way, the
-    parent reads all of ``lines`` itself, so every result and every error
-    is the one-process reader's. Empties ``lines`` before a two-process
-    build.
+    Each process runs :func:`_coded_rows` on its half. The worker pipes back
+    its rows, codes and dangling ids and exits; the parent recodes the
+    worker's dangling ids after its own and appends the worker's rows. A
+    fault in the first half is the first fault in file order: it raises
+    here after the worker is killed. Returns ``None`` when the fork fails,
+    when the worker fails in any way (a fault in its half included) and when
+    an id appears in both halves, a repeat that neither process checks; the
+    one-process read then finds the result or the first fault. Empties
+    ``lines`` once both halves are read.
     """
     mid = len(lines) // 2
     r, w = os.pipe()
@@ -653,7 +603,7 @@ def _read_halves(lines: list[str]) -> Corpus:
     except OSError:
         os.close(r)
         os.close(w)
-        return _Rows().extend(_line_rows(lines)).build()
+        return None
     if pid == 0:
         # The worker never returns into the caller's code: whatever happens,
         # it exits here, printing nothing, and a failure leaves a payload
@@ -662,7 +612,8 @@ def _read_halves(lines: list[str]) -> Corpus:
         try:
             os.close(r)
             with os.fdopen(w, "wb") as pipe:
-                pickle.dump(_second_half(lines, mid), pipe, pickle.HIGHEST_PROTOCOL)
+                rows, target, codes = _coded_rows(lines, mid, len(lines))
+                pickle.dump((rows, target, codes.dangling), pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -670,9 +621,7 @@ def _read_halves(lines: list[str]) -> Corpus:
     payload = None
     try:
         with os.fdopen(r, "rb") as pipe:
-            rows = _Rows().extend(_line_rows(islice(lines, mid)))
-            codes = _Codes(rows.ids + _article_ids(islice(lines, mid, None)))
-            target = rows.targets(codes)
+            rows, target, codes = _coded_rows(lines, 0, mid)
             payload = pipe.read()
     finally:
         # A SIGCHLD handler of the caller's may have reaped the worker already.
@@ -681,48 +630,54 @@ def _read_halves(lines: list[str]) -> Corpus:
                 # A fault in this half: the worker's rows are not wanted.
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    rows.refs = []
     # The payload alone tells whether the worker succeeded: an empty or cut
     # off pickle fails to load, whatever the worker's exit status was.
     try:
         other, other_target, other_dangling = pickle.loads(payload)
     except (EOFError, pickle.UnpicklingError):
-        return _Rows().extend(_line_rows(lines)).build()
+        return None
     del payload
+    # Neither process saw the other's records, so a repeat across the halves
+    # is found here: an article id in both leaves the table of every line's
+    # ids shorter than that list.
+    n = codes.first_dangling
+    journals = {j.id for j in rows.journals}
+    if len(codes) - len(codes.dangling) < n or journals.intersection(j.id for j in other.journals):
+        return None
     lines.clear()
     # The worker's dangling codes follow the rows in its own order; recode
     # them through this half's table, which keeps first-appearance order.
-    n = codes.first_dangling
     recode = np.fromiter(map(codes.__getitem__, other_dangling), np.int32, len(other_dangling))
     dangling = other_target >= n
     other_target[dangling] = recode[other_target[dangling] - n]
     rows.append(other)
-    target = np.concatenate([target, other_target])
-    dangling_ids = tuple(codes.dangling)
-    del codes, other, other_target
-    return rows.build(target, dangling_ids)
+    return rows, np.concatenate([target, other_target]), codes
 
 
 def read_corpus(source: Iterable[str]) -> Corpus:
     """Parse and build a corpus from TSV lines, skipping blanks and ``#`` lines.
 
-    Raises the first fault in file order: a :class:`ParseError` with line
-    number and token for a malformed line, unless the rows before it already
-    broke a rule of :func:`build_corpus`, whose error is raised instead.
+    Takes ``source`` into a list first, so an error that ``source`` raises
+    while it is read (a decode error of an open file, say) wins over any
+    fault in its lines. Then raises the first fault in file order, as each
+    record is checked when it is read: a :class:`ParseError` with line
+    number and token for a malformed line, or the :class:`ValidationError`
+    of a rule of :func:`build_corpus`; unknown journals and the ``2**31``
+    code limit are checked once every line is read.
 
     Where the process can fork (``os.fork`` exists, its CPU affinity holds
     at least two CPUs, no other Python thread runs and ``SIGCHLD`` is not
-    ignored), the lines are first taken into a list, held until they are
-    parsed; from :data:`_FORK_LINES` lines on, a forked worker reads the
+    ignored), from :data:`_FORK_LINES` lines on, a forked worker reads the
     second half (see :func:`_read_halves`). The result and every error are
     the same either way.
     """
-    if _can_fork():
-        lines = list(source)
-        if len(lines) >= _FORK_LINES:
-            return _read_halves(lines)
-        source = lines
-    return _Rows().extend(_line_rows(source)).build()
+    lines = list(source)
+    halves = _read_halves(lines) if len(lines) >= _FORK_LINES and _can_fork() else None
+    rows, target, codes = halves or _coded_rows(lines, 0, len(lines))
+    lines.clear()
+    dangling = tuple(codes.dangling)
+    del halves, codes
+    return rows.build(target, dangling)
 
 
 def emit_corpus(corpus: Corpus) -> str:

@@ -36,8 +36,9 @@ function of (config, seed); generation is always single-threaded.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +47,10 @@ from .errors import ConfigError
 from .taxonomy import BROAD_AREAS, MULTIDISCIPLINARY_FLAG, SubjectCategory, Taxonomy
 
 GENERAL_CATEGORY = "multidisciplinary"
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -81,34 +86,35 @@ class SyntheticConfig:
                 raise ConfigError(f"{name} must be an integer >= {low}")
         object.__setattr__(self, "year_range", _year_pair(self.year_range, "year_range"))
         # numpy's Poisson sampler rejects means a little below 2**63; NaN fails too.
-        if not 0 < self.mean_refs <= 2.0**62:
-            raise ConfigError("mean_refs must be positive and at most 2**62")
-        if not 0.0 <= self.p_intra <= 1.0:
-            raise ConfigError("p_intra must be in [0, 1]")
+        if not (_is_real(self.mean_refs) and 0 < self.mean_refs <= 2.0**62):
+            raise ConfigError("mean_refs must be a positive number of at most 2**62")
+        if not (_is_real(self.p_intra) and 0.0 <= self.p_intra <= 1.0):
+            raise ConfigError("p_intra must be a number in [0, 1]")
         rate = self.field_citation_rate
         if isinstance(rate, Mapping):
             missing = [i for i in range(f) if i not in rate]
             if missing:
                 raise ConfigError(f"field_citation_rate missing fields: {missing}")
-            rates = tuple(float(rate[i]) for i in range(f))
-        elif isinstance(rate, (int, float)):
-            rates = (float(rate),) * f
+            rates = tuple(rate[i] for i in range(f))
         else:
-            rates = tuple(float(r) for r in rate)
+            rates = tuple(rate) if isinstance(rate, Iterable) else (rate,) * f
         if len(rates) != f:
             raise ConfigError("field_citation_rate must cover every field")
-        if not all(0 < r <= 2.0**62 for r in rates):
-            raise ConfigError("field_citation_rate entries must be positive and at most 2**62")
-        object.__setattr__(self, "field_citation_rate", rates)
-        mix = tuple(float(m) for m in self.general_field_mix)
+        # Compared before the float conversion, which fails on a huge int.
+        if not all(_is_real(r) and 0 < r <= 2.0**62 for r in rates):
+            raise ConfigError("field_citation_rate entries must be positive numbers of at most 2**62")
+        object.__setattr__(self, "field_citation_rate", tuple(map(float, rates)))
+        mix = self.general_field_mix
+        mix = tuple(mix) if isinstance(mix, Iterable) else (mix,)
         if len(mix) != f:
             raise ConfigError("general_field_mix must have one entry per field")
-        if not all(0 <= m <= 1 for m in mix):
-            raise ConfigError("general_field_mix entries must be in [0, 1]")
+        if not all(_is_real(m) and 0 <= m <= 1 for m in mix):
+            raise ConfigError("general_field_mix entries must be numbers in [0, 1]")
+        mix = tuple(map(float, mix))
         if abs(sum(mix) - 1.0) > 1e-9:
             raise ConfigError("general_field_mix must sum to 1")
         object.__setattr__(self, "general_field_mix", mix)
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit non-negative integer")
 
     @property
@@ -284,7 +290,6 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
         np.concatenate(targets),
         (),
         journals,
-        [0] * len(journals),
     )
     truth = GroundTruth(
         field_of={ids[row]: row_field[row] for row in range(n_articles)},

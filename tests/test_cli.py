@@ -467,6 +467,9 @@ def test_synth_config_that_is_not_json_is_one_line_config_error(tmp_path, capsys
         pytest.param({"year_range": [2000.5, 2001]}, id="float-year"),
         pytest.param({"year_range": [2000, 2001, 2002]}, id="three-years"),
         pytest.param({"field_citation_rate": {"zero": 1.0}}, id="non-integer-field-key"),
+        pytest.param({"field_citation_rate": {"0": True, "1": 1, "2": 1}}, id="bool-field-rate"),
+        pytest.param({"field_citation_rate": {"0": "5", "1": 1, "2": 1}}, id="string-field-rate"),
+        pytest.param({"mean_refs": True}, id="bool-mean-refs"),
         pytest.param({"mean_refs": float("inf")}, id="infinite-mean-refs"),
         pytest.param({"mean_refs": 1e30}, id="huge-mean-refs"),
         pytest.param({"field_citation_rate": float("inf")}, id="infinite-citation-rate"),

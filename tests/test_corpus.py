@@ -716,7 +716,6 @@ def test_builder_matches_brute_force_csr(shape):
             target,
             dangling,
             journals,
-            [0, 0],
         )
         sorted_ids, order, indptr, refs = brute_force_csr(ids, dangling, citer, target)
         assert corpus.ids == sorted_ids
@@ -855,6 +854,32 @@ def test_two_process_read_raises_faults_of_either_half(forks):
     assert len(forks) == 3
 
 
+def test_two_process_read_raises_a_journal_repeated_after_the_last_article(forks):
+    # Each half alone holds the journal once: only the merge sees the repeat.
+    lines = synthetic_lines()
+    assert lines[0].startswith("J\t") and lines[-1].startswith("A\t")
+    j_id = lines[0].split("\t")[1]
+    repeated = lines + lines[:1]
+    assert_same_fault(read_corpus, repeated, (ValidationError, "duplicate journal id", None, j_id))
+    assert_no_child()
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_an_error_of_the_input_wins_over_its_lines(cpus, monkeypatch):
+    """The lines are all taken in before any is checked, whatever the CPU count."""
+
+    def source():
+        yield from _lines(J1, _a("P1"), _a("P1"))
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    monkeypatch.setattr(corpus_module, "_FORK_LINES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    with pytest.raises(UnicodeDecodeError):
+        read_corpus(source())
+    assert_no_child()
+
+
 def cut_dump(obj, file, protocol):
     file.write(pickle.dumps(obj, protocol)[:-100])
 
@@ -862,9 +887,9 @@ def cut_dump(obj, file, protocol):
 @pytest.mark.parametrize(
     "target, fault",
     [
-        ("refclass.corpus._second_half", lambda *args: 1 / 0),  # a fault in the worker's parse
-        ("refclass.corpus._second_half", lambda *args: os._exit(0)),  # an empty payload
-        ("refclass.corpus._second_half", lambda *args: os.kill(os.getpid(), signal.SIGKILL)),
+        ("pickle.dump", lambda *args: 1 / 0),  # a fault in the worker
+        ("pickle.dump", lambda *args: os._exit(0)),  # an empty payload
+        ("pickle.dump", lambda *args: os.kill(os.getpid(), signal.SIGKILL)),
         ("pickle.dump", cut_dump),  # exit status 0 after a cut-off payload
     ],
     ids=["raises", "empty-payload", "killed", "cut-payload"],

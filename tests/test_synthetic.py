@@ -213,5 +213,31 @@ def test_config_validation():
         small_config(general_field_mix=(float("nan"), 0.5))
     with pytest.raises(ConfigError, match="seed"):
         small_config(seed=-4)
+    # Bools and non-numbers raise a ConfigError naming the knob, never a
+    # TypeError or ValueError, and are never read as 0 or 1.
+    for name, bad in (
+        ("seed", True),
+        ("mean_refs", "5"),
+        ("mean_refs", True),
+        ("p_intra", "x"),
+        ("p_intra", True),
+        ("p_intra", None),
+        ("field_citation_rate", True),
+        ("field_citation_rate", "ab"),
+        ("field_citation_rate", None),
+        ("field_citation_rate", (1.0, True)),
+        ("field_citation_rate", {0: 1.0, 1: "x"}),
+        ("general_field_mix", "abc"),
+        ("general_field_mix", "ab"),
+        ("general_field_mix", 0.5),
+        ("general_field_mix", (True, False)),
+    ):
+        with pytest.raises(ConfigError, match=name):
+            small_config(**{name: bad})
+    # A huge int fails the range check, not a float conversion.
+    with pytest.raises(ConfigError, match="field_citation_rate"):
+        small_config(field_citation_rate=10**400)
+    with pytest.raises(ConfigError, match="general_field_mix"):
+        small_config(general_field_mix=(10**400, 0))
     with pytest.raises(ConfigError, match="missing fields"):
         small_config(field_citation_rate={0: 1.0})
