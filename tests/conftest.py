@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import refclass.corpus as corpus_module
 from refclass.corpus import ArticleRecord, Corpus, JournalRecord, build_corpus
 from refclass.synthetic import SyntheticConfig
 from refclass.taxonomy import Taxonomy, load_taxonomy
@@ -24,6 +26,24 @@ Multidisciplinary Sciences\tBioscience\tmultidisciplinary
 @pytest.fixture
 def toy_taxonomy() -> Taxonomy:
     return load_taxonomy(TOY_TAXONOMY_TEXT.splitlines(keepends=True))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Read every input of one line or more in two processes; yields the worker pids."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(corpus_module, "_FORK_LINES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
 
 
 def journal(j_id: str, categories, name: str | None = None) -> JournalRecord:

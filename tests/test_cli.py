@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import refclass
-from refclass.classifier import read_assignments
+import refclass.corpus as corpus_module
+from refclass.classifier import STATUSES, read_assignments
 from refclass.cli import _check_assignments, run_cli
 from refclass.corpus import read_corpus
 from refclass.errors import ValidationError
@@ -19,6 +21,8 @@ from refclass.report import MANIFEST_FILE, TABLE_FILES
 from refclass.taxonomy import load_taxonomy
 
 from conftest import TOY_TAXONOMY_TEXT
+
+FORK_LINES = corpus_module._FORK_LINES
 
 TOY_CORPUS_TEXT = """\
 # toy corpus
@@ -336,6 +340,97 @@ def test_indicators_and_report_stages(toy_files, tmp_path, capsys):
     for name in TABLE_FILES:
         assert (rep_dir / name).read_bytes() == (ind_dir / name).read_bytes()
     assert "command\treport" in (rep_dir / MANIFEST_FILE).read_text()
+
+
+# The ``open`` benchmark workload at 40 articles per journal and year, and
+# records appended to its corpus: a tie, an article without references, one
+# with a reference that leaves the corpus, a journal whose impact value is
+# undefined in 2002 and 2003, and one whose impact value is never defined.
+PINNED_SYNTH = {
+    "num_fields": 10,
+    "journals_per_field": 1,
+    "num_general_journals": 40,
+    "articles_per_journal_year": 40,
+    "year_range": [2000, 2004],
+    "mean_refs": 20.0,
+    "p_intra": 0.8,
+    "field_citation_rate": 0.5,
+    "general_field_mix": [0.1] * 10,
+}
+PINNED_APPENDIX = """\
+A\tX0000001\tJG00\t2003\tarticle\tA0000000,A0000200
+A\tX0000002\tJG00\t2003\tarticle\t
+A\tX0000003\tJG01\t2004\treview\tA0000400,NOSUCH01
+J\tJX00\tLate Journal\tfield-03
+A\tX0000004\tJX00\t2003\tarticle\tA0000600
+J\tJX01\tNew Journal\tfield-03
+A\tX0000005\tJX01\t2004\tarticle\tX0000004
+"""
+PINNED_DIGESTS = {
+    "assignments.tsv": "a45dc2e8568fa797569d4c934d969802b005723eca019405c74da37387c95af7",
+    "corpus.tsv": "a5c1a1de91bae8ea2c11c7571a3e7ea498846cbcf62153b295ad23772116f984",
+    "indicators/composition.tsv": "56b96b7e58e50222770bdde8b2e9fc97119bc244e48966390c9649c296622828",
+    "indicators/field_if.tsv": "8eb79112ade2e8b97dd2233dc4c24c3a1a04bb0d1ea85b43683f1c2f844947e7",
+    "indicators/manifest.tsv": "db191fe407b18725cf4e809f3b24e787ed51eda5245723db883cd3af1df3e68b",
+    "indicators/prestige.tsv": "c30107897aed401d6c78e87404635c654eda7b4279e30c5ab6dc4e25de80445e",
+    "indicators/ranking.tsv": "c13133885cc5f6e134a8e4307ffb7fe39f9e89dee6a60038bcade7e69073194f",
+    "indicators/representation.tsv": "b64eff423364a286fa154207c19f552f97652123ce8eab22d11891d4ccd98363",
+    "indicators/summary.tsv": "f20a5282c997a0be2226356eecbf31203b6be1361b979f4b0e573cab6307ac94",
+    "report/composition.tsv": "56b96b7e58e50222770bdde8b2e9fc97119bc244e48966390c9649c296622828",
+    "report/field_if.tsv": "8eb79112ade2e8b97dd2233dc4c24c3a1a04bb0d1ea85b43683f1c2f844947e7",
+    "report/manifest.tsv": "85887a0435d5b858c50b86bdde45d5045db99ae1489f51ef0c90b2da38ccd1a7",
+    "report/prestige.tsv": "c30107897aed401d6c78e87404635c654eda7b4279e30c5ab6dc4e25de80445e",
+    "report/ranking.tsv": "c13133885cc5f6e134a8e4307ffb7fe39f9e89dee6a60038bcade7e69073194f",
+    "report/representation.tsv": "b64eff423364a286fa154207c19f552f97652123ce8eab22d11891d4ccd98363",
+    "report/summary.tsv": "f20a5282c997a0be2226356eecbf31203b6be1361b979f4b0e573cab6307ac94",
+    "taxonomy.tsv": "6c4de699a14f3112d4d86254c76f681a8231df004553c311b6006b17e4b681e7",
+    "truth.tsv": "276d99dfc57ce0e81ab45555fcb0b324697a86cd1c22d4fa395a0ea25840c28f",
+}
+
+
+def _pipeline_digests(out: Path) -> dict[str, str]:
+    out.mkdir()
+    config = out / "synth.json"
+    config.write_text(json.dumps(PINNED_SYNTH))
+    corpus, taxonomy = out / "corpus.tsv", out / "taxonomy.tsv"
+    assignments, tables = out / "assignments.tsv", out / "indicators"
+    inputs = ["--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    truth = ["--out-truth", str(out / "truth.tsv"), "--out-taxonomy", str(taxonomy)]
+    assert run_cli(["synth", "--config", str(config), "--seed", "20250810"]
+                   + ["--out-corpus", str(corpus)] + truth) == 0
+    with corpus.open("a") as fh:
+        fh.write(PINNED_APPENDIX)
+    assert run_cli(["classify", *inputs, "--out", str(assignments)]) == 0
+    assert run_cli(
+        ["indicators", *inputs, "--assignments", str(assignments), "--out-dir", str(tables)]
+        + ["--if-years", "2002:2004", "--pub-years", "2000:2004"]
+        + ["--journals", "JG00,JG01,JF03S00,JX00,JX01"]
+    ) == 0
+    assert run_cli(["report", "--in-dir", str(tables), "--out-dir", str(out / "report")]) == 0
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path != config
+    }
+
+
+def test_every_output_byte_of_the_pipeline_is_pinned(forks, monkeypatch, tmp_path):
+    """synth, classify, indicators and report through ``run_cli``; every file's sha256.
+
+    Recorded at commit 93a2061 with Python 3.11.7 and numpy 2.4.6; numpy 1.22
+    was not run when they were recorded. The corpus has 10,057 lines, so each
+    read of it forks under a two-CPU affinity mask and stays in one process
+    under a one-CPU mask; both give these bytes. ``assignments.tsv`` holds
+    every status, and the tables hold skipped years and undefined cells.
+    """
+    monkeypatch.setattr(corpus_module, "_FORK_LINES", FORK_LINES)
+    assert _pipeline_digests(tmp_path / "two") == PINNED_DIGESTS
+    assert len(forks) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _pipeline_digests(tmp_path / "one") == PINNED_DIGESTS
+    assert len(forks) == 2
+    statuses = {line.split("\t")[3] for line in (tmp_path / "one" / "assignments.tsv").open()}
+    assert statuses >= set(STATUSES)
 
 
 def _classify_toy(corpus, taxonomy, tmp_path):

@@ -766,24 +766,6 @@ def test_read_corpus_traced_peak_is_bounded():
 FORK_LINES = corpus_module._FORK_LINES
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Read every input of one line or more in two processes; yields the worker pids."""
-    pids = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(corpus_module, "_FORK_LINES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return pids
-
-
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
