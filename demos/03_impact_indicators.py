@@ -3,7 +3,8 @@
 Plants three fields with different per-article citation rates, then shows
 that the computed field baselines recover kappa * rate, that a general
 journal's composition matches its configured mix, and how prestige,
-representation, and rankings read on top of that.
+representation, and rankings read on top of that. Every number is a slice
+of one count cube, built in one pass over the corpus.
 
 Usage: python3 demos/03_impact_indicators.py
 """
@@ -13,12 +14,9 @@ from refclass import (
     IndicatorConfig,
     SyntheticConfig,
     classify,
-    composition,
+    count_cube,
     generate_synthetic,
-    mean_impact_factor,
     prestige,
-    rank_journals,
-    representation,
 )
 from refclass.synthetic import field_category
 
@@ -39,6 +37,10 @@ corpus, truth, taxonomy = generate_synthetic(config)
 assignments = classify(corpus, taxonomy).assignments
 icfg = IndicatorConfig(if_year_range=(2002, 2004), pub_window=(2000, 2004))
 areas = [taxonomy.broad_area_of(field_category(f)) for f in range(3)]
+# The general journal and the four journals of the third field; the cube
+# also answers for all sources.
+journals = ("JG00", "JF02S00", "JF02S01", "JF02S02", "JF02S03")
+cube = count_cube(corpus, assignments, journals, icfg)
 
 # ---------------------------------------------------------------------------
 # Field baselines: citations to all sources in one area, per publication in
@@ -48,7 +50,7 @@ areas = [taxonomy.broad_area_of(field_category(f)) for f in range(3)]
 print(f"{'area':14s} {'measured':>9s} {'kappa*rate':>11s}")
 baselines = {}
 for f, area in enumerate(areas):
-    m = mean_impact_factor(corpus, assignments, ALL_SOURCES, area, icfg)
+    m = cube.mean_impact_factor(ALL_SOURCES, area)
     baselines[area] = m.value
     print(f"{area:14s} {m.value:9.3f} {icfg.kappa * rates[f]:11.3f}")
 print()
@@ -58,8 +60,8 @@ print()
 # Composition follows the configured mix; representation compares each
 # area's share inside the journal to its share of the whole corpus.
 # ---------------------------------------------------------------------------
-comp = composition(corpus, assignments, ("JG00",), icfg.pub_window)
-rep = representation(corpus, assignments, ("JG00",), icfg.pub_window)
+comp = cube.composition(("JG00",))
+rep = cube.representation(("JG00",))
 print(f"{'area':14s} {'share':>7s} {'mix':>6s} {'representation':>15s}")
 for f, area in enumerate(areas):
     print(
@@ -74,7 +76,7 @@ print()
 # ---------------------------------------------------------------------------
 print(f"{'area':14s} {'journal IF':>11s} {'baseline':>9s} {'prestige':>9s}")
 for area in areas:
-    m = mean_impact_factor(corpus, assignments, "JG00", area, icfg)
+    m = cube.mean_impact_factor("JG00", area)
     p = prestige(m.value, baselines[area], journal_id="JG00", area=area)
     print(f"{area:14s} {p.journal_if:11.3f} {p.baseline_if:9.3f} {p.value:9.3f}")
 print()
@@ -84,8 +86,7 @@ print()
 # area-restricted impact, disciplinary journals by their whole-journal one.
 # ---------------------------------------------------------------------------
 area = areas[2]
-journals = ("JG00", "JF02S00", "JF02S01", "JF02S02", "JF02S03")
-table = rank_journals(corpus, assignments, taxonomy, area, journals, icfg)
+table = cube.ranking(corpus, taxonomy, area)
 print(f"ranking in {area}:")
 for e in table.entries:
     restricted = "field-restricted" if e.field_restricted else "whole-journal"

@@ -4,8 +4,9 @@ field-resolved journal impact indicators.
 The package is organized as a small pipeline: :mod:`refclass.taxonomy` and
 :mod:`refclass.corpus` define the inputs, :mod:`refclass.classifier` assigns
 every article a unique subject category by iterating over reference tallies,
-:mod:`refclass.indicators` computes impact, prestige, composition,
-representation, and ranking measures on top of the assignments, and
+:mod:`refclass.indicators` counts the assignments into one
+:class:`~refclass.indicators.CountCube` (:func:`count_cube`), whose methods
+give impact, composition, representation and ranking measures, and
 :mod:`refclass.report` / :mod:`refclass.cli` emit deterministic TSV tables.
 """
 
@@ -31,13 +32,10 @@ from .errors import RefclassError
 from .indicators import (
     ALL_AREAS,
     ALL_SOURCES,
+    CountCube,
     IndicatorConfig,
-    composition,
-    impact_factor,
-    mean_impact_factor,
+    count_cube,
     prestige,
-    rank_journals,
-    representation,
 )
 from .synthetic import GroundTruth, SyntheticConfig, generate_synthetic
 from .taxonomy import BROAD_AREAS, SubjectCategory, Taxonomy, load_taxonomy
@@ -53,6 +51,7 @@ __all__ = [
     "ClassificationResult",
     "ClassifierConfig",
     "Corpus",
+    "CountCube",
     "GroundTruth",
     "IndicatorConfig",
     "JournalRecord",
@@ -64,16 +63,12 @@ __all__ = [
     "VoteTally",
     "build_corpus",
     "classify",
-    "composition",
+    "count_cube",
     "evaluate_accuracy",
     "generate_synthetic",
-    "impact_factor",
     "load_taxonomy",
-    "mean_impact_factor",
     "prestige",
-    "rank_journals",
     "read_corpus",
-    "representation",
     "seed_assignments",
     "validate_corpus",
 ]

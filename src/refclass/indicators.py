@@ -17,7 +17,7 @@ once, so results are independent of evaluation order.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     EmptyScopeError,
     UndefinedValueError,
+    UnknownNameError,
 )
 from .taxonomy import BROAD_AREAS, Taxonomy
 
@@ -130,6 +131,60 @@ class PrestigeValue:
     value: float
 
 
+@dataclass(frozen=True)
+class CompositionTable:
+    """Per-area article shares within a journal set and publication window."""
+
+    journal_set: tuple[str, ...]
+    pub_window: tuple[int, int]
+    counts: dict[str, int]
+    total: int
+
+    @property
+    def shares(self) -> dict[str, float]:
+        return {area: n / self.total for area, n in self.counts.items()}
+
+    def share(self, area: str) -> float:
+        return self.counts.get(area, 0) / self.total
+
+
+@dataclass(frozen=True)
+class RepresentationTable:
+    """Per-area over/under-representation of a journal set against all sources."""
+
+    journal_set: tuple[str, ...]
+    pub_window: tuple[int, int]
+    ratios: dict[str, float]
+    share_set: dict[str, float]
+    share_all: dict[str, float]
+    omitted_areas: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class RankingEntry:
+    journal_id: str
+    value: float | None
+    field_restricted: bool
+    rank: int | None
+
+
+@dataclass(frozen=True)
+class RankingTable:
+    area: str
+    entries: tuple[RankingEntry, ...]
+
+
+@dataclass(frozen=True)
+class SummaryRow:
+    """Per-journal counts and means backing the headline summary table."""
+
+    journal_id: str
+    articles: int
+    articles_classified: int
+    citations: int
+    mean_if: float | None
+
+
 _DOC_TYPE_SLOT = {t: i for i, t in enumerate(DOC_TYPES)}
 
 
@@ -149,9 +204,9 @@ class CountCube:
     Scope slots are the requested journals in order plus one last slot for
     every other journal, so :data:`ALL_SOURCES` is the sum over the scope
     axis. Area slot 0 holds unclassified items, so :data:`ALL_AREAS` is the
-    sum over the area axis. Build one with :func:`count_cube`. Asking for a
-    journal the cube was not built for raises ``KeyError``, and for an
-    impact year outside ``config.if_year_range`` ``ValueError``.
+    sum over the area axis. Build one with :func:`count_cube`. A journal the
+    cube was not built for, other than :data:`ALL_SOURCES`, raises
+    :class:`UnknownNameError`; an area that no assignment names selects nothing.
     """
 
     def __init__(
@@ -171,10 +226,16 @@ class CountCube:
         self._area_slots = area_slots
         self._cited = _doc_type_slots(config.denominator_doc_types)
 
+    def _slot(self, journal: str) -> int:
+        try:
+            return self._scope_slots[journal]
+        except KeyError:
+            raise UnknownNameError(f"journal {journal!r} was not counted in this cube") from None
+
     def _scope(self, journal: str) -> slice:
         if journal == ALL_SOURCES:
             return slice(None)
-        i = self._scope_slots[journal]
+        i = self._slot(journal)
         return slice(i, i + 1)
 
     def _area(self, area: str) -> slice:
@@ -187,10 +248,22 @@ class CountCube:
         return slice(lo - self.first_pub_year, hi - self.first_pub_year + 1)
 
     def impact_factor(self, journal: str, year: int, area: str = ALL_AREAS) -> IfValue:
-        """One yearly impact value; see :func:`impact_factor`."""
+        """Impact value of ``journal`` (or :data:`ALL_SOURCES`) in ``year``.
+
+        Denominator: qualifying items published in ``[year - window, year - 1]``,
+        restricted to ``area`` via the assignment table unless ``area`` is
+        :data:`ALL_AREAS` (unclassified items are excluded from area-restricted
+        counts but included in whole-journal counts). Numerator: citations from
+        qualifying citers of exactly ``year`` to that item set. Raises
+        :class:`ConfigError` naming ``if_year_range`` when ``year`` is not an
+        integer in ``config.if_year_range``, and :class:`UndefinedValueError`
+        when the denominator is zero.
+        """
         first, last = self.config.if_year_range
-        if not first <= year <= last:
-            raise ValueError(f"impact year {year} was not counted ({first}-{last} were)")
+        if not (_is_int(year) and first <= year <= last):
+            raise ConfigError(
+                f"impact year {year!r} is not an integer in if_year_range {first}-{last}"
+            )
         cell = (
             self._scope(journal),
             self._area(area),
@@ -206,7 +279,13 @@ class CountCube:
         return IfValue(journal, area, year, numerator, denominator, value)
 
     def mean_impact_factor(self, journal: str, area: str = ALL_AREAS) -> MeanIfValue:
-        """Mean over ``config.if_year_range``; see :func:`mean_impact_factor`."""
+        """Arithmetic mean of yearly impact values over ``config.if_year_range``.
+
+        Years with a zero denominator are skipped and reported in
+        ``skipped_years``; if every year is undefined the mean itself is
+        undefined and raises :class:`UndefinedValueError`. Years are summed in
+        ascending order.
+        """
         yearly: list[IfValue] = []
         skipped: list[int] = []
         lo, hi = self.config.if_year_range
@@ -223,13 +302,13 @@ class CountCube:
         return MeanIfValue(journal, area, mean, tuple(yearly), tuple(skipped))
 
     def summary_row(self, journal: str) -> SummaryRow:
-        """Counts and whole-journal mean of one scope; see :func:`summary_row`."""
+        """Counts for one journal (or :data:`ALL_SOURCES`): items published in
+        ``config.pub_window``, how many are classified, the citations they
+        receive over ``config.if_year_range``, and the whole-journal mean
+        impact value (None when undefined)."""
         cell = (self._scope(journal), slice(None), self._pub(*self.config.pub_window))
         items = self.den[cell][..., self._cited]
-        try:
-            mean: float | None = self.mean_impact_factor(journal).value
-        except UndefinedValueError:
-            mean = None
+        mean = self._mean_or_none(journal, ALL_AREAS)
         return SummaryRow(
             journal, int(items.sum()), int(items[:, 1:].sum()), int(self.num[cell].sum()), mean
         )
@@ -237,7 +316,7 @@ class CountCube:
     def _area_counts(
         self, journals: tuple[str, ...] | None, doc_types: Iterable[str]
     ) -> dict[str, int]:
-        scopes = slice(None) if journals is None else [self._scope_slots[j] for j in journals]
+        scopes = slice(None) if journals is None else [self._slot(j) for j in journals]
         pub = self._pub(*self.config.pub_window)
         items = self.den[scopes][:, :, pub][..., _doc_type_slots(doc_types)]
         per_area = items.sum(axis=(0, 2, 3))
@@ -250,7 +329,16 @@ class CountCube:
     def composition(
         self, journal_set: Iterable[str], *, doc_types: frozenset[str] = ARTICLE_ONLY
     ) -> CompositionTable:
-        """Composition of some of the cube's journals; see :func:`composition`."""
+        """Disciplinary composition of the classified items in a journal set.
+
+        Counts items with a doc type in ``doc_types`` (a non-empty set of
+        :data:`~refclass.corpus.DOC_TYPES` names, else :class:`ConfigError`)
+        published in ``config.pub_window``. Shares are over classified items
+        only and sum to 1; areas with no classified item in scope are absent
+        from ``counts`` (``share`` reports them as 0). Raises
+        :class:`EmptyScopeError` when nothing in scope is classified.
+        """
+        doc_types = _doc_type_set(doc_types, "doc_types")
         journals = tuple(sorted(set(journal_set)))
         if not journals:
             raise EmptyScopeError("empty journal set")
@@ -266,7 +354,13 @@ class CountCube:
     def representation(
         self, journal_set: Iterable[str], *, doc_types: frozenset[str] = ARTICLE_ONLY
     ) -> RepresentationTable:
-        """Representation of some of the cube's journals; see :func:`representation`."""
+        """Ratio of each area's share in the set to its share over all sources.
+
+        Shares are those of :meth:`composition`. Ratios are defined for every
+        area with a positive all-sources share (0.0 when the set has no such
+        items); areas with zero all-sources share are omitted and listed in
+        ``omitted_areas``.
+        """
         inside = self.composition(journal_set, doc_types=doc_types)
         all_counts = self._area_counts(None, doc_types)
         all_total = sum(all_counts.values())
@@ -280,6 +374,18 @@ class CountCube:
         return RepresentationTable(
             inside.journal_set, inside.pub_window, ratios, inside.shares, share_all, omitted
         )
+
+    def ranking(self, corpus: Corpus, taxonomy: Taxonomy, area: str) -> RankingTable:
+        """Rank the cube's journals in one broad area by their mean impact values,
+        as :func:`ranking_from_means` reads them; ``corpus``, the one the cube
+        counted, gives the journals' categories."""
+        return ranking_from_means(corpus, taxonomy, area, self._scope_slots, self._mean_or_none)
+
+    def _mean_or_none(self, journal: str, area: str) -> float | None:
+        try:
+            return self.mean_impact_factor(journal, area).value
+        except UndefinedValueError:
+            return None
 
 
 def count_cube(
@@ -358,51 +464,6 @@ def count_cube(
     return CountCube(config, journals, area_slots, pub_lo, den, num)
 
 
-def _scopes(journal: str) -> tuple[str, ...]:
-    return () if journal == ALL_SOURCES else (journal,)
-
-
-def impact_factor(
-    corpus: Corpus,
-    assignments: Mapping[str, Assignment],
-    journal: str,
-    year: int,
-    area: str = ALL_AREAS,
-    config: IndicatorConfig | None = None,
-) -> IfValue:
-    """Impact value of ``journal`` (or :data:`ALL_SOURCES`) in ``year``.
-
-    Denominator: qualifying items published in ``[year - window, year - 1]``,
-    restricted to ``area`` via the assignment table unless ``area`` is
-    :data:`ALL_AREAS` (unclassified items are excluded from area-restricted
-    counts but included in whole-journal counts). Numerator: citations from
-    qualifying citers of exactly ``year`` to that item set. Raises
-    :class:`ConfigError` when ``year`` is not an integer within the year
-    bounds, and :class:`UndefinedValueError` when the denominator is zero.
-    """
-    config = replace(config or IndicatorConfig(), if_year_range=(year, year))
-    cube = count_cube(corpus, assignments, _scopes(journal), config)
-    return cube.impact_factor(journal, year, area)
-
-
-def mean_impact_factor(
-    corpus: Corpus,
-    assignments: Mapping[str, Assignment],
-    journal: str,
-    area: str = ALL_AREAS,
-    config: IndicatorConfig | None = None,
-) -> MeanIfValue:
-    """Arithmetic mean of yearly impact values over ``config.if_year_range``.
-
-    Years with a zero denominator are skipped and reported in
-    ``skipped_years``; if every year is undefined the mean itself is
-    undefined and raises :class:`UndefinedValueError`. Years are summed in
-    ascending order.
-    """
-    cube = count_cube(corpus, assignments, _scopes(journal), config or IndicatorConfig())
-    return cube.mean_impact_factor(journal, area)
-
-
 def prestige(
     journal_if: float,
     baseline_if: float,
@@ -410,102 +471,15 @@ def prestige(
     journal_id: str = "",
     area: str = ALL_AREAS,
 ) -> PrestigeValue:
-    """Field-normalized standing: ``journal_if / baseline_if``.
-
-    ``baseline_if`` must be positive; scale-invariant in the common factor.
+    """Field-normalized standing ``journal_if / baseline_if``, scale-invariant
+    in the common factor. Raises :class:`DomainError` unless ``journal_if`` is
+    finite and non-negative and ``baseline_if`` is finite and positive.
     """
-    if not baseline_if > 0:
-        raise DomainError(f"baseline impact value must be positive, got {baseline_if}")
+    if not 0 <= journal_if <= sys.float_info.max:
+        raise DomainError(f"journal impact value must be finite and non-negative, got {journal_if}")
+    if not 0 < baseline_if <= sys.float_info.max:
+        raise DomainError(f"baseline impact value must be finite and positive, got {baseline_if}")
     return PrestigeValue(journal_id, area, journal_if, baseline_if, journal_if / baseline_if)
-
-
-@dataclass(frozen=True)
-class CompositionTable:
-    """Per-area article shares within a journal set and publication window."""
-
-    journal_set: tuple[str, ...]
-    pub_window: tuple[int, int]
-    counts: dict[str, int]
-    total: int
-
-    @property
-    def shares(self) -> dict[str, float]:
-        return {area: n / self.total for area, n in self.counts.items()}
-
-    def share(self, area: str) -> float:
-        return self.counts.get(area, 0) / self.total
-
-
-def composition(
-    corpus: Corpus,
-    assignments: Mapping[str, Assignment],
-    journal_set: Iterable[str],
-    pub_window: tuple[int, int],
-    *,
-    doc_types: frozenset[str] = ARTICLE_ONLY,
-) -> CompositionTable:
-    """Disciplinary composition of the classified articles in a journal set.
-
-    Shares are over classified articles only and sum to 1; areas with no
-    classified article in scope are absent from ``counts`` (``share`` reports
-    them as 0). Raises :class:`EmptyScopeError` when nothing in scope is
-    classified, and :class:`ConfigError` when ``pub_window`` is not a valid
-    :attr:`IndicatorConfig.pub_window`, before anything is counted.
-    """
-    journals = tuple(journal_set)
-    config = IndicatorConfig(pub_window=pub_window)
-    doc_types = _doc_type_set(doc_types, "doc_types")
-    cube = count_cube(corpus, assignments, journals, config)
-    return cube.composition(journals, doc_types=doc_types)
-
-
-@dataclass(frozen=True)
-class RepresentationTable:
-    """Per-area over/under-representation of a journal set against all sources."""
-
-    journal_set: tuple[str, ...]
-    pub_window: tuple[int, int]
-    ratios: dict[str, float]
-    share_set: dict[str, float]
-    share_all: dict[str, float]
-    omitted_areas: tuple[str, ...]
-
-
-def representation(
-    corpus: Corpus,
-    assignments: Mapping[str, Assignment],
-    journal_set: Iterable[str],
-    pub_window: tuple[int, int],
-    *,
-    doc_types: frozenset[str] = ARTICLE_ONLY,
-) -> RepresentationTable:
-    """Ratio of each area's share in the set to its share over all sources.
-
-    Ratios are defined for every area with a positive all-sources share
-    (0.0 when the set has no such articles); areas with zero all-sources
-    share are omitted and listed in ``omitted_areas``. Raises
-    :class:`ConfigError` when ``pub_window`` is not a valid
-    :attr:`IndicatorConfig.pub_window`, before anything is counted.
-    """
-    journals = tuple(journal_set)
-    config = IndicatorConfig(pub_window=pub_window)
-    doc_types = _doc_type_set(doc_types, "doc_types")
-    cube = count_cube(corpus, assignments, journals, config)
-    return cube.representation(journals, doc_types=doc_types)
-
-
-@dataclass(frozen=True)
-class RankingEntry:
-    journal_id: str
-    value: float | None
-    field_restricted: bool
-    rank: int | None
-
-
-@dataclass(frozen=True)
-class RankingTable:
-    area: str
-    entries: tuple[RankingEntry, ...]
 
 
 def ranking_from_means(
@@ -540,53 +514,3 @@ def ranking_from_means(
     ]
     entries += [RankingEntry(j_id, None, multi, None) for j_id, multi in sorted(undefined)]
     return RankingTable(area, tuple(entries))
-
-
-def rank_journals(
-    corpus: Corpus,
-    assignments: Mapping[str, Assignment],
-    taxonomy: Taxonomy,
-    area: str,
-    journals: Iterable[str],
-    config: IndicatorConfig | None = None,
-) -> RankingTable:
-    """Rank journals within one broad area by mean impact value.
-
-    Journals carrying any multidisciplinary category are scored by their
-    area-restricted mean; disciplinary journals by their whole-journal mean.
-    Sorted descending, ties broken by journal id; journals with an undefined
-    mean are listed last, unranked.
-    """
-    journal_list = sorted(set(journals))
-    cube = count_cube(corpus, assignments, journal_list, config or IndicatorConfig())
-
-    def mean_of(journal: str, scope_area: str) -> float | None:
-        try:
-            return cube.mean_impact_factor(journal, scope_area).value
-        except UndefinedValueError:
-            return None
-
-    return ranking_from_means(corpus, taxonomy, area, journal_list, mean_of)
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    """Per-journal counts and means backing the headline summary table."""
-
-    journal_id: str
-    articles: int
-    articles_classified: int
-    citations: int
-    mean_if: float | None
-
-
-def summary_row(
-    corpus: Corpus,
-    assignments: Mapping[str, Assignment],
-    journal: str,
-    config: IndicatorConfig,
-) -> SummaryRow:
-    """Counts for one journal (or ALL_SOURCES): publication-window articles,
-    how many are classified, citations received over the impact-year range,
-    and the whole-journal mean impact value (None when undefined)."""
-    return count_cube(corpus, assignments, _scopes(journal), config).summary_row(journal)

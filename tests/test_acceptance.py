@@ -21,10 +21,8 @@ from refclass.indicators import (
     ALL_AREAS,
     ALL_SOURCES,
     IndicatorConfig,
-    impact_factor,
-    mean_impact_factor,
+    count_cube,
     prestige,
-    representation,
 )
 from refclass.synthetic import SyntheticConfig, field_category, generate_synthetic
 
@@ -100,15 +98,16 @@ def test_criterion_3_decomposition_identity():
         assert all(a.broad_area is not None for a in assignments.values()), "must be fully classified"
         icfg = IndicatorConfig(if_year_range=(2002, 2003), pub_window=(2000, 2003))
         areas = tuple(sorted({a.broad_area for a in assignments.values()}))
+        cube = count_cube(corpus, assignments, ("JF00S00", "JF03S01", "JG00"), icfg)
         checked = 0
         for journal_id in (ALL_SOURCES, "JF00S00", "JF03S01", "JG00"):
             for year in (2002, 2003):
-                whole = impact_factor(corpus, assignments, journal_id, year, ALL_AREAS, icfg)
+                whole = cube.impact_factor(journal_id, year, ALL_AREAS)
                 total = 0
                 mixed = 0.0
                 for area in areas:
                     try:
-                        part = impact_factor(corpus, assignments, journal_id, year, area, icfg)
+                        part = cube.impact_factor(journal_id, year, area)
                     except UndefinedValueError:
                         continue
                     total += part.denominator
@@ -143,9 +142,10 @@ def test_criterion_5_planted_rate_recovery():
         corpus, _, taxonomy = generate_synthetic(config)
         assignments = classify(corpus, taxonomy).assignments
         icfg = IndicatorConfig(if_year_range=(2002, 2004), pub_window=(2000, 2004))
+        cube = count_cube(corpus, assignments, (), icfg)
         for f, lam in enumerate(rates):
             area = taxonomy.broad_area_of(field_category(f))
-            mean = mean_impact_factor(corpus, assignments, ALL_SOURCES, area, icfg)
+            mean = cube.mean_impact_factor(ALL_SOURCES, area)
             for v in mean.yearly:
                 assert v.denominator >= 2000
             expected = icfg.kappa * lam
@@ -175,7 +175,8 @@ def test_criterion_6_representation_recovery():
         target_area = taxonomy.broad_area_of(field_category(0))
         planted_share = sum(1 for f in truth.field_of.values() if f == 0) / len(truth.field_of)
         assert planted_share == pytest.approx(0.10, abs=1e-12)
-        rep = representation(corpus, assignments, ("JG00",), (2000, 2004))
+        icfg = IndicatorConfig(pub_window=(2000, 2004))
+        rep = count_cube(corpus, assignments, ("JG00",), icfg).representation(("JG00",))
         assert rep.ratios[target_area] == pytest.approx(5.0, abs=0.2)
 
 
@@ -285,10 +286,12 @@ def test_criterion_8_kappa_linearity_and_monotonicity():
         for case in range(1000):
             corpus, records, anchor, year, window = _random_if_case(rng)
             kappa = float(rng.uniform(0.25, 4.0))
-            base_cfg = IndicatorConfig(window=window, kappa=1.0)
-            k_cfg = IndicatorConfig(window=window, kappa=kappa)
-            v1 = impact_factor(corpus, {}, anchor.journal_id, year, ALL_AREAS, base_cfg)
-            vk = impact_factor(corpus, {}, anchor.journal_id, year, ALL_AREAS, k_cfg)
+            years = (year, year)
+            base_cfg = IndicatorConfig(window=window, kappa=1.0, if_year_range=years)
+            k_cfg = IndicatorConfig(window=window, kappa=kappa, if_year_range=years)
+            journals = (anchor.journal_id,)
+            v1 = count_cube(corpus, {}, journals, base_cfg).impact_factor(anchor.journal_id, year)
+            vk = count_cube(corpus, {}, journals, k_cfg).impact_factor(anchor.journal_id, year)
             # bit-exact scaling: value = kappa * (numerator / denominator)
             assert vk.value == kappa * v1.value, f"case {case}"
             assert (vk.numerator, vk.denominator) == (v1.numerator, v1.denominator)
@@ -297,6 +300,6 @@ def test_criterion_8_kappa_linearity_and_monotonicity():
                 "ZZEXTRA", anchor.journal_id, year, "article", (anchor.id,)
             )
             grown = build_corpus(records + [extra])
-            vk2 = impact_factor(grown, {}, anchor.journal_id, year, ALL_AREAS, k_cfg)
+            vk2 = count_cube(grown, {}, journals, k_cfg).impact_factor(anchor.journal_id, year)
             assert vk2.numerator == vk.numerator + 1, f"case {case}"
             assert vk2.value >= vk.value, f"case {case}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refclass import indicators
 from refclass.classifier import Assignment, classify
 from refclass.corpus import DOC_TYPES, YEAR_BOUNDS, build_corpus
 from refclass.errors import (
@@ -24,17 +24,12 @@ from refclass.indicators import (
     ALL_AREAS,
     ALL_SOURCES,
     ARTICLE_ONLY,
+    CountCube,
     IfValue,
     IndicatorConfig,
     RankingEntry,
-    composition,
     count_cube,
-    impact_factor,
-    mean_impact_factor,
     prestige,
-    rank_journals,
-    representation,
-    summary_row,
 )
 from refclass.report import COMBINED_SCOPE, build_report_tables
 from refclass.taxonomy import BROAD_AREAS
@@ -73,7 +68,7 @@ def cited_corpus():
 def test_impact_factor_direct_ratio(toy_taxonomy):
     corpus = cited_corpus()
     assignments = classify(corpus, toy_taxonomy).assignments
-    v = impact_factor(corpus, assignments, "J1", 2012, ALL_AREAS, simple_config())
+    v = count_cube(corpus, assignments, ("J1",), simple_config()).impact_factor("J1", 2012)
     assert (v.numerator, v.denominator) == (10, 4)
     assert v.value == 2.5
 
@@ -83,7 +78,7 @@ def test_impact_factor_zero_citations(toy_taxonomy):
         [journal("J1", ASTRO), article("P1", "J1", 2010), article("P2", "J1", 2012)]
     )
     assignments = classify(corpus, toy_taxonomy).assignments
-    v = impact_factor(corpus, assignments, "J1", 2012, ALL_AREAS, simple_config())
+    v = count_cube(corpus, assignments, ("J1",), simple_config()).impact_factor("J1", 2012)
     assert v.value == 0.0
     assert v.denominator == 1  # only P1 falls in [2010, 2011]
 
@@ -103,13 +98,13 @@ def test_impact_factor_window_and_doc_filters(toy_taxonomy):
     assignments = classify(corpus, toy_taxonomy).assignments
     # reviews and out-of-window articles are not citable items; citing
     # side counts all doc types in the right year only
-    v = impact_factor(corpus, assignments, "J1", 2012, ALL_AREAS, simple_config())
+    v = count_cube(corpus, assignments, ("J1",), simple_config()).impact_factor("J1", 2012)
     assert (v.numerator, v.denominator) == (2, 1)
     narrow = simple_config(citing_doc_types=frozenset({"article"}))
-    v2 = impact_factor(corpus, assignments, "J1", 2012, ALL_AREAS, narrow)
+    v2 = count_cube(corpus, assignments, ("J1",), narrow).impact_factor("J1", 2012)
     assert (v2.numerator, v2.denominator) == (1, 1)
     wide = simple_config(denominator_doc_types=frozenset({"article", "review"}))
-    v3 = impact_factor(corpus, assignments, "J1", 2012, ALL_AREAS, wide)
+    v3 = count_cube(corpus, assignments, ("J1",), wide).impact_factor("J1", 2012)
     assert (v3.numerator, v3.denominator) == (3, 2)
 
 
@@ -123,14 +118,17 @@ def test_impact_factor_area_restriction_excludes_unclassified(toy_taxonomy):
     ]
     corpus = build_corpus(records)
     assignments = classify(corpus, toy_taxonomy).assignments
-    whole = impact_factor(corpus, assignments, ALL_SOURCES, 2012, ALL_AREAS, simple_config())
+    cube = count_cube(corpus, assignments, (), simple_config())
+    whole = cube.impact_factor(ALL_SOURCES, 2012, ALL_AREAS)
     assert (whole.numerator, whole.denominator) == (2, 2)
-    astro = impact_factor(corpus, assignments, ALL_SOURCES, 2012, "Astronomy", simple_config())
+    astro = cube.impact_factor(ALL_SOURCES, 2012, "Astronomy")
     assert (astro.numerator, astro.denominator) == (1, 1)
     with pytest.raises(UndefinedValueError):
-        impact_factor(corpus, assignments, ALL_SOURCES, 2012, "Medicine", simple_config())
+        cube.impact_factor(ALL_SOURCES, 2012, "Medicine")
     with pytest.raises(UnknownNameError):
-        impact_factor(corpus, assignments, "NOPE", 2012, ALL_AREAS, simple_config())
+        count_cube(corpus, assignments, ("NOPE",), simple_config())
+    with pytest.raises(UnknownNameError):
+        cube.impact_factor("JA", 2012, ALL_AREAS)
 
 
 def brute_force_if(corpus, assignments, journal_id, year, area, config):
@@ -173,15 +171,16 @@ def test_impact_factor_matches_brute_force_scan():
     assignments = classify(corpus, taxonomy).assignments
     config = IndicatorConfig(if_year_range=(2002, 2003), pub_window=(2000, 2003))
     areas = [ALL_AREAS, "Bioscience", "Medicine", "Geosciences"]
+    cube = count_cube(corpus, assignments, ("JF00S00", "JG00"), config)
     for journal_id in (ALL_SOURCES, "JF00S00", "JG00"):
         for year in (2002, 2003):
             for area in areas:
                 expected = brute_force_if(corpus, assignments, journal_id, year, area, config)
                 if expected[1] == 0:
                     with pytest.raises(UndefinedValueError):
-                        impact_factor(corpus, assignments, journal_id, year, area, config)
+                        cube.impact_factor(journal_id, year, area)
                     continue
-                v = impact_factor(corpus, assignments, journal_id, year, area, config)
+                v = cube.impact_factor(journal_id, year, area)
                 assert (v.numerator, v.denominator) == expected
 
 
@@ -272,7 +271,7 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
             defined = [cell for cell in yearly if cell[2]]
             for year, num, den in yearly:
                 if den:
-                    v = impact_factor(corpus, assignments, scope, year, area, config)
+                    v = cube.impact_factor(scope, year, area)
                     assert (v.numerator, v.denominator) == (num, den)
             m = field_if.get((scope, area))
             if not defined:
@@ -298,7 +297,7 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
             citations,
             mean,
         )
-        assert summary_row(corpus, assignments, row.journal_id, config) == row
+        assert cube.summary_row(row.journal_id) == row
 
     expected = {
         scope: brute_force_area_counts(corpus, assignments, set(js), config.pub_window)
@@ -310,12 +309,13 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
     all_counts = brute_force_area_counts(corpus, assignments, None, config.pub_window)
     total = sum(all_counts.values())
     assert tables.representation.share_all == {a: n / total for a, n in all_counts.items()}
-    # The library functions count over their own config-sized cubes.
+    # Shares depend on the publication window alone, not on the impact years.
+    shares_config = IndicatorConfig(pub_window=config.pub_window)
+    shares_cube = count_cube(corpus, assignments, journals, shares_config)
     for scope, table in tables.compositions:
         js = journals if scope == COMBINED_SCOPE else [scope]
-        assert composition(corpus, assignments, js, config.pub_window) == table
-    rep = representation(corpus, assignments, journals, config.pub_window)
-    assert rep == tables.representation
+        assert shares_cube.composition(js) == table
+    assert shares_cube.representation(journals) == tables.representation
 
     assert [r.area for r in tables.rankings] == areas
     for ranking in tables.rankings:
@@ -326,7 +326,7 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
             (undefined if value is None else scored).append((j, value))
         scored.sort(key=lambda jv: (-jv[1], jv[0]))
         assert [(e.journal_id, e.value) for e in ranking.entries] == scored + undefined
-        assert ranking == rank_journals(corpus, assignments, taxonomy, ranking.area, journals, config)
+        assert ranking == cube.ranking(corpus, taxonomy, ranking.area)
 
 
 def test_mean_impact_factor_skips_undefined_years(toy_taxonomy):
@@ -346,13 +346,14 @@ def test_mean_impact_factor_skips_undefined_years(toy_taxonomy):
     corpus = build_corpus(records)
     assignments = classify(corpus, toy_taxonomy).assignments
     cfg = simple_config(if_year_range=(2012, 2014))
-    m = mean_impact_factor(corpus, assignments, "J1", ALL_AREAS, cfg)
+    cube = count_cube(corpus, assignments, ("J1",), cfg)
+    m = cube.mean_impact_factor("J1", ALL_AREAS)
     assert [v.value for v in m.yearly] == [2.0, 4.0]
     assert m.skipped_years == (2013,)
     assert m.value == pytest.approx(3.0)
     # every year undefined -> the mean itself is undefined
     with pytest.raises(UndefinedValueError):
-        mean_impact_factor(corpus, assignments, "J1", "Medicine", cfg)
+        cube.mean_impact_factor("J1", "Medicine")
 
 
 def test_prestige_formula_and_errors():
@@ -364,6 +365,17 @@ def test_prestige_formula_and_errors():
         prestige(1.0, 0.0)
     with pytest.raises(DomainError):
         prestige(1.0, -2.0)
+    # finite, with a non-negative journal value
+    for journal_if, baseline_if in [
+        (float("nan"), 1.0),
+        (float("inf"), 1.0),
+        (1.0, float("inf")),
+        (1.0, float("nan")),
+        (-1.0, 2.0),
+    ]:
+        with pytest.raises(DomainError):
+            prestige(journal_if, baseline_if)
+    assert prestige(0.0, 2.0).value == 0.0
 
 
 def test_prestige_scale_invariance():
@@ -371,6 +383,9 @@ def test_prestige_scale_invariance():
     for _ in range(100):
         x, y, c = rng.uniform(0.1, 50.0, size=3)
         assert prestige(c * x, c * y).value == pytest.approx(prestige(x, y).value, rel=1e-9)
+
+
+SHARES_CONFIG = IndicatorConfig(pub_window=(2005, 2015))
 
 
 def composition_corpus():
@@ -392,12 +407,13 @@ def composition_corpus():
 def test_composition_shares(toy_taxonomy):
     corpus = composition_corpus()
     assignments = classify(corpus, toy_taxonomy).assignments
-    table = composition(corpus, assignments, ("JSET_A", "JSET_B"), (2005, 2015))
+    cube = count_cube(corpus, assignments, ("JSET_A", "JSET_B"), SHARES_CONFIG)
+    table = cube.composition(("JSET_A", "JSET_B"))
     assert table.share("Medicine") == pytest.approx(0.53)
     assert table.share("Astronomy") == pytest.approx(0.47)
     assert table.share("Physics") == 0.0
     assert sum(table.shares.values()) == pytest.approx(1.0, abs=1e-9)
-    single = composition(corpus, assignments, ("JSET_A",), (2005, 2015))
+    single = cube.composition(("JSET_A",))
     assert single.share("Medicine") == 1.0
     assert single.counts == {"Medicine": 53}
 
@@ -405,28 +421,36 @@ def test_composition_shares(toy_taxonomy):
 def test_composition_errors(toy_taxonomy):
     corpus = composition_corpus()
     assignments = classify(corpus, toy_taxonomy).assignments
+    cube = count_cube(corpus, assignments, ("JSET_A",), SHARES_CONFIG)
     with pytest.raises(EmptyScopeError):
-        composition(corpus, assignments, (), (2005, 2015))
+        cube.composition(())
+    early = IndicatorConfig(pub_window=(1990, 1995))
     with pytest.raises(EmptyScopeError):
-        composition(corpus, assignments, ("JSET_A",), (1990, 1995))
+        count_cube(corpus, assignments, ("JSET_A",), early).composition(("JSET_A",))
     with pytest.raises(UnknownNameError):
-        composition(corpus, assignments, ("NOPE",), (2005, 2015))
+        count_cube(corpus, assignments, ("NOPE",), SHARES_CONFIG)
+    # a corpus journal the cube did not count
+    with pytest.raises(UnknownNameError):
+        cube.composition(("JSET_A", "JSET_B"))
 
 
-def assert_config_error_before_counting(monkeypatch, taxonomy, entry, match, *args, **kwargs):
+def assert_config_error_before_counting(
+    monkeypatch, taxonomy, entry, match, pub_window, doc_types=ARTICLE_ONLY
+):
     corpus = composition_corpus()
     assignments = classify(corpus, taxonomy).assignments
 
     def refuse(*args, **kwargs):
-        raise AssertionError("count_cube ran")
+        raise AssertionError("counted")
 
-    monkeypatch.setattr(indicators, "count_cube", refuse)
+    monkeypatch.setattr(CountCube, "_area_counts", refuse)
     with pytest.raises(ConfigError, match=match):
-        entry(corpus, assignments, ("JSET_A",), *args, **kwargs)
+        cube = count_cube(corpus, assignments, ("JSET_A",), IndicatorConfig(pub_window=pub_window))
+        getattr(cube, entry)(("JSET_A",), doc_types=doc_types)
 
 
 @pytest.mark.parametrize("pub_window", [(1, 10**9), (2015, 2005), (2005.0, 2015)])
-@pytest.mark.parametrize("entry", [composition, representation])
+@pytest.mark.parametrize("entry", ["composition", "representation"])
 def test_library_pub_window_is_checked_before_counting(
     toy_taxonomy, monkeypatch, pub_window, entry
 ):
@@ -434,7 +458,7 @@ def test_library_pub_window_is_checked_before_counting(
 
 
 @pytest.mark.parametrize("doc_types", ["article", {"bogus"}, {"article", "Article"}, set()])
-@pytest.mark.parametrize("entry", [composition, representation])
+@pytest.mark.parametrize("entry", ["composition", "representation"])
 def test_library_doc_types_are_checked_before_counting(
     toy_taxonomy, monkeypatch, doc_types, entry
 ):
@@ -447,7 +471,8 @@ def test_representation_back_derived_values(toy_taxonomy):
     # set share 0.53, all-sources share 53/400 = 0.1325 -> ratio 4.0
     corpus = composition_corpus()
     assignments = classify(corpus, toy_taxonomy).assignments
-    rep = representation(corpus, assignments, ("JSET_A", "JSET_B"), (2005, 2015))
+    journals = ("JSET_A", "JSET_B")
+    rep = count_cube(corpus, assignments, journals, SHARES_CONFIG).representation(journals)
     assert rep.share_all["Medicine"] == pytest.approx(0.1325)
     assert rep.ratios["Medicine"] == pytest.approx(4.0)
     assert rep.ratios["Astronomy"] == pytest.approx(0.47 / (347 / 400))
@@ -459,7 +484,9 @@ def test_representation_of_whole_corpus_is_one(toy_taxonomy):
     corpus, taxonomy = random_corpus(rng, max_articles=300)
     assignments = classify(corpus, taxonomy).assignments
     try:
-        rep = representation(corpus, assignments, tuple(corpus.journals), (2000, 2010))
+        config = IndicatorConfig(pub_window=(2000, 2010))
+        cube = count_cube(corpus, assignments, corpus.journals, config)
+        rep = cube.representation(corpus.journals)
     except EmptyScopeError:
         pytest.skip("random corpus had no classified articles in window")
     for area, ratio in rep.ratios.items():
@@ -486,7 +513,8 @@ def test_rank_journals_order_and_ties(toy_taxonomy):
     corpus = build_corpus(records)
     assignments = classify(corpus, toy_taxonomy).assignments
     cfg = simple_config()
-    table = rank_journals(corpus, assignments, toy_taxonomy, "Astronomy", ("JA", "JB", "JC"), cfg)
+    cube = count_cube(corpus, assignments, ("JA", "JB", "JC"), cfg)
+    table = cube.ranking(corpus, toy_taxonomy, "Astronomy")
     assert [e.journal_id for e in table.entries] == ["JA", "JC", "JB"]
     assert [e.rank for e in table.entries] == [1, 2, 3]
     assert all(not e.field_restricted for e in table.entries)
@@ -506,9 +534,8 @@ def test_rank_journals_tie_break_and_undefined(toy_taxonomy):
     ]
     corpus = build_corpus(records)
     assignments = classify(corpus, toy_taxonomy).assignments
-    table = rank_journals(
-        corpus, assignments, toy_taxonomy, "Astronomy", ("JB", "JA", "JZ"), simple_config()
-    )
+    cube = count_cube(corpus, assignments, ("JB", "JA", "JZ"), simple_config())
+    table = cube.ranking(corpus, toy_taxonomy, "Astronomy")
     assert [e.journal_id for e in table.entries] == ["JA", "JB", "JZ"]
     assert table.entries[0].value == table.entries[1].value == 1.0
     assert table.entries[2].rank is None and table.entries[2].value is None
@@ -540,9 +567,8 @@ def test_rank_journals_field_restricts_multidisciplinary(toy_taxonomy):
     assignments = classify(corpus, toy_taxonomy).assignments
     cfg = simple_config()
     for area, field_journal in (("Astronomy", "JFA"), ("Medicine", "JFO")):
-        table = rank_journals(
-            corpus, assignments, toy_taxonomy, area, ("JG", field_journal), cfg
-        )
+        cube = count_cube(corpus, assignments, ("JG", field_journal), cfg)
+        table = cube.ranking(corpus, toy_taxonomy, area)
         assert table.entries[0].journal_id == "JG"
         assert table.entries[0].field_restricted
         assert not table.entries[1].field_restricted
@@ -552,12 +578,12 @@ def test_rank_journals_field_restricts_multidisciplinary(toy_taxonomy):
 def test_decomposition_identity_small(toy_taxonomy):
     corpus = cited_corpus()
     assignments = classify(corpus, toy_taxonomy).assignments
-    cfg = simple_config()
-    whole = impact_factor(corpus, assignments, "J1", 2012, ALL_AREAS, cfg)
+    cube = count_cube(corpus, assignments, ("J1",), simple_config())
+    whole = cube.impact_factor("J1", 2012, ALL_AREAS)
     parts = []
     for area in ("Astronomy", "Medicine"):
         try:
-            v = impact_factor(corpus, assignments, "J1", 2012, area, cfg)
+            v = cube.impact_factor("J1", 2012, area)
         except UndefinedValueError:
             continue
         parts.append(v)
@@ -570,8 +596,9 @@ def test_kappa_linearity_exact(toy_taxonomy):
     corpus = cited_corpus()
     assignments = classify(corpus, toy_taxonomy).assignments
     for kappa in (0.5, 1.04, 2.0, 3.75):
-        v_k = impact_factor(corpus, assignments, "J1", 2012, ALL_AREAS, simple_config(kappa=kappa))
-        v_1 = impact_factor(corpus, assignments, "J1", 2012, ALL_AREAS, simple_config(kappa=1.0))
+        cube_k = count_cube(corpus, assignments, ("J1",), simple_config(kappa=kappa))
+        cube_1 = count_cube(corpus, assignments, ("J1",), simple_config(kappa=1.0))
+        v_k, v_1 = cube_k.impact_factor("J1", 2012), cube_1.impact_factor("J1", 2012)
         assert v_k.value == kappa * v_1.value  # bit-exact
         assert (v_k.numerator, v_k.denominator) == (v_1.numerator, v_1.denominator)
 
@@ -580,13 +607,14 @@ def test_summary_row_counts(toy_taxonomy):
     corpus = cited_corpus()
     assignments = classify(corpus, toy_taxonomy).assignments
     cfg = simple_config(if_year_range=(2012, 2012), pub_window=(2010, 2011))
-    row = summary_row(corpus, assignments, "J1", cfg)
+    cube = count_cube(corpus, assignments, ("J1",), cfg)
+    row = cube.summary_row("J1")
     assert row.journal_id == "J1"
     assert row.articles == 4
     assert row.articles_classified == 4
     assert row.citations == 10
     assert row.mean_if == pytest.approx(2.5)
-    all_row = summary_row(corpus, assignments, ALL_SOURCES, cfg)
+    all_row = cube.summary_row(ALL_SOURCES)
     assert all_row.articles == 4  # citing articles are published in 2012
 
 
@@ -634,14 +662,15 @@ def test_indicator_config_validation():
     assert edge.if_year_range == (1900, 2100)
 
 
-@pytest.mark.parametrize("year", [10**20, 2011.0, "2011", True, 1850])
+@pytest.mark.parametrize("year", [10**20, 2011.0, "2011", True, 1850, 2010, 2012])
 def test_impact_year_is_checked_like_the_config_years(year):
     corpus = build_corpus(
         [journal("J1", ONCO), article("P1", "J1", 2010), article("P2", "J1", 2011, refs=("P1",))]
     )
-    assert impact_factor(corpus, {}, "J1", 2011).numerator == 1
+    cube = count_cube(corpus, {}, ("J1",), IndicatorConfig(if_year_range=(2011, 2011)))
+    assert cube.impact_factor("J1", 2011).numerator == 1
     with pytest.raises(ConfigError, match="if_year_range"):
-        impact_factor(corpus, {}, "J1", year)
+        cube.impact_factor("J1", year)
 
 
 def test_count_cube_traced_peak_is_bounded():
@@ -692,6 +721,11 @@ def brute_force_mean(corpus, assignments, journal_id, area, config):
     return defined, sum(config.kappa * (n / d) for _, n, d in defined) / len(defined)
 
 
+def same_outcome(a, b) -> bool:
+    """Equal values, or errors of one type."""
+    return type(a) is type(b) and (isinstance(a, RefclassError) or a == b)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), data=st.data())
 def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(seed, data):
@@ -718,15 +752,41 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
     journal_set = data.draw(st.lists(st.sampled_from((*in_corpus, "NOPE")), max_size=5), "set")
     areas = (ALL_AREAS, *taxonomy.areas_in_use, "Physics", "Alchemy")
     area = data.draw(st.sampled_from(areas), "area")
-    known = journal_id != "NOPE"
     known_set = "NOPE" not in journal_set
+    if not known_set:
+        got = outcome(lambda: count_cube(corpus, assignments, journal_set, config))
+        assert type(got) is UnknownNameError
+    # The cube counts the set's corpus journals and, unless drawn otherwise,
+    # ``journal_id``; it knows no other journal.
+    counted = set(journal_set) - {"NOPE"}
+    if journal_id in in_corpus and data.draw(st.booleans(), "journal counted"):
+        counted.add(journal_id)
+    counted = sorted(counted)
+    known = journal_id == ALL_SOURCES or journal_id in counted
+    cube = count_cube(corpus, assignments, counted, config)
+    lo, hi = config.if_year_range
+    assert type(outcome(lambda: cube.impact_factor(ALL_SOURCES, float(lo)))) is ConfigError
 
+    # Values of one impact year from a cube that counts that year alone; the
+    # config's own cube gives the same within its years and a ConfigError
+    # outside them.
     year = data.draw(YEAR, "year")
+    one_year = outcome(lambda: replace(config, if_year_range=(year, year)))
+    if not LO <= year <= HI:
+        assert type(one_year) is ConfigError
+    else:
+        one_year = count_cube(corpus, assignments, counted, one_year)
     for j, a in dict.fromkeys([(journal_id, area), (ALL_SOURCES, area), (journal_id, ALL_AREAS)]):
-        got = outcome(lambda: impact_factor(corpus, assignments, j, year, a, config))
+        in_cube = outcome(lambda: cube.impact_factor(j, year, a))
         if not LO <= year <= HI:
-            assert type(got) is ConfigError
-        elif j == "NOPE":
+            assert type(in_cube) is ConfigError
+            continue
+        got = outcome(lambda: one_year.impact_factor(j, year, a))
+        if lo <= year <= hi:
+            assert same_outcome(in_cube, got)
+        else:
+            assert type(in_cube) is ConfigError
+        if j != ALL_SOURCES and not known:
             assert type(got) is UnknownNameError
         else:
             num, den = brute_force_if(corpus, assignments, j, year, a, config)
@@ -735,7 +795,7 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
             else:
                 assert type(got) is UndefinedValueError
 
-    got = outcome(lambda: mean_impact_factor(corpus, assignments, journal_id, area, config))
+    got = outcome(lambda: cube.mean_impact_factor(journal_id, area))
     defined, mean = brute_force_mean(corpus, assignments, journal_id, area, config)
     if not known:
         assert type(got) is UnknownNameError
@@ -745,7 +805,7 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
         assert [(v.year, v.numerator, v.denominator) for v in got.yearly] == defined
         assert got.value == mean
 
-    got = outcome(lambda: summary_row(corpus, assignments, journal_id, config))
+    got = outcome(lambda: cube.summary_row(journal_id))
     if not known:
         assert type(got) is UnknownNameError
     else:
@@ -762,32 +822,31 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
             brute_force_mean(corpus, assignments, journal_id, ALL_AREAS, config)[1],
         )
 
-    got = outcome(lambda: rank_journals(corpus, assignments, taxonomy, area, journal_set, config))
-    if not known_set:
-        assert type(got) is UnknownNameError
-    else:
-        scored, undefined = [], []
-        for j in sorted(set(journal_set)):
-            multi = any(taxonomy.is_multidisciplinary(c) for c in corpus.journals[j].categories)
-            scope_area = area if multi else ALL_AREAS
-            value = brute_force_mean(corpus, assignments, j, scope_area, config)[1]
-            (undefined if value is None else scored).append((j, value, multi))
-        scored.sort(key=lambda entry: (-entry[1], entry[0]))
-        assert got.entries == tuple(
-            [RankingEntry(j, v, multi, rank) for rank, (j, v, multi) in enumerate(scored, 1)]
-            + [RankingEntry(j, None, multi, None) for j, _, multi in undefined]
-        )
+    got = outcome(lambda: cube.ranking(corpus, taxonomy, area))
+    scored, undefined = [], []
+    for j in counted:
+        multi = any(taxonomy.is_multidisciplinary(c) for c in corpus.journals[j].categories)
+        scope_area = area if multi else ALL_AREAS
+        value = brute_force_mean(corpus, assignments, j, scope_area, config)[1]
+        (undefined if value is None else scored).append((j, value, multi))
+    scored.sort(key=lambda entry: (-entry[1], entry[0]))
+    assert got.entries == tuple(
+        [RankingEntry(j, v, multi, rank) for rank, (j, v, multi) in enumerate(scored, 1)]
+        + [RankingEntry(j, None, multi, None) for j, _, multi in undefined]
+    )
 
+    # Shares from a cube that counts the drawn publication window.
     pub_window = data.draw(year_pair(YEAR), "composition pub_window")
     doc_types = data.draw(st.sampled_from((*DOC_TYPE_SETS, "article", frozenset())), "doc_types")
-    got_in = outcome(
-        lambda: composition(corpus, assignments, journal_set, pub_window, doc_types=doc_types)
-    )
-    got_rep = outcome(
-        lambda: representation(corpus, assignments, journal_set, pub_window, doc_types=doc_types)
-    )
     lo, hi = pub_window
-    if not LO <= lo <= hi <= HI or isinstance(doc_types, str) or not doc_types:
+    shares_config = outcome(lambda: replace(config, pub_window=pub_window))
+    if not LO <= lo <= hi <= HI:
+        assert type(shares_config) is ConfigError
+        return
+    shares_cube = count_cube(corpus, assignments, counted, shares_config)
+    got_in = outcome(lambda: shares_cube.composition(journal_set, doc_types=doc_types))
+    got_rep = outcome(lambda: shares_cube.representation(journal_set, doc_types=doc_types))
+    if isinstance(doc_types, str) or not doc_types:
         assert type(got_in) is type(got_rep) is ConfigError
         return
     if not known_set:

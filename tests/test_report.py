@@ -11,7 +11,7 @@ import pytest
 import refclass.report as report_module
 from refclass.classifier import classify
 from refclass.corpus import build_corpus
-from refclass.indicators import IndicatorConfig, PrestigeValue
+from refclass.indicators import IndicatorConfig, PrestigeValue, count_cube
 from refclass.report import (
     MANIFEST_FILE,
     TABLE_COLUMNS,
@@ -106,8 +106,6 @@ def test_header_records_config(toy_taxonomy):
 
 
 def test_every_field_if_cell_reproducible_from_library_ops(toy_taxonomy):
-    from refclass.indicators import impact_factor, mean_impact_factor
-
     records = [
         journal("JG", MULTI),
         journal("JA", ASTRO),
@@ -124,6 +122,7 @@ def test_every_field_if_cell_reproducible_from_library_ops(toy_taxonomy):
     assignments = classify(corpus, toy_taxonomy).assignments
     config = IndicatorConfig(kappa=1.0, if_year_range=(2008, 2008), pub_window=(2005, 2015))
     tables = build_report_tables(corpus, assignments, toy_taxonomy, ("JG",), config)
+    cube = count_cube(corpus, assignments, ("JG",), config)
     rows = [
         ln.split("\t")
         for ln in render_tables(tables)["field_if.tsv"].splitlines()
@@ -133,10 +132,10 @@ def test_every_field_if_cell_reproducible_from_library_ops(toy_taxonomy):
     for cols in rows:
         journal_id, area, year_s, num_s, den_s, value_s, _skipped = cols
         if year_s == "mean":
-            direct = mean_impact_factor(corpus, assignments, journal_id, area, config)
+            direct = cube.mean_impact_factor(journal_id, area)
             assert fmt_float(direct.value) == value_s
         else:
-            direct = impact_factor(corpus, assignments, journal_id, int(year_s), area, config)
+            direct = cube.impact_factor(journal_id, int(year_s), area)
             assert (str(direct.numerator), str(direct.denominator)) == (num_s, den_s)
             assert fmt_float(direct.value) == value_s
 
