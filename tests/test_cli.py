@@ -395,9 +395,9 @@ def _pipeline_digests(out: Path) -> dict[str, str]:
     corpus, taxonomy = out / "corpus.tsv", out / "taxonomy.tsv"
     assignments, tables = out / "assignments.tsv", out / "indicators"
     inputs = ["--corpus", str(corpus), "--taxonomy", str(taxonomy)]
-    truth = ["--out-truth", str(out / "truth.tsv"), "--out-taxonomy", str(taxonomy)]
-    assert run_cli(["synth", "--config", str(config), "--seed", "20250810"]
-                   + ["--out-corpus", str(corpus)] + truth) == 0
+    synth = ["synth", "--config", str(config), "--seed", "20250810", "--out-corpus", str(corpus)]
+    synth += ["--out-truth", str(out / "truth.tsv"), "--out-taxonomy", str(taxonomy)]
+    assert run_cli(synth) == 0
     with corpus.open("a") as fh:
         fh.write(PINNED_APPENDIX)
     assert run_cli(["classify", *inputs, "--out", str(assignments)]) == 0
