@@ -39,8 +39,9 @@ writes take all three shortcuts: sorted ids, grouped and without repeats.
 processes: when ``os.fork`` exists, the CPU affinity holds at least two
 CPUs, no other Python thread runs, ``SIGCHLD`` is not ignored and the input
 has at least :data:`_FORK_LINES` lines, it forks one worker for the second
-half. Each process checks and codes its own half; the worker pipes its rows
-and codes back, and the parent merges them and builds the corpus once.
+half. Each process reads, checks and codes only its own lines, as a corpus
+of its own; the worker pipes its rows and codes back, and the parent alone
+merges the two halves into whole-file codes and builds the corpus once.
 Results and errors are those of the one-process read, which runs whenever
 one of the conditions fails, the fork fails, the worker fails or an id
 appears in both halves. The price: a caller that passes an open file has
@@ -306,14 +307,14 @@ class Corpus:
     def article(self, article_id: str) -> ArticleRecord:
         try:
             row = self.row_of[article_id]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownNameError(f"unknown article: {article_id!r}") from None
         return self._record(row)
 
     def journal(self, journal_id: str) -> JournalRecord:
         try:
             return self._journals[journal_id]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownNameError(f"unknown journal: {journal_id!r}") from None
 
 
@@ -396,15 +397,14 @@ def _assemble(
 
 
 class _Codes(dict):
-    """Article id -> record index; an unknown id gets the next code past the rows."""
+    """Article id -> code; an unknown id gets the next code and joins ``dangling``."""
 
     def __init__(self, ids: Sequence[str]):
         super().__init__(zip(ids, range(len(ids))))
-        self.first_dangling = len(ids)
         self.dangling: list[str] = []
 
     def __missing__(self, ref: str) -> int:
-        code = self[ref] = self.first_dangling + len(self.dangling)
+        code = self[ref] = len(self)
         self.dangling.append(ref)
         return code
 
@@ -463,17 +463,7 @@ class _Rows:
         for name, column in vars(other).items():
             getattr(self, name).extend(column)
 
-    def targets(self, codes: _Codes) -> np.ndarray:
-        """The code of every reference in draw order, then drops the strings.
-
-        An id not in ``codes`` joins ``codes.dangling``.
-        """
-        tokens = chain.from_iterable(refs.split(",") for refs in self.refs if refs)
-        target = np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(self.counts))
-        self.refs = []
-        return target
-
-    def build(self, target: np.ndarray, dangling: tuple[str, ...]) -> Corpus:
+    def build(self, target: np.ndarray, dangling: Sequence[str]) -> Corpus:
         """The corpus of these rows, whose references ``target`` codes."""
         citer = np.repeat(np.arange(len(self.ids), dtype=np.int32), self.counts)
         return _assemble(
@@ -483,9 +473,25 @@ class _Rows:
             self.doc_types,
             citer,
             target,
-            dangling,
+            tuple(dangling),
             self.journals,
         )
+
+
+def _coded(items: Iterable) -> tuple[_Rows, np.ndarray, list[str]]:
+    """``items`` checked (see :meth:`_Rows.extend`) and coded as a corpus of their own.
+
+    Returns the rows, the code of every reference in draw order, and the
+    dangling ids. References are coded against the rows' own ids; an id
+    outside them gets the next code past them in its order of first
+    appearance. The rows keep no reference strings.
+    """
+    rows = _Rows().extend(items)
+    codes = _Codes(rows.ids)
+    tokens = chain.from_iterable(refs.split(",") for refs in rows.refs if refs)
+    target = np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(rows.counts))
+    rows.refs = []
+    return rows, target, codes.dangling
 
 
 def _record_rows(records: Iterable[ArticleRecord | JournalRecord]):
@@ -531,9 +537,8 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
     duplicate ids, self-citations, years outside :data:`YEAR_BOUNDS`, or
     unresolvable journal ids (all offenders listed).
     """
-    rows = _Rows().extend(_record_rows(records))
-    codes = _Codes(rows.ids)
-    return rows.build(rows.targets(codes), tuple(codes.dangling))
+    rows, target, dangling = _coded(_record_rows(records))
+    return rows.build(target, dangling)
 
 
 #: Shorter inputs are read in one process. Timed in-process on prefixes of
@@ -559,38 +564,20 @@ def _can_fork() -> bool:
     )
 
 
-def _article_ids(lines: Iterable[str]) -> list[str]:
-    """The id of every article line: the ids the parse gives if every line parses."""
-    return [raw.split("\t", 2)[1].strip() for raw in lines if raw.startswith("A\t")]
+def _read_halves(lines: list[str]) -> tuple[_Rows, np.ndarray, list[str]] | None:
+    """:func:`_coded` of all ``lines``, the second half read by a forked worker.
 
-
-def _coded_rows(lines: list[str], lo: int, hi: int) -> tuple[_Rows, np.ndarray, _Codes]:
-    """``lines[lo:hi]`` parsed and checked, with their references coded.
-
-    References are coded against the ids of every line, those outside
-    ``lines[lo:hi]`` taken straight from their ``A`` lines; an id outside
-    them gets the next code past them in its order of first appearance in
-    ``lines[lo:hi]``, and joins ``codes.dangling``.
-    """
-    rows = _Rows().extend(_line_rows(islice(lines, lo, hi), start=lo + 1))
-    codes = _Codes(
-        _article_ids(islice(lines, lo)) + rows.ids + _article_ids(islice(lines, hi, None))
-    )
-    return rows, rows.targets(codes), codes
-
-
-def _read_halves(lines: list[str]) -> tuple[_Rows, np.ndarray, _Codes] | None:
-    """:func:`_coded_rows` of all ``lines``, the second half read by a forked worker.
-
-    Each process runs :func:`_coded_rows` on its half. The worker pipes back
-    its rows, codes and dangling ids and exits; the parent recodes the
-    worker's dangling ids after its own and appends the worker's rows. A
-    fault in the first half is the first fault in file order: it raises
-    here after the worker is killed. Returns ``None`` when the fork fails,
-    when the worker fails in any way (a fault in its half included) and when
-    an id appears in both halves, a repeat that neither process checks; the
-    one-process read then finds the result or the first fault. Empties
-    ``lines`` once both halves are read.
+    Each process parses and codes its own half with :func:`_coded` and reads
+    no line of the other. The worker pipes back its rows, codes and dangling
+    ids and exits. Only the merge knows there were two halves: it maps each
+    half's codes (its rows, then its dangling ids) into one table of both
+    halves' ids, the first half first, so dangling ids keep their order of
+    first appearance in the file. A fault in the first half is the first
+    fault in file order: it raises here after the worker is killed. Returns
+    ``None`` when the fork fails, when the worker fails in any way (a fault
+    in its half included) and when an id appears in both halves, a repeat
+    that neither process checks; the one-process read then finds the result
+    or the first fault. Empties ``lines`` once both halves are read.
     """
     mid = len(lines) // 2
     r, w = os.pipe()
@@ -612,8 +599,8 @@ def _read_halves(lines: list[str]) -> tuple[_Rows, np.ndarray, _Codes] | None:
         try:
             os.close(r)
             with os.fdopen(w, "wb") as pipe:
-                rows, target, codes = _coded_rows(lines, mid, len(lines))
-                pickle.dump((rows, target, codes.dangling), pipe, pickle.HIGHEST_PROTOCOL)
+                second = _coded(_line_rows(islice(lines, mid, None), start=mid + 1))
+                pickle.dump(second, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -621,7 +608,7 @@ def _read_halves(lines: list[str]) -> tuple[_Rows, np.ndarray, _Codes] | None:
     payload = None
     try:
         with os.fdopen(r, "rb") as pipe:
-            rows, target, codes = _coded_rows(lines, 0, mid)
+            first = _coded(_line_rows(islice(lines, mid)))
             payload = pipe.read()
     finally:
         # A SIGCHLD handler of the caller's may have reaped the worker already.
@@ -633,25 +620,36 @@ def _read_halves(lines: list[str]) -> tuple[_Rows, np.ndarray, _Codes] | None:
     # The payload alone tells whether the worker succeeded: an empty or cut
     # off pickle fails to load, whatever the worker's exit status was.
     try:
-        other, other_target, other_dangling = pickle.loads(payload)
+        second = pickle.loads(payload)
     except (EOFError, pickle.UnpicklingError):
         return None
     del payload
     # Neither process saw the other's records, so a repeat across the halves
-    # is found here: an article id in both leaves the table of every line's
-    # ids shorter than that list.
-    n = codes.first_dangling
+    # is found here: an article id in both leaves the table of both halves'
+    # ids shorter than their two lists.
+    rows, other = first[0], second[0]
+    ids = rows.ids + other.ids
+    codes = _Codes(ids)
     journals = {j.id for j in rows.journals}
-    if len(codes) - len(codes.dangling) < n or journals.intersection(j.id for j in other.journals):
+    if len(codes) < len(ids) or journals.intersection(j.id for j in other.journals):
         return None
     lines.clear()
-    # The worker's dangling codes follow the rows in its own order; recode
-    # them through this half's table, which keeps first-appearance order.
-    recode = np.fromiter(map(codes.__getitem__, other_dangling), np.int32, len(other_dangling))
-    dangling = other_target >= n
-    other_target[dangling] = recode[other_target[dangling] - n]
+    # A half's codes index its rows, then its dangling ids. Looking up the
+    # first half's dangling ids first keeps all of them in file order.
+    target = np.concatenate(
+        [
+            np.append(
+                np.arange(start, start + len(half.ids), dtype=np.int32),
+                np.fromiter(map(codes.__getitem__, dangling), np.int32, len(dangling)),
+            )[target]
+            for start, (half, target, dangling) in zip((0, len(rows.ids)), (first, second))
+        ]
+    )
+    # The halves' codes go before the columns grow: freed later, they left a
+    # hole that the build's arrays skipped, for up to 5 MB more peak RSS.
+    del first, second
     rows.append(other)
-    return rows, np.concatenate([target, other_target]), codes
+    return rows, target, codes.dangling
 
 
 def read_corpus(source: Iterable[str]) -> Corpus:
@@ -673,10 +671,8 @@ def read_corpus(source: Iterable[str]) -> Corpus:
     """
     lines = list(source)
     halves = _read_halves(lines) if len(lines) >= _FORK_LINES and _can_fork() else None
-    rows, target, codes = halves or _coded_rows(lines, 0, len(lines))
+    rows, target, dangling = halves or _coded(_line_rows(lines))
     lines.clear()
-    dangling = tuple(codes.dangling)
-    del halves, codes
     return rows.build(target, dangling)
 
 

@@ -45,6 +45,10 @@ ARTICLE_ONLY = frozenset({"article"})
 ALL_DOC_TYPES = frozenset({"article", "review", "other"})
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _doc_type_set(doc_types, name: str) -> frozenset[str]:
     """``doc_types`` as a non-empty frozenset of :data:`DOC_TYPES` names.
 
@@ -83,13 +87,8 @@ class IndicatorConfig:
     def __post_init__(self):
         if not _is_int(self.window) or not 1 <= self.window <= MAX_WINDOW:
             raise ConfigError(f"window must be an integer in [1, {MAX_WINDOW}]")
-        kappa = self.kappa
         # Compared exactly, so an int too large for a float fails here too.
-        if not (
-            isinstance(kappa, (int, float))
-            and not isinstance(kappa, bool)
-            and 0 < kappa <= sys.float_info.max
-        ):
+        if not (_is_number(self.kappa) and 0 < self.kappa <= sys.float_info.max):
             raise ConfigError("kappa must be a finite positive number")
         for name in ("denominator_doc_types", "citing_doc_types"):
             object.__setattr__(self, name, _doc_type_set(getattr(self, name), name))
@@ -229,7 +228,7 @@ class CountCube:
     def _slot(self, journal: str) -> int:
         try:
             return self._scope_slots[journal]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownNameError(f"journal {journal!r} was not counted in this cube") from None
 
     def _scope(self, journal: str) -> slice:
@@ -313,10 +312,7 @@ class CountCube:
             journal, int(items.sum()), int(items[:, 1:].sum()), int(self.num[cell].sum()), mean
         )
 
-    def _area_counts(
-        self, journals: tuple[str, ...] | None, doc_types: Iterable[str]
-    ) -> dict[str, int]:
-        scopes = slice(None) if journals is None else [self._slot(j) for j in journals]
+    def _area_counts(self, scopes: list[int] | slice, doc_types: Iterable[str]) -> dict[str, int]:
         pub = self._pub(*self.config.pub_window)
         items = self.den[scopes][:, :, pub][..., _doc_type_slots(doc_types)]
         per_area = items.sum(axis=(0, 2, 3))
@@ -336,13 +332,18 @@ class CountCube:
         published in ``config.pub_window``. Shares are over classified items
         only and sum to 1; areas with no classified item in scope are absent
         from ``counts`` (``share`` reports them as 0). Raises
-        :class:`EmptyScopeError` when nothing in scope is classified.
+        :class:`ConfigError` for a string ``journal_set`` (not read as its
+        letters), :class:`UnknownNameError` for a journal the cube did not
+        count and :class:`EmptyScopeError` when nothing in scope is classified.
         """
         doc_types = _doc_type_set(doc_types, "doc_types")
-        journals = tuple(sorted(set(journal_set)))
-        if not journals:
+        if isinstance(journal_set, str):
+            raise ConfigError("journal_set must be a collection of journal ids, not a string")
+        slots = {j: self._slot(j) for j in journal_set}
+        if not slots:
             raise EmptyScopeError("empty journal set")
-        counts = self._area_counts(journals, doc_types)
+        journals = tuple(sorted(slots))
+        counts = self._area_counts(list(slots.values()), doc_types)
         total = sum(counts.values())
         pub_window = self.config.pub_window
         if total == 0:
@@ -362,7 +363,7 @@ class CountCube:
         ``omitted_areas``.
         """
         inside = self.composition(journal_set, doc_types=doc_types)
-        all_counts = self._area_counts(None, doc_types)
+        all_counts = self._area_counts(slice(None), doc_types)
         all_total = sum(all_counts.values())
         if all_total == 0:
             raise EmptyScopeError(
@@ -404,11 +405,12 @@ def count_cube(
     ``assignments`` is read as an :class:`AssignmentTable`, so a plain
     mapping is converted once. Assignments for ids outside the corpus are
     ignored; corpus articles without one count as unclassified. Raises
+    :class:`ConfigError` for a string ``journals`` and
     :class:`UnknownNameError` for a journal that is not in the corpus.
     """
-    journals = tuple(dict.fromkeys(journals))
-    for j in journals:
-        corpus.journal(j)
+    if isinstance(journals, str):
+        raise ConfigError("journals must be a collection of journal ids, not a string")
+    journals = tuple(dict.fromkeys(corpus.journal(j).id for j in journals))
     cite_lo, cite_hi = config.if_year_range
     pub_lo = min(config.pub_window[0], cite_lo - config.window)
     n_pub = max(config.pub_window[1], cite_hi - 1) - pub_lo + 1
@@ -473,12 +475,12 @@ def prestige(
 ) -> PrestigeValue:
     """Field-normalized standing ``journal_if / baseline_if``, scale-invariant
     in the common factor. Raises :class:`DomainError` unless ``journal_if`` is
-    finite and non-negative and ``baseline_if`` is finite and positive.
+    a finite non-negative int or float and ``baseline_if`` a finite positive one.
     """
-    if not 0 <= journal_if <= sys.float_info.max:
-        raise DomainError(f"journal impact value must be finite and non-negative, got {journal_if}")
-    if not 0 < baseline_if <= sys.float_info.max:
-        raise DomainError(f"baseline impact value must be finite and positive, got {baseline_if}")
+    if not (_is_number(journal_if) and 0 <= journal_if <= sys.float_info.max):
+        raise DomainError(f"journal impact value must be a finite number >= 0, got {journal_if!r}")
+    if not (_is_number(baseline_if) and 0 < baseline_if <= sys.float_info.max):
+        raise DomainError(f"baseline impact value must be a finite number > 0, got {baseline_if!r}")
     return PrestigeValue(journal_id, area, journal_if, baseline_if, journal_if / baseline_if)
 
 

@@ -789,6 +789,28 @@ def test_two_process_read_agrees_on_random_corpora(forks):
     assert len(forks) == 150
 
 
+def dangling_in_file_order(lines) -> tuple[str, ...]:
+    """The referenced ids that no article line holds, in order of first appearance."""
+    articles = [rec for rec in naive_records(lines) if isinstance(rec, ArticleRecord)]
+    ids = {a.id for a in articles}
+    return tuple(dict.fromkeys(ref for a in articles for ref in a.references if ref not in ids))
+
+
+def test_two_process_read_codes_dangling_ids_in_file_order(forks, monkeypatch):
+    """Both reads code every reference alike, dangling ids in file order."""
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        lines = messy_corpus_lines(rng)
+        forked = read_corpus(lines)
+        with monkeypatch.context() as one_process:
+            one_process.setattr(corpus_module, "_FORK_LINES", len(lines) + 1)
+            alone = read_corpus(lines)
+        assert forked.dangling_ids == alone.dangling_ids == dangling_in_file_order(lines)
+        assert np.array_equal(forked.refs, alone.refs)
+        assert np.array_equal(forked.indptr, alone.indptr)
+    assert len(forks) == 300
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_two_process_read_raises_the_same_first_fault(name, forks, capfd):
     rows, expected = MALFORMED[name]

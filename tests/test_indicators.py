@@ -767,6 +767,31 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
     lo, hi = config.if_year_range
     assert type(outcome(lambda: cube.impact_factor(ALL_SOURCES, float(lo)))) is ConfigError
 
+    # A journal of the wrong type is an unknown name, a string journal set
+    # is refused rather than read as its letters, and prestige takes numbers.
+    bad = data.draw(st.sampled_from(([in_corpus[0]], {}, (in_corpus[0],), 1, None)), "bad journal")
+    for call in (
+        lambda: count_cube(corpus, assignments, [bad], config),
+        lambda: cube.impact_factor(bad, lo),
+        lambda: cube.mean_impact_factor(bad),
+        lambda: cube.summary_row(bad),
+        lambda: cube.composition([bad]),
+        lambda: cube.representation([*counted, bad]),
+    ):
+        assert type(outcome(call)) is UnknownNameError
+    letters = data.draw(st.sampled_from((*in_corpus, "")), "string journal set")
+    for call in (
+        lambda: count_cube(corpus, assignments, letters, config),
+        lambda: cube.composition(letters),
+        lambda: cube.representation(letters),
+    ):
+        assert type(outcome(call)) is ConfigError
+    number = data.draw(st.sampled_from((1.5, 2, 0.0)), "prestige number")
+    not_number = data.draw(st.sampled_from(("1", None, True, False, [1.0], 1j)), "not a number")
+    assert type(outcome(lambda: prestige(not_number, number or 1))) is DomainError
+    assert type(outcome(lambda: prestige(number, not_number))) is DomainError
+    assert prestige(number, 2).value == number / 2
+
     # Values of one impact year from a cube that counts that year alone; the
     # config's own cube gives the same within its years and a ConfigError
     # outside them.
