@@ -37,22 +37,23 @@ writes take all three shortcuts: sorted ids, grouped and without repeats.
 
 :func:`read_corpus` always takes its input into a list first. Two
 processes: when ``os.fork`` exists, the CPU affinity holds at least two
-CPUs, no other Python thread runs, ``SIGCHLD`` is not ignored and the input
-has at least :data:`_FORK_LINES` lines, it forks one worker for the second
-half. Each process reads, checks and codes only its own lines, as a corpus
-of its own; the worker pipes its rows and codes back, and the parent alone
-merges the two halves into whole-file codes and builds the corpus once.
+CPUs, any cgroup CPU quota covers two CPUs, no other Python thread runs,
+``SIGCHLD`` is not ignored and the input has at least :data:`_FORK_LINES`
+lines, it forks one worker for the second half. Each process reads,
+checks and codes only its own lines, as a corpus of its own; the worker
+pipes its rows and codes back, and the parent alone merges the two halves
+into whole-file codes and builds the corpus once.
 Results and errors are those of the one-process read, which runs whenever
 one of the conditions fails, the fork fails, the worker fails or an id
 appears in both halves. The price: a caller that passes an open file has
 all its lines in memory during the read, and the two processes together
-hold more memory than one. A CPU quota (a cgroup limit) is not detected:
-under a one-CPU quota with a two-CPU affinity mask the read still forks.
+hold more memory than one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import pickle
 import signal
@@ -547,18 +548,75 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
 _FORK_LINES = 8000
 
 
+#: Where the process names its cgroups and where their hierarchies are
+#: mounted (v2 at the root or under ``unified``, v1 under its controllers).
+_CGROUP_FILE = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cgroup_fields(mounts: tuple[str, ...], path: str, name: str) -> list[str]:
+    # The cgroup's own directory, else the mount's root, which in a
+    # container without a cgroup namespace is the container's cgroup.
+    for mount in mounts:
+        for directory in (path.lstrip("/"), ""):
+            try:
+                with open(os.path.join(_CGROUP_ROOT, mount, directory, name)) as file:
+                    return file.read().split()
+            except OSError:
+                pass
+    return []
+
+
+def _cpu_quota() -> float:
+    """CPUs that the process's cgroup quota allows; ``inf`` without one.
+
+    ``/proc/self/cgroup`` names the cgroup of each hierarchy. On v2 (its
+    ``0::`` line) ``cpu.max`` holds ``max`` or ``<quota> <period>``; on v1
+    (the line whose controllers include ``cpu``) ``cpu.cfs_quota_us`` holds
+    -1 or the quota over ``cpu.cfs_period_us``. A file that cannot be read
+    or parsed sets no quota; the smallest quota found wins.
+    """
+    try:
+        with open(_CGROUP_FILE) as file:
+            lines = file.read().splitlines()
+    except OSError:
+        return math.inf
+    quotas = []
+    for line in lines:
+        hierarchy, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        if hierarchy == "0" and not controllers:
+            fields = _cgroup_fields(("", "unified"), path, "cpu.max")
+        elif "cpu" in controllers.split(","):
+            v1 = ("cpu", "cpu,cpuacct", "cpuacct,cpu")
+            fields = _cgroup_fields(v1, path, "cpu.cfs_quota_us")
+            fields += _cgroup_fields(v1, path, "cpu.cfs_period_us")
+        else:
+            continue
+        try:
+            quota, period = map(int, fields)
+        except ValueError:  # "max", or a missing or malformed file
+            continue
+        if quota > 0 and period > 0:
+            quotas.append(quota / period)
+    return min(quotas, default=math.inf)
+
+
 def _can_fork() -> bool:
     """Whether a read may fork and reap its own worker.
 
-    A second CPU must be in the affinity mask, no other Python thread may
-    run, and ``SIGCHLD`` must be neither ignored nor set outside Python: with
-    it ignored the kernel reaps children itself, so the worker's pid could
-    be reused before a kill, and waiting for it would wait for every child.
+    A second CPU must be in the affinity mask and, when a cgroup quota is
+    set, within the quota (two processes sharing one CPU read slower than
+    one); no other Python thread may run, and ``SIGCHLD`` must be neither
+    ignored nor set outside Python: with it ignored the kernel reaps
+    children itself, so the worker's pid could be reused before a kill, and
+    waiting for it would wait for every child.
     """
     return (
         hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
+        and _cpu_quota() >= 2
         and threading.active_count() == 1
         and signal.getsignal(signal.SIGCHLD) not in (signal.SIG_IGN, None)
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -47,6 +47,19 @@ ALL_DOC_TYPES = frozenset({"article", "review", "other"})
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _journal_ids(journals, name: str) -> Iterator:
+    """An iterator over ``journals``; a string (not read as its letters) or a
+    non-iterable raises :class:`ConfigError` naming the argument ``name``."""
+    if not isinstance(journals, str):
+        try:
+            return iter(journals)
+        except TypeError:
+            pass
+    raise ConfigError(
+        f"{name} must be a collection of journal ids, not {type(journals).__name__}"
+    )
 
 
 def _doc_type_set(doc_types, name: str) -> frozenset[str]:
@@ -205,7 +218,8 @@ class CountCube:
     axis. Area slot 0 holds unclassified items, so :data:`ALL_AREAS` is the
     sum over the area axis. Build one with :func:`count_cube`. A journal the
     cube was not built for, other than :data:`ALL_SOURCES`, raises
-    :class:`UnknownNameError`; an area that no assignment names selects nothing.
+    :class:`UnknownNameError`; an area that is not a string raises
+    :class:`ConfigError`, and one that no assignment names selects nothing.
     """
 
     def __init__(
@@ -238,6 +252,8 @@ class CountCube:
         return slice(i, i + 1)
 
     def _area(self, area: str) -> slice:
+        if not isinstance(area, str):
+            raise ConfigError(f"area must be a broad-area name, not {type(area).__name__}")
         if area == ALL_AREAS:
             return slice(None)
         i = self._area_slots.get(area)
@@ -332,14 +348,13 @@ class CountCube:
         published in ``config.pub_window``. Shares are over classified items
         only and sum to 1; areas with no classified item in scope are absent
         from ``counts`` (``share`` reports them as 0). Raises
-        :class:`ConfigError` for a string ``journal_set`` (not read as its
-        letters), :class:`UnknownNameError` for a journal the cube did not
-        count and :class:`EmptyScopeError` when nothing in scope is classified.
+        :class:`ConfigError` for a string (not read as its letters) or a
+        non-iterable ``journal_set``, :class:`UnknownNameError` for a journal
+        the cube did not count and :class:`EmptyScopeError` when nothing in
+        scope is classified.
         """
         doc_types = _doc_type_set(doc_types, "doc_types")
-        if isinstance(journal_set, str):
-            raise ConfigError("journal_set must be a collection of journal ids, not a string")
-        slots = {j: self._slot(j) for j in journal_set}
+        slots = {j: self._slot(j) for j in _journal_ids(journal_set, "journal_set")}
         if not slots:
             raise EmptyScopeError("empty journal set")
         journals = tuple(sorted(slots))
@@ -380,6 +395,7 @@ class CountCube:
         """Rank the cube's journals in one broad area by their mean impact values,
         as :func:`ranking_from_means` reads them; ``corpus``, the one the cube
         counted, gives the journals' categories."""
+        self._area(area)  # a wrongly typed area fails before any journal is scored
         return ranking_from_means(corpus, taxonomy, area, self._scope_slots, self._mean_or_none)
 
     def _mean_or_none(self, journal: str, area: str) -> float | None:
@@ -405,12 +421,10 @@ def count_cube(
     ``assignments`` is read as an :class:`AssignmentTable`, so a plain
     mapping is converted once. Assignments for ids outside the corpus are
     ignored; corpus articles without one count as unclassified. Raises
-    :class:`ConfigError` for a string ``journals`` and
+    :class:`ConfigError` for a string or non-iterable ``journals`` and
     :class:`UnknownNameError` for a journal that is not in the corpus.
     """
-    if isinstance(journals, str):
-        raise ConfigError("journals must be a collection of journal ids, not a string")
-    journals = tuple(dict.fromkeys(corpus.journal(j).id for j in journals))
+    journals = tuple(dict.fromkeys(corpus.journal(j).id for j in _journal_ids(journals, "journals")))
     cite_lo, cite_hi = config.if_year_range
     pub_lo = min(config.pub_window[0], cite_lo - config.window)
     n_pub = max(config.pub_window[1], cite_hi - 1) - pub_lo + 1

@@ -30,8 +30,10 @@ All randomness comes from one ``numpy.random.Generator`` seeded with PCG64
 (a named, documented, portable 64-bit generator). Draws happen in a fixed
 order: per year ascending, organic reference counts, then the intra/inter
 split, field choices, and target indices; afterwards, per citing year and
-field ascending, citation counts and citer indices. Output is a pure
-function of (config, seed); generation is always single-threaded.
+field ascending, citation counts and citer indices. The row layout is
+array arithmetic that draws nothing, so this order is the one every
+pinned digest in the tests was recorded with. Output is a pure function of
+(config, seed); generation is always single-threaded.
 """
 
 from __future__ import annotations
@@ -133,12 +135,11 @@ class GroundTruth:
         return self.categories[self.field_of[article_id]]
 
     def as_lines(self, taxonomy: Taxonomy) -> list[str]:
-        lines = []
-        for art_id in sorted(self.field_of):
-            f = self.field_of[art_id]
+        tail = {}
+        for f in set(self.field_of.values()):
             cat = self.categories[f]
-            lines.append(f"{art_id}\t{f}\t{cat}\t{taxonomy.broad_area_of(cat)}")
-        return lines
+            tail[f] = f"{f}\t{cat}\t{taxonomy.broad_area_of(cat)}"
+        return [f"{art_id}\t{tail[self.field_of[art_id]]}" for art_id in sorted(self.field_of)]
 
 
 def field_category(field: int) -> str:
@@ -185,47 +186,25 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
     for g in range(config.num_general_journals):
         journals.append(JournalRecord(f"JG{g:02d}", f"General Journal {g:02d}", (GENERAL_CATEGORY,)))
 
-    # Article layout. Rows are assigned year by year: regular articles in
-    # (field, journal-slot) order, then general-journal articles with quota
-    # fields. Everything downstream works on integer rows.
-    ids: list[str] = []
-    row_field: list[int] = []
-    row_journal: list[str] = []
-    row_year: list[int] = []
-    row_pos: list[int] = []  # position inside the (year, field) pool
-    pools: dict[int, list[list[int]]] = {}  # year -> field -> rows
-    year_rows: dict[int, tuple[int, int]] = {}  # year -> [start, end) rows
-    general_quota = _quota_counts(config.general_field_mix, apj)
-
-    def add_article(year: int, field: int, journal_id: str) -> None:
-        row = len(ids)
-        ids.append(f"A{row:07d}")
-        row_field.append(field)
-        row_journal.append(journal_id)
-        row_year.append(year)
-        pool = pools[year][field]
-        row_pos.append(len(pool))
-        pool.append(row)
-
-    for year in years:
-        start = len(ids)
-        pools[year] = [[] for _ in range(nf)]
-        for f in range(nf):
-            for s in range(config.journals_per_field):
-                for _ in range(apj):
-                    add_article(year, f, f"JF{f:02d}S{s:02d}")
-        for g in range(config.num_general_journals):
-            for f in range(nf):
-                for _ in range(general_quota[f]):
-                    add_article(year, f, f"JG{g:02d}")
-        year_rows[year] = (start, len(ids))
-
-    n_articles = len(ids)
-    fields_arr = np.array(row_field, dtype=np.int64)
-    pos_arr = np.array(row_pos, dtype=np.int64)
-    pool_arrays = {
-        y: [np.array(p, dtype=np.int64) for p in by_field] for y, by_field in pools.items()
-    }
+    # Article layout. Every year holds the same block of rows: regular
+    # articles in (field, journal-slot) order, then each general journal's
+    # quota fields. ``by_field`` lists the block's rows field by field, in
+    # row order, so field ``f``'s pool is ``by_field[first[f]:first[f + 1]]``
+    # and a row's position in its pool is its index there minus ``first``.
+    # Everything downstream works on integer rows.
+    jpf, ng = config.journals_per_field, config.num_general_journals
+    quota = _quota_counts(config.general_field_mix, apj)
+    block_field = np.concatenate(
+        [np.repeat(np.arange(nf), jpf * apj), np.tile(np.repeat(np.arange(nf), quota), ng)]
+    )
+    width, n_articles = len(block_field), len(block_field) * len(years)
+    by_field = np.argsort(block_field, kind="stable")
+    sizes = np.bincount(block_field, minlength=nf)
+    first = np.concatenate(([0], np.cumsum(sizes)))
+    block_pos = np.empty(width, dtype=np.int64)
+    block_pos[by_field] = np.arange(width) - np.repeat(first[:-1], sizes)
+    pools = [by_field[first[f] : first[f + 1]] for f in range(nf)]
+    ids = [f"A{row:07d}" for row in range(n_articles)]
 
     # Every (citer, target) pair, batch by batch in draw order; the corpus
     # builder groups them by citer and keeps the first of each pair.
@@ -233,66 +212,55 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
     targets = [np.zeros(0, dtype=np.int64)]
 
     # Phase 1: organic references, one vectorized batch per year.
-    for year in years:
-        start, end = year_rows[year]
-        n_y = end - start
-        counts = rng.poisson(config.mean_refs, size=n_y)
+    for start in range(0, n_articles, width):
+        counts = rng.poisson(config.mean_refs, size=width)
         total = int(counts.sum())
         if total == 0:
             continue
         intra = rng.random(total) < config.p_intra
         field_u = rng.random(total)
         target_u = rng.random(total)
-        own_field = np.repeat(fields_arr[start:end], counts)
-        own_pos = np.repeat(pos_arr[start:end], counts)
+        own_field = np.repeat(block_field, counts)
+        own_pos = np.repeat(block_pos, counts)
         other = (field_u * (nf - 1)).astype(np.int64)
         np.minimum(other, nf - 2, out=other)
         other += other >= own_field
         tgt_field = np.where(intra, own_field, other)
-        sizes = np.array([len(pool_arrays[year][f]) for f in range(nf)], dtype=np.int64)
         m = sizes[tgt_field] - intra  # intra draws exclude the article itself
         valid = m > 0
         idx = (target_u * m).astype(np.int64)
         np.minimum(idx, np.maximum(m - 1, 0), out=idx)
         idx += intra & (idx >= own_pos)
-        target_row = np.zeros(total, dtype=np.int64)
-        for f in range(nf):
-            sel = valid & (tgt_field == f)
-            if sel.any():
-                target_row[sel] = pool_arrays[year][f][idx[sel]]
-        citers.append(np.repeat(np.arange(start, end), counts)[valid])
-        targets.append(target_row[valid])
+        citers.append(np.repeat(np.arange(start, start + width), counts)[valid])
+        targets.append(start + by_field[(first[tgt_field] + idx)[valid]])
 
     # Phase 2: citations, realized as references from same-field articles of
-    # the citing year to articles of earlier years.
-    prior: list[list[np.ndarray]] = [[] for _ in range(nf)]
-    for year in years:
+    # the citing year to the same field's articles of every earlier year.
+    for i in range(1, len(years)):
         for f in range(nf):
-            if prior[f] and config.field_citation_rate[f] > 0:
-                cited = np.concatenate(prior[f])
-                counts = rng.poisson(config.field_citation_rate[f], size=len(cited))
-                total = int(counts.sum())
-                if total:
-                    citer_pool = pool_arrays[year][f]
-                    picks = (rng.random(total) * len(citer_pool)).astype(np.int64)
-                    citers.append(citer_pool[picks])
-                    targets.append(np.repeat(cited, counts))
-        for f in range(nf):
-            prior[f].append(pool_arrays[year][f])
+            cited = (pools[f] + width * np.arange(i)[:, None]).ravel()
+            counts = rng.poisson(config.field_citation_rate[f], size=len(cited))
+            total = int(counts.sum())
+            if total:
+                picks = (rng.random(total) * len(pools[f])).astype(np.int64)
+                citers.append(i * width + pools[f][picks])
+                targets.append(np.repeat(cited, counts))
 
     # Rows are already in id order, so row numbers are the record indices.
+    # Each journal holds ``apj`` rows of the block: the quotas apportion them.
+    block_journals = [j.id for j in journals for _ in range(apj)]
     corpus = _assemble(
         ids,
-        row_journal,
-        row_year,
-        [0] * n_articles,  # every item is an "article"
+        block_journals * len(years),
+        np.repeat(years, width),
+        np.zeros(n_articles, dtype=np.int8),  # every item is an "article"
         np.concatenate(citers),
         np.concatenate(targets),
         (),
         journals,
     )
     truth = GroundTruth(
-        field_of={ids[row]: row_field[row] for row in range(n_articles)},
+        field_of=dict(zip(ids, block_field.tolist() * len(years))),
         categories=tuple(field_category(f) for f in range(nf)),
     )
     return corpus, truth, taxonomy

@@ -42,6 +42,7 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(corpus_module, "_FORK_LINES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(corpus_module, "_CGROUP_FILE", os.devnull)  # no CPU quota
     monkeypatch.setattr(os, "fork", counted_fork)
     return pids
 

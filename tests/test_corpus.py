@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import pickle
 import signal
@@ -1005,6 +1006,81 @@ def test_no_fork_while_another_python_thread_runs(monkeypatch):
     finally:
         stop.set()
         thread.join()
+
+
+@pytest.mark.parametrize(
+    "files, cgroup, cpus",
+    [
+        ({"cpu.max": "max 100000\n"}, "0::/\n", math.inf),
+        ({"cpu.max": "100000 100000\n"}, "0::/\n", 1.0),
+        (
+            {"cpu.max": "max 100000\n", "app.slice/job/cpu.max": "250000 100000\n"},
+            "0::/app.slice/job\n",
+            2.5,
+        ),
+        ({"cpu.max": "50000 100000\n"}, "0::/docker/abc\n", 0.5),
+        (
+            {"cpu,cpuacct/cpu.cfs_quota_us": "-1\n", "cpu,cpuacct/cpu.cfs_period_us": "100000\n"},
+            "2:cpu,cpuacct:/\n1:memory:/job\n0::/\n",
+            math.inf,
+        ),
+        (
+            {"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"},
+            "2:cpu:/\n0::/\n",
+            1.5,
+        ),
+        (
+            {
+                "cpu/cpu.cfs_quota_us": "150000\n",
+                "cpu/cpu.cfs_period_us": "100000\n",
+                "unified/cpu.max": "50000 100000\n",
+            },
+            "2:cpu:/\n0::/\n",
+            0.5,
+        ),
+        ({"cpu.max": "lots\n"}, "0::/\n", math.inf),
+        ({"cpu/cpu.cfs_quota_us": "100000\n"}, "2:cpu:/\n", math.inf),
+        ({"cpu.max": "100000 100000\n"}, None, math.inf),
+    ],
+    ids=[
+        "v2-max",
+        "v2-one-cpu",
+        "v2-own-directory",
+        "v2-mount-root",
+        "v1-no-quota",
+        "v1-quota",
+        "smallest-wins",
+        "malformed",
+        "no-period",
+        "no-cgroup-file",
+    ],
+)
+def test_cpu_quota_reads_the_cgroup_files(files, cgroup, cpus, tmp_path, monkeypatch):
+    for name, text in files.items():
+        path = tmp_path / "fs" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    if cgroup is not None:
+        (tmp_path / "cgroup").write_text(cgroup)
+    monkeypatch.setattr(corpus_module, "_CGROUP_FILE", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(corpus_module, "_CGROUP_ROOT", str(tmp_path / "fs"))
+    assert corpus_module._cpu_quota() == cpus
+
+
+def test_no_fork_under_a_one_cpu_quota(forks, tmp_path, monkeypatch):
+    """Two CPUs in the affinity mask but one in the quota: one process."""
+    (tmp_path / "cgroup").write_text("0::/\n")
+    quota = tmp_path / "cpu.max"
+    quota.write_text("100000 100000\n")
+    monkeypatch.setattr(corpus_module, "_CGROUP_FILE", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(corpus_module, "_CGROUP_ROOT", str(tmp_path))
+    lines = messy_corpus_lines(np.random.default_rng(5))
+    assert reading_of(read_corpus(lines)) == reference_reading(lines)
+    assert forks == []
+    quota.write_text("200000 100000\n")
+    assert reading_of(read_corpus(lines)) == reference_reading(lines)
+    assert_no_child()
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize(

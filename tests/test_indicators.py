@@ -786,6 +786,24 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
         lambda: cube.representation(letters),
     ):
         assert type(outcome(call)) is ConfigError
+    # An area that is not a string and a journal set that is not iterable
+    # are ConfigErrors naming the argument, never a TypeError.
+    bad_area = data.draw(st.sampled_from((["x"], {}, ("x",), 5, None)), "bad area")
+    for call in (
+        lambda: cube.impact_factor(ALL_SOURCES, lo, bad_area),
+        lambda: cube.mean_impact_factor(ALL_SOURCES, bad_area),
+        lambda: cube.ranking(corpus, taxonomy, bad_area),
+    ):
+        got = outcome(call)
+        assert type(got) is ConfigError and str(got).startswith("area ")
+    not_iterable = data.draw(st.sampled_from((5, None, 1.5)), "non-iterable journal set")
+    for name, call in (
+        ("journals", lambda: count_cube(corpus, assignments, not_iterable, config)),
+        ("journal_set", lambda: cube.composition(not_iterable)),
+        ("journal_set", lambda: cube.representation(not_iterable)),
+    ):
+        got = outcome(call)
+        assert type(got) is ConfigError and str(got).startswith(name + " ")
     number = data.draw(st.sampled_from((1.5, 2, 0.0)), "prestige number")
     not_number = data.draw(st.sampled_from(("1", None, True, False, [1.0], 1j)), "not a number")
     assert type(outcome(lambda: prestige(not_number, number or 1))) is DomainError

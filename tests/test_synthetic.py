@@ -72,6 +72,89 @@ def test_output_digests_are_pinned():
     )
 
 
+EDGE_BASE = dict(
+    num_fields=3,
+    journals_per_field=2,
+    num_general_journals=2,
+    articles_per_journal_year=5,
+    year_range=(2000, 2002),
+    mean_refs=4.0,
+    p_intra=0.7,
+    field_citation_rate=1.0,
+    general_field_mix=(0.5, 0.25, 0.25),
+    seed=77,
+)
+
+
+@pytest.mark.parametrize(
+    "overrides, corpus_sha, truth_sha, field_of_sha",
+    [
+        pytest.param(
+            dict(p_intra=0.0),
+            "c78211176916e8e67667105bf517953835cd4a6c4c66e110d5f7eb02eb76f414",
+            "1100daf807429ee7d9109de258e17f3270ead54808817879ec62f04d747512dd",
+            "31827f9e2979d49bf435b856bf8d617c6c408df3c414811e2b18f5063ee5b49f",
+            id="p_intra-0",
+        ),
+        pytest.param(
+            dict(p_intra=1.0),
+            "eb127d69fd452f14054ef3b0c9ff69c25825c82f1f7257962607340bc7396ac4",
+            "1100daf807429ee7d9109de258e17f3270ead54808817879ec62f04d747512dd",
+            "31827f9e2979d49bf435b856bf8d617c6c408df3c414811e2b18f5063ee5b49f",
+            id="p_intra-1",
+        ),
+        pytest.param(
+            dict(num_fields=4, general_field_mix=(0.0, 0.75, 0.0, 0.25)),
+            "54142511f8282048d9b3363a11f00ae732703e3d561c72574c373763b1e52a10",
+            "84273dbe8b3cfcad951fb28abb7a777a6c146438c8cbdf78c0c46f2b05a6dac4",
+            "8bd2c0a0fc4958b2d2ee7617ce5e3c2ddc08b9a60de66adbac62d01c6bf040dc",
+            id="zero-mix-entries",
+        ),
+        pytest.param(
+            dict(articles_per_journal_year=1, journals_per_field=1, num_general_journals=1),
+            "2a3f99f7129084cdd05a1d98b132dd94bdb063e581cb615eea67e946792aa38a",
+            "5df2ba599836d00058e1b3249eabc3530561734edd78463c1e10c30706073701",
+            "44ebd91f047b4c0fb8b5ddf880ef59430d23331d8912927c0181e6fd3d2227b1",
+            id="one-article-per-journal-year",
+        ),
+        pytest.param(
+            dict(year_range=(2005, 2005)),
+            "0b63e2021d607f7a4e427f2051b6583c56a43e1ae5be0839bf75a0be71b2faa9",
+            "473c23987018c16b1692fb10f51ddcb68f8eb0ee2f62ea022d81d6d182e3a51d",
+            "66c340137880c903a4406412a360752b5022371d438917406d60618b6aae27af",
+            id="single-year",
+        ),
+        pytest.param(
+            dict(mean_refs=0.01),
+            "2cb2ba59508571602f5a4c48cc95372ab6be39d2f7fb736dc0eb3ab5d292b081",
+            "1100daf807429ee7d9109de258e17f3270ead54808817879ec62f04d747512dd",
+            "31827f9e2979d49bf435b856bf8d617c6c408df3c414811e2b18f5063ee5b49f",
+            id="sparse-references",
+        ),
+        pytest.param(
+            dict(field_citation_rate={2: 0.5, 0: 2.0, 1: 1.25}),
+            "3f0ec7a06fb57c1bcc7b8f4d42e4c490bd0d2604247a359aef0e6c8c71eed2ea",
+            "1100daf807429ee7d9109de258e17f3270ead54808817879ec62f04d747512dd",
+            "31827f9e2979d49bf435b856bf8d617c6c408df3c414811e2b18f5063ee5b49f",
+            id="rate-mapping",
+        ),
+    ],
+)
+def test_edge_config_digests_are_pinned(overrides, corpus_sha, truth_sha, field_of_sha):
+    """Every byte of the edge configs, recorded at commit 38fff61.
+
+    That commit laid out rows one Python call at a time. The configs reach
+    empty intra pools, all-intra and all-inter references, general journals
+    with zero-quota fields, years without organic references and a run with
+    no citing year; the layout and the draw order must not move on any.
+    """
+    corpus, truth, taxonomy = generate_synthetic(SyntheticConfig(**{**EDGE_BASE, **overrides}))
+    truth_text = "\n".join(truth.as_lines(taxonomy)) + "\n"
+    assert hashlib.sha256(emit_corpus(corpus).encode()).hexdigest() == corpus_sha
+    assert hashlib.sha256(truth_text.encode()).hexdigest() == truth_sha
+    assert hashlib.sha256(repr(sorted(truth.field_of.items())).encode()).hexdigest() == field_of_sha
+
+
 def test_different_seed_differs():
     a = generate_synthetic(small_config(seed=1))
     b = generate_synthetic(small_config(seed=2))
