@@ -86,7 +86,7 @@ print()
 # area-restricted impact, disciplinary journals by their whole-journal one.
 # ---------------------------------------------------------------------------
 area = areas[2]
-table = cube.ranking(corpus, taxonomy, area)
+table = cube.ranking(taxonomy, area)
 print(f"ranking in {area}:")
 for e in table.entries:
     restricted = "field-restricted" if e.field_restricted else "whole-journal"

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .classifier import Assignment, AssignmentTable
-from .corpus import DOC_TYPES, YEAR_BOUNDS, Corpus, _is_int, _year_pair
+from .corpus import _DOC_CODE, DOC_TYPES, YEAR_BOUNDS, Corpus, _is_int, _year_pair
 from .errors import (
     ConfigError,
     DomainError,
@@ -197,11 +197,8 @@ class SummaryRow:
     mean_if: float | None
 
 
-_DOC_TYPE_SLOT = {t: i for i, t in enumerate(DOC_TYPES)}
-
-
 def _doc_type_slots(doc_types: Iterable[str]) -> list[int]:
-    return sorted(_DOC_TYPE_SLOT[t] for t in doc_types)
+    return sorted(_DOC_CODE[t] for t in doc_types)
 
 
 class CountCube:
@@ -216,16 +213,17 @@ class CountCube:
     Scope slots are the requested journals in order plus one last slot for
     every other journal, so :data:`ALL_SOURCES` is the sum over the scope
     axis. Area slot 0 holds unclassified items, so :data:`ALL_AREAS` is the
-    sum over the area axis. Build one with :func:`count_cube`. A journal the
-    cube was not built for, other than :data:`ALL_SOURCES`, raises
-    :class:`UnknownNameError`; an area that is not a string raises
-    :class:`ConfigError`, and one that no assignment names selects nothing.
+    sum over the area axis. ``journals`` maps each journal to its categories.
+    Build one with :func:`count_cube`. A journal the cube was not built for,
+    other than :data:`ALL_SOURCES`, raises :class:`UnknownNameError`; an area
+    that is not a string raises :class:`ConfigError`, and one that no
+    assignment names selects nothing.
     """
 
     def __init__(
         self,
         config: IndicatorConfig,
-        journals: tuple[str, ...],
+        journals: Mapping[str, tuple[str, ...]],
         area_slots: Mapping[str, int],
         first_pub_year: int,
         den: np.ndarray,
@@ -235,6 +233,7 @@ class CountCube:
         self.first_pub_year = first_pub_year
         self.den = den
         self.num = num
+        self._categories = journals
         self._scope_slots = {j: i for i, j in enumerate(journals)}
         self._area_slots = area_slots
         self._cited = _doc_type_slots(config.denominator_doc_types)
@@ -271,8 +270,9 @@ class CountCube:
         counts but included in whole-journal counts). Numerator: citations from
         qualifying citers of exactly ``year`` to that item set. Raises
         :class:`ConfigError` naming ``if_year_range`` when ``year`` is not an
-        integer in ``config.if_year_range``, and :class:`UndefinedValueError`
-        when the denominator is zero.
+        integer in ``config.if_year_range``, :class:`UndefinedValueError`
+        when the denominator is zero, and :class:`ConfigError` naming
+        ``kappa`` when the scaled value overflows a float.
         """
         first, last = self.config.if_year_range
         if not (_is_int(year) and first <= year <= last):
@@ -291,6 +291,8 @@ class CountCube:
             )
         numerator = int(self.num[cell][..., year - first].sum())
         value = self.config.kappa * (numerator / denominator)
+        if value > sys.float_info.max:
+            raise ConfigError(f"kappa={self.config.kappa!r} overflows the impact of {journal}")
         return IfValue(journal, area, year, numerator, denominator, value)
 
     def mean_impact_factor(self, journal: str, area: str = ALL_AREAS) -> MeanIfValue:
@@ -299,7 +301,8 @@ class CountCube:
         Years with a zero denominator are skipped and reported in
         ``skipped_years``; if every year is undefined the mean itself is
         undefined and raises :class:`UndefinedValueError`. Years are summed in
-        ascending order.
+        ascending order; a sum that overflows raises :class:`ConfigError` as in
+        :meth:`impact_factor`.
         """
         yearly: list[IfValue] = []
         skipped: list[int] = []
@@ -314,6 +317,8 @@ class CountCube:
                 f"impact value undefined in every year {lo}-{hi} for journal={journal} area={area}"
             )
         mean = sum(v.value for v in yearly) / len(yearly)
+        if mean > sys.float_info.max:
+            raise ConfigError(f"kappa={self.config.kappa!r} overflows the mean impact of {journal}")
         return MeanIfValue(journal, area, mean, tuple(yearly), tuple(skipped))
 
     def summary_row(self, journal: str) -> SummaryRow:
@@ -328,24 +333,20 @@ class CountCube:
             journal, int(items.sum()), int(items[:, 1:].sum()), int(self.num[cell].sum()), mean
         )
 
-    def _area_counts(self, scopes: list[int] | slice, doc_types: Iterable[str]) -> dict[str, int]:
+    def _area_counts(self, scopes: list[int] | slice) -> dict[str, int]:
         pub = self._pub(*self.config.pub_window)
-        items = self.den[scopes][:, :, pub][..., _doc_type_slots(doc_types)]
-        per_area = items.sum(axis=(0, 2, 3))
+        per_area = self.den[scopes][:, :, pub, _DOC_CODE["article"]].sum(axis=(0, 2))
         return {
             area: int(per_area[slot])
             for area, slot in sorted(self._area_slots.items())
             if per_area[slot]
         }
 
-    def composition(
-        self, journal_set: Iterable[str], *, doc_types: frozenset[str] = ARTICLE_ONLY
-    ) -> CompositionTable:
-        """Disciplinary composition of the classified items in a journal set.
+    def composition(self, journal_set: Iterable[str]) -> CompositionTable:
+        """Disciplinary composition of the classified articles in a journal set.
 
-        Counts items with a doc type in ``doc_types`` (a non-empty set of
-        :data:`~refclass.corpus.DOC_TYPES` names, else :class:`ConfigError`)
-        published in ``config.pub_window``. Shares are over classified items
+        Counts items of doc type ``article`` published in
+        ``config.pub_window``. Shares are over classified items
         only and sum to 1; areas with no classified item in scope are absent
         from ``counts`` (``share`` reports them as 0). Raises
         :class:`ConfigError` for a string (not read as its letters) or a
@@ -353,12 +354,11 @@ class CountCube:
         the cube did not count and :class:`EmptyScopeError` when nothing in
         scope is classified.
         """
-        doc_types = _doc_type_set(doc_types, "doc_types")
         slots = {j: self._slot(j) for j in _journal_ids(journal_set, "journal_set")}
         if not slots:
             raise EmptyScopeError("empty journal set")
         journals = tuple(sorted(slots))
-        counts = self._area_counts(list(slots.values()), doc_types)
+        counts = self._area_counts(list(slots.values()))
         total = sum(counts.values())
         pub_window = self.config.pub_window
         if total == 0:
@@ -367,9 +367,7 @@ class CountCube:
             )
         return CompositionTable(journals, pub_window, counts, total)
 
-    def representation(
-        self, journal_set: Iterable[str], *, doc_types: frozenset[str] = ARTICLE_ONLY
-    ) -> RepresentationTable:
+    def representation(self, journal_set: Iterable[str]) -> RepresentationTable:
         """Ratio of each area's share in the set to its share over all sources.
 
         Shares are those of :meth:`composition`. Ratios are defined for every
@@ -377,8 +375,8 @@ class CountCube:
         items); areas with zero all-sources share are omitted and listed in
         ``omitted_areas``.
         """
-        inside = self.composition(journal_set, doc_types=doc_types)
-        all_counts = self._area_counts(slice(None), doc_types)
+        inside = self.composition(journal_set)
+        all_counts = self._area_counts(slice(None))
         all_total = sum(all_counts.values())
         if all_total == 0:
             raise EmptyScopeError(
@@ -391,12 +389,23 @@ class CountCube:
             inside.journal_set, inside.pub_window, ratios, inside.shares, share_all, omitted
         )
 
-    def ranking(self, corpus: Corpus, taxonomy: Taxonomy, area: str) -> RankingTable:
-        """Rank the cube's journals in one broad area by their mean impact values,
-        as :func:`ranking_from_means` reads them; ``corpus``, the one the cube
-        counted, gives the journals' categories."""
+    def ranking(self, taxonomy: Taxonomy, area: str) -> RankingTable:
+        """Rank the cube's journals within one broad area by mean impact value.
+
+        Journals carrying any multidisciplinary category are scored by their
+        ``area`` mean, disciplinary journals by their :data:`ALL_AREAS` mean.
+        Sorted descending, ties broken by journal id; journals with an
+        undefined mean are listed last, unranked.
+        """
         self._area(area)  # a wrongly typed area fails before any journal is scored
-        return ranking_from_means(corpus, taxonomy, area, self._scope_slots, self._mean_or_none)
+        rows: list[tuple[str, float | None, bool]] = []
+        for j_id, categories in sorted(self._categories.items()):
+            multi = any(taxonomy.is_multidisciplinary(c) for c in categories)
+            rows.append((j_id, self._mean_or_none(j_id, area if multi else ALL_AREAS), multi))
+        scored = sorted((row for row in rows if row[1] is not None), key=lambda r: (-r[1], r[0]))
+        entries = [RankingEntry(j, v, multi, rank) for rank, (j, v, multi) in enumerate(scored, 1)]
+        entries += [RankingEntry(j, None, multi, None) for j, v, multi in rows if v is None]
+        return RankingTable(area, tuple(entries))
 
     def _mean_or_none(self, journal: str, area: str) -> float | None:
         try:
@@ -421,10 +430,14 @@ def count_cube(
     ``assignments`` is read as an :class:`AssignmentTable`, so a plain
     mapping is converted once. Assignments for ids outside the corpus are
     ignored; corpus articles without one count as unclassified. Raises
-    :class:`ConfigError` for a string or non-iterable ``journals`` and
+    :class:`ConfigError` for a string or non-iterable ``journals`` or one
+    that names :data:`ALL_SOURCES`, the scope token of every journal, and
     :class:`UnknownNameError` for a journal that is not in the corpus.
     """
-    journals = tuple(dict.fromkeys(corpus.journal(j).id for j in _journal_ids(journals, "journals")))
+    requested = list(_journal_ids(journals, "journals"))
+    if ALL_SOURCES in requested:
+        raise ConfigError(f"journals must not name {ALL_SOURCES}, the scope of every journal")
+    journals = {record.id: record.categories for record in map(corpus.journal, requested)}
     cite_lo, cite_hi = config.if_year_range
     pub_lo = min(config.pub_window[0], cite_lo - config.window)
     n_pub = max(config.pub_window[1], cite_hi - 1) - pub_lo + 1
@@ -497,36 +510,3 @@ def prestige(
         raise DomainError(f"baseline impact value must be a finite number > 0, got {baseline_if!r}")
     return PrestigeValue(journal_id, area, journal_if, baseline_if, journal_if / baseline_if)
 
-
-def ranking_from_means(
-    corpus: Corpus,
-    taxonomy: Taxonomy,
-    area: str,
-    journals: Iterable[str],
-    mean_of: Callable[[str, str], float | None],
-) -> RankingTable:
-    """Rank journals within one broad area by ``mean_of(journal, area)``.
-
-    Journals carrying any multidisciplinary category are scored by their
-    ``area`` mean, disciplinary journals by their :data:`ALL_AREAS` mean;
-    ``mean_of`` returns None for an undefined mean. Sorted descending, ties
-    broken by journal id; journals with an undefined mean are listed last,
-    unranked.
-    """
-    scored: list[tuple[str, float, bool]] = []
-    undefined: list[tuple[str, bool]] = []
-    for j_id in sorted(set(journals)):
-        journal = corpus.journal(j_id)
-        multi = any(taxonomy.is_multidisciplinary(c) for c in journal.categories)
-        value = mean_of(j_id, area if multi else ALL_AREAS)
-        if value is None:
-            undefined.append((j_id, multi))
-        else:
-            scored.append((j_id, value, multi))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    entries = [
-        RankingEntry(j_id, value, multi, rank)
-        for rank, (j_id, value, multi) in enumerate(scored, start=1)
-    ]
-    entries += [RankingEntry(j_id, None, multi, None) for j_id, multi in sorted(undefined)]
-    return RankingTable(area, tuple(entries))

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .classifier import Assignment
 from .corpus import Corpus
-from .errors import EmptyScopeError, UndefinedValueError
+from .errors import ConfigError, EmptyScopeError, UndefinedValueError
 from .indicators import (
     ALL_AREAS,
     ALL_SOURCES,
@@ -37,7 +37,6 @@ from .indicators import (
     SummaryRow,
     count_cube,
     prestige,
-    ranking_from_means,
 )
 from .taxonomy import Taxonomy
 
@@ -134,10 +133,15 @@ def build_report_tables(
     Scopes or cells whose value is undefined (zero denominator, nothing
     classified) are skipped rather than fabricated; the emitters render
     whatever is present. Every cell is a slice of one :class:`CountCube`.
+    A journal named :data:`COMBINED_SCOPE` or :data:`ALL_SOURCES` would
+    share its rows with the pooled set or every journal, so either raises
+    :class:`ConfigError`.
     """
     if config is None:
         config = IndicatorConfig()
     journal_list = tuple(sorted(set(journals)))
+    if COMBINED_SCOPE in journal_list:
+        raise ConfigError(f"journals must not name {COMBINED_SCOPE}, the scope of the pooled set")
     cube = count_cube(corpus, assignments, journal_list, config)
     areas = _target_areas(taxonomy)
 
@@ -163,27 +167,15 @@ def build_report_tables(
             except UndefinedValueError:
                 continue
 
-    baselines = {
-        m.area: m for m in field_if if m.journal_id == ALL_SOURCES and m.area != ALL_AREAS
-    }
-    journal_means = {
-        (m.journal_id, m.area): m for m in field_if if m.journal_id != ALL_SOURCES
-    }
+    means = {(m.journal_id, m.area): m.value for m in field_if}
     prestige_rows: list[PrestigeValue] = []
     for j in journal_list:
         for area in areas:
-            jm = journal_means.get((j, area))
-            base = baselines.get(area)
-            if jm is not None and base is not None and base.value > 0:
-                prestige_rows.append(
-                    prestige(jm.value, base.value, journal_id=j, area=area)
-                )
+            value, base = means.get((j, area)), means.get((ALL_SOURCES, area))
+            if value is not None and base is not None and base > 0:
+                prestige_rows.append(prestige(value, base, journal_id=j, area=area))
 
-    means = {(m.journal_id, m.area): m.value for m in field_if}
-    rankings = [
-        ranking_from_means(corpus, taxonomy, area, journal_list, lambda j, a: means.get((j, a)))
-        for area in areas
-    ]
+    rankings = [cube.ranking(taxonomy, area) for area in areas]
 
     return ReportTables(
         config=config,

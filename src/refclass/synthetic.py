@@ -87,9 +87,15 @@ class SyntheticConfig:
             if not _is_int(value) or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}")
         object.__setattr__(self, "year_range", _year_pair(self.year_range, "year_range"))
-        # numpy's Poisson sampler rejects means a little below 2**63; NaN fails too.
-        if not (_is_real(self.mean_refs) and 0 < self.mean_refs <= 2.0**62):
-            raise ConfigError("mean_refs must be a positive number of at most 2**62")
+        # Article rows stay below the 2**31 corpus code limit, and so do the
+        # draws of one year; NaN fails the comparisons too.
+        journals = f * self.journals_per_field + self.num_general_journals
+        per_year = self.articles_per_journal_year * journals
+        articles = per_year * len(self.years)
+        if articles >= 2**31:
+            raise ConfigError(f"articles_per_journal_year makes {articles} articles, not below 2**31")
+        if not (_is_real(self.mean_refs) and 0 < self.mean_refs * per_year < 2**31):
+            raise ConfigError(f"mean_refs must be positive and below 2**31 / {per_year} articles")
         if not (_is_real(self.p_intra) and 0.0 <= self.p_intra <= 1.0):
             raise ConfigError("p_intra must be a number in [0, 1]")
         rate = self.field_citation_rate
@@ -102,9 +108,10 @@ class SyntheticConfig:
             rates = tuple(rate) if isinstance(rate, Iterable) else (rate,) * f
         if len(rates) != f:
             raise ConfigError("field_citation_rate must cover every field")
-        # Compared before the float conversion, which fails on a huge int.
-        if not all(_is_real(r) and 0 < r <= 2.0**62 for r in rates):
-            raise ConfigError("field_citation_rate entries must be positive numbers of at most 2**62")
+        # Compared before the float conversion, which fails on a huge int. A
+        # citing year draws per earlier article, so below rate * articles.
+        if not all(_is_real(r) and 0 < r * articles < 2**31 for r in rates):
+            raise ConfigError(f"field_citation_rate must be positive and below 2**31 / {articles}")
         object.__setattr__(self, "field_citation_rate", tuple(map(float, rates)))
         mix = self.general_field_mix
         mix = tuple(mix) if isinstance(mix, Iterable) else (mix,)

@@ -472,6 +472,37 @@ def test_indicators_rejects_non_finite_kappa(toy_files, tmp_path, capsys, kappa)
     assert not out_dir.exists()
 
 
+def test_indicators_rejects_a_kappa_that_overflows_an_impact_value(toy_files, tmp_path, capsys):
+    # all-sources values 2/3 and 4/5 in 2007 and 2008: their sum overflows
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    capsys.readouterr()
+    out_dir = tmp_path / "ind"
+    args = _indicators_args(corpus, taxonomy, assignments, out_dir)
+    assert run_cli(args + ["--if-years=2007:2008", "--kappa=1.5e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:kappa=")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("token", ["COMBINED", "ALL_SOURCES"])
+def test_indicators_rejects_a_journal_named_like_a_scope_token(tmp_path, capsys, token):
+    corpus, taxonomy = tmp_path / "corpus.tsv", tmp_path / "taxonomy.tsv"
+    corpus.write_text(TOY_CORPUS_TEXT.replace("JG", token))
+    taxonomy.write_text(TOY_TAXONOMY_TEXT)
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    capsys.readouterr()
+    out_dir = tmp_path / "ind"
+    args = _indicators_args(corpus, taxonomy, assignments, out_dir)
+    args[args.index("JG")] = f"{token},JA"
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:journals ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "flag",
     [
@@ -595,6 +626,46 @@ def test_synth_config_with_wrong_types_is_one_line_config_error(tmp_path, capsys
     assert err.startswith("error:config:")
     assert err.count("\n") == 1
     assert not (tmp_path / "c.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "override, knob",
+    [
+        pytest.param(
+            {
+                "journals_per_field": 5,
+                "num_general_journals": 2,
+                "articles_per_journal_year": 10**12,
+            },
+            "articles_per_journal_year",
+            id="seeded-with-10**12-articles-per-journal-year",
+        ),
+        pytest.param(
+            {
+                "num_fields": 2,
+                "num_general_journals": 0,
+                "articles_per_journal_year": 1,
+                "year_range": [2000, 2000],
+                "mean_refs": 2**62,
+                "general_field_mix": [0.5, 0.5],
+            },
+            "mean_refs",
+            id="two-articles-with-mean-refs-2**62",
+        ),
+    ],
+)
+def test_synth_config_too_large_to_generate_is_one_line_config_error(
+    tmp_path, capsys, override, knob
+):
+    # PINNED_SYNTH is the open workload; the first override makes it the seeded one.
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({**PINNED_SYNTH, **override}))
+    out = [f"--out-{name}={tmp_path / name}.tsv" for name in ("corpus", "truth", "taxonomy")]
+    assert run_cli(["synth", "--config", str(config), "--seed", "1", *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:config:{knob} ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "corpus.tsv").exists()
 
 
 def test_report_table_that_is_not_utf8_is_one_line_parse_error(toy_files, tmp_path, capsys):

@@ -206,9 +206,9 @@ def brute_force_citations(corpus, cited, years, citing_doc_types):
     )
 
 
-def brute_force_area_counts(corpus, assignments, journals, pub_window, doc_types=ARTICLE_ONLY):
+def brute_force_area_counts(corpus, assignments, journals, pub_window):
     counts = Counter()
-    for a_id in brute_force_items(corpus, journals, pub_window, doc_types):
+    for a_id in brute_force_items(corpus, journals, pub_window, ARTICLE_ONLY):
         entry = assignments.get(a_id)
         if entry is not None and entry.broad_area is not None:
             counts[entry.broad_area] += 1
@@ -326,7 +326,7 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
             (undefined if value is None else scored).append((j, value))
         scored.sort(key=lambda jv: (-jv[1], jv[0]))
         assert [(e.journal_id, e.value) for e in ranking.entries] == scored + undefined
-        assert ranking == cube.ranking(corpus, taxonomy, ranking.area)
+        assert ranking == cube.ranking(taxonomy, ranking.area)
 
 
 def test_mean_impact_factor_skips_undefined_years(toy_taxonomy):
@@ -434,37 +434,21 @@ def test_composition_errors(toy_taxonomy):
         cube.composition(("JSET_A", "JSET_B"))
 
 
-def assert_config_error_before_counting(
-    monkeypatch, taxonomy, entry, match, pub_window, doc_types=ARTICLE_ONLY
-):
-    corpus = composition_corpus()
-    assignments = classify(corpus, taxonomy).assignments
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("counted")
-
-    monkeypatch.setattr(CountCube, "_area_counts", refuse)
-    with pytest.raises(ConfigError, match=match):
-        cube = count_cube(corpus, assignments, ("JSET_A",), IndicatorConfig(pub_window=pub_window))
-        getattr(cube, entry)(("JSET_A",), doc_types=doc_types)
-
-
 @pytest.mark.parametrize("pub_window", [(1, 10**9), (2015, 2005), (2005.0, 2015)])
 @pytest.mark.parametrize("entry", ["composition", "representation"])
 def test_library_pub_window_is_checked_before_counting(
     toy_taxonomy, monkeypatch, pub_window, entry
 ):
-    assert_config_error_before_counting(monkeypatch, toy_taxonomy, entry, "pub_window", pub_window)
+    corpus = composition_corpus()
+    assignments = classify(corpus, toy_taxonomy).assignments
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted")
 
-@pytest.mark.parametrize("doc_types", ["article", {"bogus"}, {"article", "Article"}, set()])
-@pytest.mark.parametrize("entry", ["composition", "representation"])
-def test_library_doc_types_are_checked_before_counting(
-    toy_taxonomy, monkeypatch, doc_types, entry
-):
-    assert_config_error_before_counting(
-        monkeypatch, toy_taxonomy, entry, "doc_types", (2005, 2015), doc_types=doc_types
-    )
+    monkeypatch.setattr(CountCube, "_area_counts", refuse)
+    with pytest.raises(ConfigError, match="pub_window"):
+        cube = count_cube(corpus, assignments, ("JSET_A",), IndicatorConfig(pub_window=pub_window))
+        getattr(cube, entry)(("JSET_A",))
 
 
 def test_representation_back_derived_values(toy_taxonomy):
@@ -514,7 +498,7 @@ def test_rank_journals_order_and_ties(toy_taxonomy):
     assignments = classify(corpus, toy_taxonomy).assignments
     cfg = simple_config()
     cube = count_cube(corpus, assignments, ("JA", "JB", "JC"), cfg)
-    table = cube.ranking(corpus, toy_taxonomy, "Astronomy")
+    table = cube.ranking(toy_taxonomy, "Astronomy")
     assert [e.journal_id for e in table.entries] == ["JA", "JC", "JB"]
     assert [e.rank for e in table.entries] == [1, 2, 3]
     assert all(not e.field_restricted for e in table.entries)
@@ -535,7 +519,7 @@ def test_rank_journals_tie_break_and_undefined(toy_taxonomy):
     corpus = build_corpus(records)
     assignments = classify(corpus, toy_taxonomy).assignments
     cube = count_cube(corpus, assignments, ("JB", "JA", "JZ"), simple_config())
-    table = cube.ranking(corpus, toy_taxonomy, "Astronomy")
+    table = cube.ranking(toy_taxonomy, "Astronomy")
     assert [e.journal_id for e in table.entries] == ["JA", "JB", "JZ"]
     assert table.entries[0].value == table.entries[1].value == 1.0
     assert table.entries[2].rank is None and table.entries[2].value is None
@@ -568,7 +552,7 @@ def test_rank_journals_field_restricts_multidisciplinary(toy_taxonomy):
     cfg = simple_config()
     for area, field_journal in (("Astronomy", "JFA"), ("Medicine", "JFO")):
         cube = count_cube(corpus, assignments, ("JG", field_journal), cfg)
-        table = cube.ranking(corpus, toy_taxonomy, area)
+        table = cube.ranking(toy_taxonomy, area)
         assert table.entries[0].journal_id == "JG"
         assert table.entries[0].field_restricted
         assert not table.entries[1].field_restricted
@@ -601,6 +585,59 @@ def test_kappa_linearity_exact(toy_taxonomy):
         v_k, v_1 = cube_k.impact_factor("J1", 2012), cube_1.impact_factor("J1", 2012)
         assert v_k.value == kappa * v_1.value  # bit-exact
         assert (v_k.numerator, v_k.denominator) == (v_1.numerator, v_1.denominator)
+
+
+def test_kappa_that_overflows_an_impact_value_is_a_config_error(toy_taxonomy):
+    # 2.5 * 1e308 is inf; so is the sum of the two yearly values 1e308.
+    corpus = cited_corpus()
+    assignments = classify(corpus, toy_taxonomy).assignments
+    cube = count_cube(corpus, assignments, ("J1",), simple_config(kappa=1e308))
+    for call in (
+        lambda: cube.impact_factor("J1", 2012),
+        lambda: cube.mean_impact_factor("J1"),
+        lambda: cube.summary_row("J1"),
+    ):
+        with pytest.raises(ConfigError, match="^kappa="):
+            call()
+    corpus = build_corpus(
+        [
+            journal("J1", ASTRO),
+            journal("J2", ONCO),
+            article("P1", "J1", 2010),
+            article("P2", "J1", 2011),
+            article("C1", "J2", 2012, refs=("P1",)),
+            article("C2", "J2", 2012, refs=("P2",)),
+            article("C3", "J2", 2013, refs=("P2",)),
+        ]
+    )
+    assignments = classify(corpus, toy_taxonomy).assignments
+    config = simple_config(kappa=1e308, if_year_range=(2012, 2013))
+    cube = count_cube(corpus, assignments, ("J1",), config)
+    assert [cube.impact_factor("J1", y).value for y in (2012, 2013)] == [1e308, 1e308]
+    with pytest.raises(ConfigError, match="^kappa="):
+        cube.mean_impact_factor("J1")
+
+
+@pytest.mark.parametrize("token", [ALL_SOURCES, COMBINED_SCOPE])
+def test_a_journal_named_like_a_scope_token_is_refused(toy_taxonomy, token):
+    # Its rows could not be told from those of every journal or of the pooled set.
+    corpus = build_corpus(
+        [
+            journal(token, ASTRO),
+            journal("J2", ONCO),
+            article("P1", token, 2010),
+            article("C1", "J2", 2012, refs=("P1",)),
+        ]
+    )
+    assignments = classify(corpus, toy_taxonomy).assignments
+    with pytest.raises(ConfigError, match="^journals "):
+        build_report_tables(corpus, assignments, toy_taxonomy, ["J2", token], simple_config())
+    if token == ALL_SOURCES:
+        with pytest.raises(ConfigError, match="^journals "):
+            count_cube(corpus, assignments, ["J2", token], simple_config())
+    else:
+        cube = count_cube(corpus, assignments, [token], simple_config())
+        assert cube.summary_row(token).articles == 1
 
 
 def test_summary_row_counts(toy_taxonomy):
@@ -792,7 +829,7 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
     for call in (
         lambda: cube.impact_factor(ALL_SOURCES, lo, bad_area),
         lambda: cube.mean_impact_factor(ALL_SOURCES, bad_area),
-        lambda: cube.ranking(corpus, taxonomy, bad_area),
+        lambda: cube.ranking(taxonomy, bad_area),
     ):
         got = outcome(call)
         assert type(got) is ConfigError and str(got).startswith("area ")
@@ -865,7 +902,7 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
             brute_force_mean(corpus, assignments, journal_id, ALL_AREAS, config)[1],
         )
 
-    got = outcome(lambda: cube.ranking(corpus, taxonomy, area))
+    got = outcome(lambda: cube.ranking(taxonomy, area))
     scored, undefined = [], []
     for j in counted:
         multi = any(taxonomy.is_multidisciplinary(c) for c in corpus.journals[j].categories)
@@ -880,22 +917,18 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
 
     # Shares from a cube that counts the drawn publication window.
     pub_window = data.draw(year_pair(YEAR), "composition pub_window")
-    doc_types = data.draw(st.sampled_from((*DOC_TYPE_SETS, "article", frozenset())), "doc_types")
     lo, hi = pub_window
     shares_config = outcome(lambda: replace(config, pub_window=pub_window))
     if not LO <= lo <= hi <= HI:
         assert type(shares_config) is ConfigError
         return
     shares_cube = count_cube(corpus, assignments, counted, shares_config)
-    got_in = outcome(lambda: shares_cube.composition(journal_set, doc_types=doc_types))
-    got_rep = outcome(lambda: shares_cube.representation(journal_set, doc_types=doc_types))
-    if isinstance(doc_types, str) or not doc_types:
-        assert type(got_in) is type(got_rep) is ConfigError
-        return
+    got_in = outcome(lambda: shares_cube.composition(journal_set))
+    got_rep = outcome(lambda: shares_cube.representation(journal_set))
     if not known_set:
         assert type(got_in) is type(got_rep) is UnknownNameError
         return
-    inside = brute_force_area_counts(corpus, assignments, set(journal_set), pub_window, doc_types)
+    inside = brute_force_area_counts(corpus, assignments, set(journal_set), pub_window)
     if not journal_set or not inside:
         assert type(got_in) is type(got_rep) is EmptyScopeError
         return
@@ -905,7 +938,7 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
         inside,
         total,
     )
-    everywhere = brute_force_area_counts(corpus, assignments, None, pub_window, doc_types)
+    everywhere = brute_force_area_counts(corpus, assignments, None, pub_window)
     all_total = sum(everywhere.values())
     share_all = {a: n / all_total for a, n in everywhere.items()}
     assert got_rep.share_set == {a: n / total for a, n in inside.items()}

@@ -251,6 +251,24 @@ def test_references_never_point_forward_in_time():
             assert corpus.articles[ref].year <= art.year
 
 
+def test_config_keeps_rows_and_one_year_of_draws_below_2_31():
+    # small_config: 20 articles a year, 60 in all.
+    with pytest.raises(ConfigError, match="^articles_per_journal_year "):
+        small_config(articles_per_journal_year=10**12)
+    with pytest.raises(ConfigError, match="^articles_per_journal_year "):
+        small_config(articles_per_journal_year=-(-(2**31) // 6), mean_refs=1e-9)
+    small_config(articles_per_journal_year=2**31 // 6, mean_refs=1e-9, field_citation_rate=1e-9)
+    with pytest.raises(ConfigError, match="^mean_refs "):
+        small_config(mean_refs=2**31 / 20)
+    small_config(mean_refs=2**31 / 20 - 1)
+    with pytest.raises(ConfigError, match="^field_citation_rate "):
+        small_config(field_citation_rate=(1.0, 2**31 / 60))
+    small_config(field_citation_rate=(1.0, 2**31 / 60 - 1))
+    # Two articles: numpy could not allocate the draws of a mean of 2**62.
+    with pytest.raises(ConfigError, match="^mean_refs "):
+        small_config(articles_per_journal_year=1, year_range=(2000, 2000), mean_refs=2**62)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError, match="num_fields"):
         small_config(num_fields=1)
