@@ -257,6 +257,7 @@ class ClassificationResult:
 
 def _seeds(corpus: Corpus, taxonomy: Taxonomy) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted seed categories and each row's seed category code (-1: not seeded)."""
+    taxonomy.check_journals(corpus.journals.values())
     per_journal = [
         j.categories[0] if taxonomy.is_classifier_journal(j) else None
         for j in corpus.journals.values()
@@ -304,7 +305,8 @@ def classify(
 
     One vote kernel, run on one thread, serves every iteration and the
     terminal pass. The assignments are an :class:`AssignmentTable` over the
-    corpus rows.
+    corpus rows. Raises :class:`ValidationError` when a journal names a
+    category missing from the taxonomy.
     """
     if config is None:
         config = ClassifierConfig()
@@ -547,3 +549,37 @@ def read_assignments(source: Iterable[str]) -> AssignmentTable:
         votes.append(total)
     del seen  # free it before the columns are coded into arrays
     return _table_of(ids, cats, areas, statuses, iterations, votes)
+
+
+def _check_assignments(assignments: AssignmentTable, corpus: Corpus, taxonomy: Taxonomy) -> None:
+    """Raise :class:`ValidationError` for ids outside the corpus (all of them,
+    sorted), else for the first entry whose category the taxonomy lacks or
+    files under another broad area."""
+    rows = assignments.corpus_rows(corpus)
+    strangers = sorted(assignments.ids[r] for r in np.flatnonzero(rows < 0).tolist())
+    if strangers:
+        raise ValidationError(
+            f"assignments name {len(strangers)} article(s) not in the corpus", token=strangers[0]
+        )
+    # Per row, the table's code of its category's taxonomy area; -1 without a
+    # category, -2 (no row's) if the taxonomy or the table lacks the name.
+    area_code = {area: code for code, area in enumerate(assignments.areas)}
+    taxonomy_area = [
+        area_code.get(taxonomy.broad_area_of(c), -2) if c in taxonomy else -2
+        for c in assignments.categories
+    ]
+    expected = _lookup(taxonomy_area, assignments.category)
+    wrong = np.flatnonzero((assignments.category >= 0) & (expected != assignments.area))
+    if len(wrong) == 0:
+        return
+    row = wrong[0]
+    a_id, cat = assignments.ids[row], assignments.categories[assignments.category[row]]
+    if cat not in taxonomy:
+        raise ValidationError(
+            f"assignment of {a_id!r} names a category missing from the taxonomy", token=cat
+        )
+    filed_under = (assignments.areas + (None,))[assignments.area[row]]
+    raise ValidationError(
+        f"assignment of {a_id!r} files {cat!r} under {filed_under!r}; "
+        f"the taxonomy says {taxonomy.broad_area_of(cat)!r}"
+    )

@@ -3,15 +3,13 @@
 Subcommands mirror the pipeline: ``synth`` generates a seeded corpus,
 ``validate`` checks one, ``classify`` produces the assignment table,
 ``indicators`` computes the report tables, and ``report`` re-emits a table
-directory after validation. Each command that writes files writes them all
-with one :func:`~refclass.report.write_files_atomic` call: every output is
-staged as a uniquely named temp and renamed into place, and if any step
-fails every prior file is put back. So a failure leaves no temp file behind,
-no output is ever absent, and the outputs of one command (the three
-``synth`` files, or a whole table directory) hold all their prior bytes or
-all their new ones. A crash in the middle of the renames is not covered.
-Every error is a single line ``error:<code>:<message>`` on stderr with exit
-code 1 (2 for usage errors).
+directory after validation. This module parses arguments, reads and hashes
+files and prints errors; every input rule is checked by the module that
+owns its data. Each command that writes files writes them all with one
+:func:`~refclass.report.write_files_atomic` call, so a failure leaves no
+temp file behind and its outputs hold all their prior bytes or all their
+new ones. Every error is a single line ``error:<code>:<message>`` on stderr
+with exit code 1 (2 for usage errors).
 """
 
 from __future__ import annotations
@@ -23,28 +21,25 @@ import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .classifier import (
     MODES,
     TIE_POLICIES,
-    AssignmentTable,
     ClassifierConfig,
+    _check_assignments,
     classify,
     emit_assignments,
     read_assignments,
 )
 from .corpus import Corpus, emit_corpus, read_corpus, validate_corpus
-from .errors import ConfigError, ParseError, RefclassError, UsageError, ValidationError
+from .errors import ConfigError, ParseError, RefclassError, UsageError
 from .indicators import IndicatorConfig
 from .report import (
     MANIFEST_FILE,
-    TABLE_COLUMNS,
-    TABLE_FILES,
     RunManifest,
     build_report_tables,
     emit_report,
+    read_table_dir,
     write_files_atomic,
     write_table_dir,
 )
@@ -168,57 +163,10 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _check_journal_categories(corpus, taxonomy) -> None:
-    bad = []
-    for j_id, journal in corpus.journals.items():
-        for cat in journal.categories:
-            if cat not in taxonomy:
-                bad.append(f"{j_id}:{cat}")
-    if bad:
-        raise ValidationError("journals reference unknown categories: " + ", ".join(sorted(bad)))
-
-
-def _check_assignments(assignments: AssignmentTable, corpus, taxonomy) -> None:
-    rows = assignments.corpus_rows(corpus)
-    strangers = sorted(assignments.ids[r] for r in np.flatnonzero(rows < 0).tolist())
-    if strangers:
-        raise ValidationError(
-            f"assignments name {len(strangers)} article(s) not in the corpus", token=strangers[0]
-        )
-    # Per category name, the code of its taxonomy area in the table; a name
-    # missing from the taxonomy, or whose area no row names, gets -2, which
-    # matches no row.
-    area_code = {area: code for code, area in enumerate(assignments.areas)}
-    expected = np.array(
-        [
-            area_code.get(taxonomy.broad_area_of(cat), -2) if cat in taxonomy else -2
-            for cat in assignments.categories
-        ],
-        dtype=np.int64,
-    )
-    category = assignments.category
-    filed = np.flatnonzero(category >= 0)
-    wrong = filed[expected[category[filed]] != assignments.area[filed]]
-    if len(wrong) == 0:
-        return
-    a_id = assignments.ids[wrong[0]]
-    entry = assignments[a_id]
-    if entry.category not in taxonomy:
-        raise ValidationError(
-            f"assignment of {a_id!r} names a category missing from the taxonomy",
-            token=entry.category,
-        )
-    area = taxonomy.broad_area_of(entry.category)
-    raise ValidationError(
-        f"assignment of {a_id!r} files {entry.category!r} under "
-        f"{entry.broad_area!r}; the taxonomy says {area!r}"
-    )
-
-
 def _cmd_validate(ns: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
     corpus = _read_corpus_file(ns.corpus)
-    _check_journal_categories(corpus, taxonomy)
+    taxonomy.check_journals(corpus.journals.values())
     report = validate_corpus(corpus)
     for line in report.as_lines():
         print(line)
@@ -228,7 +176,6 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 def _cmd_classify(ns: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
     corpus = _read_corpus_file(ns.corpus)
-    _check_journal_categories(corpus, taxonomy)
     config = ClassifierConfig(
         max_iterations=ns.max_iter,
         min_votes=ns.min_votes,
@@ -241,14 +188,14 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_indicators(ns: argparse.Namespace) -> int:
+    journals = tuple(j.strip() for j in ns.journals.split(",") if j.strip())
+    if not journals:
+        raise UsageError("--journals must list at least one journal id")
     taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
     corpus = _read_corpus_file(ns.corpus)
     # As for the corpus, the list iterator lets the lines go once parsed.
     assignments = read_assignments(iter(_read_lines(ns.assignments)))
     _check_assignments(assignments, corpus, taxonomy)
-    journals = tuple(j.strip() for j in ns.journals.split(",") if j.strip())
-    if not journals:
-        raise UsageError("--journals must list at least one journal id")
     config = IndicatorConfig(
         window=ns.window,
         kappa=ns.kappa,
@@ -278,25 +225,8 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
 
 def _cmd_report(ns: argparse.Namespace) -> int:
     in_dir = Path(ns.in_dir)
-    texts: dict[str, str] = {}
-    digests: dict[str, str] = {}
-    for name in TABLE_FILES:
-        path = in_dir / name
-        if not path.is_file():
-            raise ValidationError(f"missing table file: {path}")
-        text = "".join(_read_lines(path))
-        lines = text.splitlines()
-        data = [ln for ln in lines if not ln.startswith("#")]
-        if not lines or not lines[0].startswith("#"):
-            raise ValidationError(f"{name}: missing config header line")
-        if not data or data[0] != "\t".join(TABLE_COLUMNS[name]):
-            raise ValidationError(f"{name}: unexpected column header")
-        width = len(TABLE_COLUMNS[name])
-        for row in data[1:]:
-            if len(row.split("\t")) != width:
-                raise ValidationError(f"{name}: row with wrong column count: {row!r}")
-        texts[name] = text
-        digests[name] = _sha256(path)
+    texts = read_table_dir(in_dir)
+    digests = {name: _sha256(in_dir / name) for name in texts}
     in_manifest = in_dir / MANIFEST_FILE
     if in_manifest.is_file():
         digests[MANIFEST_FILE] = _sha256(in_manifest)
@@ -323,6 +253,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error:io:{exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error:memory:out of memory", file=sys.stderr)
         return 1
 
 

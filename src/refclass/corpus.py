@@ -721,11 +721,9 @@ def read_corpus(source: Iterable[str]) -> Corpus:
     of a rule of :func:`build_corpus`; unknown journals and the ``2**31``
     code limit are checked once every line is read.
 
-    Where the process can fork (``os.fork`` exists, its CPU affinity holds
-    at least two CPUs, no other Python thread runs and ``SIGCHLD`` is not
-    ignored), from :data:`_FORK_LINES` lines on, a forked worker reads the
-    second half (see :func:`_read_halves`). The result and every error are
-    the same either way.
+    From :data:`_FORK_LINES` lines on, where :func:`_can_fork` allows it, a
+    forked worker reads the second half (see :func:`_read_halves`). The
+    result and every error are the same either way.
     """
     lines = list(source)
     halves = _read_halves(lines) if len(lines) >= _FORK_LINES and _can_fork() else None

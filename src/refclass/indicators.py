@@ -84,10 +84,11 @@ class IndicatorConfig:
     ``denominator_doc_types`` filters the cited (citable) side, reviews are
     excluded by default; ``citing_doc_types`` filters the citing side, all
     document types count by default. Each is a non-empty set of names from
-    :data:`~refclass.corpus.DOC_TYPES`. ``kappa`` is a finite positive int or
-    float. ``window`` and both year ranges are integers; the years lie within
-    the corpus year bounds and the window spans at most those bounds, which
-    bounds the size of every :class:`CountCube`.
+    :data:`~refclass.corpus.DOC_TYPES`. ``kappa`` is a finite int or float
+    above 5e-7, so the tables' 6 decimals do not write it as 0. ``window``
+    and both year ranges are integers; the years lie within the corpus year
+    bounds and the window spans at most those bounds, which bounds the size
+    of every :class:`CountCube`.
     """
 
     window: int = 2
@@ -103,6 +104,9 @@ class IndicatorConfig:
         # Compared exactly, so an int too large for a float fails here too.
         if not (_is_number(self.kappa) and 0 < self.kappa <= sys.float_info.max):
             raise ConfigError("kappa must be a finite positive number")
+        # The tables write kappa and every value with 6 decimals.
+        if f"{self.kappa:.6f}" == "0.000000":
+            raise ConfigError(f"kappa={self.kappa!r} is written as 0.000000 in the tables")
         for name in ("denominator_doc_types", "citing_doc_types"):
             object.__setattr__(self, name, _doc_type_set(getattr(self, name), name))
         for name in ("if_year_range", "pub_window"):
@@ -376,12 +380,10 @@ class CountCube:
         ``omitted_areas``.
         """
         inside = self.composition(journal_set)
+        # Not zero: the all-sources counts include the set's, and composition
+        # raised unless those hold a classified article.
         all_counts = self._area_counts(slice(None))
         all_total = sum(all_counts.values())
-        if all_total == 0:
-            raise EmptyScopeError(
-                f"no classified articles in the corpus within {self.config.pub_window}"
-            )
         share_all = {area: n / all_total for area, n in all_counts.items()}
         ratios = {area: inside.share(area) / share for area, share in share_all.items()}
         omitted = tuple(a for a in BROAD_AREAS if a not in share_all)

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .classifier import Assignment
 from .corpus import Corpus
-from .errors import ConfigError, EmptyScopeError, UndefinedValueError
+from .errors import ConfigError, EmptyScopeError, ParseError, UndefinedValueError, ValidationError
 from .indicators import (
     ALL_AREAS,
     ALL_SOURCES,
@@ -115,12 +115,6 @@ class ReportTables:
     rankings: tuple[RankingTable, ...]
 
 
-def _target_areas(taxonomy: Taxonomy) -> tuple[str, ...]:
-    return tuple(
-        sorted({taxonomy.broad_area_of(name) for name in taxonomy.assignment_targets})
-    )
-
-
 def build_report_tables(
     corpus: Corpus,
     assignments: Mapping[str, Assignment],
@@ -135,15 +129,18 @@ def build_report_tables(
     whatever is present. Every cell is a slice of one :class:`CountCube`.
     A journal named :data:`COMBINED_SCOPE` or :data:`ALL_SOURCES` would
     share its rows with the pooled set or every journal, so either raises
-    :class:`ConfigError`.
+    :class:`ConfigError`. A corpus journal that names a category missing
+    from the taxonomy raises :class:`ValidationError` before anything is
+    counted.
     """
+    taxonomy.check_journals(corpus.journals.values())
     if config is None:
         config = IndicatorConfig()
     journal_list = tuple(sorted(set(journals)))
     if COMBINED_SCOPE in journal_list:
         raise ConfigError(f"journals must not name {COMBINED_SCOPE}, the scope of the pooled set")
     cube = count_cube(corpus, assignments, journal_list, config)
-    areas = _target_areas(taxonomy)
+    areas = tuple(sorted({taxonomy.broad_area_of(c) for c in taxonomy.assignment_targets}))
 
     summary = [cube.summary_row(j) for j in (ALL_SOURCES,) + journal_list]
 
@@ -345,6 +342,35 @@ def write_table_dir(
     files[out / MANIFEST_FILE] = "\n".join(manifest.to_lines()) + "\n"
     write_files_atomic(files)
     return sorted(map(str, files))
+
+
+def read_table_dir(in_dir: Path | str) -> dict[str, str]:
+    """Every table file of ``in_dir``, read as UTF-8 with universal newlines,
+    by name. Raises :class:`ValidationError` for a missing file, a missing
+    ``#`` header line, a column-name line other than :data:`TABLE_COLUMNS`
+    or a row of another width, and :class:`ParseError` for bytes that are
+    not UTF-8."""
+    texts: dict[str, str] = {}
+    for name in TABLE_FILES:
+        path = Path(in_dir) / name
+        if not path.is_file():
+            raise ValidationError(f"missing table file: {path}")
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        lines = text.splitlines()
+        if not lines or not lines[0].startswith("#"):
+            raise ValidationError(f"{name}: missing config header line")
+        header, *rows = [ln for ln in lines if not ln.startswith("#")] or [""]
+        if header != "\t".join(TABLE_COLUMNS[name]):
+            raise ValidationError(f"{name}: unexpected column header")
+        for row in rows:
+            if row.count("\t") != header.count("\t"):
+                raise ValidationError(f"{name}: row with wrong column count: {row!r}")
+        texts[name] = text
+    return texts
 
 
 def emit_report(tables: ReportTables, manifest: RunManifest, out_dir: Path | str) -> list[str]:

@@ -128,13 +128,15 @@ class Taxonomy:
         Articles in such journals carry a trustworthy, journal-level subject
         label and seed the classification.
         """
-        if len(journal.categories) != 1:
-            # Every category must still resolve; a journal naming an unknown
-            # category is a data error regardless of the predicate outcome.
-            for name in journal.categories:
-                self.category(name)
-            return False
-        return not self.category(journal.categories[0]).multidisciplinary
+        categories = journal.categories
+        return len(categories) == 1 and not self.is_multidisciplinary(categories[0])
+
+    def check_journals(self, journals: Iterable[JournalRecord]) -> None:
+        """Raise :class:`ValidationError` listing every ``journal:category``
+        pair, sorted, whose category is not in the taxonomy."""
+        bad = sorted(f"{j.id}:{name}" for j in journals for name in j.categories if name not in self)
+        if bad:
+            raise ValidationError("journals reference unknown categories: " + ", ".join(bad))
 
 
 def load_taxonomy(source: Iterable[str]) -> Taxonomy:

@@ -74,6 +74,23 @@ def test_seed_assignments(toy_taxonomy):
     assert {a.status for a in table.values()} <= {STATUS_SEEDED, STATUS_UNCLASSIFIED}
 
 
+@pytest.mark.parametrize("categories", [("No Such Category",), (ONCO, "No Such Category")])
+def test_a_journal_category_missing_from_the_taxonomy_is_a_validation_error(
+    toy_taxonomy, categories
+):
+    corpus = build_corpus(
+        [
+            journal("JA", ASTRO),
+            journal("JX", categories),
+            article("P1", "JA", 2006),
+            article("X1", "JX", 2006, refs=("P1",)),
+        ]
+    )
+    for run in (classify, seed_assignments):
+        with pytest.raises(ValidationError, match="unknown categories: JX:No Such Category$"):
+            run(corpus, toy_taxonomy)
+
+
 def test_only_labeled_references_vote(toy_taxonomy):
     corpus = build_corpus(
         [

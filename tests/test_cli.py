@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,8 @@ import pytest
 
 import refclass
 import refclass.corpus as corpus_module
-from refclass.classifier import STATUSES, read_assignments
-from refclass.cli import _check_assignments, run_cli
+from refclass.classifier import STATUSES, _check_assignments, read_assignments
+from refclass.cli import run_cli
 from refclass.corpus import read_corpus
 from refclass.errors import ValidationError
 from refclass.report import MANIFEST_FILE, TABLE_FILES
@@ -23,6 +24,7 @@ from refclass.taxonomy import load_taxonomy
 from conftest import TOY_TAXONOMY_TEXT
 
 FORK_LINES = corpus_module._FORK_LINES
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 TOY_CORPUS_TEXT = """\
 # toy corpus
@@ -503,6 +505,63 @@ def test_indicators_rejects_a_journal_named_like_a_scope_token(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "classify", "indicators-JG", "indicators-JA"])
+def test_every_command_rejects_a_journal_category_missing_from_the_taxonomy(
+    tmp_path, capsys, command
+):
+    # The shipped toy corpus with JA filed under a category the taxonomy
+    # lacks; the assignments come from the unchanged corpus.
+    taxonomy = DATA / "taxonomy_small.tsv"
+    assignments = _classify_toy(DATA / "corpus_toy.tsv", taxonomy, tmp_path)
+    text = (DATA / "corpus_toy.tsv").read_text(encoding="utf-8")
+    row = "J\tJA\tAstronomy Letters\tAstronomy & Astrophysics\n"
+    assert row in text
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(text.replace(row, "J\tJA\tAstronomy Letters\tNonexistent Category\n"))
+    out = tmp_path / "out"
+    args = [command.split("-")[0], "--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    if command == "classify":
+        args.append(f"--out={out}")
+    elif command != "validate":
+        args += [f"--assignments={assignments}", "--if-years=2007:2008", "--pub-years=2005:2008"]
+        args += [f"--journals={command.split('-')[1]}", f"--out-dir={out}"]
+    capsys.readouterr()
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error:validation:journals reference unknown categories: JA:Nonexistent Category\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["1e-320", "4e-7", "5e-7"])
+def test_indicators_rejects_a_kappa_the_tables_write_as_zero(toy_files, tmp_path, capsys, kappa):
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    capsys.readouterr()
+    out_dir = tmp_path / "ind"
+    code = run_cli(_indicators_args(corpus, taxonomy, assignments, out_dir) + [f"--kappa={kappa}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:kappa=")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_indicators_accepts_the_least_kappa_the_tables_write_as_nonzero(
+    toy_files, tmp_path, capsys
+):
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    out_dir = tmp_path / "ind"
+    kappa = math.nextafter(5e-7, 1)
+    code = run_cli(_indicators_args(corpus, taxonomy, assignments, out_dir) + [f"--kappa={kappa!r}"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert " kappa=0.000001 " in (out_dir / "summary.tsv").read_text().splitlines()[0]
+
+
 @pytest.mark.parametrize(
     "flag",
     [
@@ -666,6 +725,37 @@ def test_synth_config_too_large_to_generate_is_one_line_config_error(
     assert err.startswith(f"error:config:{knob} ")
     assert err.count("\n") == 1
     assert not (tmp_path / "corpus.tsv").exists()
+
+
+def test_running_out_of_memory_is_one_line(tmp_path):
+    # The seeded workload at 20,000 articles per journal-year (5.2M articles,
+    # within every config bound) cannot be generated in 400 MB of address
+    # space. One BLAS thread keeps numpy's own start-up well below that.
+    resource = pytest.importorskip("resource")
+    limit = 400 * 2**20
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    seeded = {"journals_per_field": 5, "num_general_journals": 2}
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({**PINNED_SYNTH, **seeded, "articles_per_journal_year": 20000}))
+    src = str(Path(refclass.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    out = [f"--out-{name}={tmp_path / name}.tsv" for name in ("corpus", "truth", "taxonomy")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "refclass", "synth", "--config", str(config), "--seed", "1", *out],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error:memory:out of memory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["synth.json"]
 
 
 def test_report_table_that_is_not_utf8_is_one_line_parse_error(toy_files, tmp_path, capsys):

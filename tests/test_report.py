@@ -11,6 +11,7 @@ import pytest
 import refclass.report as report_module
 from refclass.classifier import classify
 from refclass.corpus import build_corpus
+from refclass.errors import ValidationError
 from refclass.indicators import IndicatorConfig, PrestigeValue, count_cube
 from refclass.report import (
     MANIFEST_FILE,
@@ -21,6 +22,7 @@ from refclass.report import (
     build_report_tables,
     emit_report,
     fmt_float,
+    read_table_dir,
     render_tables,
     write_files_atomic,
 )
@@ -154,6 +156,21 @@ def test_emit_report_is_deterministic(tmp_path, toy_taxonomy):
     emit_report(tables, manifest, dir_a)
     for name in TABLE_FILES:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def test_read_table_dir_reads_back_what_emit_report_wrote(tmp_path, toy_taxonomy):
+    tables = toy_tables(toy_taxonomy)
+    emit_report(tables, manifest_for(tables), tmp_path)
+    assert read_table_dir(tmp_path) == render_tables(tables)
+
+
+def test_build_report_tables_rejects_a_journal_category_missing_from_the_taxonomy(toy_taxonomy):
+    # JX is not among the requested journals, and nothing is counted.
+    corpus = build_corpus(
+        [journal("JA", ASTRO), journal("JX", (ONCO, "No Such")), article("A1", "JA", 2006)]
+    )
+    with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
+        build_report_tables(corpus, {}, toy_taxonomy, ("JA",))
 
 
 def test_emit_report_failure_leaves_prior_state(tmp_path, toy_taxonomy):

@@ -109,6 +109,22 @@ def test_classifier_journal_predicate(toy_taxonomy):
         toy_taxonomy.is_classifier_journal(journal("J5", "No Such Category"))
 
 
+def test_check_journals_lists_every_unknown_category_sorted(toy_taxonomy):
+    journals = [
+        journal("JB", ("Oncology", "No Such")),
+        journal("JA", "Zeta"),
+        journal("JO", "Oncology"),
+        journal("JC", ("Beta", "Cell Biology", "Alpha")),
+    ]
+    with pytest.raises(ValidationError) as exc:
+        toy_taxonomy.check_journals(journals)
+    assert str(exc.value) == (
+        "journals reference unknown categories: JA:Zeta, JB:No Such, JC:Alpha, JC:Beta"
+    )
+    toy_taxonomy.check_journals(journals[2:3])
+    toy_taxonomy.check_journals([])
+
+
 def test_classifier_journal_iff_property(toy_taxonomy):
     # predicate true <=> exactly one category and it is an assignment target
     rng = np.random.default_rng(5)
