@@ -1,13 +1,14 @@
 """Field-resolved journal impact indicators over a classified corpus.
 
 The central quantity is an impact-factor-like measure: citations received in
-year y to a journal's qualifying items published in the preceding ``window``
-years, divided by the count of those items, scaled by a correction factor
-``kappa``. Restricting the item set to one broad area (via the assignment
+year y, from citers of every doc type, to a journal's articles published in
+the preceding ``window`` years, divided by the count of those articles,
+scaled by a correction factor ``kappa``. Reviews and other items are not
+citable. Restricting the articles to one broad area (via the assignment
 table) yields per-field values; using all sources yields field baselines.
 Prestige is the ratio of a journal's field value to the field baseline.
 
-Every indicator is a slice of one :class:`CountCube`: integer item and
+Every indicator is a slice of one :class:`CountCube`: integer article and
 citation counts per (journal, broad area, publication year) cell, built in a
 single read-only pass over the immutable corpus and assignment table.
 Integer numerators and denominators are summed first and divided exactly
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .classifier import Assignment, AssignmentTable
-from .corpus import _DOC_CODE, DOC_TYPES, YEAR_BOUNDS, Corpus, _is_int, _year_pair
+from .corpus import _DOC_CODE, YEAR_BOUNDS, Corpus, JournalRecord, _is_int, _year_pair
 from .errors import (
     ConfigError,
     DomainError,
@@ -40,9 +41,6 @@ ALL_AREAS = "ALL"
 
 #: Largest citation window: the span of the corpus year bounds.
 MAX_WINDOW = YEAR_BOUNDS[1] - YEAR_BOUNDS[0]
-
-ARTICLE_ONLY = frozenset({"article"})
-ALL_DOC_TYPES = frozenset({"article", "review", "other"})
 
 
 def _is_number(value) -> bool:
@@ -62,39 +60,20 @@ def _journal_ids(journals, name: str) -> Iterator:
     )
 
 
-def _doc_type_set(doc_types, name: str) -> frozenset[str]:
-    """``doc_types`` as a non-empty frozenset of :data:`DOC_TYPES` names.
-
-    Raises :class:`ConfigError` naming the knob ``name`` otherwise; a string
-    is refused rather than read as a set of its letters.
-    """
-    try:
-        types = frozenset(() if isinstance(doc_types, str) else doc_types)
-    except TypeError:
-        types = frozenset()
-    if not types or not types <= ALL_DOC_TYPES:
-        raise ConfigError(f"{name} must be a non-empty set of {', '.join(DOC_TYPES)}")
-    return types
-
-
 @dataclass(frozen=True)
 class IndicatorConfig:
     """Knobs of the impact computation.
 
-    ``denominator_doc_types`` filters the cited (citable) side, reviews are
-    excluded by default; ``citing_doc_types`` filters the citing side, all
-    document types count by default. Each is a non-empty set of names from
-    :data:`~refclass.corpus.DOC_TYPES`. ``kappa`` is a finite int or float
-    above 5e-7, so the tables' 6 decimals do not write it as 0. ``window``
-    and both year ranges are integers; the years lie within the corpus year
-    bounds and the window spans at most those bounds, which bounds the size
-    of every :class:`CountCube`.
+    The citable items are articles, cited by every doc type; that rule is
+    fixed. ``kappa`` is a finite int or float above 5e-7, so the tables' 6
+    decimals do not write it as 0. ``window`` and both year ranges are
+    integers; the years lie within the corpus year bounds and the window
+    spans at most those bounds, which bounds the size of every
+    :class:`CountCube`.
     """
 
     window: int = 2
     kappa: float = 1.04
-    denominator_doc_types: frozenset[str] = ARTICLE_ONLY
-    citing_doc_types: frozenset[str] = ALL_DOC_TYPES
     if_year_range: tuple[int, int] = (2007, 2016)
     pub_window: tuple[int, int] = (2005, 2015)
 
@@ -107,8 +86,6 @@ class IndicatorConfig:
         # The tables write kappa and every value with 6 decimals.
         if f"{self.kappa:.6f}" == "0.000000":
             raise ConfigError(f"kappa={self.kappa!r} is written as 0.000000 in the tables")
-        for name in ("denominator_doc_types", "citing_doc_types"):
-            object.__setattr__(self, name, _doc_type_set(getattr(self, name), name))
         for name in ("if_year_range", "pub_window"):
             object.__setattr__(self, name, _year_pair(getattr(self, name), name))
 
@@ -201,23 +178,18 @@ class SummaryRow:
     mean_if: float | None
 
 
-def _doc_type_slots(doc_types: Iterable[str]) -> list[int]:
-    return sorted(_DOC_CODE[t] for t in doc_types)
-
-
 class CountCube:
-    """Integer item and citation counts; every indicator is a slice of them.
+    """Integer article and citation counts; every indicator is a slice of them.
 
-    ``den[scope, area, pub_year, doc_type]`` counts items.
-    ``num[scope, area, pub_year, citing_year]`` counts the citations that
-    items with a doc type in ``config.denominator_doc_types`` receive from
-    citers with a doc type in ``config.citing_doc_types``. Citing years are
+    ``den[scope, area, pub_year]`` counts articles.
+    ``num[scope, area, pub_year, citing_year]`` counts the citations those
+    articles receive from citers of every doc type. Citing years are
     ``config.if_year_range``; publication years start at ``first_pub_year``
     and cover ``config.pub_window`` and every impact year's citation window.
     Scope slots are the requested journals in order plus one last slot for
     every other journal, so :data:`ALL_SOURCES` is the sum over the scope
-    axis. Area slot 0 holds unclassified items, so :data:`ALL_AREAS` is the
-    sum over the area axis. ``journals`` maps each journal to its categories.
+    axis. Area slot 0 holds unclassified articles, so :data:`ALL_AREAS` is the
+    sum over the area axis. ``journals`` maps each journal id to its record.
     Build one with :func:`count_cube`. A journal the cube was not built for,
     other than :data:`ALL_SOURCES`, raises :class:`UnknownNameError`; an area
     that is not a string raises :class:`ConfigError`, and one that no
@@ -227,7 +199,7 @@ class CountCube:
     def __init__(
         self,
         config: IndicatorConfig,
-        journals: Mapping[str, tuple[str, ...]],
+        journals: Mapping[str, JournalRecord],
         area_slots: Mapping[str, int],
         first_pub_year: int,
         den: np.ndarray,
@@ -237,10 +209,9 @@ class CountCube:
         self.first_pub_year = first_pub_year
         self.den = den
         self.num = num
-        self._categories = journals
+        self._journals = journals
         self._scope_slots = {j: i for i, j in enumerate(journals)}
         self._area_slots = area_slots
-        self._cited = _doc_type_slots(config.denominator_doc_types)
 
     def _slot(self, journal: str) -> int:
         try:
@@ -268,11 +239,12 @@ class CountCube:
     def impact_factor(self, journal: str, year: int, area: str = ALL_AREAS) -> IfValue:
         """Impact value of ``journal`` (or :data:`ALL_SOURCES`) in ``year``.
 
-        Denominator: qualifying items published in ``[year - window, year - 1]``,
+        Denominator: articles published in ``[year - window, year - 1]``,
         restricted to ``area`` via the assignment table unless ``area`` is
-        :data:`ALL_AREAS` (unclassified items are excluded from area-restricted
-        counts but included in whole-journal counts). Numerator: citations from
-        qualifying citers of exactly ``year`` to that item set. Raises
+        :data:`ALL_AREAS` (unclassified articles are excluded from
+        area-restricted counts but included in whole-journal counts).
+        Numerator: citations from citers of exactly ``year`` to those
+        articles. Raises
         :class:`ConfigError` naming ``if_year_range`` when ``year`` is not an
         integer in ``config.if_year_range``, :class:`UndefinedValueError`
         when the denominator is zero, and :class:`ConfigError` naming
@@ -288,7 +260,7 @@ class CountCube:
             self._area(area),
             self._pub(year - self.config.window, year - 1),
         )
-        denominator = int(self.den[cell][..., self._cited].sum())
+        denominator = int(self.den[cell].sum())
         if denominator == 0:
             raise UndefinedValueError(
                 f"no qualifying articles for journal={journal} area={area} year={year}"
@@ -326,12 +298,12 @@ class CountCube:
         return MeanIfValue(journal, area, mean, tuple(yearly), tuple(skipped))
 
     def summary_row(self, journal: str) -> SummaryRow:
-        """Counts for one journal (or :data:`ALL_SOURCES`): items published in
+        """Counts for one journal (or :data:`ALL_SOURCES`): articles published in
         ``config.pub_window``, how many are classified, the citations they
         receive over ``config.if_year_range``, and the whole-journal mean
         impact value (None when undefined)."""
         cell = (self._scope(journal), slice(None), self._pub(*self.config.pub_window))
-        items = self.den[cell][..., self._cited]
+        items = self.den[cell]
         mean = self._mean_or_none(journal, ALL_AREAS)
         return SummaryRow(
             journal, int(items.sum()), int(items[:, 1:].sum()), int(self.num[cell].sum()), mean
@@ -339,7 +311,7 @@ class CountCube:
 
     def _area_counts(self, scopes: list[int] | slice) -> dict[str, int]:
         pub = self._pub(*self.config.pub_window)
-        per_area = self.den[scopes][:, :, pub, _DOC_CODE["article"]].sum(axis=(0, 2))
+        per_area = self.den[scopes, :, pub].sum(axis=(0, 2))
         return {
             area: int(per_area[slot])
             for area, slot in sorted(self._area_slots.items())
@@ -349,14 +321,13 @@ class CountCube:
     def composition(self, journal_set: Iterable[str]) -> CompositionTable:
         """Disciplinary composition of the classified articles in a journal set.
 
-        Counts items of doc type ``article`` published in
-        ``config.pub_window``. Shares are over classified items
-        only and sum to 1; areas with no classified item in scope are absent
-        from ``counts`` (``share`` reports them as 0). Raises
-        :class:`ConfigError` for a string (not read as its letters) or a
-        non-iterable ``journal_set``, :class:`UnknownNameError` for a journal
-        the cube did not count and :class:`EmptyScopeError` when nothing in
-        scope is classified.
+        Counts articles published in ``config.pub_window``. Shares are over
+        classified articles only and sum to 1; areas with no classified
+        article in scope are absent from ``counts`` (``share`` reports them
+        as 0). Raises :class:`ConfigError` for a string (not read as its
+        letters) or a non-iterable ``journal_set``, :class:`UnknownNameError`
+        for a journal the cube did not count and :class:`EmptyScopeError`
+        when nothing in scope is classified.
         """
         slots = {j: self._slot(j) for j in _journal_ids(journal_set, "journal_set")}
         if not slots:
@@ -376,7 +347,7 @@ class CountCube:
 
         Shares are those of :meth:`composition`. Ratios are defined for every
         area with a positive all-sources share (0.0 when the set has no such
-        items); areas with zero all-sources share are omitted and listed in
+        articles); areas with zero all-sources share are omitted and listed in
         ``omitted_areas``.
         """
         inside = self.composition(journal_set)
@@ -397,12 +368,16 @@ class CountCube:
         Journals carrying any multidisciplinary category are scored by their
         ``area`` mean, disciplinary journals by their :data:`ALL_AREAS` mean.
         Sorted descending, ties broken by journal id; journals with an
-        undefined mean are listed last, unranked.
+        undefined mean are listed last, unranked. A wrongly typed ``area``
+        raises :class:`ConfigError` and a journal naming a category missing
+        from ``taxonomy`` :class:`ValidationError`, before any journal is
+        scored.
         """
-        self._area(area)  # a wrongly typed area fails before any journal is scored
+        self._area(area)
+        taxonomy.check_journals(self._journals.values())
         rows: list[tuple[str, float | None, bool]] = []
-        for j_id, categories in sorted(self._categories.items()):
-            multi = any(taxonomy.is_multidisciplinary(c) for c in categories)
+        for j_id, record in sorted(self._journals.items()):
+            multi = any(taxonomy.is_multidisciplinary(c) for c in record.categories)
             rows.append((j_id, self._mean_or_none(j_id, area if multi else ALL_AREAS), multi))
         scored = sorted((row for row in rows if row[1] is not None), key=lambda r: (-r[1], r[0]))
         entries = [RankingEntry(j, v, multi, rank) for rank, (j, v, multi) in enumerate(scored, 1)]
@@ -422,10 +397,10 @@ def count_cube(
     journals: Iterable[str],
     config: IndicatorConfig,
 ) -> CountCube:
-    """Count every item and citation the indicators can ask for, in one pass.
+    """Count every article and citation the indicators can ask for, in one pass.
 
     The cube serves impact values for the years ``config.if_year_range`` and
-    item and citation counts over the publication years
+    article and citation counts over the publication years
     ``config.pub_window``. Its year axes span only those years and the
     impact years' citation windows, and its scope axis only ``journals``
     plus one slot for the rest, so its size does not depend on the corpus.
@@ -439,7 +414,7 @@ def count_cube(
     requested = list(_journal_ids(journals, "journals"))
     if ALL_SOURCES in requested:
         raise ConfigError(f"journals must not name {ALL_SOURCES}, the scope of every journal")
-    journals = {record.id: record.categories for record in map(corpus.journal, requested)}
+    journals = {record.id: record for record in map(corpus.journal, requested)}
     cite_lo, cite_hi = config.if_year_range
     pub_lo = min(config.pub_window[0], cite_lo - config.window)
     n_pub = max(config.pub_window[1], cite_hi - 1) - pub_lo + 1
@@ -453,44 +428,39 @@ def count_cube(
     area_slots = {table.areas[c]: slot for slot, c in enumerate(present.tolist(), start=1)}
     slot_of = np.zeros(len(table.areas) + 1, dtype=np.int64)  # code -1 reads the last
     slot_of[present] = np.arange(1, len(present) + 1)
-    n_scopes, n_areas, n_types = len(journals) + 1, len(area_slots) + 1, len(DOC_TYPES)
+    n_scopes, n_areas = len(journals) + 1, len(area_slots) + 1
 
-    # One cell (scope, area, publication year) per row, -1 outside the years.
+    # One cell (scope, area, publication year) per article, -1 for other doc
+    # types and outside the years.
     area = np.zeros(len(corpus.ids), dtype=np.int64)
     rows = table.corpus_rows(corpus)
     inside = rows >= 0
     area[rows[inside]] = slot_of[table.area[inside]]
     scope = np.array([scope_of[j] for j in corpus.journal_ids], dtype=np.int64)
     pub = corpus.years - pub_lo
-    counted = (pub >= 0) & (pub < n_pub)
+    counted = (corpus.doc_types == _DOC_CODE["article"]) & (pub >= 0) & (pub < n_pub)
     cell = np.where(counted, (scope[corpus.journal_codes] * n_areas + area) * n_pub + pub, -1)
-    den = np.bincount(
-        cell[counted] * n_types + corpus.doc_types[counted],
-        minlength=n_scopes * n_areas * n_pub * n_types,
-    )
+    den = np.bincount(cell[counted], minlength=n_scopes * n_areas * n_pub)
 
-    # Citations: in-corpus references to a counted item with a cited doc type,
-    # from a citer of a counted doc type published in an impact year. The
-    # references are filtered before any key is built; the key adds two
-    # per-row tables, cell * n_cite and the citing-year offset, in int32
-    # unless the cube has 2**31 cells.
-    cited_ok = counted & np.isin(corpus.doc_types, _doc_type_slots(config.denominator_doc_types))
-    citing_ok = np.isin(corpus.doc_types, _doc_type_slots(config.citing_doc_types))
-    citing_ok &= (corpus.years >= cite_lo) & (corpus.years <= cite_hi)
+    # Citations: in-corpus references to a counted article from a citer
+    # published in an impact year. The references are filtered before any
+    # key is built; the key adds two per-row tables, cell * n_cite and the
+    # citing-year offset, in int32 unless the cube has 2**31 cells.
+    citing_ok = (corpus.years >= cite_lo) & (corpus.years <= cite_hi)
     n_num = n_scopes * n_areas * n_pub * n_cite
     key_type = np.int32 if n_num < 2**31 else np.int64
     citer = corpus.citer_rows()
     hit = citing_ok[citer]
     citer, cited = citer[hit], corpus.refs[hit]
     hit = cited < len(corpus.ids)
-    hit[hit] = cited_ok[cited[hit]]
+    hit[hit] = counted[cited[hit]]
     citer, cited = citer[hit], cited[hit]
     del hit
-    key = np.where(cited_ok, cell * n_cite, 0).astype(key_type)[cited]
+    key = np.where(counted, cell * n_cite, 0).astype(key_type)[cited]
     key += np.where(citing_ok, corpus.years - cite_lo, 0).astype(key_type)[citer]
     del citer, cited
     num = np.bincount(key, minlength=n_num)
-    den = den.reshape(n_scopes, n_areas, n_pub, n_types)
+    den = den.reshape(n_scopes, n_areas, n_pub)
     num = num.reshape(n_scopes, n_areas, n_pub, n_cite)
     return CountCube(config, journals, area_slots, pub_lo, den, num)
 

@@ -187,13 +187,11 @@ def build_report_tables(
 
 
 def _config_header(config: IndicatorConfig) -> str:
-    denom = ",".join(sorted(config.denominator_doc_types))
-    citing = ",".join(sorted(config.citing_doc_types))
     return (
         f"# window={config.window} kappa={fmt_float(config.kappa)}"
         f" if_years={config.if_year_range[0]}:{config.if_year_range[1]}"
         f" pub_years={config.pub_window[0]}:{config.pub_window[1]}"
-        f" denominator_doc_types={denom} citing_doc_types={citing}"
+        " denominator_doc_types=article citing_doc_types=article,other,review"
     )
 
 

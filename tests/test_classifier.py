@@ -463,28 +463,35 @@ def test_evaluate_accuracy_trivial_cases():
 
 
 def test_evaluate_accuracy_half_wrong(toy_taxonomy):
-    corpus = build_corpus(
-        [
-            journal("JA", ASTRO),
-            journal("JO", ONCO),
-            article("P1", "JA", 2010),
-            article("P2", "JO", 2010),
-        ]
-    )
-    result = classify(corpus, toy_taxonomy)
+    records = [
+        journal("JA", ASTRO),
+        journal("JO", ONCO),
+        journal("JM", MULTI),
+        article("P1", "JA", 2010),
+        article("P2", "JO", 2010),
+        article("U1", "JM", 2010),  # no references: stays unclassified
+    ]
+    result = classify(build_corpus(records), toy_taxonomy)
+    assert "U1" in result.assignments and "NOPE" not in result.assignments
 
     class FakeTruth:
-        # claims both articles are astronomy; P2 is seeded oncology -> wrong
-        field_of = {"P1": 0, "P2": 0}
+        # claims every article is astronomy; P2 is seeded oncology -> wrong
+        field_of = {"P1": 0, "P2": 0, "U1": 0}
         categories = (ASTRO,)
 
         def category_of(self, a_id):
             return self.categories[self.field_of[a_id]]
 
     report = evaluate_accuracy(result, FakeTruth(), toy_taxonomy)
+    assert (report.total, report.classified) == (3, 2)
     assert report.category_accuracy == 0.5
     assert report.broad_area_accuracy == 0.5
-    assert report.confusion[("Astronomy", "Medicine")] == 1
+    assert report.confusion == {("Astronomy", "Astronomy"): 1, ("Astronomy", "Medicine"): 1}
+    # Nothing classified: coverage 0 and no accuracy, so no error either.
+    result = classify(build_corpus([records[2], records[5]]), toy_taxonomy)
+    report = evaluate_accuracy(result, FakeTruth(), toy_taxonomy)
+    assert (report.total, report.classified, report.coverage) == (1, 0, 0.0)
+    assert report.broad_area_accuracy is None and report.broad_area_error is None
 
 
 def test_config_validation(toy_taxonomy):

@@ -288,6 +288,7 @@ def test_record_field_constraints():
         lambda: ArticleRecord("P\r1", "J1", 2010, "article"),
         lambda: ArticleRecord("P1", "J\r1", 2010, "article"),
         lambda: ArticleRecord("P1", "J1", 2010, "article", ("X\rY",)),
+        lambda: ArticleRecord("P1", "J1", 2010, "letter"),
         lambda: JournalRecord("J1", "Name", ()),
         lambda: JournalRecord("J1", "Name", ("Onco;logy",)),
         lambda: JournalRecord("J\r1", "Name", ("Oncology",)),

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,18 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refclass.classifier import Assignment, classify
-from refclass.corpus import DOC_TYPES, YEAR_BOUNDS, build_corpus
+from refclass.corpus import YEAR_BOUNDS, build_corpus
 from refclass.errors import (
     DomainError,
     EmptyScopeError,
     RefclassError,
     UndefinedValueError,
     UnknownNameError,
+    ValidationError,
 )
 from refclass.indicators import (
     ALL_AREAS,
     ALL_SOURCES,
-    ARTICLE_ONLY,
     CountCube,
     IfValue,
     IndicatorConfig,
@@ -100,12 +99,6 @@ def test_impact_factor_window_and_doc_filters(toy_taxonomy):
     # side counts all doc types in the right year only
     v = count_cube(corpus, assignments, ("J1",), simple_config()).impact_factor("J1", 2012)
     assert (v.numerator, v.denominator) == (2, 1)
-    narrow = simple_config(citing_doc_types=frozenset({"article"}))
-    v2 = count_cube(corpus, assignments, ("J1",), narrow).impact_factor("J1", 2012)
-    assert (v2.numerator, v2.denominator) == (1, 1)
-    wide = simple_config(denominator_doc_types=frozenset({"article", "review"}))
-    v3 = count_cube(corpus, assignments, ("J1",), wide).impact_factor("J1", 2012)
-    assert (v3.numerator, v3.denominator) == (3, 2)
 
 
 def test_impact_factor_area_restriction_excludes_unclassified(toy_taxonomy):
@@ -132,10 +125,11 @@ def test_impact_factor_area_restriction_excludes_unclassified(toy_taxonomy):
 
 
 def brute_force_if(corpus, assignments, journal_id, year, area, config):
-    # independent scan over all citing articles and their reference lists
+    # independent scan over all citing items and their reference lists;
+    # articles are the citable items, cited by every doc type
     denom = set()
     for a in corpus.articles.values():
-        if a.doc_type not in config.denominator_doc_types:
+        if a.doc_type != "article":
             continue
         if not (year - config.window <= a.year <= year - 1):
             continue
@@ -148,7 +142,7 @@ def brute_force_if(corpus, assignments, journal_id, year, area, config):
         denom.add(a.id)
     num = 0
     for citer in corpus.articles.values():
-        if citer.year != year or citer.doc_type not in config.citing_doc_types:
+        if citer.year != year:
             continue
         num += sum(1 for ref in citer.references if ref in denom)
     return num, len(denom)
@@ -184,31 +178,31 @@ def test_impact_factor_matches_brute_force_scan():
                 assert (v.numerator, v.denominator) == expected
 
 
-def brute_force_items(corpus, journals, years, doc_types):
-    # ids of items in ``journals`` (None: every journal) published in ``years``
+def brute_force_items(corpus, journals, years):
+    # ids of articles in ``journals`` (None: every journal) published in ``years``
     lo, hi = years
     return {
         a.id
         for a in corpus.articles.values()
-        if a.doc_type in doc_types
+        if a.doc_type == "article"
         and lo <= a.year <= hi
         and (journals is None or a.journal_id in journals)
     }
 
 
-def brute_force_citations(corpus, cited, years, citing_doc_types):
+def brute_force_citations(corpus, cited, years):
     lo, hi = years
     return sum(
         ref in cited
         for citer in corpus.articles.values()
-        if lo <= citer.year <= hi and citer.doc_type in citing_doc_types
+        if lo <= citer.year <= hi
         for ref in citer.references
     )
 
 
 def brute_force_area_counts(corpus, assignments, journals, pub_window):
     counts = Counter()
-    for a_id in brute_force_items(corpus, journals, pub_window, ARTICLE_ONLY):
+    for a_id in brute_force_items(corpus, journals, pub_window):
         entry = assignments.get(a_id)
         if entry is not None and entry.broad_area is not None:
             counts[entry.broad_area] += 1
@@ -222,12 +216,7 @@ def brute_force_area_counts(corpus, assignments, journals, pub_window):
         (
             29,
             IndicatorConfig(
-                window=3,
-                kappa=1.7,
-                denominator_doc_types=frozenset({"article", "review"}),
-                citing_doc_types=frozenset({"article", "other"}),
-                if_year_range=(2004, 2009),
-                pub_window=(2002, 2005),
+                window=3, kappa=1.7, if_year_range=(2004, 2009), pub_window=(2002, 2005)
             ),
         ),
     ],
@@ -258,7 +247,8 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
     pub_lo = min(config.pub_window[0], lo - config.window)
     pub_hi = max(config.pub_window[1], hi - 1)
     assert cube.first_pub_year == pub_lo
-    assert cube.den.shape[2] == pub_hi - pub_lo + 1 and cube.num.shape[3] == hi - lo + 1
+    assert cube.den.shape == (len(journals) + 1, cube.num.shape[1], pub_hi - pub_lo + 1)
+    assert cube.num.shape[2:] == (pub_hi - pub_lo + 1, hi - lo + 1)
 
     field_if = {(m.journal_id, m.area): m for m in tables.field_if}
     means = {}
@@ -285,11 +275,9 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
     assert [r.journal_id for r in tables.summary] == [ALL_SOURCES, *journals]
     for row in tables.summary:
         scope = None if row.journal_id == ALL_SOURCES else {row.journal_id}
-        items = brute_force_items(corpus, scope, config.pub_window, config.denominator_doc_types)
+        items = brute_force_items(corpus, scope, config.pub_window)
         classified = [i for i in items if getattr(assignments.get(i), "broad_area", None)]
-        citations = brute_force_citations(
-            corpus, items, config.if_year_range, config.citing_doc_types
-        )
+        citations = brute_force_citations(corpus, items, config.if_year_range)
         mean = means.get((row.journal_id, ALL_AREAS))
         assert (row.articles, row.articles_classified, row.citations, row.mean_if) == (
             len(items),
@@ -525,6 +513,19 @@ def test_rank_journals_tie_break_and_undefined(toy_taxonomy):
     assert table.entries[2].rank is None and table.entries[2].value is None
 
 
+def test_ranking_rejects_a_counted_journal_category_missing_from_the_taxonomy(toy_taxonomy):
+    # The ValidationError of build_report_tables, not the UnknownNameError of
+    # a category look-up; a journal the cube did not count is not checked.
+    corpus = build_corpus(
+        [journal("JA", ASTRO), journal("JX", ("No Such", ONCO)), article("A1", "JA", 2010)]
+    )
+    cube = count_cube(corpus, {}, ("JA", "JX"), simple_config())
+    with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
+        cube.ranking(toy_taxonomy, "Astronomy")
+    only_ja = count_cube(corpus, {}, ("JA",), simple_config()).ranking(toy_taxonomy, "Astronomy")
+    assert [e.journal_id for e in only_ja.entries] == ["JA"]
+
+
 def test_rank_journals_field_restricts_multidisciplinary(toy_taxonomy):
     # planted construction: general journal articles receive 3x the
     # citations of field-journal articles, in both planted fields
@@ -665,8 +666,10 @@ def test_indicator_config_validation():
             IndicatorConfig(kappa=kappa)
     with pytest.raises(ConfigError):
         IndicatorConfig(if_year_range=(2016, 2007))
-    with pytest.raises(ConfigError):
-        IndicatorConfig(denominator_doc_types=frozenset())
+    # the citable-item rule is fixed, not a knob
+    for removed in ("denominator_doc_types", "citing_doc_types"):
+        with pytest.raises(TypeError, match=removed):
+            IndicatorConfig(**{removed: frozenset({"article"})})
     # integer window and years, within the corpus year bounds
     for bad in (
         {"window": 2.0},
@@ -684,12 +687,6 @@ def test_indicator_config_validation():
         {"kappa": "1"},
         {"kappa": 10**400},
         {"kappa": True},
-        # non-empty sets of known doc type names
-        {"citing_doc_types": "article"},
-        {"denominator_doc_types": "article"},
-        {"citing_doc_types": {"bogus"}},
-        {"denominator_doc_types": {"article", "bogus"}},
-        {"citing_doc_types": None},
     ):
         with pytest.raises(ConfigError):
             IndicatorConfig(**bad)
@@ -730,7 +727,6 @@ CORPUS_YEARS = (*range(2005, 2012), *range(1999, 2005))
 YEAR = st.sampled_from((*CORPUS_YEARS, LO - 1, LO, HI, HI + 1))
 VALID_YEAR = st.sampled_from((*CORPUS_YEARS, LO, HI))
 CORPUS_YEAR = st.sampled_from(CORPUS_YEARS)  # keeps the brute-force scans over impact years short
-DOC_TYPE_SETS = [frozenset(c) for k in (1, 2, 3) for c in combinations(DOC_TYPES, k)]
 
 
 def year_pair(years: st.SearchStrategy[int]) -> st.SearchStrategy[tuple[int, int]]:
@@ -779,8 +775,6 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
     config = IndicatorConfig(
         window=data.draw(st.integers(1, 4), "window"),
         kappa=data.draw(st.sampled_from((1.0, 1.04, 3, 0.25)), "kappa"),
-        denominator_doc_types=data.draw(st.sampled_from(DOC_TYPE_SETS), "denominator_doc_types"),
-        citing_doc_types=data.draw(st.sampled_from(DOC_TYPE_SETS), "citing_doc_types"),
         if_year_range=data.draw(year_pair(CORPUS_YEAR), "if_year_range"),
         pub_window=data.draw(year_pair(VALID_YEAR), "pub_window"),
     )
@@ -890,11 +884,9 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
         assert type(got) is UnknownNameError
     else:
         scope = None if journal_id == ALL_SOURCES else {journal_id}
-        items = brute_force_items(corpus, scope, config.pub_window, config.denominator_doc_types)
+        items = brute_force_items(corpus, scope, config.pub_window)
         classified = [i for i in items if getattr(assignments.get(i), "broad_area", None)]
-        citations = brute_force_citations(
-            corpus, items, config.if_year_range, config.citing_doc_types
-        )
+        citations = brute_force_citations(corpus, items, config.if_year_range)
         assert (got.articles, got.articles_classified, got.citations, got.mean_if) == (
             len(items),
             len(classified),

@@ -171,6 +171,9 @@ def test_build_report_tables_rejects_a_journal_category_missing_from_the_taxonom
     )
     with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
         build_report_tables(corpus, {}, toy_taxonomy, ("JA",))
+    # Without JX the same call runs, under the default config.
+    corpus = build_corpus([journal("JA", ASTRO), article("A1", "JA", 2006)])
+    assert build_report_tables(corpus, {}, toy_taxonomy, ("JA",)).config == IndicatorConfig()
 
 
 def test_emit_report_failure_leaves_prior_state(tmp_path, toy_taxonomy):

@@ -303,6 +303,9 @@ def test_config_validation():
         small_config(general_field_mix=(0.9, 0.2))
     with pytest.raises(ConfigError, match="positive"):
         small_config(field_citation_rate=(1.0, 0.0))
+    for bad in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ConfigError, match="cover every field"):
+            small_config(field_citation_rate=bad)
     # numpy's Poisson sampler would raise on these, or on int(nan) in the quotas.
     for bad in (float("inf"), 1e30):
         with pytest.raises(ConfigError, match="mean_refs"):
