@@ -26,6 +26,7 @@ from .corpus import (
     ValidationReport,
     build_corpus,
     read_corpus,
+    read_corpus_file,
     validate_corpus,
 )
 from .errors import RefclassError
@@ -69,6 +70,7 @@ __all__ = [
     "load_taxonomy",
     "prestige",
     "read_corpus",
+    "read_corpus_file",
     "seed_assignments",
     "validate_corpus",
 ]

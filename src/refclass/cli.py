@@ -31,8 +31,9 @@ from .classifier import (
     emit_assignments,
     read_assignments,
 )
-from .corpus import Corpus, emit_corpus, read_corpus, validate_corpus
-from .errors import ConfigError, ParseError, RefclassError, UsageError
+from .corpus import _utf8, _whole, emit_corpus, validate_corpus
+from .corpus import read_corpus_file as read_corpus  # the name perfbench's tracer wraps
+from .errors import ConfigError, RefclassError, UsageError
 from .indicators import IndicatorConfig
 from .report import (
     MANIFEST_FILE,
@@ -106,20 +107,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-
-
-def _read_corpus_file(path: str | Path) -> Corpus:
-    # The whole file is decoded before any line is parsed, so a non-UTF-8
-    # file is still one parse error. Only the iterator holds the line list,
-    # which read_corpus copies into its own list and empties once every line
-    # is checked, so no line is left when the corpus arrays are built.
-    return read_corpus(iter(_read_lines(path)))
+def _read_file(path: str | Path, read):
+    """``read`` over the lines of the UTF-8 file ``path``, streamed; a byte
+    that is not UTF-8 anywhere in the file wins over every fault in its lines."""
+    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
+        return _whole(fh, read)
 
 
 def _sha256(path: str | Path) -> str:
@@ -164,8 +156,8 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
 
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
-    taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
-    corpus = _read_corpus_file(ns.corpus)
+    taxonomy = _read_file(ns.taxonomy, load_taxonomy)
+    corpus = read_corpus(ns.corpus)
     taxonomy.check_journals(corpus.journals.values())
     report = validate_corpus(corpus)
     for line in report.as_lines():
@@ -174,8 +166,8 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
-    taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
-    corpus = _read_corpus_file(ns.corpus)
+    taxonomy = _read_file(ns.taxonomy, load_taxonomy)
+    corpus = read_corpus(ns.corpus)
     config = ClassifierConfig(
         max_iterations=ns.max_iter,
         min_votes=ns.min_votes,
@@ -191,10 +183,9 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
     journals = tuple(j.strip() for j in ns.journals.split(",") if j.strip())
     if not journals:
         raise UsageError("--journals must list at least one journal id")
-    taxonomy = load_taxonomy(_read_lines(ns.taxonomy))
-    corpus = _read_corpus_file(ns.corpus)
-    # As for the corpus, the list iterator lets the lines go once parsed.
-    assignments = read_assignments(iter(_read_lines(ns.assignments)))
+    taxonomy = _read_file(ns.taxonomy, load_taxonomy)
+    corpus = read_corpus(ns.corpus)
+    assignments = _read_file(ns.assignments, read_assignments)
     _check_assignments(assignments, corpus, taxonomy)
     config = IndicatorConfig(
         window=ns.window,

@@ -7,11 +7,12 @@ Corpus file format (UTF-8, LF, TSV, ``#`` comments allowed):
 * journal rows: ``J<TAB>id<TAB>name<TAB>categories`` with semicolon-separated
   category names.
 
-:func:`read_corpus` is the one reader and :func:`emit_corpus` the one writer;
-emission puts journals then articles, each sorted by id. Ids, journal names
-and category names hold no tab, ``\n`` or ``\r`` (ids and categories no list
-separator either), so read -> emit -> read is the identity, also through a
-file read with universal newlines.
+Readers and writer: :func:`read_corpus_file` reads a corpus file,
+:func:`read_corpus` lines already in memory and :func:`emit_corpus` is the
+one writer; emission puts journals then articles, each sorted by id. Ids,
+journal names and category names hold no tab, ``\n`` or ``\r`` (ids and
+categories no list separator either), so read -> emit -> read is the
+identity, also through a file read with universal newlines.
 
 Storage: a :class:`Corpus` keeps articles as rows in sorted-id order, as
 integer columns (journal code into the sorted journal ids, year, doc-type
@@ -20,39 +21,44 @@ in first-occurrence order). A reference to an id outside the corpus stays in
 the CSR with a code past the last row, indexing a table of dangling ids, so
 emission keeps its position. ``articles`` and ``citation_index`` are derived
 views: the first builds an :class:`ArticleRecord` on each access, the second
-is built once on first access. :func:`read_corpus` and :func:`build_corpus`
-(from records) check each record as it arrives, in file order, and end in
-one column builder; :func:`read_corpus` validates each line once and never
-builds an :class:`ArticleRecord`. Article years must lie in
-:data:`YEAR_BOUNDS`, the one year range that synthesis and the indicators
-check too; no reader takes another.
+is built once on first access. The readers and :func:`build_corpus` (from
+records) check each record as it arrives, in file order, and end in one
+column builder; the readers validate each line once and never build an
+:class:`ArticleRecord`. Article years must lie in :data:`YEAR_BOUNDS`, the
+one year range that synthesis and the indicators check too; no reader takes
+another.
 
 The builder codes rows and references as ``int32``, so rows plus dangling
-ids must stay below ``2**31``. It sorts an ``int64`` (row, code) key in
-place and compares neighbours to see whether any reference repeats; only
-then does a stable sort of that key find the repeats to drop. It skips the
-id sort when ids arrive strictly ascending, and the grouping by citing row
-when the references already arrive grouped. Files :func:`emit_corpus`
-writes take all three shortcuts: sorted ids, grouped and without repeats.
+ids must stay below ``2**31``. It builds the ``int64`` (row, code) key one
+block of whole rows at a time, sorts the block in place and compares
+neighbours to see whether a reference repeats; only then does a stable sort
+of that block find the repeats to drop. It skips the id sort when ids
+arrive strictly ascending, and the grouping by citing row when the
+references already arrive grouped. Files :func:`emit_corpus` writes take
+both shortcuts and hold no repeat.
 
-:func:`read_corpus` always takes its input into a list first. Two
-processes: when ``os.fork`` exists, the CPU affinity holds at least two
-CPUs, any cgroup CPU quota covers two CPUs, no other Python thread runs,
-``SIGCHLD`` is not ignored and the input has at least :data:`_FORK_LINES`
-lines, it forks one worker for the second half. Each process reads,
-checks and codes only its own lines, as a corpus of its own; the worker
-pipes its rows and codes back, and the parent alone merges the two halves
-into whole-file codes and builds the corpus once.
-Results and errors are those of the one-process read, which runs whenever
-one of the conditions fails, the fork fails, the worker fails or an id
-appears in both halves. The price: a caller that passes an open file has
-all its lines in memory during the read, and the two processes together
-hold more memory than one.
+:func:`read_corpus_file` decodes the file exactly as ``open()`` does (UTF-8,
+universal newlines) and streams its lines into the checks: no process holds
+a list of the file's lines. A fault in a line stands only once the rest of
+the file decodes, so a byte that is not UTF-8 wins over every fault, as a
+:class:`ParseError` naming the file. Two processes: when ``os.fork``
+exists, the CPU affinity holds at least two CPUs, any cgroup CPU quota
+covers two CPUs, no other Python thread runs, ``SIGCHLD`` is not ignored
+and the file holds at least :data:`_FORK_BYTES` bytes, it forks one worker.
+The file splits at the first line start at or past its middle; each
+process decodes only its own byte range, read with ``os.pread``, and reads,
+checks and codes it as a corpus of its own. The worker pickles its rows and
+codes into a pipe, and the parent alone merges the two halves into
+whole-file codes and builds the corpus once. Results and errors are those
+of the one-process read, which streams the whole file from the same
+descriptor whenever one of the conditions fails, the fork fails, the worker
+fails, either half holds a fault or an id appears in both halves.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 import pickle
@@ -68,7 +74,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, UnknownNameError, ValidationError
+from .errors import ConfigError, ParseError, RefclassError, UnknownNameError, ValidationError
 
 DOC_TYPES = ("article", "review", "other")
 
@@ -319,6 +325,18 @@ class Corpus:
             raise UnknownNameError(f"unknown journal: {journal_id!r}") from None
 
 
+#: References whose (row, code) keys the builder sorts per block: whole
+#: rows of about this many.
+_KEY_BLOCK = 1 << 16
+
+
+def _pair_key(src: np.ndarray, dst: np.ndarray, width: int) -> np.ndarray:
+    key = src.astype(np.int64)
+    key *= width
+    key += dst
+    return key
+
+
 def _assemble(
     ids: Sequence[str],
     journal_of: Sequence[str],
@@ -339,14 +357,16 @@ def _assemble(
     and dangling ids together reach ``2**31`` codes.
 
     Row and reference codes are ``int32``; only the dedupe key
-    ``src * width + dst`` is ``int64``. Sorting a copy of that key in place
-    and comparing neighbours shows whether any pair repeats. Only then does
-    a stable argsort of the key put every repeat right after its first
-    occurrence, so a neighbour compare drops the repeats and keeps draw
-    order. Sorts are skipped when the input makes them a no-op: the id sort
-    when the ids arrive strictly ascending, the grouping of references by
-    citing row when they already arrive grouped, and the argsort when no
-    pair repeats. Every file :func:`emit_corpus` writes skips all three.
+    ``src * width + dst`` is ``int64``, built for one block of whole rows
+    (about :data:`_KEY_BLOCK` references) at a time, as a repeat lies within
+    one row. Sorting a block's key in place and comparing neighbours shows
+    whether any pair in it repeats. Only then does a stable argsort of the
+    block's key put every repeat right after its first occurrence, so a
+    neighbour compare drops the repeats and keeps draw order. Sorts are
+    skipped when the input makes them a no-op: the id sort when the ids
+    arrive strictly ascending, the grouping of references by citing row when
+    they already arrive grouped, and the argsort when no pair repeats. Every
+    file :func:`emit_corpus` writes skips all three.
     """
     journal_table = dict(sorted((j.id, j) for j in journals))
     journal_code = {j_id: c for c, j_id in enumerate(journal_table)}
@@ -376,23 +396,29 @@ def _assemble(
         by_row = np.argsort(src, kind="stable")
         src, dst = src[by_row], dst[by_row]
         del by_row
-    # Keep the first occurrence of every (row, code) pair. A sorted copy of
-    # the pair key shows whether any pair repeats; if one does, a stable
-    # sort leaves each repeat right behind an equal key.
-    key = src.astype(np.int64) * width + dst
-    key.sort()
-    repeats = bool((key[1:] == key[:-1]).any())
-    del key
-    if repeats:
-        key = src.astype(np.int64) * width + dst
-        perm = np.argsort(key, kind="stable")
-        key = key[perm]
-        keep = np.ones(len(key), dtype=bool)
-        keep[perm[1:][key[1:] == key[:-1]]] = False
-        del key, perm
+    # Keep the first occurrence of every (row, code) pair, one block of whole
+    # rows at a time. A block's sorted key shows whether any pair in it
+    # repeats; if one does, a stable sort leaves each repeat right behind an
+    # equal key.
+    keep = None
+    lo = 0
+    while lo < len(src):
+        hi = int(np.searchsorted(src, src[min(lo + _KEY_BLOCK, len(src)) - 1], side="right"))
+        key = _pair_key(src[lo:hi], dst[lo:hi], width)
+        key.sort()
+        if (key[1:] == key[:-1]).any():
+            key = _pair_key(src[lo:hi], dst[lo:hi], width)
+            perm = np.argsort(key, kind="stable")
+            key = key[perm]
+            if keep is None:
+                keep = np.ones(len(src), dtype=bool)
+            keep[lo + perm[1:][key[1:] == key[:-1]]] = False
+        lo = hi
+    if keep is not None:
         src, dst = src[keep], dst[keep]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    # The rows are grouped, so row r starts at the first reference of a row
+    # at or past r; the int32 probes keep numpy from widening src.
+    indptr = np.searchsorted(src, np.arange(n + 1, dtype=np.int32))
 
     return Corpus(tuple(ids), journal_table, codes, years, doc_types, indptr, dst, dangling_ids)
 
@@ -436,6 +462,9 @@ class _Rows:
         lo, hi = YEAR_BOUNDS
         seen_ids: set[str] = set()
         seen_journals: set[str] = set()
+        # One object per distinct journal id and year, not one per row, so a
+        # worker's pickle also carries each journal id once.
+        shared = {}.setdefault
         for item in items:
             if isinstance(item, JournalRecord):
                 if item.id in seen_journals:
@@ -452,8 +481,8 @@ class _Rows:
             if art_id in refs and art_id in refs.split(","):
                 raise ValidationError(f"article {art_id!r} cites itself")
             self.ids.append(art_id)
-            self.journal_of.append(journal_id)
-            self.years.append(year)
+            self.journal_of.append(shared(journal_id, journal_id))
+            self.years.append(shared(year, year))
             self.doc_types.append(_DOC_CODE[doc_type])
             self.counts.append(refs.count(",") + 1 if refs else 0)
             self.refs.append(refs)
@@ -542,10 +571,15 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
     return rows.build(target, dangling)
 
 
-#: Shorter inputs are read in one process. Timed in-process on prefixes of
+#: Shorter files are read in one process. Timed in-process on prefixes of
 #: a synthetic corpus (2 cores), the fork lost at 5,000 lines and fewer and
-#: won clearly from 8,000 lines on.
-_FORK_LINES = 8000
+#: won clearly from 8,000 lines on, about 219 bytes each. Re-timed on file
+#: prefixes of the ``seeded`` benchmark corpus, it lost at 3,000 lines
+#: (0.64 MB) and mostly won from 4,000 on, by 5-25% in noise of about 20%.
+_FORK_BYTES = 1_750_000
+
+#: Bytes per ``os.pread`` call and characters per read of a decode check.
+_READ_BLOCK = 1 << 16
 
 
 #: Where the process names its cgroups and where their hierarchies are
@@ -622,22 +656,88 @@ def _can_fork() -> bool:
     )
 
 
-def _read_halves(lines: list[str]) -> tuple[_Rows, np.ndarray, list[str]] | None:
-    """:func:`_coded` of all ``lines``, the second half read by a forked worker.
+class _ByteRange(io.RawIOBase):
+    """Bytes ``[start, stop)`` of the open file ``fd``, read with ``os.pread``.
 
-    Each process parses and codes its own half with :func:`_coded` and reads
-    no line of the other. The worker pipes back its rows, codes and dangling
-    ids and exits. Only the merge knows there were two halves: it maps each
-    half's codes (its rows, then its dangling ids) into one table of both
-    halves' ids, the first half first, so dangling ids keep their order of
-    first appearance in the file. A fault in the first half is the first
-    fault in file order: it raises here after the worker is killed. Returns
-    ``None`` when the fork fails, when the worker fails in any way (a fault
-    in its half included) and when an id appears in both halves, a repeat
-    that neither process checks; the one-process read then finds the result
-    or the first fault. Empties ``lines`` once both halves are read.
+    ``os.pread`` leaves the file offset alone, which a forked worker shares
+    with its parent.
     """
-    mid = len(lines) // 2
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self._fd, self._at, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self._fd, min(len(buffer), self._stop - self._at), self._at)
+        buffer[: len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+def _text(fd: int, start: int, stop: int) -> io.TextIOWrapper:
+    """The bytes ``[start, stop)`` of ``fd`` decoded as ``open()`` decodes a file."""
+    raw = io.BufferedReader(_ByteRange(fd, start, stop), _READ_BLOCK)
+    return io.TextIOWrapper(raw, encoding="utf-8", newline=None)
+
+
+def _read_rows(lines: Iterable[str]) -> tuple[_Rows, np.ndarray, list[str]]:
+    return _coded(_line_rows(lines))
+
+
+def _whole(text: io.TextIOBase, read):
+    """``read(text)``; a fault it raises stands only once the rest of ``text``
+    decodes, so a byte that is not UTF-8 anywhere wins over every line fault."""
+    try:
+        return read(text)
+    except RefclassError:
+        while text.read(_READ_BLOCK):
+            pass
+        raise
+
+
+@contextlib.contextmanager
+def _utf8(path):
+    """Raise a decode error of the file ``path`` as one :class:`ParseError`."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def _second_half(fd: int, size: int) -> int:
+    """The first byte after the first ``\\n`` at or past the middle of the
+    file, ``size`` when there is none."""
+    at = size // 2
+    while at < size:
+        block = os.pread(fd, _READ_BLOCK, at)
+        if not block:
+            break
+        end = block.find(b"\n")
+        if end >= 0:
+            return at + end + 1
+        at += len(block)
+    return size
+
+
+def _read_halves(fd: int, mid: int, size: int) -> tuple[_Rows, np.ndarray, list[str]] | None:
+    """:func:`_read_rows` of the file ``fd``, the bytes from ``mid`` on read by
+    a forked worker.
+
+    ``mid`` starts a line, so each half decodes as the same text that it is
+    of the whole file. Each process reads, checks and codes its own half
+    with :func:`_read_rows` and reads no byte of the other; the worker pipes
+    back its rows, codes and dangling ids, which the parent unpickles as
+    they arrive, and exits. Only the merge knows there were two halves: it
+    maps each half's codes (its rows, then its dangling ids) into one table
+    of both halves' ids, the first half first, so dangling ids keep their
+    order of first appearance in the file. Returns ``None`` when the fork
+    fails, when either half holds a fault (the worker is killed if the
+    parent's does), when the worker fails in any other way and when an id
+    appears in both halves, a repeat that neither process checks; the
+    one-process read then finds the result or the first fault.
+    """
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -652,36 +752,36 @@ def _read_halves(lines: list[str]) -> tuple[_Rows, np.ndarray, list[str]] | None
     if pid == 0:
         # The worker never returns into the caller's code: whatever happens,
         # it exits here, printing nothing, and a failure leaves a payload
-        # that does not load.
+        # that does not load. Its line numbers start at 1: a fault in its
+        # half is never reported from here.
         status = 1
         try:
             os.close(r)
             with os.fdopen(w, "wb") as pipe:
-                second = _coded(_line_rows(islice(lines, mid, None), start=mid + 1))
-                pickle.dump(second, pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_read_rows(_text(fd, mid, size)), pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
-    payload = None
+    first = second = None
     try:
         with os.fdopen(r, "rb") as pipe:
-            first = _coded(_line_rows(islice(lines, mid)))
-            payload = pipe.read()
+            with contextlib.suppress(RefclassError, UnicodeDecodeError):
+                first = _read_rows(_text(fd, 0, mid))
+            # An empty or cut-off pickle fails to load, whatever the
+            # worker's exit status was.
+            if first is not None:
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    second = pickle.load(pipe)
     finally:
         # A SIGCHLD handler of the caller's may have reaped the worker already.
         with contextlib.suppress(ProcessLookupError, ChildProcessError):
-            if payload is None:
+            if first is None:
                 # A fault in this half: the worker's rows are not wanted.
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    # The payload alone tells whether the worker succeeded: an empty or cut
-    # off pickle fails to load, whatever the worker's exit status was.
-    try:
-        second = pickle.loads(payload)
-    except (EOFError, pickle.UnpicklingError):
+    if first is None or second is None:
         return None
-    del payload
     # Neither process saw the other's records, so a repeat across the halves
     # is found here: an article id in both leaves the table of both halves'
     # ids shorter than their two lists.
@@ -691,44 +791,67 @@ def _read_halves(lines: list[str]) -> tuple[_Rows, np.ndarray, list[str]] | None
     journals = {j.id for j in rows.journals}
     if len(codes) < len(ids) or journals.intersection(j.id for j in other.journals):
         return None
-    lines.clear()
     # A half's codes index its rows, then its dangling ids. Looking up the
     # first half's dangling ids first keeps all of them in file order.
-    target = np.concatenate(
-        [
-            np.append(
-                np.arange(start, start + len(half.ids), dtype=np.int32),
-                np.fromiter(map(codes.__getitem__, dangling), np.int32, len(dangling)),
-            )[target]
-            for start, (half, target, dangling) in zip((0, len(rows.ids)), (first, second))
-        ]
-    )
+    target = np.empty(len(first[1]) + len(second[1]), dtype=np.int32)
+    at = 0
+    for start, (half, half_target, dangling) in zip((0, len(rows.ids)), (first, second)):
+        table = np.append(
+            np.arange(start, start + len(half.ids), dtype=np.int32),
+            np.fromiter(map(codes.__getitem__, dangling), np.int32, len(dangling)),
+        )
+        np.take(table, half_target, out=target[at : at + len(half_target)])
+        at += len(half_target)
     # The halves' codes go before the columns grow: freed later, they left a
     # hole that the build's arrays skipped, for up to 5 MB more peak RSS.
-    del first, second
+    del first, second, half_target
     rows.append(other)
     return rows, target, codes.dangling
+
+
+def read_corpus_file(path) -> Corpus:
+    """Read and build the corpus in the file ``path``; see :func:`read_corpus`.
+
+    Decodes the file as ``open(path, encoding="utf-8")`` does and streams
+    its lines; no process holds a list of them. Raises what
+    :func:`read_corpus` raises for the same lines, except that a byte that
+    is not UTF-8 anywhere in the file wins over every fault, as a
+    :class:`ParseError` naming the file and the decoder's reason.
+
+    From :data:`_FORK_BYTES` bytes on, where :func:`_can_fork` allows it, a
+    forked worker reads the second half (see :func:`_read_halves`). The
+    result and every error are the same either way.
+    """
+    with _utf8(path), open(path, "rb", buffering=0) as file:
+        fd = file.fileno()
+        size = os.fstat(fd).st_size
+        halves = None
+        if size >= _FORK_BYTES and _can_fork():
+            mid = _second_half(fd, size)
+            halves = _read_halves(fd, mid, size) if mid < size else None
+        if halves is None:
+            # Nothing above moved the file offset, which is still at 0.
+            with open(fd, encoding="utf-8", closefd=False) as text:
+                halves = _whole(text, _read_rows)
+    rows, target, dangling = halves
+    return rows.build(target, dangling)
 
 
 def read_corpus(source: Iterable[str]) -> Corpus:
     """Parse and build a corpus from TSV lines, skipping blanks and ``#`` lines.
 
-    Takes ``source`` into a list first, so an error that ``source`` raises
-    while it is read (a decode error of an open file, say) wins over any
-    fault in its lines. Then raises the first fault in file order, as each
-    record is checked when it is read: a :class:`ParseError` with line
-    number and token for a malformed line, or the :class:`ValidationError`
-    of a rule of :func:`build_corpus`; unknown journals and the ``2**31``
-    code limit are checked once every line is read.
-
-    From :data:`_FORK_LINES` lines on, where :func:`_can_fork` allows it, a
-    forked worker reads the second half (see :func:`_read_halves`). The
-    result and every error are the same either way.
+    Reads in one process. Takes ``source`` into a list first, so an error
+    that ``source`` raises while it is read (a decode error of an open file,
+    say) wins over any fault in its lines. Then raises the first fault in
+    file order, as each record is checked when it is read: a
+    :class:`ParseError` with line number and token for a malformed line, or
+    the :class:`ValidationError` of a rule of :func:`build_corpus`; unknown
+    journals and the ``2**31`` code limit are checked once every line is
+    read. :func:`read_corpus_file` reads a file in up to two processes.
     """
     lines = list(source)
-    halves = _read_halves(lines) if len(lines) >= _FORK_LINES and _can_fork() else None
-    rows, target, dangling = halves or _coded(_line_rows(lines))
-    lines.clear()
+    rows, target, dangling = _read_rows(lines)
+    del lines
     return rows.build(target, dangling)
 
 

@@ -42,6 +42,9 @@ ALL_AREAS = "ALL"
 #: Largest citation window: the span of the corpus year bounds.
 MAX_WINDOW = YEAR_BOUNDS[1] - YEAR_BOUNDS[0]
 
+#: References the count cube counts per block of citing rows.
+_CITE_BLOCK = 1 << 16
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -443,23 +446,30 @@ def count_cube(
     den = np.bincount(cell[counted], minlength=n_scopes * n_areas * n_pub)
 
     # Citations: in-corpus references to a counted article from a citer
-    # published in an impact year. The references are filtered before any
-    # key is built; the key adds two per-row tables, cell * n_cite and the
-    # citing-year offset, in int32 unless the cube has 2**31 cells.
-    citing_ok = (corpus.years >= cite_lo) & (corpus.years <= cite_hi)
+    # published in an impact year, counted one block of citing rows at a
+    # time, so no per-reference array outlives its block. A reference's key
+    # adds two tables: its cited code's cell * n_cite (-1 for an article not
+    # counted and for a dangling id) and its citer's year offset (-1 outside
+    # the impact years), in int32 unless the cube has 2**31 cells. A block
+    # spans at least as many references as the cube has cells, so its
+    # count costs no more than its references.
     n_num = n_scopes * n_areas * n_pub * n_cite
     key_type = np.int32 if n_num < 2**31 else np.int64
-    citer = corpus.citer_rows()
-    hit = citing_ok[citer]
-    citer, cited = citer[hit], corpus.refs[hit]
-    hit = cited < len(corpus.ids)
-    hit[hit] = counted[cited[hit]]
-    citer, cited = citer[hit], cited[hit]
-    del hit
-    key = np.where(counted, cell * n_cite, 0).astype(key_type)[cited]
-    key += np.where(citing_ok, corpus.years - cite_lo, 0).astype(key_type)[citer]
-    del citer, cited
-    num = np.bincount(key, minlength=n_num)
+    cited_key = np.full(len(corpus.ids) + len(corpus.dangling_ids), -1, dtype=key_type)
+    cited_key[np.flatnonzero(counted)] = cell[counted] * n_cite
+    citing_ok = (corpus.years >= cite_lo) & (corpus.years <= cite_hi)
+    citing_key = np.where(citing_ok, corpus.years - cite_lo, -1).astype(key_type)
+    indptr, step = corpus.indptr, max(_CITE_BLOCK, n_num)
+    num = np.zeros(n_num, dtype=np.int64)
+    lo = 0
+    while lo < len(corpus.ids):
+        hi = min(int(np.searchsorted(indptr, indptr[lo] + step)), len(corpus.ids))
+        key = cited_key[corpus.refs[indptr[lo] : indptr[hi]]]
+        citing = np.repeat(citing_key[lo:hi], np.diff(indptr[lo : hi + 1]))
+        hit = (key >= 0) & (citing >= 0)
+        key += citing
+        num += np.bincount(key[hit], minlength=n_num)
+        lo = hi
     den = den.reshape(n_scopes, n_areas, n_pub)
     num = num.reshape(n_scopes, n_areas, n_pub, n_cite)
     return CountCube(config, journals, area_slots, pub_lo, den, num)

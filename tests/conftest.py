@@ -30,7 +30,7 @@ def toy_taxonomy() -> Taxonomy:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Read every input of one line or more in two processes; yields the worker pids."""
+    """Read every corpus file that splits in two processes; yields the worker pids."""
     pids = []
     fork = os.fork
 
@@ -40,7 +40,7 @@ def forks(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(corpus_module, "_FORK_LINES", 1)
+    monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(corpus_module, "_CGROUP_FILE", os.devnull)  # no CPU quota
     monkeypatch.setattr(os, "fork", counted_fork)

@@ -23,7 +23,7 @@ from refclass.taxonomy import load_taxonomy
 
 from conftest import TOY_TAXONOMY_TEXT
 
-FORK_LINES = corpus_module._FORK_LINES
+FORK_BYTES = corpus_module._FORK_BYTES
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 TOY_CORPUS_TEXT = """\
@@ -420,13 +420,15 @@ def test_every_output_byte_of_the_pipeline_is_pinned(forks, monkeypatch, tmp_pat
     """synth, classify, indicators and report through ``run_cli``; every file's sha256.
 
     Recorded at commit 93a2061 with Python 3.11.7 and numpy 2.4.6; numpy 1.22
-    was not run when they were recorded. The corpus has 10,057 lines, so each
-    read of it forks under a two-CPU affinity mask and stays in one process
-    under a one-CPU mask; both give these bytes. ``assignments.tsv`` holds
-    every status, and the tables hold skipped years and undefined cells.
+    was not run when they were recorded. The corpus is a file of 10,057
+    lines, past the fork threshold, so each read of it forks under a two-CPU
+    affinity mask and stays in one process under a one-CPU mask; both give
+    these bytes. ``assignments.tsv`` holds every status, and the tables hold
+    skipped years and undefined cells.
     """
-    monkeypatch.setattr(corpus_module, "_FORK_LINES", FORK_LINES)
+    monkeypatch.setattr(corpus_module, "_FORK_BYTES", FORK_BYTES)
     assert _pipeline_digests(tmp_path / "two") == PINNED_DIGESTS
+    assert (tmp_path / "two" / "corpus.tsv").stat().st_size >= FORK_BYTES
     assert len(forks) == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert _pipeline_digests(tmp_path / "one") == PINNED_DIGESTS
@@ -615,6 +617,38 @@ def test_corpus_that_is_not_utf8_is_one_line_parse_error(tmp_path, toy_files, ca
     err = capsys.readouterr().err
     assert err.startswith("error:parse:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("bad_byte_half", ["first", "second"])
+def test_a_byte_not_utf8_in_either_half_beats_a_line_fault_in_the_other(
+    bad_byte_half, cpus, forks, monkeypatch, toy_files, tmp_path, capsys
+):
+    _, taxonomy = toy_files
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    pad = b"#\n" * 200
+    fault, bad = b"J\tJ1\tX\tOncology\nA\tP1\tJ1\t2010\n", b"#\xff\n"
+    halves = (bad, fault) if bad_byte_half == "first" else (fault, bad)
+    corpus = tmp_path / "bad.tsv"
+    corpus.write_bytes(halves[0] + pad + halves[1])
+    assert run_cli(["validate", "--corpus", str(corpus), "--taxonomy", str(taxonomy)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error:parse:{corpus}: not valid UTF-8 (invalid start byte)\n"
+    assert len(forks) == len(cpus) - 1
+
+
+def test_assignments_that_are_not_utf8_after_a_bad_row_are_one_utf8_error(
+    toy_files, tmp_path, capsys
+):
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    with open(assignments, "ab") as fh:
+        fh.write(b"P1\tOncology\n" + b"#\n" * 10_000 + b"\xff\n")
+    out_dir = tmp_path / "ind"
+    assert run_cli(_indicators_args(corpus, taxonomy, assignments, out_dir)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error:parse:{assignments}: not valid UTF-8 (invalid start byte)\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("content", [b'{"num_fields": 3,', b"\xff{}"], ids=["truncated", "not-utf8"])

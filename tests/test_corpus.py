@@ -9,6 +9,7 @@ import pickle
 import signal
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from refclass.corpus import (
     build_corpus,
     emit_corpus,
     read_corpus,
+    read_corpus_file,
     validate_corpus,
 )
 from refclass.errors import (
@@ -756,16 +758,25 @@ def test_ingest_paths_agree_on_canonical_corpora():
         assert reading_of(build_corpus(naive_records(lines))) == expected
 
 
-def test_read_corpus_traced_peak_is_bounded():
+def test_read_corpus_traced_peak_is_bounded(tmp_path):
     corpus, _, _ = generate_synthetic(ten_field_config(articles_per_journal_year=10))
     text = emit_corpus(corpus)
     lines = text.splitlines(keepends=True)
     assert len(corpus.ids) == 2600
     peak = traced_peak(lambda: read_corpus(lines))
     assert peak <= 5 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
+    # A file read holds no list of lines, so its peak, counted from nothing,
+    # stays below the list read's plus its lines.
+    (tmp_path / "corpus.tsv").write_text(text)
+    peak = traced_peak(lambda: read_corpus_file(tmp_path / "corpus.tsv"))
+    assert peak <= 3 * len(text), f"file read: traced peak {peak / len(text):.1f}x the text length"
 
 
-FORK_LINES = corpus_module._FORK_LINES
+FORK_BYTES = corpus_module._FORK_BYTES
+# Comment lines around a malformed file's rows: the file then splits inside
+# them, so the rows all fall in the parent's half (after) or the worker's
+# (before).
+PAD = "#\n" * 200
 
 
 def assert_no_child():
@@ -773,22 +784,70 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def assert_same_fault(read, lines, expected):
+def write_lines(path, lines) -> Path:
+    path.write_bytes("".join(lines).encode())
+    return path
+
+
+def file_lines(path) -> list[str]:
+    """The lines of ``path`` as ``open()`` reads them: universal newlines."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.readlines()
+
+
+def splits(path) -> bool:
+    """Whether a ``\n`` at or past the middle of ``path`` is followed by a second half."""
+    data = path.read_bytes()
+    return data.find(b"\n", len(data) // 2) not in (-1, len(data) - 1)
+
+
+def fault_of(read, *args) -> tuple:
+    with pytest.raises(InputError) as exc:
+        read(*args)
+    return type(exc.value), str(exc.value), exc.value.line_no, exc.value.token
+
+
+def assert_same_fault(read, source, expected):
     cls, message, line_no, token = expected
-    with pytest.raises(cls) as exc:
-        read(lines)
-    assert type(exc.value) is cls
-    assert (exc.value.line_no, exc.value.token) == (line_no, token)
-    assert str(exc.value) == str(InputError(message, line_no, token))
+    assert fault_of(read, source) == (cls, str(InputError(message, line_no, token)), line_no, token)
 
 
-def test_two_process_read_agrees_on_random_corpora(forks):
+def malformed_files(tmp_path, name) -> list[Path]:
+    """The rows of ``MALFORMED[name]`` in one file before a pad and in one after it.
+
+    A file that reads back the rows' own lines must raise the table's fault.
+    """
+    rows, expected = MALFORMED[name]
+    paths = []
+    for where, lines in (("first", _lines(*rows) + [PAD]), ("second", [PAD] + _lines(*rows))):
+        path = write_lines(tmp_path / f"{where}.tsv", lines)
+        assert splits(path)
+        paths.append(path)
+    if file_lines(paths[0])[: len(rows)] == _lines(*rows):
+        assert_same_fault(reference_reading, file_lines(paths[0]), expected)
+    return paths
+
+
+def assert_reads_like_one_process(path):
+    """``read_corpus_file(path)`` gives what the record-at-a-time reading of its lines gives."""
+    lines = file_lines(path)
+    try:
+        expected = reference_reading(lines)
+    except InputError:
+        assert fault_of(read_corpus_file, path) == fault_of(reference_reading, lines)
+    else:
+        assert reading_of(read_corpus_file(path)) == expected
+
+
+def test_two_process_read_agrees_on_random_corpora(forks, tmp_path):
     rng = np.random.default_rng(2024)
-    for _ in range(150):
-        lines = messy_corpus_lines(rng)
-        assert reading_of(read_corpus(lines)) == reference_reading(lines)
+    split = 0
+    for i in range(150):
+        path = write_lines(tmp_path / f"{i}.tsv", messy_corpus_lines(rng))
+        assert_reads_like_one_process(path)
         assert_no_child()
-    assert len(forks) == 150
+        split += splits(path)
+    assert len(forks) == split > 100
 
 
 def dangling_in_file_order(lines) -> tuple[str, ...]:
@@ -798,27 +857,30 @@ def dangling_in_file_order(lines) -> tuple[str, ...]:
     return tuple(dict.fromkeys(ref for a in articles for ref in a.references if ref not in ids))
 
 
-def test_two_process_read_codes_dangling_ids_in_file_order(forks, monkeypatch):
+def test_two_process_read_codes_dangling_ids_in_file_order(forks, monkeypatch, tmp_path):
     """Both reads code every reference alike, dangling ids in file order."""
     rng = np.random.default_rng(77)
+    split = 0
     for _ in range(300):
         lines = messy_corpus_lines(rng)
-        forked = read_corpus(lines)
+        path = write_lines(tmp_path / "corpus.tsv", lines)
+        forked = read_corpus_file(path)
         with monkeypatch.context() as one_process:
-            one_process.setattr(corpus_module, "_FORK_LINES", len(lines) + 1)
-            alone = read_corpus(lines)
+            one_process.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
+            alone = read_corpus_file(path)
         assert forked.dangling_ids == alone.dangling_ids == dangling_in_file_order(lines)
         assert np.array_equal(forked.refs, alone.refs)
         assert np.array_equal(forked.indptr, alone.indptr)
-    assert len(forks) == 300
+        split += splits(path)
+    assert len(forks) == split > 200
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_two_process_read_raises_the_same_first_fault(name, forks, capfd):
-    rows, expected = MALFORMED[name]
-    assert_same_fault(read_corpus, _lines(*rows), expected)
-    assert_no_child()
-    assert len(forks) == 1
+def test_two_process_read_raises_the_same_first_fault(name, forks, capfd, tmp_path):
+    for path in malformed_files(tmp_path, name):
+        assert fault_of(read_corpus_file, path) == fault_of(reference_reading, file_lines(path))
+        assert_no_child()
+    assert len(forks) == 2
     assert capfd.readouterr().err == ""
 
 
@@ -827,16 +889,17 @@ def synthetic_lines() -> list[str]:
     return emit_corpus(corpus).splitlines(keepends=True)
 
 
-def test_two_process_read_of_a_synthetic_corpus(forks, monkeypatch):
+def test_two_process_read_of_a_synthetic_corpus(forks, monkeypatch, tmp_path):
     lines = synthetic_lines()
-    assert len(lines) >= FORK_LINES
-    monkeypatch.setattr(corpus_module, "_FORK_LINES", FORK_LINES)
-    two = read_corpus(iter(lines))
+    path = write_lines(tmp_path / "corpus.tsv", lines)
+    assert path.stat().st_size >= FORK_BYTES
+    monkeypatch.setattr(corpus_module, "_FORK_BYTES", FORK_BYTES)
+    two = read_corpus_file(path)
     assert_no_child()
     assert len(forks) == 1
     # One CPU in the affinity mask means one process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    one = read_corpus(lines)
+    one = read_corpus_file(path)
     assert len(forks) == 1
     assert emit_corpus(two) == emit_corpus(one) == "".join(lines)
     for name in ("journal_codes", "years", "doc_types", "indptr", "refs"):
@@ -844,46 +907,95 @@ def test_two_process_read_of_a_synthetic_corpus(forks, monkeypatch):
     assert two.dangling_ids == one.dangling_ids
 
 
-def test_two_process_read_raises_faults_of_either_half(forks):
+def test_two_process_read_raises_faults_of_either_half(forks, tmp_path):
     lines = synthetic_lines()
-    first = lines[:10] + ["A\tP\n"] + lines[10:]
+    first = write_lines(tmp_path / "first.tsv", lines[:10] + ["A\tP\n"] + lines[10:])
     short_row = (ParseError, "article row needs 6 columns, got 2", 11, "A\tP\n")
-    assert_same_fault(read_corpus, first, short_row)
+    assert_same_fault(read_corpus_file, first, short_row)
     assert_no_child()
-    last = lines + ["X\n"]
-    assert_same_fault(read_corpus, last, (ParseError, "unknown record tag", len(last), "X"))
+    last = write_lines(tmp_path / "last.tsv", lines + ["X\n"])
+    tag = (ParseError, "unknown record tag", len(lines) + 1, "X")
+    assert_same_fault(read_corpus_file, last, tag)
     assert_no_child()
-    duplicate = lines[:100] + lines[-1:] + lines[100:]
+    duplicate = write_lines(tmp_path / "duplicate.tsv", lines[:100] + lines[-1:] + lines[100:])
     a_id = lines[-1].split("\t")[1]
-    assert_same_fault(read_corpus, duplicate, (ValidationError, "duplicate article id", None, a_id))
+    repeat = (ValidationError, "duplicate article id", None, a_id)
+    assert_same_fault(read_corpus_file, duplicate, repeat)
     assert_no_child()
     assert len(forks) == 3
 
 
-def test_two_process_read_raises_a_journal_repeated_after_the_last_article(forks):
+def test_two_process_read_raises_a_journal_repeated_after_the_last_article(forks, tmp_path):
     # Each half alone holds the journal once: only the merge sees the repeat.
     lines = synthetic_lines()
     assert lines[0].startswith("J\t") and lines[-1].startswith("A\t")
     j_id = lines[0].split("\t")[1]
-    repeated = lines + lines[:1]
-    assert_same_fault(read_corpus, repeated, (ValidationError, "duplicate journal id", None, j_id))
+    repeated = write_lines(tmp_path / "corpus.tsv", lines + lines[:1])
+    repeat = (ValidationError, "duplicate journal id", None, j_id)
+    assert_same_fault(read_corpus_file, repeated, repeat)
     assert_no_child()
     assert len(forks) == 1
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-def test_an_error_of_the_input_wins_over_its_lines(cpus, monkeypatch):
-    """The lines are all taken in before any is checked, whatever the CPU count."""
+def test_an_error_of_the_input_wins_over_its_lines(cpus, monkeypatch, tmp_path):
+    """A line fault stands only once the whole input decodes, whatever the CPU count."""
 
     def source():
         yield from _lines(J1, _a("P1"), _a("P1"))
         raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
-    monkeypatch.setattr(corpus_module, "_FORK_LINES", 1)
+    monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     with pytest.raises(UnicodeDecodeError):
         read_corpus(source())
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes("".join(_lines(J1, _a("P1"), _a("P1"))).encode() + PAD.encode() + b"\xff\n")
+    with pytest.raises(ParseError) as exc:
+        read_corpus_file(path)
+    assert str(exc.value) == f"{path}: not valid UTF-8 (invalid start byte)"
     assert_no_child()
+
+
+def test_lone_and_paired_carriage_returns_read_alike_three_ways(forks, monkeypatch, tmp_path):
+    """CRLF and lone-CR line ends, a lone CR right before the middle of the file.
+
+    Two processes, one process and :func:`read_corpus` over ``open()``'s
+    lines agree, also on the line number of a fault after the middle.
+    """
+    rng = np.random.default_rng(29)
+    rows = [line.rstrip("\n") for line in synthetic_lines()[:300]]
+    ends = [("\r\n", "\r")[int(rng.integers(2))] for _ in rows]
+    half = len(rows) // 2
+    head = "".join(row + end for row, end in zip(rows[:half], ends[:half])) + rows[half]
+    tail = "".join(row + end for row, end in zip(rows[half + 1 :], ends[half + 1 :]))
+    # A pad line leaves the tail 1 or 2 bytes longer than the head, so that
+    # the CR is the last byte of the file's first half.
+    gap = len(tail) - len(head)
+    if gap > 2:
+        head = "#" * (gap - 3) + "\r\n" + head
+    elif gap < 1:
+        tail += "#" * max(-1 - gap, 0) + "\r\n"
+    data = (head + "\r" + tail).encode()
+    assert data[len(data) // 2 - 1 : len(data) // 2 + 1] != b"\r\n"
+    assert data[len(data) // 2 - 1 : len(data) // 2] == b"\r"
+    for extra in ("", "X\r\n"):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(data + extra.encode())
+        lines = file_lines(path)
+        with monkeypatch.context() as one_process:
+            one_process.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            if extra:
+                fault = fault_of(read_corpus_file, path)
+            else:
+                alone = reading_of(read_corpus_file(path))
+        if extra:
+            assert fault == fault_of(read_corpus_file, path) == fault_of(read_corpus, lines)
+            assert fault[2] == len(lines) == len(rows) + 2
+        else:
+            assert alone == reading_of(read_corpus_file(path)) == reading_of(read_corpus(lines))
+        assert_no_child()
+    assert len(forks) == 2
 
 
 def cut_dump(obj, file, protocol):
@@ -901,37 +1013,42 @@ def cut_dump(obj, file, protocol):
     ids=["raises", "empty-payload", "killed", "cut-payload"],
 )
 def test_failed_worker_leaves_every_result_and_fault_unchanged(
-    target, fault, forks, monkeypatch, capfd
+    target, fault, forks, monkeypatch, capfd, tmp_path
 ):
     monkeypatch.setattr(target, fault)
     rng = np.random.default_rng(5)
+    split = 0
     for _ in range(20):
-        lines = messy_corpus_lines(rng)
-        assert reading_of(read_corpus(lines)) == reference_reading(lines)
+        path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(rng))
+        assert_reads_like_one_process(path)
         assert_no_child()
-    for rows, expected in MALFORMED.values():
-        assert_same_fault(read_corpus, _lines(*rows), expected)
-        assert_no_child()
-    assert len(forks) == 20 + len(MALFORMED)
+        split += splits(path)
+    for name in MALFORMED:
+        for path in malformed_files(tmp_path, name):
+            assert_reads_like_one_process(path)
+            assert_no_child()
+    assert len(forks) == split + 2 * len(MALFORMED)
     assert capfd.readouterr().err == ""
 
 
-def test_read_is_sequential_when_fork_fails(forks, monkeypatch):
+def test_read_is_sequential_when_fork_fails(forks, monkeypatch, tmp_path):
     def fail():
         raise OSError("no fork")
 
     monkeypatch.setattr(os, "fork", fail)
-    lines = messy_corpus_lines(np.random.default_rng(11))
-    assert reading_of(read_corpus(lines)) == reference_reading(lines)
+    path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(np.random.default_rng(11)))
+    assert splits(path)
+    assert_reads_like_one_process(path)
 
 
-def test_no_fork_while_sigchld_is_ignored(forks):
+def test_no_fork_while_sigchld_is_ignored(forks, tmp_path):
     # The kernel would reap the worker itself, and a wait for it would wait
     # for every child of the process.
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        lines = messy_corpus_lines(np.random.default_rng(13))
-        assert reading_of(read_corpus(lines)) == reference_reading(lines)
+        path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(np.random.default_rng(13)))
+        assert splits(path)
+        assert_reads_like_one_process(path)
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert forks == []
@@ -943,23 +1060,26 @@ def reap_children(signum, frame):
             pass
 
 
-def test_two_process_read_under_a_reaping_sigchld_handler(forks):
+def test_two_process_read_under_a_reaping_sigchld_handler(forks, tmp_path):
     previous = signal.signal(signal.SIGCHLD, reap_children)
+    split = 0
     try:
         rng = np.random.default_rng(17)
         for _ in range(30):
-            lines = messy_corpus_lines(rng)
-            assert reading_of(read_corpus(lines)) == reference_reading(lines)
+            path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(rng))
+            assert_reads_like_one_process(path)
             assert_no_child()
-        for rows, expected in MALFORMED.values():
-            assert_same_fault(read_corpus, _lines(*rows), expected)
-            assert_no_child()
+            split += splits(path)
+        for name in MALFORMED:
+            for path in malformed_files(tmp_path, name):
+                assert_reads_like_one_process(path)
+                assert_no_child()
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert len(forks) == 30 + len(MALFORMED)
+    assert len(forks) == split + 2 * len(MALFORMED)
 
 
-def test_worker_reaped_by_someone_else_first(forks, monkeypatch):
+def test_worker_reaped_by_someone_else_first(forks, monkeypatch, tmp_path):
     """The reader neither fails nor kills again when its worker is already gone."""
     waitpid, kill = os.waitpid, os.kill
     gone = []
@@ -981,29 +1101,33 @@ def test_worker_reaped_by_someone_else_first(forks, monkeypatch):
     monkeypatch.setattr(os, "waitpid", reaped_waitpid)
     monkeypatch.setattr(os, "kill", reaped_kill)
     rng = np.random.default_rng(19)
+    split = 0
     for _ in range(10):
-        lines = messy_corpus_lines(rng)
-        assert reading_of(read_corpus(lines)) == reference_reading(lines)
-    for rows, expected in MALFORMED.values():
-        assert_same_fault(read_corpus, _lines(*rows), expected)
+        path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(rng))
+        assert_reads_like_one_process(path)
+        split += splits(path)
+    for name in MALFORMED:
+        for path in malformed_files(tmp_path, name):
+            assert_reads_like_one_process(path)
     # A fault in the parent's half, so the worker is killed.
-    bad_first = ["X\n"] + messy_corpus_lines(rng)
-    assert_same_fault(read_corpus, bad_first, (ParseError, "unknown record tag", 1, "X"))
+    bad_first = write_lines(tmp_path / "bad.tsv", ["X\n"] + messy_corpus_lines(rng) + [PAD])
+    assert_same_fault(read_corpus_file, bad_first, (ParseError, "unknown record tag", 1, "X"))
     monkeypatch.undo()
     assert_no_child()
-    assert sorted(gone) == sorted(forks) and len(forks) == 11 + len(MALFORMED)
+    assert sorted(gone) == sorted(forks) and len(forks) == split + 2 * len(MALFORMED) + 1
 
 
-def test_no_fork_while_another_python_thread_runs(monkeypatch):
-    monkeypatch.setattr(corpus_module, "_FORK_LINES", 1)
+def test_no_fork_while_another_python_thread_runs(monkeypatch, tmp_path):
+    monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a second thread running"))
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        lines = messy_corpus_lines(np.random.default_rng(3))
-        assert reading_of(read_corpus(lines)) == reference_reading(lines)
+        path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(np.random.default_rng(3)))
+        assert splits(path)
+        assert_reads_like_one_process(path)
     finally:
         stop.set()
         thread.join()
@@ -1075,11 +1199,12 @@ def test_no_fork_under_a_one_cpu_quota(forks, tmp_path, monkeypatch):
     quota.write_text("100000 100000\n")
     monkeypatch.setattr(corpus_module, "_CGROUP_FILE", str(tmp_path / "cgroup"))
     monkeypatch.setattr(corpus_module, "_CGROUP_ROOT", str(tmp_path))
-    lines = messy_corpus_lines(np.random.default_rng(5))
-    assert reading_of(read_corpus(lines)) == reference_reading(lines)
+    path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(np.random.default_rng(5)))
+    assert splits(path)
+    assert_reads_like_one_process(path)
     assert forks == []
     quota.write_text("200000 100000\n")
-    assert reading_of(read_corpus(lines)) == reference_reading(lines)
+    assert_reads_like_one_process(path)
     assert_no_child()
     assert len(forks) == 1
 

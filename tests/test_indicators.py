@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import refclass.indicators as indicators_module
 from refclass.classifier import Assignment, classify
 from refclass.corpus import YEAR_BOUNDS, build_corpus
 from refclass.errors import (
@@ -717,6 +718,26 @@ def test_count_cube_traced_peak_is_bounded():
         lambda: count_cube(corpus, assignments, ("JF00S00", "JF05S02", "JG00"), config)
     )
     assert peak <= 20 * n_refs, f"traced peak {peak / n_refs:.1f} bytes per reference"
+
+
+def test_count_cube_traced_peak_stays_bounded_as_references_grow():
+    """The citations are counted per block, so 4x the references leave the peak under one bound."""
+    config = IndicatorConfig(if_year_range=(2002, 2004), pub_window=(2000, 2004))
+    bound = 32 * indicators_module._CITE_BLOCK
+    n_refs = []
+    for mean_refs in (20.0, 100.0):
+        shape = replace(ten_field_config(articles_per_journal_year=20), mean_refs=mean_refs)
+        corpus, _, taxonomy = generate_synthetic(shape)
+        assignments = classify(corpus, taxonomy).assignments
+
+        def cube():
+            return count_cube(corpus, assignments, ("JF00S00", "JF05S02", "JG00"), config)
+
+        cube()  # first-call allocations are not the cube's
+        peak = traced_peak(cube)
+        n_refs.append(len(corpus.refs))
+        assert peak <= bound, f"{n_refs[-1]} references: traced peak {peak / bound:.2f}x the bound"
+    assert n_refs[1] >= 3.8 * n_refs[0] and n_refs[1] > 6 * indicators_module._CITE_BLOCK
 
 
 # Mostly years the random corpora publish in (2000-2009), sometimes the
