@@ -66,6 +66,7 @@ MODE_CATEGORY = "category-level"
 MODE_BROAD_AREA = "broad-area-level"
 MODES = (MODE_CATEGORY, MODE_BROAD_AREA)
 _BLOCK_CELLS = 1 << 14  # tally cells the vote kernel counts per block
+_EMIT_ROWS = 1 << 11  # assignment rows emit_assignments formats per block
 
 
 @dataclass(frozen=True)
@@ -484,22 +485,30 @@ def emit_assignments(result: ClassificationResult) -> str:
 
     Columns: article_id, category, broad_area, status, iteration,
     total_votes. Unclassified rows carry empty category and broad_area.
+    The text is built :data:`_EMIT_ROWS` rows at a time, so only one block
+    of row strings is alive next to the text.
     """
     table = AssignmentTable.of(result.assignments)
     order = np.array(sorted(range(len(table.ids)), key=table.ids.__getitem__), dtype=np.int64)
-
-    def names(values: tuple[str, ...], codes: np.ndarray) -> list[str]:
-        return np.array(values + ("",), dtype=object)[codes[order]].tolist()
-
-    rows = zip(
-        [table.ids[r] for r in order.tolist()],
-        names(table.categories, table.category),
-        names(table.areas, table.area),
-        names(STATUSES, table.status),
-        table.iteration[order].tolist(),
-        table.votes[order].tolist(),
+    # Code -1 names the empty string.
+    categories, areas, statuses = (
+        np.array(names + ("",), dtype=object)
+        for names in (table.categories, table.areas, STATUSES)
     )
-    return "\n".join([f"{a}\t{c}\t{b}\t{s}\t{i}\t{v}" for a, c, b, s, i, v in rows]) + "\n"
+    blocks = []
+    for lo in range(0, len(order), _EMIT_ROWS):
+        rows = order[lo : lo + _EMIT_ROWS]
+        block = zip(
+            [table.ids[r] for r in rows.tolist()],
+            categories[table.category[rows]].tolist(),
+            areas[table.area[rows]].tolist(),
+            statuses[table.status[rows]].tolist(),
+            table.iteration[rows].tolist(),
+            table.votes[rows].tolist(),
+        )
+        blocks.append("".join([f"{a}\t{c}\t{b}\t{s}\t{i}\t{v}\n" for a, c, b, s, i, v in block]))
+    # An empty table is one empty line.
+    return "".join(blocks) or "\n"
 
 
 def read_assignments(source: Iterable[str]) -> AssignmentTable:

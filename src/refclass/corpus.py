@@ -28,31 +28,32 @@ column builder; the readers validate each line once and never build an
 one year range that synthesis and the indicators check too; no reader takes
 another.
 
-The builder codes rows and references as ``int32``, so rows plus dangling
-ids must stay below ``2**31``. It builds the ``int64`` (row, code) key one
-block of whole rows at a time, sorts the block in place and compares
-neighbours to see whether a reference repeats; only then does a stable sort
-of that block find the repeats to drop. It skips the id sort when ids
-arrive strictly ascending, and the grouping by citing row when the
-references already arrive grouped. Files :func:`emit_corpus` writes take
-both shortcuts and hold no repeat.
+The builder takes each article's references grouped, as a count per
+article plus one array of codes (draw-order pairs are grouped first). It
+codes rows and references as ``int32``, so rows plus dangling ids must stay
+below ``2**31``. It builds the ``int64`` (row, code) key one block of whole
+rows at a time, sorts the block in place and compares neighbours to see
+whether a reference repeats; only then does a stable sort of that block find
+the repeats to drop. It skips the id sort when ids arrive strictly
+ascending. Files :func:`emit_corpus` writes take that shortcut and hold no
+repeat.
 
 :func:`read_corpus_file` decodes the file exactly as ``open()`` does (UTF-8,
 universal newlines) and streams its lines into the checks: no process holds
 a list of the file's lines. A fault in a line stands only once the rest of
 the file decodes, so a byte that is not UTF-8 wins over every fault, as a
-:class:`ParseError` naming the file. Two processes: when ``os.fork``
-exists, the CPU affinity holds at least two CPUs, any cgroup CPU quota
-covers two CPUs, no other Python thread runs, ``SIGCHLD`` is not ignored
-and the file holds at least :data:`_FORK_BYTES` bytes, it forks one worker.
-The file splits at the first line start at or past its middle; each
-process decodes only its own byte range, read with ``os.pread``, and reads,
-checks and codes it as a corpus of its own. The worker pickles its rows and
-codes into a pipe, and the parent alone merges the two halves into
+:class:`ParseError` naming the file. Two workers: when ``os.fork`` exists,
+the CPU affinity holds at least two CPUs, any cgroup CPU quota covers two
+CPUs, no other Python thread runs, ``SIGCHLD`` is not ignored and the file
+holds at least :data:`_FORK_BYTES` bytes, it forks one worker per half. The
+file splits at the first line start at or past its middle; each worker
+decodes only its own byte range, read with ``os.pread``, reads, checks and
+codes it as a corpus of its own, and pipes back compact columns and its
+reference codes. The parent parses no line: it merges the two halves into
 whole-file codes and builds the corpus once. Results and errors are those
 of the one-process read, which streams the whole file from the same
-descriptor whenever one of the conditions fails, the fork fails, the worker
-fails, either half holds a fault or an id appears in both halves.
+descriptor whenever one of the conditions fails, a fork fails, a worker
+fails (a fault in its half included) or an id appears in both halves.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from types import MappingProxyType
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,8 +233,9 @@ class Corpus:
     """Immutable article rows, journal table and CSR reference arrays.
 
     Row ``r`` is the article ``ids[r]`` (ids sorted); ``row_of`` inverts
-    ``ids``. Per row: ``journal_codes`` index ``journal_ids`` (sorted),
-    ``years`` and ``doc_types`` (codes into :data:`DOC_TYPES`). The
+    ``ids``, and a builder that already holds that dict passes it in. Per
+    row: ``journal_codes`` index ``journal_ids`` (sorted), ``years`` and
+    ``doc_types`` (codes into :data:`DOC_TYPES`). The
     references of row ``r`` are ``refs[indptr[r]:indptr[r + 1]]`` in
     first-occurrence order without duplicates; a code ``c < len(ids)`` is a
     row, a larger code names ``dangling_ids[c - len(ids)]``. Arrays are
@@ -256,9 +258,12 @@ class Corpus:
         indptr: np.ndarray,
         refs: np.ndarray,
         dangling_ids: tuple[str, ...],
+        row_of: dict[str, int] | None = None,
     ):
         self.ids = ids
-        self.row_of: Mapping[str, int] = MappingProxyType(dict(zip(ids, range(len(ids)))))
+        if row_of is None:
+            row_of = dict(zip(ids, range(len(ids))))
+        self.row_of: Mapping[str, int] = MappingProxyType(row_of)
         self._journals: Mapping[str, JournalRecord] = MappingProxyType(journals)
         self.journal_ids = tuple(journals)
         self.journal_codes = _frozen(journal_codes)
@@ -291,7 +296,10 @@ class Corpus:
         pairs = [(ids[r], years[r]) for r in self.citer_rows()[linked][order].tolist()]
         bounds = np.searchsorted(cited, np.arange(n + 1)).tolist()
         return MappingProxyType(
-            {ids[c]: tuple(pairs[bounds[c] : bounds[c + 1]]) for c in np.unique(cited).tolist()}
+            {
+                ids[c]: tuple(pairs[bounds[c] : bounds[c + 1]])
+                for c in np.flatnonzero(np.diff(bounds)).tolist()
+            }
         )
 
     @property
@@ -337,24 +345,41 @@ def _pair_key(src: np.ndarray, dst: np.ndarray, width: int) -> np.ndarray:
     return key
 
 
+def _by_citer(citer: np.ndarray, target: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(citer, target)`` pairs of record indices in draw order, grouped for
+    :func:`_assemble`: the reference count of each of the ``n`` rows, and
+    ``target`` grouped by citing row, in draw order within each row."""
+    citer = citer.astype(np.int32, copy=False)
+    if len(citer) > 1 and not (citer[1:] >= citer[:-1]).all():
+        target = target[np.argsort(citer, kind="stable")]
+    return np.bincount(citer, minlength=n), target
+
+
 def _assemble(
     ids: Sequence[str],
-    journal_of: Sequence[str],
+    journal_names: Sequence[str],
+    journal_of: Sequence[int],
     years: Sequence[int],
     doc_types: Sequence[int],
-    citer: np.ndarray,
+    counts: Sequence[int],
     target: np.ndarray,
     dangling_ids: tuple[str, ...],
     journals: Sequence[JournalRecord],
+    row_of: dict[str, int] | None = None,
 ) -> Corpus:
     """The one corpus constructor: sort rows by id, code, dedupe, build CSR.
 
     Articles come in record order, already checked record by record (see
-    :meth:`_Rows.extend`). Each reference is one ``(citer, target)`` pair
-    of record indices in draw order; ``target >= len(ids)`` names
-    ``dangling_ids[target - len(ids)]``. Raises :class:`ValidationError`
-    for unresolvable journal ids (all offenders listed), then when the rows
-    and dangling ids together reach ``2**31`` codes.
+    :meth:`_Rows.extend`); article ``i`` is in the journal
+    ``journal_names[journal_of[i]]``. Their references come grouped by
+    article: ``target`` holds the ``counts[0]`` references of the first
+    article, then those of the second, and so on, each in draw order
+    (:func:`_by_citer` groups pairs). A target ``>= len(ids)`` names
+    ``dangling_ids[target - len(ids)]``. ``row_of``, the dict of ``ids`` to
+    their indices when the caller holds one, becomes the corpus's when the
+    ids arrive ascending. Raises :class:`ValidationError` for unresolvable
+    journal ids (all offenders listed), then when the rows and dangling ids
+    together reach ``2**31`` codes.
 
     Row and reference codes are ``int32``; only the dedupe key
     ``src * width + dst`` is ``int64``, built for one block of whole rows
@@ -362,65 +387,71 @@ def _assemble(
     one row. Sorting a block's key in place and comparing neighbours shows
     whether any pair in it repeats. Only then does a stable argsort of the
     block's key put every repeat right after its first occurrence, so a
-    neighbour compare drops the repeats and keeps draw order. Sorts are
-    skipped when the input makes them a no-op: the id sort when the ids
-    arrive strictly ascending, the grouping of references by citing row when
-    they already arrive grouped, and the argsort when no pair repeats. Every
-    file :func:`emit_corpus` writes skips all three.
+    neighbour compare drops the repeats and keeps draw order. The id sort is
+    skipped when the ids arrive strictly ascending and the argsort when no
+    pair repeats; every file :func:`emit_corpus` writes skips both.
     """
     journal_table = dict(sorted((j.id, j) for j in journals))
     journal_code = {j_id: c for c, j_id in enumerate(journal_table)}
-    unresolved = sorted(set(journal_of) - journal_code.keys())
+    unresolved = sorted(set(journal_names) - journal_code.keys())
     if unresolved:
         raise ValidationError("articles reference unknown journals: " + ", ".join(unresolved))
     n, width = len(ids), len(ids) + len(dangling_ids)
     if width >= 2**31:
         raise ValidationError(f"{width} article and dangling ids reach the 2**31 code limit")
 
-    codes = np.fromiter(map(journal_code.__getitem__, journal_of), np.int32, count=n)
+    codes = np.array([journal_code[j] for j in journal_names], dtype=np.int32)
+    codes = codes[np.asarray(journal_of, dtype=np.intp)]
     years = np.asarray(years, dtype=np.int64)
     doc_types = np.asarray(doc_types, dtype=np.int8)
+    counts = np.asarray(counts, dtype=np.int64)
+    dst = target.astype(np.int32, copy=False)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     # Callers pass no repeated id, so ascending means strictly ascending.
-    if all(map(str.__le__, ids, islice(ids, 1, None))):
-        src, dst = citer.astype(np.int32, copy=False), target.astype(np.int32, copy=False)
-    else:
-        order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.int32)
+    if not all(map(str.__le__, ids, islice(ids, 1, None))):
+        order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
         rank = np.arange(width, dtype=np.int32)
         rank[order] = np.arange(n, dtype=np.int32)
-        src, dst = rank[citer], rank[target]
+        # Each row's references move with the row, in one gather.
+        starts, counts = indptr[order], counts[order]
+        np.cumsum(counts, out=indptr[1:])
+        at = np.repeat(starts - indptr[:-1], counts)
+        at += np.arange(len(at))
+        dst = rank[dst[at]]
         ids = [ids[i] for i in order.tolist()]
         codes, years, doc_types = codes[order], years[order], doc_types[order]
+        row_of = None
 
-    # Group references by citing row, keeping draw order inside each row.
-    if len(src) > 1 and not (src[1:] >= src[:-1]).all():
-        by_row = np.argsort(src, kind="stable")
-        src, dst = src[by_row], dst[by_row]
-        del by_row
     # Keep the first occurrence of every (row, code) pair, one block of whole
     # rows at a time. A block's sorted key shows whether any pair in it
     # repeats; if one does, a stable sort leaves each repeat right behind an
     # equal key.
     keep = None
     lo = 0
-    while lo < len(src):
-        hi = int(np.searchsorted(src, src[min(lo + _KEY_BLOCK, len(src)) - 1], side="right"))
-        key = _pair_key(src[lo:hi], dst[lo:hi], width)
+    while lo < n:
+        hi = min(int(np.searchsorted(indptr, indptr[lo] + _KEY_BLOCK)), n)
+        refs = slice(indptr[lo], indptr[hi])
+        src = np.repeat(np.arange(lo, hi, dtype=np.int32), counts[lo:hi])
+        key = _pair_key(src, dst[refs], width)
         key.sort()
         if (key[1:] == key[:-1]).any():
-            key = _pair_key(src[lo:hi], dst[lo:hi], width)
+            key = _pair_key(src, dst[refs], width)
             perm = np.argsort(key, kind="stable")
             key = key[perm]
+            repeats = perm[1:][key[1:] == key[:-1]]
             if keep is None:
-                keep = np.ones(len(src), dtype=bool)
-            keep[lo + perm[1:][key[1:] == key[:-1]]] = False
+                keep, counts = np.ones(len(dst), dtype=bool), counts.copy()
+            keep[refs.start + repeats] = False
+            counts[lo:hi] -= np.bincount(src[repeats] - lo, minlength=hi - lo)
         lo = hi
     if keep is not None:
-        src, dst = src[keep], dst[keep]
-    # The rows are grouped, so row r starts at the first reference of a row
-    # at or past r; the int32 probes keep numpy from widening src.
-    indptr = np.searchsorted(src, np.arange(n + 1, dtype=np.int32))
+        dst = dst[keep]
+        np.cumsum(counts, out=indptr[1:])
 
-    return Corpus(tuple(ids), journal_table, codes, years, doc_types, indptr, dst, dangling_ids)
+    return Corpus(
+        tuple(ids), journal_table, codes, years, doc_types, indptr, dst, dangling_ids, row_of
+    )
 
 
 class _Codes(dict):
@@ -436,16 +467,33 @@ class _Codes(dict):
         return code
 
 
+class _Half(NamedTuple):
+    """The rows of one half of a file, as the compact columns a worker pipes
+    back; the ``int32`` codes of their references follow as raw bytes."""
+
+    ids: str  # "\n"-joined
+    journal_names: list[str]
+    journal_of: np.ndarray  # int32 codes into journal_names
+    years: np.ndarray
+    doc_types: np.ndarray
+    counts: np.ndarray
+    dangling: list[str]
+    journals: list[JournalRecord]
+
+
 class _Rows:
     """Article and journal rows in record order, checked as the readers collect them.
 
     ``refs`` holds each article's references as one comma-joined string, so
-    no per-reference object outlives the line that produced it.
+    no per-reference object outlives the line that produced it; each
+    article's journal is a code into ``journal_names``, in order of first
+    appearance.
     """
 
     def __init__(self):
         self.ids: list[str] = []
-        self.journal_of: list[str] = []
+        self.journal_names: dict[str, int] = {}
+        self.journal_of: list[int] = []
         self.years: list[int] = []
         self.doc_types: list[int] = []
         self.counts: list[int] = []
@@ -457,14 +505,13 @@ class _Rows:
 
         A repeated journal id raises; per article, in this order, a repeated
         id, a year outside :data:`YEAR_BOUNDS` and a self-citation. The seen
-        ids stay local, out of the rows a worker pickles.
+        ids stay local.
         """
         lo, hi = YEAR_BOUNDS
         seen_ids: set[str] = set()
         seen_journals: set[str] = set()
-        # One object per distinct journal id and year, not one per row, so a
-        # worker's pickle also carries each journal id once.
-        shared = {}.setdefault
+        journal_code = self.journal_names.setdefault
+        shared_year = {}.setdefault  # one object per distinct year, not one per row
         for item in items:
             if isinstance(item, JournalRecord):
                 if item.id in seen_journals:
@@ -481,29 +528,37 @@ class _Rows:
             if art_id in refs and art_id in refs.split(","):
                 raise ValidationError(f"article {art_id!r} cites itself")
             self.ids.append(art_id)
-            self.journal_of.append(shared(journal_id, journal_id))
-            self.years.append(shared(year, year))
+            self.journal_of.append(journal_code(journal_id, len(self.journal_names)))
+            self.years.append(shared_year(year, year))
             self.doc_types.append(_DOC_CODE[doc_type])
             self.counts.append(refs.count(",") + 1 if refs else 0)
             self.refs.append(refs)
         return self
 
-    def append(self, other: _Rows) -> None:
-        """Put the rows of ``other`` after these; both have their references coded."""
-        for name, column in vars(other).items():
-            getattr(self, name).extend(column)
-
     def build(self, target: np.ndarray, dangling: Sequence[str]) -> Corpus:
         """The corpus of these rows, whose references ``target`` codes."""
-        citer = np.repeat(np.arange(len(self.ids), dtype=np.int32), self.counts)
         return _assemble(
             self.ids,
+            list(self.journal_names),
             self.journal_of,
             self.years,
             self.doc_types,
-            citer,
+            self.counts,
             target,
             tuple(dangling),
+            self.journals,
+        )
+
+    def half(self, dangling: list[str]) -> _Half:
+        """These rows, with their references' ``dangling`` ids, as a worker pipes them."""
+        return _Half(
+            "\n".join(self.ids),
+            list(self.journal_names),
+            np.array(self.journal_of, dtype=np.int32),
+            np.array(self.years, dtype=np.int16),
+            np.array(self.doc_types, dtype=np.int8),
+            np.array(self.counts, dtype=np.int64),
+            dangling,
             self.journals,
         )
 
@@ -721,22 +776,16 @@ def _second_half(fd: int, size: int) -> int:
     return size
 
 
-def _read_halves(fd: int, mid: int, size: int) -> tuple[_Rows, np.ndarray, list[str]] | None:
-    """:func:`_read_rows` of the file ``fd``, the bytes from ``mid`` on read by
-    a forked worker.
+def _fork_reader(fd: int, start: int, stop: int) -> tuple[int, io.BufferedReader] | None:
+    """Fork a worker that reads the bytes ``[start, stop)`` of ``fd``.
 
-    ``mid`` starts a line, so each half decodes as the same text that it is
-    of the whole file. Each process reads, checks and codes its own half
-    with :func:`_read_rows` and reads no byte of the other; the worker pipes
-    back its rows, codes and dangling ids, which the parent unpickles as
-    they arrive, and exits. Only the merge knows there were two halves: it
-    maps each half's codes (its rows, then its dangling ids) into one table
-    of both halves' ids, the first half first, so dangling ids keep their
-    order of first appearance in the file. Returns ``None`` when the fork
-    fails, when either half holds a fault (the worker is killed if the
-    parent's does), when the worker fails in any other way and when an id
-    appears in both halves, a repeat that neither process checks; the
-    one-process read then finds the result or the first fault.
+    Returns its pid and the pipe its payload arrives on, or ``None`` when
+    the fork fails. The payload is the pickled :class:`_Half`, then the
+    ``int32`` reference codes as raw bytes. The worker never returns into
+    the caller's code: whatever happens, it exits here, printing nothing,
+    and a failure (a fault in its half included) leaves a payload that does
+    not load. Its line numbers start at 1: a fault in its half is never
+    reported from it.
     """
     r, w = os.pipe()
     try:
@@ -750,63 +799,115 @@ def _read_halves(fd: int, mid: int, size: int) -> tuple[_Rows, np.ndarray, list[
         os.close(w)
         return None
     if pid == 0:
-        # The worker never returns into the caller's code: whatever happens,
-        # it exits here, printing nothing, and a failure leaves a payload
-        # that does not load. Its line numbers start at 1: a fault in its
-        # half is never reported from here.
         status = 1
         try:
             os.close(r)
             with os.fdopen(w, "wb") as pipe:
-                pickle.dump(_read_rows(_text(fd, mid, size)), pipe, pickle.HIGHEST_PROTOCOL)
+                rows, target, dangling = _read_rows(_text(fd, start, stop))
+                pickle.dump(rows.half(dangling), pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.write(target.data)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
-    first = second = None
+    return pid, os.fdopen(r, "rb")
+
+
+def _read_halves(fd: int, mid: int, size: int) -> Corpus | None:
+    """The corpus of the file ``fd``, each half read by a forked worker: the
+    bytes before ``mid`` and the bytes from ``mid`` on.
+
+    ``mid`` starts a line, so each half decodes as the same text that it is
+    of the whole file. Each worker reads, checks and codes its half with
+    :func:`_read_rows`, as a corpus of its own, and pipes it back (see
+    :func:`_fork_reader`). The parent parses no line: it loads the first
+    half's columns, then the second's, and merges them (:func:`_merge`).
+    Returns ``None`` when a fork fails, when a worker fails in any way, a
+    fault in its half included, and when an article or journal id appears
+    in both halves, a repeat that neither worker checks; both workers are
+    then killed, and the one-process read finds the result or the first
+    fault. Every worker is reaped before this returns.
+    """
+    workers: list[tuple[int, io.BufferedReader]] = []
+    corpus = None
     try:
-        with os.fdopen(r, "rb") as pipe:
-            with contextlib.suppress(RefclassError, UnicodeDecodeError):
-                first = _read_rows(_text(fd, 0, mid))
-            # An empty or cut-off pickle fails to load, whatever the
-            # worker's exit status was.
-            if first is not None:
-                with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                    second = pickle.load(pipe)
+        for start, stop in ((0, mid), (mid, size)):
+            worker = _fork_reader(fd, start, stop)
+            if worker is None:
+                return None
+            workers.append(worker)
+        pipes = [pipe for _pid, pipe in workers]
+        # An empty or cut-off payload fails to load, whatever the worker's
+        # exit status was.
+        try:
+            halves = [pickle.load(pipe) for pipe in pipes]
+        except (EOFError, pickle.UnpicklingError):
+            return None
+        corpus = _merge(halves, pipes)
+        return corpus
     finally:
-        # A SIGCHLD handler of the caller's may have reaped the worker already.
-        with contextlib.suppress(ProcessLookupError, ChildProcessError):
-            if first is None:
-                # A fault in this half: the worker's rows are not wanted.
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if first is None or second is None:
+        for pid, pipe in workers:
+            pipe.close()
+            # A SIGCHLD handler of the caller's may have reaped the worker already.
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                if corpus is None:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _merge(halves: list[_Half], pipes: list[io.BufferedReader]) -> Corpus | None:
+    """The corpus of two halves, the first half's rows first, each half's
+    reference codes read from its pipe; ``None`` when an article or journal
+    id appears in both halves or a pipe ends early.
+
+    Builds the id -> row dict once, for the corpus to keep. A half's codes
+    index its rows, then its dangling ids; each half's are read straight
+    into their place in one array and mapped there to whole-file codes, one
+    block at a time. Looking up the first half's dangling ids first keeps
+    all of them in file order.
+    """
+    ids = [a_id for half in halves if half.ids for a_id in half.ids.split("\n")]
+    row_of = dict(zip(ids, range(len(ids))))
+    journals = [j for half in halves for j in half.journals]
+    if len(row_of) < len(ids) or len({j.id for j in journals}) < len(journals):
         return None
-    # Neither process saw the other's records, so a repeat across the halves
-    # is found here: an article id in both leaves the table of both halves'
-    # ids shorter than their two lists.
-    rows, other = first[0], second[0]
-    ids = rows.ids + other.ids
-    codes = _Codes(ids)
-    journals = {j.id for j in rows.journals}
-    if len(codes) < len(ids) or journals.intersection(j.id for j in other.journals):
-        return None
-    # A half's codes index its rows, then its dangling ids. Looking up the
-    # first half's dangling ids first keeps all of them in file order.
-    target = np.empty(len(first[1]) + len(second[1]), dtype=np.int32)
-    at = 0
-    for start, (half, half_target, dangling) in zip((0, len(rows.ids)), (first, second)):
-        table = np.append(
-            np.arange(start, start + len(half.ids), dtype=np.int32),
-            np.fromiter(map(codes.__getitem__, dangling), np.int32, len(dangling)),
-        )
-        np.take(table, half_target, out=target[at : at + len(half_target)])
-        at += len(half_target)
-    # The halves' codes go before the columns grow: freed later, they left a
-    # hole that the build's arrays skipped, for up to 5 MB more peak RSS.
-    del first, second, half_target
-    rows.append(other)
-    return rows, target, codes.dangling
+    names: dict[str, int] = {}  # both halves' journal ids, in order of first appearance
+    code = names.setdefault
+    tables = [np.array([code(j, len(names)) for j in h.journal_names], np.int32) for h in halves]
+    journal_of = np.concatenate([table[h.journal_of] for table, h in zip(tables, halves)])
+    years, doc_types, counts = (
+        np.concatenate([getattr(h, column) for h in halves])
+        for column in ("years", "doc_types", "counts")
+    )
+    dangling: dict[str, int] = {}
+    refs = np.empty(int(counts.sum()), dtype=np.int32)
+    start = at = 0
+    for half, pipe in zip(halves, pipes):
+        rows = len(half.years)
+        table = np.arange(start, start + rows + len(half.dangling), dtype=np.int32)
+        table[rows:] = [
+            row_of[d] if d in row_of else dangling.setdefault(d, len(ids) + len(dangling))
+            for d in half.dangling
+        ]
+        codes = refs[at : at + int(half.counts.sum())]
+        if pipe.readinto(memoryview(codes).cast("B")) != codes.nbytes:
+            return None
+        for lo in range(0, len(codes), _READ_BLOCK):
+            block = codes[lo : lo + _READ_BLOCK]
+            np.take(table, block, out=block)
+        start, at = start + rows, at + len(codes)
+    return _assemble(
+        ids,
+        list(names),
+        journal_of,
+        years,
+        doc_types,
+        counts,
+        refs,
+        tuple(dangling),
+        journals,
+        row_of,
+    )
 
 
 def read_corpus_file(path) -> Corpus:
@@ -818,22 +919,22 @@ def read_corpus_file(path) -> Corpus:
     is not UTF-8 anywhere in the file wins over every fault, as a
     :class:`ParseError` naming the file and the decoder's reason.
 
-    From :data:`_FORK_BYTES` bytes on, where :func:`_can_fork` allows it, a
-    forked worker reads the second half (see :func:`_read_halves`). The
-    result and every error are the same either way.
+    From :data:`_FORK_BYTES` bytes on, where :func:`_can_fork` allows it,
+    two forked workers read the halves of the file (see
+    :func:`_read_halves`). The result and every error are the same either
+    way.
     """
     with _utf8(path), open(path, "rb", buffering=0) as file:
         fd = file.fileno()
         size = os.fstat(fd).st_size
-        halves = None
         if size >= _FORK_BYTES and _can_fork():
             mid = _second_half(fd, size)
-            halves = _read_halves(fd, mid, size) if mid < size else None
-        if halves is None:
-            # Nothing above moved the file offset, which is still at 0.
-            with open(fd, encoding="utf-8", closefd=False) as text:
-                halves = _whole(text, _read_rows)
-    rows, target, dangling = halves
+            corpus = _read_halves(fd, mid, size) if mid < size else None
+            if corpus is not None:
+                return corpus
+        # Nothing above moved the file offset, which is still at 0.
+        with open(fd, encoding="utf-8", closefd=False) as text:
+            rows, target, dangling = _whole(text, _read_rows)
     return rows.build(target, dangling)
 
 

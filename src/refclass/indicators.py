@@ -427,7 +427,7 @@ def count_cube(
     scope_of.update((j, i) for i, j in enumerate(journals))
     # Area slots: 0 for unclassified, then every area the table names, sorted.
     table = AssignmentTable.of(assignments)
-    present = np.unique(table.area[table.area >= 0])
+    present = np.flatnonzero(np.bincount(table.area[table.area >= 0], minlength=len(table.areas)))
     area_slots = {table.areas[c]: slot for slot, c in enumerate(present.tolist(), start=1)}
     slot_of = np.zeros(len(table.areas) + 1, dtype=np.int64)  # code -1 reads the last
     slot_of[present] = np.arange(1, len(present) + 1)

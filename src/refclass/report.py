@@ -259,6 +259,10 @@ def render_tables(tables: ReportTables) -> dict[str, str]:
     return out
 
 
+#: Characters per write of :func:`write_files_atomic`.
+_WRITE_CHARS = 1 << 16
+
+
 def _temp_path(path: Path, kind: str) -> Path:
     """A sibling name unique to this call: pid plus a random suffix."""
     return path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(6)}.{kind}")
@@ -296,7 +300,9 @@ def write_files_atomic(files: Mapping[Path | str, str]) -> None:
             tmp = _temp_path(final, "tmp")
             with _naming(final), open(tmp, "x", encoding="utf-8", newline="\n") as fh:
                 staged.append((tmp, final))
-                fh.write(text)
+                # In slices: a whole text encoded at once is a second copy of it.
+                for at in range(0, len(text), _WRITE_CHARS):
+                    fh.write(text[at : at + _WRITE_CHARS])
         for tmp, final in staged:
             backup = None
             with _naming(final):

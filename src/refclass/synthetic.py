@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, JournalRecord, _assemble, _is_int, _year_pair
+from .corpus import Corpus, JournalRecord, _assemble, _by_citer, _is_int, _year_pair
 from .errors import ConfigError
 from .taxonomy import BROAD_AREAS, MULTIDISCIPLINARY_FLAG, SubjectCategory, Taxonomy
 
@@ -213,8 +213,8 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
     pools = [by_field[first[f] : first[f + 1]] for f in range(nf)]
     ids = [f"A{row:07d}" for row in range(n_articles)]
 
-    # Every (citer, target) pair, batch by batch in draw order; the corpus
-    # builder groups them by citer and keeps the first of each pair.
+    # Every (citer, target) pair, batch by batch in draw order; _by_citer
+    # groups them by citer and the corpus builder keeps the first of each pair.
     citers = [np.zeros(0, dtype=np.int64)]
     targets = [np.zeros(0, dtype=np.int64)]
 
@@ -255,14 +255,15 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
 
     # Rows are already in id order, so row numbers are the record indices.
     # Each journal holds ``apj`` rows of the block: the quotas apportion them.
-    block_journals = [j.id for j in journals for _ in range(apj)]
+    counts, targets = _by_citer(np.concatenate(citers), np.concatenate(targets), n_articles)
     corpus = _assemble(
         ids,
-        block_journals * len(years),
+        [j.id for j in journals],
+        np.tile(np.repeat(np.arange(len(journals)), apj), len(years)),
         np.repeat(years, width),
         np.zeros(n_articles, dtype=np.int8),  # every item is an "article"
-        np.concatenate(citers),
-        np.concatenate(targets),
+        counts,
+        targets,
         (),
         journals,
     )

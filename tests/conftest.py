@@ -30,7 +30,7 @@ def toy_taxonomy() -> Taxonomy:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Read every corpus file that splits in two processes; yields the worker pids."""
+    """Read every corpus file that splits with two forked workers; yields their pids."""
     pids = []
     fork = os.fork
 
@@ -93,19 +93,26 @@ def open_field_config(articles_per_journal_year: int) -> SyntheticConfig:
     )
 
 
-def traced_peak(call) -> int:
-    """Bytes that ``call()`` allocates at its peak, over what was live before it."""
+def traced(call) -> tuple[object, int, int]:
+    """``call()``'s result, and the bytes it leaves live and allocates at its
+    peak, over what was live before it."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
+        result = call()
+        live, peak = tracemalloc.get_traced_memory()
+        return result, live - start, peak - start
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` allocates at its peak, over what was live before it."""
+    return traced(call)[2]
 
 
 def random_corpus(rng: np.random.Generator, max_articles: int = 500) -> tuple[Corpus, Taxonomy]:

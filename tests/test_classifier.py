@@ -691,6 +691,16 @@ def test_read_assignments_traced_peak_is_bounded():
     assert peak <= 6 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
 
 
+def test_emit_assignments_traced_peak_is_bounded():
+    """One block of row strings at a time: the peak is about the text and its blocks."""
+    corpus, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=40))
+    result = classify(corpus, taxonomy)
+    text = emit_assignments(result)
+    assert len(corpus.ids) == 10400
+    peak = traced_peak(lambda: emit_assignments(result))
+    assert peak <= 3 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
+
+
 def test_classify_traced_peak_is_bounded():
     corpus, _, taxonomy = generate_synthetic(open_field_config(articles_per_journal_year=40))
     n_refs = len(corpus.refs)

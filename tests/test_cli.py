@@ -429,10 +429,10 @@ def test_every_output_byte_of_the_pipeline_is_pinned(forks, monkeypatch, tmp_pat
     monkeypatch.setattr(corpus_module, "_FORK_BYTES", FORK_BYTES)
     assert _pipeline_digests(tmp_path / "two") == PINNED_DIGESTS
     assert (tmp_path / "two" / "corpus.tsv").stat().st_size >= FORK_BYTES
-    assert len(forks) == 2
+    assert len(forks) == 4
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert _pipeline_digests(tmp_path / "one") == PINNED_DIGESTS
-    assert len(forks) == 2
+    assert len(forks) == 4
     statuses = {line.split("\t")[3] for line in (tmp_path / "one" / "assignments.tsv").open()}
     assert statuses >= set(STATUSES)
 
@@ -634,7 +634,7 @@ def test_a_byte_not_utf8_in_either_half_beats_a_line_fault_in_the_other(
     assert run_cli(["validate", "--corpus", str(corpus), "--taxonomy", str(taxonomy)]) == 1
     err = capsys.readouterr().err
     assert err == f"error:parse:{corpus}: not valid UTF-8 (invalid start byte)\n"
-    assert len(forks) == len(cpus) - 1
+    assert len(forks) == 2 * (len(cpus) - 1)
 
 
 def test_assignments_that_are_not_utf8_after_a_bad_row_are_one_utf8_error(
@@ -838,6 +838,31 @@ def test_python_m_runs_the_cli(tmp_path, module):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:io:")
     assert proc.stderr.count("\n") == 1
+
+
+def test_indicators_does_not_import_numpy_ma(toy_files, tmp_path):
+    """Importing ``numpy.ma`` costs a fresh process 11-18 ms; no command needs it."""
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    args = _indicators_args(corpus, taxonomy, assignments, tmp_path / "tables")
+    script = (
+        "import sys\n"
+        "from refclass.cli import run_cli\n"
+        f"assert run_cli({args!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(refclass.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (tmp_path / "tables" / "summary.tsv").is_file()
 
 
 def test_every_public_name_resolves():

@@ -20,6 +20,7 @@ from refclass.corpus import (
     ArticleRecord,
     JournalRecord,
     _assemble,
+    _by_citer,
     build_corpus,
     emit_corpus,
     read_corpus,
@@ -36,7 +37,7 @@ from refclass.errors import (
 from refclass.indicators import IndicatorConfig
 from refclass.synthetic import generate_synthetic
 
-from conftest import article, journal, random_corpus, ten_field_config, traced_peak
+from conftest import article, journal, random_corpus, ten_field_config, traced, traced_peak
 
 
 def test_parse_article_row():
@@ -708,16 +709,18 @@ def test_builder_matches_brute_force_csr(shape):
             selfish = target == citer
             target[selfish] = (target[selfish] + 1) % (n + n_dangling)
         repeats += len(set(zip(citer.tolist(), target.tolist()))) < len(citer)
-        journal_of = [f"J{int(j)}" for j in rng.integers(2, size=n)]
+        journal_of = rng.integers(2, size=n).tolist()
         years = rng.integers(1990, 2021, size=n).tolist()
         doc_types = rng.integers(3, size=n).tolist()
+        counts, grouped = _by_citer(citer, target, n)
         corpus = _assemble(
             ids,
-            journal_of,
+            ["J1", "J0"],
+            [1 - j for j in journal_of],
             years,
             doc_types,
-            citer,
-            target,
+            counts,
+            grouped,
             dangling,
             journals,
         )
@@ -727,7 +730,7 @@ def test_builder_matches_brute_force_csr(shape):
         assert corpus.indptr.tolist() == indptr
         assert corpus.refs.tolist() == refs
         assert corpus.refs.dtype == np.int32
-        assert corpus.journal_codes.tolist() == [int(journal_of[r][1]) for r in order]
+        assert corpus.journal_codes.tolist() == [journal_of[r] for r in order]
         assert corpus.years.tolist() == [years[r] for r in order]
         assert corpus.doc_types.tolist() == [doc_types[r] for r in order]
     # The builder sorts to drop repeats only when some pair repeats: every
@@ -736,6 +739,30 @@ def test_builder_matches_brute_force_csr(shape):
         assert repeats == 0
     else:
         assert repeats > 0
+
+
+def test_build_corpus_of_shuffled_records_with_repeats_equals_the_sorted_build():
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        corpus, _ = random_corpus(rng, max_articles=120)
+        articles = [corpus.article(a_id) for a_id in corpus.ids]
+        # Repeat earlier references at random places: first occurrences keep their order.
+        noisy = []
+        for rec in articles:
+            refs = list(rec.references)
+            for at in sorted(rng.integers(1, len(refs) + 1, size=len(refs) // 2), reverse=True):
+                refs.insert(int(at), refs[int(rng.integers(at))])
+            noisy.append(replace(rec, references=tuple(refs)))
+        assert any(len(a.references) > len(b.references) for a, b in zip(noisy, articles))
+        records = list(corpus.journals.values()) + noisy
+        shuffled = [records[i] for i in rng.permutation(len(records))]
+        assert [a.id for a in shuffled if isinstance(a, ArticleRecord)] != list(corpus.ids)
+        rebuilt = build_corpus(shuffled)
+        assert emit_corpus(rebuilt) == emit_corpus(build_corpus(records)) == emit_corpus(corpus)
+        assert rebuilt.ids == corpus.ids and dict(rebuilt.row_of) == dict(corpus.row_of)
+        for name in ("journal_codes", "years", "doc_types", "indptr"):
+            assert getattr(rebuilt, name).tolist() == getattr(corpus, name).tolist()
+        assert rebuilt._names[rebuilt.refs].tolist() == corpus._names[corpus.refs].tolist()
 
 
 def test_ingest_paths_agree_on_canonical_corpora():
@@ -774,8 +801,8 @@ def test_read_corpus_traced_peak_is_bounded(tmp_path):
 
 FORK_BYTES = corpus_module._FORK_BYTES
 # Comment lines around a malformed file's rows: the file then splits inside
-# them, so the rows all fall in the parent's half (after) or the worker's
-# (before).
+# them, so the rows all fall in the first half (pad after) or the second
+# (pad before).
 PAD = "#\n" * 200
 
 
@@ -847,7 +874,7 @@ def test_two_process_read_agrees_on_random_corpora(forks, tmp_path):
         assert_reads_like_one_process(path)
         assert_no_child()
         split += splits(path)
-    assert len(forks) == split > 100
+    assert len(forks) == 2 * split and split > 100
 
 
 def dangling_in_file_order(lines) -> tuple[str, ...]:
@@ -872,7 +899,7 @@ def test_two_process_read_codes_dangling_ids_in_file_order(forks, monkeypatch, t
         assert np.array_equal(forked.refs, alone.refs)
         assert np.array_equal(forked.indptr, alone.indptr)
         split += splits(path)
-    assert len(forks) == split > 200
+    assert len(forks) == 2 * split and split > 200
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -880,7 +907,7 @@ def test_two_process_read_raises_the_same_first_fault(name, forks, capfd, tmp_pa
     for path in malformed_files(tmp_path, name):
         assert fault_of(read_corpus_file, path) == fault_of(reference_reading, file_lines(path))
         assert_no_child()
-    assert len(forks) == 2
+    assert len(forks) == 4
     assert capfd.readouterr().err == ""
 
 
@@ -896,11 +923,11 @@ def test_two_process_read_of_a_synthetic_corpus(forks, monkeypatch, tmp_path):
     monkeypatch.setattr(corpus_module, "_FORK_BYTES", FORK_BYTES)
     two = read_corpus_file(path)
     assert_no_child()
-    assert len(forks) == 1
+    assert len(forks) == 2
     # One CPU in the affinity mask means one process.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     one = read_corpus_file(path)
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert emit_corpus(two) == emit_corpus(one) == "".join(lines)
     for name in ("journal_codes", "years", "doc_types", "indptr", "refs"):
         assert getattr(two, name).tolist() == getattr(one, name).tolist()
@@ -922,7 +949,7 @@ def test_two_process_read_raises_faults_of_either_half(forks, tmp_path):
     repeat = (ValidationError, "duplicate article id", None, a_id)
     assert_same_fault(read_corpus_file, duplicate, repeat)
     assert_no_child()
-    assert len(forks) == 3
+    assert len(forks) == 6
 
 
 def test_two_process_read_raises_a_journal_repeated_after_the_last_article(forks, tmp_path):
@@ -934,7 +961,79 @@ def test_two_process_read_raises_a_journal_repeated_after_the_last_article(forks
     repeat = (ValidationError, "duplicate journal id", None, j_id)
     assert_same_fault(read_corpus_file, repeated, repeat)
     assert_no_child()
-    assert len(forks) == 1
+    assert len(forks) == 2
+
+
+def test_two_process_read_parses_lines_only_in_its_workers(forks, monkeypatch, tmp_path):
+    log = tmp_path / "pids"
+    line_rows = corpus_module._line_rows
+
+    def logged(source, start=1):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return line_rows(source, start)
+
+    monkeypatch.setattr(corpus_module, "_line_rows", logged)
+    path = write_lines(tmp_path / "corpus.tsv", synthetic_lines())
+    corpus = read_corpus_file(path)
+    assert_no_child()
+    pids = sorted(map(int, log.read_text().split()))
+    assert os.getpid() not in pids
+    assert pids == sorted(forks) and len(forks) == 2
+    assert emit_corpus(corpus) == path.read_text()
+
+
+def test_two_process_read_keeps_the_merged_row_dict(forks, monkeypatch, tmp_path):
+    """The merge builds the id -> row dict once, and the corpus keeps it."""
+    assemble = corpus_module._assemble
+    given = []
+
+    def spied(*args):
+        given.append(args[9])
+        return assemble(*args)
+
+    monkeypatch.setattr(corpus_module, "_assemble", spied)
+    corpus = read_corpus_file(write_lines(tmp_path / "corpus.tsv", synthetic_lines()))
+    (row_of,) = given
+    assert len(forks) == 2 and row_of == dict(zip(corpus.ids, range(len(corpus.ids))))
+    row_of["probe"] = -1  # the corpus's mapping is a view of this very dict
+    assert corpus.row_of["probe"] == -1
+
+
+def test_a_fault_in_the_first_half_reads_like_one_process(forks, monkeypatch, tmp_path):
+    """The first half faults early; both workers are killed and reaped, and the
+    one-process read reports the fault."""
+    lines = synthetic_lines()
+    path = write_lines(tmp_path / "corpus.tsv", lines[:10] + ["A\tP\n"] + lines[10:])
+    kills, kill = [], os.kill
+
+    def counted_kill(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", counted_kill)
+    fault = fault_of(read_corpus_file, path)
+    assert_no_child()
+    assert len(forks) == 2 and kills == [(pid, signal.SIGKILL) for pid in forks]
+    short_row = (ParseError, "article row needs 6 columns, got 2", 11, "A\tP\n")
+    assert_same_fault(read_corpus_file, path, short_row)
+    with monkeypatch.context() as one_process:
+        one_process.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert fault_of(read_corpus_file, path) == fault
+    assert fault == fault_of(read_corpus, file_lines(path))
+    assert len(forks) == 4
+
+
+def test_two_process_read_parent_traced_peak_is_bounded(forks, tmp_path):
+    """The parent only merges: its traced peak stays within 1.8x the corpus it
+    returns, where the one-process read peaks at about 2x."""
+    corpus, _, _ = generate_synthetic(ten_field_config(articles_per_journal_year=64))
+    path = tmp_path / "corpus.tsv"
+    path.write_text(emit_corpus(corpus))
+    del corpus
+    corpus, live, peak = traced(lambda: read_corpus_file(path))
+    assert len(forks) == 2 and len(corpus.ids) == 16640
+    assert peak <= 1.8 * live, f"traced peak {peak / live:.2f}x the live corpus"
 
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
@@ -995,7 +1094,7 @@ def test_lone_and_paired_carriage_returns_read_alike_three_ways(forks, monkeypat
         else:
             assert alone == reading_of(read_corpus_file(path)) == reading_of(read_corpus(lines))
         assert_no_child()
-    assert len(forks) == 2
+    assert len(forks) == 4
 
 
 def cut_dump(obj, file, protocol):
@@ -1027,7 +1126,7 @@ def test_failed_worker_leaves_every_result_and_fault_unchanged(
         for path in malformed_files(tmp_path, name):
             assert_reads_like_one_process(path)
             assert_no_child()
-    assert len(forks) == split + 2 * len(MALFORMED)
+    assert len(forks) == 2 * (split + 2 * len(MALFORMED))
     assert capfd.readouterr().err == ""
 
 
@@ -1039,6 +1138,24 @@ def test_read_is_sequential_when_fork_fails(forks, monkeypatch, tmp_path):
     path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(np.random.default_rng(11)))
     assert splits(path)
     assert_reads_like_one_process(path)
+
+
+def test_read_is_sequential_when_the_second_fork_fails(forks, monkeypatch, tmp_path):
+    """The first worker is killed and reaped, and one process reads the file."""
+    fork, calls = os.fork, []
+
+    def second_fails():
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("no fork")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(np.random.default_rng(11)))
+    assert splits(path)
+    assert_reads_like_one_process(path)
+    assert_no_child()
+    assert len(calls) == 2 and len(forks) == 1
 
 
 def test_no_fork_while_sigchld_is_ignored(forks, tmp_path):
@@ -1076,7 +1193,7 @@ def test_two_process_read_under_a_reaping_sigchld_handler(forks, tmp_path):
                 assert_no_child()
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    assert len(forks) == split + 2 * len(MALFORMED)
+    assert len(forks) == 2 * (split + 2 * len(MALFORMED))
 
 
 def test_worker_reaped_by_someone_else_first(forks, monkeypatch, tmp_path):
@@ -1109,12 +1226,12 @@ def test_worker_reaped_by_someone_else_first(forks, monkeypatch, tmp_path):
     for name in MALFORMED:
         for path in malformed_files(tmp_path, name):
             assert_reads_like_one_process(path)
-    # A fault in the parent's half, so the worker is killed.
+    # A fault in the first half, so the second half's worker is killed.
     bad_first = write_lines(tmp_path / "bad.tsv", ["X\n"] + messy_corpus_lines(rng) + [PAD])
     assert_same_fault(read_corpus_file, bad_first, (ParseError, "unknown record tag", 1, "X"))
     monkeypatch.undo()
     assert_no_child()
-    assert sorted(gone) == sorted(forks) and len(forks) == split + 2 * len(MALFORMED) + 1
+    assert sorted(gone) == sorted(forks) and len(forks) == 2 * (split + 2 * len(MALFORMED) + 1)
 
 
 def test_no_fork_while_another_python_thread_runs(monkeypatch, tmp_path):
@@ -1206,7 +1323,7 @@ def test_no_fork_under_a_one_cpu_quota(forks, tmp_path, monkeypatch):
     quota.write_text("200000 100000\n")
     assert_reads_like_one_process(path)
     assert_no_child()
-    assert len(forks) == 1
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from refclass.report import (
     write_files_atomic,
 )
 
-from conftest import article, journal
+from conftest import article, journal, traced_peak
 
 ASTRO = "Astronomy & Astrophysics"
 ONCO = "Oncology"
@@ -227,6 +227,14 @@ def test_write_files_atomic(tmp_path):
     plain = tmp_path / "plain.tsv"
     plain.write_text("")
     assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_write_files_atomic_writes_in_bounded_slices(tmp_path):
+    text = "A0000001\tOncology\tMedicine\tjournal-seeded\t0\t12\n" * 50_000
+    target = tmp_path / "big.tsv"
+    peak = traced_peak(lambda: write_files_atomic({target: text}))
+    assert peak <= len(text) // 8, f"traced peak {peak / len(text):.2f}x the text length"
+    assert target.read_text() == text
 
 
 def test_no_prior_target_is_ever_absent(tmp_path, toy_taxonomy, monkeypatch):
