@@ -26,14 +26,16 @@ returns the same kind of table in file order.
 
 Kernel: seed categories are integer codes in sorted order, read per journal
 and spread to the corpus rows through their journal codes; labels are those
-codes, or broad-area codes in broad-area mode. The edges are the rows the
-non-seeded articles reference, cut from the corpus's CSR with per-article
-offsets, dangling references dropped. One vote function fills a reused
-``int32`` tally matrix (non-seeded articles x seed labels) with one
-``np.bincount`` per fixed block of articles, so its transients are O(block).
-It runs once on the seed table and again after every iteration that moved
-a label, so each iteration and the terminal pass read the tallies of the
-current table, and no table is tallied twice. The kernel runs on one thread.
+codes, or broad-area codes in broad-area mode. The label table runs on past
+the rows with -1 for every dangling id, so any reference code indexes it and
+a dangling reference counts like an unlabeled one. One vote function fills a
+reused ``int32`` tally matrix (non-seeded articles x seed labels) with one
+``np.bincount`` per fixed block of articles, gathering each block's
+references straight from the corpus's CSR, so its transients are O(block)
+and no copy of the references is kept. It runs once on the seed table and
+again after every iteration that moved a label, so each iteration and the
+terminal pass read the tallies of the current table, and no table is
+tallied twice. The kernel runs on one thread.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
@@ -318,38 +320,38 @@ def classify(
     categories, category = _seeds(corpus, taxonomy)
     areas, category_area = _area_codes(categories, taxonomy)
     names = areas if area_mode else categories
-    label = _lookup(category_area, category) if area_mode else category.copy()
+    n_rows = len(corpus.ids)
+    # The label of every reference code: a row's label, then -1 per dangling id.
+    table = np.full(n_rows + len(corpus.dangling_ids), -1, np.int32)
+    label = table[:n_rows]
+    label[:] = _lookup(category_area, category) if area_mode else category
     open_rows = np.flatnonzero(label < 0)
-    n_rows, n_open, width = len(corpus.ids), len(open_rows), max(len(names), 1)
-
-    # Edges straight from the CSR: open article i cites the rows
-    # dst[edge_ptr[i]:edge_ptr[i + 1]]; dangling references drop out.
-    refs_per_row = np.diff(corpus.indptr)
-    dst = corpus.refs[np.repeat(label < 0, refs_per_row)]
-    edge_ptr = np.zeros(n_open + 1, np.int64)
-    np.cumsum(refs_per_row[open_rows], out=edge_ptr[1:])
-    dangling = np.flatnonzero(dst >= n_rows)
-    edge_ptr -= np.searchsorted(dangling, edge_ptr)
-    dst = np.delete(dst, dangling)
+    n_open, width = len(open_rows), max(len(names), 1)
     block = max(_BLOCK_CELLS // width, 1)
     counts = np.empty((n_open, width), np.int32)
 
-    def votes(table: np.ndarray):
-        """Per open article: tally row, total votes, leader count, first leader.
+    def votes():
+        """Per open article: total votes, leader count and first leader.
 
-        Fills ``counts`` a block of open articles at a time; key column 0 of a
-        block catches the unlabeled (-1) references and is dropped.
+        Fills ``counts`` from the current ``table``, a block of open articles
+        at a time, reading their references straight from the corpus's CSR.
+        Key column 0 of a block catches the unlabeled and dangling (-1)
+        references and is dropped.
         """
         for lo in range(0, n_open, block):
-            span = edge_ptr[lo : lo + block + 1]
-            rows = len(span) - 1
-            key = np.repeat(np.arange(rows) * (width + 1) + 1, np.diff(span))
-            key += table[dst[span[0] : span[-1]]]
-            tally = np.bincount(key, minlength=rows * (width + 1))
-            counts[lo : lo + rows] = tally.reshape(rows, width + 1)[:, 1:]
+            rows = open_rows[lo : lo + block]
+            start = corpus.indptr[rows]
+            size = corpus.indptr[rows + 1] - start
+            # The k-th reference of the block is corpus.refs[at[k]].
+            at = np.repeat(start - np.cumsum(size) + size, size)
+            at += np.arange(len(at))
+            key = np.repeat(np.arange(len(rows)) * (width + 1) + 1, size)
+            key += table[corpus.refs[at]]
+            tally = np.bincount(key, minlength=len(rows) * (width + 1))
+            counts[lo : lo + len(rows)] = tally.reshape(len(rows), width + 1)[:, 1:]
         top = counts.max(axis=1)
         at_top = np.count_nonzero(counts == top[:, None], axis=1)
-        return counts, counts.sum(axis=1), at_top, counts.argmax(axis=1)
+        return counts.sum(axis=1), at_top, counts.argmax(axis=1)
 
     # Per open article: iteration of the last label change, whether it came
     # through a tie, and the tally snapshot of that change.
@@ -360,7 +362,7 @@ def classify(
 
     stats: list[IterationStats] = []
     iterations_run = 0
-    counts, total, at_top, best = votes(label)
+    total, at_top, best = votes()
     for iteration in range(1, config.max_iterations + 1):
         iterations_run = iteration
         tied = at_top > 1
@@ -371,14 +373,14 @@ def classify(
         set_now = moved & won
         set_iteration[set_now] = iteration
         via_tie[set_now] = tied[set_now]
-        snapshot[set_now] = counts[set_now]
+        np.copyto(snapshot, counts, where=set_now[:, None])
         label[open_rows] = new
         newly = int(np.count_nonzero(moved & (old < 0)))
         changed = int(np.count_nonzero(moved)) - newly
         stats.append(IterationStats(iteration, newly, changed))
         if newly == 0 and changed == 0:
             break
-        counts, total, at_top, best = votes(label)
+        total, at_top, best = votes()
 
     # Terminal pass: the tallies above read the final table; break remaining
     # ties and keep the final tally of every article still unlabeled.
@@ -387,7 +389,8 @@ def classify(
     label[open_rows[broken]] = best[broken]
     set_iteration[broken] = iterations_run
     via_tie[broken] = True
-    snapshot[unlabeled] = counts[unlabeled]
+    np.copyto(snapshot, counts, where=unlabeled[:, None])
+    del counts, total, at_top, best  # the result below needs only the snapshots
 
     final = label[open_rows]
     status = np.full(n_rows, _STATUS_CODE[STATUS_SEEDED], np.int8)
@@ -401,10 +404,11 @@ def classify(
     total_votes = np.zeros(n_rows, np.int64)
     total_votes[open_rows] = snapshot.sum(axis=1)
     # The tally snapshots as CSR over all rows; seeds hold none.
-    tally_rows, tally_label = np.nonzero(snapshot)
     indptr = np.zeros(n_rows + 1, np.int64)
-    np.cumsum(np.bincount(open_rows[tally_rows], minlength=n_rows), out=indptr[1:])
-    tally = (names, indptr, tally_label.astype(np.int32), snapshot[tally_rows, tally_label])
+    indptr[open_rows + 1] = np.count_nonzero(snapshot, axis=1)
+    np.cumsum(indptr, out=indptr)
+    cells = np.flatnonzero(snapshot)
+    tally = (names, indptr, (cells % width).astype(np.int32), snapshot.ravel()[cells])
     label_area = range(len(areas)) if area_mode else category_area
     assignments = AssignmentTable(
         corpus.ids,
@@ -489,7 +493,12 @@ def emit_assignments(result: ClassificationResult) -> str:
     of row strings is alive next to the text.
     """
     table = AssignmentTable.of(result.assignments)
-    order = np.array(sorted(range(len(table.ids)), key=table.ids.__getitem__), dtype=np.int64)
+    ids = table.ids
+    # Ids are distinct, so ids in ascending order (as corpus rows are) need no sort.
+    if all(map(str.__le__, ids, islice(ids, 1, None))):
+        order = np.arange(len(ids))
+    else:
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
     # Code -1 names the empty string.
     categories, areas, statuses = (
         np.array(names + ("",), dtype=object)
@@ -499,7 +508,7 @@ def emit_assignments(result: ClassificationResult) -> str:
     for lo in range(0, len(order), _EMIT_ROWS):
         rows = order[lo : lo + _EMIT_ROWS]
         block = zip(
-            [table.ids[r] for r in rows.tolist()],
+            [ids[r] for r in rows.tolist()],
             categories[table.category[rows]].tolist(),
             areas[table.area[rows]].tolist(),
             statuses[table.status[rows]].tolist(),

@@ -175,6 +175,8 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
         mode=ns.mode,
     )
     result = classify(corpus, taxonomy, config)
+    # The result keeps the ids; the references and names make room for the text.
+    del corpus
     write_files_atomic({ns.out: emit_assignments(result)})
     return 0
 
