@@ -106,7 +106,7 @@ class Assignment:
     broad_area: str | None
     status: str
     iteration: int
-    tally: VoteTally | None
+    tally: VoteTally
 
 
 @dataclass(frozen=True)
@@ -164,24 +164,6 @@ class AssignmentTable(Mapping):
     def row_of(self) -> Mapping[str, int]:
         return MappingProxyType(dict(zip(self.ids, range(len(self.ids)))))
 
-    @classmethod
-    def of(cls, assignments: Mapping[str, Assignment]) -> AssignmentTable:
-        """The table itself, or the columns of a plain mapping's entries.
-
-        A converted mapping keeps each tally's total but not its counts.
-        """
-        if isinstance(assignments, AssignmentTable):
-            return assignments
-        entries = list(assignments.values())
-        return _table_of(
-            list(assignments),
-            [a.category or "" for a in entries],
-            [a.broad_area or "" for a in entries],
-            [a.status for a in entries],
-            [a.iteration for a in entries],
-            [a.tally.total_votes if a.tally is not None else 0 for a in entries],
-        )
-
     def corpus_rows(self, corpus: Corpus) -> np.ndarray:
         """The corpus row of every entry, -1 for an id outside the corpus."""
         get = corpus.row_of.get
@@ -220,23 +202,13 @@ def _coded(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return names, np.fromiter(map(code.__getitem__, column), np.int32, count=len(column))
 
 
-def _table_of(
-    ids: Sequence[str],
-    categories: Sequence[str],
-    areas: Sequence[str],
-    statuses: Sequence[str],
-    iterations: Sequence[int],
-    votes: Sequence[int],
-) -> AssignmentTable:
-    """Code per-row string columns (``""`` for no category or area) into a table."""
-    category_names, category = _coded(categories)
-    area_names, area = _coded(areas)
-    status = np.fromiter(map(_STATUS_CODE.__getitem__, statuses), np.int8, count=len(statuses))
-    iteration = np.array(iterations, dtype=np.int64)
-    total_votes = np.array(votes, dtype=np.int64)
-    return AssignmentTable(
-        ids, category_names, category, area_names, area, status, iteration, total_votes
-    )
+def _require_table(assignments) -> AssignmentTable:
+    """``assignments`` if it is an :class:`AssignmentTable`; raises :class:`ConfigError` if not."""
+    if not isinstance(assignments, AssignmentTable):
+        raise ConfigError(
+            f"assignments must be an AssignmentTable, got {type(assignments).__name__}"
+        )
+    return assignments
 
 
 def _lookup(values: Sequence[int], codes: np.ndarray) -> np.ndarray:
@@ -249,11 +221,10 @@ class ClassificationResult:
     """Assignments by article id, plus how the iteration went.
 
     :func:`classify` returns the assignments as an :class:`AssignmentTable`,
-    a lazy view over its result arrays; any mapping of ids to
-    :class:`Assignment` is accepted.
+    a lazy view over its result arrays.
     """
 
-    assignments: Mapping[str, Assignment]
+    assignments: AssignmentTable
     iterations_run: int
     iteration_stats: tuple[IterationStats, ...]
 
@@ -450,7 +421,7 @@ def evaluate_accuracy(result: ClassificationResult, truth, taxonomy: Taxonomy) -
     articles only. Raises :class:`ValidationError` if the result covers an
     article the truth does not.
     """
-    table = AssignmentTable.of(result.assignments)
+    table = _require_table(result.assignments)
     missing = [a_id for a_id in table.ids if a_id not in truth.field_of]
     if missing:
         raise ValidationError(f"articles missing from ground truth: {missing[:5]}")
@@ -492,7 +463,7 @@ def emit_assignments(result: ClassificationResult) -> str:
     The text is built :data:`_EMIT_ROWS` rows at a time, so only one block
     of row strings is alive next to the text.
     """
-    table = AssignmentTable.of(result.assignments)
+    table = _require_table(result.assignments)
     ids = table.ids
     # Ids are distinct, so ids in ascending order (as corpus rows are) need no sort.
     if all(map(str.__le__, ids, islice(ids, 1, None))):
@@ -566,7 +537,10 @@ def read_assignments(source: Iterable[str]) -> AssignmentTable:
         iterations.append(iteration)
         votes.append(total)
     del seen  # free it before the columns are coded into arrays
-    return _table_of(ids, cats, areas, statuses, iterations, votes)
+    status = np.fromiter(map(_STATUS_CODE.__getitem__, statuses), np.int8, count=len(statuses))
+    iteration, total_votes = np.array(iterations, np.int64), np.array(votes, np.int64)
+    # _coded gives (names, codes), the order the table takes them in.
+    return AssignmentTable(ids, *_coded(cats), *_coded(areas), status, iteration, total_votes)
 
 
 def _check_assignments(assignments: AssignmentTable, corpus: Corpus, taxonomy: Taxonomy) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -124,6 +125,9 @@ def _sha256(path: str | Path) -> str:
 
 
 def _cmd_synth(ns: argparse.Namespace) -> int:
+    outputs = (ns.out_corpus, ns.out_truth, ns.out_taxonomy)
+    if len(set(map(os.path.realpath, outputs))) < len(outputs):
+        raise UsageError("--out-corpus, --out-truth and --out-taxonomy must name different files")
     with open(ns.config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)

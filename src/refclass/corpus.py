@@ -589,8 +589,8 @@ def _record_rows(records: Iterable[ArticleRecord | JournalRecord]):
             raise ValidationError(f"unsupported record type: {type(rec).__name__}")
 
 
-def _line_rows(source: Iterable[str], start: int = 1):
-    for line_no, raw in enumerate(source, start=start):
+def _line_rows(source: Iterable[str]):
+    for line_no, raw in enumerate(source, start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         parts = raw.rstrip("\n").split("\t")

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .classifier import Assignment, AssignmentTable
+from .classifier import AssignmentTable, _require_table
 from .corpus import _DOC_CODE, YEAR_BOUNDS, Corpus, JournalRecord, _is_int, _year_pair
 from .errors import (
     ConfigError,
@@ -396,7 +396,7 @@ class CountCube:
 
 def count_cube(
     corpus: Corpus,
-    assignments: Mapping[str, Assignment],
+    assignments: AssignmentTable,
     journals: Iterable[str],
     config: IndicatorConfig,
 ) -> CountCube:
@@ -407,12 +407,12 @@ def count_cube(
     ``config.pub_window``. Its year axes span only those years and the
     impact years' citation windows, and its scope axis only ``journals``
     plus one slot for the rest, so its size does not depend on the corpus.
-    ``assignments`` is read as an :class:`AssignmentTable`, so a plain
-    mapping is converted once. Assignments for ids outside the corpus are
-    ignored; corpus articles without one count as unclassified. Raises
-    :class:`ConfigError` for a string or non-iterable ``journals`` or one
-    that names :data:`ALL_SOURCES`, the scope token of every journal, and
-    :class:`UnknownNameError` for a journal that is not in the corpus.
+    Assignments for ids outside the corpus are ignored; corpus articles
+    without one count as unclassified. Raises :class:`ConfigError` for a
+    string or non-iterable ``journals`` or one that names
+    :data:`ALL_SOURCES`, the scope token of every journal, then
+    :class:`UnknownNameError` for a journal that is not in the corpus, then
+    :class:`ConfigError` for ``assignments`` that are not a table.
     """
     requested = list(_journal_ids(journals, "journals"))
     if ALL_SOURCES in requested:
@@ -426,7 +426,7 @@ def count_cube(
     scope_of = dict.fromkeys(corpus.journal_ids, len(journals))
     scope_of.update((j, i) for i, j in enumerate(journals))
     # Area slots: 0 for unclassified, then every area the table names, sorted.
-    table = AssignmentTable.of(assignments)
+    table = _require_table(assignments)
     present = np.flatnonzero(np.bincount(table.area[table.area >= 0], minlength=len(table.areas)))
     area_slots = {table.areas[c]: slot for slot, c in enumerate(present.tolist(), start=1)}
     slot_of = np.zeros(len(table.areas) + 1, dtype=np.int64)  # code -1 reads the last

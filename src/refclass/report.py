@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .classifier import Assignment
-from .corpus import Corpus
-from .errors import ConfigError, EmptyScopeError, ParseError, UndefinedValueError, ValidationError
+from .classifier import AssignmentTable
+from .corpus import Corpus, _utf8
+from .errors import ConfigError, EmptyScopeError, UndefinedValueError, ValidationError
 from .indicators import (
     ALL_AREAS,
     ALL_SOURCES,
@@ -117,7 +117,7 @@ class ReportTables:
 
 def build_report_tables(
     corpus: Corpus,
-    assignments: Mapping[str, Assignment],
+    assignments: AssignmentTable,
     taxonomy: Taxonomy,
     journals: Iterable[str],
     config: IndicatorConfig | None = None,
@@ -129,9 +129,10 @@ def build_report_tables(
     whatever is present. Every cell is a slice of one :class:`CountCube`.
     A journal named :data:`COMBINED_SCOPE` or :data:`ALL_SOURCES` would
     share its rows with the pooled set or every journal, so either raises
-    :class:`ConfigError`. A corpus journal that names a category missing
-    from the taxonomy raises :class:`ValidationError` before anything is
-    counted.
+    :class:`ConfigError`, as do ``assignments`` that are not an
+    :class:`AssignmentTable`. A corpus journal that names a category
+    missing from the taxonomy raises :class:`ValidationError` before
+    anything is counted.
     """
     taxonomy.check_journals(corpus.journals.values())
     if config is None:
@@ -359,13 +360,12 @@ def read_table_dir(in_dir: Path | str) -> dict[str, str]:
         path = Path(in_dir) / name
         if not path.is_file():
             raise ValidationError(f"missing table file: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("#"):
+        with _utf8(path), open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        # Universal newlines leave only "\n" as a line end; str.splitlines
+        # would also split ids at characters such as "\x1c".
+        lines = text.removesuffix("\n").split("\n")
+        if not lines[0].startswith("#"):
             raise ValidationError(f"{name}: missing config header line")
         header, *rows = [ln for ln in lines if not ln.startswith("#")] or [""]
         if header != "\t".join(TABLE_COLUMNS[name]):

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from refclass.classifier import ClassifierConfig, classify, evaluate_accuracy
+from refclass.classifier import ClassifierConfig, classify, evaluate_accuracy, read_assignments
 from refclass.cli import run_cli
 from refclass.corpus import ArticleRecord, JournalRecord, build_corpus
 from refclass.errors import UndefinedValueError
@@ -283,6 +283,7 @@ def _random_if_case(rng: np.random.Generator):
 def test_criterion_8_kappa_linearity_and_monotonicity():
     with criterion(8, "kappa linearity and monotonicity hold over 1000 randomized cases"):
         rng = np.random.default_rng(31337)
+        bare = read_assignments(())  # no assignments: every article unclassified
         for case in range(1000):
             corpus, records, anchor, year, window = _random_if_case(rng)
             kappa = float(rng.uniform(0.25, 4.0))
@@ -290,8 +291,8 @@ def test_criterion_8_kappa_linearity_and_monotonicity():
             base_cfg = IndicatorConfig(window=window, kappa=1.0, if_year_range=years)
             k_cfg = IndicatorConfig(window=window, kappa=kappa, if_year_range=years)
             journals = (anchor.journal_id,)
-            v1 = count_cube(corpus, {}, journals, base_cfg).impact_factor(anchor.journal_id, year)
-            vk = count_cube(corpus, {}, journals, k_cfg).impact_factor(anchor.journal_id, year)
+            v1 = count_cube(corpus, bare, journals, base_cfg).impact_factor(anchor.journal_id, year)
+            vk = count_cube(corpus, bare, journals, k_cfg).impact_factor(anchor.journal_id, year)
             # bit-exact scaling: value = kappa * (numerator / denominator)
             assert vk.value == kappa * v1.value, f"case {case}"
             assert (vk.numerator, vk.denominator) == (v1.numerator, v1.denominator)
@@ -300,6 +301,6 @@ def test_criterion_8_kappa_linearity_and_monotonicity():
                 "ZZEXTRA", anchor.journal_id, year, "article", (anchor.id,)
             )
             grown = build_corpus(records + [extra])
-            vk2 = count_cube(grown, {}, journals, k_cfg).impact_factor(anchor.journal_id, year)
+            vk2 = count_cube(grown, bare, journals, k_cfg).impact_factor(anchor.journal_id, year)
             assert vk2.numerator == vk.numerator + 1, f"case {case}"
             assert vk2.value >= vk.value, f"case {case}"

@@ -30,6 +30,7 @@ from refclass.classifier import (
 from refclass.corpus import build_corpus
 from refclass.errors import ConfigError, InputError, ParseError, ValidationError
 from refclass.synthetic import SyntheticConfig, generate_synthetic
+from refclass.taxonomy import BROAD_AREAS, SubjectCategory, Taxonomy
 
 from conftest import (
     article,
@@ -388,21 +389,87 @@ def test_determinism_and_thread_independence(toy_taxonomy):
     assert emit_assignments(base) == emit_assignments(again)
 
 
-def test_oracle_equivalence_sample():
-    rng = np.random.default_rng(2)
-    configs = [
+ORACLE_CONFIGS = [
         ClassifierConfig(),
         ClassifierConfig(tie_policy=TIE_LEXICOGRAPHIC),
         ClassifierConfig(min_votes=2),
         ClassifierConfig(mode=MODE_BROAD_AREA),
         ClassifierConfig(max_iterations=1),
         ClassifierConfig(mode=MODE_BROAD_AREA, tie_policy=TIE_LEXICOGRAPHIC),
-        ClassifierConfig(max_iterations=2, min_votes=3),
-    ]
-    for i in range(2 * len(configs)):
+    ClassifierConfig(max_iterations=2, min_votes=3),
+]
+
+
+def test_oracle_equivalence_sample():
+    rng = np.random.default_rng(2)
+    for i in range(2 * len(ORACLE_CONFIGS)):
         corpus, taxonomy = random_corpus(rng, max_articles=300)
-        config = configs[i % len(configs)]
+        config = ORACLE_CONFIGS[i % len(ORACLE_CONFIGS)]
         assert classify(corpus, taxonomy, config) == naive_classify(corpus, taxonomy, config)
+
+
+WIDE_TAXONOMY = Taxonomy(
+    [SubjectCategory(f"{area} {k}", area) for area in BROAD_AREAS for k in range(8)]
+    + [SubjectCategory("Multidisciplinary Sciences", "Bioscience", True)]
+)
+
+
+def wide_corpus(rng: np.random.Generator, n_articles: int):
+    """A corpus that seeds every one of :data:`WIDE_TAXONOMY`'s 112 categories.
+
+    Each category has one journal; five open journals (two-category and
+    multidisciplinary ones) publish about 60% of the articles. An article
+    cites mostly articles of its own topic (its seed journal's category, or
+    a random one), plus random and dangling ids.
+    """
+    cats = sorted(WIDE_TAXONOMY.assignment_targets)
+    journals = [journal(f"S{i:03d}", c) for i, c in enumerate(cats)]
+    for j in range(3):
+        journals.append(journal(f"O{j}", [cats[int(p)] for p in rng.choice(len(cats), 2, False)]))
+    journals += [journal(f"O{j}", "Multidisciplinary Sciences") for j in (3, 4)]
+    journal_of = [
+        int(rng.integers(len(cats))) if rng.random() < 0.4 else len(cats) + int(rng.integers(5))
+        for _ in range(n_articles)
+    ]
+    topic = [j if j < len(cats) else int(rng.integers(len(cats))) for j in journal_of]
+    by_topic: dict[int, list[int]] = {}
+    for i, t in enumerate(topic):
+        by_topic.setdefault(t, []).append(i)
+    articles = []
+    for i, j in enumerate(journal_of):
+        refs = []
+        for _ in range(int(rng.integers(0, 9))):
+            kind = rng.random()
+            if kind < 0.08:
+                refs.append(f"X{int(rng.integers(1000)):04d}")  # dangling
+                continue
+            pool = by_topic[topic[i]] if kind < 0.7 else range(n_articles)
+            target = pool[int(rng.integers(len(pool)))]
+            if target != i:
+                refs.append(f"P{target:04d}")
+        year = 2000 + int(rng.integers(0, 10))
+        refs = tuple(dict.fromkeys(refs))
+        articles.append(article(f"P{i:04d}", journals[j].id, year, refs))
+    return build_corpus(journals + articles)
+
+
+def test_oracle_equivalence_over_a_wide_taxonomy():
+    # With 112 seed labels the vote kernel's block holds _BLOCK_CELLS // 112
+    # = 146 open articles, so the larger corpora cross block edges.
+    rng = np.random.default_rng(26)
+    crossed = 0
+    for i in range(2 * len(ORACLE_CONFIGS)):
+        corpus = wide_corpus(rng, int(rng.integers(150, 500)))
+        config = ORACLE_CONFIGS[i % len(ORACLE_CONFIGS)]
+        result = classify(corpus, WIDE_TAXONOMY, config)
+        assert result == naive_classify(corpus, WIDE_TAXONOMY, config)
+        table = result.assignments
+        if config.mode != MODE_BROAD_AREA:
+            width = len(table.tally[0])
+            assert width >= 100
+            n_open = np.count_nonzero(table.status != STATUSES.index(STATUS_SEEDED))
+            crossed += n_open > classifier._BLOCK_CELLS // width
+    assert crossed >= 5
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
@@ -531,15 +598,25 @@ def test_emit_and_read_assignments(toy_taxonomy):
         assert table[a_id].iteration == a.iteration
 
 
-def test_emit_assignments_sorts_any_mapping():
+def test_emit_assignments_sorts_any_table():
     corpus, taxonomy = random_corpus(np.random.default_rng(5), max_articles=200)
     result = classify(corpus, taxonomy)
     text = emit_assignments(result)
-    backwards = dict(reversed(list(result.assignments.items())))
-    assert emit_assignments(ClassificationResult(backwards, 1, ())) == text
     shuffled = read_assignments(reversed(text.splitlines(keepends=True)))
-    assert list(shuffled) == list(backwards)
+    assert list(shuffled) == list(result.assignments)[::-1]
     assert emit_assignments(ClassificationResult(shuffled, 1, ())) == text
+
+
+def test_emit_and_evaluate_take_only_an_assignment_table(toy_taxonomy):
+    result = classify(seeded_corpus(), toy_taxonomy)
+    as_dict = dict(result.assignments.items())
+    for assignments, name in ((as_dict, "dict"), ({}, "dict"), (None, "NoneType")):
+        held = ClassificationResult(assignments, 1, ())
+        message = f"assignments must be an AssignmentTable, got {name}$"
+        with pytest.raises(ConfigError, match=message):
+            emit_assignments(held)
+        with pytest.raises(ConfigError, match=message):
+            evaluate_accuracy(held, None, toy_taxonomy)
 
 
 SEED_ROW ="P1\tOncology\tMedicine\tjournal-seeded\t0\t0"

@@ -201,6 +201,20 @@ def test_failed_synth_keeps_every_prior_output(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["c.tsv", "t.tsv", "x.tsv"]
 
 
+@pytest.mark.parametrize("truth", ["x.tsv", "./x.tsv"])
+def test_synth_rejects_two_outputs_that_name_one_file(tmp_path, monkeypatch, capsys, truth):
+    monkeypatch.chdir(tmp_path)
+    Path("synth.json").write_text(json.dumps(SYNTH_CONFIG))
+    Path("x.tsv").write_bytes(b"prior bytes\n")
+    args = ["synth", "--config", "synth.json", "--seed", "1", "--out-corpus", "x.tsv"]
+    assert run_cli(args + ["--out-truth", truth, "--out-taxonomy", "taxonomy.tsv"]) == 2
+    assert capsys.readouterr().err == (
+        "error:usage:--out-corpus, --out-truth and --out-taxonomy must name different files\n"
+    )
+    assert Path("x.tsv").read_bytes() == b"prior bytes\n"
+    assert sorted(os.listdir()) == ["synth.json", "x.tsv"]
+
+
 def _synth(tmp_path, name: str = "synth") -> tuple:
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(SYNTH_CONFIG))
@@ -805,6 +819,22 @@ def test_report_table_that_is_not_utf8_is_one_line_parse_error(toy_files, tmp_pa
     assert err.startswith("error:parse:")
     assert err.count("\n") == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_report_round_trips_a_journal_id_that_splitlines_would_split(toy_files, tmp_path, char):
+    corpus, taxonomy = toy_files
+    journal_id = f"J{char}G"
+    corpus.write_text(TOY_CORPUS_TEXT.replace("JG", journal_id), encoding="utf-8")
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    in_dir, out_dir = tmp_path / "ind", tmp_path / "out"
+    args = _indicators_args(corpus, taxonomy, assignments, in_dir)
+    args[args.index("JG")] = journal_id
+    assert run_cli(args) == 0
+    assert journal_id in (in_dir / "summary.tsv").read_text(encoding="utf-8")
+    assert run_cli(["report", "--in-dir", str(in_dir), "--out-dir", str(out_dir)]) == 0
+    for name in TABLE_FILES:
+        assert (out_dir / name).read_bytes() == (in_dir / name).read_bytes()
 
 
 def test_report_rejects_missing_or_corrupt_tables(tmp_path, capsys):

@@ -968,10 +968,10 @@ def test_two_process_read_parses_lines_only_in_its_workers(forks, monkeypatch, t
     log = tmp_path / "pids"
     line_rows = corpus_module._line_rows
 
-    def logged(source, start=1):
+    def logged(source):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return line_rows(source, start)
+        return line_rows(source)
 
     monkeypatch.setattr(corpus_module, "_line_rows", logged)
     path = write_lines(tmp_path / "corpus.tsv", synthetic_lines())

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refclass.indicators as indicators_module
-from refclass.classifier import Assignment, classify
+from refclass.classifier import classify, emit_assignments, read_assignments
 from refclass.corpus import YEAR_BOUNDS, build_corpus
 from refclass.errors import (
     DomainError,
@@ -41,6 +41,15 @@ from conftest import article, journal, random_corpus, ten_field_config, traced_p
 ASTRO = "Astronomy & Astrophysics"
 ONCO = "Oncology"
 MULTI = "Multidisciplinary Sciences"
+
+
+def partial_table(result, keep, stranger: str):
+    """``result``'s assignments read back from its emitted rows, keeping the
+    rows whose index ``keep`` accepts, plus ``stranger``, the fields of a row
+    for the id NOT_IN_CORPUS."""
+    rows = emit_assignments(result).splitlines(keepends=True)
+    kept = [row for i, row in enumerate(rows) if keep(i)]
+    return read_assignments([*kept, f"NOT_IN_CORPUS\t{stranger}\n"])
 
 
 def simple_config(**overrides) -> IndicatorConfig:
@@ -233,12 +242,9 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
         article("LNK", "J00", 2005, refs=("OLD", "FUT", some[4])),
     ]
     corpus = build_corpus([*corpus.journals.values(), *corpus.articles.values(), *far])
-    full = classify(corpus, taxonomy).assignments
     # every fifth corpus article lacks an assignment; one assignment names no corpus article
-    assignments = {a_id: a for i, (a_id, a) in enumerate(full.items()) if i % 5}
-    assignments["NOT_IN_CORPUS"] = Assignment(
-        "NOT_IN_CORPUS", ONCO, "Medicine", "journal-seeded", 0, None
-    )
+    stranger = f"{ONCO}\tMedicine\tjournal-seeded\t0\t0"
+    assignments = partial_table(classify(corpus, taxonomy), lambda i: i % 5, stranger)
     journals = sorted(corpus.journals)
     areas = sorted({taxonomy.broad_area_of(c) for c in taxonomy.assignment_targets})
     tables = build_report_tables(corpus, assignments, taxonomy, journals, config)
@@ -520,11 +526,34 @@ def test_ranking_rejects_a_counted_journal_category_missing_from_the_taxonomy(to
     corpus = build_corpus(
         [journal("JA", ASTRO), journal("JX", ("No Such", ONCO)), article("A1", "JA", 2010)]
     )
-    cube = count_cube(corpus, {}, ("JA", "JX"), simple_config())
+    unclassified = read_assignments(())
+    cube = count_cube(corpus, unclassified, ("JA", "JX"), simple_config())
     with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
         cube.ranking(toy_taxonomy, "Astronomy")
-    only_ja = count_cube(corpus, {}, ("JA",), simple_config()).ranking(toy_taxonomy, "Astronomy")
-    assert [e.journal_id for e in only_ja.entries] == ["JA"]
+    only_ja = count_cube(corpus, unclassified, ("JA",), simple_config())
+    assert [e.journal_id for e in only_ja.ranking(toy_taxonomy, "Astronomy").entries] == ["JA"]
+
+
+def test_count_cube_and_report_tables_take_only_an_assignment_table(toy_taxonomy):
+    corpus = cited_corpus()
+    as_dict = dict(classify(corpus, toy_taxonomy).assignments.items())
+    bad_journal = build_corpus(
+        [*corpus.journals.values(), journal("JX", "No Such"), *corpus.articles.values()]
+    )
+    for assignments, name in (({}, "dict"), (as_dict, "dict"), (None, "NoneType")):
+        with pytest.raises(ConfigError, match=f"must be an AssignmentTable, got {name}$"):
+            count_cube(corpus, assignments, ("J1",), simple_config())
+        with pytest.raises(ConfigError, match=f"must be an AssignmentTable, got {name}$"):
+            build_report_tables(corpus, assignments, toy_taxonomy, ("J1",))
+        # Every check that came before the assignments still comes first.
+        with pytest.raises(UnknownNameError):
+            count_cube(corpus, assignments, ("NOPE",), simple_config())
+        with pytest.raises(ConfigError, match=f"must not name {ALL_SOURCES}"):
+            count_cube(corpus, assignments, (ALL_SOURCES,), simple_config())
+        with pytest.raises(ConfigError, match=f"must not name {COMBINED_SCOPE}"):
+            build_report_tables(corpus, assignments, toy_taxonomy, (COMBINED_SCOPE,))
+        with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
+            build_report_tables(bad_journal, assignments, toy_taxonomy, ("J1",))
 
 
 def test_rank_journals_field_restricts_multidisciplinary(toy_taxonomy):
@@ -702,7 +731,8 @@ def test_impact_year_is_checked_like_the_config_years(year):
     corpus = build_corpus(
         [journal("J1", ONCO), article("P1", "J1", 2010), article("P2", "J1", 2011, refs=("P1",))]
     )
-    cube = count_cube(corpus, {}, ("J1",), IndicatorConfig(if_year_range=(2011, 2011)))
+    config = IndicatorConfig(if_year_range=(2011, 2011))
+    cube = count_cube(corpus, read_assignments(()), ("J1",), config)
     assert cube.impact_factor("J1", 2011).numerator == 1
     with pytest.raises(ConfigError, match="if_year_range"):
         cube.impact_factor("J1", year)
@@ -784,15 +814,13 @@ def same_outcome(a, b) -> bool:
 @given(seed=st.integers(0, 2**16), data=st.data())
 def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(seed, data):
     corpus, taxonomy = random_corpus(np.random.default_rng(seed), max_articles=300)
-    full = classify(corpus, taxonomy).assignments
-    if data.draw(st.booleans(), "plain mapping"):
+    result = classify(corpus, taxonomy)
+    if data.draw(st.booleans(), "rows dropped"):
         # every third article lacks an assignment; one names no corpus article
-        assignments = {a_id: a for i, (a_id, a) in enumerate(full.items()) if i % 3}
-        assignments["NOT_IN_CORPUS"] = Assignment(
-            "NOT_IN_CORPUS", ONCO, "Medicine", "tie-broken", 1, None
-        )
+        stranger = f"{ONCO}\tMedicine\ttie-broken\t1\t0"
+        assignments = partial_table(result, lambda i: i % 3, stranger)
     else:
-        assignments = full
+        assignments = result.assignments
     config = IndicatorConfig(
         window=data.draw(st.integers(1, 4), "window"),
         kappa=data.draw(st.sampled_from((1.0, 1.04, 3, 0.25)), "kappa"),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import refclass.report as report_module
-from refclass.classifier import classify
+from refclass.classifier import classify, read_assignments
 from refclass.corpus import build_corpus
 from refclass.errors import ValidationError
 from refclass.indicators import IndicatorConfig, PrestigeValue, count_cube
@@ -169,11 +169,13 @@ def test_build_report_tables_rejects_a_journal_category_missing_from_the_taxonom
     corpus = build_corpus(
         [journal("JA", ASTRO), journal("JX", (ONCO, "No Such")), article("A1", "JA", 2006)]
     )
+    unclassified = read_assignments(())
     with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
-        build_report_tables(corpus, {}, toy_taxonomy, ("JA",))
+        build_report_tables(corpus, unclassified, toy_taxonomy, ("JA",))
     # Without JX the same call runs, under the default config.
     corpus = build_corpus([journal("JA", ASTRO), article("A1", "JA", 2006)])
-    assert build_report_tables(corpus, {}, toy_taxonomy, ("JA",)).config == IndicatorConfig()
+    tables = build_report_tables(corpus, unclassified, toy_taxonomy, ("JA",))
+    assert tables.config == IndicatorConfig()
 
 
 def test_emit_report_failure_leaves_prior_state(tmp_path, toy_taxonomy):
