@@ -21,8 +21,8 @@ Articles left unclassified carry ``iteration = 0`` and the final-table tally
 that failed to resolve. The result is an :class:`AssignmentTable`: per
 corpus row a category code, a broad-area code, a status code, the iteration
 and the total votes, plus the nonzero tally counts as CSR arrays. It builds
-an :class:`Assignment` only when an entry is read; :func:`read_assignments`
-returns the same kind of table in file order.
+an :class:`Assignment` only when an entry is read. Every table's rows are
+its corpus's rows, :func:`read_assignments`' too: an id outside is an error.
 
 Kernel: seed categories are integer codes in sorted order, read per journal
 and spread to the corpus rows through their journal codes; labels are those
@@ -42,9 +42,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice, repeat
-from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -117,22 +114,23 @@ class IterationStats:
 
 
 class AssignmentTable(Mapping):
-    """Read-only id -> :class:`Assignment` view over row-aligned columns.
+    """Read-only id -> :class:`Assignment` view over a corpus's rows.
 
-    Row ``r`` is the article ``ids[r]``. ``category[r]`` indexes
-    ``categories`` and ``area[r]`` indexes ``areas`` (both name tuples
-    sorted; -1 for none), ``status[r]`` indexes :data:`STATUSES`, and
-    ``iteration[r]`` and ``votes[r]`` are the assignment's iteration and
-    total votes. ``tally`` is ``(labels, indptr, label, count)``: the vote
-    counts of row ``r`` are ``count[k]`` for ``labels[label[k]]`` over
-    ``k`` in ``indptr[r]:indptr[r + 1]``; without it every tally holds only
-    its total. An :class:`Assignment` is built on each read; arrays are
-    read-only.
+    Row ``r`` is the corpus article ``ids[r]``: the table keeps the corpus's
+    ``ids`` and ``row_of`` but not the corpus, whose arrays can be freed.
+    ``category[r]`` indexes ``categories`` and ``area[r]`` indexes ``areas``
+    (both name tuples sorted; -1 for none), ``status[r]`` indexes
+    :data:`STATUSES`, and ``iteration[r]`` and ``votes[r]`` are the
+    assignment's iteration and total votes. ``tally`` is ``(labels, indptr,
+    label, count)``: the vote counts of row ``r`` are ``count[k]`` for
+    ``labels[label[k]]`` over ``k`` in ``indptr[r]:indptr[r + 1]``; without
+    it every tally holds only its total. An :class:`Assignment` is built on
+    each read; arrays are read-only.
     """
 
     def __init__(
         self,
-        ids: Sequence[str],
+        corpus: Corpus,
         categories: tuple[str, ...],
         category: np.ndarray,
         areas: tuple[str, ...],
@@ -142,9 +140,8 @@ class AssignmentTable(Mapping):
         votes: np.ndarray,
         *,
         tally: tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None = None,
-        row_of: Mapping[str, int] | None = None,
     ):
-        self.ids = ids
+        self.ids, self.row_of = corpus.ids, corpus.row_of
         self.categories = categories
         self.category = _frozen(category)
         self.areas = areas
@@ -154,20 +151,9 @@ class AssignmentTable(Mapping):
         self.votes = _frozen(votes)
         if tally is None:
             empty = np.zeros(0, np.int32)
-            tally = ((), np.zeros(len(ids) + 1, np.int64), empty, empty)
+            tally = ((), np.zeros(len(self.ids) + 1, np.int64), empty, empty)
         labels, indptr, label, count = tally
         self.tally = (labels, _frozen(indptr), _frozen(label), _frozen(count))
-        if row_of is not None:
-            self.row_of = row_of
-
-    @cached_property
-    def row_of(self) -> Mapping[str, int]:
-        return MappingProxyType(dict(zip(self.ids, range(len(self.ids)))))
-
-    def corpus_rows(self, corpus: Corpus) -> np.ndarray:
-        """The corpus row of every entry, -1 for an id outside the corpus."""
-        get = corpus.row_of.get
-        return np.fromiter(map(get, self.ids, repeat(-1)), np.int64, count=len(self.ids))
 
     def __getitem__(self, article_id: str) -> Assignment:
         row = self.row_of[article_id]
@@ -218,11 +204,7 @@ def _lookup(values: Sequence[int], codes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Assignments by article id, plus how the iteration went.
-
-    :func:`classify` returns the assignments as an :class:`AssignmentTable`,
-    a lazy view over its result arrays.
-    """
+    """The corpus's :class:`AssignmentTable`, plus how the iteration went."""
 
     assignments: AssignmentTable
     iterations_run: int
@@ -249,16 +231,13 @@ def _area_codes(names: Sequence[str], taxonomy: Taxonomy) -> tuple[tuple[str, ..
 
 
 def seed_assignments(corpus: Corpus, taxonomy: Taxonomy) -> AssignmentTable:
-    """Iteration-0 table: classifier-journal articles seeded, everything else unclassified.
-
-    A lazy view over per-row arrays, like :attr:`ClassificationResult.assignments`.
-    """
+    """Iteration-0 table: classifier-journal articles seeded, everything else unclassified."""
     categories, category = _seeds(corpus, taxonomy)
     areas, category_area = _area_codes(categories, taxonomy)
     n = len(corpus.ids)
     status = np.where(category >= 0, _STATUS_CODE[STATUS_SEEDED], _STATUS_CODE[STATUS_UNCLASSIFIED])
     return AssignmentTable(
-        corpus.ids,
+        corpus,
         categories,
         category,
         areas,
@@ -266,7 +245,6 @@ def seed_assignments(corpus: Corpus, taxonomy: Taxonomy) -> AssignmentTable:
         status.astype(np.int8),
         np.zeros(n, np.int64),
         np.zeros(n, np.int64),
-        row_of=corpus.row_of,
     )
 
 
@@ -382,7 +360,7 @@ def classify(
     tally = (names, indptr, (cells % width).astype(np.int32), snapshot.ravel()[cells])
     label_area = range(len(areas)) if area_mode else category_area
     assignments = AssignmentTable(
-        corpus.ids,
+        corpus,
         categories,
         category if area_mode else label,
         areas,
@@ -391,7 +369,6 @@ def classify(
         iterations,
         total_votes,
         tally=tally,
-        row_of=corpus.row_of,
     )
     return ClassificationResult(assignments, iterations_run, tuple(stats))
 
@@ -456,7 +433,7 @@ def evaluate_accuracy(result: ClassificationResult, truth, taxonomy: Taxonomy) -
 
 
 def emit_assignments(result: ClassificationResult) -> str:
-    """Render the assignment table TSV, rows sorted by article id.
+    """Render the assignment table TSV, one row per corpus article, in id order.
 
     Columns: article_id, category, broad_area, status, iteration,
     total_votes. Unclassified rows carry empty category and broad_area.
@@ -464,22 +441,16 @@ def emit_assignments(result: ClassificationResult) -> str:
     of row strings is alive next to the text.
     """
     table = _require_table(result.assignments)
-    ids = table.ids
-    # Ids are distinct, so ids in ascending order (as corpus rows are) need no sort.
-    if all(map(str.__le__, ids, islice(ids, 1, None))):
-        order = np.arange(len(ids))
-    else:
-        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
     # Code -1 names the empty string.
     categories, areas, statuses = (
         np.array(names + ("",), dtype=object)
         for names in (table.categories, table.areas, STATUSES)
     )
     blocks = []
-    for lo in range(0, len(order), _EMIT_ROWS):
-        rows = order[lo : lo + _EMIT_ROWS]
+    for lo in range(0, len(table.ids), _EMIT_ROWS):
+        rows = slice(lo, lo + _EMIT_ROWS)
         block = zip(
-            [ids[r] for r in rows.tolist()],
+            table.ids[rows],
             categories[table.category[rows]].tolist(),
             areas[table.area[rows]].tolist(),
             statuses[table.status[rows]].tolist(),
@@ -491,17 +462,22 @@ def emit_assignments(result: ClassificationResult) -> str:
     return "".join(blocks) or "\n"
 
 
-def read_assignments(source: Iterable[str]) -> AssignmentTable:
-    """Parse an assignment TSV into an :class:`AssignmentTable` in file order.
+def read_assignments(source: Iterable[str], corpus: Corpus) -> AssignmentTable:
+    """Parse an assignment TSV into an :class:`AssignmentTable` over ``corpus``.
 
-    Reads one row at a time straight from ``source`` and raises the first
-    fault in file order. Each distinct category, area and status name is
-    kept as one string object. Tally details are not stored: each tally
+    Reads one row at a time straight from ``source`` into the row of its id
+    and raises the first fault in file order, a repeated id included; then
+    one :class:`ValidationError` counts the ids outside the corpus and names
+    the smallest. An article the file does not name is unclassified with 0
+    votes. Each distinct name is kept as one string object, and each tally
     holds only its total.
     """
-    ids, cats, areas, statuses, iterations, votes = ([], [], [], [], [], [])
+    n = len(corpus.ids)
+    # A status stays "" until a line names the row.
+    cats, areas, statuses, iterations, votes = [""] * n, [""] * n, [""] * n, [0] * n, [0] * n
     name = {}.setdefault  # one object per distinct category, area and status
-    seen: set[str] = set()
+    row_of = corpus.row_of.get
+    strangers: set[str] = set()
     for line_no, raw in enumerate(source, start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
@@ -527,32 +503,31 @@ def read_assignments(source: Iterable[str]) -> AssignmentTable:
             raise ParseError("non-integer iteration or votes", line_no, raw) from None
         if not (0 <= iteration < 2**63 and 0 <= total < 2**63):
             raise ParseError("iteration and votes must be in [0, 2**63)", line_no, raw)
-        if a_id in seen:
+        row = row_of(a_id)
+        if (a_id in strangers) if row is None else statuses[row]:
             raise ValidationError("duplicate article id", line_no, a_id)
-        seen.add(a_id)
-        ids.append(a_id)
-        cats.append(name(cat, cat))
-        areas.append(name(area, area))
-        statuses.append(name(status, status))
-        iterations.append(iteration)
-        votes.append(total)
-    del seen  # free it before the columns are coded into arrays
-    status = np.fromiter(map(_STATUS_CODE.__getitem__, statuses), np.int8, count=len(statuses))
-    iteration, total_votes = np.array(iterations, np.int64), np.array(votes, np.int64)
-    # _coded gives (names, codes), the order the table takes them in.
-    return AssignmentTable(ids, *_coded(cats), *_coded(areas), status, iteration, total_votes)
-
-
-def _check_assignments(assignments: AssignmentTable, corpus: Corpus, taxonomy: Taxonomy) -> None:
-    """Raise :class:`ValidationError` for ids outside the corpus (all of them,
-    sorted), else for the first entry whose category the taxonomy lacks or
-    files under another broad area."""
-    rows = assignments.corpus_rows(corpus)
-    strangers = sorted(assignments.ids[r] for r in np.flatnonzero(rows < 0).tolist())
+        if row is None:
+            strangers.add(a_id)
+            continue
+        cats[row] = name(cat, cat)
+        areas[row] = name(area, area)
+        statuses[row] = name(status, status)
+        iterations[row] = iteration
+        votes[row] = total
     if strangers:
         raise ValidationError(
-            f"assignments name {len(strangers)} article(s) not in the corpus", token=strangers[0]
+            f"assignments name {len(strangers)} article(s) not in the corpus", token=min(strangers)
         )
+    code = {"": _STATUS_CODE[STATUS_UNCLASSIFIED], **_STATUS_CODE}.__getitem__
+    status = np.fromiter(map(code, statuses), np.int8, count=n)
+    iteration, total_votes = np.array(iterations, np.int64), np.array(votes, np.int64)
+    # _coded gives (names, codes), the order the table takes them in.
+    return AssignmentTable(corpus, *_coded(cats), *_coded(areas), status, iteration, total_votes)
+
+
+def _check_assignments(assignments: AssignmentTable, taxonomy: Taxonomy) -> None:
+    """Raise :class:`ValidationError` for the first row whose category the
+    taxonomy lacks or files under another broad area."""
     # Per row, the table's code of its category's taxonomy area; -1 without a
     # category, -2 (no row's) if the taxonomy or the table lacks the name.
     area_code = {area: code for code, area in enumerate(assignments.areas)}

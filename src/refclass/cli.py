@@ -124,13 +124,23 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _unique(pairs: list[tuple]) -> dict:
+    """``dict(pairs)``; raises :class:`ConfigError` for a key that repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"synth config repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _cmd_synth(ns: argparse.Namespace) -> int:
     outputs = (ns.out_corpus, ns.out_truth, ns.out_taxonomy)
     if len(set(map(os.path.realpath, outputs))) < len(outputs):
         raise UsageError("--out-corpus, --out-truth and --out-taxonomy must name different files")
     with open(ns.config, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"synth config is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -143,7 +153,7 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     try:
         rate = raw.get("field_citation_rate")
         if isinstance(rate, dict):
-            raw["field_citation_rate"] = {int(k): v for k, v in rate.items()}
+            raw["field_citation_rate"] = _unique([(int(k), v) for k, v in rate.items()])
         config = SyntheticConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth config: {exc}") from None
@@ -191,8 +201,8 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
         raise UsageError("--journals must list at least one journal id")
     taxonomy = _read_file(ns.taxonomy, load_taxonomy)
     corpus = read_corpus(ns.corpus)
-    assignments = _read_file(ns.assignments, read_assignments)
-    _check_assignments(assignments, corpus, taxonomy)
+    assignments = _read_file(ns.assignments, lambda lines: read_assignments(lines, corpus))
+    _check_assignments(assignments, taxonomy)
     config = IndicatorConfig(
         window=ns.window,
         kappa=ns.kappa,

@@ -31,6 +31,7 @@ from .errors import (
     EmptyScopeError,
     UndefinedValueError,
     UnknownNameError,
+    ValidationError,
 )
 from .taxonomy import BROAD_AREAS, Taxonomy
 
@@ -407,12 +408,11 @@ def count_cube(
     ``config.pub_window``. Its year axes span only those years and the
     impact years' citation windows, and its scope axis only ``journals``
     plus one slot for the rest, so its size does not depend on the corpus.
-    Assignments for ids outside the corpus are ignored; corpus articles
-    without one count as unclassified. Raises :class:`ConfigError` for a
-    string or non-iterable ``journals`` or one that names
-    :data:`ALL_SOURCES`, the scope token of every journal, then
-    :class:`UnknownNameError` for a journal that is not in the corpus, then
-    :class:`ConfigError` for ``assignments`` that are not a table.
+    Raises :class:`ConfigError` for a string or non-iterable ``journals`` or
+    one that names :data:`ALL_SOURCES`, the scope token of every journal,
+    then :class:`UnknownNameError` for a journal not in the corpus, then
+    :class:`ConfigError` for ``assignments`` that are not a table, then
+    :class:`ValidationError` for a table over another corpus's articles.
     """
     requested = list(_journal_ids(journals, "journals"))
     if ALL_SOURCES in requested:
@@ -425,8 +425,10 @@ def count_cube(
 
     scope_of = dict.fromkeys(corpus.journal_ids, len(journals))
     scope_of.update((j, i) for i, j in enumerate(journals))
-    # Area slots: 0 for unclassified, then every area the table names, sorted.
     table = _require_table(assignments)
+    if table.ids is not corpus.ids and table.ids != corpus.ids:
+        raise ValidationError("assignments cover another corpus's articles")
+    # Area slots: 0 for unclassified, then every area the table names, sorted.
     present = np.flatnonzero(np.bincount(table.area[table.area >= 0], minlength=len(table.areas)))
     area_slots = {table.areas[c]: slot for slot, c in enumerate(present.tolist(), start=1)}
     slot_of = np.zeros(len(table.areas) + 1, dtype=np.int64)  # code -1 reads the last
@@ -435,10 +437,7 @@ def count_cube(
 
     # One cell (scope, area, publication year) per article, -1 for other doc
     # types and outside the years.
-    area = np.zeros(len(corpus.ids), dtype=np.int64)
-    rows = table.corpus_rows(corpus)
-    inside = rows >= 0
-    area[rows[inside]] = slot_of[table.area[inside]]
+    area = slot_of[table.area]
     scope = np.array([scope_of[j] for j in corpus.journal_ids], dtype=np.int64)
     pub = corpus.years - pub_lo
     counted = (corpus.doc_types == _DOC_CODE["article"]) & (pub >= 0) & (pub < n_pub)

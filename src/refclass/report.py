@@ -130,9 +130,9 @@ def build_report_tables(
     A journal named :data:`COMBINED_SCOPE` or :data:`ALL_SOURCES` would
     share its rows with the pooled set or every journal, so either raises
     :class:`ConfigError`, as do ``assignments`` that are not an
-    :class:`AssignmentTable`. A corpus journal that names a category
-    missing from the taxonomy raises :class:`ValidationError` before
-    anything is counted.
+    :class:`AssignmentTable`. A table over another corpus's articles, or a
+    corpus journal that names a category missing from the taxonomy, raises
+    :class:`ValidationError` before anything is counted.
     """
     taxonomy.check_journals(corpus.journals.values())
     if config is None:

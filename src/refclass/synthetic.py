@@ -103,6 +103,9 @@ class SyntheticConfig:
             missing = [i for i in range(f) if i not in rate]
             if missing:
                 raise ConfigError(f"field_citation_rate missing fields: {missing}")
+            extra = [k for k in rate if k not in range(f)]
+            if extra:
+                raise ConfigError(f"field_citation_rate names no field: {extra}")
             rates = tuple(rate[i] for i in range(f))
         else:
             rates = tuple(rate) if isinstance(rate, Iterable) else (rate,) * f

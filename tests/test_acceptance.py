@@ -283,9 +283,9 @@ def _random_if_case(rng: np.random.Generator):
 def test_criterion_8_kappa_linearity_and_monotonicity():
     with criterion(8, "kappa linearity and monotonicity hold over 1000 randomized cases"):
         rng = np.random.default_rng(31337)
-        bare = read_assignments(())  # no assignments: every article unclassified
         for case in range(1000):
             corpus, records, anchor, year, window = _random_if_case(rng)
+            bare = read_assignments((), corpus)  # no assignments: every article unclassified
             kappa = float(rng.uniform(0.25, 4.0))
             years = (year, year)
             base_cfg = IndicatorConfig(window=window, kappa=1.0, if_year_range=years)
@@ -301,6 +301,7 @@ def test_criterion_8_kappa_linearity_and_monotonicity():
                 "ZZEXTRA", anchor.journal_id, year, "article", (anchor.id,)
             )
             grown = build_corpus(records + [extra])
-            vk2 = count_cube(grown, bare, journals, k_cfg).impact_factor(anchor.journal_id, year)
+            grown_bare = read_assignments((), grown)
+            vk2 = count_cube(grown, grown_bare, journals, k_cfg).impact_factor(anchor.journal_id, year)
             assert vk2.numerator == vk.numerator + 1, f"case {case}"
             assert vk2.value >= vk.value, f"case {case}"

@@ -590,7 +590,7 @@ def test_emit_and_read_assignments(toy_taxonomy):
     for ln in unclassified:
         cols = ln.split("\t")
         assert cols[1] == "" and cols[2] == ""
-    table = read_assignments(text.splitlines(keepends=True))
+    table = read_assignments(text.splitlines(keepends=True), corpus)
     for a_id, a in result.assignments.items():
         assert table[a_id].category == a.category
         assert table[a_id].broad_area == a.broad_area
@@ -599,11 +599,16 @@ def test_emit_and_read_assignments(toy_taxonomy):
 
 
 def test_emit_assignments_sorts_any_table():
+    """A file's row order does not matter: a table's rows are its corpus's."""
     corpus, taxonomy = random_corpus(np.random.default_rng(5), max_articles=200)
     result = classify(corpus, taxonomy)
     text = emit_assignments(result)
-    shuffled = read_assignments(reversed(text.splitlines(keepends=True)))
-    assert list(shuffled) == list(result.assignments)[::-1]
+    lines = text.splitlines(keepends=True)
+    table, shuffled = (read_assignments(rows, corpus) for rows in (lines, lines[::-1]))
+    assert shuffled.ids is table.ids is corpus.ids
+    for column in ("category", "area", "status", "iteration", "votes"):
+        assert np.array_equal(getattr(shuffled, column), getattr(table, column)), column
+    assert (shuffled.categories, shuffled.areas) == (table.categories, table.areas)
     assert emit_assignments(ClassificationResult(shuffled, 1, ())) == text
 
 
@@ -729,6 +734,19 @@ MALFORMED_ASSIGNMENTS = {
         [SEED_ROW, "P5\t\t\tunclassified\t0\tmany", "P4\t\t\tpending\t0\t0"],
         (ParseError, "non-integer iteration or votes", 2, "P5\t\t\tunclassified\t0\tmany\n"),
     ),
+    # P4 to P9 are not in the corpus.
+    "strangers": (
+        [SEED_ROW, "P9\t\t\tunclassified\t0\t0", OPEN_ROW, "P4\t\t\tunclassified\t0\t0"],
+        (ValidationError, "assignments name 2 article(s) not in the corpus", None, "P4"),
+    ),
+    "stranger-repeated": (
+        [SEED_ROW, "P9\t\t\tunclassified\t0\t0", " P9\t\t\tunclassified\t0\t1"],
+        (ValidationError, "duplicate article id", 3, "P9"),
+    ),
+    "stranger-before-bad-columns": (
+        ["P9\t\t\tunclassified\t0\t0", SEED_ROW, "P4\tOncology"],
+        (ParseError, "assignment row needs 6 columns, got 2", 3, "P4\tOncology\n"),
+    ),
 }
 
 
@@ -736,7 +754,7 @@ MALFORMED_ASSIGNMENTS = {
 def test_read_assignments_raises_the_first_fault(name):
     rows, (cls, message, line_no, token) = MALFORMED_ASSIGNMENTS[name]
     with pytest.raises(cls) as exc:
-        read_assignments([row + "\n" for row in rows])
+        read_assignments([row + "\n" for row in rows], seeded_corpus())
     assert type(exc.value) is cls
     assert (exc.value.line_no, exc.value.token) == (line_no, token)
     assert str(exc.value) == str(InputError(message, line_no, token))
@@ -750,7 +768,7 @@ def test_read_assignments_strips_padded_fields():
         "P2\t \t\tunclassified \t0\t 3\n",
         REF_ROW + "  \n",
     ]
-    table = read_assignments(lines)
+    table = read_assignments(lines, seeded_corpus())
     assert list(table) == ["P1", "P2", "P3"]
     assert dict(table) == {
         "P1": Assignment("P1", ONCO, "Medicine", STATUS_SEEDED, 0, VoteTally({}, 0)),
@@ -764,8 +782,8 @@ def test_read_assignments_traced_peak_is_bounded():
     text = emit_assignments(classify(corpus, taxonomy))
     lines = text.splitlines(keepends=True)
     assert len(lines) == 2600
-    peak = traced_peak(lambda: read_assignments(lines))
-    assert peak <= 6 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
+    peak = traced_peak(lambda: read_assignments(lines, corpus))
+    assert peak <= 2 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
 
 
 def test_emit_assignments_traced_peak_is_bounded():

@@ -665,7 +665,11 @@ def test_assignments_that_are_not_utf8_after_a_bad_row_are_one_utf8_error(
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("content", [b'{"num_fields": 3,', b"\xff{}"], ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"num_fields": 3,', b"\xff{}", json.dumps(SYNTH_CONFIG)[:-1].encode() + b', "mean_refs": 9.0}'],
+    ids=["truncated", "not-utf8", "repeated-key"],
+)
 def test_synth_config_that_is_not_json_is_one_line_config_error(tmp_path, capsys, content):
     config = tmp_path / "synth.json"
     config.write_bytes(content)
@@ -688,6 +692,7 @@ def test_synth_config_that_is_not_json_is_one_line_config_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error:config:")
     assert err.count("\n") == 1
+    assert not (tmp_path / "c.tsv").exists()
 
 
 @pytest.mark.parametrize(
@@ -702,6 +707,9 @@ def test_synth_config_that_is_not_json_is_one_line_config_error(tmp_path, capsys
         pytest.param({"field_citation_rate": {"zero": 1.0}}, id="non-integer-field-key"),
         pytest.param({"field_citation_rate": {"0": True, "1": 1, "2": 1}}, id="bool-field-rate"),
         pytest.param({"field_citation_rate": {"0": "5", "1": 1, "2": 1}}, id="string-field-rate"),
+        pytest.param(
+            {"field_citation_rate": {"0": 1.0, "-0": 4.0, "1": 1.5, "2": 2.0}}, id="one-field-twice"
+        ),
         pytest.param({"mean_refs": True}, id="bool-mean-refs"),
         pytest.param({"mean_refs": float("inf")}, id="infinite-mean-refs"),
         pytest.param({"mean_refs": 1e30}, id="huge-mean-refs"),
@@ -901,7 +909,8 @@ def test_every_public_name_resolves():
 
 
 # assignment rows checked against the toy corpus and taxonomy -> the error
-# the parent raised: (message, token)
+# they raise: (message, token). A table's rows are the corpus's, so the
+# first inconsistent row in corpus order wins whatever the file order.
 INCONSISTENT_ASSIGNMENTS = {
     "stranger-before-bad-category": (
         [
@@ -911,22 +920,22 @@ INCONSISTENT_ASSIGNMENTS = {
         ],
         ("assignments name 2 article(s) not in the corpus", "AA"),
     ),
-    "wrong-area-first-in-file": (
+    "missing-category-first-in-corpus-order": (
         [
             "P3\tOncology\tAstronomy\tjournal-seeded\t0\t0",
             "P1\tNo Such Category\tAstronomy\tjournal-seeded\t0\t0",
         ],
-        (
-            "assignment of 'P3' files 'Oncology' under 'Astronomy'; the taxonomy says 'Medicine'",
-            None,
-        ),
+        ("assignment of 'P1' names a category missing from the taxonomy", "No Such Category"),
     ),
-    "missing-category-first-in-file": (
+    "wrong-area-first-in-corpus-order": (
         [
             "P3\tNo Such Category\tMedicine\tjournal-seeded\t0\t0",
             "P1\tOncology\tAstronomy\tjournal-seeded\t0\t0",
         ],
-        ("assignment of 'P3' names a category missing from the taxonomy", "No Such Category"),
+        (
+            "assignment of 'P1' files 'Oncology' under 'Astronomy'; the taxonomy says 'Medicine'",
+            None,
+        ),
     ),
 }
 
@@ -937,6 +946,6 @@ def test_check_assignments_raises_the_first_inconsistency(name):
     taxonomy = load_taxonomy(TOY_TAXONOMY_TEXT.splitlines(keepends=True))
     corpus = read_corpus(TOY_CORPUS_TEXT.splitlines(keepends=True))
     with pytest.raises(ValidationError) as exc:
-        _check_assignments(read_assignments([row + "\n" for row in rows]), corpus, taxonomy)
+        _check_assignments(read_assignments([row + "\n" for row in rows], corpus), taxonomy)
     assert (exc.value.line_no, exc.value.token) == (None, token)
     assert str(exc.value) == str(ValidationError(message, token=token))

@@ -43,13 +43,21 @@ ONCO = "Oncology"
 MULTI = "Multidisciplinary Sciences"
 
 
-def partial_table(result, keep, stranger: str):
+def partial_table(corpus, result, keep, stranger: str):
     """``result``'s assignments read back from its emitted rows, keeping the
-    rows whose index ``keep`` accepts, plus ``stranger``, the fields of a row
-    for the id NOT_IN_CORPUS."""
+    rows whose index ``keep`` accepts; and the same rows with every dropped
+    one listed as unclassified with 0 votes instead. The kept rows plus
+    ``stranger``, the fields of a row for the id NOT_IN_CORPUS, must not read."""
     rows = emit_assignments(result).splitlines(keepends=True)
     kept = [row for i, row in enumerate(rows) if keep(i)]
-    return read_assignments([*kept, f"NOT_IN_CORPUS\t{stranger}\n"])
+    listed = [
+        row if keep(i) else row.split("\t")[0] + "\t\t\tunclassified\t0\t0\n"
+        for i, row in enumerate(rows)
+    ]
+    message = r"^assignments name 1 article\(s\) not in the corpus, token 'NOT_IN_CORPUS'$"
+    with pytest.raises(ValidationError, match=message):
+        read_assignments([*kept, f"NOT_IN_CORPUS\t{stranger}\n"], corpus)
+    return read_assignments(kept, corpus), read_assignments(listed, corpus)
 
 
 def simple_config(**overrides) -> IndicatorConfig:
@@ -242,14 +250,19 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
         article("LNK", "J00", 2005, refs=("OLD", "FUT", some[4])),
     ]
     corpus = build_corpus([*corpus.journals.values(), *corpus.articles.values(), *far])
-    # every fifth corpus article lacks an assignment; one assignment names no corpus article
+    # every fifth corpus article lacks an assignment; an assignment for an
+    # article outside the corpus is rejected
     stranger = f"{ONCO}\tMedicine\tjournal-seeded\t0\t0"
-    assignments = partial_table(classify(corpus, taxonomy), lambda i: i % 5, stranger)
+    result = classify(corpus, taxonomy)
+    assignments, listed = partial_table(corpus, result, lambda i: i % 5, stranger)
     journals = sorted(corpus.journals)
     areas = sorted({taxonomy.broad_area_of(c) for c in taxonomy.assignment_targets})
     tables = build_report_tables(corpus, assignments, taxonomy, journals, config)
 
     cube = count_cube(corpus, assignments, journals, config)
+    # A dropped row counts like a row listed as unclassified.
+    listed_cube = count_cube(corpus, listed, journals, config)
+    assert np.array_equal(listed_cube.den, cube.den) and np.array_equal(listed_cube.num, cube.num)
     lo, hi = config.if_year_range
     pub_lo = min(config.pub_window[0], lo - config.window)
     pub_hi = max(config.pub_window[1], hi - 1)
@@ -526,7 +539,7 @@ def test_ranking_rejects_a_counted_journal_category_missing_from_the_taxonomy(to
     corpus = build_corpus(
         [journal("JA", ASTRO), journal("JX", ("No Such", ONCO)), article("A1", "JA", 2010)]
     )
-    unclassified = read_assignments(())
+    unclassified = read_assignments((), corpus)
     cube = count_cube(corpus, unclassified, ("JA", "JX"), simple_config())
     with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
         cube.ranking(toy_taxonomy, "Astronomy")
@@ -554,6 +567,26 @@ def test_count_cube_and_report_tables_take_only_an_assignment_table(toy_taxonomy
             build_report_tables(corpus, assignments, toy_taxonomy, (COMBINED_SCOPE,))
         with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
             build_report_tables(bad_journal, assignments, toy_taxonomy, ("J1",))
+
+
+def test_count_cube_and_report_tables_reject_a_table_of_another_corpus(toy_taxonomy):
+    corpus = cited_corpus()
+    records = [*corpus.journals.values(), *corpus.articles.values()]
+    grown = build_corpus([*records, article("P5", "J1", 2011)])
+    shrunk = build_corpus([r for r in records if r.id != "C9"])
+    message = "^assignments cover another corpus's articles$"
+    for other in (grown, shrunk):
+        foreign = classify(other, toy_taxonomy).assignments
+        with pytest.raises(ValidationError, match=message):
+            count_cube(corpus, foreign, ("J1",), simple_config())
+        with pytest.raises(ValidationError, match=message):
+            build_report_tables(corpus, foreign, toy_taxonomy, ("J1",))
+    # A corpus built again from the same records has the same articles.
+    twin = classify(build_corpus(records), toy_taxonomy).assignments
+    own = classify(corpus, toy_taxonomy).assignments
+    assert twin.ids is not own.ids
+    twin_cube, own_cube = (count_cube(corpus, t, ("J1",), simple_config()) for t in (twin, own))
+    assert np.array_equal(twin_cube.num, own_cube.num)
 
 
 def test_rank_journals_field_restricts_multidisciplinary(toy_taxonomy):
@@ -732,7 +765,7 @@ def test_impact_year_is_checked_like_the_config_years(year):
         [journal("J1", ONCO), article("P1", "J1", 2010), article("P2", "J1", 2011, refs=("P1",))]
     )
     config = IndicatorConfig(if_year_range=(2011, 2011))
-    cube = count_cube(corpus, read_assignments(()), ("J1",), config)
+    cube = count_cube(corpus, read_assignments((), corpus), ("J1",), config)
     assert cube.impact_factor("J1", 2011).numerator == 1
     with pytest.raises(ConfigError, match="if_year_range"):
         cube.impact_factor("J1", year)
@@ -816,9 +849,9 @@ def test_library_entry_points_raise_only_refclass_errors_and_match_brute_force(s
     corpus, taxonomy = random_corpus(np.random.default_rng(seed), max_articles=300)
     result = classify(corpus, taxonomy)
     if data.draw(st.booleans(), "rows dropped"):
-        # every third article lacks an assignment; one names no corpus article
+        # every third article lacks an assignment; one outside the corpus is rejected
         stranger = f"{ONCO}\tMedicine\ttie-broken\t1\t0"
-        assignments = partial_table(result, lambda i: i % 3, stranger)
+        assignments = partial_table(corpus, result, lambda i: i % 3, stranger)[0]
     else:
         assignments = result.assignments
     config = IndicatorConfig(

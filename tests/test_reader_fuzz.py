@@ -20,6 +20,8 @@ TOKEN = st.text(alphabet=SEPARATORS + "AJPX12", max_size=6)
 PAD = st.sampled_from(("", " ", "\r", "\xa0", "\u3000", "\x85"))
 JOURNAL_ROWS = "J\tJ1\tJournal One\tOncology\nJ\tJ2\tJournal Two\tOncology;Cell Biology\n"
 TAXONOMY_ROWS = "Oncology\tMedicine\t\nCell Biology\tBioscience\t\n"
+ARTICLE_ROWS = "".join(f"A\tP{i}\tJ1\t2010\tarticle\t\n" for i in (1, 2, 3))
+STRANGERS = "ValidationError:assignments name "
 
 
 def name(head: str) -> st.SearchStrategy[str]:
@@ -97,6 +99,15 @@ def read_or_reject(reader, text: str):
         return None
 
 
+def assignment_fault(text: str, corpus) -> str | None:
+    """The error reading ``text`` against ``corpus`` raises, as type and message."""
+    try:
+        read_assignments(lines_of(text), corpus)
+    except RefclassError as exc:
+        return f"{type(exc).__name__}:{exc}"
+    return None
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(
     corpus=text_of(corpus_row, JOURNAL_ROWS),
@@ -105,7 +116,13 @@ def read_or_reject(reader, text: str):
 )
 @example(corpus="J\tJ1\tN\tOncology\nA\tP\r1\tJ1\t2010\tarticle\t\n", assignments="", taxonomy="")
 def test_readers_raise_only_refclass_errors_and_corpora_round_trip(corpus, assignments, taxonomy):
-    read_or_reject(read_assignments, assignments)
+    # Against the corpus of P1 to P3 and against an empty one, where every id
+    # is a stranger: ids outside the corpus are checked only once every line
+    # parses, so every other fault is the same against both.
+    small = read_corpus(lines_of(JOURNAL_ROWS + ARTICLE_ROWS))
+    faults = [assignment_fault(assignments, c) for c in (small, read_corpus([]))]
+    if any(f is not None and not f.startswith(STRANGERS) for f in faults):
+        assert faults[0] == faults[1]
     read_or_reject(load_taxonomy, taxonomy)
     accepted = read_or_reject(read_corpus, corpus)
     if accepted is not None:

@@ -169,7 +169,7 @@ def test_build_report_tables_rejects_a_journal_category_missing_from_the_taxonom
     corpus = build_corpus(
         [journal("JA", ASTRO), journal("JX", (ONCO, "No Such")), article("A1", "JA", 2006)]
     )
-    unclassified = read_assignments(())
+    unclassified = read_assignments((), corpus)
     with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
         build_report_tables(corpus, unclassified, toy_taxonomy, ("JA",))
     # Without JX the same call runs, under the default config.

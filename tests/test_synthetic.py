@@ -345,3 +345,5 @@ def test_config_validation():
         small_config(general_field_mix=(10**400, 0))
     with pytest.raises(ConfigError, match="missing fields"):
         small_config(field_citation_rate={0: 1.0})
+    with pytest.raises(ConfigError, match=r"names no field: \[7, -1\]$"):
+        small_config(field_citation_rate={0: 0.5, 1: 0.5, 7: 3.0, -1: 1.0})
