@@ -28,14 +28,17 @@ Kernel: seed categories are integer codes in sorted order, read per journal
 and spread to the corpus rows through their journal codes; labels are those
 codes, or broad-area codes in broad-area mode. The label table runs on past
 the rows with -1 for every dangling id, so any reference code indexes it and
-a dangling reference counts like an unlabeled one. One vote function fills a
-reused ``int32`` tally matrix (non-seeded articles x seed labels) with one
-``np.bincount`` per fixed block of articles, gathering each block's
-references straight from the corpus's CSR, so its transients are O(block)
-and no copy of the references is kept. It runs once on the seed table and
-again after every iteration that moved a label, so each iteration and the
-terminal pass read the tallies of the current table, and no table is
-tallied twice. The kernel runs on one thread.
+a dangling reference counts like an unlabeled one. Each iteration is one
+pass over fixed blocks of non-seeded articles: a block gathers its
+references straight from the corpus's CSR, counts them with one
+``np.bincount``, reduces the counts to each article's total, tie flag and
+first leader, and decides its new labels at once. The new labels go into
+the table only after the pass, so updates stay synchronous. An article whose
+label is set keeps that block's nonzero tally cells as its record, replacing
+any earlier one, and the terminal pass votes only the articles left
+unlabeled. So no array is ever as large as non-seeded articles x seed
+labels, and the memory grows neither with the taxonomy nor with the
+iterations run. The kernel runs on one thread.
 """
 
 from __future__ import annotations
@@ -202,6 +205,65 @@ def _lookup(values: Sequence[int], codes: np.ndarray) -> np.ndarray:
     return np.append(np.asarray(values, dtype=np.int32), np.int32(-1))[codes]
 
 
+def _leaders(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per tally column: total votes, whether the lead is tied, and the first leader."""
+    # Ufunc methods, not their wrappers, as in the block loop.
+    tied = np.add.reduce(counts == np.maximum.reduce(counts), axis=0) > 1
+    return np.add.reduce(counts), tied, counts.argmax(axis=0)
+
+
+class _Cells:
+    """The nonzero tally cells ``(row, label, count)`` of each row's last record.
+
+    Each column is a growable ``int32`` array, in the order the cells were
+    added. :meth:`end_pass` drops the cells that a later record of the same
+    row replaced, so at most one record per row is kept.
+    """
+
+    def __init__(self, n_rows: int):
+        self.columns = [np.empty(1 << 10, np.int32) for _ in range(3)]
+        self.size = self.mark = 0
+        self.fresh = np.zeros(n_rows, bool)  # rows recorded since the mark
+
+    def add(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Add the nonzero cells of ``counts`` (labels x ``rows``) as the records
+        of ``rows``, by row then label; returns each row's number of cells."""
+        at, label = counts.T.nonzero()
+        end = self.size + len(at)
+        for k, values in enumerate((rows[at], label, counts[label, at])):
+            column = self.columns[k]
+            if end > len(column):  # grown one column at a time
+                self.columns[k] = np.empty(max(end, len(column) * 3 // 2), np.int32)
+                self.columns[k][: self.size] = column[: self.size]
+                column = self.columns[k]
+            column[self.size : end] = values
+        self.size = end
+        self.fresh[rows] = True
+        return np.bincount(at, minlength=len(rows))
+
+    def end_pass(self) -> None:
+        """Drop the cells before the mark of the rows recorded since, and mark the end."""
+        size, mark = self.size, self.mark
+        keep = ~self.fresh[self.columns[0][:mark]]
+        kept = int(np.count_nonzero(keep))
+        if kept < mark:
+            for column in self.columns:
+                column[:kept] = column[:mark][keep]
+                column[kept : kept + size - mark] = column[mark:size]
+            self.size = kept + size - mark
+        self.mark = self.size
+        self.fresh[:] = False
+
+    def in_row_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The labels and counts of the kept cells, ordered by row, then label;
+        the columns are freed."""
+        row, label, count = (column[: self.size] for column in self.columns)
+        self.columns = []
+        order = np.argsort(row, kind="stable")
+        del row
+        return label[order], count[order]
+
+
 @dataclass(frozen=True)
 class ClassificationResult:
     """The corpus's :class:`AssignmentTable`, plus how the iteration went."""
@@ -255,9 +317,12 @@ def classify(
 ) -> ClassificationResult:
     """Run the full iterative classification to its fixed point.
 
-    One vote kernel, run on one thread, serves every iteration and the
-    terminal pass. The assignments are an :class:`AssignmentTable` over the
-    corpus rows. Raises :class:`ValidationError` when a journal names a
+    One block generator, run on one thread, serves every iteration and the
+    terminal pass. Each iteration votes and decides one block at a time
+    against the previous table; the terminal pass revisits only the articles
+    still unlabeled. The assignments are an :class:`AssignmentTable` over the
+    corpus rows, whose tallies are the cells each article kept at its last
+    label change. Raises :class:`ValidationError` when a journal names a
     category missing from the taxonomy.
     """
     if config is None:
@@ -265,7 +330,7 @@ def classify(
     area_mode = config.mode == MODE_BROAD_AREA
 
     # Labels only come from seeds. Their codes follow sorted order, so argmax
-    # over a row picks the lexicographically smallest leader.
+    # over an article's tally picks the lexicographically smallest leader.
     categories, category = _seeds(corpus, taxonomy)
     areas, category_area = _area_codes(categories, taxonomy)
     names = areas if area_mode else categories
@@ -277,87 +342,98 @@ def classify(
     open_rows = np.flatnonzero(label < 0)
     n_open, width = len(open_rows), max(len(names), 1)
     block = max(_BLOCK_CELLS // width, 1)
-    counts = np.empty((n_open, width), np.int32)
 
-    def votes():
-        """Per open article: total votes, leader count and first leader.
+    def tallies(rows: np.ndarray):
+        """Yield ``(lo, counts)`` per block of ``rows`` under the current ``table``.
 
-        Fills ``counts`` from the current ``table``, a block of open articles
-        at a time, reading their references straight from the corpus's CSR.
-        Key column 0 of a block catches the unlabeled and dangling (-1)
-        references and is dropped.
+        ``counts[c, i]`` is the number of references of ``rows[lo + i]``
+        labeled ``c``, read straight from the corpus's CSR. Key row 0 of a
+        block catches the unlabeled and dangling (-1) references and is
+        dropped. Labels run down the rows, so each reduction over a block's
+        articles is elementwise.
         """
-        for lo in range(0, n_open, block):
-            rows = open_rows[lo : lo + block]
-            start = corpus.indptr[rows]
-            size = corpus.indptr[rows + 1] - start
-            # The k-th reference of the block is corpus.refs[at[k]].
-            at = np.repeat(start - np.cumsum(size) + size, size)
+        for lo in range(0, len(rows), block):
+            part = rows[lo : lo + block]
+            n = len(part)
+            start = corpus.indptr[part]
+            size = corpus.indptr[part + 1] - start
+            # The k-th reference of the block is corpus.refs[at[k]]. Array
+            # methods, not their wrappers: a block may hold a single article.
+            at = (start - size.cumsum() + size).repeat(size)
             at += np.arange(len(at))
-            key = np.repeat(np.arange(len(rows)) * (width + 1) + 1, size)
-            key += table[corpus.refs[at]]
-            tally = np.bincount(key, minlength=len(rows) * (width + 1))
-            counts[lo : lo + len(rows)] = tally.reshape(len(rows), width + 1)[:, 1:]
-        top = counts.max(axis=1)
-        at_top = np.count_nonzero(counts == top[:, None], axis=1)
-        return counts.sum(axis=1), at_top, counts.argmax(axis=1)
+            # Key (label + 1) * n + article: (width + 1) * n keys, at most
+            # 2 * _BLOCK_CELLS or width + 1, so int32 holds them.
+            key = table[corpus.refs[at]]
+            del at  # the block's other arrays go too before it is yielded
+            key *= n
+            key += np.arange(n, 2 * n, dtype=np.int32).repeat(size)
+            del start, size
+            tally = np.bincount(key, minlength=(width + 1) * n)
+            del key
+            yield lo, tally[n:].reshape(width, n)
 
-    # Per open article: iteration of the last label change, whether it came
-    # through a tie, and the tally snapshot of that change.
-    set_iteration = np.zeros(n_open, np.int64)
-    via_tie = np.zeros(n_open, bool)
-    snapshot = np.zeros((n_open, width), np.int32)
+    # Per row, the record of its last label change, or of the terminal pass:
+    # iteration, status, total votes, nonzero tally cells (count and cells).
+    iterations = np.zeros(n_rows, np.int64)
+    status = np.full(n_rows, _STATUS_CODE[STATUS_SEEDED], np.int8)
+    total_votes = np.zeros(n_rows, np.int64)
+    indptr = np.zeros(n_rows + 1, np.int64)
+    cells = _Cells(n_rows)
+    tie_broken, reference = _STATUS_CODE[STATUS_TIE_BROKEN], _STATUS_CODE[STATUS_REFERENCE]
+
+    def record(rows, counts, total, tied, iteration):
+        """Set ``rows`` at ``iteration`` with tallies ``counts``, replacing earlier records."""
+        iterations[rows] = iteration
+        status[rows] = np.where(tied, tie_broken, reference)
+        total_votes[rows] = total
+        indptr[rows + 1] = cells.add(rows, counts)
+
     lexicographic = config.tie_policy == TIE_LEXICOGRAPHIC
-
+    # The open rows' labels; each pass writes the next table here, and
+    # ``label`` takes it after the pass, so every block reads the same table.
+    new = np.full(n_open, -1, np.int32)
     stats: list[IterationStats] = []
     iterations_run = 0
-    total, at_top, best = votes()
     for iteration in range(1, config.max_iterations + 1):
         iterations_run = iteration
-        tied = at_top > 1
-        won = (total >= config.min_votes) & (lexicographic | ~tied)
-        old = label[open_rows]
-        new = np.where(won, best, -1)
-        moved = new != old
-        set_now = moved & won
-        set_iteration[set_now] = iteration
-        via_tie[set_now] = tied[set_now]
-        np.copyto(snapshot, counts, where=set_now[:, None])
-        label[open_rows] = new
-        newly = int(np.count_nonzero(moved & (old < 0)))
+        for lo, counts in tallies(open_rows):
+            total, tied, best = _leaders(counts)
+            won = total >= config.min_votes
+            if not lexicographic:
+                won &= ~tied
+            old = new[lo : lo + len(total)]
+            set_now = (won & (best != old)).nonzero()[0]
+            np.copyto(old, np.where(won, best, -1))
+            if len(set_now):
+                rows = open_rows[lo + set_now]
+                record(rows, counts[:, set_now], total[set_now], tied[set_now], iteration)
+        before = label[open_rows]
+        moved = new != before
+        newly = int(np.count_nonzero(moved & (before < 0)))
         changed = int(np.count_nonzero(moved)) - newly
+        label[open_rows] = new
+        del before, moved
+        cells.end_pass()
         stats.append(IterationStats(iteration, newly, changed))
         if newly == 0 and changed == 0:
             break
-        total, at_top, best = votes()
 
-    # Terminal pass: the tallies above read the final table; break remaining
-    # ties and keep the final tally of every article still unlabeled.
-    unlabeled = label[open_rows] < 0
-    broken = unlabeled & (total >= config.min_votes) & (at_top > 1)
-    label[open_rows[broken]] = best[broken]
-    set_iteration[broken] = iterations_run
-    via_tie[broken] = True
-    np.copyto(snapshot, counts, where=unlabeled[:, None])
-    del counts, total, at_top, best  # the result below needs only the snapshots
-
-    final = label[open_rows]
-    status = np.full(n_rows, _STATUS_CODE[STATUS_SEEDED], np.int8)
-    status[open_rows] = np.select(
-        [final < 0, via_tie],
-        [_STATUS_CODE[STATUS_UNCLASSIFIED], _STATUS_CODE[STATUS_TIE_BROKEN]],
-        _STATUS_CODE[STATUS_REFERENCE],
-    )
-    iterations = np.zeros(n_rows, np.int64)
-    iterations[open_rows] = np.where(final < 0, 0, set_iteration)
-    total_votes = np.zeros(n_rows, np.int64)
-    total_votes[open_rows] = snapshot.sum(axis=1)
-    # The tally snapshots as CSR over all rows; seeds hold none.
-    indptr = np.zeros(n_rows + 1, np.int64)
-    indptr[open_rows + 1] = np.count_nonzero(snapshot, axis=1)
+    # Terminal pass over the rows still unlabeled, on the final table: break
+    # their remaining ties and keep their final tallies.
+    unlabeled = np.flatnonzero(new < 0)
+    for lo, counts in tallies(open_rows[unlabeled]):
+        total, tied, best = _leaders(counts)
+        at = unlabeled[lo : lo + len(total)]
+        broken = (total >= config.min_votes) & tied
+        new[at[broken]] = best[broken]
+        record(open_rows[at], counts, total, broken, iterations_run)
+    label[open_rows] = new
+    cells.end_pass()
+    left = open_rows[new < 0]
+    status[left] = _STATUS_CODE[STATUS_UNCLASSIFIED]
+    iterations[left] = 0
     np.cumsum(indptr, out=indptr)
-    cells = np.flatnonzero(snapshot)
-    tally = (names, indptr, (cells % width).astype(np.int32), snapshot.ravel()[cells])
+    tally = (names, indptr, *cells.in_row_order())
     label_area = range(len(areas)) if area_mode else category_area
     assignments = AssignmentTable(
         corpus,

@@ -180,14 +180,14 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
-    taxonomy = _read_file(ns.taxonomy, load_taxonomy)
-    corpus = read_corpus(ns.corpus)
     config = ClassifierConfig(
         max_iterations=ns.max_iter,
         min_votes=ns.min_votes,
         tie_policy=ns.tie_policy,
         mode=ns.mode,
     )
+    taxonomy = _read_file(ns.taxonomy, load_taxonomy)
+    corpus = read_corpus(ns.corpus)
     result = classify(corpus, taxonomy, config)
     # The result keeps the ids; the references and names make room for the text.
     del corpus
@@ -199,16 +199,16 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
     journals = tuple(j.strip() for j in ns.journals.split(",") if j.strip())
     if not journals:
         raise UsageError("--journals must list at least one journal id")
-    taxonomy = _read_file(ns.taxonomy, load_taxonomy)
-    corpus = read_corpus(ns.corpus)
-    assignments = _read_file(ns.assignments, lambda lines: read_assignments(lines, corpus))
-    _check_assignments(assignments, taxonomy)
     config = IndicatorConfig(
         window=ns.window,
         kappa=ns.kappa,
         if_year_range=ns.if_years,
         pub_window=ns.pub_years,
     )
+    taxonomy = _read_file(ns.taxonomy, load_taxonomy)
+    corpus = read_corpus(ns.corpus)
+    assignments = _read_file(ns.assignments, lambda lines: read_assignments(lines, corpus))
+    _check_assignments(assignments, taxonomy)
     tables = build_report_tables(corpus, assignments, taxonomy, journals, config)
     manifest = RunManifest(
         command="indicators",

@@ -38,6 +38,7 @@ from conftest import (
     open_field_config,
     random_corpus,
     ten_field_config,
+    traced,
     traced_peak,
 )
 from naive_classifier import naive_classify
@@ -408,21 +409,28 @@ def test_oracle_equivalence_sample():
         assert classify(corpus, taxonomy, config) == naive_classify(corpus, taxonomy, config)
 
 
-WIDE_TAXONOMY = Taxonomy(
-    [SubjectCategory(f"{area} {k}", area) for area in BROAD_AREAS for k in range(8)]
-    + [SubjectCategory("Multidisciplinary Sciences", "Bioscience", True)]
-)
+def wide_taxonomy(n_categories: int) -> Taxonomy:
+    """``n_categories`` categories spread over the broad areas in turn, plus
+    Multidisciplinary Sciences."""
+    areas = [BROAD_AREAS[k % len(BROAD_AREAS)] for k in range(n_categories)]
+    return Taxonomy(
+        [SubjectCategory(f"{area} {k // len(BROAD_AREAS)}", area) for k, area in enumerate(areas)]
+        + [SubjectCategory("Multidisciplinary Sciences", "Bioscience", True)]
+    )
 
 
-def wide_corpus(rng: np.random.Generator, n_articles: int):
-    """A corpus that seeds every one of :data:`WIDE_TAXONOMY`'s 112 categories.
+WIDE_TAXONOMY = wide_taxonomy(112)
+
+
+def wide_corpus(rng: np.random.Generator, n_articles: int, taxonomy: Taxonomy = WIDE_TAXONOMY):
+    """A corpus that seeds every category of ``taxonomy`` (112 by default).
 
     Each category has one journal; five open journals (two-category and
     multidisciplinary ones) publish about 60% of the articles. An article
     cites mostly articles of its own topic (its seed journal's category, or
     a random one), plus random and dangling ids.
     """
-    cats = sorted(WIDE_TAXONOMY.assignment_targets)
+    cats = sorted(taxonomy.assignment_targets)
     journals = [journal(f"S{i:03d}", c) for i, c in enumerate(cats)]
     for j in range(3):
         journals.append(journal(f"O{j}", [cats[int(p)] for p in rng.choice(len(cats), 2, False)]))
@@ -797,9 +805,11 @@ def test_emit_assignments_traced_peak_is_bounded():
 
 
 def test_classify_traced_peak_is_bounded():
-    """At the benchmark's size the kernel holds no copy of the references:
-    its peak is the tally matrices and the result, under 10 bytes per reference."""
-    for size, min_refs, bound in ((40, 200_000, 20), (200, 1_000_000, 10)):
+    """At the benchmark's size the kernel holds no copy of the references and
+    no tally matrix: each block keeps only its articles' totals, leaders and
+    the cells of the labels it sets, so the peak is the result and one
+    block's arrays, under 6 bytes per reference."""
+    for size, min_refs, bound in ((40, 200_000, 20), (200, 1_000_000, 6)):
         corpus, _, taxonomy = generate_synthetic(open_field_config(articles_per_journal_year=size))
         n_refs = len(corpus.refs)
         assert n_refs > min_refs
@@ -808,3 +818,36 @@ def test_classify_traced_peak_is_bounded():
             peak = traced_peak(lambda: classify(corpus, taxonomy, config))
             per_ref = peak / n_refs
             assert peak <= bound * n_refs, f"{size} per journal-year, {mode}: {per_ref:.1f} B/ref"
+
+
+def test_classify_traced_peak_does_not_grow_with_the_taxonomy():
+    # One corpus shape with 10 and with 250 seed labels: an n_open x width
+    # tally matrix alone would take 1,000 bytes per open article at 250.
+    for n_labels in (10, 250):
+        taxonomy = wide_taxonomy(n_labels)
+        corpus = wide_corpus(np.random.default_rng(5), 10_000, taxonomy)
+        result, _, peak = traced(lambda: classify(corpus, taxonomy))
+        table = result.assignments
+        assert len(table.tally[0]) == n_labels
+        n_open = np.count_nonzero(table.status != STATUSES.index(STATUS_SEEDED))
+        assert n_open > 5000
+        assert peak <= 250 * n_open, f"{n_labels} labels: {peak / n_open:.0f} B per open article"
+
+
+def test_classify_traced_peak_does_not_grow_with_max_iter(toy_taxonomy):
+    # Ten copies of an X/Y pair whose labels flip every iteration (each cites
+    # the other and a seed of its own), so every other pass sets them again:
+    # the kernel keeps one tally record per article, not one per pass. Only
+    # the per-iteration stats outlive the call.
+    records = [journal("JA", ASTRO), journal("JO", ONCO), journal("JM", MULTI)]
+    records += [article("P", "JA", 2010), article("Q", "JO", 2010)]
+    for i in range(10):
+        records.append(article(f"X{i}", "JM", 2011, ("P", f"Y{i}")))
+        records.append(article(f"Y{i}", "JM", 2011, ("Q", f"X{i}")))
+    corpus = build_corpus(records)
+    for max_iterations in (4, 2000):
+        config = ClassifierConfig(max_iterations=max_iterations)
+        result, live, peak = traced(lambda: classify(corpus, toy_taxonomy, config))
+        assert result.iterations_run == max_iterations
+        assert result.assignments["X0"].status == STATUS_UNCLASSIFIED
+        assert peak - live <= 64 * 1024, f"max_iter {max_iterations}: {peak - live} B"

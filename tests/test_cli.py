@@ -98,6 +98,24 @@ def test_missing_corpus_is_io_error(toy_files, tmp_path, capsys):
     assert not (tmp_path / "out.tsv").exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "indicators"])
+def test_a_bad_knob_is_rejected_before_any_file_is_read(tmp_path, capsys, command):
+    # Every input file is missing too: the config error wins over error:io.
+    missing = [str(tmp_path / "missing-corpus.tsv"), str(tmp_path / "missing-taxonomy.tsv")]
+    out = tmp_path / "out"
+    if command == "classify":
+        args = ["classify", "--corpus", missing[0], "--taxonomy", missing[1], "--out", str(out)]
+        args.append("--max-iter=0")
+        expected = "error:config:max_iterations must be an integer >= 1\n"
+    else:
+        args = _indicators_args(*missing, tmp_path / "missing-assignments.tsv", out)
+        args.append("--window=0")
+        expected = "error:config:window must be an integer in [1, 200]\n"
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 def test_missing_output_directory_is_io_error_naming_the_output(toy_files, tmp_path, capsys):
     corpus, taxonomy = toy_files
     out = tmp_path / "missing" / "assignments.tsv"
