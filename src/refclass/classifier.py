@@ -120,7 +120,8 @@ class AssignmentTable(Mapping):
     """Read-only id -> :class:`Assignment` view over a corpus's rows.
 
     Row ``r`` is the corpus article ``ids[r]``: the table keeps the corpus's
-    ``ids`` and ``row_of`` but not the corpus, whose arrays can be freed.
+    ``ids`` and ``row_of``, a view that bisects those sorted ids and holds
+    no dict, but not the corpus, whose arrays can be freed.
     ``category[r]`` indexes ``categories`` and ``area[r]`` indexes ``areas``
     (both name tuples sorted; -1 for none), ``status[r]`` indexes
     :data:`STATUSES`, and ``iteration[r]`` and ``votes[r]`` are the
@@ -546,13 +547,18 @@ def read_assignments(source: Iterable[str], corpus: Corpus) -> AssignmentTable:
     one :class:`ValidationError` counts the ids outside the corpus and names
     the smallest. An article the file does not name is unclassified with 0
     votes. Each distinct name is kept as one string object, and each tally
-    holds only its total.
+    holds only its total. A line's id is first tried against the row after
+    the previous line's, and looked up in ``corpus.row_of`` only when that
+    row is another article's, so a file in row order, as ``classify`` writes
+    it, needs no lookup.
     """
-    n = len(corpus.ids)
+    ids = corpus.ids
+    n = len(ids)
     # A status stays "" until a line names the row.
     cats, areas, statuses, iterations, votes = [""] * n, [""] * n, [""] * n, [0] * n, [0] * n
     name = {}.setdefault  # one object per distinct category, area and status
     row_of = corpus.row_of.get
+    row = -1
     strangers: set[str] = set()
     for line_no, raw in enumerate(source, start=1):
         if not raw.strip() or raw.startswith("#"):
@@ -579,12 +585,13 @@ def read_assignments(source: Iterable[str], corpus: Corpus) -> AssignmentTable:
             raise ParseError("non-integer iteration or votes", line_no, raw) from None
         if not (0 <= iteration < 2**63 and 0 <= total < 2**63):
             raise ParseError("iteration and votes must be in [0, 2**63)", line_no, raw)
-        row = row_of(a_id)
-        if (a_id in strangers) if row is None else statuses[row]:
+        found = row + 1 if row + 1 < n and ids[row + 1] == a_id else row_of(a_id)
+        if (a_id in strangers) if found is None else statuses[found]:
             raise ValidationError("duplicate article id", line_no, a_id)
-        if row is None:
+        if found is None:
             strangers.add(a_id)
             continue
+        row = found
         cats[row] = name(cat, cat)
         areas[row] = name(area, area)
         statuses[row] = name(status, status)

@@ -189,7 +189,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
     taxonomy = _read_file(ns.taxonomy, load_taxonomy)
     corpus = read_corpus(ns.corpus)
     result = classify(corpus, taxonomy, config)
-    # The result keeps the ids; the references and names make room for the text.
+    # The result keeps the ids; the references make room for the text.
     del corpus
     write_files_atomic({ns.out: emit_assignments(result)})
     return 0

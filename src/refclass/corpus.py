@@ -14,10 +14,11 @@ journal names and category names hold no tab, ``\n`` or ``\r`` (ids and
 categories no list separator either), so read -> emit -> read is the
 identity, also through a file read with universal newlines.
 
-Storage: a :class:`Corpus` keeps articles as rows in sorted-id order, as
-integer columns (journal code into the sorted journal ids, year, doc-type
-code) plus CSR reference arrays (``indptr`` and per-reference codes, deduped
-in first-occurrence order). A reference to an id outside the corpus stays in
+Storage: a :class:`Corpus` keeps articles as rows in sorted-id order, each
+id held once (the id -> row view bisects the sorted ids), as integer
+columns (journal code into the sorted journal ids, year, doc-type code)
+plus CSR reference arrays (``indptr`` and per-reference codes, deduped in
+first-occurrence order). A reference to an id outside the corpus stays in
 the CSR with a code past the last row, indexing a table of dangling ids, so
 emission keeps its position. ``articles`` and ``citation_index`` are derived
 views: the first builds an :class:`ArticleRecord` on each access, the second
@@ -50,10 +51,11 @@ file splits at the first line start at or past its middle; each worker
 decodes only its own byte range, read with ``os.pread``, reads, checks and
 codes it as a corpus of its own, and pipes back compact columns and its
 reference codes. The parent parses no line: it merges the two halves into
-whole-file codes and builds the corpus once. Results and errors are those
-of the one-process read, which streams the whole file from the same
-descriptor whenever one of the conditions fails, a fork fails, a worker
-fails (a fault in its half included) or an id appears in both halves.
+whole-file codes, with no dict of the ids, drops them and builds the corpus
+once. Results and errors are those of the one-process read, which streams
+the whole file from the same descriptor whenever one of the conditions
+fails, a fork fails, a worker fails (a fault in its half included) or an id
+appears in both halves.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ import pickle
 import signal
 import threading
 import warnings
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -229,17 +232,39 @@ class _ArticleView(Mapping):
         return len(self._corpus.ids)
 
 
+class _RowOf(Mapping):
+    """Read-only id -> row view of the sorted ``ids``: a lookup bisects them,
+    so no dict of the ids is held. A key that is not one of them, one that
+    is not a ``str`` included, is a :class:`KeyError`."""
+
+    def __init__(self, ids: tuple[str, ...]):
+        self._ids = ids
+
+    def __getitem__(self, article_id) -> int:
+        ids = self._ids
+        if isinstance(article_id, str):
+            row = bisect_left(ids, article_id)
+            if row < len(ids) and ids[row] == article_id:
+                return row
+        raise KeyError(article_id)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 class Corpus:
     """Immutable article rows, journal table and CSR reference arrays.
 
     Row ``r`` is the article ``ids[r]`` (ids sorted); ``row_of`` inverts
-    ``ids``, and a builder that already holds that dict passes it in. Per
-    row: ``journal_codes`` index ``journal_ids`` (sorted), ``years`` and
-    ``doc_types`` (codes into :data:`DOC_TYPES`). The
-    references of row ``r`` are ``refs[indptr[r]:indptr[r + 1]]`` in
-    first-occurrence order without duplicates; a code ``c < len(ids)`` is a
-    row, a larger code names ``dangling_ids[c - len(ids)]``. Arrays are
-    read-only.
+    ``ids`` by bisecting them, so each id is held once. Per row:
+    ``journal_codes`` index ``journal_ids`` (sorted), ``years`` and
+    ``doc_types`` (codes into :data:`DOC_TYPES`). The references of row
+    ``r`` are ``refs[indptr[r]:indptr[r + 1]]`` in first-occurrence order
+    without duplicates; a code ``c < len(ids)`` is a row, a larger code
+    names ``dangling_ids[c - len(ids)]``. Arrays are read-only.
 
     ``citation_index`` maps each in-corpus cited article id to the tuple of
     ``(citing_article_id, citing_year)`` pairs, sorted by citing id. It is
@@ -258,12 +283,9 @@ class Corpus:
         indptr: np.ndarray,
         refs: np.ndarray,
         dangling_ids: tuple[str, ...],
-        row_of: dict[str, int] | None = None,
     ):
         self.ids = ids
-        if row_of is None:
-            row_of = dict(zip(ids, range(len(ids))))
-        self.row_of: Mapping[str, int] = MappingProxyType(row_of)
+        self.row_of: Mapping[str, int] = _RowOf(ids)
         self._journals: Mapping[str, JournalRecord] = MappingProxyType(journals)
         self.journal_ids = tuple(journals)
         self.journal_codes = _frozen(journal_codes)
@@ -272,8 +294,6 @@ class Corpus:
         self.indptr = _frozen(indptr)
         self.refs = _frozen(refs)
         self.dangling_ids = dangling_ids
-        # Row ids then dangling ids, so a reference code indexes its id.
-        self._names = _frozen(np.array(ids + dangling_ids, dtype=object))
         self._dangling = int(np.count_nonzero(refs >= len(ids)))
 
     @property
@@ -301,6 +321,15 @@ class Corpus:
                 for c in np.flatnonzero(np.diff(bounds)).tolist()
             }
         )
+
+    @cached_property
+    def _names(self) -> np.ndarray:
+        """Row ids then dangling ids, so a reference code indexes its id.
+
+        Built on first use: only :meth:`_record` and :func:`emit_corpus`
+        read it, and ``classify`` and ``indicators`` call neither.
+        """
+        return _frozen(np.array(self.ids + self.dangling_ids, dtype=object))
 
     @property
     def dangling_reference_count(self) -> int:
@@ -355,6 +384,14 @@ def _by_citer(citer: np.ndarray, target: np.ndarray, n: int) -> tuple[np.ndarray
     return np.bincount(citer, minlength=n), target
 
 
+def _id_order(ids: Sequence[str]) -> list[int] | None:
+    """The record indices of ``ids`` in id order; ``None`` when the ids
+    ascend strictly, so that record ``i`` is row ``i`` already."""
+    if all(map(str.__lt__, ids, islice(ids, 1, None))):
+        return None
+    return sorted(range(len(ids)), key=ids.__getitem__)
+
+
 def _assemble(
     ids: Sequence[str],
     journal_names: Sequence[str],
@@ -365,7 +402,7 @@ def _assemble(
     target: np.ndarray,
     dangling_ids: tuple[str, ...],
     journals: Sequence[JournalRecord],
-    row_of: dict[str, int] | None = None,
+    order: Sequence[int] | None = None,
 ) -> Corpus:
     """The one corpus constructor: sort rows by id, code, dedupe, build CSR.
 
@@ -375,11 +412,11 @@ def _assemble(
     article: ``target`` holds the ``counts[0]`` references of the first
     article, then those of the second, and so on, each in draw order
     (:func:`_by_citer` groups pairs). A target ``>= len(ids)`` names
-    ``dangling_ids[target - len(ids)]``. ``row_of``, the dict of ``ids`` to
-    their indices when the caller holds one, becomes the corpus's when the
-    ids arrive ascending. Raises :class:`ValidationError` for unresolvable
-    journal ids (all offenders listed), then when the rows and dangling ids
-    together reach ``2**31`` codes.
+    ``dangling_ids[target - len(ids)]``. A caller that has sorted the ids
+    already passes their :func:`_id_order` as ``order``, so they are sorted
+    once. Raises :class:`ValidationError` for unresolvable journal ids (all
+    offenders listed), then when the rows and dangling ids together reach
+    ``2**31`` codes.
 
     Row and reference codes are ``int32``; only the dedupe key
     ``src * width + dst`` is ``int64``, built for one block of whole rows
@@ -408,9 +445,10 @@ def _assemble(
     dst = target.astype(np.int32, copy=False)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    # Callers pass no repeated id, so ascending means strictly ascending.
-    if not all(map(str.__le__, ids, islice(ids, 1, None))):
-        order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
+    if order is None:
+        order = _id_order(ids)
+    if order is not None:
+        order = np.array(order, dtype=np.intp)
         rank = np.arange(width, dtype=np.int32)
         rank[order] = np.arange(n, dtype=np.int32)
         # Each row's references move with the row, in one gather.
@@ -421,7 +459,6 @@ def _assemble(
         dst = rank[dst[at]]
         ids = [ids[i] for i in order.tolist()]
         codes, years, doc_types = codes[order], years[order], doc_types[order]
-        row_of = None
 
     # Keep the first occurrence of every (row, code) pair, one block of whole
     # rows at a time. A block's sorted key shows whether any pair in it
@@ -449,9 +486,7 @@ def _assemble(
         dst = dst[keep]
         np.cumsum(counts, out=indptr[1:])
 
-    return Corpus(
-        tuple(ids), journal_table, codes, years, doc_types, indptr, dst, dangling_ids, row_of
-    )
+    return Corpus(tuple(ids), journal_table, codes, years, doc_types, indptr, dst, dangling_ids)
 
 
 class _Codes(dict):
@@ -836,14 +871,7 @@ def _read_halves(fd: int, mid: int, size: int) -> Corpus | None:
             if worker is None:
                 return None
             workers.append(worker)
-        pipes = [pipe for _pid, pipe in workers]
-        # An empty or cut-off payload fails to load, whatever the worker's
-        # exit status was.
-        try:
-            halves = [pickle.load(pipe) for pipe in pipes]
-        except (EOFError, pickle.UnpicklingError):
-            return None
-        corpus = _merge(halves, pipes)
+        corpus = _merge([pipe for _pid, pipe in workers])
         return corpus
     finally:
         for pid, pipe in workers:
@@ -855,22 +883,41 @@ def _read_halves(fd: int, mid: int, size: int) -> Corpus | None:
                 os.waitpid(pid, 0)
 
 
-def _merge(halves: list[_Half], pipes: list[io.BufferedReader]) -> Corpus | None:
-    """The corpus of two halves, the first half's rows first, each half's
-    reference codes read from its pipe; ``None`` when an article or journal
-    id appears in both halves or a pipe ends early.
+def _merge(pipes: list[io.BufferedReader]) -> Corpus | None:
+    """The corpus of the two halves that ``pipes`` carry, the first half's
+    rows first; ``None`` when a payload does not load, a pipe ends early or
+    an article or journal id appears in both halves.
 
-    Builds the id -> row dict once, for the corpus to keep. A half's codes
-    index its rows, then its dangling ids; each half's are read straight
-    into their place in one array and mapped there to whole-file codes, one
-    block at a time. Looking up the first half's dangling ids first keeps
-    all of them in file order.
+    Holds no dict of the ids. When they arrive strictly ascending, as in
+    every file :func:`emit_corpus` writes, record ``i`` is row ``i``;
+    otherwise they are sorted once, the sort :func:`_assemble` then reuses,
+    and an id in both halves shows as two equal neighbours. Each half's
+    dangling ids are looked up in the sorted ids with
+    :func:`bisect.bisect_left`, the first half's first, which keeps the ids
+    that stay dangling in file order. A half's codes index its rows, then
+    its dangling ids; each half's are read straight into their place in one
+    array and mapped there to whole-file codes, one block at a time. The
+    halves, with their joined ids and dangling lists, are dropped before the
+    corpus is built.
     """
-    ids = [a_id for half in halves if half.ids for a_id in half.ids.split("\n")]
-    row_of = dict(zip(ids, range(len(ids))))
-    journals = [j for half in halves for j in half.journals]
-    if len(row_of) < len(ids) or len({j.id for j in journals}) < len(journals):
+    # An empty or cut-off payload fails to load, whatever the worker's exit
+    # status was.
+    try:
+        halves = [pickle.load(pipe) for pipe in pipes]
+    except (EOFError, pickle.UnpicklingError):
         return None
+    ids = [a_id for half in halves if half.ids for a_id in half.ids.split("\n")]
+    journals = [j for half in halves for j in half.journals]
+    if len({j.id for j in journals}) < len(journals):
+        return None
+    n = len(ids)
+    order = _id_order(ids)
+    if order is None:
+        by_id, row = ids, range(n)
+    else:
+        by_id, row = [ids[i] for i in order], order
+        if any(map(str.__eq__, by_id, islice(by_id, 1, None))):
+            return None
     names: dict[str, int] = {}  # both halves' journal ids, in order of first appearance
     code = names.setdefault
     tables = [np.array([code(j, len(names)) for j in h.journal_names], np.int32) for h in halves]
@@ -886,7 +933,9 @@ def _merge(halves: list[_Half], pipes: list[io.BufferedReader]) -> Corpus | None
         rows = len(half.years)
         table = np.arange(start, start + rows + len(half.dangling), dtype=np.int32)
         table[rows:] = [
-            row_of[d] if d in row_of else dangling.setdefault(d, len(ids) + len(dangling))
+            row[r]
+            if (r := bisect_left(by_id, d)) < n and by_id[r] == d
+            else dangling.setdefault(d, n + len(dangling))
             for d in half.dangling
         ]
         codes = refs[at : at + int(half.counts.sum())]
@@ -896,6 +945,7 @@ def _merge(halves: list[_Half], pipes: list[io.BufferedReader]) -> Corpus | None
             block = codes[lo : lo + _READ_BLOCK]
             np.take(table, block, out=block)
         start, at = start + rows, at + len(codes)
+    del halves, half, by_id
     return _assemble(
         ids,
         list(names),
@@ -906,7 +956,7 @@ def _merge(halves: list[_Half], pipes: list[io.BufferedReader]) -> Corpus | None
         refs,
         tuple(dangling),
         journals,
-        row_of,
+        order,
     )
 
 

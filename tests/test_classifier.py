@@ -620,6 +620,41 @@ def test_emit_assignments_sorts_any_table():
     assert emit_assignments(ClassificationResult(shuffled, 1, ())) == text
 
 
+def test_read_assignments_out_of_row_order_finds_each_row():
+    """A line whose id is not the row after the previous line's is looked up:
+    a shuffled pipeline file reads to the same table, and a repeated id or a
+    stranger raises what it raises in a file in row order."""
+    corpus, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=4))
+    lines = emit_assignments(classify(corpus, taxonomy)).splitlines(keepends=True)
+    rng = np.random.default_rng(41)
+    shuffled = [lines[i] for i in rng.permutation(len(lines))]
+    table, reread = (read_assignments(rows, corpus) for rows in (lines, shuffled))
+    for column in ("category", "area", "status", "iteration", "votes"):
+        assert np.array_equal(getattr(reread, column), getattr(table, column)), column
+    assert (reread.categories, reread.areas) == (table.categories, table.areas)
+
+    def error_of(rows) -> str:
+        with pytest.raises(ValidationError) as exc:
+            read_assignments(rows, corpus)
+        return str(exc.value)
+
+    stranger = "ZZ\t\t\tunclassified\t0\t0\n"
+    for rows in (lines, shuffled):
+        # A repeat right after its first line, and one far after it.
+        for first, at in ((100, 101), (100, 700), (699, 700)):
+            repeated = rows[:at] + [rows[first]] + rows[at:]
+            a_id = rows[first].split("\t")[0]
+            assert error_of(repeated) == str(
+                ValidationError("duplicate article id", at + 1, a_id)
+            )
+        strangers = rows[:500] + [stranger] + rows[500:]
+        assert error_of(strangers) == str(
+            ValidationError("assignments name 1 article(s) not in the corpus", token="ZZ")
+        )
+        strangers = rows[:500] + [stranger] + rows[500:800] + [stranger] + rows[800:]
+        assert error_of(strangers) == str(ValidationError("duplicate article id", 802, "ZZ"))
+
+
 def test_emit_and_evaluate_take_only_an_assignment_table(toy_taxonomy):
     result = classify(seeded_corpus(), toy_taxonomy)
     as_dict = dict(result.assignments.items())

@@ -5,12 +5,13 @@ from __future__ import annotations
 import io
 from typing import Callable
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refclass.classifier import read_assignments
 from refclass.corpus import emit_corpus, read_corpus
-from refclass.errors import RefclassError
+from refclass.errors import RefclassError, UnknownNameError
 from refclass.taxonomy import SubjectCategory, Taxonomy, emit_taxonomy, load_taxonomy
 
 # Every separator the readers split on, the comment mark, the line ends a
@@ -130,6 +131,35 @@ def test_readers_raise_only_refclass_errors_and_corpora_round_trip(corpus, assig
         # A file is read with universal newlines, so a "\r" inside a token
         # would end its line there.
         assert emit_corpus(read_corpus(io.StringIO(emitted, newline=None))) == emitted
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(corpus=text_of(corpus_row, JOURNAL_ROWS))
+@example(corpus=JOURNAL_ROWS + "A\tP9\tJ1\t2010\tarticle\tX1,P1\nA\tP1\tJ2\t2011\treview\tXa\n")
+@example(corpus=JOURNAL_ROWS + "A\tA9\tJ1\t2010\tarticle\tA10,A1\nA\tA10\tJ1\t2011\tother\t\n")
+@example(
+    corpus=JOURNAL_ROWS
+    + "A\tP\u3000a\tJ1\t2010\treview\tP\xa0,P\x85b\nA\tP\xa0\tJ1\t2010\tother\t\n"
+)
+def test_row_of_inverts_the_sorted_ids(corpus):
+    """``row_of[ids[r]] == r``; any other key, a dangling id or a non-``str``
+    one included, is a ``KeyError``, not ``in``, and ``article`` of it an
+    ``UnknownNameError``."""
+    accepted = read_or_reject(read_corpus, corpus)
+    if accepted is None:
+        return
+    ids, row_of = accepted.ids, accepted.row_of
+    assert list(ids) == sorted(ids) and len(row_of) == len(ids) and list(row_of) == list(ids)
+    for r, a_id in enumerate(ids):
+        assert a_id in row_of and row_of[a_id] == r and row_of.get(a_id) == r
+    # Dangling ids, and strings that sort right next to an id.
+    near = {p for a_id in ids for p in (a_id + "a", a_id[:-1], a_id + "\x00", "")}
+    for key in [*accepted.dangling_ids, *sorted(near - set(ids)), 0, None, b"P1", ("P1",)]:
+        assert key not in row_of and row_of.get(key) is None
+        with pytest.raises(KeyError):
+            row_of[key]
+        with pytest.raises(UnknownNameError):
+            accepted.article(key)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
