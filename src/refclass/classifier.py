@@ -43,6 +43,7 @@ iterations run. The kernel runs on one thread.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -539,6 +540,37 @@ def emit_assignments(result: ClassificationResult) -> str:
     return "".join(blocks) or "\n"
 
 
+def _assignment_row(raw: str, line_no: int) -> tuple[str, str, str, str, int, int] | None:
+    """The stripped id, category, area and status, the iteration and the
+    votes of the assignment line ``raw``; ``None`` for a blank or comment
+    line. Raises the line's first fault."""
+    if not raw.strip() or raw.startswith("#"):
+        return None
+    parts = raw.rstrip("\n").split("\t")
+    if len(parts) != 6:
+        raise ParseError(f"assignment row needs 6 columns, got {len(parts)}", line_no, raw)
+    a_id, cat, area, status, iteration_s, votes_s = parts
+    a_id, cat, area, status = a_id.strip(), cat.strip(), area.strip(), status.strip()
+    iteration_s, votes_s = iteration_s.strip(), votes_s.strip()
+    if not a_id:
+        raise ParseError("empty article id", line_no, raw)
+    if status not in _STATUS_CODE:
+        raise ParseError("unknown status", line_no, status)
+    if (area == "") != (status == STATUS_UNCLASSIFIED):
+        raise ParseError("status/broad_area mismatch", line_no, raw)
+    if cat and not area:
+        raise ParseError("category without broad_area", line_no, raw)
+    if area and area not in BROAD_AREA_SET:
+        raise ParseError("unknown broad area", line_no, area)
+    try:
+        iteration, total = int(iteration_s), int(votes_s)
+    except ValueError:
+        raise ParseError("non-integer iteration or votes", line_no, raw) from None
+    if not (0 <= iteration < 2**63 and 0 <= total < 2**63):
+        raise ParseError("iteration and votes must be in [0, 2**63)", line_no, raw)
+    return a_id, cat, area, status, iteration, total
+
+
 def read_assignments(source: Iterable[str], corpus: Corpus) -> AssignmentTable:
     """Parse an assignment TSV into an :class:`AssignmentTable` over ``corpus``.
 
@@ -546,66 +578,88 @@ def read_assignments(source: Iterable[str], corpus: Corpus) -> AssignmentTable:
     and raises the first fault in file order, a repeated id included; then
     one :class:`ValidationError` counts the ids outside the corpus and names
     the smallest. An article the file does not name is unclassified with 0
-    votes. Each distinct name is kept as one string object, and each tally
-    holds only its total. A line's id is first tried against the row after
-    the previous line's, and looked up in ``corpus.row_of`` only when that
-    row is another article's, so a file in row order, as ``classify`` writes
-    it, needs no lookup.
+    votes. Each tally holds only its total.
+
+    A line's head, the raw text between its id and its votes, is checked
+    once per distinct head. A line whose head an earlier line passed, with
+    a non-empty id and votes that ``int`` reads into ``[0, 2**63)``, keeps
+    only its head's index and its votes; every other line goes through the
+    full check, :func:`_assignment_row`, which raises its first fault. A
+    passed head holds exactly three tabs, so a line with another column
+    count never matches one. Each distinct name is kept as one string
+    object. A line's id is first tried against the row after the previous
+    line's, and bisected in ``corpus.ids`` only when that row is another
+    article's, so a file in row order, as ``classify`` writes it, needs no
+    lookup.
     """
     ids = corpus.ids
     n = len(ids)
-    # A status stays "" until a line names the row.
-    cats, areas, statuses, iterations, votes = [""] * n, [""] * n, [""] * n, [0] * n, [0] * n
     name = {}.setdefault  # one object per distinct category, area and status
-    row_of = corpus.row_of.get
+    head_at: dict[str, int] = {}  # raw head -> its index into `heads`
+    heads: list[tuple[str, str, str, int]] = []  # category, area, status, iteration
+    # Per row its line's head index (-1 until a line names it) and votes.
+    row_head, votes = [-1] * n, [0] * n
     row = -1
     strangers: set[str] = set()
     for line_no, raw in enumerate(source, start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        parts = raw.rstrip("\n").split("\t")
-        if len(parts) != 6:
-            raise ParseError(f"assignment row needs 6 columns, got {len(parts)}", line_no, raw)
-        a_id, cat, area, status, iteration_s, votes_s = parts
-        a_id, cat, area, status = a_id.strip(), cat.strip(), area.strip(), status.strip()
-        iteration_s, votes_s = iteration_s.strip(), votes_s.strip()
-        if not a_id:
-            raise ParseError("empty article id", line_no, raw)
-        if status not in _STATUS_CODE:
-            raise ParseError("unknown status", line_no, status)
-        if (area == "") != (status == STATUS_UNCLASSIFIED):
-            raise ParseError("status/broad_area mismatch", line_no, raw)
-        if cat and not area:
-            raise ParseError("category without broad_area", line_no, raw)
-        if area and area not in BROAD_AREA_SET:
-            raise ParseError("unknown broad area", line_no, area)
-        try:
-            iteration, total = int(iteration_s), int(votes_s)
-        except ValueError:
-            raise ParseError("non-integer iteration or votes", line_no, raw) from None
-        if not (0 <= iteration < 2**63 and 0 <= total < 2**63):
-            raise ParseError("iteration and votes must be in [0, 2**63)", line_no, raw)
-        found = row + 1 if row + 1 < n and ids[row + 1] == a_id else row_of(a_id)
-        if (a_id in strangers) if found is None else statuses[found]:
+        a_id, _, tail = raw.partition("\t")
+        head, _, votes_s = tail.rpartition("\t")
+        a_id = a_id.strip()
+        k = head_at.get(head, -1)
+        total = -1
+        if k >= 0 and a_id and raw[0] != "#":  # the full check skips a comment
+            try:
+                total = int(votes_s)
+            except ValueError:
+                pass
+        if not 0 <= total < 2**63:
+            fields = _assignment_row(raw, line_no)
+            if fields is None:
+                continue
+            a_id, total = fields[0], fields[5]
+        if row + 1 < n and ids[row + 1] == a_id:
+            row += 1
+        else:
+            found = bisect_left(ids, a_id)
+            if found == n or ids[found] != a_id:
+                if a_id in strangers:
+                    raise ValidationError("duplicate article id", line_no, a_id)
+                strangers.add(a_id)
+                continue
+            row = found
+        if row_head[row] >= 0:
             raise ValidationError("duplicate article id", line_no, a_id)
-        if found is None:
-            strangers.add(a_id)
-            continue
-        row = found
-        cats[row] = name(cat, cat)
-        areas[row] = name(area, area)
-        statuses[row] = name(status, status)
-        iterations[row] = iteration
+        if k < 0:  # a new head, which the full check passed
+            k = head_at[head] = len(heads)
+            cat, area, status, iteration = fields[1:5]
+            heads.append((name(cat, cat), name(area, area), name(status, status), iteration))
+        row_head[row] = k
         votes[row] = total
     if strangers:
         raise ValidationError(
             f"assignments name {len(strangers)} article(s) not in the corpus", token=min(strangers)
         )
-    code = {"": _STATUS_CODE[STATUS_UNCLASSIFIED], **_STATUS_CODE}.__getitem__
-    status = np.fromiter(map(code, statuses), np.int8, count=n)
-    iteration, total_votes = np.array(iterations, np.int64), np.array(votes, np.int64)
-    # _coded gives (names, codes), the order the table takes them in.
-    return AssignmentTable(corpus, *_coded(cats), *_coded(areas), status, iteration, total_votes)
+    # Every head names some row, so the names that rows use are the heads'.
+    # A row no line names (-1) reads each column's trailing entry. With a new
+    # head on every line the head dict and list outweigh the text, so they
+    # go before the columns are built.
+    del head_at
+    cats, areas, statuses, iterations = zip(*heads) if heads else ((),) * 4
+    del heads
+    categories, cat_code = _coded(cats)
+    area_names, area_code = _coded(areas)
+    status_code = [_STATUS_CODE[s] for s in statuses] + [_STATUS_CODE[STATUS_UNCLASSIFIED]]
+    row_head = np.array(row_head, np.intp)
+    return AssignmentTable(
+        corpus,
+        categories,
+        _lookup(cat_code, row_head),
+        area_names,
+        _lookup(area_code, row_head),
+        np.array(status_code, np.int8)[row_head],
+        np.array([*iterations, 0], np.int64)[row_head],
+        np.array(votes, np.int64),
+    )
 
 
 def _check_assignments(assignments: AssignmentTable, taxonomy: Taxonomy) -> None:

@@ -402,7 +402,7 @@ def _assemble(
     target: np.ndarray,
     dangling_ids: tuple[str, ...],
     journals: Sequence[JournalRecord],
-    order: Sequence[int] | None = None,
+    order: Sequence[int] | None,
 ) -> Corpus:
     """The one corpus constructor: sort rows by id, code, dedupe, build CSR.
 
@@ -412,11 +412,11 @@ def _assemble(
     article: ``target`` holds the ``counts[0]`` references of the first
     article, then those of the second, and so on, each in draw order
     (:func:`_by_citer` groups pairs). A target ``>= len(ids)`` names
-    ``dangling_ids[target - len(ids)]``. A caller that has sorted the ids
-    already passes their :func:`_id_order` as ``order``, so they are sorted
-    once. Raises :class:`ValidationError` for unresolvable journal ids (all
-    offenders listed), then when the rows and dangling ids together reach
-    ``2**31`` codes.
+    ``dangling_ids[target - len(ids)]``. ``order`` is the ids'
+    :func:`_id_order`, which the caller computes once; ``None`` means they
+    already ascend strictly. Raises :class:`ValidationError` for
+    unresolvable journal ids (all offenders listed), then when the rows and
+    dangling ids together reach ``2**31`` codes.
 
     Row and reference codes are ``int32``; only the dedupe key
     ``src * width + dst`` is ``int64``, built for one block of whole rows
@@ -445,8 +445,6 @@ def _assemble(
     dst = target.astype(np.int32, copy=False)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    if order is None:
-        order = _id_order(ids)
     if order is not None:
         order = np.array(order, dtype=np.intp)
         rank = np.arange(width, dtype=np.int32)
@@ -582,6 +580,7 @@ class _Rows:
             target,
             tuple(dangling),
             self.journals,
+            _id_order(self.ids),
         )
 
     def half(self, dangling: list[str]) -> _Half:

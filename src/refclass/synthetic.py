@@ -256,7 +256,8 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
                 citers.append(i * width + pools[f][picks])
                 targets.append(np.repeat(cited, counts))
 
-    # Rows are already in id order, so row numbers are the record indices.
+    # Rows are already in id order, so row numbers are the record indices
+    # and `_assemble` is given no id order.
     # Each journal holds ``apj`` rows of the block: the quotas apportion them.
     counts, targets = _by_citer(np.concatenate(citers), np.concatenate(targets), n_articles)
     corpus = _assemble(
@@ -269,6 +270,7 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
         targets,
         (),
         journals,
+        None,
     )
     truth = GroundTruth(
         field_of=dict(zip(ids, block_field.tolist() * len(years))),

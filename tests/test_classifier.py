@@ -790,6 +790,53 @@ MALFORMED_ASSIGNMENTS = {
         ["P9\t\t\tunclassified\t0\t0", SEED_ROW, "P4\tOncology"],
         (ParseError, "assignment row needs 6 columns, got 2", 3, "P4\tOncology\n"),
     ),
+    # Each later line repeats the head (the columns between id and votes) of
+    # a line already read, so only its id, votes or column count can fail.
+    "blank-id-on-a-repeated-head": (
+        [SEED_ROW, " \tOncology\tMedicine\tjournal-seeded\t0\t5"],
+        (ParseError, "empty article id", 2, " \tOncology\tMedicine\tjournal-seeded\t0\t5\n"),
+    ),
+    "bad-votes-on-a-repeated-head": (
+        [OPEN_ROW, "P3\t\t\tunclassified\t0\tmany"],
+        (ParseError, "non-integer iteration or votes", 2, "P3\t\t\tunclassified\t0\tmany\n"),
+    ),
+    "negative-votes-on-a-repeated-head": (
+        [OPEN_ROW, "P3\t\t\tunclassified\t0\t-1"],
+        (
+            ParseError,
+            "iteration and votes must be in [0, 2**63)",
+            2,
+            "P3\t\t\tunclassified\t0\t-1\n",
+        ),
+    ),
+    "votes-past-int64-on-a-repeated-head": (
+        [OPEN_ROW, f"P3\t\t\tunclassified\t0\t{2**63}"],
+        (
+            ParseError,
+            "iteration and votes must be in [0, 2**63)",
+            2,
+            f"P3\t\t\tunclassified\t0\t{2**63}\n",
+        ),
+    ),
+    "blank-id-before-bad-votes-on-a-repeated-head": (
+        [OPEN_ROW, "\t\t\tunclassified\t0\tmany"],
+        (ParseError, "empty article id", 2, "\t\t\tunclassified\t0\tmany\n"),
+    ),
+    # Seven columns whose last five are SEED_ROW's: the head holds a fourth
+    # tab, so it is not the cached one.
+    "seven-columns-ending-in-a-cached-tail": (
+        [SEED_ROW, "P2\tX\tOncology\tMedicine\tjournal-seeded\t0\t0"],
+        (
+            ParseError,
+            "assignment row needs 6 columns, got 7",
+            2,
+            "P2\tX\tOncology\tMedicine\tjournal-seeded\t0\t0\n",
+        ),
+    ),
+    "padded-head-then-duplicate": (
+        [SEED_ROW, "P2\t Oncology\tMedicine \tjournal-seeded\t0\t1", "P2" + SEED_ROW[2:]],
+        (ValidationError, "duplicate article id", 3, "P2"),
+    ),
 }
 
 
@@ -820,13 +867,29 @@ def test_read_assignments_strips_padded_fields():
     }
 
 
+def test_read_assignments_reads_a_padded_head_like_its_twin():
+    # P2's head differs from P1's only by padding: the same names, and P2's
+    # own votes.
+    lines = [SEED_ROW + "\n", "P2\t Oncology\tMedicine \t journal-seeded\t0 \t7\n"]
+    table = read_assignments(lines, seeded_corpus())
+    assert table.categories == (ONCO,) and table.areas == ("Medicine",)
+    assert table["P1"] == Assignment("P1", ONCO, "Medicine", STATUS_SEEDED, 0, VoteTally({}, 0))
+    assert table["P2"] == Assignment("P2", ONCO, "Medicine", STATUS_SEEDED, 0, VoteTally({}, 7))
+
+
 def test_read_assignments_traced_peak_is_bounded():
+    """Each distinct head is held once, so a row costs its head index and
+    its votes; votes that are all distinct add one int object per row."""
     corpus, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=10))
     text = emit_assignments(classify(corpus, taxonomy))
-    lines = text.splitlines(keepends=True)
-    assert len(lines) == 2600
-    peak = traced_peak(lambda: read_assignments(lines, corpus))
-    assert peak <= 2 * len(text), f"traced peak {peak / len(text):.1f}x the text length"
+    assert text.count("\n") == 2600
+    distinct = "".join(
+        f"{line.rsplit(chr(9), 1)[0]}\t{10**6 + i}\n" for i, line in enumerate(text.splitlines())
+    )
+    for text, bound in ((text, 1.25), (distinct, 1.75)):
+        lines = text.splitlines(keepends=True)
+        peak = traced_peak(lambda: read_assignments(lines, corpus))
+        assert peak <= bound * len(text), f"traced peak {peak / len(text):.2f}x the text length"
 
 
 def test_emit_assignments_traced_peak_is_bounded():

@@ -21,6 +21,7 @@ from refclass.corpus import (
     JournalRecord,
     _assemble,
     _by_citer,
+    _id_order,
     build_corpus,
     emit_corpus,
     read_corpus,
@@ -723,6 +724,7 @@ def test_builder_matches_brute_force_csr(shape):
             grouped,
             dangling,
             journals,
+            _id_order(ids),
         )
         sorted_ids, order, indptr, refs = brute_force_csr(ids, dangling, citer, target)
         assert corpus.ids == sorted_ids

@@ -8,6 +8,7 @@ from typing import Callable
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from naive_assignments import naive_read_assignments
 
 from refclass.classifier import read_assignments
 from refclass.corpus import emit_corpus, read_corpus
@@ -78,6 +79,27 @@ def assignment_row(noisy: bool) -> st.SearchStrategy[str]:
     )
 
 
+# Heads (the columns between id and votes): three that pass, the second
+# being the first padded, one with an unknown status and one a column short.
+# Drawn from so few, a text repeats them.
+HEADS = (
+    "Oncology\tMedicine\tjournal-seeded\t0",
+    " Oncology\tMedicine \tjournal-seeded\t0",
+    "\t\tunclassified\t1",
+    "\t\tpending\t0",
+    "Oncology\tMedicine\tjournal-seeded",
+)
+
+
+def repeated_head_row(noisy: bool) -> st.SearchStrategy[str]:
+    return row(
+        cell(noisy, "P1", "P2", "P3", "X9", ""),
+        st.sampled_from(HEADS),
+        # str.strip() removes "\x1c" and int() does not.
+        cell(noisy, "0", "3", "-1", "many", str(2**63), "\x1c2"),
+    )
+
+
 def text_of(
     row_of: Callable[[bool], st.SearchStrategy[str]], header: str = ""
 ) -> st.SearchStrategy[str]:
@@ -100,6 +122,23 @@ def read_or_reject(reader, text: str):
         return None
 
 
+def assignment_outcome(reader, text: str, corpus):
+    """The arrays of the table ``reader`` makes of ``text`` over ``corpus``,
+    or the error it raises, as type, message, line and token."""
+    try:
+        table = reader(lines_of(text), corpus)
+    except RefclassError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None), getattr(exc, "token", None)
+    columns = (table.category, table.area, table.status, table.iteration, table.votes)
+    return table.ids, table.categories, table.areas, [(c.dtype, c.tolist()) for c in columns]
+
+
+def assert_reads_like_the_naive_reader(text: str, corpora) -> None:
+    for corpus in corpora:
+        expected = assignment_outcome(naive_read_assignments, text, corpus)
+        assert assignment_outcome(read_assignments, text, corpus) == expected
+
+
 def assignment_fault(text: str, corpus) -> str | None:
     """The error reading ``text`` against ``corpus`` raises, as type and message."""
     try:
@@ -120,8 +159,9 @@ def test_readers_raise_only_refclass_errors_and_corpora_round_trip(corpus, assig
     # Against the corpus of P1 to P3 and against an empty one, where every id
     # is a stranger: ids outside the corpus are checked only once every line
     # parses, so every other fault is the same against both.
-    small = read_corpus(lines_of(JOURNAL_ROWS + ARTICLE_ROWS))
-    faults = [assignment_fault(assignments, c) for c in (small, read_corpus([]))]
+    corpora = (read_corpus(lines_of(JOURNAL_ROWS + ARTICLE_ROWS)), read_corpus([]))
+    faults = [assignment_fault(assignments, c) for c in corpora]
+    assert_reads_like_the_naive_reader(assignments, corpora)
     if any(f is not None and not f.startswith(STRANGERS) for f in faults):
         assert faults[0] == faults[1]
     read_or_reject(load_taxonomy, taxonomy)
@@ -171,6 +211,19 @@ def test_accepted_taxonomies_round_trip(taxonomy):
     if accepted is not None:
         emitted = emit_taxonomy(accepted)
         assert emit_taxonomy(load_taxonomy(io.StringIO(emitted, newline=None))) == emitted
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(assignments=text_of(repeated_head_row))
+@example(assignments="P1\t\t\tunclassified\t1\t0\n \t\t\tunclassified\t1\t3")
+@example(assignments="P1\t\t\tunclassified\t1\t0\nP2\t\t\tunclassified\t1\t\x1c2")
+@example(assignments="P1\t\t\tunclassified\t1\t0\n#P2\t\t\tunclassified\t1\t3")
+def test_read_assignments_matches_the_line_by_line_reader(assignments):
+    """Lines that repeat a head, padded or not, with good and bad ids and
+    votes: the reader that checks each distinct head once gives the table or
+    the error that checking every line in full gives."""
+    small = read_corpus(lines_of(JOURNAL_ROWS + ARTICLE_ROWS))
+    assert_reads_like_the_naive_reader(assignments, (small, read_corpus([])))
 
 
 NAME_CHARS = "Onc# \t\r\n\x85\xa0\u3000"

@@ -149,6 +149,8 @@ def test_edge_config_digests_are_pinned(overrides, corpus_sha, truth_sha, field_
     no citing year; the layout and the draw order must not move on any.
     """
     corpus, truth, taxonomy = generate_synthetic(SyntheticConfig(**{**EDGE_BASE, **overrides}))
+    # The rows are laid out in id order, so `_assemble` sorts nothing.
+    assert list(corpus.ids) == sorted(set(corpus.ids))
     truth_text = "\n".join(truth.as_lines(taxonomy)) + "\n"
     assert hashlib.sha256(emit_corpus(corpus).encode()).hexdigest() == corpus_sha
     assert hashlib.sha256(truth_text.encode()).hexdigest() == truth_sha
