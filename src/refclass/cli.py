@@ -8,8 +8,10 @@ files and prints errors; every input rule is checked by the module that
 owns its data. Each command that writes files writes them all with one
 :func:`~refclass.report.write_files_atomic` call, so a failure leaves no
 temp file behind and its outputs hold all their prior bytes or all their
-new ones. Every error is a single line ``error:<code>:<message>`` on stderr
-with exit code 1 (2 for usage errors).
+new ones. An output that resolves to one of the command's inputs is a usage
+error before any file is read. Every error, an interrupt included, is a
+single line ``error:<code>:<message>`` on stderr with exit code 1 (2 for
+usage errors).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import ConfigError, RefclassError, UsageError
 from .indicators import IndicatorConfig
 from .report import (
     MANIFEST_FILE,
+    TABLE_FILES,
     RunManifest,
     build_report_tables,
     emit_report,
@@ -124,6 +127,16 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _apart(flag: str, outputs: list[str | Path], inputs: dict[str, str]) -> None:
+    """Raise :class:`UsageError` when an output path resolves to one of the
+    ``inputs`` (flag -> path), before any file is read or written."""
+    real = {os.path.realpath(path): name for name, path in inputs.items()}
+    for out in outputs:
+        name = real.get(os.path.realpath(out))
+        if name is not None:
+            raise UsageError(f"{flag} would overwrite the input {name}")
+
+
 def _unique(pairs: list[tuple]) -> dict:
     """``dict(pairs)``; raises :class:`ConfigError` for a key that repeats."""
     obj = {}
@@ -180,6 +193,7 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_classify(ns: argparse.Namespace) -> int:
+    _apart("--out", [ns.out], {"--corpus": ns.corpus, "--taxonomy": ns.taxonomy})
     config = ClassifierConfig(
         max_iterations=ns.max_iter,
         min_votes=ns.min_votes,
@@ -199,6 +213,9 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
     journals = tuple(j.strip() for j in ns.journals.split(",") if j.strip())
     if not journals:
         raise UsageError("--journals must list at least one journal id")
+    outputs = [Path(ns.out_dir) / name for name in TABLE_FILES + (MANIFEST_FILE,)]
+    inputs = {"--corpus": ns.corpus, "--taxonomy": ns.taxonomy, "--assignments": ns.assignments}
+    _apart("--out-dir", outputs, inputs)
     config = IndicatorConfig(
         window=ns.window,
         kappa=ns.kappa,
@@ -231,6 +248,7 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
 
 
 def _cmd_report(ns: argparse.Namespace) -> int:
+    _apart("--out-dir", [ns.out_dir], {"--in-dir": ns.in_dir})
     in_dir = Path(ns.in_dir)
     texts = read_table_dir(in_dir)
     digests = {name: _sha256(in_dir / name) for name in texts}
@@ -263,6 +281,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 1
     except MemoryError:
         print("error:memory:out of memory", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error:interrupt:interrupted", file=sys.stderr)
         return 1
 
 

@@ -8,11 +8,11 @@ Corpus file format (UTF-8, LF, TSV, ``#`` comments allowed):
   category names.
 
 Readers and writer: :func:`read_corpus_file` reads a corpus file,
-:func:`read_corpus` lines already in memory and :func:`emit_corpus` is the
-one writer; emission puts journals then articles, each sorted by id. Ids,
-journal names and category names hold no tab, ``\n`` or ``\r`` (ids and
-categories no list separator either), so read -> emit -> read is the
-identity, also through a file read with universal newlines.
+:func:`read_corpus` streams lines from any iterable and :func:`emit_corpus`
+is the one writer; emission puts journals then articles, each sorted by
+id. Ids, journal names and category names hold no tab, ``\n`` or ``\r``
+(ids and categories no list separator either), so read -> emit -> read is
+the identity, also through a file read with universal newlines.
 
 Storage: a :class:`Corpus` keeps articles as rows in sorted-id order, each
 id held once (the id -> row view bisects the sorted ids), as integer
@@ -23,11 +23,13 @@ the CSR with a code past the last row, indexing a table of dangling ids, so
 emission keeps its position. ``articles`` and ``citation_index`` are derived
 views: the first builds an :class:`ArticleRecord` on each access, the second
 is built once on first access. The readers and :func:`build_corpus` (from
-records) check each record as it arrives, in file order, and end in one
-column builder; the readers validate each line once and never build an
-:class:`ArticleRecord`. Article years must lie in :data:`YEAR_BOUNDS`, the
-one year range that synthesis and the indicators check too; no reader takes
-another.
+records) check each record as it arrives, in file order, and code the
+records as one form, ``_Columns``, that one builder turns into the corpus;
+:func:`generate_synthetic <refclass.synthetic.generate_synthetic>` builds
+the same form from its draws. The readers validate each line once and never
+build an :class:`ArticleRecord`. Article years must lie in
+:data:`YEAR_BOUNDS`, the one year range that synthesis and the indicators
+check too; no reader takes another.
 
 The builder takes each article's references grouped, as a count per
 article plus one array of codes (draw-order pairs are grouped first). It
@@ -49,7 +51,7 @@ CPUs, no other Python thread runs, ``SIGCHLD`` is not ignored and the file
 holds at least :data:`_FORK_BYTES` bytes, it forks one worker per half. The
 file splits at the first line start at or past its middle; each worker
 decodes only its own byte range, read with ``os.pread``, reads, checks and
-codes it as a corpus of its own, and pipes back compact columns and its
+codes it as a corpus of its own, and pipes back its ``_Columns`` and its
 reference codes. The parent parses no line: it merges the two halves into
 whole-file codes, with no dict of the ids, drops them and builds the corpus
 once. Results and errors are those of the one-process read, which streams
@@ -374,6 +376,26 @@ def _pair_key(src: np.ndarray, dst: np.ndarray, width: int) -> np.ndarray:
     return key
 
 
+class _Columns(NamedTuple):
+    """A corpus under construction: its articles in record order, as columns.
+
+    Article ``i`` is ``ids[i]``, in the journal
+    ``journal_names[journal_of[i]]``, with ``counts[i]`` references; the
+    reference codes travel beside the columns (see :func:`_assemble`). A
+    code past the last article names ``dangling[code - len(ids)]``. A read
+    worker pipes these columns back as they are.
+    """
+
+    ids: Sequence[str]
+    journal_names: Sequence[str]
+    journal_of: Sequence[int]
+    years: Sequence[int]
+    doc_types: Sequence[int]
+    counts: Sequence[int]
+    dangling: Sequence[str]
+    journals: Sequence[JournalRecord]
+
+
 def _by_citer(citer: np.ndarray, target: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(citer, target)`` pairs of record indices in draw order, grouped for
     :func:`_assemble`: the reference count of each of the ``n`` rows, and
@@ -392,27 +414,15 @@ def _id_order(ids: Sequence[str]) -> list[int] | None:
     return sorted(range(len(ids)), key=ids.__getitem__)
 
 
-def _assemble(
-    ids: Sequence[str],
-    journal_names: Sequence[str],
-    journal_of: Sequence[int],
-    years: Sequence[int],
-    doc_types: Sequence[int],
-    counts: Sequence[int],
-    target: np.ndarray,
-    dangling_ids: tuple[str, ...],
-    journals: Sequence[JournalRecord],
-    order: Sequence[int] | None,
-) -> Corpus:
+def _assemble(columns: _Columns, target: np.ndarray, order: Sequence[int] | None) -> Corpus:
     """The one corpus constructor: sort rows by id, code, dedupe, build CSR.
 
-    Articles come in record order, already checked record by record (see
-    :meth:`_Rows.extend`); article ``i`` is in the journal
-    ``journal_names[journal_of[i]]``. Their references come grouped by
+    The ``columns`` hold the articles in record order, already checked
+    record by record (see :func:`_coded`). Their references come grouped by
     article: ``target`` holds the ``counts[0]`` references of the first
     article, then those of the second, and so on, each in draw order
     (:func:`_by_citer` groups pairs). A target ``>= len(ids)`` names
-    ``dangling_ids[target - len(ids)]``. ``order`` is the ids'
+    ``dangling[target - len(ids)]``. ``order`` is the ids'
     :func:`_id_order`, which the caller computes once; ``None`` means they
     already ascend strictly. Raises :class:`ValidationError` for
     unresolvable journal ids (all offenders listed), then when the rows and
@@ -428,12 +438,13 @@ def _assemble(
     skipped when the ids arrive strictly ascending and the argsort when no
     pair repeats; every file :func:`emit_corpus` writes skips both.
     """
+    ids, journal_names, journal_of, years, doc_types, counts, dangling, journals = columns
     journal_table = dict(sorted((j.id, j) for j in journals))
     journal_code = {j_id: c for c, j_id in enumerate(journal_table)}
     unresolved = sorted(set(journal_names) - journal_code.keys())
     if unresolved:
         raise ValidationError("articles reference unknown journals: " + ", ".join(unresolved))
-    n, width = len(ids), len(ids) + len(dangling_ids)
+    n, width = len(ids), len(ids) + len(dangling)
     if width >= 2**31:
         raise ValidationError(f"{width} article and dangling ids reach the 2**31 code limit")
 
@@ -484,7 +495,7 @@ def _assemble(
         dst = dst[keep]
         np.cumsum(counts, out=indptr[1:])
 
-    return Corpus(tuple(ids), journal_table, codes, years, doc_types, indptr, dst, dangling_ids)
+    return Corpus(tuple(ids), journal_table, codes, years, doc_types, indptr, dst, tuple(dangling))
 
 
 class _Codes(dict):
@@ -500,117 +511,63 @@ class _Codes(dict):
         return code
 
 
-class _Half(NamedTuple):
-    """The rows of one half of a file, as the compact columns a worker pipes
-    back; the ``int32`` codes of their references follow as raw bytes."""
+def _coded(items: Iterable) -> tuple[_Columns, np.ndarray]:
+    """``items`` (journal records, and article fields as
+    :func:`_article_fields` returns them) checked in order and coded as a
+    corpus of their own.
 
-    ids: str  # "\n"-joined
-    journal_names: list[str]
-    journal_of: np.ndarray  # int32 codes into journal_names
-    years: np.ndarray
-    doc_types: np.ndarray
-    counts: np.ndarray
-    dangling: list[str]
-    journals: list[JournalRecord]
-
-
-class _Rows:
-    """Article and journal rows in record order, checked as the readers collect them.
-
-    ``refs`` holds each article's references as one comma-joined string, so
-    no per-reference object outlives the line that produced it; each
-    article's journal is a code into ``journal_names``, in order of first
-    appearance.
+    Raises at the first record that breaks a rule: a repeated journal id;
+    per article, in this order, a repeated id, a year outside
+    :data:`YEAR_BOUNDS` and a self-citation. Returns the columns and the
+    code of every reference in draw order. References are coded against the
+    articles' own ids; an id outside them gets the next code past them in
+    its order of first appearance. Each article's references stay one
+    comma-joined string until they are coded, so no per-reference object
+    outlives the line that produced it.
     """
-
-    def __init__(self):
-        self.ids: list[str] = []
-        self.journal_names: dict[str, int] = {}
-        self.journal_of: list[int] = []
-        self.years: list[int] = []
-        self.doc_types: list[int] = []
-        self.counts: list[int] = []
-        self.refs: list[str] = []
-        self.journals: list[JournalRecord] = []
-
-    def extend(self, items: Iterable[tuple[str, str, int, str, str] | JournalRecord]) -> _Rows:
-        """Add ``items`` in order, raising at the first record that breaks a rule.
-
-        A repeated journal id raises; per article, in this order, a repeated
-        id, a year outside :data:`YEAR_BOUNDS` and a self-citation. The seen
-        ids stay local.
-        """
-        lo, hi = YEAR_BOUNDS
-        seen_ids: set[str] = set()
-        seen_journals: set[str] = set()
-        journal_code = self.journal_names.setdefault
-        shared_year = {}.setdefault  # one object per distinct year, not one per row
-        for item in items:
-            if isinstance(item, JournalRecord):
-                if item.id in seen_journals:
-                    raise ValidationError("duplicate journal id", token=item.id)
-                seen_journals.add(item.id)
-                self.journals.append(item)
-                continue
-            art_id, journal_id, year, doc_type, refs = item
-            if art_id in seen_ids:
-                raise ValidationError("duplicate article id", token=art_id)
-            seen_ids.add(art_id)
-            if not lo <= year <= hi:
-                raise ValidationError(f"article {art_id!r} year {year} outside bounds [{lo}, {hi}]")
-            if art_id in refs and art_id in refs.split(","):
-                raise ValidationError(f"article {art_id!r} cites itself")
-            self.ids.append(art_id)
-            self.journal_of.append(journal_code(journal_id, len(self.journal_names)))
-            self.years.append(shared_year(year, year))
-            self.doc_types.append(_DOC_CODE[doc_type])
-            self.counts.append(refs.count(",") + 1 if refs else 0)
-            self.refs.append(refs)
-        return self
-
-    def build(self, target: np.ndarray, dangling: Sequence[str]) -> Corpus:
-        """The corpus of these rows, whose references ``target`` codes."""
-        return _assemble(
-            self.ids,
-            list(self.journal_names),
-            self.journal_of,
-            self.years,
-            self.doc_types,
-            self.counts,
-            target,
-            tuple(dangling),
-            self.journals,
-            _id_order(self.ids),
-        )
-
-    def half(self, dangling: list[str]) -> _Half:
-        """These rows, with their references' ``dangling`` ids, as a worker pipes them."""
-        return _Half(
-            "\n".join(self.ids),
-            list(self.journal_names),
-            np.array(self.journal_of, dtype=np.int32),
-            np.array(self.years, dtype=np.int16),
-            np.array(self.doc_types, dtype=np.int8),
-            np.array(self.counts, dtype=np.int64),
-            dangling,
-            self.journals,
-        )
-
-
-def _coded(items: Iterable) -> tuple[_Rows, np.ndarray, list[str]]:
-    """``items`` checked (see :meth:`_Rows.extend`) and coded as a corpus of their own.
-
-    Returns the rows, the code of every reference in draw order, and the
-    dangling ids. References are coded against the rows' own ids; an id
-    outside them gets the next code past them in its order of first
-    appearance. The rows keep no reference strings.
-    """
-    rows = _Rows().extend(items)
-    codes = _Codes(rows.ids)
-    tokens = chain.from_iterable(refs.split(",") for refs in rows.refs if refs)
-    target = np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(rows.counts))
-    rows.refs = []
-    return rows, target, codes.dangling
+    lo, hi = YEAR_BOUNDS
+    ids, journal_of, years, doc_types, counts, refs_of, journals = [], [], [], [], [], [], []
+    journal_names: dict[str, int] = {}  # in order of first appearance
+    seen_ids, seen_journals = set(), set()
+    journal_code = journal_names.setdefault
+    shared_year = {}.setdefault  # one object per distinct year, not one per row
+    for item in items:
+        if isinstance(item, JournalRecord):
+            if item.id in seen_journals:
+                raise ValidationError("duplicate journal id", token=item.id)
+            seen_journals.add(item.id)
+            journals.append(item)
+            continue
+        art_id, journal_id, year, doc_type, refs = item
+        if art_id in seen_ids:
+            raise ValidationError("duplicate article id", token=art_id)
+        seen_ids.add(art_id)
+        if not lo <= year <= hi:
+            raise ValidationError(f"article {art_id!r} year {year} outside bounds [{lo}, {hi}]")
+        if art_id in refs and art_id in refs.split(","):
+            raise ValidationError(f"article {art_id!r} cites itself")
+        ids.append(art_id)
+        journal_of.append(journal_code(journal_id, len(journal_names)))
+        years.append(shared_year(year, year))
+        doc_types.append(_DOC_CODE[doc_type])
+        counts.append(refs.count(",") + 1 if refs else 0)
+        refs_of.append(refs)
+    del seen_ids  # freed before the codes dict: both hold every id
+    codes = _Codes(ids)
+    tokens = chain.from_iterable(refs.split(",") for refs in refs_of if refs)
+    target = np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(counts))
+    del refs_of, tokens  # fromiter stops at its count: ``tokens`` still holds the strings
+    columns = _Columns(
+        ids,
+        list(journal_names),
+        np.array(journal_of, dtype=np.int32),
+        np.array(years, dtype=np.int16),
+        np.array(doc_types, dtype=np.int8),
+        np.array(counts, dtype=np.int64),
+        codes.dangling,
+        journals,
+    )
+    return columns, target
 
 
 def _record_rows(records: Iterable[ArticleRecord | JournalRecord]):
@@ -647,6 +604,12 @@ def _line_rows(source: Iterable[str]):
         yield record
 
 
+def _built(items: Iterable) -> Corpus:
+    """The corpus of ``items``, checked and coded by :func:`_coded`."""
+    columns, target = _coded(items)
+    return _assemble(columns, target, _id_order(columns.ids))
+
+
 def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
     """Assemble a validated :class:`Corpus` from in-memory records.
 
@@ -656,8 +619,7 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
     duplicate ids, self-citations, years outside :data:`YEAR_BOUNDS`, or
     unresolvable journal ids (all offenders listed).
     """
-    rows, target, dangling = _coded(_record_rows(records))
-    return rows.build(target, dangling)
+    return _built(_record_rows(records))
 
 
 #: Shorter files are read in one process. Timed in-process on prefixes of
@@ -667,7 +629,7 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
 #: (0.64 MB) and mostly won from 4,000 on, by 5-25% in noise of about 20%.
 _FORK_BYTES = 1_750_000
 
-#: Bytes per ``os.pread`` call and characters per read of a decode check.
+#: Bytes per ``os.pread`` call, and codes per block of the merge's remap.
 _READ_BLOCK = 1 << 16
 
 
@@ -771,17 +733,15 @@ def _text(fd: int, start: int, stop: int) -> io.TextIOWrapper:
     return io.TextIOWrapper(raw, encoding="utf-8", newline=None)
 
 
-def _read_rows(lines: Iterable[str]) -> tuple[_Rows, np.ndarray, list[str]]:
-    return _coded(_line_rows(lines))
-
-
-def _whole(text: io.TextIOBase, read):
-    """``read(text)``; a fault it raises stands only once the rest of ``text``
-    decodes, so a byte that is not UTF-8 anywhere wins over every line fault."""
+def _whole(lines: Iterable[str], read):
+    """``read(lines)``; a fault it raises stands only once the rest of
+    ``lines`` is read, so an error of the input itself (a byte that is not
+    UTF-8 anywhere in a file, say) wins over every line fault."""
+    lines = iter(lines)
     try:
-        return read(text)
+        return read(lines)
     except RefclassError:
-        while text.read(_READ_BLOCK):
+        for _line in lines:
             pass
         raise
 
@@ -814,11 +774,11 @@ def _fork_reader(fd: int, start: int, stop: int) -> tuple[int, io.BufferedReader
     """Fork a worker that reads the bytes ``[start, stop)`` of ``fd``.
 
     Returns its pid and the pipe its payload arrives on, or ``None`` when
-    the fork fails. The payload is the pickled :class:`_Half`, then the
-    ``int32`` reference codes as raw bytes. The worker never returns into
-    the caller's code: whatever happens, it exits here, printing nothing,
-    and a failure (a fault in its half included) leaves a payload that does
-    not load. Its line numbers start at 1: a fault in its half is never
+    the fork fails. The payload is the pickled :class:`_Columns` of the
+    range, then its ``int32`` reference codes as raw bytes. The worker
+    never returns into the caller's code: whatever happens, it exits here,
+    printing nothing, and a failure (a fault in its half included) leaves a
+    payload that does not load. Its line numbers start at 1: a fault in its half is never
     reported from it.
     """
     r, w = os.pipe()
@@ -837,8 +797,8 @@ def _fork_reader(fd: int, start: int, stop: int) -> tuple[int, io.BufferedReader
         try:
             os.close(r)
             with os.fdopen(w, "wb") as pipe:
-                rows, target, dangling = _read_rows(_text(fd, start, stop))
-                pickle.dump(rows.half(dangling), pipe, pickle.HIGHEST_PROTOCOL)
+                columns, target = _coded(_line_rows(_text(fd, start, stop)))
+                pickle.dump(columns, pipe, pickle.HIGHEST_PROTOCOL)
                 pipe.write(target.data)
             status = 0
         finally:
@@ -853,7 +813,7 @@ def _read_halves(fd: int, mid: int, size: int) -> Corpus | None:
 
     ``mid`` starts a line, so each half decodes as the same text that it is
     of the whole file. Each worker reads, checks and codes its half with
-    :func:`_read_rows`, as a corpus of its own, and pipes it back (see
+    :func:`_coded`, as a corpus of its own, and pipes it back (see
     :func:`_fork_reader`). The parent parses no line: it loads the first
     half's columns, then the second's, and merges them (:func:`_merge`).
     Returns ``None`` when a fork fails, when a worker fails in any way, a
@@ -896,8 +856,8 @@ def _merge(pipes: list[io.BufferedReader]) -> Corpus | None:
     that stay dangling in file order. A half's codes index its rows, then
     its dangling ids; each half's are read straight into their place in one
     array and mapped there to whole-file codes, one block at a time. The
-    halves, with their joined ids and dangling lists, are dropped before the
-    corpus is built.
+    halves, with their id and dangling lists, are dropped before the corpus
+    is built.
     """
     # An empty or cut-off payload fails to load, whatever the worker's exit
     # status was.
@@ -905,7 +865,7 @@ def _merge(pipes: list[io.BufferedReader]) -> Corpus | None:
         halves = [pickle.load(pipe) for pipe in pipes]
     except (EOFError, pickle.UnpicklingError):
         return None
-    ids = [a_id for half in halves if half.ids for a_id in half.ids.split("\n")]
+    ids = [a_id for half in halves for a_id in half.ids]
     journals = [j for half in halves for j in half.journals]
     if len({j.id for j in journals}) < len(journals):
         return None
@@ -929,7 +889,7 @@ def _merge(pipes: list[io.BufferedReader]) -> Corpus | None:
     refs = np.empty(int(counts.sum()), dtype=np.int32)
     start = at = 0
     for half, pipe in zip(halves, pipes):
-        rows = len(half.years)
+        rows = len(half.ids)
         table = np.arange(start, start + rows + len(half.dangling), dtype=np.int32)
         table[rows:] = [
             row[r]
@@ -945,18 +905,10 @@ def _merge(pipes: list[io.BufferedReader]) -> Corpus | None:
             np.take(table, block, out=block)
         start, at = start + rows, at + len(codes)
     del halves, half, by_id
-    return _assemble(
-        ids,
-        list(names),
-        journal_of,
-        years,
-        doc_types,
-        counts,
-        refs,
-        tuple(dangling),
-        journals,
-        order,
+    columns = _Columns(
+        ids, list(names), journal_of, years, doc_types, counts, tuple(dangling), journals
     )
+    return _assemble(columns, refs, order)
 
 
 def read_corpus_file(path) -> Corpus:
@@ -983,26 +935,23 @@ def read_corpus_file(path) -> Corpus:
                 return corpus
         # Nothing above moved the file offset, which is still at 0.
         with open(fd, encoding="utf-8", closefd=False) as text:
-            rows, target, dangling = _whole(text, _read_rows)
-    return rows.build(target, dangling)
+            return read_corpus(text)
 
 
 def read_corpus(source: Iterable[str]) -> Corpus:
     """Parse and build a corpus from TSV lines, skipping blanks and ``#`` lines.
 
-    Reads in one process. Takes ``source`` into a list first, so an error
-    that ``source`` raises while it is read (a decode error of an open file,
-    say) wins over any fault in its lines. Then raises the first fault in
-    file order, as each record is checked when it is read: a
-    :class:`ParseError` with line number and token for a malformed line, or
-    the :class:`ValidationError` of a rule of :func:`build_corpus`; unknown
-    journals and the ``2**31`` code limit are checked once every line is
-    read. :func:`read_corpus_file` reads a file in up to two processes.
+    Reads in one process and streams ``source``: no list of its lines is
+    held. Raises the first fault in file order, as each record is checked
+    when it is read: a :class:`ParseError` with line number and token for a
+    malformed line, or the :class:`ValidationError` of a rule of
+    :func:`build_corpus`; unknown journals and the ``2**31`` code limit are
+    checked once every line is read. A fault stands only once the rest of
+    ``source`` is read, so an error that ``source`` raises while it is read
+    (a decode error of an open file, say) wins over any fault in its lines.
+    :func:`read_corpus_file` reads a file in up to two processes.
     """
-    lines = list(source)
-    rows, target, dangling = _read_rows(lines)
-    del lines
-    return rows.build(target, dangling)
+    return _whole(source, lambda lines: _built(_line_rows(lines)))
 
 
 def emit_corpus(corpus: Corpus) -> str:

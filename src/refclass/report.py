@@ -15,8 +15,10 @@ is not covered.
 
 from __future__ import annotations
 
+import errno
 import os
 import secrets
+import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
@@ -290,9 +292,18 @@ def write_files_atomic(files: Mapping[Path | str, str]) -> None:
     holds its prior bytes (or stays absent) and no temp is left. A crash in
     the middle of the renames is not covered. Keeping a target needs hard
     links: where the file system has none, rewriting an existing file fails
-    and the prior files stay. A failed step raises an :class:`OSError` that
-    names its target path.
+    and the prior files stay. An existing target that is neither a regular
+    file nor a directory (a symlink, FIFO, socket or device) is refused
+    before anything is written; a directory fails at its rename. A failed
+    step raises an :class:`OSError` that names its target path.
     """
+    for path in files:
+        try:
+            mode = os.lstat(path).st_mode
+        except OSError:  # absent or unreachable: staging it reports that
+            continue
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise OSError(errno.EEXIST, "exists and is not a regular file", str(path))
     staged: list[tuple[Path, Path]] = []
     placed: list[tuple[Path, Path | None]] = []
     try:

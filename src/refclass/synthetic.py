@@ -32,8 +32,12 @@ order: per year ascending, organic reference counts, then the intra/inter
 split, field choices, and target indices; afterwards, per citing year and
 field ascending, citation counts and citer indices. The row layout is
 array arithmetic that draws nothing, so this order is the one every
-pinned digest in the tests was recorded with. Output is a pure function of
-(config, seed); generation is always single-threaded.
+pinned digest in the tests was recorded with, under numpy 2.4.6. Within
+one numpy release, output is a pure function of (config, seed) on every
+platform; generation is always single-threaded. NEP 19 fixes the
+``PCG64`` bit stream across releases but not the streams of ``Generator``
+methods such as ``poisson``, so another numpy release may draw other
+values from the same seed.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, JournalRecord, _assemble, _by_citer, _is_int, _year_pair
+from .corpus import Corpus, JournalRecord, _assemble, _by_citer, _Columns, _is_int, _year_pair
 from .errors import ConfigError
 from .taxonomy import BROAD_AREAS, MULTIDISCIPLINARY_FLAG, SubjectCategory, Taxonomy
 
@@ -260,18 +264,17 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Corpus, GroundTruth, Ta
     # and `_assemble` is given no id order.
     # Each journal holds ``apj`` rows of the block: the quotas apportion them.
     counts, targets = _by_citer(np.concatenate(citers), np.concatenate(targets), n_articles)
-    corpus = _assemble(
+    columns = _Columns(
         ids,
         [j.id for j in journals],
         np.tile(np.repeat(np.arange(len(journals)), apj), len(years)),
         np.repeat(years, width),
         np.zeros(n_articles, dtype=np.int8),  # every item is an "article"
         counts,
-        targets,
         (),
         journals,
-        None,
     )
+    corpus = _assemble(columns, targets, None)
     truth = GroundTruth(
         field_of=dict(zip(ids, block_field.tolist() * len(years))),
         categories=tuple(field_category(f) for f in range(nf)),

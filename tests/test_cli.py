@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,85 @@ def test_synth_rejects_two_outputs_that_name_one_file(tmp_path, monkeypatch, cap
     )
     assert Path("x.tsv").read_bytes() == b"prior bytes\n"
     assert sorted(os.listdir()) == ["synth.json", "x.tsv"]
+
+
+def _snapshot(directory: Path) -> dict[str, bytes | None]:
+    """Every path under ``directory`` with its bytes (``None`` for a directory)."""
+    return {
+        str(p.relative_to(directory)): None if p.is_dir() else p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+    }
+
+
+@pytest.mark.parametrize("spelling", ["", "./"])
+@pytest.mark.parametrize(
+    "command, flag, named",
+    [
+        ("classify", "--out", "--corpus"),
+        ("classify", "--out", "--taxonomy"),
+        ("indicators", "--out-dir", "--assignments"),
+        ("indicators", "--out-dir", "--corpus"),
+        ("report", "--out-dir", "--in-dir"),
+    ],
+)
+def test_an_output_that_names_an_input_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, spelling, command, flag, named
+):
+    monkeypatch.chdir(tmp_path)
+    Path("corpus.tsv").write_text(TOY_CORPUS_TEXT)
+    Path("taxonomy.tsv").write_text(TOY_TAXONOMY_TEXT)
+    common = ["--corpus", "corpus.tsv", "--taxonomy", "taxonomy.tsv"]
+    assert run_cli(["classify", *common, "--out", "assignments.tsv"]) == 0
+    tables = ["--if-years", "2008:2008", "--journals", "JG", "--out-dir", spelling + "tables"]
+    assert run_cli(["indicators", *common, "--assignments", "assignments.tsv", *tables]) == 0
+    if command == "classify":
+        args = ["classify", *common, "--out", spelling + named.lstrip("-") + ".tsv"]
+    elif command == "report":
+        args = ["report", "--in-dir", "tables", "--out-dir", spelling + "tables"]
+    else:
+        # The input is a table, or the manifest, that the directory would hold.
+        inputs = {"--corpus": "corpus.tsv", "--assignments": "assignments.tsv"}
+        inputs[named] = "tables/manifest.tsv" if named == "--corpus" else "tables/summary.tsv"
+        flags = [x for pair in inputs.items() for x in pair]
+        args = ["indicators", "--taxonomy", "taxonomy.tsv", *flags, *tables]
+    prior = _snapshot(tmp_path)
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"error:usage:{flag} would overwrite the input {named}\n"
+    assert _snapshot(tmp_path) == prior
+
+
+def test_an_interrupt_is_one_error_line(toy_files, tmp_path, monkeypatch, capsys):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("refclass.cli.read_corpus", interrupted)
+    corpus, taxonomy = toy_files
+    out = tmp_path / "assignments.tsv"
+    args = ["classify", "--corpus", str(corpus), "--taxonomy", str(taxonomy), "--out", str(out)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == "error:interrupt:interrupted\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.tsv", "taxonomy.tsv"]
+
+
+@pytest.mark.parametrize("kind", ["symlink", "fifo"])
+def test_an_output_that_is_not_a_regular_file_is_refused(toy_files, tmp_path, capsys, kind):
+    corpus, taxonomy = toy_files
+    real = tmp_path / "real.tsv"
+    real.write_bytes(b"prior bytes\n")
+    out = tmp_path / "out.tsv"
+    if kind == "symlink":
+        out.symlink_to(real)
+    else:
+        os.mkfifo(out)  # never opened: a reader or writer would block
+    args = ["classify", "--corpus", str(corpus), "--taxonomy", str(taxonomy), "--out", str(out)]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error:io:[Errno 17] exists and is not a regular file: '{out}'\n"
+    mode = os.lstat(out).st_mode
+    assert stat.S_ISLNK(mode) if kind == "symlink" else stat.S_ISFIFO(mode)
+    assert real.read_bytes() == b"prior bytes\n"
+    expected = ["corpus.tsv", "out.tsv", "real.tsv", "taxonomy.tsv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
 
 
 def _synth(tmp_path, name: str = "synth") -> tuple:

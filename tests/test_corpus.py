@@ -21,6 +21,7 @@ from refclass.corpus import (
     JournalRecord,
     _assemble,
     _by_citer,
+    _Columns,
     _id_order,
     build_corpus,
     emit_corpus,
@@ -714,18 +715,11 @@ def test_builder_matches_brute_force_csr(shape):
         years = rng.integers(1990, 2021, size=n).tolist()
         doc_types = rng.integers(3, size=n).tolist()
         counts, grouped = _by_citer(citer, target, n)
-        corpus = _assemble(
-            ids,
-            ["J1", "J0"],
-            [1 - j for j in journal_of],
-            years,
-            doc_types,
-            counts,
-            grouped,
-            dangling,
-            journals,
-            _id_order(ids),
+        journal_codes = [1 - j for j in journal_of]
+        columns = _Columns(
+            ids, ["J1", "J0"], journal_codes, years, doc_types, counts, dangling, journals
         )
+        corpus = _assemble(columns, grouped, _id_order(ids))
         sorted_ids, order, indptr, refs = brute_force_csr(ids, dangling, citer, target)
         assert corpus.ids == sorted_ids
         assert corpus.dangling_ids == dangling

@@ -287,6 +287,19 @@ def test_failed_rename_drops_its_backup_and_temp(tmp_path, monkeypatch):
     assert kept.read_text() == "prior\n"
 
 
+def test_a_target_that_is_not_a_regular_file_is_refused_before_any_write(tmp_path):
+    fresh = tmp_path / "fresh.tsv"
+    real = tmp_path / "real.tsv"
+    real.write_text("prior\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(real)
+    with pytest.raises(OSError) as exc:
+        write_files_atomic({fresh: "new\n", link: "new\n"})
+    assert str(exc.value) == f"[Errno 17] exists and is not a regular file: '{link}'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "real.tsv"]
+    assert link.is_symlink() and real.read_text() == "prior\n"
+
+
 def test_without_hard_links_an_existing_target_is_kept(tmp_path, monkeypatch):
     fresh = tmp_path / "fresh.tsv"
     kept = tmp_path / "kept.tsv"
