@@ -151,6 +151,8 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     outputs = (ns.out_corpus, ns.out_truth, ns.out_taxonomy)
     if len(set(map(os.path.realpath, outputs))) < len(outputs):
         raise UsageError("--out-corpus, --out-truth and --out-taxonomy must name different files")
+    for flag, out in zip(("--out-corpus", "--out-truth", "--out-taxonomy"), outputs):
+        _apart(flag, [out], {"--config": ns.config})
     with open(ns.config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh, object_pairs_hook=_unique)
@@ -162,12 +164,10 @@ def _cmd_synth(ns: argparse.Namespace) -> int:
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown synth config keys: {', '.join(unknown)}")
-    raw["seed"] = ns.seed
+    if "seed" in raw:
+        raise ConfigError("synth config must not set seed: the seed comes from --seed")
     try:
-        rate = raw.get("field_citation_rate")
-        if isinstance(rate, dict):
-            raw["field_citation_rate"] = _unique([(int(k), v) for k, v in rate.items()])
-        config = SyntheticConfig(**raw)
+        config = SyntheticConfig(**raw, seed=ns.seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth config: {exc}") from None
     corpus, truth, taxonomy = generate_synthetic(config)

@@ -280,9 +280,9 @@ class CountCube:
 
         Years with a zero denominator are skipped and reported in
         ``skipped_years``; if every year is undefined the mean itself is
-        undefined and raises :class:`UndefinedValueError`. Years are summed in
-        ascending order; a sum that overflows raises :class:`ConfigError` as in
-        :meth:`impact_factor`.
+        undefined and raises :class:`UndefinedValueError`. Years are added left
+        to right in ascending order, the same on every Python version; a sum
+        that overflows raises :class:`ConfigError` as in :meth:`impact_factor`.
         """
         yearly: list[IfValue] = []
         skipped: list[int] = []
@@ -296,7 +296,10 @@ class CountCube:
             raise UndefinedValueError(
                 f"impact value undefined in every year {lo}-{hi} for journal={journal} area={area}"
             )
-        mean = sum(v.value for v in yearly) / len(yearly)
+        total = 0.0
+        for v in yearly:  # left to right: from Python 3.12 on, sum() of floats compensates
+            total += v.value
+        mean = total / len(yearly)
         if mean > sys.float_info.max:
             raise ConfigError(f"kappa={self.config.kappa!r} overflows the mean impact of {journal}")
         return MeanIfValue(journal, area, mean, tuple(yearly), tuple(skipped))

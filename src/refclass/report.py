@@ -292,17 +292,19 @@ def write_files_atomic(files: Mapping[Path | str, str]) -> None:
     holds its prior bytes (or stays absent) and no temp is left. A crash in
     the middle of the renames is not covered. Keeping a target needs hard
     links: where the file system has none, rewriting an existing file fails
-    and the prior files stay. An existing target that is neither a regular
-    file nor a directory (a symlink, FIFO, socket or device) is refused
-    before anything is written; a directory fails at its rename. A failed
-    step raises an :class:`OSError` that names its target path.
+    and the prior files stay. An existing target that is not a regular file
+    (a directory, symlink, FIFO, socket or device) is refused before anything
+    is written. A failed step raises an :class:`OSError` that names its
+    target path.
     """
     for path in files:
         try:
             mode = os.lstat(path).st_mode
         except OSError:  # absent or unreachable: staging it reports that
             continue
-        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not stat.S_ISREG(mode):
             raise OSError(errno.EEXIST, "exists and is not a regular file", str(path))
     staged: list[tuple[Path, Path]] = []
     placed: list[tuple[Path, Path | None]] = []
@@ -318,7 +320,7 @@ def write_files_atomic(files: Mapping[Path | str, str]) -> None:
         for tmp, final in staged:
             backup = None
             with _naming(final):
-                # A directory in the way is not kept; the rename below fails on it.
+                # A directory made since the check is not kept; the rename fails on it.
                 if final.is_file() or final.is_symlink():
                     backup = _temp_path(final, "old")
                     os.link(final, backup, follow_symlinks=False)

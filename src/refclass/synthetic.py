@@ -70,7 +70,7 @@ class SyntheticConfig:
     year_range: tuple[int, int]
     mean_refs: float
     p_intra: float
-    field_citation_rate: float | Sequence[float] | Mapping[int, float]
+    field_citation_rate: float | Sequence[float]
     general_field_mix: Sequence[float]
     seed: int
 
@@ -104,15 +104,8 @@ class SyntheticConfig:
             raise ConfigError("p_intra must be a number in [0, 1]")
         rate = self.field_citation_rate
         if isinstance(rate, Mapping):
-            missing = [i for i in range(f) if i not in rate]
-            if missing:
-                raise ConfigError(f"field_citation_rate missing fields: {missing}")
-            extra = [k for k in rate if k not in range(f)]
-            if extra:
-                raise ConfigError(f"field_citation_rate names no field: {extra}")
-            rates = tuple(rate[i] for i in range(f))
-        else:
-            rates = tuple(rate) if isinstance(rate, Iterable) else (rate,) * f
+            raise ConfigError("field_citation_rate must be a number or a list, not a mapping")
+        rates = tuple(rate) if isinstance(rate, Iterable) else (rate,) * f
         if len(rates) != f:
             raise ConfigError("field_citation_rate must cover every field")
         # Compared before the float conversion, which fails on a huge int. A

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -166,6 +167,15 @@ def brute_force_if(corpus, assignments, journal_id, year, area, config):
     return num, len(denom)
 
 
+def left_to_right_mean(kappa: float, defined: list[tuple[int, int, int]]) -> float:
+    """Mean impact of the defined (year, numerator, denominator) cells, added
+    left to right in year order whatever the Python version's sum() does."""
+    total = 0.0
+    for _, n, d in defined:
+        total += kappa * (n / d)
+    return total / len(defined)
+
+
 def test_impact_factor_matches_brute_force_scan():
     cfg = SyntheticConfig(
         num_fields=3,
@@ -289,7 +299,7 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
                 continue
             assert [(v.year, v.numerator, v.denominator) for v in m.yearly] == defined
             assert m.skipped_years == tuple(year for year, _, den in yearly if not den)
-            means[(scope, area)] = sum(config.kappa * (n / d) for _, n, d in defined) / len(defined)
+            means[(scope, area)] = left_to_right_mean(config.kappa, defined)
             assert m.value == means[(scope, area)]
 
     assert [r.journal_id for r in tables.summary] == [ALL_SOURCES, *journals]
@@ -362,6 +372,26 @@ def test_mean_impact_factor_skips_undefined_years(toy_taxonomy):
     # every year undefined -> the mean itself is undefined
     with pytest.raises(UndefinedValueError):
         cube.mean_impact_factor("J1", "Medicine")
+
+
+def test_mean_impact_factor_adds_years_left_to_right(toy_taxonomy, monkeypatch):
+    # Yearly values 0.1, 0.2 and 0.3: 1, 2 and 3 citations to 10 articles.
+    records = [journal("J1", ASTRO), journal("J2", ONCO)]
+    for year, citations in ((2010, 1), (2011, 2), (2012, 3)):
+        cited = [f"P{year}x{i}" for i in range(10)]
+        records += [article(a, "J1", year) for a in cited]
+        records += [article(f"C{a}", "J2", year + 1, refs=(a,)) for a in cited[:citations]]
+    corpus = build_corpus(records)
+    assignments = classify(corpus, toy_taxonomy).assignments
+    cfg = simple_config(window=1, if_year_range=(2011, 2013))
+
+    def compensated(values, start=0):  # sum() of floats from Python 3.12 on
+        return math.fsum(values) + start
+
+    monkeypatch.setattr(indicators_module, "sum", compensated, raising=False)
+    m = count_cube(corpus, assignments, ("J1",), cfg).mean_impact_factor("J1")
+    assert [v.value for v in m.yearly] == [0.1, 0.2, 0.3]
+    assert m.value == (0.1 + 0.2 + 0.3) / 3 != math.fsum([0.1, 0.2, 0.3]) / 3
 
 
 def test_prestige_formula_and_errors():
@@ -835,7 +865,7 @@ def brute_force_mean(corpus, assignments, journal_id, area, config):
     defined = [cell for cell in yearly if cell[2]]
     if not defined:
         return defined, None
-    return defined, sum(config.kappa * (n / d) for _, n, d in defined) / len(defined)
+    return defined, left_to_right_mean(config.kappa, defined)
 
 
 def same_outcome(a, b) -> bool:

@@ -261,8 +261,12 @@ def test_no_prior_target_is_ever_absent(tmp_path, toy_taxonomy, monkeypatch):
     emit_report(tables, manifest_for(tables), out)
     assert len(renames) == 8
     # a rewrite that fails on its last table puts every prior file back
-    (out / "summary.tsv").unlink()
-    (out / "summary.tsv").mkdir()
+    def refuse_summary(src, dst):
+        if Path(src).suffix == ".tmp" and Path(dst) == out / "summary.tsv":
+            raise PermissionError("refused")
+        checked_replace(src, dst)
+
+    monkeypatch.setattr(report_module.os, "replace", refuse_summary)
     changed = replace(tables, config=replace(tables.config, kappa=2.0))
     with pytest.raises(OSError):
         emit_report(changed, manifest_for(changed), out)
