@@ -499,10 +499,11 @@ def _assemble(columns: _Columns, target: np.ndarray, order: Sequence[int] | None
 
 
 class _Codes(dict):
-    """Article id -> code; an unknown id gets the next code and joins ``dangling``."""
+    """Article id -> code, set row by row; then an unknown id gets the next
+    code and joins ``dangling``."""
 
-    def __init__(self, ids: Sequence[str]):
-        super().__init__(zip(ids, range(len(ids))))
+    def __init__(self):
+        super().__init__()
         self.dangling: list[str] = []
 
     def __missing__(self, ref: str) -> int:
@@ -528,7 +529,7 @@ def _coded(items: Iterable) -> tuple[_Columns, np.ndarray]:
     lo, hi = YEAR_BOUNDS
     ids, journal_of, years, doc_types, counts, refs_of, journals = [], [], [], [], [], [], []
     journal_names: dict[str, int] = {}  # in order of first appearance
-    seen_ids, seen_journals = set(), set()
+    codes, seen_journals = _Codes(), set()
     journal_code = journal_names.setdefault
     shared_year = {}.setdefault  # one object per distinct year, not one per row
     for item in items:
@@ -539,9 +540,9 @@ def _coded(items: Iterable) -> tuple[_Columns, np.ndarray]:
             journals.append(item)
             continue
         art_id, journal_id, year, doc_type, refs = item
-        if art_id in seen_ids:
+        if art_id in codes:
             raise ValidationError("duplicate article id", token=art_id)
-        seen_ids.add(art_id)
+        codes[art_id] = len(ids)
         if not lo <= year <= hi:
             raise ValidationError(f"article {art_id!r} year {year} outside bounds [{lo}, {hi}]")
         if art_id in refs and art_id in refs.split(","):
@@ -552,8 +553,6 @@ def _coded(items: Iterable) -> tuple[_Columns, np.ndarray]:
         doc_types.append(_DOC_CODE[doc_type])
         counts.append(refs.count(",") + 1 if refs else 0)
         refs_of.append(refs)
-    del seen_ids  # freed before the codes dict: both hold every id
-    codes = _Codes(ids)
     tokens = chain.from_iterable(refs.split(",") for refs in refs_of if refs)
     target = np.fromiter(map(codes.__getitem__, tokens), np.int32, count=sum(counts))
     del refs_of, tokens  # fromiter stops at its count: ``tokens`` still holds the strings

@@ -9,8 +9,8 @@ table) yields per-field values; using all sources yields field baselines.
 Prestige is the ratio of a journal's field value to the field baseline.
 
 Every indicator is a slice of one :class:`CountCube`: integer article and
-citation counts per (journal, broad area, publication year) cell, built in a
-single read-only pass over the immutable corpus and assignment table.
+citation counts per (journal, broad area, year span) cell, built in a single
+read-only pass over the immutable corpus and assignment table.
 Integer numerators and denominators are summed first and divided exactly
 once, so results are independent of evaluation order.
 """
@@ -185,11 +185,13 @@ class SummaryRow:
 class CountCube:
     """Integer article and citation counts; every indicator is a slice of them.
 
-    ``den[scope, area, pub_year]`` counts articles.
-    ``num[scope, area, pub_year, citing_year]`` counts the citations those
-    articles receive from citers of every doc type. Citing years are
-    ``config.if_year_range``; publication years start at ``first_pub_year``
-    and cover ``config.pub_window`` and every impact year's citation window.
+    ``den[scope, area, column]`` counts articles and
+    ``num[scope, area, column]`` the citations they receive from citers of
+    every doc type. Column 0 holds the articles published in
+    ``config.pub_window`` and their citations from every impact year. Column
+    ``1 + k``, for the impact year ``y = config.if_year_range[0] + k``, holds
+    the articles published in ``[y - window, y - 1]`` and their citations
+    from citers published in ``y``.
     Scope slots are the requested journals in order plus one last slot for
     every other journal, so :data:`ALL_SOURCES` is the sum over the scope
     axis. Area slot 0 holds unclassified articles, so :data:`ALL_AREAS` is the
@@ -205,12 +207,10 @@ class CountCube:
         config: IndicatorConfig,
         journals: Mapping[str, JournalRecord],
         area_slots: Mapping[str, int],
-        first_pub_year: int,
         den: np.ndarray,
         num: np.ndarray,
     ):
         self.config = config
-        self.first_pub_year = first_pub_year
         self.den = den
         self.num = num
         self._journals = journals
@@ -237,9 +237,6 @@ class CountCube:
         i = self._area_slots.get(area)
         return slice(0, 0) if i is None else slice(i, i + 1)
 
-    def _pub(self, lo: int, hi: int) -> slice:
-        return slice(lo - self.first_pub_year, hi - self.first_pub_year + 1)
-
     def impact_factor(self, journal: str, year: int, area: str = ALL_AREAS) -> IfValue:
         """Impact value of ``journal`` (or :data:`ALL_SOURCES`) in ``year``.
 
@@ -259,17 +256,13 @@ class CountCube:
             raise ConfigError(
                 f"impact year {year!r} is not an integer in if_year_range {first}-{last}"
             )
-        cell = (
-            self._scope(journal),
-            self._area(area),
-            self._pub(year - self.config.window, year - 1),
-        )
+        cell = (self._scope(journal), self._area(area), year - first + 1)
         denominator = int(self.den[cell].sum())
         if denominator == 0:
             raise UndefinedValueError(
                 f"no qualifying articles for journal={journal} area={area} year={year}"
             )
-        numerator = int(self.num[cell][..., year - first].sum())
+        numerator = int(self.num[cell].sum())
         value = self.config.kappa * (numerator / denominator)
         if value > sys.float_info.max:
             raise ConfigError(f"kappa={self.config.kappa!r} overflows the impact of {journal}")
@@ -309,7 +302,7 @@ class CountCube:
         ``config.pub_window``, how many are classified, the citations they
         receive over ``config.if_year_range``, and the whole-journal mean
         impact value (None when undefined)."""
-        cell = (self._scope(journal), slice(None), self._pub(*self.config.pub_window))
+        cell = (self._scope(journal), slice(None), 0)
         items = self.den[cell]
         mean = self._mean_or_none(journal, ALL_AREAS)
         return SummaryRow(
@@ -317,8 +310,7 @@ class CountCube:
         )
 
     def _area_counts(self, scopes: list[int] | slice) -> dict[str, int]:
-        pub = self._pub(*self.config.pub_window)
-        per_area = self.den[scopes, :, pub].sum(axis=(0, 2))
+        per_area = self.den[scopes, :, 0].sum(axis=0)
         return {
             area: int(per_area[slot])
             for area, slot in sorted(self._area_slots.items())
@@ -406,11 +398,10 @@ def count_cube(
 ) -> CountCube:
     """Count every article and citation the indicators can ask for, in one pass.
 
-    The cube serves impact values for the years ``config.if_year_range`` and
-    article and citation counts over the publication years
-    ``config.pub_window``. Its year axes span only those years and the
-    impact years' citation windows, and its scope axis only ``journals``
-    plus one slot for the rest, so its size does not depend on the corpus.
+    The cube holds one column for the publication window ``config.pub_window``
+    and one for each impact year of ``config.if_year_range`` (see
+    :class:`CountCube`), and its scope axis holds only ``journals`` plus one
+    slot for the rest, so its size does not depend on the corpus.
     Raises :class:`ConfigError` for a string or non-iterable ``journals`` or
     one that names :data:`ALL_SOURCES`, the scope token of every journal,
     then :class:`UnknownNameError` for a journal not in the corpus, then
@@ -422,9 +413,7 @@ def count_cube(
         raise ConfigError(f"journals must not name {ALL_SOURCES}, the scope of every journal")
     journals = {record.id: record for record in map(corpus.journal, requested)}
     cite_lo, cite_hi = config.if_year_range
-    pub_lo = min(config.pub_window[0], cite_lo - config.window)
-    n_pub = max(config.pub_window[1], cite_hi - 1) - pub_lo + 1
-    n_cite = cite_hi - cite_lo + 1
+    width = cite_hi - cite_lo + 2
 
     scope_of = dict.fromkeys(corpus.journal_ids, len(journals))
     scope_of.update((j, i) for i, j in enumerate(journals))
@@ -438,43 +427,48 @@ def count_cube(
     slot_of[present] = np.arange(1, len(present) + 1)
     n_scopes, n_areas = len(journals) + 1, len(area_slots) + 1
 
-    # One cell (scope, area, publication year) per article, -1 for other doc
-    # types and outside the years.
-    area = slot_of[table.area]
+    # One (scope, area) cell per article, and one last cell, which no query
+    # reads, for other doc types and dangling ids. Years lie in YEAR_BOUNDS,
+    # so int16 holds them; a dangling id reads year 0. den counts each
+    # column's span of publication years.
     scope = np.array([scope_of[j] for j in corpus.journal_ids], dtype=np.int64)
-    pub = corpus.years - pub_lo
-    counted = (corpus.doc_types == _DOC_CODE["article"]) & (pub >= 0) & (pub < n_pub)
-    cell = np.where(counted, (scope[corpus.journal_codes] * n_areas + area) * n_pub + pub, -1)
-    den = np.bincount(cell[counted], minlength=n_scopes * n_areas * n_pub)
+    articles = np.flatnonzero(corpus.doc_types == _DOC_CODE["article"])
+    n_cells, n_dangling = n_scopes * n_areas, len(corpus.dangling_ids)
+    cell = np.full(len(corpus.ids) + n_dangling, n_cells, dtype=np.int64)
+    cell[articles] = scope[corpus.journal_codes[articles]] * n_areas + slot_of[table.area[articles]]
+    years = np.pad(corpus.years.astype(np.int16), (0, n_dangling))
+    spans = [config.pub_window, *((y - config.window, y - 1) for y in range(cite_lo, cite_hi + 1))]
+    den = np.zeros((n_cells, width), dtype=np.int64)
+    article_cell, article_year = cell[articles], years[articles]
+    for column, (first, last) in enumerate(spans):
+        in_span = (article_year >= first) & (article_year <= last)
+        den[:, column] = np.bincount(article_cell[in_span], minlength=n_cells)
 
-    # Citations: in-corpus references to a counted article from a citer
-    # published in an impact year, counted one block of citing rows at a
-    # time, so no per-reference array outlives its block. A reference's key
-    # adds two tables: its cited code's cell * n_cite (-1 for an article not
-    # counted and for a dangling id) and its citer's year offset (-1 outside
-    # the impact years), in int32 unless the cube has 2**31 cells. A block
-    # spans at least as many references as the cube has cells, so its
-    # count costs no more than its references.
-    n_num = n_scopes * n_areas * n_pub * n_cite
-    key_type = np.int32 if n_num < 2**31 else np.int64
-    cited_key = np.full(len(corpus.ids) + len(corpus.dangling_ids), -1, dtype=key_type)
-    cited_key[np.flatnonzero(counted)] = cell[counted] * n_cite
-    citing_ok = (corpus.years >= cite_lo) & (corpus.years <= cite_hi)
-    citing_key = np.where(citing_ok, corpus.years - cite_lo, -1).astype(key_type)
-    indptr, step = corpus.indptr, max(_CITE_BLOCK, n_num)
-    num = np.zeros(n_num, dtype=np.int64)
+    # Citations: in-corpus references from a citer published in an impact
+    # year, counted one block of citing rows at a time, so no per-reference
+    # array outlives its block. A reference counts in column 0 when the
+    # cited year lies in the publication window, and in its citer's year's
+    # column when it lies in that year's citation window.
+    citing_ok = (years >= cite_lo) & (years <= cite_hi)
+    win_lo, win_hi = config.pub_window
+    indptr, n = corpus.indptr, len(corpus.ids)
+    num = np.zeros((n_cells + 1) * width, dtype=np.int64)
     lo = 0
-    while lo < len(corpus.ids):
-        hi = min(int(np.searchsorted(indptr, indptr[lo] + step)), len(corpus.ids))
-        key = cited_key[corpus.refs[indptr[lo] : indptr[hi]]]
-        citing = np.repeat(citing_key[lo:hi], np.diff(indptr[lo : hi + 1]))
-        hit = (key >= 0) & (citing >= 0)
+    while lo < n:
+        hi = min(int(np.searchsorted(indptr, indptr[lo] + _CITE_BLOCK)), n)
+        ok, counts = citing_ok[lo:hi], np.diff(indptr[lo : hi + 1])
+        refs = corpus.refs[indptr[lo] : indptr[hi]][np.repeat(ok, counts)]
+        key, pub = cell[refs], years[refs]
+        key *= width
+        num += np.bincount(key[(pub >= win_lo) & (pub <= win_hi)], minlength=num.size)
+        citing = np.repeat(years[lo:hi][ok], counts[ok])
+        pub -= citing  # minus the lag
+        citing -= cite_lo - 1
         key += citing
-        num += np.bincount(key[hit], minlength=n_num)
+        num += np.bincount(key[(pub < 0) & (pub >= -config.window)], minlength=num.size)
         lo = hi
-    den = den.reshape(n_scopes, n_areas, n_pub)
-    num = num.reshape(n_scopes, n_areas, n_pub, n_cite)
-    return CountCube(config, journals, area_slots, pub_lo, den, num)
+    shape = (n_scopes, n_areas, width)
+    return CountCube(config, journals, area_slots, den.reshape(shape), num[:-width].reshape(shape))
 
 
 def prestige(

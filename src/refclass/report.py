@@ -37,6 +37,7 @@ from .indicators import (
     RankingTable,
     RepresentationTable,
     SummaryRow,
+    _journal_ids,
     count_cube,
     prestige,
 )
@@ -129,17 +130,19 @@ def build_report_tables(
     Scopes or cells whose value is undefined (zero denominator, nothing
     classified) are skipped rather than fabricated; the emitters render
     whatever is present. Every cell is a slice of one :class:`CountCube`.
-    A journal named :data:`COMBINED_SCOPE` or :data:`ALL_SOURCES` would
-    share its rows with the pooled set or every journal, so either raises
-    :class:`ConfigError`, as do ``assignments`` that are not an
-    :class:`AssignmentTable`. A table over another corpus's articles, or a
-    corpus journal that names a category missing from the taxonomy, raises
-    :class:`ValidationError` before anything is counted.
+    ``journals`` is read as :func:`count_cube` reads it: a string or a
+    non-iterable raises :class:`ConfigError`. A journal named
+    :data:`COMBINED_SCOPE` or :data:`ALL_SOURCES` would share its rows with
+    the pooled set or every journal, so either raises :class:`ConfigError`, as
+    do ``assignments`` that are not an :class:`AssignmentTable`. A table over
+    another corpus's articles, or a corpus journal that names a category
+    missing from the taxonomy, raises :class:`ValidationError` before anything
+    is counted.
     """
     taxonomy.check_journals(corpus.journals.values())
     if config is None:
         config = IndicatorConfig()
-    journal_list = tuple(sorted(set(journals)))
+    journal_list = tuple(sorted(set(_journal_ids(journals, "journals"))))
     if COMBINED_SCOPE in journal_list:
         raise ConfigError(f"journals must not name {COMBINED_SCOPE}, the scope of the pooled set")
     cube = count_cube(corpus, assignments, journal_list, config)

@@ -274,11 +274,8 @@ def test_every_report_cell_matches_brute_force_scan(seed, config):
     listed_cube = count_cube(corpus, listed, journals, config)
     assert np.array_equal(listed_cube.den, cube.den) and np.array_equal(listed_cube.num, cube.num)
     lo, hi = config.if_year_range
-    pub_lo = min(config.pub_window[0], lo - config.window)
-    pub_hi = max(config.pub_window[1], hi - 1)
-    assert cube.first_pub_year == pub_lo
-    assert cube.den.shape == (len(journals) + 1, cube.num.shape[1], pub_hi - pub_lo + 1)
-    assert cube.num.shape[2:] == (pub_hi - pub_lo + 1, hi - lo + 1)
+    named_areas = np.unique(assignments.area[assignments.area >= 0]).size
+    assert cube.den.shape == cube.num.shape == (len(journals) + 1, named_areas + 1, hi - lo + 2)
 
     field_if = {(m.journal_id, m.area): m for m in tables.field_if}
     means = {}
@@ -597,6 +594,14 @@ def test_count_cube_and_report_tables_take_only_an_assignment_table(toy_taxonomy
             build_report_tables(corpus, assignments, toy_taxonomy, (COMBINED_SCOPE,))
         with pytest.raises(ValidationError, match="unknown categories: JX:No Such$"):
             build_report_tables(bad_journal, assignments, toy_taxonomy, ("J1",))
+    # journals is read as count_cube reads it, not as a string's letters
+    own = classify(corpus, toy_taxonomy).assignments
+    for journals, name in (("J1", "str"), (5, "int"), (None, "NoneType")):
+        message = f"^journals must be a collection of journal ids, not {name}$"
+        with pytest.raises(ConfigError, match=message):
+            count_cube(corpus, own, journals, simple_config())
+        with pytest.raises(ConfigError, match=message):
+            build_report_tables(corpus, own, toy_taxonomy, journals, simple_config())
 
 
 def test_count_cube_and_report_tables_reject_a_table_of_another_corpus(toy_taxonomy):
@@ -811,6 +816,21 @@ def test_count_cube_traced_peak_is_bounded():
         lambda: count_cube(corpus, assignments, ("JF00S00", "JF05S02", "JG00"), config)
     )
     assert peak <= 20 * n_refs, f"traced peak {peak / n_refs:.1f} bytes per reference"
+
+
+def test_count_cube_traced_peak_does_not_grow_with_the_year_knobs():
+    """The cube holds one column per impact year, so the widest valid knobs cost little more."""
+    corpus, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=40))
+    assignments = classify(corpus, taxonomy).assignments
+    narrow = IndicatorConfig(if_year_range=(2002, 2004), pub_window=(2000, 2004))
+    widest = IndicatorConfig(
+        if_year_range=YEAR_BOUNDS, pub_window=YEAR_BOUNDS, window=indicators_module.MAX_WINDOW
+    )
+    narrow_peak, widest_peak = (
+        traced_peak(lambda: count_cube(corpus, assignments, ("JF00S00", "JF05S02", "JG00"), c))
+        for c in (narrow, widest)
+    )
+    assert widest_peak <= 4 * narrow_peak, f"{narrow_peak} -> {widest_peak} bytes"
 
 
 def test_count_cube_traced_peak_stays_bounded_as_references_grow():
