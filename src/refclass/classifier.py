@@ -44,13 +44,12 @@ iterations run. The kernel runs on one thread.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, _frozen, _is_int
+from .corpus import Corpus, _frozen, _IdView, _is_int
 from .errors import ConfigError, ParseError, ValidationError
 from .taxonomy import BROAD_AREA_SET, Taxonomy
 
@@ -117,12 +116,12 @@ class IterationStats:
     changed: int
 
 
-class AssignmentTable(Mapping):
+class AssignmentTable(_IdView):
     """Read-only id -> :class:`Assignment` view over a corpus's rows.
 
-    Row ``r`` is the corpus article ``ids[r]``: the table keeps the corpus's
-    ``ids`` and ``row_of``, a view that bisects those sorted ids and holds
-    no dict, but not the corpus, whose arrays can be freed.
+    Row ``r`` is the corpus article ``ids[r]``: the table is an id view of
+    the corpus's sorted ``ids``, as ``Corpus.row_of`` is, so it holds no
+    dict and no reference to the corpus, whose arrays can be freed.
     ``category[r]`` indexes ``categories`` and ``area[r]`` indexes ``areas``
     (both name tuples sorted; -1 for none), ``status[r]`` indexes
     :data:`STATUSES`, and ``iteration[r]`` and ``votes[r]`` are the
@@ -146,7 +145,7 @@ class AssignmentTable(Mapping):
         *,
         tally: tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
-        self.ids, self.row_of = corpus.ids, corpus.row_of
+        super().__init__(corpus.ids)
         self.categories = categories
         self.category = _frozen(category)
         self.areas = areas
@@ -160,29 +159,19 @@ class AssignmentTable(Mapping):
         labels, indptr, label, count = tally
         self.tally = (labels, _frozen(indptr), _frozen(label), _frozen(count))
 
-    def __getitem__(self, article_id: str) -> Assignment:
-        row = self.row_of[article_id]
+    def _value(self, row: int) -> Assignment:
         category, area = int(self.category[row]), int(self.area[row])
         labels, indptr, label, count = self.tally
         lo, hi = indptr[row], indptr[row + 1]
         counts = dict(zip([labels[c] for c in label[lo:hi].tolist()], count[lo:hi].tolist()))
         return Assignment(
-            article_id,
+            self.ids[row],
             self.categories[category] if category >= 0 else None,
             self.areas[area] if area >= 0 else None,
             STATUSES[self.status[row]],
             int(self.iteration[row]),
             VoteTally(counts, int(self.votes[row])),
         )
-
-    def __contains__(self, article_id) -> bool:
-        return article_id in self.row_of
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 def _coded(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:

@@ -12,10 +12,12 @@ Readers and writer: :func:`read_corpus_file` reads a corpus file,
 is the one writer; emission puts journals then articles, each sorted by
 id. Ids, journal names and category names hold no tab, ``\n`` or ``\r``
 (ids and categories no list separator either), so read -> emit -> read is
-the identity, also through a file read with universal newlines.
+the identity, also through a file read with universal newlines. An article
+id has no leading ``#``, so its assignment line never reads as a comment.
 
 Storage: a :class:`Corpus` keeps articles as rows in sorted-id order, each
-id held once (the id -> row view bisects the sorted ids), as integer
+id held once (one view class, ``_IdView``, bisects the sorted ids for
+``row_of``, ``articles`` and every assignment table), as integer
 columns (journal code into the sorted journal ids, year, doc-type code)
 plus CSR reference arrays (``indptr`` and per-reference codes, deduped in
 first-occurrence order). A reference to an id outside the corpus stays in
@@ -76,7 +78,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,6 +136,8 @@ class ArticleRecord:
     def __post_init__(self):
         object.__setattr__(self, "references", tuple(self.references))
         _check_token(self.id, "article id", "\t\n\r,")
+        if self.id[0] == "#":
+            raise ValidationError("article id has a leading '#'", token=self.id)
         _check_token(self.journal_id, "journal id", "\t\n\r,")
         if self.doc_type not in DOC_TYPES:
             raise ValidationError("unknown doc_type", token=self.doc_type)
@@ -189,9 +193,11 @@ def _article_fields(
     if doc_type not in DOC_TYPES:
         raise ParseError("unknown doc_type", line_no, doc_type)
     # The ArticleRecord token rules. Splitting on tabs and commas leaves only
-    # an empty or comma-holding id, or a "\n" or "\r" in the line, to find.
+    # an empty, comma-holding or "#"-led id, or a "\n" or "\r" in the line,
+    # to find.
     if (
         not art_id
+        or art_id[0] == "#"
         or not journal_id
         or "," in art_id
         or "," in journal_id
@@ -202,6 +208,8 @@ def _article_fields(
     ):
         try:
             _check_token(art_id, "article id", "\t\n\r,")
+            if art_id[0] == "#":
+                raise ValidationError("article id has a leading '#'")
             _check_token(journal_id, "journal id", "\t\n\r,")
             for ref in refs.split(",") if refs else ():
                 _check_token(ref, "reference id", "\t\n\r,")
@@ -215,46 +223,40 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class _ArticleView(Mapping):
-    """Read-only id -> :class:`ArticleRecord` view that builds each record on access."""
+class _IdView(Mapping):
+    """Read-only id -> value view of the sorted ``ids``: a lookup bisects
+    them, so no dict of the ids is held, and builds the value of the id's
+    row ``r`` on access, ``value(r)``, or ``r`` itself without ``value``. A
+    key that is not one of the ids, one that is not a ``str`` included, is a
+    :class:`KeyError`. A subclass may define the method ``_value`` instead."""
 
-    def __init__(self, corpus: Corpus):
-        self._corpus = corpus
+    _value: Callable[[int], object] | None = None
 
-    def __getitem__(self, article_id: str) -> ArticleRecord:
-        return self._corpus._record(self._corpus.row_of[article_id])
+    def __init__(self, ids: tuple[str, ...], value: Callable[[int], object] | None = None):
+        self.ids = ids
+        if value is not None:
+            self._value = value
 
-    def __contains__(self, article_id) -> bool:
-        return article_id in self._corpus.row_of
+    def _row(self, key) -> int:
+        """The row of ``key``; -1 when it is not one of the ids."""
+        ids = self.ids
+        row = bisect_left(ids, key) if isinstance(key, str) else len(ids)
+        return row if row < len(ids) and ids[row] == key else -1
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._corpus.ids)
+    def __getitem__(self, key):
+        row = self._row(key)
+        if row < 0:
+            raise KeyError(key)
+        return row if self._value is None else self._value(row)
 
-    def __len__(self) -> int:
-        return len(self._corpus.ids)
-
-
-class _RowOf(Mapping):
-    """Read-only id -> row view of the sorted ``ids``: a lookup bisects them,
-    so no dict of the ids is held. A key that is not one of them, one that
-    is not a ``str`` included, is a :class:`KeyError`."""
-
-    def __init__(self, ids: tuple[str, ...]):
-        self._ids = ids
-
-    def __getitem__(self, article_id) -> int:
-        ids = self._ids
-        if isinstance(article_id, str):
-            row = bisect_left(ids, article_id)
-            if row < len(ids) and ids[row] == article_id:
-                return row
-        raise KeyError(article_id)
+    def __contains__(self, key) -> bool:
+        return self._row(key) >= 0
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._ids)
+        return iter(self.ids)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.ids)
 
 
 class Corpus:
@@ -287,7 +289,7 @@ class Corpus:
         dangling_ids: tuple[str, ...],
     ):
         self.ids = ids
-        self.row_of: Mapping[str, int] = _RowOf(ids)
+        self.row_of: Mapping[str, int] = _IdView(ids)
         self._journals: Mapping[str, JournalRecord] = MappingProxyType(journals)
         self.journal_ids = tuple(journals)
         self.journal_codes = _frozen(journal_codes)
@@ -300,7 +302,7 @@ class Corpus:
 
     @property
     def articles(self) -> Mapping[str, ArticleRecord]:
-        return _ArticleView(self)
+        return _IdView(self.ids, self._record)
 
     @property
     def journals(self) -> Mapping[str, JournalRecord]:
@@ -352,10 +354,9 @@ class Corpus:
 
     def article(self, article_id: str) -> ArticleRecord:
         try:
-            row = self.row_of[article_id]
-        except (KeyError, TypeError):
+            return self.articles[article_id]
+        except KeyError:
             raise UnknownNameError(f"unknown article: {article_id!r}") from None
-        return self._record(row)
 
     def journal(self, journal_id: str) -> JournalRecord:
         try:

@@ -131,7 +131,9 @@ def build_report_tables(
     classified) are skipped rather than fabricated; the emitters render
     whatever is present. Every cell is a slice of one :class:`CountCube`.
     ``journals`` is read as :func:`count_cube` reads it: a string or a
-    non-iterable raises :class:`ConfigError`. A journal named
+    non-iterable raises :class:`ConfigError`, and an id that is not a corpus
+    journal, one that is not a ``str`` included, :class:`UnknownNameError`.
+    A journal named
     :data:`COMBINED_SCOPE` or :data:`ALL_SOURCES` would share its rows with
     the pooled set or every journal, so either raises :class:`ConfigError`, as
     do ``assignments`` that are not an :class:`AssignmentTable`. A table over
@@ -142,10 +144,11 @@ def build_report_tables(
     taxonomy.check_journals(corpus.journals.values())
     if config is None:
         config = IndicatorConfig()
-    journal_list = tuple(sorted(set(_journal_ids(journals, "journals"))))
-    if COMBINED_SCOPE in journal_list:
+    requested = list(_journal_ids(journals, "journals"))
+    if COMBINED_SCOPE in requested:
         raise ConfigError(f"journals must not name {COMBINED_SCOPE}, the scope of the pooled set")
-    cube = count_cube(corpus, assignments, journal_list, config)
+    cube = count_cube(corpus, assignments, requested, config)
+    journal_list = tuple(sorted(set(requested)))  # known journal ids now
     areas = tuple(sorted({taxonomy.broad_area_of(c) for c in taxonomy.assignment_targets}))
 
     summary = [cube.summary_row(j) for j in (ALL_SOURCES,) + journal_list]

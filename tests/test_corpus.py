@@ -294,6 +294,7 @@ def test_record_field_constraints():
         lambda: ArticleRecord("P1", "J\r1", 2010, "article"),
         lambda: ArticleRecord("P1", "J1", 2010, "article", ("X\rY",)),
         lambda: ArticleRecord("P1", "J1", 2010, "letter"),
+        lambda: ArticleRecord("#P1", "J1", 2010, "article"),
         lambda: JournalRecord("J1", "Name", ()),
         lambda: JournalRecord("J1", "Name", ("Onco;logy",)),
         lambda: JournalRecord("J\r1", "Name", ("Oncology",)),
@@ -346,8 +347,10 @@ def naive_records(lines):
                 raise ParseError("empty reference id", line_no, refs_s)
             if doc_type not in ("article", "review", "other"):
                 raise ParseError("unknown doc_type", line_no, doc_type)
-            tokens = [(a_id, "article id"), (j_id, "journal id")]
-            faults = [naive_token_fault(v, what, "\t\n\r,") for v, what in tokens]
+            faults = [naive_token_fault(a_id, "article id", "\t\n\r,")]
+            if a_id.startswith("#"):
+                faults.append("article id has a leading '#'")
+            faults.append(naive_token_fault(j_id, "journal id", "\t\n\r,"))
             faults += [naive_token_fault(r, "reference id", "\t\n\r,") for r in refs]
             if any(faults):
                 raise ParseError(next(filter(None, faults)), line_no, a_id)
@@ -548,6 +551,10 @@ MALFORMED = {
     ),
     "empty-article-id": ([J1, _a(" ")], (ParseError, "empty article id", 2, "")),
     "empty-journal-id": ([J1, _a("P1", journal=" ")], (ParseError, "empty journal id", 2, "P1")),
+    "leading-hash-article-id": (
+        [J1, _a("P1"), _a(" #P2", refs="#P3,P1")],
+        (ParseError, "article id has a leading '#'", 3, "#P2"),
+    ),
     "newline-in-article-id": (
         [J1, _a("P\n1")],
         (ParseError, "article id contains forbidden character '\\n', token 'P\\n1'", 2, "P\n1"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -601,6 +602,13 @@ def test_count_cube_and_report_tables_take_only_an_assignment_table(toy_taxonomy
         with pytest.raises(ConfigError, match=message):
             count_cube(corpus, own, journals, simple_config())
         with pytest.raises(ConfigError, match=message):
+            build_report_tables(corpus, own, toy_taxonomy, journals, simple_config())
+    # ids that cannot be hashed or sorted are unknown journals to both
+    for journals, bad in (([["J1"]], ["J1"]), ([1, "J1"], 1), (["J1", 1.5], 1.5)):
+        message = f"^{re.escape(f'unknown journal: {bad!r}')}$"
+        with pytest.raises(UnknownNameError, match=message):
+            count_cube(corpus, own, journals, simple_config())
+        with pytest.raises(UnknownNameError, match=message):
             build_report_tables(corpus, own, toy_taxonomy, journals, simple_config())
 
 

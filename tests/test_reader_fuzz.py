@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from naive_assignments import naive_read_assignments
 
-from refclass.classifier import read_assignments
+from refclass.classifier import STATUS_UNCLASSIFIED, Assignment, VoteTally, read_assignments
 from refclass.corpus import emit_corpus, read_corpus
 from refclass.errors import RefclassError, UnknownNameError
 from refclass.taxonomy import SubjectCategory, Taxonomy, emit_taxonomy, load_taxonomy
@@ -184,20 +184,35 @@ def test_readers_raise_only_refclass_errors_and_corpora_round_trip(corpus, assig
 def test_row_of_inverts_the_sorted_ids(corpus):
     """``row_of[ids[r]] == r``; any other key, a dangling id or a non-``str``
     one included, is a ``KeyError``, not ``in``, and ``article`` of it an
-    ``UnknownNameError``."""
+    ``UnknownNameError``. ``articles`` and an assignment table answer the
+    same keys, in the same order, with the record and the assignment of the
+    row."""
     accepted = read_or_reject(read_corpus, corpus)
     if accepted is None:
         return
-    ids, row_of = accepted.ids, accepted.row_of
-    assert list(ids) == sorted(ids) and len(row_of) == len(ids) and list(row_of) == list(ids)
-    for r, a_id in enumerate(ids):
-        assert a_id in row_of and row_of[a_id] == r and row_of.get(a_id) == r
+    ids = accepted.ids
+    assert list(ids) == sorted(ids)
+    unclassified = VoteTally({}, 0)
+    views = [
+        (accepted.row_of, lambda r: r),
+        (accepted.articles, accepted._record),
+        (
+            read_assignments([], accepted),
+            lambda r: Assignment(ids[r], None, None, STATUS_UNCLASSIFIED, 0, unclassified),
+        ),
+    ]
     # Dangling ids, and strings that sort right next to an id.
     near = {p for a_id in ids for p in (a_id + "a", a_id[:-1], a_id + "\x00", "")}
-    for key in [*accepted.dangling_ids, *sorted(near - set(ids)), 0, None, b"P1", ("P1",)]:
-        assert key not in row_of and row_of.get(key) is None
-        with pytest.raises(KeyError):
-            row_of[key]
+    strangers = [*accepted.dangling_ids, *sorted(near - set(ids)), 0, None, b"P1", ("P1",), ["P1"]]
+    for view, value in views:
+        assert len(view) == len(ids) and list(view) == list(ids)
+        for r, a_id in enumerate(ids):
+            assert a_id in view and view[a_id] == value(r) and view.get(a_id) == value(r)
+        for key in strangers:
+            assert key not in view and view.get(key) is None
+            with pytest.raises(KeyError):
+                view[key]
+    for key in strangers:
         with pytest.raises(UnknownNameError):
             accepted.article(key)
 
