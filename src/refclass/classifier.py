@@ -267,20 +267,18 @@ class ClassificationResult:
 def _seeds(corpus: Corpus, taxonomy: Taxonomy) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted seed categories and each row's seed category code (-1: not seeded)."""
     taxonomy.check_journals(corpus.journals.values())
-    per_journal = [
-        j.categories[0] if taxonomy.is_classifier_journal(j) else None
-        for j in corpus.journals.values()
-    ]
-    categories = tuple(sorted({c for c in per_journal if c is not None}))
-    code = {c: i for i, c in enumerate(categories)}
-    journal_category = [code.get(c, -1) for c in per_journal]
+    categories, journal_category = _coded(
+        [
+            j.categories[0] if taxonomy.is_classifier_journal(j) else ""
+            for j in corpus.journals.values()
+        ]
+    )
     return categories, _lookup(journal_category, corpus.journal_codes)
 
 
-def _area_codes(names: Sequence[str], taxonomy: Taxonomy) -> tuple[tuple[str, ...], list[int]]:
+def _area_codes(names: Sequence[str], taxonomy: Taxonomy) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted broad areas of the categories ``names`` and each one's area code."""
-    areas = tuple(sorted({taxonomy.broad_area_of(c) for c in names}))
-    return areas, [areas.index(taxonomy.broad_area_of(c)) for c in names]
+    return _coded([taxonomy.broad_area_of(c) for c in names])
 
 
 def seed_assignments(corpus: Corpus, taxonomy: Taxonomy) -> AssignmentTable:
@@ -529,20 +527,12 @@ def emit_assignments(result: ClassificationResult) -> str:
     return "".join(blocks) or "\n"
 
 
-def _assignment_row(raw: str, line_no: int) -> tuple[str, str, str, str, int, int] | None:
-    """The stripped id, category, area and status, the iteration and the
-    votes of the assignment line ``raw``; ``None`` for a blank or comment
-    line. Raises the line's first fault."""
-    if not raw.strip() or raw.startswith("#"):
-        return None
-    parts = raw.rstrip("\n").split("\t")
-    if len(parts) != 6:
-        raise ParseError(f"assignment row needs 6 columns, got {len(parts)}", line_no, raw)
-    a_id, cat, area, status, iteration_s, votes_s = parts
-    a_id, cat, area, status = a_id.strip(), cat.strip(), area.strip(), status.strip()
-    iteration_s, votes_s = iteration_s.strip(), votes_s.strip()
-    if not a_id:
-        raise ParseError("empty article id", line_no, raw)
+def _head(head: str, line_no: int, raw: str) -> tuple[str, str, str, int | None]:
+    """The stripped category, area and status of the assignment line ``raw``,
+    whose head (its columns between id and votes) is ``head``, and its
+    iteration, ``None`` where ``int`` cannot read it. Raises the first fault
+    of the status and the area."""
+    cat, area, status, iteration_s = (field.strip() for field in head.split("\t"))
     if status not in _STATUS_CODE:
         raise ParseError("unknown status", line_no, status)
     if (area == "") != (status == STATUS_UNCLASSIFIED):
@@ -552,12 +542,9 @@ def _assignment_row(raw: str, line_no: int) -> tuple[str, str, str, str, int, in
     if area and area not in BROAD_AREA_SET:
         raise ParseError("unknown broad area", line_no, area)
     try:
-        iteration, total = int(iteration_s), int(votes_s)
+        return cat, area, status, int(iteration_s)
     except ValueError:
-        raise ParseError("non-integer iteration or votes", line_no, raw) from None
-    if not (0 <= iteration < 2**63 and 0 <= total < 2**63):
-        raise ParseError("iteration and votes must be in [0, 2**63)", line_no, raw)
-    return a_id, cat, area, status, iteration, total
+        return cat, area, status, None
 
 
 def read_assignments(source: Iterable[str], corpus: Corpus) -> AssignmentTable:
@@ -569,23 +556,23 @@ def read_assignments(source: Iterable[str], corpus: Corpus) -> AssignmentTable:
     the smallest. An article the file does not name is unclassified with 0
     votes. Each tally holds only its total.
 
-    A line's head, the raw text between its id and its votes, is checked
-    once per distinct head. A line whose head an earlier line passed, with
-    a non-empty id and votes that ``int`` reads into ``[0, 2**63)``, keeps
-    only its head's index and its votes; every other line goes through the
-    full check, :func:`_assignment_row`, which raises its first fault. A
-    passed head holds exactly three tabs, so a line with another column
-    count never matches one. Each distinct name is kept as one string
-    object. A line's id is first tried against the row after the previous
-    line's, and bisected in ``corpus.ids`` only when that row is another
-    article's, so a file in row order, as ``classify`` writes it, needs no
-    lookup.
+    Every line goes through one rule. Blank lines and lines led by ``#`` are
+    skipped. A line's head, the raw text between its first and last tab, is
+    checked once, on the first line that holds it: its column count, then
+    its stripped category, area and status and its iteration
+    (:func:`_head`). The stripped id and the stripped votes are checked on
+    every line. The faults of one line come in a fixed order: column count,
+    empty id, status, area, a non-integer iteration or votes, then either
+    outside ``[0, 2**63)``. Each distinct name is kept as one string object.
+    A line's id is first tried against the row after the previous line's,
+    and bisected in ``corpus.ids`` only when that row is another article's,
+    so a file in row order, as ``classify`` writes it, needs no lookup.
     """
     ids = corpus.ids
     n = len(ids)
     name = {}.setdefault  # one object per distinct category, area and status
     head_at: dict[str, int] = {}  # raw head -> its index into `heads`
-    heads: list[tuple[str, str, str, int]] = []  # category, area, status, iteration
+    heads: list[tuple[str, str, str, int | None]] = []  # category, area, status, iteration
     # Per row its line's head index (-1 until a line names it) and votes.
     row_head, votes = [-1] * n, [0] * n
     row = -1
@@ -593,19 +580,29 @@ def read_assignments(source: Iterable[str], corpus: Corpus) -> AssignmentTable:
     for line_no, raw in enumerate(source, start=1):
         a_id, _, tail = raw.partition("\t")
         head, _, votes_s = tail.rpartition("\t")
-        a_id = a_id.strip()
         k = head_at.get(head, -1)
-        total = -1
-        if k >= 0 and a_id and raw[0] != "#":  # the full check skips a comment
-            try:
-                total = int(votes_s)
-            except ValueError:
-                pass
-        if not 0 <= total < 2**63:
-            fields = _assignment_row(raw, line_no)
-            if fields is None:
-                continue
-            a_id, total = fields[0], fields[5]
+        # A known head holds a status, so its line is not blank.
+        if (k < 0 and not raw.strip()) or raw[0] == "#":
+            continue
+        if k < 0 and head.count("\t") != 3:
+            columns = raw.count("\t") + 1
+            raise ParseError(f"assignment row needs 6 columns, got {columns}", line_no, raw)
+        a_id = a_id.strip()
+        if not a_id:
+            raise ParseError("empty article id", line_no, raw)
+        if k < 0:
+            cat, area, status, iteration = _head(head, line_no, raw)
+            k = head_at[head] = len(heads)
+            heads.append((name(cat, cat), name(area, area), name(status, status), iteration))
+        iteration = heads[k][3]
+        try:
+            total = int(votes_s.strip())
+        except ValueError:
+            total = None
+        if iteration is None or total is None:
+            raise ParseError("non-integer iteration or votes", line_no, raw)
+        if not (0 <= iteration < 2**63 and 0 <= total < 2**63):
+            raise ParseError("iteration and votes must be in [0, 2**63)", line_no, raw)
         if row + 1 < n and ids[row + 1] == a_id:
             row += 1
         else:
@@ -618,10 +615,6 @@ def read_assignments(source: Iterable[str], corpus: Corpus) -> AssignmentTable:
             row = found
         if row_head[row] >= 0:
             raise ValidationError("duplicate article id", line_no, a_id)
-        if k < 0:  # a new head, which the full check passed
-            k = head_at[head] = len(heads)
-            cat, area, status, iteration = fields[1:5]
-            heads.append((name(cat, cat), name(area, area), name(status, status), iteration))
         row_head[row] = k
         votes[row] = total
     if strangers:

@@ -42,6 +42,7 @@ from .report import (
     MANIFEST_FILE,
     TABLE_FILES,
     RunManifest,
+    _knobs,
     build_report_tables,
     emit_report,
     read_table_dir,
@@ -230,13 +231,7 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
     manifest = RunManifest(
         command="indicators",
         version=__version__,
-        config={
-            "window": str(config.window),
-            "kappa": f"{config.kappa:.6f}",
-            "if_years": f"{config.if_year_range[0]}:{config.if_year_range[1]}",
-            "pub_years": f"{config.pub_window[0]}:{config.pub_window[1]}",
-            "journals": ",".join(tables.journals),
-        },
+        config={**_knobs(config), "journals": ",".join(tables.journals)},
         inputs={
             "corpus": _sha256(ns.corpus),
             "taxonomy": _sha256(ns.taxonomy),

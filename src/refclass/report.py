@@ -2,8 +2,10 @@
 
 Every file is UTF-8 with LF endings, starts with a ``#`` header line that
 records the indicator configuration, then a column-name line, then data rows.
-Floating-point cells are rendered with 6 decimal places (round-half-even, as
-produced by ``format(x, '.6f')``); empty cells mean "undefined".
+Every cell is rendered by one rule: ``None`` is an empty cell ("undefined"),
+a bool is ``true`` or ``false``, a float has 6 decimal places (round-half-even,
+as produced by ``format(x, '.6f')``), and anything else is its ``str``. The
+header and the manifest's ``config.*`` lines write the knobs one way.
 
 :func:`write_files_atomic` is the one staged-write helper: every CLI command
 that writes files calls it once for all of them. It stages uniquely named
@@ -73,14 +75,6 @@ TABLE_COLUMNS = {
 def fmt_float(x: float) -> str:
     """Fixed 6-decimal rendering; IEEE correct rounding is round-half-even."""
     return f"{x:.6f}"
-
-
-def _opt(x: float | int | None) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return fmt_float(x)
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -195,21 +189,38 @@ def build_report_tables(
     )
 
 
+def _knobs(config: IndicatorConfig) -> dict[str, str]:
+    """The indicator knobs as the table headers and the manifest write them."""
+    return {
+        "window": str(config.window),
+        "kappa": fmt_float(config.kappa),
+        "if_years": "{}:{}".format(*config.if_year_range),
+        "pub_years": "{}:{}".format(*config.pub_window),
+    }
+
+
 def _config_header(config: IndicatorConfig) -> str:
-    return (
-        f"# window={config.window} kappa={fmt_float(config.kappa)}"
-        f" if_years={config.if_year_range[0]}:{config.if_year_range[1]}"
-        f" pub_years={config.pub_window[0]}:{config.pub_window[1]}"
-        " denominator_doc_types=article citing_doc_types=article,other,review"
-    )
+    knobs = " ".join(f"{key}={value}" for key, value in _knobs(config).items())
+    return f"# {knobs} denominator_doc_types=article citing_doc_types=article,other,review"
 
 
-def _table(name: str, config: IndicatorConfig, rows: list[str], extra_comments: list[str] | None = None) -> str:
-    lines = [_config_header(config)]
-    if extra_comments:
-        lines += extra_comments
-    lines.append("\t".join(TABLE_COLUMNS[name]))
-    lines += rows
+def _cell(value: object) -> str:
+    """The text of one table cell: empty for ``None``, ``true`` or ``false``
+    for a bool, :func:`fmt_float` for a float, ``str`` for anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt_float(value)
+    return str(value)
+
+
+def _table(
+    name: str, config: IndicatorConfig, rows: list[tuple], comments: Iterable[str] = ()
+) -> str:
+    lines = [_config_header(config), *comments, "\t".join(TABLE_COLUMNS[name])]
+    lines += ["\t".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -218,52 +229,50 @@ def render_tables(tables: ReportTables) -> dict[str, str]:
     cfg = tables.config
 
     rows = [
-        f"{r.journal_id}\t{r.articles}\t{r.articles_classified}\t{r.citations}\t{_opt(r.mean_if)}"
+        (r.journal_id, r.articles, r.articles_classified, r.citations, r.mean_if)
         for r in sorted(tables.summary, key=lambda r: r.journal_id)
     ]
     out = {"summary.tsv": _table("summary.tsv", cfg, rows)}
 
-    rows = []
-    for scope, comp in sorted(tables.compositions, key=lambda sc: sc[0]):
-        for area in sorted(comp.counts):
-            rows.append(f"{scope}\t{area}\t{comp.counts[area]}\t{fmt_float(comp.share(area))}")
+    rows = [
+        (scope, area, comp.counts[area], comp.share(area))
+        for scope, comp in sorted(tables.compositions, key=lambda sc: sc[0])
+        for area in sorted(comp.counts)
+    ]
     out["composition.tsv"] = _table("composition.tsv", cfg, rows)
 
-    rows = []
-    comments = []
-    if tables.representation is not None:
-        rep = tables.representation
-        for area in sorted(rep.ratios):
-            rows.append(
-                f"{area}\t{fmt_float(rep.share_set.get(area, 0.0))}"
-                f"\t{fmt_float(rep.share_all[area])}\t{fmt_float(rep.ratios[area])}"
-            )
+    rows, comments = [], []
+    rep = tables.representation
+    if rep is not None:
+        rows = [
+            (area, rep.share_set.get(area, 0.0), rep.share_all[area], rep.ratios[area])
+            for area in sorted(rep.ratios)
+        ]
         if rep.omitted_areas:
             comments.append("# omitted_areas=" + ";".join(rep.omitted_areas))
     out["representation.tsv"] = _table("representation.tsv", cfg, rows, comments)
 
     rows = []
     for m in sorted(tables.field_if, key=lambda m: (m.journal_id, m.area)):
-        for v in m.yearly:
-            rows.append(
-                f"{m.journal_id}\t{m.area}\t{v.year}\t{v.numerator}\t{v.denominator}"
-                f"\t{fmt_float(v.value)}\t"
-            )
+        rows += [
+            (m.journal_id, m.area, v.year, v.numerator, v.denominator, v.value, None)
+            for v in m.yearly
+        ]
         skipped = ";".join(str(y) for y in m.skipped_years)
-        rows.append(f"{m.journal_id}\t{m.area}\tmean\t\t\t{fmt_float(m.value)}\t{skipped}")
+        rows.append((m.journal_id, m.area, "mean", None, None, m.value, skipped))
     out["field_if.tsv"] = _table("field_if.tsv", cfg, rows)
 
     rows = [
-        f"{p.journal_id}\t{p.area}\t{fmt_float(p.journal_if)}\t{fmt_float(p.baseline_if)}\t{fmt_float(p.value)}"
+        (p.journal_id, p.area, p.journal_if, p.baseline_if, p.value)
         for p in sorted(tables.prestige, key=lambda p: (p.journal_id, p.area))
     ]
     out["prestige.tsv"] = _table("prestige.tsv", cfg, rows)
 
-    rows = []
-    for ranking in sorted(tables.rankings, key=lambda r: r.area):
-        for e in ranking.entries:
-            flag = "true" if e.field_restricted else "false"
-            rows.append(f"{ranking.area}\t{_opt(e.rank)}\t{e.journal_id}\t{_opt(e.value)}\t{flag}")
+    rows = [
+        (ranking.area, e.rank, e.journal_id, e.value, e.field_restricted)
+        for ranking in sorted(tables.rankings, key=lambda r: r.area)
+        for e in ranking.entries
+    ]
     out["ranking.tsv"] = _table("ranking.tsv", cfg, rows)
     return out
 

@@ -180,8 +180,7 @@ def test_criterion_6_representation_recovery():
         assert rep.ratios[target_area] == pytest.approx(5.0, abs=0.2)
 
 
-def _pipeline(tmp_path, name: str, threads: str, monkeypatch) -> dict[str, bytes]:
-    monkeypatch.setenv("REFCLASS_THREADS", threads)
+def _pipeline(tmp_path, name: str) -> dict[str, bytes]:
     d = tmp_path / name
     d.mkdir()
     synth_cfg = {
@@ -241,15 +240,19 @@ def _pipeline(tmp_path, name: str, threads: str, monkeypatch) -> dict[str, bytes
     return out
 
 
-def test_criterion_7_end_to_end_determinism(tmp_path, monkeypatch):
-    with criterion(7, "full pipeline byte-identical across reruns and thread counts"):
-        run_a = _pipeline(tmp_path, "a", "1", monkeypatch)
-        run_b = _pipeline(tmp_path, "b", "1", monkeypatch)
-        run_c = _pipeline(tmp_path, "c", "8", monkeypatch)
+def test_criterion_7_determinism_across_reruns_and_corpus_reads(tmp_path, request):
+    with criterion(7, "full pipeline byte-identical across reruns and corpus read paths"):
+        run_a = _pipeline(tmp_path, "a")
+        run_b = _pipeline(tmp_path, "b")
+        # The corpus is too small to fork by default; from here on every
+        # corpus read forks two workers.
+        forks = request.getfixturevalue("forks")
+        run_c = _pipeline(tmp_path, "c")
+        assert len(forks) == 4  # classify and indicators, two workers each
         assert sorted(run_a) == sorted(run_b) == sorted(run_c)
         for name in run_a:
             assert run_a[name] == run_b[name], f"{name} differs between identical runs"
-            assert run_a[name] == run_c[name], f"{name} differs between thread counts"
+            assert run_a[name] == run_c[name], f"{name} differs between the read paths"
 
 
 def _random_if_case(rng: np.random.Generator):

@@ -381,7 +381,7 @@ def test_one_hop_completeness(toy_taxonomy):
                 assert a.iteration <= 1
 
 
-def test_determinism_and_thread_independence(toy_taxonomy):
+def test_classify_is_deterministic():
     rng = np.random.default_rng(4321)
     corpus, taxonomy = random_corpus(rng, max_articles=400)
     base = classify(corpus, taxonomy)
@@ -833,6 +833,26 @@ MALFORMED_ASSIGNMENTS = {
             "P2\tX\tOncology\tMedicine\tjournal-seeded\t0\t0\n",
         ),
     ),
+    # Faults inside one line come in a fixed order, whatever the head.
+    "bad-votes-before-a-negative-iteration-on-a-new-head": (
+        [SEED_ROW, "P4\tOncology\tMedicine\tjournal-seeded\t-3\tmany"],
+        (
+            ParseError,
+            "non-integer iteration or votes",
+            2,
+            "P4\tOncology\tMedicine\tjournal-seeded\t-3\tmany\n",
+        ),
+    ),
+    "blank-id-before-unknown-status": (
+        [SEED_ROW, "\t\t\tpending\t0\t0"],
+        (ParseError, "empty article id", 2, "\t\t\tpending\t0\t0\n"),
+    ),
+    # Line 2 repeats OPEN_ROW's head with votes padded by "\x1c", which
+    # str.strip strips: it reads, so its repeat is the first fault.
+    "padded-votes-on-a-repeated-head-then-duplicate": (
+        [OPEN_ROW, "P3\t\t\tunclassified\t0\t\x1c2", "P3\t\t\tunclassified\t0\t2"],
+        (ValidationError, "duplicate article id", 3, "P3"),
+    ),
     "padded-head-then-duplicate": (
         [SEED_ROW, "P2\t Oncology\tMedicine \tjournal-seeded\t0\t1", "P2" + SEED_ROW[2:]],
         (ValidationError, "duplicate article id", 3, "P2"),
@@ -875,6 +895,11 @@ def test_read_assignments_reads_a_padded_head_like_its_twin():
     assert table.categories == (ONCO,) and table.areas == ("Medicine",)
     assert table["P1"] == Assignment("P1", ONCO, "Medicine", STATUS_SEEDED, 0, VoteTally({}, 0))
     assert table["P2"] == Assignment("P2", ONCO, "Medicine", STATUS_SEEDED, 0, VoteTally({}, 7))
+    # P3 repeats OPEN_ROW's head with votes that int() reads only once stripped.
+    rows = ("P3\t\t\tunclassified\t0\t\x1c2\x1c\n", "P3\t\t\tunclassified\t0\t2\n")
+    padded, twin = (read_assignments([OPEN_ROW + "\n", row], seeded_corpus()) for row in rows)
+    assert dict(padded) == dict(twin)
+    assert padded["P3"] == Assignment("P3", None, None, STATUS_UNCLASSIFIED, 0, VoteTally({}, 2))
 
 
 def test_read_assignments_traced_peak_is_bounded():

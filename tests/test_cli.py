@@ -584,6 +584,85 @@ def test_every_output_byte_of_the_pipeline_is_pinned(forks, monkeypatch, tmp_pat
     assert statuses >= set(STATUSES)
 
 
+# CI's smoke corpus: 52 journals x 32 articles x 5 years = 8,320 articles.
+SMOKE_SYNTH = {
+    **PINNED_SYNTH,
+    "journals_per_field": 5,
+    "num_general_journals": 2,
+    "articles_per_journal_year": 32,
+}
+
+
+def _refclass(args: list[str], cwd: Path, cpus: set[int] | None = None) -> None:
+    """Run ``python -m refclass`` with ``args``, under the affinity mask
+    ``cpus`` if given (as ``taskset -c`` sets it), and require exit 0."""
+    src = str(Path(refclass.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "refclass", *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _smoke_outputs(inputs: Path, out: Path, cpus: set[int] | None) -> dict[str, bytes]:
+    """Every file, by name, that classify (of ``corpus.tsv`` and of
+    ``reversed-corpus.tsv`` in ``inputs``) and indicators (with the harness
+    knobs and with the widest ones) write into ``out``."""
+    out.mkdir()
+    corpus, reversed_corpus = inputs / "corpus.tsv", inputs / "reversed-corpus.tsv"
+    taxonomy = inputs / "taxonomy.tsv"
+    journals = ",".join(ln.split("\t")[1] for ln in corpus.open() if ln.startswith("J\t"))
+    for name, path in (("assignments.tsv", corpus), ("reversed.tsv", reversed_corpus)):
+        classify = ["classify", "--corpus", str(path), "--taxonomy", str(taxonomy)]
+        _refclass(classify + ["--out", str(out / name)], out, cpus)
+    indicators = ["indicators", "--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    indicators += ["--assignments", str(out / "assignments.tsv")]
+    harness = ["--if-years", "2002:2004", "--pub-years", "2000:2004"]
+    harness += ["--journals", "JF00S00,JF05S02,JG00"]
+    widest = ["--if-years", "1900:2100", "--pub-years", "1900:2100", "--window", "200"]
+    widest += ["--journals", journals]
+    for name, knobs in (("tables", harness), ("wide", widest)):
+        _refclass(indicators + knobs + ["--out-dir", str(out / name)], out, cpus)
+    return {
+        path.relative_to(out).as_posix(): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_reads_in_one_process_and_in_two_write_the_same_files(tmp_path):
+    """``python -m refclass`` on CI's 8,320-article corpus, past the fork
+    threshold: under the default affinity mask each corpus read forks two
+    workers where the host has two CPUs, and under a one-CPU mask it stays in
+    one process. classify of the corpus and of its article rows reversed,
+    and indicators with the harness knobs and with the widest ones, write
+    the same bytes either way; the reversed corpus classifies the same."""
+    config, corpus = tmp_path / "synth.json", tmp_path / "corpus.tsv"
+    config.write_text(json.dumps(SMOKE_SYNTH))
+    synth = ["synth", "--config", str(config), "--seed", "7", "--out-corpus", str(corpus)]
+    synth += ["--out-truth", str(tmp_path / "truth.tsv")]
+    synth += ["--out-taxonomy", str(tmp_path / "taxonomy.tsv")]
+    assert run_cli(synth) == 0
+    assert corpus.stat().st_size >= FORK_BYTES
+    lines = corpus.read_text().splitlines(keepends=True)
+    journal_rows = [ln for ln in lines if ln.startswith("J")]
+    article_rows = [ln for ln in lines if ln.startswith("A")]
+    (tmp_path / "reversed-corpus.tsv").write_text("".join(journal_rows + article_rows[::-1]))
+    default = _smoke_outputs(tmp_path, tmp_path / "default", None)
+    assert default["assignments.tsv"].count(b"\n") == 8320
+    assert default["reversed.tsv"] == default["assignments.tsv"]
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip("one CPU: the default reads already stay in one process")
+    assert _smoke_outputs(tmp_path, tmp_path / "one", {cpus[0]}) == default
+
+
 def _classify_toy(corpus, taxonomy, tmp_path):
     assignments = tmp_path / "assignments.tsv"
     args = ["classify", "--corpus", str(corpus), "--taxonomy", str(taxonomy)]
