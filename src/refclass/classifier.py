@@ -311,11 +311,14 @@ def classify(
     against the previous table; the terminal pass revisits only the articles
     still unlabeled. The assignments are an :class:`AssignmentTable` over the
     corpus rows, whose tallies are the cells each article kept at its last
-    label change. Raises :class:`ValidationError` when a journal names a
-    category missing from the taxonomy.
+    label change. Raises :class:`ConfigError` for a ``config`` that is not a
+    :class:`ClassifierConfig`, and :class:`ValidationError` when a journal
+    names a category missing from the taxonomy.
     """
     if config is None:
         config = ClassifierConfig()
+    elif not isinstance(config, ClassifierConfig):
+        raise ConfigError(f"config must be a ClassifierConfig, got {type(config).__name__}")
     area_mode = config.mode == MODE_BROAD_AREA
 
     # Labels only come from seeds. Their codes follow sorted order, so argmax

@@ -4,8 +4,12 @@ Subcommands mirror the pipeline: ``synth`` generates a seeded corpus,
 ``validate`` checks one, ``classify`` produces the assignment table,
 ``indicators`` computes the report tables, and ``report`` re-emits a table
 directory after validation. This module parses arguments, reads and hashes
-files and prints errors; every input rule is checked by the module that
-owns its data. Each command that writes files writes them all with one
+files and prints errors. Every input rule is checked by the module that
+owns its data, so a library call gets the same error for the same input:
+``build_report_tables``, for one, holds the rule that an assignment table
+agrees with the taxonomy. The checks made here are only the usage checks
+on flags and paths and the JSON form of the synth config file, which no
+library call reads. Each command that writes files writes them all with one
 :func:`~refclass.report.write_files_atomic` call, so a failure leaves no
 temp file behind and its outputs hold all their prior bytes or all their
 new ones. An output that resolves to one of the command's inputs is a usage
@@ -29,7 +33,6 @@ from .classifier import (
     MODES,
     TIE_POLICIES,
     ClassifierConfig,
-    _check_assignments,
     classify,
     emit_assignments,
     read_assignments,
@@ -226,7 +229,6 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
     taxonomy = _read_file(ns.taxonomy, load_taxonomy)
     corpus = read_corpus(ns.corpus)
     assignments = _read_file(ns.assignments, lambda lines: read_assignments(lines, corpus))
-    _check_assignments(assignments, taxonomy)
     tables = build_report_tables(corpus, assignments, taxonomy, journals, config)
     manifest = RunManifest(
         command="indicators",

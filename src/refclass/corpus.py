@@ -97,6 +97,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _items(values, name: str, what: str, error: type[RefclassError]) -> Iterator:
+    """An iterator over ``values``; a string (not read as its letters) or a
+    non-iterable raises ``error`` naming the argument ``name``."""
+    if not isinstance(values, str):
+        try:
+            return iter(values)
+        except TypeError:
+            pass
+    raise error(f"{name} must be a collection of {what}, not {type(values).__name__}")
+
+
 def _year_pair(years, name: str) -> tuple[int, int]:
     """``years`` as a non-empty ``(lo, hi)`` range within :data:`YEAR_BOUNDS`.
 
@@ -125,7 +136,11 @@ def _check_token(value: str, what: str, forbidden: str) -> None:
 
 @dataclass(frozen=True)
 class ArticleRecord:
-    """One bibliographic item with its outgoing reference list."""
+    """One bibliographic item with its outgoing reference list.
+
+    ``year`` is a Python or numpy integer; ``references`` is any collection
+    of ids but a string.
+    """
 
     id: str
     journal_id: str
@@ -134,11 +149,16 @@ class ArticleRecord:
     references: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "references", tuple(self.references))
+        refs = _items(self.references, "references", "reference ids", ValidationError)
+        object.__setattr__(self, "references", tuple(refs))
         _check_token(self.id, "article id", "\t\n\r,")
         if self.id[0] == "#":
             raise ValidationError("article id has a leading '#'", token=self.id)
         _check_token(self.journal_id, "journal id", "\t\n\r,")
+        if not (_is_int(self.year) or isinstance(self.year, np.integer)):
+            raise ValidationError(
+                f"article {self.id!r} year must be an integer, not {type(self.year).__name__}"
+            )
         if self.doc_type not in DOC_TYPES:
             raise ValidationError("unknown doc_type", token=self.doc_type)
         for ref in self.references:
@@ -147,14 +167,16 @@ class ArticleRecord:
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One journal with its subject-category list (order preserved)."""
+    """One journal with its subject-category list (order preserved); the
+    list is any collection of names but a string."""
 
     id: str
     name: str
     categories: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "categories", tuple(self.categories))
+        cats = _items(self.categories, "categories", "category names", ValidationError)
+        object.__setattr__(self, "categories", tuple(cats))
         _check_token(self.id, "journal id", "\t\n\r,")
         if any(ch in self.name for ch in "\t\n\r"):
             raise ValidationError("journal name contains forbidden character", token=self.name)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .classifier import AssignmentTable, _require_table
-from .corpus import _DOC_CODE, YEAR_BOUNDS, Corpus, JournalRecord, _is_int, _year_pair
+from .corpus import _DOC_CODE, YEAR_BOUNDS, Corpus, JournalRecord, _is_int, _items, _year_pair
 from .errors import (
     ConfigError,
     DomainError,
@@ -49,19 +49,6 @@ _CITE_BLOCK = 1 << 16
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _journal_ids(journals, name: str) -> Iterator:
-    """An iterator over ``journals``; a string (not read as its letters) or a
-    non-iterable raises :class:`ConfigError` naming the argument ``name``."""
-    if not isinstance(journals, str):
-        try:
-            return iter(journals)
-        except TypeError:
-            pass
-    raise ConfigError(
-        f"{name} must be a collection of journal ids, not {type(journals).__name__}"
-    )
 
 
 @dataclass(frozen=True)
@@ -328,7 +315,8 @@ class CountCube:
         for a journal the cube did not count and :class:`EmptyScopeError`
         when nothing in scope is classified.
         """
-        slots = {j: self._slot(j) for j in _journal_ids(journal_set, "journal_set")}
+        journal_ids = _items(journal_set, "journal_set", "journal ids", ConfigError)
+        slots = {j: self._slot(j) for j in journal_ids}
         if not slots:
             raise EmptyScopeError("empty journal set")
         journals = tuple(sorted(slots))
@@ -405,13 +393,16 @@ def count_cube(
     Raises :class:`ConfigError` for a string or non-iterable ``journals`` or
     one that names :data:`ALL_SOURCES`, the scope token of every journal,
     then :class:`UnknownNameError` for a journal not in the corpus, then
-    :class:`ConfigError` for ``assignments`` that are not a table, then
-    :class:`ValidationError` for a table over another corpus's articles.
+    :class:`ConfigError` for a ``config`` that is not an
+    :class:`IndicatorConfig` and for ``assignments`` that are not a table,
+    then :class:`ValidationError` for a table over another corpus's articles.
     """
-    requested = list(_journal_ids(journals, "journals"))
+    requested = list(_items(journals, "journals", "journal ids", ConfigError))
     if ALL_SOURCES in requested:
         raise ConfigError(f"journals must not name {ALL_SOURCES}, the scope of every journal")
     journals = {record.id: record for record in map(corpus.journal, requested)}
+    if not isinstance(config, IndicatorConfig):
+        raise ConfigError(f"config must be an IndicatorConfig, got {type(config).__name__}")
     cite_lo, cite_hi = config.if_year_range
     width = cite_hi - cite_lo + 2
 

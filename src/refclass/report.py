@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .classifier import AssignmentTable
-from .corpus import Corpus, _utf8
+from .classifier import AssignmentTable, _check_assignments
+from .corpus import Corpus, _items, _utf8
 from .errors import ConfigError, EmptyScopeError, UndefinedValueError, ValidationError
 from .indicators import (
     ALL_AREAS,
@@ -39,7 +39,6 @@ from .indicators import (
     RankingTable,
     RepresentationTable,
     SummaryRow,
-    _journal_ids,
     count_cube,
     prestige,
 )
@@ -130,15 +129,22 @@ def build_report_tables(
     A journal named
     :data:`COMBINED_SCOPE` or :data:`ALL_SOURCES` would share its rows with
     the pooled set or every journal, so either raises :class:`ConfigError`, as
-    do ``assignments`` that are not an :class:`AssignmentTable`. A table over
-    another corpus's articles, or a corpus journal that names a category
-    missing from the taxonomy, raises :class:`ValidationError` before anything
-    is counted.
+    do a ``config`` that is not an :class:`IndicatorConfig` and
+    ``assignments`` that are not an :class:`AssignmentTable`.
+
+    The table must agree with the taxonomy: its first row, in corpus order,
+    whose category the taxonomy lacks or files under another broad area
+    raises :class:`ValidationError`, and this check comes first. A corpus
+    journal that names a category missing from the taxonomy, or a table over
+    another corpus's articles, also raises :class:`ValidationError` before
+    anything is counted.
     """
+    if isinstance(assignments, AssignmentTable):  # anything else is count_cube's to refuse
+        _check_assignments(assignments, taxonomy)
     taxonomy.check_journals(corpus.journals.values())
     if config is None:
         config = IndicatorConfig()
-    requested = list(_journal_ids(journals, "journals"))
+    requested = list(_items(journals, "journals", "journal ids", ConfigError))
     if COMBINED_SCOPE in requested:
         raise ConfigError(f"journals must not name {COMBINED_SCOPE}, the scope of the pooled set")
     cube = count_cube(corpus, assignments, requested, config)

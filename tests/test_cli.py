@@ -16,11 +16,11 @@ import pytest
 import refclass
 import refclass.corpus as corpus_module
 import refclass.report as report_module
-from refclass.classifier import STATUSES, _check_assignments, read_assignments
+from refclass.classifier import STATUSES, read_assignments
 from refclass.cli import run_cli
 from refclass.corpus import read_corpus
 from refclass.errors import ValidationError
-from refclass.report import MANIFEST_FILE, TABLE_FILES
+from refclass.report import MANIFEST_FILE, TABLE_FILES, build_report_tables
 from refclass.taxonomy import load_taxonomy
 
 from conftest import TOY_TAXONOMY_TEXT
@@ -100,19 +100,33 @@ def test_missing_corpus_is_io_error(toy_files, tmp_path, capsys):
     assert not (tmp_path / "out.tsv").exists()
 
 
-@pytest.mark.parametrize("command", ["classify", "indicators"])
-def test_a_bad_knob_is_rejected_before_any_file_is_read(tmp_path, capsys, command):
-    # Every input file is missing too: the config error wins over error:io.
-    missing = [str(tmp_path / "missing-corpus.tsv"), str(tmp_path / "missing-taxonomy.tsv")]
+@pytest.mark.parametrize(
+    "command, present",
+    [
+        pytest.param("classify", False, id="classify"),
+        pytest.param("indicators", False, id="indicators"),
+        pytest.param("classify", True, id="classify-present"),
+        pytest.param("indicators", True, id="indicators-present"),
+    ],
+)
+def test_a_bad_knob_is_rejected_before_any_file_is_read(tmp_path, capsys, command, present):
+    # With every input file missing, the config error also wins over error:io.
+    corpus, taxonomy = tmp_path / "corpus.tsv", tmp_path / "taxonomy.tsv"
+    assignments = tmp_path / "assignments.tsv"
+    if present:
+        corpus.write_text(TOY_CORPUS_TEXT)
+        taxonomy.write_text(TOY_TAXONOMY_TEXT)
+        _classify_toy(corpus, taxonomy, tmp_path)
     out = tmp_path / "out"
     if command == "classify":
-        args = ["classify", "--corpus", missing[0], "--taxonomy", missing[1], "--out", str(out)]
+        args = ["classify", "--corpus", str(corpus), "--taxonomy", str(taxonomy), "--out", str(out)]
         args.append("--max-iter=0")
         expected = "error:config:max_iterations must be an integer >= 1\n"
     else:
-        args = _indicators_args(*missing, tmp_path / "missing-assignments.tsv", out)
+        args = _indicators_args(corpus, taxonomy, assignments, out)
         args.append("--window=0")
         expected = "error:config:window must be an integer in [1, 200]\n"
+    assert [p.exists() for p in (corpus, taxonomy, assignments)] == [present] * 3
     assert run_cli(args) == 1
     assert capsys.readouterr().err == expected
     assert not out.exists()
@@ -584,7 +598,7 @@ def test_every_output_byte_of_the_pipeline_is_pinned(forks, monkeypatch, tmp_pat
     assert statuses >= set(STATUSES)
 
 
-# CI's smoke corpus: 52 journals x 32 articles x 5 years = 8,320 articles.
+# The smoke corpus: 52 journals x 32 articles x 5 years = 8,320 articles.
 SMOKE_SYNTH = {
     **PINNED_SYNTH,
     "journals_per_field": 5,
@@ -593,9 +607,33 @@ SMOKE_SYNTH = {
 }
 
 
-def _refclass(args: list[str], cwd: Path, cpus: set[int] | None = None) -> None:
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory) -> Path:
+    """A directory holding the smoke corpus, synthesized with seed 7 (1.79 MB,
+    past the fork threshold), as ``corpus.tsv``; the same file with its
+    article rows reversed as ``reversed-corpus.tsv``; ``taxonomy.tsv``; and
+    the corpus's ``assignments.tsv``."""
+    inputs = tmp_path_factory.mktemp("smoke")
+    config, corpus = inputs / "synth.json", inputs / "corpus.tsv"
+    taxonomy = inputs / "taxonomy.tsv"
+    config.write_text(json.dumps(SMOKE_SYNTH))
+    synth = ["synth", "--config", str(config), "--seed", "7", "--out-corpus", str(corpus)]
+    synth += ["--out-truth", str(inputs / "truth.tsv"), "--out-taxonomy", str(taxonomy)]
+    assert run_cli(synth) == 0
+    assert corpus.stat().st_size >= FORK_BYTES
+    lines = corpus.read_text().splitlines(keepends=True)
+    journal_rows = [ln for ln in lines if ln.startswith("J")]
+    article_rows = [ln for ln in lines if ln.startswith("A")]
+    (inputs / "reversed-corpus.tsv").write_text("".join(journal_rows + article_rows[::-1]))
+    classify = ["classify", "--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    assert run_cli(classify + ["--out", str(inputs / "assignments.tsv")]) == 0
+    return inputs
+
+
+def _refclass(args: list[str], cwd: Path, cpus: set[int] | None = None) -> tuple[int, str]:
     """Run ``python -m refclass`` with ``args``, under the affinity mask
-    ``cpus`` if given (as ``taskset -c`` sets it), and require exit 0."""
+    ``cpus`` if given (as ``taskset -c`` sets it); returns the exit code and
+    what it printed on stderr."""
     src = str(Path(refclass.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -607,28 +645,35 @@ def _refclass(args: list[str], cwd: Path, cpus: set[int] | None = None) -> None:
         timeout=120,
         preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
     )
-    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.returncode, proc.stderr
 
 
 def _smoke_outputs(inputs: Path, out: Path, cpus: set[int] | None) -> dict[str, bytes]:
     """Every file, by name, that classify (of ``corpus.tsv`` and of
     ``reversed-corpus.tsv`` in ``inputs``) and indicators (with the harness
-    knobs and with the widest ones) write into ``out``."""
+    knobs, also on the assignment rows reversed, and with the widest knobs)
+    write into ``out``."""
     out.mkdir()
     corpus, reversed_corpus = inputs / "corpus.tsv", inputs / "reversed-corpus.tsv"
     taxonomy = inputs / "taxonomy.tsv"
     journals = ",".join(ln.split("\t")[1] for ln in corpus.open() if ln.startswith("J\t"))
     for name, path in (("assignments.tsv", corpus), ("reversed.tsv", reversed_corpus)):
         classify = ["classify", "--corpus", str(path), "--taxonomy", str(taxonomy)]
-        _refclass(classify + ["--out", str(out / name)], out, cpus)
-    indicators = ["indicators", "--corpus", str(corpus), "--taxonomy", str(taxonomy)]
-    indicators += ["--assignments", str(out / "assignments.tsv")]
+        assert _refclass(classify + ["--out", str(out / name)], out, cpus) == (0, "")
+    rows = (out / "assignments.tsv").read_text().splitlines(keepends=True)
+    (out / "reversed-rows.tsv").write_text("".join(rows[::-1]))
     harness = ["--if-years", "2002:2004", "--pub-years", "2000:2004"]
     harness += ["--journals", "JF00S00,JF05S02,JG00"]
     widest = ["--if-years", "1900:2100", "--pub-years", "1900:2100", "--window", "200"]
     widest += ["--journals", journals]
-    for name, knobs in (("tables", harness), ("wide", widest)):
-        _refclass(indicators + knobs + ["--out-dir", str(out / name)], out, cpus)
+    for name, assignments, knobs in (
+        ("tables", "assignments.tsv", harness),
+        ("tables-reversed", "reversed-rows.tsv", harness),
+        ("wide", "assignments.tsv", widest),
+    ):
+        indicators = ["indicators", "--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+        indicators += ["--assignments", str(out / assignments), *knobs]
+        assert _refclass(indicators + ["--out-dir", str(out / name)], out, cpus) == (0, "")
     return {
         path.relative_to(out).as_posix(): path.read_bytes()
         for path in sorted(out.rglob("*"))
@@ -636,31 +681,86 @@ def _smoke_outputs(inputs: Path, out: Path, cpus: set[int] | None) -> dict[str, 
     }
 
 
-def test_reads_in_one_process_and_in_two_write_the_same_files(tmp_path):
-    """``python -m refclass`` on CI's 8,320-article corpus, past the fork
+def test_reads_in_one_process_and_in_two_write_the_same_files(smoke, tmp_path):
+    """``python -m refclass`` on the 8,320-article smoke corpus, past the fork
     threshold: under the default affinity mask each corpus read forks two
     workers where the host has two CPUs, and under a one-CPU mask it stays in
     one process. classify of the corpus and of its article rows reversed,
     and indicators with the harness knobs and with the widest ones, write
-    the same bytes either way; the reversed corpus classifies the same."""
-    config, corpus = tmp_path / "synth.json", tmp_path / "corpus.tsv"
-    config.write_text(json.dumps(SMOKE_SYNTH))
-    synth = ["synth", "--config", str(config), "--seed", "7", "--out-corpus", str(corpus)]
-    synth += ["--out-truth", str(tmp_path / "truth.tsv")]
-    synth += ["--out-taxonomy", str(tmp_path / "taxonomy.tsv")]
-    assert run_cli(synth) == 0
-    assert corpus.stat().st_size >= FORK_BYTES
-    lines = corpus.read_text().splitlines(keepends=True)
-    journal_rows = [ln for ln in lines if ln.startswith("J")]
-    article_rows = [ln for ln in lines if ln.startswith("A")]
-    (tmp_path / "reversed-corpus.tsv").write_text("".join(journal_rows + article_rows[::-1]))
-    default = _smoke_outputs(tmp_path, tmp_path / "default", None)
+    the same bytes either way; the reversed corpus classifies the same, and
+    the assignment rows reversed write the same tables (only the manifest's
+    digest of the assignments file differs)."""
+    default = _smoke_outputs(smoke, tmp_path / "default", None)
     assert default["assignments.tsv"].count(b"\n") == 8320
     assert default["reversed.tsv"] == default["assignments.tsv"]
+    tables, reordered = (
+        {name.split("/")[1]: data for name, data in default.items() if name.split("/")[0] == d}
+        for d in ("tables", "tables-reversed")
+    )
+    assert tables.keys() == reordered.keys() == set(TABLE_FILES + (MANIFEST_FILE,))
+    assert {name for name in tables if tables[name] != reordered[name]} == {MANIFEST_FILE}
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     if len(cpus) < 2:
         pytest.skip("one CPU: the default reads already stay in one process")
-    assert _smoke_outputs(tmp_path, tmp_path / "one", {cpus[0]}) == default
+    assert _smoke_outputs(smoke, tmp_path / "one", {cpus[0]}) == default
+
+
+@pytest.mark.parametrize(
+    "fault, command, expected",
+    [
+        pytest.param(
+            "bad-year",
+            "indicators",
+            "error:parse:non-integer year, line 53, token '20x0'\n",
+            id="bad-year",
+        ),
+        pytest.param(
+            "repeated-last-article",
+            "classify",
+            "error:validation:duplicate article id, token 'A0008319'\n",
+            id="repeated-last-article",
+        ),
+        pytest.param(
+            "hash-id",
+            "classify",
+            "error:parse:article id has a leading '#', line 53, token '#A0000000'\n",
+            id="hash-id",
+        ),
+    ],
+)
+def test_reads_in_one_process_and_in_two_print_the_same_error(
+    smoke, tmp_path, fault, command, expected
+):
+    """A fault in the smoke corpus, past the fork threshold: ``python -m
+    refclass`` prints one error line, exits 1 and writes no output, under the
+    default affinity mask and under a one-CPU mask. The faults: the first
+    article row's year is not an integer, the last article row is repeated
+    after itself, or the first article id is led by ``#`` (its assignment
+    line would read as a comment)."""
+    lines = (smoke / "corpus.tsv").read_text().splitlines(keepends=True)
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("A\t"))
+    fields = lines[first].split("\t")
+    if fault == "bad-year":
+        fields[3] = "20x0"
+    elif fault == "hash-id":
+        fields[1] = "#" + fields[1]
+    else:
+        lines.append(lines[-1])
+    lines[first] = "\t".join(fields)
+    corpus, out = tmp_path / "corpus.tsv", tmp_path / "out"
+    corpus.write_text("".join(lines))
+    assert corpus.stat().st_size >= FORK_BYTES
+    args = [command, "--corpus", str(corpus), "--taxonomy", str(smoke / "taxonomy.tsv")]
+    if command == "classify":
+        args += ["--out", str(out)]
+    else:
+        args += ["--assignments", str(smoke / "assignments.tsv")]
+        args += ["--if-years", "2002:2004", "--pub-years", "2000:2004"]
+        args += ["--journals", "JF00S00,JF05S02,JG00", "--out-dir", str(out)]
+    one_cpu = [{min(os.sched_getaffinity(0))}] if hasattr(os, "sched_getaffinity") else []
+    for cpus in [None, *one_cpu]:
+        assert _refclass(args, tmp_path, cpus) == (1, expected), cpus
+        assert not out.exists()
 
 
 def _classify_toy(corpus, taxonomy, tmp_path):
@@ -813,25 +913,52 @@ def test_indicators_rejects_out_of_bounds_years_and_window(toy_files, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "row",
+    "target, row, expected",
     [
-        "ZZZ_NOT_IN_CORPUS\tAstronomy & Astrophysics\tAstronomy\tjournal-seeded\t0\t0",
-        "P1\tNo Such Category\tAstronomy\tjournal-seeded\t0\t0",
-        "P1\tOncology\tAstronomy\tjournal-seeded\t0\t0",
+        (
+            "P1",
+            "ZZZ_NOT_IN_CORPUS\tAstronomy & Astrophysics\tAstronomy\tjournal-seeded\t0\t0",
+            "validation:assignments name 1 article(s) not in the corpus, token 'ZZZ_NOT_IN_CORPUS'",
+        ),
+        (
+            "P1",
+            "P1\tNo Such Category\tAstronomy\tjournal-seeded\t0\t0",
+            "validation:assignment of 'P1' names a category missing from the taxonomy, "
+            "token 'No Such Category'",
+        ),
+        (
+            "P1",
+            "P1\tOncology\tAstronomy\tjournal-seeded\t0\t0",
+            "validation:assignment of 'P1' files 'Oncology' under 'Astronomy'; "
+            "the taxonomy says 'Medicine'",
+        ),
+        # The second line, C2, with its id blanked: it repeats the first line's head.
+        (
+            "C2",
+            "\tOncology\tMedicine\tjournal-seeded\t0\t0",
+            "parse:empty article id, line 2, "
+            "token '\\tOncology\\tMedicine\\tjournal-seeded\\t0\\t0\\n'",
+        ),
     ],
-    ids=["id-not-in-corpus", "category-not-in-taxonomy", "category-in-wrong-broad-area"],
+    ids=[
+        "id-not-in-corpus",
+        "category-not-in-taxonomy",
+        "category-in-wrong-broad-area",
+        "blank-id-on-a-repeated-head",
+    ],
 )
-def test_indicators_rejects_inconsistent_assignments(toy_files, tmp_path, capsys, row):
+def test_indicators_rejects_inconsistent_assignments(
+    toy_files, tmp_path, capsys, target, row, expected
+):
     corpus, taxonomy = toy_files
     assignments = _classify_toy(corpus, taxonomy, tmp_path)
-    lines = [ln for ln in assignments.read_text().splitlines() if not ln.startswith("P1\t")]
-    assignments.write_text("\n".join(sorted(lines + [row])) + "\n")
+    lines = assignments.read_text().splitlines()
+    lines = [row if ln.split("\t")[0] == target else ln for ln in lines]
+    assignments.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     out_dir = tmp_path / "ind"
     assert run_cli(_indicators_args(corpus, taxonomy, assignments, out_dir)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:validation:")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error:{expected}\n"
     assert not out_dir.exists()
 
 
@@ -908,24 +1035,74 @@ def test_synth_config_that_is_not_json_is_one_line_config_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "override",
+    "override, message",
     [
-        pytest.param({"journals_per_field": 2.5}, id="float-count"),
-        pytest.param({"num_general_journals": "1"}, id="string-count"),
-        pytest.param({"articles_per_journal_year": True}, id="bool-count"),
-        pytest.param({"year_range": 2000}, id="scalar-year-range"),
-        pytest.param({"year_range": [2000.5, 2001]}, id="float-year"),
-        pytest.param({"year_range": [2000, 2001, 2002]}, id="three-years"),
-        pytest.param({"field_citation_rate": {"0": 1.0, "1": 1.5, "2": 2.0}}, id="rate-object"),
-        pytest.param({"mean_refs": True}, id="bool-mean-refs"),
-        pytest.param({"mean_refs": float("inf")}, id="infinite-mean-refs"),
-        pytest.param({"mean_refs": 1e30}, id="huge-mean-refs"),
-        pytest.param({"field_citation_rate": float("inf")}, id="infinite-citation-rate"),
-        pytest.param({"field_citation_rate": 1e19}, id="huge-citation-rate"),
-        pytest.param({"general_field_mix": [float("nan"), 0.5, 0.5]}, id="nan-field-mix"),
+        pytest.param(
+            {"journals_per_field": 2.5},
+            "journals_per_field must be an integer >= 1",
+            id="float-count",
+        ),
+        pytest.param(
+            {"num_general_journals": "1"},
+            "num_general_journals must be an integer >= 0",
+            id="string-count",
+        ),
+        pytest.param(
+            {"articles_per_journal_year": True},
+            "articles_per_journal_year must be an integer >= 1",
+            id="bool-count",
+        ),
+        pytest.param(
+            {"year_range": 2000}, "year_range must be a pair of integers", id="scalar-year-range"
+        ),
+        pytest.param(
+            {"year_range": [2000.5, 2001]}, "year_range must be a pair of integers", id="float-year"
+        ),
+        pytest.param(
+            {"year_range": [2000, 2001, 2002]},
+            "year_range must be a pair of integers",
+            id="three-years",
+        ),
+        pytest.param(
+            {"field_citation_rate": {"0": 1.0, "1": 1.5, "2": 2.0}},
+            "field_citation_rate must be a number or a list, not a mapping",
+            id="rate-object",
+        ),
+        pytest.param(
+            {"mean_refs": True},
+            "mean_refs must be positive and below 2**31 / 105 articles",
+            id="bool-mean-refs",
+        ),
+        pytest.param(
+            {"mean_refs": float("inf")},
+            "mean_refs must be positive and below 2**31 / 105 articles",
+            id="infinite-mean-refs",
+        ),
+        pytest.param(
+            {"mean_refs": 1e30},
+            "mean_refs must be positive and below 2**31 / 105 articles",
+            id="huge-mean-refs",
+        ),
+        pytest.param(
+            {"field_citation_rate": float("inf")},
+            "field_citation_rate must be positive and below 2**31 / 420",
+            id="infinite-citation-rate",
+        ),
+        pytest.param(
+            {"field_citation_rate": 1e19},
+            "field_citation_rate must be positive and below 2**31 / 420",
+            id="huge-citation-rate",
+        ),
+        pytest.param(
+            {"general_field_mix": [float("nan"), 0.5, 0.5]},
+            "general_field_mix entries must be numbers in [0, 1]",
+            id="nan-field-mix",
+        ),
     ],
 )
-def test_synth_config_with_wrong_types_is_one_line_config_error(tmp_path, capsys, override):
+def test_synth_config_with_wrong_types_is_one_line_config_error(
+    tmp_path, capsys, override, message
+):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({**SYNTH_CONFIG, **override}))
     code = run_cli(
@@ -944,10 +1121,8 @@ def test_synth_config_with_wrong_types_is_one_line_config_error(tmp_path, capsys
         ]
     )
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:config:")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "c.tsv").exists()
+    assert capsys.readouterr().err == f"error:config:{message}\n"
+    assert os.listdir(tmp_path) == ["synth.json"]
 
 
 def test_synth_config_that_sets_the_seed_is_refused(tmp_path, capsys):
@@ -1127,9 +1302,18 @@ def test_every_public_name_resolves():
 
 
 # assignment rows checked against the toy corpus and taxonomy -> the error
-# they raise: (message, token). A table's rows are the corpus's, so the
-# first inconsistent row in corpus order wins whatever the file order.
+# they raise: (message, token), the one the CLI prints. A table's rows are
+# the corpus's, so the first inconsistent row in corpus order wins whatever
+# the file order.
 INCONSISTENT_ASSIGNMENTS = {
+    "astronomy-filed-under-medicine": (
+        ["P1\tAstronomy & Astrophysics\tMedicine\tjournal-seeded\t0\t0"],
+        (
+            "assignment of 'P1' files 'Astronomy & Astrophysics' under 'Medicine'; "
+            "the taxonomy says 'Astronomy'",
+            None,
+        ),
+    ),
     "stranger-before-bad-category": (
         [
             "P1\tNo Such Category\tAstronomy\tjournal-seeded\t0\t0",
@@ -1164,6 +1348,7 @@ def test_check_assignments_raises_the_first_inconsistency(name):
     taxonomy = load_taxonomy(TOY_TAXONOMY_TEXT.splitlines(keepends=True))
     corpus = read_corpus(TOY_CORPUS_TEXT.splitlines(keepends=True))
     with pytest.raises(ValidationError) as exc:
-        _check_assignments(read_assignments([row + "\n" for row in rows], corpus), taxonomy)
+        table = read_assignments([row + "\n" for row in rows], corpus)
+        build_report_tables(corpus, table, taxonomy, ("JG",))
     assert (exc.value.line_no, exc.value.token) == (None, token)
     assert str(exc.value) == str(ValidationError(message, token=token))

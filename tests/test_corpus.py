@@ -307,9 +307,27 @@ def test_record_field_constraints():
         lambda: JournalRecord(" J1", "Name", ("Oncology",)),
         lambda: JournalRecord("J1", " Journal ", ("Oncology",)),
         lambda: JournalRecord("J1", "Name", ("Oncology", "Cell Biology ")),
+        # A year that is not an integer, and a string or a non-iterable for a
+        # list of ids, which would be read as its letters or fail bare.
+        lambda: ArticleRecord("P1", "J1", 2010.5, "article"),
+        lambda: ArticleRecord("P1", "J1", np.float64(2010), "article"),
+        lambda: ArticleRecord("P1", "J1", "2010", "article"),
+        lambda: ArticleRecord("P1", "J1", None, "article"),
+        lambda: ArticleRecord("P1", "J1", True, "article"),
+        lambda: ArticleRecord("P1", "J1", 2010, "article", "P2"),
+        lambda: ArticleRecord("P1", "J1", 2010, "article", 2),
+        lambda: JournalRecord("J1", "Name", "Oncology"),
+        lambda: JournalRecord("J1", "Name", None),
     ]:
         with pytest.raises(ValidationError):
             make()
+    # Python and numpy integers are years; any other collection is a list.
+    for year in (2010, np.int16(2010), np.int64(2010)):
+        records = [JournalRecord("J1", "Name", ["Oncology"])]
+        records.append(ArticleRecord("P1", "J1", year, "article", ["P2"]))
+        assert build_corpus(records).article("P1") == ArticleRecord(
+            "P1", "J1", 2010, "article", ("P2",)
+        )
 
 
 def naive_token_fault(value: str, what: str, forbidden: str) -> str | None:

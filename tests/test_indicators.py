@@ -612,6 +612,17 @@ def test_count_cube_and_report_tables_take_only_an_assignment_table(toy_taxonomy
             build_report_tables(corpus, own, toy_taxonomy, journals, simple_config())
 
 
+def test_a_config_of_another_type_is_a_config_error(toy_taxonomy):
+    corpus = cited_corpus()
+    table = classify(corpus, toy_taxonomy).assignments
+    with pytest.raises(ConfigError, match="^config must be a ClassifierConfig, got dict$"):
+        classify(corpus, toy_taxonomy, {"max_iterations": 3})
+    with pytest.raises(ConfigError, match="^config must be an IndicatorConfig, got dict$"):
+        count_cube(corpus, table, ("J1",), {"window": 2})
+    with pytest.raises(ConfigError, match="^config must be an IndicatorConfig, got tuple$"):
+        build_report_tables(corpus, table, toy_taxonomy, ("J1",), (2, 1.04))
+
+
 def test_count_cube_and_report_tables_reject_a_table_of_another_corpus(toy_taxonomy):
     corpus = cited_corpus()
     records = [*corpus.journals.values(), *corpus.articles.values()]
