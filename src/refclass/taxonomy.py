@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .corpus import JournalRecord, _check_token
+from .corpus import JournalRecord, _check_str, _check_token
 from .errors import ParseError, UnknownNameError, ValidationError
 
 #: The 14 canonical broad-area names, in canonical order.
@@ -74,6 +74,7 @@ class Taxonomy:
                     f"multidisciplinary flag of category {cat.name!r} must be a bool, "
                     f"got {cat.multidisciplinary!r}"
                 )
+            _check_str(cat.broad_area, f"broad area of category {cat.name!r}")
             if cat.broad_area not in BROAD_AREA_SET:
                 raise ValidationError(
                     f"unknown broad area for category {cat.name!r}", token=cat.broad_area
@@ -160,6 +161,8 @@ def load_taxonomy(source: Iterable[str]) -> Taxonomy:
         name, area, flags = (p.strip() for p in parts)
         if not name:
             raise ParseError("empty category name", line_no, line)
+        if name.startswith("#"):
+            raise ValidationError("category name has a leading '#'", line_no, name)
         if area not in BROAD_AREA_SET:
             raise ValidationError("unknown broad-area name", line_no, area)
         if flags not in ("", MULTIDISCIPLINARY_FLAG):

@@ -42,7 +42,6 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(corpus_module, "_CGROUP_FILE", os.devnull)  # no CPU quota
     monkeypatch.setattr(os, "fork", counted_fork)
     return pids
 
@@ -55,10 +54,6 @@ def journal(j_id: str, categories, name: str | None = None) -> JournalRecord:
 
 def article(a_id: str, j_id: str, year: int, refs=(), doc_type: str = "article") -> ArticleRecord:
     return ArticleRecord(a_id, j_id, year, doc_type, tuple(refs))
-
-
-def corpus_of(*records) -> Corpus:
-    return build_corpus(records)
 
 
 def ten_field_config(articles_per_journal_year: int) -> SyntheticConfig:

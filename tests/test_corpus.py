@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
 import contextlib
-import math
 import os
 import pickle
 import signal
@@ -321,6 +321,27 @@ def test_record_field_constraints():
     ]:
         with pytest.raises(ValidationError):
             make()
+    # A field that is not a string, which would fail bare.
+    for make, message in [
+        (lambda: ArticleRecord(1, "J1", 2010, "article"), "article id must be a string, not int"),
+        (
+            lambda: ArticleRecord("P1", None, 2010, "article"),
+            "journal id must be a string, not NoneType",
+        ),
+        (
+            lambda: ArticleRecord("P1", "J1", 2010, "article", [1]),
+            "reference id must be a string, not int",
+        ),
+        (lambda: JournalRecord(1, "Name", ["Oncology"]), "journal id must be a string, not int"),
+        (
+            lambda: JournalRecord("J1", None, ["Oncology"]),
+            "journal name must be a string, not NoneType",
+        ),
+        (lambda: JournalRecord("J1", "Name", [5]), "category name must be a string, not int"),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
     # Python and numpy integers are years; any other collection is a list.
     for year in (2010, np.int16(2010), np.int64(2010)):
         records = [JournalRecord("J1", "Name", ["Oncology"])]
@@ -1272,80 +1293,23 @@ def test_no_fork_while_another_python_thread_runs(monkeypatch, tmp_path):
         thread.join()
 
 
-@pytest.mark.parametrize(
-    "files, cgroup, cpus",
-    [
-        ({"cpu.max": "max 100000\n"}, "0::/\n", math.inf),
-        ({"cpu.max": "100000 100000\n"}, "0::/\n", 1.0),
-        (
-            {"cpu.max": "max 100000\n", "app.slice/job/cpu.max": "250000 100000\n"},
-            "0::/app.slice/job\n",
-            2.5,
-        ),
-        ({"cpu.max": "50000 100000\n"}, "0::/docker/abc\n", 0.5),
-        (
-            {"cpu,cpuacct/cpu.cfs_quota_us": "-1\n", "cpu,cpuacct/cpu.cfs_period_us": "100000\n"},
-            "2:cpu,cpuacct:/\n1:memory:/job\n0::/\n",
-            math.inf,
-        ),
-        (
-            {"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"},
-            "2:cpu:/\n0::/\n",
-            1.5,
-        ),
-        (
-            {
-                "cpu/cpu.cfs_quota_us": "150000\n",
-                "cpu/cpu.cfs_period_us": "100000\n",
-                "unified/cpu.max": "50000 100000\n",
-            },
-            "2:cpu:/\n0::/\n",
-            0.5,
-        ),
-        ({"cpu.max": "lots\n"}, "0::/\n", math.inf),
-        ({"cpu/cpu.cfs_quota_us": "100000\n"}, "2:cpu:/\n", math.inf),
-        ({"cpu.max": "100000 100000\n"}, None, math.inf),
-    ],
-    ids=[
-        "v2-max",
-        "v2-one-cpu",
-        "v2-own-directory",
-        "v2-mount-root",
-        "v1-no-quota",
-        "v1-quota",
-        "smallest-wins",
-        "malformed",
-        "no-period",
-        "no-cgroup-file",
-    ],
-)
-def test_cpu_quota_reads_the_cgroup_files(files, cgroup, cpus, tmp_path, monkeypatch):
-    for name, text in files.items():
-        path = tmp_path / "fs" / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    if cgroup is not None:
-        (tmp_path / "cgroup").write_text(cgroup)
-    monkeypatch.setattr(corpus_module, "_CGROUP_FILE", str(tmp_path / "cgroup"))
-    monkeypatch.setattr(corpus_module, "_CGROUP_ROOT", str(tmp_path / "fs"))
-    assert corpus_module._cpu_quota() == cpus
-
-
-def test_no_fork_under_a_one_cpu_quota(forks, tmp_path, monkeypatch):
-    """Two CPUs in the affinity mask but one in the quota: one process."""
-    (tmp_path / "cgroup").write_text("0::/\n")
-    quota = tmp_path / "cpu.max"
-    quota.write_text("100000 100000\n")
-    monkeypatch.setattr(corpus_module, "_CGROUP_FILE", str(tmp_path / "cgroup"))
-    monkeypatch.setattr(corpus_module, "_CGROUP_ROOT", str(tmp_path))
-    path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(np.random.default_rng(5)))
+def test_a_forked_read_opens_no_file_but_its_input(forks, monkeypatch, tmp_path):
+    """Whether to fork is decided without opening any file of the environment."""
+    path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(np.random.default_rng(23)))
     assert splits(path)
-    assert_reads_like_one_process(path)
-    assert forks == []
-    quota.write_text("200000 100000\n")
-    assert_reads_like_one_process(path)
+    opened = []
+    real_open = builtins.open
+
+    def logged_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", logged_open)
+        two = read_corpus_file(path)
     assert_no_child()
-    assert len(forks) == 2
+    assert len(forks) == 2 and opened == [path]
+    assert reading_of(two) == reference_reading(file_lines(path))
 
 
 @pytest.mark.parametrize(

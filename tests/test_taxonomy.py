@@ -167,7 +167,8 @@ def test_categories_that_would_not_read_back_are_rejected(category):
 def test_indented_hash_name_is_rejected_not_emitted_as_a_comment():
     with pytest.raises(ValidationError) as exc:
         load_taxonomy([" #Onc\tMedicine\t\n", "Cell Biology\tBioscience\t\n"])
-    assert exc.value.token == "#Onc"
+    assert exc.value.token == "#Onc" and exc.value.line_no == 1
+    assert str(exc.value) == "category name has a leading '#', line 1, token '#Onc'"
 
 
 def test_direct_construction_validates():
@@ -175,3 +176,20 @@ def test_direct_construction_validates():
         Taxonomy([SubjectCategory("A", "Nonsense")])
     with pytest.raises(ValidationError):
         Taxonomy([SubjectCategory("A", "Physics"), SubjectCategory("A", "Chemistry")])
+    # A name or broad area that is not a string, which would fail bare.
+    other = SubjectCategory("Cell Biology", "Bioscience")
+    for category, message in [
+        (SubjectCategory(5, "Medicine"), "category name must be a string, not int"),
+        (SubjectCategory(None, "Medicine"), "category name must be a string, not NoneType"),
+        (
+            SubjectCategory("Oncology", ["Medicine"]),
+            "broad area of category 'Oncology' must be a string, not list",
+        ),
+        (
+            SubjectCategory("Oncology", None),
+            "broad area of category 'Oncology' must be a string, not NoneType",
+        ),
+    ]:
+        with pytest.raises(ValidationError) as exc:
+            Taxonomy([category, other])
+        assert str(exc.value) == message
