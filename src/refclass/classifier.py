@@ -145,7 +145,7 @@ class AssignmentTable(_IdView):
         *,
         tally: tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
-        super().__init__(corpus.ids)
+        super().__init__(corpus.ids, self._assignment)
         self.categories = categories
         self.category = _frozen(category)
         self.areas = areas
@@ -159,7 +159,7 @@ class AssignmentTable(_IdView):
         labels, indptr, label, count = tally
         self.tally = (labels, _frozen(indptr), _frozen(label), _frozen(count))
 
-    def _value(self, row: int) -> Assignment:
+    def _assignment(self, row: int) -> Assignment:
         category, area = int(self.category[row]), int(self.area[row])
         labels, indptr, label, count = self.tally
         lo, hi = indptr[row], indptr[row + 1]

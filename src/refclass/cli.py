@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline: ``synth`` generates a seeded corpus,
 ``validate`` checks one, ``classify`` produces the assignment table,
 ``indicators`` computes the report tables, and ``report`` re-emits a table
-directory after validation. This module parses arguments, reads and hashes
-files and prints errors. Every input rule is checked by the module that
+directory after validation. This module parses arguments, hands each input
+path to its reader and prints errors; the readers hash the bytes they read
+for the manifest. Every input rule is checked by the module that
 owns its data, so a library call gets the same error for the same input:
 ``build_report_tables``, for one, holds the rule that an assignment table
 agrees with the taxonomy. The checks made here are only the usage checks
@@ -37,8 +38,8 @@ from .classifier import (
     emit_assignments,
     read_assignments,
 )
-from .corpus import _utf8, _whole, emit_corpus, validate_corpus
-from .corpus import read_corpus_file as read_corpus  # the name perfbench's tracer wraps
+from .corpus import _read_file, emit_corpus, validate_corpus
+from .corpus import _read_corpus_file as read_corpus  # the name perfbench's tracer wraps
 from .errors import ConfigError, RefclassError, UsageError
 from .indicators import IndicatorConfig
 from .report import (
@@ -113,22 +114,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_report)
     return parser
-
-
-def _read_file(path: str | Path, read):
-    """``read`` over the lines of the UTF-8 file ``path``, streamed; a byte
-    that is not UTF-8 anywhere in the file wins over every fault in its lines."""
-    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
-        return _whole(fh, read)
-
-
-def _sha256(path: str | Path) -> str:
-    # Hashed in blocks: reading the corpus whole can set the indicators peak RSS.
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _apart(flag: str, outputs: list[str | Path], inputs: dict[str, str]) -> None:
@@ -226,19 +211,19 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
         if_year_range=ns.if_years,
         pub_window=ns.pub_years,
     )
-    taxonomy = _read_file(ns.taxonomy, load_taxonomy)
-    corpus = read_corpus(ns.corpus)
-    assignments = _read_file(ns.assignments, lambda lines: read_assignments(lines, corpus))
+    # Each input is hashed as it is read, so the manifest names the bytes parsed.
+    digests = {name: hashlib.sha256() for name in ("corpus", "taxonomy", "assignments")}
+    taxonomy = _read_file(ns.taxonomy, load_taxonomy, digests["taxonomy"])
+    corpus = read_corpus(ns.corpus, digests["corpus"])
+    assignments = _read_file(
+        ns.assignments, lambda lines: read_assignments(lines, corpus), digests["assignments"]
+    )
     tables = build_report_tables(corpus, assignments, taxonomy, journals, config)
     manifest = RunManifest(
         command="indicators",
         version=__version__,
         config={**_knobs(config), "journals": ",".join(tables.journals)},
-        inputs={
-            "corpus": _sha256(ns.corpus),
-            "taxonomy": _sha256(ns.taxonomy),
-            "assignments": _sha256(ns.assignments),
-        },
+        inputs={name: digest.hexdigest() for name, digest in digests.items()},
     )
     emit_report(tables, manifest, ns.out_dir)
     return 0
@@ -246,12 +231,7 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
 
 def _cmd_report(ns: argparse.Namespace) -> int:
     _apart("--out-dir", [ns.out_dir], {"--in-dir": ns.in_dir})
-    in_dir = Path(ns.in_dir)
-    texts = read_table_dir(in_dir)
-    digests = {name: _sha256(in_dir / name) for name in texts}
-    in_manifest = in_dir / MANIFEST_FILE
-    if in_manifest.is_file():
-        digests[MANIFEST_FILE] = _sha256(in_manifest)
+    texts, digests = read_table_dir(ns.in_dir)
     manifest = RunManifest(command="report", version=__version__, config={}, inputs=digests)
     write_table_dir(ns.out_dir, texts, manifest)
     return 0

@@ -13,7 +13,8 @@ is the one writer; emission puts journals then articles, each sorted by
 id. Ids, journal names and category names hold no tab, ``\n`` or ``\r``
 (ids and categories no list separator either), so read -> emit -> read is
 the identity, also through a file read with universal newlines. An article
-id has no leading ``#``, so its assignment line never reads as a comment.
+id has no leading ``#``, so its assignment line never reads as a comment,
+and neither has a journal id, which leads the rows of its report tables.
 
 Storage: a :class:`Corpus` keeps articles as rows in sorted-id order, each
 id held once (one view class, ``_IdView``, bisects the sorted ids for
@@ -59,6 +60,13 @@ with no dict of the ids, drops them and builds the corpus once. Results and
 errors are those of the one-process read, which streams the whole file from
 the same descriptor whenever one of the conditions fails, a fork fails, a
 worker fails (a fault in its half included) or an id appears in both halves.
+
+One reader opens and decodes every input file of the CLI, the taxonomy,
+the assignments and the report tables included: :func:`_read_file`, with
+:func:`_read_corpus_file` for the corpus. Given a hash object, it feeds
+every byte of the file into it in the same pass, below the text layer,
+so a manifest digest is of the bytes that were parsed, a pipe's included;
+a read that writes no manifest passes none and hashes nothing.
 """
 
 from __future__ import annotations
@@ -182,6 +190,8 @@ class JournalRecord:
         cats = _items(self.categories, "categories", "category names", ValidationError)
         object.__setattr__(self, "categories", tuple(cats))
         _check_token(self.id, "journal id", "\t\n\r,")
+        if self.id[0] == "#":
+            raise ValidationError("journal id has a leading '#'", token=self.id)
         _check_str(self.name, "journal name")
         if any(ch in self.name for ch in "\t\n\r"):
             raise ValidationError("journal name contains forbidden character", token=self.name)
@@ -255,14 +265,11 @@ class _IdView(Mapping):
     them, so no dict of the ids is held, and builds the value of the id's
     row ``r`` on access, ``value(r)``, or ``r`` itself without ``value``. A
     key that is not one of the ids, one that is not a ``str`` included, is a
-    :class:`KeyError`. A subclass may define the method ``_value`` instead."""
-
-    _value: Callable[[int], object] | None = None
+    :class:`KeyError`."""
 
     def __init__(self, ids: tuple[str, ...], value: Callable[[int], object] | None = None):
         self.ids = ids
-        if value is not None:
-            self._value = value
+        self._value = value
 
     def _row(self, key) -> int:
         """The row of ``key``; -1 when it is not one of the ids."""
@@ -656,7 +663,8 @@ def build_corpus(records: Iterable[ArticleRecord | JournalRecord]) -> Corpus:
 #: (0.64 MB) and mostly won from 4,000 on, by 5-25% in noise of about 20%.
 _FORK_BYTES = 1_750_000
 
-#: Bytes per ``os.pread`` call, and codes per block of the merge's remap.
+#: Bytes per read of an input file (a buffer fill or an ``os.pread`` call),
+#: and codes per block of the merge's remap.
 _READ_BLOCK = 1 << 16
 
 
@@ -699,10 +707,32 @@ class _ByteRange(io.RawIOBase):
         return len(data)
 
 
-def _text(fd: int, start: int, stop: int) -> io.TextIOWrapper:
-    """The bytes ``[start, stop)`` of ``fd`` decoded as ``open()`` decodes a file."""
-    raw = io.BufferedReader(_ByteRange(fd, start, stop), _READ_BLOCK)
-    return io.TextIOWrapper(raw, encoding="utf-8", newline=None)
+class _Hashed(io.RawIOBase):
+    """The open binary file ``file`` read through, every byte read fed into
+    ``digest``; closing it leaves ``file`` open."""
+
+    def __init__(self, file: io.RawIOBase, digest):
+        self._file, self._digest = file, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def _text(raw: io.RawIOBase) -> io.TextIOWrapper:
+    """The bytes of ``raw`` decoded as ``open()`` decodes a file: UTF-8,
+    universal newlines."""
+    return io.TextIOWrapper(io.BufferedReader(raw, _READ_BLOCK), encoding="utf-8", newline=None)
+
+
+def _hash_rest(file: io.RawIOBase, digest) -> None:
+    """Feed the bytes of ``file`` from its offset on into ``digest``."""
+    for block in iter(lambda: file.read(_READ_BLOCK), b""):
+        digest.update(block)
 
 
 def _whole(lines: Iterable[str], read):
@@ -725,6 +755,27 @@ def _utf8(path):
         yield
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def _decoded(file: io.RawIOBase, read, digest):
+    """``read`` over the lines of the open binary ``file``, from its offset,
+    decoded by :func:`_text` and streamed, faults as :func:`_whole` orders
+    them. With ``digest``, every byte of the file from that offset on is fed
+    into it once, those that ``read`` leaves unread included."""
+    with _text(file if digest is None else _Hashed(file, digest)) as text:
+        result = _whole(text, read)
+        if digest is not None:
+            _hash_rest(file, digest)
+    return result
+
+
+def _read_file(path, read, digest=None):
+    """``read`` over the lines of the UTF-8 file ``path``, streamed; a byte
+    that is not UTF-8 anywhere in the file wins over every fault in its
+    lines, as one :class:`ParseError` naming the file. With ``digest``,
+    every byte of the file is fed into it, so the file is opened once."""
+    with _utf8(path), open(path, "rb", buffering=0) as file:
+        return _decoded(file, read, digest)
 
 
 def _second_half(fd: int, size: int) -> int:
@@ -769,7 +820,7 @@ def _fork_reader(fd: int, start: int, stop: int) -> tuple[int, io.BufferedReader
         try:
             os.close(r)
             with os.fdopen(w, "wb") as pipe:
-                columns, target = _coded(_line_rows(_text(fd, start, stop)))
+                columns, target = _coded(_line_rows(_text(_ByteRange(fd, start, stop))))
                 pickle.dump(columns, pipe, pickle.HIGHEST_PROTOCOL)
                 pipe.write(target.data)
             status = 0
@@ -849,10 +900,10 @@ def _merge(pipes: list[io.BufferedReader]) -> Corpus | None:
         by_id, row = [ids[i] for i in order], order
         if any(map(str.__eq__, by_id, islice(by_id, 1, None))):
             return None
-    names: dict[str, int] = {}  # both halves' journal ids, in order of first appearance
-    code = names.setdefault
-    tables = [np.array([code(j, len(names)) for j in h.journal_names], np.int32) for h in halves]
-    journal_of = np.concatenate([table[h.journal_of] for table, h in zip(tables, halves)])
+    first, second = halves
+    # _assemble codes the names; a name both halves list is listed twice.
+    journal_names = [*first.journal_names, *second.journal_names]
+    journal_of = np.concatenate([first.journal_of, second.journal_of + len(first.journal_names)])
     years, doc_types, counts = (
         np.concatenate([getattr(h, column) for h in halves])
         for column in ("years", "doc_types", "counts")
@@ -876,9 +927,9 @@ def _merge(pipes: list[io.BufferedReader]) -> Corpus | None:
             block = codes[lo : lo + _READ_BLOCK]
             np.take(table, block, out=block)
         start, at = start + rows, at + len(codes)
-    del halves, half, by_id
+    del halves, half, first, second, by_id
     columns = _Columns(
-        ids, list(names), journal_of, years, doc_types, counts, tuple(dangling), journals
+        ids, journal_names, journal_of, years, doc_types, counts, tuple(dangling), journals
     )
     return _assemble(columns, refs, order)
 
@@ -897,6 +948,14 @@ def read_corpus_file(path) -> Corpus:
     :func:`_read_halves`). The result and every error are the same either
     way.
     """
+    return _read_corpus_file(path)
+
+
+def _read_corpus_file(path, digest=None) -> Corpus:
+    """:func:`read_corpus_file`, feeding every byte of the file into
+    ``digest`` once when it is given: after a forked read, from the offset
+    0 that the workers' ``os.pread`` leaves; otherwise as the one process
+    reads the file."""
     with _utf8(path), open(path, "rb", buffering=0) as file:
         fd = file.fileno()
         size = os.fstat(fd).st_size
@@ -904,10 +963,11 @@ def read_corpus_file(path) -> Corpus:
             mid = _second_half(fd, size)
             corpus = _read_halves(fd, mid, size) if mid < size else None
             if corpus is not None:
+                if digest is not None:
+                    _hash_rest(file, digest)
                 return corpus
         # Nothing above moved the file offset, which is still at 0.
-        with open(fd, encoding="utf-8", closefd=False) as text:
-            return read_corpus(text)
+        return _decoded(file, read_corpus, digest)
 
 
 def read_corpus(source: Iterable[str]) -> Corpus:

@@ -18,6 +18,7 @@ is not covered.
 from __future__ import annotations
 
 import errno
+import hashlib
 import os
 import secrets
 import stat
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .classifier import AssignmentTable, _check_assignments
-from .corpus import Corpus, _items, _utf8
+from .corpus import Corpus, _hash_rest, _items, _read_file
 from .errors import ConfigError, EmptyScopeError, UndefinedValueError, ValidationError
 from .indicators import (
     ALL_AREAS,
@@ -383,19 +384,22 @@ def write_table_dir(
     return sorted(map(str, files))
 
 
-def read_table_dir(in_dir: Path | str) -> dict[str, str]:
+def read_table_dir(in_dir: Path | str) -> tuple[dict[str, str], dict[str, str]]:
     """Every table file of ``in_dir``, read as UTF-8 with universal newlines,
-    by name. Raises :class:`ValidationError` for a missing file, a missing
-    ``#`` header line, a column-name line other than :data:`TABLE_COLUMNS`
-    or a row of another width, and :class:`ParseError` for bytes that are
-    not UTF-8."""
+    by name, and the sha256 of each file's bytes by name: of every table,
+    and of ``manifest.tsv`` when it is a file, hashed without decoding.
+    Each file is opened once. Raises :class:`ValidationError` for a missing
+    file, a missing ``#`` header line, a column-name line other than
+    :data:`TABLE_COLUMNS` or a row of another width, and :class:`ParseError`
+    for bytes that are not UTF-8."""
     texts: dict[str, str] = {}
+    digests = {}
     for name in TABLE_FILES:
         path = Path(in_dir) / name
         if not path.is_file():
             raise ValidationError(f"missing table file: {path}")
-        with _utf8(path), open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        digests[name] = hashlib.sha256()
+        text = _read_file(path, "".join, digests[name])
         # Universal newlines leave only "\n" as a line end; str.splitlines
         # would also split ids at characters such as "\x1c".
         lines = text.removesuffix("\n").split("\n")
@@ -408,7 +412,12 @@ def read_table_dir(in_dir: Path | str) -> dict[str, str]:
             if row.count("\t") != header.count("\t"):
                 raise ValidationError(f"{name}: row with wrong column count: {row!r}")
         texts[name] = text
-    return texts
+    manifest = Path(in_dir) / MANIFEST_FILE
+    if manifest.is_file():
+        digests[MANIFEST_FILE] = hashlib.sha256()
+        with open(manifest, "rb", buffering=0) as file:
+            _hash_rest(file, digests[MANIFEST_FILE])
+    return texts, {name: digest.hexdigest() for name, digest in digests.items()}
 
 
 def emit_report(tables: ReportTables, manifest: RunManifest, out_dir: Path | str) -> list[str]:

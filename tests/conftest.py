@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,31 @@ def forks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted_fork)
     return pids
+
+
+#: The log that the audit hook of :func:`opened` appends to, while a test runs.
+_open_log: list[str] | None = None
+_hooked = False
+
+
+def _log_open(event: str, args: tuple) -> None:
+    if event == "open" and _open_log is not None and not isinstance(args[0], int):
+        _open_log.append(os.fsdecode(args[0]))
+
+
+@pytest.fixture
+def opened():
+    """Every path the test opens, in order, as ``str``. An audit hook logs
+    them, so ``os.open``, ``io.FileIO`` and ``builtins.open`` all count; an
+    open of a file descriptor does not. Audit hooks cannot be removed, so
+    the hook stays installed, idle, after the first test that asks for it."""
+    global _open_log, _hooked
+    if not _hooked:
+        sys.addaudithook(_log_open)
+        _hooked = True
+    _open_log = []
+    yield _open_log
+    _open_log = None
 
 
 def journal(j_id: str, categories, name: str | None = None) -> JournalRecord:

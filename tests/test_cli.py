@@ -863,6 +863,91 @@ def test_every_command_rejects_a_journal_category_missing_from_the_taxonomy(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "classify", "indicators"])
+def test_every_command_rejects_a_journal_id_led_by_hash(tmp_path, capsys, command):
+    # Its rows in summary.tsv and the other tables would read back as comments.
+    taxonomy = DATA / "taxonomy_small.tsv"
+    assignments = _classify_toy(DATA / "corpus_toy.tsv", taxonomy, tmp_path)
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text((DATA / "corpus_toy.tsv").read_text().replace("\tJG\t", "\t#JG\t"))
+    out = tmp_path / "out"
+    args = [command, "--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    if command == "classify":
+        args.append(f"--out={out}")
+    elif command == "indicators":
+        args += [f"--assignments={assignments}", "--if-years=2007:2008", "--pub-years=2005:2008"]
+        args += ["--journals=#JG", f"--out-dir={out}"]
+    capsys.readouterr()
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error:parse:journal id has a leading '#', token '#JG', line 6, token '#JG'\n"
+    assert not out.exists()
+
+
+def _toy_inputs(tmp_path) -> dict[str, Path]:
+    """The shipped toy corpus and taxonomy and their assignments, by flag."""
+    corpus, taxonomy = DATA / "corpus_toy.tsv", DATA / "taxonomy_small.tsv"
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    return {"--corpus": corpus, "--taxonomy": taxonomy, "--assignments": assignments}
+
+
+def _toy_indicators(inputs: dict, out_dir: Path) -> int:
+    args = [f"{flag}={path}" for flag, path in inputs.items()]
+    args += ["--if-years=2007:2008", "--pub-years=2005:2008", "--journals=JG"]
+    return run_cli(["indicators", *args, f"--out-dir={out_dir}"])
+
+
+def test_indicators_opens_each_input_once(tmp_path, opened):
+    """The manifest's digests come from the read that parsed each input."""
+    inputs = _toy_inputs(tmp_path)
+    opened.clear()
+    assert _toy_indicators(inputs, tmp_path / "out") == 0
+    log = list(opened)
+    assert [log.count(str(path)) for path in inputs.values()] == [1, 1, 1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_indicators_writes_the_same_manifest_for_pipes_as_for_files(tmp_path):
+    """A pipe is read once, so a second read would hash nothing."""
+    inputs = _toy_inputs(tmp_path)
+    assert _toy_indicators(inputs, tmp_path / "files") == 0
+    pipes = {}
+    try:
+        for flag, path in inputs.items():
+            data = path.read_bytes()
+            assert len(data) < 4096  # fits in the pipe, so the write does not block
+            r, w = os.pipe()
+            pipes[flag] = r
+            os.write(w, data)
+            os.close(w)
+        assert _toy_indicators({f: f"/dev/fd/{r}" for f, r in pipes.items()}, tmp_path / "pipes") == 0
+    finally:
+        for r in pipes.values():
+            os.close(r)
+    for name in TABLE_FILES + (MANIFEST_FILE,):
+        assert (tmp_path / "pipes" / name).read_bytes() == (tmp_path / "files" / name).read_bytes()
+
+
+def test_report_records_the_digest_of_each_file_as_it_is_on_disk(tmp_path):
+    """Tables with CRLF line ends decode like LF ones, yet each is recorded
+    under the digest of its own bytes."""
+    assert _toy_indicators(_toy_inputs(tmp_path), tmp_path / "lf") == 0
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    for path in (tmp_path / "lf").iterdir():
+        (crlf / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert run_cli(["report", f"--in-dir={crlf}", f"--out-dir={tmp_path / 'out'}"]) == 0
+    lines = (tmp_path / "out" / MANIFEST_FILE).read_text().splitlines()
+    recorded = dict(line.split("\t") for line in lines if line.startswith("input."))
+    assert recorded == {
+        f"input.{name}.sha256": hashlib.sha256((crlf / name).read_bytes()).hexdigest()
+        for name in TABLE_FILES + (MANIFEST_FILE,)
+    }
+    for name in TABLE_FILES:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+
+
 @pytest.mark.parametrize("kappa", ["1e-320", "4e-7", "5e-7"])
 def test_indicators_rejects_a_kappa_the_tables_write_as_zero(toy_files, tmp_path, capsys, kappa):
     corpus, taxonomy = toy_files

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import builtins
 import contextlib
 import os
 import pickle
@@ -298,6 +297,7 @@ def test_record_field_constraints():
         lambda: JournalRecord("J1", "Name", ()),
         lambda: JournalRecord("J1", "Name", ("Onco;logy",)),
         lambda: JournalRecord("J\r1", "Name", ("Oncology",)),
+        lambda: JournalRecord("#J1", "Name", ("Oncology",)),
         lambda: JournalRecord("J1", "Na\rme", ("Oncology",)),
         lambda: JournalRecord("J1", "Name", ("Onco\rlogy",)),
         # The reader strips every field, so none of these would read back.
@@ -400,6 +400,8 @@ def naive_records(lines):
             if "" in cats:
                 raise ParseError("empty category name", line_no, cats_s)
             faults = [naive_token_fault(j_id, "journal id", "\t\n\r,")]
+            if j_id.startswith("#"):
+                faults.append(f"journal id has a leading '#', token {j_id!r}")
             if any(ch in name for ch in "\t\n\r"):
                 faults.append(f"journal name contains forbidden character, token {name!r}")
             if not cats:
@@ -593,6 +595,10 @@ MALFORMED = {
     "leading-hash-article-id": (
         [J1, _a("P1"), _a(" #P2", refs="#P3,P1")],
         (ParseError, "article id has a leading '#'", 3, "#P2"),
+    ),
+    "leading-hash-journal-id": (
+        ["J\t #J1\tName\tOncology", _a("P1", journal="#J1")],
+        (ParseError, "journal id has a leading '#', token '#J1'", 1, "#J1"),
     ),
     "newline-in-article-id": (
         [J1, _a("P\n1")],
@@ -1293,22 +1299,15 @@ def test_no_fork_while_another_python_thread_runs(monkeypatch, tmp_path):
         thread.join()
 
 
-def test_a_forked_read_opens_no_file_but_its_input(forks, monkeypatch, tmp_path):
+def test_a_forked_read_opens_no_file_but_its_input(forks, opened, tmp_path):
     """Whether to fork is decided without opening any file of the environment."""
     path = write_lines(tmp_path / "corpus.tsv", messy_corpus_lines(np.random.default_rng(23)))
     assert splits(path)
-    opened = []
-    real_open = builtins.open
-
-    def logged_open(file, *args, **kwargs):
-        opened.append(file)
-        return real_open(file, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(builtins, "open", logged_open)
-        two = read_corpus_file(path)
+    opened.clear()
+    two = read_corpus_file(path)
+    log = list(opened)
     assert_no_child()
-    assert len(forks) == 2 and opened == [path]
+    assert len(forks) == 2 and log == [str(path)]
     assert reading_of(two) == reference_reading(file_lines(path))
 
 

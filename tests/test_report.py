@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -161,7 +162,15 @@ def test_emit_report_is_deterministic(tmp_path, toy_taxonomy):
 def test_read_table_dir_reads_back_what_emit_report_wrote(tmp_path, toy_taxonomy):
     tables = toy_tables(toy_taxonomy)
     emit_report(tables, manifest_for(tables), tmp_path)
-    assert read_table_dir(tmp_path) == render_tables(tables)
+    texts, digests = read_table_dir(tmp_path)
+    assert texts == render_tables(tables)
+    # The digest of every file the directory holds, manifest included, is of its bytes.
+    assert digests == {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in TABLE_FILES + (MANIFEST_FILE,)
+    }
+    (tmp_path / MANIFEST_FILE).unlink()
+    assert read_table_dir(tmp_path) == (texts, {name: digests[name] for name in TABLE_FILES})
 
 
 def test_build_report_tables_rejects_a_journal_category_missing_from_the_taxonomy(toy_taxonomy):
