@@ -45,11 +45,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, _frozen, _IdView, _is_int
+from .corpus import Corpus, JournalRecord, _frozen, _IdView, _is_int
 from .errors import ConfigError, ParseError, ValidationError
 from .taxonomy import BROAD_AREA_SET, Taxonomy
 
@@ -274,6 +274,17 @@ def _seeds(corpus: Corpus, taxonomy: Taxonomy) -> tuple[tuple[str, ...], np.ndar
         ]
     )
     return categories, _lookup(journal_category, corpus.journal_codes)
+
+
+def _seeding(taxonomy: Taxonomy) -> Callable[[JournalRecord], bool]:
+    """Whether a journal's rows seed under ``taxonomy``, so that
+    :func:`classify` reads none of their references. False, not an error,
+    for a journal naming a category missing from the taxonomy, which
+    :func:`classify` refuses."""
+    return lambda journal: (
+        all(name in taxonomy for name in journal.categories)
+        and taxonomy.is_classifier_journal(journal)
+    )
 
 
 def _area_codes(names: Sequence[str], taxonomy: Taxonomy) -> tuple[tuple[str, ...], np.ndarray]:

@@ -34,12 +34,15 @@ from .classifier import (
     MODES,
     TIE_POLICIES,
     ClassifierConfig,
+    _seeding,
     classify,
     emit_assignments,
     read_assignments,
 )
 from .corpus import _read_file, emit_corpus, validate_corpus
-from .corpus import _read_corpus_file as read_corpus  # the name perfbench's tracer wraps
+# perfbench's tracer wraps this name; classify passes it a predicate and
+# gets a lean corpus, validate and indicators get the full one.
+from .corpus import _read_corpus_file as read_corpus
 from .errors import ConfigError, RefclassError, UsageError
 from .indicators import IndicatorConfig
 from .report import (
@@ -90,10 +93,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="run the iterative reference-based classification")
     p.add_argument("--corpus", required=True)
     p.add_argument("--taxonomy", required=True)
-    p.add_argument("--max-iter", type=int, default=10)
-    p.add_argument("--min-votes", type=int, default=1)
-    p.add_argument("--tie-policy", choices=TIE_POLICIES, default=TIE_POLICIES[0])
-    p.add_argument("--mode", choices=MODES, default=MODES[0])
+    # Each knob's default is its config field's: one home per default.
+    p.add_argument("--max-iter", type=int, default=ClassifierConfig.max_iterations)
+    p.add_argument("--min-votes", type=int, default=ClassifierConfig.min_votes)
+    p.add_argument("--tie-policy", choices=TIE_POLICIES, default=ClassifierConfig.tie_policy)
+    p.add_argument("--mode", choices=MODES, default=ClassifierConfig.mode)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_classify)
 
@@ -101,10 +105,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--assignments", required=True)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--kappa", type=float, default=1.04)
-    p.add_argument("--if-years", type=_year_range, default=(2007, 2016), metavar="A:B")
-    p.add_argument("--pub-years", type=_year_range, default=(2005, 2015), metavar="A:B")
+    p.add_argument("--window", type=int, default=IndicatorConfig.window)
+    p.add_argument("--kappa", type=float, default=IndicatorConfig.kappa)
+    p.add_argument(
+        "--if-years", type=_year_range, default=IndicatorConfig.if_year_range, metavar="A:B"
+    )
+    p.add_argument(
+        "--pub-years", type=_year_range, default=IndicatorConfig.pub_window, metavar="A:B"
+    )
     p.add_argument("--journals", required=True, help="comma-separated journal ids")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_indicators)
@@ -190,7 +198,9 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
         mode=ns.mode,
     )
     taxonomy = _read_file(ns.taxonomy, load_taxonomy)
-    corpus = read_corpus(ns.corpus)
+    # classify reads no reference of a row whose journal seeds: the read
+    # checks those rows but codes none of their references.
+    corpus = read_corpus(ns.corpus, seeds=_seeding(taxonomy))
     result = classify(corpus, taxonomy, config)
     # The result keeps the ids; the references make room for the text.
     del corpus

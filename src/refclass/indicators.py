@@ -396,7 +396,9 @@ def count_cube(
     :class:`ConfigError` for a ``config`` that is not an
     :class:`IndicatorConfig` and for ``assignments`` that are not a table,
     then :class:`ValidationError` for a table over another corpus's articles.
+    A lean corpus (see :class:`~refclass.corpus.Corpus`) is a :class:`TypeError`.
     """
+    corpus._require_complete()
     requested = list(_items(journals, "journals", "journal ids", ConfigError))
     if ALL_SOURCES in requested:
         raise ConfigError(f"journals must not name {ALL_SOURCES}, the scope of every journal")

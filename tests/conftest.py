@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import sys
 import tracemalloc
 
@@ -10,7 +11,16 @@ import numpy as np
 import pytest
 
 import refclass.corpus as corpus_module
-from refclass.corpus import ArticleRecord, Corpus, JournalRecord, build_corpus
+from refclass.classifier import _seeding, classify, emit_assignments
+from refclass.corpus import (
+    ArticleRecord,
+    Corpus,
+    JournalRecord,
+    _read_corpus_file,
+    build_corpus,
+    read_corpus_file,
+)
+from refclass.errors import RefclassError
 from refclass.synthetic import SyntheticConfig
 from refclass.taxonomy import Taxonomy, load_taxonomy
 
@@ -22,6 +32,31 @@ Geochemistry & Geophysics\tGeosciences\t
 Cell Biology\tBioscience\t
 Multidisciplinary Sciences\tBioscience\tmultidisciplinary
 """
+
+
+#: Seconds any one test may run, far above the slowest (about 8 s on 2
+#: CPUs), so that a hang fails its test instead of holding up the run.
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past :data:`TEST_TIME_LIMIT_S`; no limit where
+    ``signal.alarm`` is missing (Windows)."""
+    if not hasattr(signal, "alarm"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"ran past its {TEST_TIME_LIMIT_S} s time limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -180,3 +215,67 @@ def random_corpus(rng: np.random.Generator, max_articles: int = 500) -> tuple[Co
             )
         )
     return build_corpus(journals + articles), taxonomy
+
+
+def lean_read(path, taxonomy: Taxonomy) -> Corpus:
+    """The corpus read of ``path`` that the CLI's ``classify`` makes."""
+    return _read_corpus_file(path, seeds=_seeding(taxonomy))
+
+
+def leading_journal_ids(path) -> list[str]:
+    """The ids of the journal rows before the first other record of the
+    valid corpus file ``path``, read as ``open()`` reads it."""
+    ids = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip() or line.startswith("#"):
+                continue
+            tag, j_id, *_ = line.split("\t")
+            if tag != "J":
+                break
+            ids.append(j_id.strip())
+    return ids
+
+
+def references_by_id(corpus: Corpus) -> dict[str, tuple[str, ...]]:
+    """Each article's references as ids, read from the CSR arrays."""
+    names = corpus.ids + corpus.dangling_ids
+    bounds, refs = corpus.indptr.tolist(), corpus.refs.tolist()
+    return {
+        a_id: tuple(names[c] for c in refs[lo:hi])
+        for a_id, lo, hi in zip(corpus.ids, bounds, bounds[1:])
+    }
+
+
+def classify_outcome(corpus: Corpus, taxonomy: Taxonomy):
+    """The assignment text ``classify`` gives, or its error as type and message."""
+    try:
+        return emit_assignments(classify(corpus, taxonomy))
+    except RefclassError as exc:
+        return type(exc), str(exc)
+
+
+def assert_lean_read_agrees(path, taxonomy: Taxonomy) -> None:
+    """The lean read of ``path`` against :func:`read_corpus_file`: the same
+    error, or the same rows, with the full references of every row but
+    those of the seeding journals among the leading journal rows, which
+    have none, and the same ``classify`` outcome, byte for byte."""
+    try:
+        full = read_corpus_file(path)
+    except RefclassError as exc:
+        with pytest.raises(RefclassError) as lean_exc:
+            lean_read(path, taxonomy)
+        assert (type(lean_exc.value), str(lean_exc.value)) == (type(exc), str(exc))
+        return
+    lean = lean_read(path, taxonomy)
+    assert lean.ids == full.ids and lean.journals == full.journals
+    for column in ("journal_codes", "years", "doc_types"):
+        assert np.array_equal(getattr(lean, column), getattr(full, column))
+    seeding = _seeding(taxonomy)
+    uncoded = {j for j in leading_journal_ids(path) if seeding(full.journals[j])}
+    expected = {
+        a_id: () if full.journal_ids[j] in uncoded else refs
+        for (a_id, refs), j in zip(references_by_id(full).items(), full.journal_codes.tolist())
+    }
+    assert references_by_id(lean) == expected
+    assert classify_outcome(lean, taxonomy) == classify_outcome(full, taxonomy)

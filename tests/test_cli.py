@@ -16,10 +16,17 @@ import pytest
 import refclass
 import refclass.corpus as corpus_module
 import refclass.report as report_module
-from refclass.classifier import STATUSES, read_assignments
+from refclass.classifier import (
+    MODE_CATEGORY,
+    STATUSES,
+    TIE_UNTIL_STABLE,
+    ClassifierConfig,
+    read_assignments,
+)
 from refclass.cli import run_cli
 from refclass.corpus import read_corpus
 from refclass.errors import ValidationError
+from refclass.indicators import IndicatorConfig
 from refclass.report import MANIFEST_FILE, TABLE_FILES, build_report_tables
 from refclass.taxonomy import load_taxonomy
 
@@ -311,7 +318,7 @@ def test_an_output_that_names_an_input_is_a_usage_error(
 
 
 def test_an_interrupt_is_one_error_line(toy_files, tmp_path, monkeypatch, capsys):
-    def interrupted(path):
+    def interrupted(path, **lean):
         raise KeyboardInterrupt
 
     monkeypatch.setattr("refclass.cli.read_corpus", interrupted)
@@ -1437,3 +1444,74 @@ def test_check_assignments_raises_the_first_inconsistency(name):
         build_report_tables(corpus, table, taxonomy, ("JG",))
     assert (exc.value.line_no, exc.value.token) == (None, token)
     assert str(exc.value) == str(ValidationError(message, token=token))
+
+
+def test_a_command_without_knob_flags_runs_the_library_defaults(toy_files, tmp_path, monkeypatch):
+    """Each knob's CLI default is its config field's default, and those hold
+    the values the CLI has always run with."""
+    corpus, taxonomy = toy_files
+    assignments = _classify_toy(corpus, taxonomy, tmp_path)
+    configs = []
+
+    class Seen(Exception):
+        pass
+
+    def record(*args):
+        configs.append(args[-1])
+        raise Seen
+
+    monkeypatch.setattr("refclass.cli.classify", record)
+    monkeypatch.setattr("refclass.cli.build_report_tables", record)
+    inputs = ["--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    with pytest.raises(Seen):
+        run_cli(["classify", *inputs, "--out", str(tmp_path / "out.tsv")])
+    inputs += [f"--assignments={assignments}", "--journals=JG"]
+    with pytest.raises(Seen):
+        run_cli(["indicators", *inputs, f"--out-dir={tmp_path / 'tables'}"])
+    assert configs == [ClassifierConfig(), IndicatorConfig()]
+    assert configs == [
+        ClassifierConfig(10, 1, TIE_UNTIL_STABLE, MODE_CATEGORY),
+        IndicatorConfig(2, 1.04, (2007, 2016), (2005, 2015)),
+    ]
+
+
+# Corpus files with a fault, several of them in the rows of J1, a journal
+# that seeds: classify reads those rows without coding their references.
+CORPUS_FAULTS = {
+    "not-utf8": b"J\tJ1\tX\tOncology\nA\tP1\tJ1\t2010\tarticle\t\xff\n",
+    "not-utf8-after-a-line-fault": (
+        b"J\tJ1\tX\tOncology\nA\tP1\tJ1\t2010\n" + b"#\n" * 200 + b"#\xff\n"
+    ),
+    "non-integer-year": b"J\tJ1\tX\tOncology\nA\tP1\tJ1\tNOTAYEAR\tarticle\t\n",
+    "empty-reference": b"J\tJ1\tX\tOncology\nA\tP1\tJ1\t2010\tarticle\tP2,,P3\n",
+    "year-outside-bounds": b"J\tJ1\tX\tOncology\nA\tP1\tJ1\t1800\tarticle\tP2\n",
+    "self-citation": b"J\tJ1\tX\tOncology\nA\tP1\tJ1\t2010\tarticle\tX1,P1\n",
+    "duplicate-article": (
+        b"J\tJ1\tX\tOncology\nA\tP1\tJ1\t2010\tarticle\tP2\nA\tP1\tJ1\t2011\tarticle\t\n"
+    ),
+    "duplicate-journal": b"J\tJ1\tX\tOncology\nJ\tJ1\tY\tOncology\n",
+    "unknown-journal": b"J\tJ1\tX\tOncology\nA\tP1\tJ9\t2010\tarticle\tP2\n",
+    "unknown-category": b"J\tJ1\tX\tNo Such Category\nA\tP1\tJ1\t2010\tarticle\tP2\n",
+    "journal-id-led-by-hash": b"J\t#J1\tX\tOncology\nA\tP1\t#J1\t2010\tarticle\t\n",
+}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("name", sorted(CORPUS_FAULTS))
+def test_classify_prints_the_corpus_fault_that_validate_prints(
+    name, cpus, forks, monkeypatch, toy_files, tmp_path, capsys
+):
+    """classify's lean corpus read fails as validate's full one does, in one
+    process and forked."""
+    _, taxonomy = toy_files
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    corpus = tmp_path / "bad.tsv"
+    corpus.write_bytes(CORPUS_FAULTS[name])
+    inputs = ["--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    assert run_cli(["validate", *inputs]) == 1
+    expected = capsys.readouterr().err
+    assert expected.startswith("error:") and expected.count("\n") == 1
+    out = tmp_path / "out.tsv"
+    assert run_cli(["classify", *inputs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()

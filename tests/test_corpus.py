@@ -35,10 +35,22 @@ from refclass.errors import (
     UnknownNameError,
     ValidationError,
 )
-from refclass.indicators import IndicatorConfig
+from refclass.classifier import seed_assignments
+from refclass.indicators import IndicatorConfig, count_cube
 from refclass.synthetic import generate_synthetic
+from refclass.taxonomy import load_taxonomy
 
-from conftest import article, journal, random_corpus, ten_field_config, traced, traced_peak
+from conftest import (
+    TOY_TAXONOMY_TEXT,
+    article,
+    assert_lean_read_agrees,
+    journal,
+    lean_read,
+    random_corpus,
+    ten_field_config,
+    traced,
+    traced_peak,
+)
 
 
 def test_parse_article_row():
@@ -75,18 +87,18 @@ def test_parse_non_integer_year():
     assert exc.value.line_no == 7
 
 
-@pytest.mark.parametrize(
-    "line,fragment",
-    [
-        ("A\tP1\tJ1\t2010\tarticle", "6 columns"),
-        ("A\tP1\tJ1\t2010\tletter\t", "doc_type"),
-        ("A\tP1\tJ1\t2010\tarticle\tP2,,P3", "empty reference"),
-        ("Q\tP1\tJ1", "unknown record tag"),
-        ("J\tJ1\tName", "4 columns"),
-        ("J\tJ1\tName\t", "no categories"),
-        ("J\tJ1\tName\tOncology;;Cell Biology", "empty category"),
-    ],
-)
+PARSE_ERRORS = [
+    ("A\tP1\tJ1\t2010\tarticle", "6 columns"),
+    ("A\tP1\tJ1\t2010\tletter\t", "doc_type"),
+    ("A\tP1\tJ1\t2010\tarticle\tP2,,P3", "empty reference"),
+    ("Q\tP1\tJ1", "unknown record tag"),
+    ("J\tJ1\tName", "4 columns"),
+    ("J\tJ1\tName\t", "no categories"),
+    ("J\tJ1\tName\tOncology;;Cell Biology", "empty category"),
+]
+
+
+@pytest.mark.parametrize("line,fragment", PARSE_ERRORS)
 def test_parse_errors(line, fragment):
     with pytest.raises(ParseError) as exc:
         read_corpus(SKIPPED[:2] + [line])
@@ -1328,3 +1340,121 @@ def test_every_stage_shares_one_year_range(year, accepted):
         else:
             with pytest.raises(error, match="outside"):
                 check()
+
+
+# The categories of messy_corpus_lines: a journal of "Cat 0" alone seeds
+# under the first taxonomy; under the second "Cat 0" is multidisciplinary,
+# and the third lacks it, so classify refuses every corpus that names it.
+MESSY_TAXONOMIES = [
+    load_taxonomy(["Cat 0\tMedicine\t\n", "Cat 1\tBioscience\t\n"]),
+    load_taxonomy(["Cat 0\tMedicine\tmultidisciplinary\n", "Cat 1\tBioscience\t\n"]),
+    load_taxonomy(["Cat 1\tBioscience\t\n", "Cat 2\tMedicine\t\n"]),
+]
+
+
+def arrangements(lines: list[str]) -> dict[str, list[str]]:
+    """``lines`` as drawn, with the journal rows moved first and moved last."""
+    journal_rows = [ln for ln in lines if ln.lstrip().startswith("J\t")]
+    rest = [ln for ln in lines if not ln.lstrip().startswith("J\t")]
+    if rest and not rest[-1].endswith("\n"):
+        rest[-1] += "\n"
+    return {
+        "drawn": lines,
+        "journals-first": journal_rows + rest,
+        "journals-last": rest + journal_rows,
+    }
+
+
+def test_lean_read_agrees_with_the_full_read_on_random_corpora(forks, monkeypatch, tmp_path):
+    """The lean classify read, forked and in one process, of messy corpora
+    with their journal rows where drawn, first and last."""
+    rng = np.random.default_rng(41)
+    skipped = 0
+    for i in range(60):
+        taxonomy = MESSY_TAXONOMIES[i % len(MESSY_TAXONOMIES)]
+        for name, lines in arrangements(messy_corpus_lines(rng)).items():
+            path = write_lines(tmp_path / f"{i}-{name}.tsv", lines)
+            assert_lean_read_agrees(path, taxonomy)
+            assert_no_child()
+            with monkeypatch.context() as one_process:
+                one_process.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
+                assert_lean_read_agrees(path, taxonomy)
+            if name == "journals-first" and i % len(MESSY_TAXONOMIES) == 0:
+                full, lean = read_corpus_file(path), lean_read(path, taxonomy)
+                skipped += int(np.count_nonzero(np.diff(full.indptr) > np.diff(lean.indptr)))
+    assert len(forks) > 400 and skipped > 100
+
+
+def test_lean_read_of_a_synthetic_corpus(forks, monkeypatch, tmp_path):
+    """Journal rows first, as emitted, and last: the first leaves every row
+    of a seeding journal uncoded, the second codes every row."""
+    lines = synthetic_lines()
+    journal_rows = [ln for ln in lines if ln.startswith("J")]
+    article_rows = [ln for ln in lines if ln.startswith("A")]
+    _, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=32))
+    arranged = (("first", journal_rows + article_rows), ("last", article_rows + journal_rows))
+    monkeypatch.setattr(corpus_module, "_FORK_BYTES", FORK_BYTES)
+    for name, rows in arranged:
+        path = write_lines(tmp_path / f"{name}.tsv", rows)
+        assert_lean_read_agrees(path, taxonomy)
+        assert_no_child()
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert_lean_read_agrees(path, taxonomy)
+            # Only the 2 general journals' 320 rows vote.
+            coded = np.count_nonzero(np.diff(lean_read(path, taxonomy).indptr))
+            assert coded == (320 if name == "first" else 8320)
+    assert len(forks) == 8
+
+
+def lean_fault(path) -> tuple:
+    return fault_of(lean_read, path, load_taxonomy(TOY_TAXONOMY_TEXT.splitlines(keepends=True)))
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["one-process", "forked"])
+def test_lean_read_raises_every_corpus_fault_alike(forked, forks, monkeypatch, tmp_path):
+    """Every malformed file and parse error of this module, a byte that is
+    not UTF-8 behind a line fault, and a fault in either half of a
+    synthetic corpus: the lean read, whose J1 rows go uncoded, raises the
+    full read's fault."""
+    if not forked:
+        monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1 << 40)
+    paths = []
+    for name in sorted(MALFORMED):
+        (tmp_path / name).mkdir()
+        paths += malformed_files(tmp_path / name, name)
+    for k, (line, _fragment) in enumerate(PARSE_ERRORS):
+        paths.append(write_lines(tmp_path / f"parse-{k}.tsv", SKIPPED[:2] + [line]))
+    not_utf8 = "".join(_lines(J1, _a("P1"), _a("P1"))).encode() + PAD.encode() + b"\xff\n"
+    paths.append(tmp_path / "not-utf8.tsv")
+    paths[-1].write_bytes(not_utf8)
+    lines = synthetic_lines()
+    paths.append(write_lines(tmp_path / "first.tsv", lines[:10] + ["A\tP\n"] + lines[10:]))
+    paths.append(write_lines(tmp_path / "last.tsv", lines + ["X\n"]))
+    paths.append(write_lines(tmp_path / "repeat.tsv", lines[:100] + lines[-1:] + lines[100:]))
+    for path in paths:
+        assert lean_fault(path) == fault_of(read_corpus_file, path)
+        assert_no_child()
+    assert len(forks) == (4 * sum(map(splits, paths)) if forked else 0)
+
+
+LEAN_REFUSERS = {
+    "emit_corpus": lambda corpus, taxonomy: emit_corpus(corpus),
+    "validate_corpus": lambda corpus, taxonomy: validate_corpus(corpus),
+    "citation_index": lambda corpus, taxonomy: corpus.citation_index,
+    "articles": lambda corpus, taxonomy: corpus.articles,
+    "count_cube": lambda corpus, taxonomy: count_cube(
+        corpus, seed_assignments(corpus, taxonomy), ["J1"], IndicatorConfig()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAN_REFUSERS))
+def test_what_needs_every_reference_refuses_a_lean_corpus(name, toy_taxonomy, tmp_path):
+    path = write_lines(tmp_path / "corpus.tsv", _lines(J1, _a("P1"), _a("P2", refs="P1")))
+    use = LEAN_REFUSERS[name]
+    use(read_corpus_file(path), toy_taxonomy)
+    lean = lean_read(path, toy_taxonomy)
+    assert lean.refs.tolist() == []
+    with pytest.raises(TypeError, match="lacks the references of its seeding rows"):
+        use(lean, toy_taxonomy)

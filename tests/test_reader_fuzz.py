@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import io
+import os
+import tempfile
+from pathlib import Path
 from typing import Callable
 
 import pytest
@@ -10,6 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from naive_assignments import naive_read_assignments
 
+from conftest import assert_lean_read_agrees
+
+import refclass.corpus as corpus_module
 from refclass.classifier import STATUS_UNCLASSIFIED, Assignment, VoteTally, read_assignments
 from refclass.corpus import emit_corpus, read_corpus
 from refclass.errors import RefclassError, UnknownNameError
@@ -239,6 +245,27 @@ def test_read_assignments_matches_the_line_by_line_reader(assignments):
     the error that checking every line in full gives."""
     small = read_corpus(lines_of(JOURNAL_ROWS + ARTICLE_ROWS))
     assert_reads_like_the_naive_reader(assignments, (small, read_corpus([])))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(corpus=text_of(corpus_row, JOURNAL_ROWS))
+@example(corpus=JOURNAL_ROWS + "A\tP1\tJ1\t2010\tarticle\tP2,X1\nA\tP2\tJ2\t2011\treview\tP1,X2\n")
+@example(corpus="A\tP1\tJ1\t2010\tarticle\tP2\n" + JOURNAL_ROWS + "A\tP2\tJ1\t2010\tother\tP1\n")
+@example(corpus=JOURNAL_ROWS + "A\tP1\tJ1\t2010\tarticle\tX1,P1\n")
+def test_lean_read_agrees_with_the_full_read(corpus):
+    """The corpus read that ``classify`` makes of a fuzzed file, in one
+    process and forked from one byte on: the full read's error, or its rows
+    with the references of every row but those of a leading seeding journal
+    (J1 under the taxonomy rows), and the same assignments."""
+    taxonomy = load_taxonomy(lines_of(TAXONOMY_ROWS))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "corpus.tsv"
+        path.write_bytes(corpus.encode())
+        patch.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
+        assert_lean_read_agrees(path, taxonomy)
+        patch.setattr(corpus_module, "_FORK_BYTES", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert_lean_read_agrees(path, taxonomy)
 
 
 NAME_CHARS = "Onc# \t\r\n\x85\xa0\u3000"

@@ -347,3 +347,16 @@ def test_config_validation():
     refused = "^field_citation_rate must be a number or a list, not a mapping$"
     with pytest.raises(ConfigError, match=refused):
         small_config(field_citation_rate={0: 1.0, 1: 2.0})
+
+
+@pytest.mark.parametrize(
+    "seed, accepted", [(0, True), (2**64 - 1, True), (-1, False), (2**64, False)]
+)
+def test_seed_bounds(seed, accepted):
+    """A seed is any 64-bit non-negative integer, both ends included."""
+    if accepted:
+        corpus, _, _ = generate_synthetic(small_config(seed=seed))
+        assert len(corpus.ids) == 60
+    else:
+        with pytest.raises(ConfigError, match="seed must be a 64-bit non-negative integer"):
+            small_config(seed=seed)
