@@ -324,7 +324,9 @@ def classify(
     corpus rows, whose tallies are the cells each article kept at its last
     label change. Raises :class:`ConfigError` for a ``config`` that is not a
     :class:`ClassifierConfig`, and :class:`ValidationError` when a journal
-    names a category missing from the taxonomy.
+    names a category missing from the taxonomy. A lean corpus (see
+    :class:`~refclass.corpus.Corpus`) that lacks the references of a row
+    left open under ``taxonomy`` is a :class:`TypeError`.
     """
     if config is None:
         config = ClassifierConfig()
@@ -343,6 +345,7 @@ def classify(
     label = table[:n_rows]
     label[:] = _lookup(category_area, category) if area_mode else category
     open_rows = np.flatnonzero(label < 0)
+    corpus._require_coded(open_rows)
     n_open, width = len(open_rows), max(len(names), 1)
     block = max(_BLOCK_CELLS // width, 1)
 

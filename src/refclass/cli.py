@@ -40,8 +40,8 @@ from .classifier import (
     read_assignments,
 )
 from .corpus import _read_file, emit_corpus, validate_corpus
-# perfbench's tracer wraps this name; classify passes it a predicate and
-# gets a lean corpus, validate and indicators get the full one.
+# perfbench's tracer wraps this name. classify and indicators each read
+# lean, coding only the references they read; validate gets the full corpus.
 from .corpus import _read_corpus_file as read_corpus
 from .errors import ConfigError, RefclassError, UsageError
 from .indicators import IndicatorConfig
@@ -224,7 +224,8 @@ def _cmd_indicators(ns: argparse.Namespace) -> int:
     # Each input is hashed as it is read, so the manifest names the bytes parsed.
     digests = {name: hashlib.sha256() for name in ("corpus", "taxonomy", "assignments")}
     taxonomy = _read_file(ns.taxonomy, load_taxonomy, digests["taxonomy"])
-    corpus = read_corpus(ns.corpus, digests["corpus"])
+    # The cube reads only the references of citers published in an impact year.
+    corpus = read_corpus(ns.corpus, digests["corpus"], years=config.if_year_range)
     assignments = _read_file(
         ns.assignments, lambda lines: read_assignments(lines, corpus), digests["assignments"]
     )

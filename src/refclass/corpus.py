@@ -61,21 +61,30 @@ errors are those of the one-process read, which streams the whole file from
 the same descriptor whenever one of the conditions fails, a fork fails, a
 worker fails (a fault in its half included) or an id appears in both halves.
 
-The read of ``classify`` is lean: :func:`_read_corpus_file`, given a
-journal predicate, first scans the journal rows that lead the file (with
-``os.pread``, so the file offset stays at 0) for the journals that seed.
-Their rows are then checked like every other row but not coded: each gets
-no references, and its reference field is neither split nor looked up, in
-one process and in both workers alike. ``classify`` reads the references
-of the rows it votes for, and a seeding row never votes. The corpus is
-marked lean, and what needs every reference (``articles``,
-``citation_index``, :func:`emit_corpus`, :func:`validate_corpus` and
-``count_cube``) refuses it with a :class:`TypeError`. On the ``seeded``
-benchmark corpus the lean read codes 40,235 of the 1,040,731 references,
-and ``classify`` peaks at 44 MB in the parent (set by the assignment text)
-and 30 MB per worker, against 48 MB and 38 MB for a full read; on ``open``
-at 48 MB (set by the vote) and 36-38 MB, against 49 MB and 38-39 MB
-(``VmHWM``, 2 CPUs, Python 3.11.7, numpy 2.4.6).
+The reads of ``classify`` and ``indicators`` are lean: each codes only the
+references its command reads. :func:`_read_corpus_file` takes a journal
+predicate, for which it first scans the journal rows that lead the file
+(with ``os.pread``, so the file offset stays at 0), and a year range.
+``classify`` passes the journals that seed, whose rows never vote;
+``indicators`` passes its impact years, as its cube counts only citations
+made in them. A row of a journal found in the scan, or of a year outside
+the range, is checked like every other row but not coded: it gets no
+references, and its reference field is neither split nor looked up, in
+one process and in both workers alike. The same predicate then records,
+per row, whether the row was coded, and what reads a row's references
+refuses the corpus with a :class:`TypeError` when the read left one of
+its rows uncoded: ``classify`` checks its open rows, ``count_cube`` its
+citers in the impact years, and ``articles``, ``citation_index``,
+``dangling_reference_count``, :func:`emit_corpus` and
+:func:`validate_corpus` every row. On the ``seeded`` benchmark corpus the
+``classify`` read codes 40,235 of the 1,040,731 references and the
+``indicators`` read (impact years 2002-2004) 638,478. ``classify`` peaks
+at 44 MB in the parent (set by the assignment text) and 30 MB per worker,
+against 48 MB and 38 MB for a full read; on ``open`` at 48 MB (set by the
+vote) and 36-38 MB, against 49 MB and 38-39 MB (``VmHWM``, 2 CPUs, Python
+3.11.7, numpy 2.4.6). ``indicators`` peaks at 45.6-46.5 MB on the
+benchmark workloads, set by ``count_cube``, against 49.4-50.0 MB with the
+full read and the older cube (``ru_maxrss`` of the child).
 
 One reader opens and decodes every input file of the CLI, the taxonomy,
 the assignments and the report tables included: :func:`_read_file`, with
@@ -314,11 +323,12 @@ class Corpus:
 
     Row ``r`` is the article ``ids[r]`` (ids sorted); ``row_of`` inverts
     ``ids`` by bisecting them, so each id is held once. Per row:
-    ``journal_codes`` index ``journal_ids`` (sorted), ``years`` and
-    ``doc_types`` (codes into :data:`DOC_TYPES`). The references of row
-    ``r`` are ``refs[indptr[r]:indptr[r + 1]]`` in first-occurrence order
-    without duplicates; a code ``c < len(ids)`` is a row, a larger code
-    names ``dangling_ids[c - len(ids)]``. Arrays are read-only.
+    ``journal_codes`` index ``journal_ids`` (sorted), ``years`` (``int16``,
+    as every year lies in :data:`YEAR_BOUNDS`) and ``doc_types`` (codes into
+    :data:`DOC_TYPES`). The references of row ``r`` are
+    ``refs[indptr[r]:indptr[r + 1]]`` in first-occurrence order without
+    duplicates; a code ``c < len(ids)`` is a row, a larger code names
+    ``dangling_ids[c - len(ids)]``. Arrays are read-only.
 
     ``citation_index`` maps each in-corpus cited article id to the tuple of
     ``(citing_article_id, citing_year)`` pairs, sorted by citing id. It is
@@ -326,12 +336,16 @@ class Corpus:
     restricted to ids present in the corpus. Instances are immutable after
     construction; concurrent reads need no locking.
 
-    A corpus read for ``classify`` is lean (``_lean``): the rows of its
-    seeding journals hold no references. What needs every reference
-    refuses it (:meth:`_require_complete`).
+    A lean read (see :func:`_read_corpus_file`) leaves the references of
+    some rows uncoded; ``_coverage`` then records which rows hold theirs.
+    What reads the references of a row the read left uncoded refuses the
+    corpus (:meth:`_require_coded`).
     """
 
-    _lean = False
+    #: ``None`` when every row holds its references; after a lean read that
+    #: left any row uncoded, one read-only bool per row (``True``: coded)
+    #: and the phrase that names the other rows.
+    _coverage: tuple[np.ndarray, str] | None = None
 
     def __init__(
         self,
@@ -356,16 +370,20 @@ class Corpus:
         self.dangling_ids = dangling_ids
         self._dangling = int(np.count_nonzero(refs >= len(ids)))
 
-    def _require_complete(self) -> None:
-        """Raise :class:`TypeError` for a lean corpus. Only the CLI's
-        ``classify`` reads one, so a caller that gets here holds a private
-        object, not a faulty input."""
-        if self._lean:
-            raise TypeError("a corpus read for classify lacks the references of its seeding rows")
+    def _require_coded(self, rows: np.ndarray | None = None) -> None:
+        """Raise :class:`TypeError` when a lean read left any of ``rows``
+        (row indices or a row mask; every row by default) uncoded. Only the
+        CLI's ``classify`` and ``indicators`` read lean, so a caller that
+        gets here holds a private object, not a faulty input."""
+        if self._coverage is None:
+            return
+        coded, uncoded = self._coverage
+        if rows is None or not coded[rows].all():
+            raise TypeError(f"a lean corpus read lacks the references of its {uncoded}")
 
     @property
     def articles(self) -> Mapping[str, ArticleRecord]:
-        self._require_complete()
+        self._require_coded()
         return _IdView(self.ids, self._record)
 
     @property
@@ -374,7 +392,7 @@ class Corpus:
 
     @cached_property
     def citation_index(self) -> Mapping[str, tuple[tuple[str, int], ...]]:
-        self._require_complete()
+        self._require_coded()
         n = len(self.ids)
         linked = self.refs < n
         # CSR rows are in id order, so a stable sort by cited row keeps each
@@ -402,6 +420,7 @@ class Corpus:
 
     @property
     def dangling_reference_count(self) -> int:
+        self._require_coded()
         return self._dangling
 
     def citer_rows(self) -> np.ndarray:
@@ -433,6 +452,17 @@ class Corpus:
 #: References whose (row, code) keys the builder sorts per block: whole
 #: rows of about this many.
 _KEY_BLOCK = 1 << 16
+
+
+def _row_blocks(indptr: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """The bounds ``(lo, hi)`` of consecutive blocks of whole rows of the
+    CSR ``indptr`` that hold every reference, computed at once: a block
+    starts at the first row whose references start at or past a multiple
+    of ``size``, so it holds at most ``size`` references besides those of
+    its last row."""
+    starts = np.searchsorted(indptr, np.arange(0, indptr[-1], size)).tolist()
+    bounds = list(dict.fromkeys([*starts, len(indptr) - 1]))
+    return list(zip(bounds, bounds[1:]))
 
 
 def _pair_key(src: np.ndarray, dst: np.ndarray, width: int) -> np.ndarray:
@@ -516,7 +546,7 @@ def _assemble(columns: _Columns, target: np.ndarray, order: Sequence[int] | None
 
     codes = np.array([journal_code[j] for j in journal_names], dtype=np.int32)
     codes = codes[np.asarray(journal_of, dtype=np.intp)]
-    years = np.asarray(years, dtype=np.int64)
+    years = np.asarray(years, dtype=np.int16)
     doc_types = np.asarray(doc_types, dtype=np.int8)
     counts = np.asarray(counts, dtype=np.int64)
     dst = target.astype(np.int32, copy=False)
@@ -540,9 +570,7 @@ def _assemble(columns: _Columns, target: np.ndarray, order: Sequence[int] | None
     # repeats; if one does, a stable sort leaves each repeat right behind an
     # equal key.
     keep = None
-    lo = 0
-    while lo < n:
-        hi = min(int(np.searchsorted(indptr, indptr[lo] + _KEY_BLOCK)), n)
+    for lo, hi in _row_blocks(indptr, _KEY_BLOCK):
         refs = slice(indptr[lo], indptr[hi])
         src = np.repeat(np.arange(lo, hi, dtype=np.int32), counts[lo:hi])
         key = _pair_key(src, dst[refs], width)
@@ -556,7 +584,6 @@ def _assemble(columns: _Columns, target: np.ndarray, order: Sequence[int] | None
                 keep, counts = np.ones(len(dst), dtype=bool), counts.copy()
             keep[refs.start + repeats] = False
             counts[lo:hi] -= np.bincount(src[repeats] - lo, minlength=hi - lo)
-        lo = hi
     if keep is not None:
         dst = dst[keep]
         np.cumsum(counts, out=indptr[1:])
@@ -578,7 +605,32 @@ class _Codes(dict):
         return code
 
 
-def _coded(items: Iterable, uncoded: frozenset[str] = frozenset()) -> tuple[_Columns, np.ndarray]:
+class _Coding(NamedTuple):
+    """Which rows a read codes the references of: those whose journal is not
+    in ``skip`` and whose year lies in ``years`` (ends included). The
+    default, every row, is the full read."""
+
+    skip: frozenset[str] = frozenset()
+    years: tuple[int, int] = YEAR_BOUNDS
+
+    def coverage(self, corpus: Corpus) -> tuple[np.ndarray, str] | None:
+        """The ``_coverage`` of ``corpus`` read under this coding: ``None``
+        when every row is coded."""
+        lo, hi = self.years
+        skipped = np.array([j in self.skip for j in corpus.journal_ids], dtype=bool)
+        skipped = skipped[corpus.journal_codes]
+        undated = (corpus.years < lo) | (corpus.years > hi)
+        uncoded = []
+        if skipped.any():
+            uncoded.append("seeding rows")
+        if undated.any():
+            uncoded.append(f"rows published outside {lo}-{hi}")
+        if not uncoded:
+            return None
+        return _frozen(~(skipped | undated)), " and its ".join(uncoded)
+
+
+def _coded(items: Iterable, coding: _Coding = _Coding()) -> tuple[_Columns, np.ndarray]:
     """``items`` (journal records, and article fields as
     :func:`_article_fields` returns them) checked in order and coded as a
     corpus of their own.
@@ -590,11 +642,12 @@ def _coded(items: Iterable, uncoded: frozenset[str] = frozenset()) -> tuple[_Col
     articles' own ids; an id outside them gets the next code past them in
     its order of first appearance. Each article's references stay one
     comma-joined string until they are coded, so no per-reference object
-    outlives the line that produced it. An article of a journal in
-    ``uncoded`` is checked like any other but gets no references: its
-    field is neither split nor looked up.
+    outlives the line that produced it. An article that ``coding`` does
+    not code is checked like any other, by every rule in the same order,
+    but gets no references: its field is neither split nor looked up.
     """
     lo, hi = YEAR_BOUNDS
+    skip, (first, last) = coding
     ids, journal_of, years, doc_types, counts, refs_of, journals = [], [], [], [], [], [], []
     journal_names: dict[str, int] = {}  # in order of first appearance
     codes, seen_journals = _Codes(), set()
@@ -619,7 +672,7 @@ def _coded(items: Iterable, uncoded: frozenset[str] = frozenset()) -> tuple[_Col
         journal_of.append(journal_code(journal_id, len(journal_names)))
         years.append(shared_year(year, year))
         doc_types.append(_DOC_CODE[doc_type])
-        if journal_id in uncoded:
+        if journal_id in skip or not first <= year <= last:
             counts.append(0)
             continue
         counts.append(refs.count(",") + 1 if refs else 0)
@@ -674,9 +727,9 @@ def _line_rows(source: Iterable[str]):
         yield record
 
 
-def _built(items: Iterable, uncoded: frozenset[str] = frozenset()) -> Corpus:
+def _built(items: Iterable, coding: _Coding = _Coding()) -> Corpus:
     """The corpus of ``items``, checked and coded by :func:`_coded`."""
-    columns, target = _coded(items, uncoded)
+    columns, target = _coded(items, coding)
     return _assemble(columns, target, _id_order(columns.ids))
 
 
@@ -830,10 +883,11 @@ def _second_half(fd: int, size: int) -> int:
 
 
 def _fork_reader(
-    fd: int, start: int, stop: int, uncoded: frozenset[str]
+    fd: int, start: int, stop: int, coding: _Coding
 ) -> tuple[int, io.BufferedReader] | None:
     """Fork a worker that reads the bytes ``[start, stop)`` of ``fd``,
-    leaving the rows of the journals ``uncoded`` uncoded (see :func:`_coded`).
+    coding the references of the rows that ``coding`` codes (see
+    :func:`_coded`).
 
     Returns its pid and the pipe its payload arrives on, or ``None`` when
     the fork fails. The payload is the pickled :class:`_Columns` of the
@@ -860,7 +914,7 @@ def _fork_reader(
             os.close(r)
             with os.fdopen(w, "wb") as pipe:
                 rows = _line_rows(_text(_ByteRange(fd, start, stop)))
-                columns, target = _coded(rows, uncoded)
+                columns, target = _coded(rows, coding)
                 pickle.dump(columns, pipe, pickle.HIGHEST_PROTOCOL)
                 pipe.write(target.data)
             status = 0
@@ -870,10 +924,10 @@ def _fork_reader(
     return pid, os.fdopen(r, "rb")
 
 
-def _read_halves(fd: int, mid: int, size: int, uncoded: frozenset[str]) -> Corpus | None:
+def _read_halves(fd: int, mid: int, size: int, coding: _Coding) -> Corpus | None:
     """The corpus of the file ``fd``, each half read by a forked worker: the
-    bytes before ``mid`` and the bytes from ``mid`` on. Neither codes the
-    rows of the journals ``uncoded``.
+    bytes before ``mid`` and the bytes from ``mid`` on. Each codes the
+    references of the rows that ``coding`` codes.
 
     ``mid`` starts a line, so each half decodes as the same text that it is
     of the whole file. Each worker reads, checks and codes its half with
@@ -890,7 +944,7 @@ def _read_halves(fd: int, mid: int, size: int, uncoded: frozenset[str]) -> Corpu
     corpus = None
     try:
         for start, stop in ((0, mid), (mid, size)):
-            worker = _fork_reader(fd, start, stop, uncoded)
+            worker = _fork_reader(fd, start, stop, coding)
             if worker is None:
                 return None
             workers.append(worker)
@@ -993,35 +1047,40 @@ def read_corpus_file(path) -> Corpus:
 
 
 def _read_corpus_file(
-    path, digest=None, seeds: Callable[[JournalRecord], bool] | None = None
+    path,
+    digest=None,
+    seeds: Callable[[JournalRecord], bool] | None = None,
+    years: tuple[int, int] = YEAR_BOUNDS,
 ) -> Corpus:
     """:func:`read_corpus_file`, feeding every byte of the file into
     ``digest`` once when it is given: after a forked read, from the offset
     0 that the workers' ``os.pread`` leaves; otherwise as the one process
     reads the file.
 
-    Given ``seeds``, the read is lean: the rows of the leading journals
-    for which ``seeds`` holds (:func:`_leading_journals`) are checked but
-    not coded (see :func:`_coded`), and the corpus is marked lean. In a
-    read that succeeds each journal id appears once, so the leading record
-    is the corpus's; when journal rows do not lead the file, fewer rows go
-    uncoded.
+    Given ``seeds`` or ``years``, the read is lean: every row is checked,
+    but only the references of the rows whose year lies in ``years`` (ends
+    included) and whose journal is not among the leading journals for which
+    ``seeds`` holds (:func:`_leading_journals`) are coded (see
+    :func:`_coded`). The same :class:`_Coding` then records which rows were
+    coded (``Corpus._coverage``). In a read that succeeds each journal id
+    appears once, so the leading record is the corpus's; when journal rows
+    do not lead the file, fewer rows go uncoded.
     """
     with _utf8(path), open(path, "rb", buffering=0) as file:
         fd = file.fileno()
         size = os.fstat(fd).st_size
-        uncoded = frozenset() if seeds is None else _leading_journals(fd, size, seeds)
+        skip = frozenset() if seeds is None else _leading_journals(fd, size, seeds)
+        coding = _Coding(skip, years)
         corpus = None
         if size >= _FORK_BYTES and _can_fork():
             mid = _second_half(fd, size)
-            corpus = _read_halves(fd, mid, size, uncoded) if mid < size else None
+            corpus = _read_halves(fd, mid, size, coding) if mid < size else None
             if corpus is not None and digest is not None:
                 _hash_rest(file, digest)
         if corpus is None:
             # Nothing above moved the file offset, which is still at 0.
-            corpus = _decoded(file, lambda lines: _built(_line_rows(lines), uncoded), digest)
-    if seeds is not None:
-        corpus._lean = True
+            corpus = _decoded(file, lambda lines: _built(_line_rows(lines), coding), digest)
+    corpus._coverage = coding.coverage(corpus)
     return corpus
 
 
@@ -1063,7 +1122,7 @@ def read_corpus(source: Iterable[str]) -> Corpus:
 
 def emit_corpus(corpus: Corpus) -> str:
     """Render the canonical corpus file: journals then articles, sorted by id."""
-    corpus._require_complete()
+    corpus._require_coded()
     lines = [f"J\t{j.id}\t{j.name}\t{';'.join(j.categories)}" for j in corpus.journals.values()]
     refs = corpus._names[corpus.refs].tolist()
     bounds = corpus.indptr.tolist()
@@ -1109,7 +1168,7 @@ class ValidationReport:
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """Produce per-corpus counts: sizes, dangling refs, doc types, year histogram."""
-    corpus._require_complete()
+    corpus._require_coded()
     doc_counts = np.bincount(corpus.doc_types, minlength=len(DOC_TYPES)).tolist()
     years, year_counts = np.unique(corpus.years, return_counts=True)
     journal_counts = np.bincount(corpus.journal_codes, minlength=len(corpus.journal_ids))

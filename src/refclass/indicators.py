@@ -24,7 +24,16 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .classifier import AssignmentTable, _require_table
-from .corpus import _DOC_CODE, YEAR_BOUNDS, Corpus, JournalRecord, _is_int, _items, _year_pair
+from .corpus import (
+    _DOC_CODE,
+    YEAR_BOUNDS,
+    Corpus,
+    JournalRecord,
+    _is_int,
+    _items,
+    _row_blocks,
+    _year_pair,
+)
 from .errors import (
     ConfigError,
     DomainError,
@@ -396,9 +405,18 @@ def count_cube(
     :class:`ConfigError` for a ``config`` that is not an
     :class:`IndicatorConfig` and for ``assignments`` that are not a table,
     then :class:`ValidationError` for a table over another corpus's articles.
-    A lean corpus (see :class:`~refclass.corpus.Corpus`) is a :class:`TypeError`.
+    A lean corpus (see :class:`~refclass.corpus.Corpus`) that lacks the
+    references of a citer published in ``config.if_year_range`` is a
+    :class:`TypeError`, raised after the ``config`` check: the cube reads
+    the references of those citers only.
+
+    Citations are counted one block of citing rows at a time (about
+    :data:`_CITE_BLOCK` references each), with ``int32`` keys: a key indexes
+    ``num``, whose ``(n_scopes * n_areas + 1) * width`` cells stay below
+    ``2**31`` while the requested journals do, since ``width`` is at most
+    202 (:data:`YEAR_BOUNDS`) and ``n_areas`` at most ``len(BROAD_AREAS) +
+    1``: below 708,000 journals. ``den`` alone would then take 17 GB.
     """
-    corpus._require_complete()
     requested = list(_items(journals, "journals", "journal ids", ConfigError))
     if ALL_SOURCES in requested:
         raise ConfigError(f"journals must not name {ALL_SOURCES}, the scope of every journal")
@@ -407,6 +425,8 @@ def count_cube(
         raise ConfigError(f"config must be an IndicatorConfig, got {type(config).__name__}")
     cite_lo, cite_hi = config.if_year_range
     width = cite_hi - cite_lo + 2
+    citing_ok = (corpus.years >= cite_lo) & (corpus.years <= cite_hi)
+    corpus._require_coded(citing_ok)
 
     scope_of = dict.fromkeys(corpus.journal_ids, len(journals))
     scope_of.update((j, i) for i, j in enumerate(journals))
@@ -416,39 +436,40 @@ def count_cube(
     # Area slots: 0 for unclassified, then every area the table names, sorted.
     present = np.flatnonzero(np.bincount(table.area[table.area >= 0], minlength=len(table.areas)))
     area_slots = {table.areas[c]: slot for slot, c in enumerate(present.tolist(), start=1)}
-    slot_of = np.zeros(len(table.areas) + 1, dtype=np.int64)  # code -1 reads the last
+    slot_of = np.zeros(len(table.areas) + 1, dtype=np.int32)  # code -1 reads the last
     slot_of[present] = np.arange(1, len(present) + 1)
     n_scopes, n_areas = len(journals) + 1, len(area_slots) + 1
 
     # One (scope, area) cell per article, and one last cell, which no query
-    # reads, for other doc types and dangling ids. Years lie in YEAR_BOUNDS,
-    # so int16 holds them; a dangling id reads year 0. den counts each
-    # column's span of publication years.
-    scope = np.array([scope_of[j] for j in corpus.journal_ids], dtype=np.int64)
-    articles = np.flatnonzero(corpus.doc_types == _DOC_CODE["article"])
+    # reads, for other doc types and dangling ids; a dangling id reads year
+    # 0. den counts each column's span of publication years.
+    scope = np.array([scope_of[j] for j in corpus.journal_ids], dtype=np.int32)
     n_cells, n_dangling = n_scopes * n_areas, len(corpus.dangling_ids)
-    cell = np.full(len(corpus.ids) + n_dangling, n_cells, dtype=np.int64)
-    cell[articles] = scope[corpus.journal_codes[articles]] * n_areas + slot_of[table.area[articles]]
-    years = np.pad(corpus.years.astype(np.int16), (0, n_dangling))
+    cell = np.pad(scope[corpus.journal_codes], (0, n_dangling), constant_values=n_cells)
+    row_cell = cell[: len(corpus.ids)]
+    row_cell *= n_areas
+    row_cell += slot_of[table.area]
+    articles = corpus.doc_types == _DOC_CODE["article"]
+    row_cell[~articles] = n_cells
+    years = np.pad(corpus.years, (0, n_dangling))
     spans = [config.pub_window, *((y - config.window, y - 1) for y in range(cite_lo, cite_hi + 1))]
     den = np.zeros((n_cells, width), dtype=np.int64)
-    article_cell, article_year = cell[articles], years[articles]
+    article_cell, article_year = row_cell[articles], corpus.years[articles]
+    del articles, row_cell
     for column, (first, last) in enumerate(spans):
         in_span = (article_year >= first) & (article_year <= last)
         den[:, column] = np.bincount(article_cell[in_span], minlength=n_cells)
+    del article_cell, article_year  # gone before the blocks, which set the peak
 
     # Citations: in-corpus references from a citer published in an impact
     # year, counted one block of citing rows at a time, so no per-reference
     # array outlives its block. A reference counts in column 0 when the
     # cited year lies in the publication window, and in its citer's year's
     # column when it lies in that year's citation window.
-    citing_ok = (years >= cite_lo) & (years <= cite_hi)
     win_lo, win_hi = config.pub_window
-    indptr, n = corpus.indptr, len(corpus.ids)
+    indptr = corpus.indptr
     num = np.zeros((n_cells + 1) * width, dtype=np.int64)
-    lo = 0
-    while lo < n:
-        hi = min(int(np.searchsorted(indptr, indptr[lo] + _CITE_BLOCK)), n)
+    for lo, hi in _row_blocks(indptr, _CITE_BLOCK):
         ok, counts = citing_ok[lo:hi], np.diff(indptr[lo : hi + 1])
         refs = corpus.refs[indptr[lo] : indptr[hi]][np.repeat(ok, counts)]
         key, pub = cell[refs], years[refs]
@@ -459,7 +480,6 @@ def count_cube(
         citing -= cite_lo - 1
         key += citing
         num += np.bincount(key[(pub < 0) & (pub >= -config.window)], minlength=num.size)
-        lo = hi
     shape = (n_scopes, n_areas, width)
     return CountCube(config, journals, area_slots, den.reshape(shape), num[:-width].reshape(shape))
 

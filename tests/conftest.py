@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import refclass.corpus as corpus_module
-from refclass.classifier import _seeding, classify, emit_assignments
+from refclass.classifier import AssignmentTable, _seeding, classify, emit_assignments
 from refclass.corpus import (
     ArticleRecord,
     Corpus,
@@ -21,6 +21,7 @@ from refclass.corpus import (
     read_corpus_file,
 )
 from refclass.errors import RefclassError
+from refclass.indicators import IndicatorConfig, count_cube
 from refclass.synthetic import SyntheticConfig
 from refclass.taxonomy import Taxonomy, load_taxonomy
 
@@ -222,6 +223,12 @@ def lean_read(path, taxonomy: Taxonomy) -> Corpus:
     return _read_corpus_file(path, seeds=_seeding(taxonomy))
 
 
+def year_read(path, years: tuple[int, int]) -> Corpus:
+    """The corpus read of ``path`` that the CLI's ``indicators`` makes with
+    ``--if-years`` ``years``."""
+    return _read_corpus_file(path, years=years)
+
+
 def leading_journal_ids(path) -> list[str]:
     """The ids of the journal rows before the first other record of the
     valid corpus file ``path``, read as ``open()`` reads it."""
@@ -255,22 +262,33 @@ def classify_outcome(corpus: Corpus, taxonomy: Taxonomy):
         return type(exc), str(exc)
 
 
+def read_alike(path, read) -> tuple[Corpus, Corpus] | None:
+    """:func:`read_corpus_file` of ``path`` and ``read(path)``: ``None``
+    when both raise the same error, else both corpora, which must hold the
+    same rows and journals."""
+    try:
+        full = read_corpus_file(path)
+    except RefclassError as exc:
+        with pytest.raises(RefclassError) as lean_exc:
+            read(path)
+        assert (type(lean_exc.value), str(lean_exc.value)) == (type(exc), str(exc))
+        return None
+    lean = read(path)
+    assert lean.ids == full.ids and lean.journals == full.journals
+    for column in ("journal_codes", "years", "doc_types"):
+        assert np.array_equal(getattr(lean, column), getattr(full, column))
+    return full, lean
+
+
 def assert_lean_read_agrees(path, taxonomy: Taxonomy) -> None:
     """The lean read of ``path`` against :func:`read_corpus_file`: the same
     error, or the same rows, with the full references of every row but
     those of the seeding journals among the leading journal rows, which
     have none, and the same ``classify`` outcome, byte for byte."""
-    try:
-        full = read_corpus_file(path)
-    except RefclassError as exc:
-        with pytest.raises(RefclassError) as lean_exc:
-            lean_read(path, taxonomy)
-        assert (type(lean_exc.value), str(lean_exc.value)) == (type(exc), str(exc))
+    read = read_alike(path, lambda path: lean_read(path, taxonomy))
+    if read is None:
         return
-    lean = lean_read(path, taxonomy)
-    assert lean.ids == full.ids and lean.journals == full.journals
-    for column in ("journal_codes", "years", "doc_types"):
-        assert np.array_equal(getattr(lean, column), getattr(full, column))
+    full, lean = read
     seeding = _seeding(taxonomy)
     uncoded = {j for j in leading_journal_ids(path) if seeding(full.journals[j])}
     expected = {
@@ -279,3 +297,48 @@ def assert_lean_read_agrees(path, taxonomy: Taxonomy) -> None:
     }
     assert references_by_id(lean) == expected
     assert classify_outcome(lean, taxonomy) == classify_outcome(full, taxonomy)
+
+
+def striped_table(corpus: Corpus) -> AssignmentTable:
+    """An assignment table over ``corpus`` that leaves every third row
+    unclassified and gives the others two areas in turn."""
+    n = len(corpus.ids)
+    none = np.full(n, -1, np.int32)
+    area = (np.arange(n) % 3 - 1).astype(np.int32)
+    zeros = np.zeros(n, np.int64)
+    return AssignmentTable(
+        corpus, (), none, ("Bioscience", "Medicine"), area, zeros.astype(np.int8), zeros, zeros
+    )
+
+
+def cube_counts(corpus: Corpus, config: IndicatorConfig) -> tuple:
+    """The counts of :func:`count_cube` over ``corpus`` with
+    :func:`striped_table`, for its first two journals."""
+    cube = count_cube(corpus, striped_table(corpus), corpus.journal_ids[:2], config)
+    return cube.den.tolist(), cube.num.tolist()
+
+
+def assert_year_read_agrees(path, years: tuple[int, int]) -> None:
+    """The read of ``path`` that ``indicators`` makes for the impact years
+    ``years`` against :func:`read_corpus_file`: the same error, or the same
+    rows, with the full references of every row published in ``years`` and
+    none for the others, and the same :func:`count_cube` counts. What needs
+    every row refuses it when a row lies outside ``years``."""
+    read = read_alike(path, lambda path: year_read(path, years))
+    if read is None:
+        return
+    full, lean = read
+    lo, hi = years
+    expected = {
+        a_id: refs if lo <= year <= hi else ()
+        for (a_id, refs), year in zip(references_by_id(full).items(), full.years.tolist())
+    }
+    assert references_by_id(lean) == expected
+    config = IndicatorConfig(if_year_range=years)
+    assert cube_counts(lean, config) == cube_counts(full, config)
+    if all(lo <= year <= hi for year in full.years.tolist()):
+        assert dict(lean.articles) == dict(full.articles)
+    else:
+        outside = f"lacks the references of its rows published outside {lo}-{hi}$"
+        with pytest.raises(TypeError, match=outside):
+            lean.articles

@@ -1515,3 +1515,30 @@ def test_classify_prints_the_corpus_fault_that_validate_prints(
     assert run_cli(["classify", *inputs, "--out", str(out)]) == 1
     assert capsys.readouterr().err == expected
     assert not out.exists()
+
+
+# indicators checks the journals against the taxonomy only after it reads
+# the assignments, so an unknown category is not a fault of its corpus read.
+INDICATORS_CORPUS_FAULTS = sorted(set(CORPUS_FAULTS) - {"unknown-category"})
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("name", INDICATORS_CORPUS_FAULTS)
+def test_indicators_prints_the_corpus_fault_that_validate_prints(
+    name, cpus, forks, monkeypatch, toy_files, tmp_path, capsys
+):
+    """indicators' corpus read, which leaves the rows of 2010 and 2011
+    uncoded for the impact years 2012-2013, fails as validate's full one
+    does, in one process and forked, before it opens the assignments."""
+    _, taxonomy = toy_files
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    corpus = tmp_path / "bad.tsv"
+    corpus.write_bytes(CORPUS_FAULTS[name])
+    inputs = ["--corpus", str(corpus), "--taxonomy", str(taxonomy)]
+    assert run_cli(["validate", *inputs]) == 1
+    expected = capsys.readouterr().err
+    out = tmp_path / "tables"
+    args = [*inputs, "--assignments", str(tmp_path / "missing.tsv"), "--if-years", "2012:2013"]
+    assert run_cli(["indicators", *args, "--journals", "J1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()

@@ -22,6 +22,8 @@ from refclass.corpus import (
     _by_citer,
     _Columns,
     _id_order,
+    _read_corpus_file,
+    _row_blocks,
     build_corpus,
     emit_corpus,
     read_corpus,
@@ -35,7 +37,7 @@ from refclass.errors import (
     UnknownNameError,
     ValidationError,
 )
-from refclass.classifier import seed_assignments
+from refclass.classifier import _seeding, classify, seed_assignments
 from refclass.indicators import IndicatorConfig, count_cube
 from refclass.synthetic import generate_synthetic
 from refclass.taxonomy import load_taxonomy
@@ -44,12 +46,16 @@ from conftest import (
     TOY_TAXONOMY_TEXT,
     article,
     assert_lean_read_agrees,
+    assert_year_read_agrees,
+    classify_outcome,
+    cube_counts,
     journal,
     lean_read,
     random_corpus,
     ten_field_config,
     traced,
     traced_peak,
+    year_read,
 )
 
 
@@ -1407,18 +1413,32 @@ def test_lean_read_of_a_synthetic_corpus(forks, monkeypatch, tmp_path):
     assert len(forks) == 8
 
 
+def test_year_read_agrees_with_the_full_read_on_random_corpora(forks, monkeypatch, tmp_path):
+    """The indicators read, forked and in one process, of messy corpora
+    (years 1990-2020) for random impact years."""
+    rng = np.random.default_rng(42)
+    skipped = 0
+    for i in range(150):
+        path = write_lines(tmp_path / f"{i}.tsv", messy_corpus_lines(rng))
+        lo, hi = sorted(int(y) for y in rng.integers(1988, 2023, size=2))
+        assert_year_read_agrees(path, (lo, hi))
+        assert_no_child()
+        with monkeypatch.context() as one_process:
+            one_process.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
+            assert_year_read_agrees(path, (lo, hi))
+            full, lean = read_corpus_file(path), year_read(path, (lo, hi))
+            skipped += int(np.count_nonzero(np.diff(full.indptr) > np.diff(lean.indptr)))
+    assert len(forks) > 400 and skipped > 1000
+
+
 def lean_fault(path) -> tuple:
     return fault_of(lean_read, path, load_taxonomy(TOY_TAXONOMY_TEXT.splitlines(keepends=True)))
 
 
-@pytest.mark.parametrize("forked", [False, True], ids=["one-process", "forked"])
-def test_lean_read_raises_every_corpus_fault_alike(forked, forks, monkeypatch, tmp_path):
+def corpus_fault_files(tmp_path) -> list[Path]:
     """Every malformed file and parse error of this module, a byte that is
     not UTF-8 behind a line fault, and a fault in either half of a
-    synthetic corpus: the lean read, whose J1 rows go uncoded, raises the
-    full read's fault."""
-    if not forked:
-        monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1 << 40)
+    synthetic corpus."""
     paths = []
     for name in sorted(MALFORMED):
         (tmp_path / name).mkdir()
@@ -1432,8 +1452,32 @@ def test_lean_read_raises_every_corpus_fault_alike(forked, forks, monkeypatch, t
     paths.append(write_lines(tmp_path / "first.tsv", lines[:10] + ["A\tP\n"] + lines[10:]))
     paths.append(write_lines(tmp_path / "last.tsv", lines + ["X\n"]))
     paths.append(write_lines(tmp_path / "repeat.tsv", lines[:100] + lines[-1:] + lines[100:]))
+    return paths
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["one-process", "forked"])
+def test_lean_read_raises_every_corpus_fault_alike(forked, forks, monkeypatch, tmp_path):
+    """Every corpus fault file: the lean read, whose J1 rows go uncoded,
+    raises the full read's fault."""
+    if not forked:
+        monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1 << 40)
+    paths = corpus_fault_files(tmp_path)
     for path in paths:
         assert lean_fault(path) == fault_of(read_corpus_file, path)
+        assert_no_child()
+    assert len(forks) == (4 * sum(map(splits, paths)) if forked else 0)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["one-process", "forked"])
+def test_year_read_raises_every_corpus_fault_alike(forked, forks, monkeypatch, tmp_path):
+    """Every corpus fault file: the indicators read for the impact years
+    2003-2004, which leaves the toy rows of 2010 and the synthetic rows of
+    2000-2002 uncoded, raises the full read's fault."""
+    if not forked:
+        monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1 << 40)
+    paths = corpus_fault_files(tmp_path)
+    for path in paths:
+        assert fault_of(year_read, path, (2003, 2004)) == fault_of(read_corpus_file, path)
         assert_no_child()
     assert len(forks) == (4 * sum(map(splits, paths)) if forked else 0)
 
@@ -1458,3 +1502,76 @@ def test_what_needs_every_reference_refuses_a_lean_corpus(name, toy_taxonomy, tm
     assert lean.refs.tolist() == []
     with pytest.raises(TypeError, match="lacks the references of its seeding rows"):
         use(lean, toy_taxonomy)
+
+
+def test_a_lean_read_is_refused_where_it_lacks_the_rows_read(toy_taxonomy, tmp_path):
+    """count_cube refuses a corpus read lean for classify when a seeding
+    row cites in its impact years, and classify refuses one read lean by
+    year when an open row lies outside those years. Each takes a lean corpus
+    whose rows it reads are all coded, with the full read's result."""
+    multi = "J\tJ2\tJournal Two\tMultidisciplinary Sciences"
+    path = write_lines(
+        tmp_path / "corpus.tsv",
+        _lines(J1, multi, _a("P1"), _a("P2", "2012", "P1", "J2"), _a("P3", "2011", "P1")),
+    )
+    full = read_corpus_file(path)
+
+    def cube(corpus, years):
+        config = IndicatorConfig(if_year_range=years, pub_window=(2010, 2010))
+        return cube_counts(corpus, config)
+
+    by_classify = lean_read(path, toy_taxonomy)  # J1's rows P1 and P3 uncoded
+    assert cube(by_classify, (2012, 2012)) == cube(full, (2012, 2012))
+    with pytest.raises(TypeError, match="lacks the references of its seeding rows$"):
+        cube(by_classify, (2011, 2012))
+
+    by_year = year_read(path, (2012, 2012))  # P1 and P3 uncoded, P2 coded
+    assert classify_outcome(by_year, toy_taxonomy) == classify_outcome(full, toy_taxonomy)
+    by_year = year_read(path, (2010, 2011))  # P2, the one open row, uncoded
+    with pytest.raises(TypeError, match="lacks the references of its rows published outside"):
+        classify(by_year, toy_taxonomy)
+    both = _read_corpus_file(path, seeds=_seeding(toy_taxonomy), years=(2010, 2011))
+    for need_every_row in (lambda: both.articles, lambda: both.dangling_reference_count):
+        with pytest.raises(TypeError, match="of its seeding rows and its rows published outside"):
+            need_every_row()
+
+
+def test_classify_refuses_a_corpus_read_lean_under_another_taxonomy(tmp_path):
+    """C1's journal seeds under the taxonomy of the read but is
+    multidisciplinary under the one classify runs with, so C1 votes with
+    references the read did not code: a TypeError, not an unclassified C1."""
+    astronomy = "Astronomy & Astrophysics\tAstronomy\t\n"
+    read_under = load_taxonomy([astronomy, "Cell Biology\tBioscience\t\n"])
+    run_under = load_taxonomy([astronomy, "Cell Biology\tBioscience\tmultidisciplinary\n"])
+    rows = (
+        "J\tJA\tJournal A\tAstronomy & Astrophysics",
+        "J\tJC\tJournal C\tCell Biology",
+        _a("A1", journal="JA"),
+        _a("C1", refs="A1", journal="JC"),
+    )
+    path = write_lines(tmp_path / "corpus.tsv", _lines(*rows))
+    c1 = classify(read_corpus_file(path), run_under).assignments["C1"]
+    assert (c1.status, c1.broad_area) == ("reference-classified", "Astronomy")
+    with pytest.raises(TypeError, match="lacks the references of its seeding rows$"):
+        classify(lean_read(path, read_under), run_under)
+
+
+def test_row_blocks_split_every_reference_into_blocks_of_whole_rows():
+    """Consecutive blocks from row 0 to the last row hold every reference,
+    each at most ``size`` references besides those of its last row; without
+    references there is no block."""
+    rng = np.random.default_rng(16)
+    assert _row_blocks(np.zeros(6, np.int64), 4) == []
+    for _ in range(300):
+        counts = rng.integers(0, 12, size=int(rng.integers(0, 40))) * (rng.random() < 0.9)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        size = int(rng.integers(1, 30))
+        blocks = _row_blocks(indptr, size)
+        if indptr[-1] == 0:
+            assert blocks == []
+            continue
+        assert blocks[0][0] == 0 and blocks[-1][1] == len(counts)
+        assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(blocks, blocks[1:]))
+        for lo, hi in blocks:
+            assert lo < hi and indptr[hi - 1] - indptr[lo] <= size
+

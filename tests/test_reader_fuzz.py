@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from naive_assignments import naive_read_assignments
 
-from conftest import assert_lean_read_agrees
+from conftest import assert_lean_read_agrees, assert_year_read_agrees
 
 import refclass.corpus as corpus_module
 from refclass.classifier import STATUS_UNCLASSIFIED, Assignment, VoteTally, read_assignments
@@ -266,6 +266,31 @@ def test_lean_read_agrees_with_the_full_read(corpus):
         patch.setattr(corpus_module, "_FORK_BYTES", 1)
         patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert_lean_read_agrees(path, taxonomy)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    corpus=text_of(corpus_row, JOURNAL_ROWS),
+    years=st.lists(st.integers(2009, 2012), min_size=2, max_size=2).map(sorted).map(tuple),
+)
+@example(
+    corpus=JOURNAL_ROWS + "A\tP1\tJ1\t2010\tarticle\tP2,X1\nA\tP2\tJ2\t2011\treview\tP1,X2\n",
+    years=(2011, 2011),
+)
+@example(corpus=JOURNAL_ROWS + "A\tP1\tJ1\t2010\tarticle\tX1,P1\n", years=(2011, 2012))
+def test_year_read_agrees_with_the_full_read(corpus, years):
+    """The corpus read that ``indicators`` makes of a fuzzed file for impact
+    years around its 2010-2011 rows, in one process and forked from one
+    byte on: the full read's error, or its rows with the references of the
+    rows published in those years only, and the same cube counts."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "corpus.tsv"
+        path.write_bytes(corpus.encode())
+        patch.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
+        assert_year_read_agrees(path, years)
+        patch.setattr(corpus_module, "_FORK_BYTES", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert_year_read_agrees(path, years)
 
 
 NAME_CHARS = "Onc# \t\r\n\x85\xa0\u3000"
