@@ -65,6 +65,8 @@ The reads of ``classify`` and ``indicators`` are lean: each codes only the
 references its command reads. :func:`_read_corpus_file` takes a journal
 predicate, for which it first scans the journal rows that lead the file
 (with ``os.pread``, so the file offset stays at 0), and a year range.
+A corpus that is not a regular file, a pipe say, is pre-scanned for
+nothing, so its ``classify`` read codes every row; only speed changes.
 ``classify`` passes the journals that seed, whose rows never vote;
 ``indicators`` passes its impact years, as its cube counts only citations
 made in them. A row of a journal found in the scan, or of a year outside
@@ -101,6 +103,7 @@ import io
 import os
 import pickle
 import signal
+import stat
 import threading
 import warnings
 from bisect import bisect_left
@@ -1060,16 +1063,18 @@ def _read_corpus_file(
     Given ``seeds`` or ``years``, the read is lean: every row is checked,
     but only the references of the rows whose year lies in ``years`` (ends
     included) and whose journal is not among the leading journals for which
-    ``seeds`` holds (:func:`_leading_journals`) are coded (see
-    :func:`_coded`). The same :class:`_Coding` then records which rows were
-    coded (``Corpus._coverage``). In a read that succeeds each journal id
-    appears once, so the leading record is the corpus's; when journal rows
-    do not lead the file, fewer rows go uncoded.
+    ``seeds`` holds (:func:`_leading_journals`, of a regular file only) are
+    coded (see :func:`_coded`). The same :class:`_Coding` then records
+    which rows were coded (``Corpus._coverage``). In a read that succeeds
+    each journal id appears once, so the leading record is the corpus's;
+    when journal rows do not lead the file, fewer rows go uncoded.
     """
     with _utf8(path), open(path, "rb", buffering=0) as file:
         fd = file.fileno()
-        size = os.fstat(fd).st_size
-        skip = frozenset() if seeds is None else _leading_journals(fd, size, seeds)
+        status = os.fstat(fd)
+        size = status.st_size
+        scan = seeds is not None and stat.S_ISREG(status.st_mode)
+        skip = _leading_journals(fd, size, seeds) if scan else frozenset()
         coding = _Coding(skip, years)
         corpus = None
         if size >= _FORK_BYTES and _can_fork():

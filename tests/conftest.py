@@ -2,25 +2,33 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import sys
+import threading
 import tracemalloc
+from itertools import takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from naive_corpus import naive_records, reference_reading
 
 import refclass.corpus as corpus_module
 from refclass.classifier import AssignmentTable, _seeding, classify, emit_assignments
 from refclass.corpus import (
+    YEAR_BOUNDS,
     ArticleRecord,
     Corpus,
     JournalRecord,
     _read_corpus_file,
     build_corpus,
-    read_corpus_file,
+    emit_corpus,
+    read_corpus,
+    validate_corpus,
 )
-from refclass.errors import RefclassError
+from refclass.errors import InputError, ParseError, RefclassError
 from refclass.indicators import IndicatorConfig, count_cube
 from refclass.synthetic import SyntheticConfig
 from refclass.taxonomy import Taxonomy, load_taxonomy
@@ -65,9 +73,9 @@ def toy_taxonomy() -> Taxonomy:
     return load_taxonomy(TOY_TAXONOMY_TEXT.splitlines(keepends=True))
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Read every corpus file that splits with two forked workers; yields their pids."""
+def counted_forks(patch: pytest.MonkeyPatch) -> list[int]:
+    """Patch the corpus read to read every file that splits with two forked
+    workers; returns the list that their pids are appended to."""
     pids = []
     fork = os.fork
 
@@ -77,10 +85,16 @@ def forks(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", counted_fork)
+    patch.setattr(corpus_module, "_FORK_BYTES", 1)
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    patch.setattr(os, "fork", counted_fork)
     return pids
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Read every corpus file that splits with two forked workers; yields their pids."""
+    return counted_forks(monkeypatch)
 
 
 #: The log that the audit hook of :func:`opened` appends to, while a test runs.
@@ -218,32 +232,6 @@ def random_corpus(rng: np.random.Generator, max_articles: int = 500) -> tuple[Co
     return build_corpus(journals + articles), taxonomy
 
 
-def lean_read(path, taxonomy: Taxonomy) -> Corpus:
-    """The corpus read of ``path`` that the CLI's ``classify`` makes."""
-    return _read_corpus_file(path, seeds=_seeding(taxonomy))
-
-
-def year_read(path, years: tuple[int, int]) -> Corpus:
-    """The corpus read of ``path`` that the CLI's ``indicators`` makes with
-    ``--if-years`` ``years``."""
-    return _read_corpus_file(path, years=years)
-
-
-def leading_journal_ids(path) -> list[str]:
-    """The ids of the journal rows before the first other record of the
-    valid corpus file ``path``, read as ``open()`` reads it."""
-    ids = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip() or line.startswith("#"):
-                continue
-            tag, j_id, *_ = line.split("\t")
-            if tag != "J":
-                break
-            ids.append(j_id.strip())
-    return ids
-
-
 def references_by_id(corpus: Corpus) -> dict[str, tuple[str, ...]]:
     """Each article's references as ids, read from the CSR arrays."""
     names = corpus.ids + corpus.dangling_ids
@@ -260,43 +248,6 @@ def classify_outcome(corpus: Corpus, taxonomy: Taxonomy):
         return emit_assignments(classify(corpus, taxonomy))
     except RefclassError as exc:
         return type(exc), str(exc)
-
-
-def read_alike(path, read) -> tuple[Corpus, Corpus] | None:
-    """:func:`read_corpus_file` of ``path`` and ``read(path)``: ``None``
-    when both raise the same error, else both corpora, which must hold the
-    same rows and journals."""
-    try:
-        full = read_corpus_file(path)
-    except RefclassError as exc:
-        with pytest.raises(RefclassError) as lean_exc:
-            read(path)
-        assert (type(lean_exc.value), str(lean_exc.value)) == (type(exc), str(exc))
-        return None
-    lean = read(path)
-    assert lean.ids == full.ids and lean.journals == full.journals
-    for column in ("journal_codes", "years", "doc_types"):
-        assert np.array_equal(getattr(lean, column), getattr(full, column))
-    return full, lean
-
-
-def assert_lean_read_agrees(path, taxonomy: Taxonomy) -> None:
-    """The lean read of ``path`` against :func:`read_corpus_file`: the same
-    error, or the same rows, with the full references of every row but
-    those of the seeding journals among the leading journal rows, which
-    have none, and the same ``classify`` outcome, byte for byte."""
-    read = read_alike(path, lambda path: lean_read(path, taxonomy))
-    if read is None:
-        return
-    full, lean = read
-    seeding = _seeding(taxonomy)
-    uncoded = {j for j in leading_journal_ids(path) if seeding(full.journals[j])}
-    expected = {
-        a_id: () if full.journal_ids[j] in uncoded else refs
-        for (a_id, refs), j in zip(references_by_id(full).items(), full.journal_codes.tolist())
-    }
-    assert references_by_id(lean) == expected
-    assert classify_outcome(lean, taxonomy) == classify_outcome(full, taxonomy)
 
 
 def striped_table(corpus: Corpus) -> AssignmentTable:
@@ -318,27 +269,145 @@ def cube_counts(corpus: Corpus, config: IndicatorConfig) -> tuple:
     return cube.den.tolist(), cube.num.tolist()
 
 
-def assert_year_read_agrees(path, years: tuple[int, int]) -> None:
-    """The read of ``path`` that ``indicators`` makes for the impact years
-    ``years`` against :func:`read_corpus_file`: the same error, or the same
-    rows, with the full references of every row published in ``years`` and
-    none for the others, and the same :func:`count_cube` counts. What needs
-    every row refuses it when a row lies outside ``years``."""
-    read = read_alike(path, lambda path: year_read(path, years))
-    if read is None:
-        return
-    full, lean = read
-    lo, hi = years
-    expected = {
-        a_id: refs if lo <= year <= hi else ()
-        for (a_id, refs), year in zip(references_by_id(full).items(), full.years.tolist())
-    }
-    assert references_by_id(lean) == expected
-    config = IndicatorConfig(if_year_range=years)
-    assert cube_counts(lean, config) == cube_counts(full, config)
-    if all(lo <= year <= hi for year in full.years.tolist()):
-        assert dict(lean.articles) == dict(full.articles)
-    else:
-        outside = f"lacks the references of its rows published outside {lo}-{hi}$"
-        with pytest.raises(TypeError, match=outside):
-            lean.articles
+def reading_of(corpus: Corpus) -> tuple:
+    """What :func:`reference_reading` gives, read from ``corpus``."""
+    return (
+        dict(corpus.articles.items()),
+        dict(corpus.citation_index),
+        corpus.dangling_reference_count,
+        validate_corpus(corpus).as_lines(),
+        emit_corpus(corpus),
+    )
+
+
+def file_lines(path) -> list[str]:
+    """The lines of ``path`` as ``open()`` reads them: universal newlines."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.readlines()
+
+
+def splits(path) -> bool:
+    """Whether a ``\n`` at or past the middle of ``path`` is followed by a second half."""
+    data = Path(path).read_bytes()
+    return data.find(b"\n", len(data) // 2) not in (-1, len(data) - 1)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: The three readings of a corpus file: the full read of ``validate`` and
+#: the library, and the lean reads of the CLI's ``classify`` and ``indicators``.
+READINGS = ("full", "classify", "indicators")
+
+#: The paths a corpus file is read along: in one process, by two forked
+#: workers, and from a pipe where ``/dev/fd`` names open files.
+READ_PATHS = ("one-process", "forked") + (("pipe",) if os.path.isdir("/dev/fd") else ())
+
+
+@contextlib.contextmanager
+def piped(path):
+    """The ``/dev/fd`` name of a pipe that a thread feeds the bytes of the
+    file ``path``, of any size; closing the pipe first ends the feed."""
+    r, w = os.pipe()
+
+    def feed(data: bytes) -> None:
+        with contextlib.suppress(BrokenPipeError), open(w, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed, args=(Path(path).read_bytes(),))
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        writer.join()
+
+
+def read_every_way(
+    path, reading: str, taxonomy: Taxonomy, years: tuple[int, int], paths=READ_PATHS
+) -> int | None:
+    """Read the corpus file ``path`` along each of ``paths``, by default every
+    path of :data:`READ_PATHS`, under ``reading``: the full read,
+    ``classify``'s (the journals that seed under ``taxonomy``) or
+    ``indicators``' (the impact years ``years``).
+
+    Every path raises :func:`reference_reading`'s first fault (for a byte
+    that is not UTF-8, the decode error naming the file), or gives its rows
+    with the references of each row it leaves uncoded emptied, the dangling
+    ids of the others in file order, and with no row uncoded its whole
+    reading. A file read leaves uncoded the rows of the leading journals
+    that seed, a pipe none; ``indicators`` the rows outside ``years``.
+    ``classify`` gives the full read's output where every open row is
+    coded, and :func:`count_cube` its counts where every citer in ``years``
+    is coded. Only the forked path forks, two workers exactly when the file
+    splits, and no path leaves a child.
+
+    Returns the number of rows with references that a file read leaves
+    uncoded, or ``None`` when the file holds a fault.
+    """
+    seeds = _seeding(taxonomy) if reading == "classify" else None
+    lo, hi = years if reading == "indicators" else YEAR_BOUNDS
+    try:
+        lines = file_lines(path)
+        expected = reference_reading(lines)
+    except UnicodeDecodeError as exc:
+        expected = ParseError(f"{path}: not valid UTF-8 ({exc.reason})")
+    except InputError as exc:
+        expected = exc
+    reads = {}
+    for via in paths:
+        with pytest.MonkeyPatch.context() as patch, contextlib.ExitStack() as pipe:
+            pids = counted_forks(patch)
+            if via != "forked":
+                patch.setattr(corpus_module, "_FORK_BYTES", 1 << 62)
+            name = pipe.enter_context(piped(path)) if via == "pipe" else path
+            try:
+                reads[via] = _read_corpus_file(name, seeds=seeds, years=(lo, hi))
+            except InputError as exc:
+                message = str(exc).replace(str(name), str(path))
+                reads[via] = type(exc), message, exc.line_no, exc.token
+        assert_no_child()
+        assert len(pids) == (2 * splits(path) if via == "forked" else 0), via
+    if isinstance(expected, InputError):
+        fault = type(expected), str(expected), expected.line_no, expected.token
+        assert reads == dict.fromkeys(paths, fault)
+        return None
+    articles = expected[0]
+    records = list(naive_records(lines))  # in file order
+    journals = {rec.id: rec for rec in records if isinstance(rec, JournalRecord)}
+    rows = [rec for rec in records if isinstance(rec, ArticleRecord)]
+    seeding = _seeding(taxonomy)
+    heads = takewhile(lambda rec: isinstance(rec, JournalRecord), records)
+    leading = {j.id for j in heads if seeding(j)} if seeds else ()
+    voting = {a.id for a in rows if not seeding(journals[a.journal_id])}
+    citing = {a.id for a in rows if years[0] <= a.year <= years[1]}
+
+    def coded_rows(skip) -> set[str]:
+        return {a.id for a in rows if a.journal_id not in skip and lo <= a.year <= hi}
+
+    full, config = read_corpus(lines), IndicatorConfig(if_year_range=years)
+    classified, counted = classify_outcome(full, taxonomy), cube_counts(full, config)
+    in_file = coded_rows(leading)
+    for via, corpus in reads.items():
+        assert not isinstance(corpus, tuple), (via, corpus)
+        coded = coded_rows(()) if via == "pipe" else in_file
+        assert corpus.ids == full.ids and corpus.journals == full.journals
+        for column in ("journal_codes", "years", "doc_types"):
+            assert np.array_equal(getattr(corpus, column), getattr(full, column)), (via, column)
+        assert references_by_id(corpus) == {
+            a_id: a.references if a_id in coded else () for a_id, a in articles.items()
+        }, via
+        dangling = (r for a in rows if a.id in coded for r in a.references if r not in articles)
+        assert corpus.dangling_ids == tuple(dict.fromkeys(dangling)), via
+        if len(coded) == len(articles):
+            assert reading_of(corpus) == expected, via
+        else:
+            with pytest.raises(TypeError, match="^a lean corpus read lacks the references of"):
+                corpus.articles
+        if voting <= coded:
+            assert classify_outcome(corpus, taxonomy) == classified, via
+        if citing <= coded:
+            assert cube_counts(corpus, config) == counted, via
+    return sum(bool(a.references) for a_id, a in articles.items() if a_id not in in_file)

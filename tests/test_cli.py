@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -30,7 +31,7 @@ from refclass.indicators import IndicatorConfig
 from refclass.report import MANIFEST_FILE, TABLE_FILES, build_report_tables
 from refclass.taxonomy import load_taxonomy
 
-from conftest import TOY_TAXONOMY_TEXT
+from conftest import TOY_TAXONOMY_TEXT, piped
 
 FORK_BYTES = corpus_module._FORK_BYTES
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -919,21 +920,23 @@ def test_indicators_writes_the_same_manifest_for_pipes_as_for_files(tmp_path):
     """A pipe is read once, so a second read would hash nothing."""
     inputs = _toy_inputs(tmp_path)
     assert _toy_indicators(inputs, tmp_path / "files") == 0
-    pipes = {}
-    try:
-        for flag, path in inputs.items():
-            data = path.read_bytes()
-            assert len(data) < 4096  # fits in the pipe, so the write does not block
-            r, w = os.pipe()
-            pipes[flag] = r
-            os.write(w, data)
-            os.close(w)
-        assert _toy_indicators({f: f"/dev/fd/{r}" for f, r in pipes.items()}, tmp_path / "pipes") == 0
-    finally:
-        for r in pipes.values():
-            os.close(r)
+    with contextlib.ExitStack() as stack:
+        pipes = {flag: stack.enter_context(piped(path)) for flag, path in inputs.items()}
+        assert _toy_indicators(pipes, tmp_path / "pipes") == 0
     for name in TABLE_FILES + (MANIFEST_FILE,):
         assert (tmp_path / "pipes" / name).read_bytes() == (tmp_path / "files" / name).read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_classify_writes_the_same_assignments_for_pipes_as_for_files(tmp_path):
+    """A pipe cannot be scanned for its seeding journals before it is read,
+    so its read codes every row, and only speed changes."""
+    corpus, taxonomy = DATA / "corpus_toy.tsv", DATA / "taxonomy_small.tsv"
+    from_files = _classify_toy(corpus, taxonomy, tmp_path)
+    (tmp_path / "pipes").mkdir()
+    with piped(corpus) as corpus_pipe, piped(taxonomy) as taxonomy_pipe:
+        from_pipes = _classify_toy(corpus_pipe, taxonomy_pipe, tmp_path / "pipes")
+    assert from_pipes.read_bytes() == from_files.read_bytes()
 
 
 def test_report_records_the_digest_of_each_file_as_it_is_on_disk(tmp_path):

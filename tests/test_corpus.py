@@ -15,7 +15,6 @@ import pytest
 
 import refclass.corpus as corpus_module
 from refclass.corpus import (
-    YEAR_BOUNDS,
     ArticleRecord,
     JournalRecord,
     _assemble,
@@ -43,20 +42,23 @@ from refclass.synthetic import generate_synthetic
 from refclass.taxonomy import load_taxonomy
 
 from conftest import (
-    TOY_TAXONOMY_TEXT,
+    READ_PATHS,
+    READINGS,
     article,
-    assert_lean_read_agrees,
-    assert_year_read_agrees,
+    assert_no_child,
     classify_outcome,
     cube_counts,
+    file_lines,
     journal,
-    lean_read,
     random_corpus,
+    read_every_way,
+    reading_of,
+    splits,
     ten_field_config,
     traced,
     traced_peak,
-    year_read,
 )
+from naive_corpus import naive_records, reference_reading
 
 
 def test_parse_article_row():
@@ -367,141 +369,6 @@ def test_record_field_constraints():
         assert build_corpus(records).article("P1") == ArticleRecord(
             "P1", "J1", 2010, "article", ("P2",)
         )
-
-
-def naive_token_fault(value: str, what: str, forbidden: str) -> str | None:
-    """The corpus token rule spelled out: the fault message, or None."""
-    if not value:
-        return f"empty {what}"
-    bad = [ch for ch in forbidden if ch in value]
-    return f"{what} contains forbidden character {bad[0]!r}, token {value!r}" if bad else None
-
-
-def naive_records(lines):
-    """Corpus records one line at a time, parsed without the library's reader.
-
-    A malformed line raises the :class:`ParseError` (message, line number
-    and token) that :func:`read_corpus` must raise for it.
-    """
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        cols = raw.rstrip("\n").split("\t")
-        if cols[0] not in ("A", "J"):
-            raise ParseError("unknown record tag", line_no, cols[0])
-        kind, width = ("article", 6) if cols[0] == "A" else ("journal", 4)
-        if len(cols) != width:
-            raise ParseError(f"{kind} row needs {width} columns, got {len(cols)}", line_no, raw)
-        cols = [c.strip() for c in cols]
-        if cols[0] == "A":
-            _, a_id, j_id, year_s, doc_type, refs_s = cols
-            try:
-                year = int(year_s)
-            except ValueError:
-                raise ParseError("non-integer year", line_no, year_s) from None
-            refs = [r.strip() for r in refs_s.split(",")] if refs_s else []
-            if "" in refs:
-                raise ParseError("empty reference id", line_no, refs_s)
-            if doc_type not in ("article", "review", "other"):
-                raise ParseError("unknown doc_type", line_no, doc_type)
-            faults = [naive_token_fault(a_id, "article id", "\t\n\r,")]
-            if a_id.startswith("#"):
-                faults.append("article id has a leading '#'")
-            faults.append(naive_token_fault(j_id, "journal id", "\t\n\r,"))
-            faults += [naive_token_fault(r, "reference id", "\t\n\r,") for r in refs]
-            if any(faults):
-                raise ParseError(next(filter(None, faults)), line_no, a_id)
-            yield ArticleRecord(a_id, j_id, year, doc_type, tuple(refs))
-        else:
-            _, j_id, name, cats_s = cols
-            cats = [c.strip() for c in cats_s.split(";")] if cats_s else []
-            if "" in cats:
-                raise ParseError("empty category name", line_no, cats_s)
-            faults = [naive_token_fault(j_id, "journal id", "\t\n\r,")]
-            if j_id.startswith("#"):
-                faults.append(f"journal id has a leading '#', token {j_id!r}")
-            if any(ch in name for ch in "\t\n\r"):
-                faults.append(f"journal name contains forbidden character, token {name!r}")
-            if not cats:
-                faults.append(f"journal {j_id!r} has no categories")
-            faults += [naive_token_fault(c, "category name", "\t\n\r;") for c in cats]
-            if any(faults):
-                raise ParseError(next(filter(None, faults)), line_no, j_id)
-            yield JournalRecord(j_id, name, tuple(cats))
-
-
-def reference_reading(lines) -> tuple:
-    """The record-at-a-time reading the array corpus must reproduce.
-
-    Records are validated in file order as they are parsed; the result is
-    the article records (references deduped), the citation index, the
-    dangling count, the validation lines and the canonical emission.
-    """
-    lo, hi = YEAR_BOUNDS
-    articles: dict[str, ArticleRecord] = {}
-    journals: dict[str, JournalRecord] = {}
-    for rec in naive_records(lines):
-        if isinstance(rec, ArticleRecord):
-            if rec.id in articles:
-                raise ValidationError("duplicate article id", token=rec.id)
-            if not lo <= rec.year <= hi:
-                msg = f"article {rec.id!r} year {rec.year} outside bounds [{lo}, {hi}]"
-                raise ValidationError(msg)
-            if rec.id in rec.references:
-                raise ValidationError(f"article {rec.id!r} cites itself")
-            articles[rec.id] = replace(rec, references=tuple(dict.fromkeys(rec.references)))
-        else:
-            if rec.id in journals:
-                raise ValidationError("duplicate journal id", token=rec.id)
-            journals[rec.id] = rec
-    unresolved = sorted({a.journal_id for a in articles.values()} - set(journals))
-    if unresolved:
-        raise ValidationError("articles reference unknown journals: " + ", ".join(unresolved))
-    articles = dict(sorted(articles.items()))
-    index: dict[str, list[tuple[str, int]]] = {}
-    dangling = 0
-    for art in articles.values():
-        for ref in art.references:
-            if ref in articles:
-                index.setdefault(ref, []).append((art.id, art.year))
-            else:
-                dangling += 1
-    counts: dict[str, dict] = {"doc_type": {}, "year": {}, "journal": dict.fromkeys(journals, 0)}
-    for art in articles.values():
-        for key, value in zip(counts, (art.doc_type, art.year, art.journal_id)):
-            counts[key][value] = counts[key].get(value, 0) + 1
-    report = [
-        f"articles\t{len(articles)}",
-        f"journals\t{len(journals)}",
-        f"dangling_references\t{dangling}",
-        f"zero_reference_articles\t{sum(not a.references for a in articles.values())}",
-    ]
-    for key in ("doc_type", "year", "journal"):
-        report += [f"{key}.{k}\t{n}" for k, n in sorted(counts[key].items())]
-    emitted = [
-        f"J\t{j.id}\t{j.name}\t{';'.join(j.categories)}" for _, j in sorted(journals.items())
-    ]
-    emitted += [
-        f"A\t{a.id}\t{a.journal_id}\t{a.year}\t{a.doc_type}\t{','.join(a.references)}"
-        for a in articles.values()
-    ]
-    return (
-        articles,
-        {k: tuple(v) for k, v in sorted(index.items())},
-        dangling,
-        report,
-        "\n".join(emitted) + "\n",
-    )
-
-
-def reading_of(corpus) -> tuple:
-    return (
-        dict(corpus.articles.items()),
-        dict(corpus.citation_index),
-        corpus.dangling_reference_count,
-        validate_corpus(corpus).as_lines(),
-        emit_corpus(corpus),
-    )
 
 
 def messy_corpus_lines(rng: np.random.Generator) -> list[str]:
@@ -872,26 +739,9 @@ FORK_BYTES = corpus_module._FORK_BYTES
 PAD = "#\n" * 200
 
 
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def write_lines(path, lines) -> Path:
     path.write_bytes("".join(lines).encode())
     return path
-
-
-def file_lines(path) -> list[str]:
-    """The lines of ``path`` as ``open()`` reads them: universal newlines."""
-    with open(path, encoding="utf-8") as fh:
-        return fh.readlines()
-
-
-def splits(path) -> bool:
-    """Whether a ``\n`` at or past the middle of ``path`` is followed by a second half."""
-    data = path.read_bytes()
-    return data.find(b"\n", len(data) // 2) not in (-1, len(data) - 1)
 
 
 def fault_of(read, *args) -> tuple:
@@ -932,42 +782,6 @@ def assert_reads_like_one_process(path):
         assert reading_of(read_corpus_file(path)) == expected
 
 
-def test_two_process_read_agrees_on_random_corpora(forks, tmp_path):
-    rng = np.random.default_rng(2024)
-    split = 0
-    for i in range(150):
-        path = write_lines(tmp_path / f"{i}.tsv", messy_corpus_lines(rng))
-        assert_reads_like_one_process(path)
-        assert_no_child()
-        split += splits(path)
-    assert len(forks) == 2 * split and split > 100
-
-
-def dangling_in_file_order(lines) -> tuple[str, ...]:
-    """The referenced ids that no article line holds, in order of first appearance."""
-    articles = [rec for rec in naive_records(lines) if isinstance(rec, ArticleRecord)]
-    ids = {a.id for a in articles}
-    return tuple(dict.fromkeys(ref for a in articles for ref in a.references if ref not in ids))
-
-
-def test_two_process_read_codes_dangling_ids_in_file_order(forks, monkeypatch, tmp_path):
-    """Both reads code every reference alike, dangling ids in file order."""
-    rng = np.random.default_rng(77)
-    split = 0
-    for _ in range(300):
-        lines = messy_corpus_lines(rng)
-        path = write_lines(tmp_path / "corpus.tsv", lines)
-        forked = read_corpus_file(path)
-        with monkeypatch.context() as one_process:
-            one_process.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
-            alone = read_corpus_file(path)
-        assert forked.dangling_ids == alone.dangling_ids == dangling_in_file_order(lines)
-        assert np.array_equal(forked.refs, alone.refs)
-        assert np.array_equal(forked.indptr, alone.indptr)
-        split += splits(path)
-    assert len(forks) == 2 * split and split > 200
-
-
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_two_process_read_raises_the_same_first_fault(name, forks, capfd, tmp_path):
     for path in malformed_files(tmp_path, name):
@@ -977,8 +791,8 @@ def test_two_process_read_raises_the_same_first_fault(name, forks, capfd, tmp_pa
     assert capfd.readouterr().err == ""
 
 
-def synthetic_lines() -> list[str]:
-    corpus, _, _ = generate_synthetic(ten_field_config(articles_per_journal_year=32))
+def synthetic_lines(articles_per_journal_year: int = 32) -> list[str]:
+    corpus, _, _ = generate_synthetic(ten_field_config(articles_per_journal_year))
     return emit_corpus(corpus).splitlines(keepends=True)
 
 
@@ -1123,11 +937,11 @@ def test_an_error_of_the_input_wins_over_its_lines(cpus, monkeypatch, tmp_path):
     assert_no_child()
 
 
-def test_lone_and_paired_carriage_returns_read_alike_three_ways(forks, monkeypatch, tmp_path):
+def test_lone_and_paired_carriage_returns_read_alike_three_ways(toy_taxonomy, tmp_path):
     """CRLF and lone-CR line ends, a lone CR right before the middle of the file.
 
-    Two processes, one process and :func:`read_corpus` over ``open()``'s
-    lines agree, also on the line number of a fault after the middle.
+    Every read path agrees with the reference reading of ``open()``'s
+    lines, also on the line number of a fault after the middle.
     """
     rng = np.random.default_rng(29)
     rows = [line.rstrip("\n") for line in synthetic_lines()[:300]]
@@ -1148,20 +962,10 @@ def test_lone_and_paired_carriage_returns_read_alike_three_ways(forks, monkeypat
     for extra in ("", "X\r\n"):
         path = tmp_path / "corpus.tsv"
         path.write_bytes(data + extra.encode())
-        lines = file_lines(path)
-        with monkeypatch.context() as one_process:
-            one_process.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            if extra:
-                fault = fault_of(read_corpus_file, path)
-            else:
-                alone = reading_of(read_corpus_file(path))
-        if extra:
-            assert fault == fault_of(read_corpus_file, path) == fault_of(read_corpus, lines)
-            assert fault[2] == len(lines) == len(rows) + 2
-        else:
-            assert alone == reading_of(read_corpus_file(path)) == reading_of(read_corpus(lines))
-        assert_no_child()
-    assert len(forks) == 4
+        assert splits(path)
+        faulty = read_every_way(path, "full", toy_taxonomy, (2000, 2004)) is None
+        assert faulty == bool(extra)
+    assert fault_of(read_corpus_file, path)[2] == len(file_lines(path)) == len(rows) + 2
 
 
 def cut_dump(obj, file, protocol):
@@ -1360,10 +1164,9 @@ MESSY_TAXONOMIES = [
 
 def arrangements(lines: list[str]) -> dict[str, list[str]]:
     """``lines`` as drawn, with the journal rows moved first and moved last."""
-    journal_rows = [ln for ln in lines if ln.lstrip().startswith("J\t")]
-    rest = [ln for ln in lines if not ln.lstrip().startswith("J\t")]
-    if rest and not rest[-1].endswith("\n"):
-        rest[-1] += "\n"
+    ended = [ln if ln.endswith("\n") else ln + "\n" for ln in lines]
+    journal_rows = [ln for ln in ended if ln.lstrip().startswith("J\t")]
+    rest = [ln for ln in ended if not ln.lstrip().startswith("J\t")]
     return {
         "drawn": lines,
         "journals-first": journal_rows + rest,
@@ -1371,68 +1174,74 @@ def arrangements(lines: list[str]) -> dict[str, list[str]]:
     }
 
 
-def test_lean_read_agrees_with_the_full_read_on_random_corpora(forks, monkeypatch, tmp_path):
-    """The lean classify read, forked and in one process, of messy corpora
-    with their journal rows where drawn, first and last."""
-    rng = np.random.default_rng(41)
-    skipped = 0
+def read_random_corpora_every_way(reading: str, tmp_path) -> int:
+    """Messy corpora (years 1990-2020) with their journal rows where drawn,
+    first and last, read every way under ``reading``, ``classify``'s under
+    each of :data:`MESSY_TAXONOMIES`, ``indicators``' for random impact
+    years; returns the rows with references that a file read left uncoded."""
+    rng = np.random.default_rng(2024)
+    split = uncoded = 0
     for i in range(60):
         taxonomy = MESSY_TAXONOMIES[i % len(MESSY_TAXONOMIES)]
+        years = tuple(sorted(int(y) for y in rng.integers(1988, 2023, size=2)))
         for name, lines in arrangements(messy_corpus_lines(rng)).items():
             path = write_lines(tmp_path / f"{i}-{name}.tsv", lines)
-            assert_lean_read_agrees(path, taxonomy)
-            assert_no_child()
-            with monkeypatch.context() as one_process:
-                one_process.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
-                assert_lean_read_agrees(path, taxonomy)
-            if name == "journals-first" and i % len(MESSY_TAXONOMIES) == 0:
-                full, lean = read_corpus_file(path), lean_read(path, taxonomy)
-                skipped += int(np.count_nonzero(np.diff(full.indptr) > np.diff(lean.indptr)))
-    assert len(forks) > 400 and skipped > 100
+            uncoded += read_every_way(path, reading, taxonomy, years)
+            split += splits(path)
+    assert split > 150
+    return uncoded
 
 
-def test_lean_read_of_a_synthetic_corpus(forks, monkeypatch, tmp_path):
-    """Journal rows first, as emitted, and last: the first leaves every row
-    of a seeding journal uncoded, the second codes every row."""
-    lines = synthetic_lines()
-    journal_rows = [ln for ln in lines if ln.startswith("J")]
-    article_rows = [ln for ln in lines if ln.startswith("A")]
-    _, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=32))
-    arranged = (("first", journal_rows + article_rows), ("last", article_rows + journal_rows))
-    monkeypatch.setattr(corpus_module, "_FORK_BYTES", FORK_BYTES)
-    for name, rows in arranged:
-        path = write_lines(tmp_path / f"{name}.tsv", rows)
-        assert_lean_read_agrees(path, taxonomy)
+def test_two_process_read_agrees_on_random_corpora(tmp_path):
+    assert read_random_corpora_every_way("full", tmp_path) == 0
+
+
+def test_lean_read_agrees_with_the_full_read_on_random_corpora(tmp_path):
+    assert read_random_corpora_every_way("classify", tmp_path) > 100
+
+
+def test_year_read_agrees_with_the_full_read_on_random_corpora(tmp_path):
+    assert read_random_corpora_every_way("indicators", tmp_path) > 1000
+
+
+def test_lean_read_of_a_synthetic_corpus(tmp_path):
+    """A synthetic corpus with its journal rows first and last, read every
+    way under every reading: with the journals first only the 2 general
+    journals' 40 rows vote, and the impact years 2002-2004 leave 416 rows
+    uncoded wherever the journals are."""
+    _, _, taxonomy = generate_synthetic(ten_field_config(articles_per_journal_year=4))
+    synthetic = arrangements(synthetic_lines(articles_per_journal_year=4))
+    for reading in READINGS:
+        for name, seeding_rows in (("journals-first", 1000), ("journals-last", 0)):
+            path = write_lines(tmp_path / f"{reading}-{name}.tsv", synthetic[name])
+            uncoded = read_every_way(path, reading, taxonomy, (2002, 2004))
+            assert uncoded == {"full": 0, "classify": seeding_rows, "indicators": 416}[reading]
+
+
+def test_two_process_read_codes_dangling_ids_in_file_order(forks, toy_taxonomy, tmp_path):
+    """Dangling ids on both sides of the middle, not in sorted order: each
+    reading keeps those of the rows it codes in order of first appearance.
+    J1 seeds under the toy taxonomy; J2, multidisciplinary, does not."""
+    rows = _lines(
+        J1,
+        "J\tJ2\tJournal Two\tMultidisciplinary Sciences",
+        _a("P1", refs="X9,P2,X5"),
+        _a("P2", year="2011", refs="X7", journal="J2"),
+    )
+    rows += [PAD] + _lines(_a("P3", "2012", "X5,X1,P1", "J2"), _a("P4", "2012", "X8,X9"))
+    path = write_lines(tmp_path / "corpus.tsv", rows)
+    assert splits(path)
+    readings = {
+        "full": ({}, ("X9", "X5", "X7", "X1", "X8")),
+        "classify": ({"seeds": _seeding(toy_taxonomy)}, ("X7", "X5", "X1")),
+        "indicators": ({"years": (2012, 2012)}, ("X5", "X1", "X8", "X9")),
+    }
+    for reading, (lean, dangling) in readings.items():
+        assert _read_corpus_file(path, **lean).dangling_ids == dangling, reading
         assert_no_child()
-        with monkeypatch.context() as one_cpu:
-            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            assert_lean_read_agrees(path, taxonomy)
-            # Only the 2 general journals' 320 rows vote.
-            coded = np.count_nonzero(np.diff(lean_read(path, taxonomy).indptr))
-            assert coded == (320 if name == "first" else 8320)
-    assert len(forks) == 8
-
-
-def test_year_read_agrees_with_the_full_read_on_random_corpora(forks, monkeypatch, tmp_path):
-    """The indicators read, forked and in one process, of messy corpora
-    (years 1990-2020) for random impact years."""
-    rng = np.random.default_rng(42)
-    skipped = 0
-    for i in range(150):
-        path = write_lines(tmp_path / f"{i}.tsv", messy_corpus_lines(rng))
-        lo, hi = sorted(int(y) for y in rng.integers(1988, 2023, size=2))
-        assert_year_read_agrees(path, (lo, hi))
-        assert_no_child()
-        with monkeypatch.context() as one_process:
-            one_process.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
-            assert_year_read_agrees(path, (lo, hi))
-            full, lean = read_corpus_file(path), year_read(path, (lo, hi))
-            skipped += int(np.count_nonzero(np.diff(full.indptr) > np.diff(lean.indptr)))
-    assert len(forks) > 400 and skipped > 1000
-
-
-def lean_fault(path) -> tuple:
-    return fault_of(lean_read, path, load_taxonomy(TOY_TAXONOMY_TEXT.splitlines(keepends=True)))
+    assert len(forks) == 6
+    for reading in readings:
+        assert read_every_way(path, reading, toy_taxonomy, (2012, 2012)) == 2 * (reading != "full")
 
 
 def corpus_fault_files(tmp_path) -> list[Path]:
@@ -1448,38 +1257,43 @@ def corpus_fault_files(tmp_path) -> list[Path]:
     not_utf8 = "".join(_lines(J1, _a("P1"), _a("P1"))).encode() + PAD.encode() + b"\xff\n"
     paths.append(tmp_path / "not-utf8.tsv")
     paths[-1].write_bytes(not_utf8)
-    lines = synthetic_lines()
+    lines = synthetic_lines(articles_per_journal_year=4)
     paths.append(write_lines(tmp_path / "first.tsv", lines[:10] + ["A\tP\n"] + lines[10:]))
     paths.append(write_lines(tmp_path / "last.tsv", lines + ["X\n"]))
     paths.append(write_lines(tmp_path / "repeat.tsv", lines[:100] + lines[-1:] + lines[100:]))
     return paths
 
 
-@pytest.mark.parametrize("forked", [False, True], ids=["one-process", "forked"])
-def test_lean_read_raises_every_corpus_fault_alike(forked, forks, monkeypatch, tmp_path):
-    """Every corpus fault file: the lean read, whose J1 rows go uncoded,
-    raises the full read's fault."""
-    if not forked:
-        monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1 << 40)
-    paths = corpus_fault_files(tmp_path)
-    for path in paths:
-        assert lean_fault(path) == fault_of(read_corpus_file, path)
-        assert_no_child()
-    assert len(forks) == (4 * sum(map(splits, paths)) if forked else 0)
+#: The paths of each fault test case: the reads in one process, of a file
+#: and of a pipe, and the forked read.
+ONE_PROCESS_OR_FORKED = {
+    "one-process": tuple(via for via in READ_PATHS if via != "forked"),
+    "forked": ("forked",),
+}
 
 
-@pytest.mark.parametrize("forked", [False, True], ids=["one-process", "forked"])
-def test_year_read_raises_every_corpus_fault_alike(forked, forks, monkeypatch, tmp_path):
-    """Every corpus fault file: the indicators read for the impact years
-    2003-2004, which leaves the toy rows of 2010 and the synthetic rows of
-    2000-2002 uncoded, raises the full read's fault."""
-    if not forked:
-        monkeypatch.setattr(corpus_module, "_FORK_BYTES", 1 << 40)
-    paths = corpus_fault_files(tmp_path)
-    for path in paths:
-        assert fault_of(year_read, path, (2003, 2004)) == fault_of(read_corpus_file, path)
-        assert_no_child()
-    assert len(forks) == (4 * sum(map(splits, paths)) if forked else 0)
+def read_every_fault_file(reading, paths, toy_taxonomy, capfd, tmp_path):
+    """Every corpus fault file along ``paths``: the classify reading leaves
+    J1's rows uncoded, the indicators reading for the impact years 2003-2004
+    the toy rows of 2010 and the synthetic rows of 2000-2002. No worker prints."""
+    for path in corpus_fault_files(tmp_path):
+        assert read_every_way(path, reading, toy_taxonomy, (2003, 2004), paths) is None
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("paths", ONE_PROCESS_OR_FORKED.values(), ids=ONE_PROCESS_OR_FORKED)
+def test_full_read_raises_every_corpus_fault_alike(paths, toy_taxonomy, capfd, tmp_path):
+    read_every_fault_file("full", paths, toy_taxonomy, capfd, tmp_path)
+
+
+@pytest.mark.parametrize("paths", ONE_PROCESS_OR_FORKED.values(), ids=ONE_PROCESS_OR_FORKED)
+def test_lean_read_raises_every_corpus_fault_alike(paths, toy_taxonomy, capfd, tmp_path):
+    read_every_fault_file("classify", paths, toy_taxonomy, capfd, tmp_path)
+
+
+@pytest.mark.parametrize("paths", ONE_PROCESS_OR_FORKED.values(), ids=ONE_PROCESS_OR_FORKED)
+def test_year_read_raises_every_corpus_fault_alike(paths, toy_taxonomy, capfd, tmp_path):
+    read_every_fault_file("indicators", paths, toy_taxonomy, capfd, tmp_path)
 
 
 LEAN_REFUSERS = {
@@ -1498,7 +1312,7 @@ def test_what_needs_every_reference_refuses_a_lean_corpus(name, toy_taxonomy, tm
     path = write_lines(tmp_path / "corpus.tsv", _lines(J1, _a("P1"), _a("P2", refs="P1")))
     use = LEAN_REFUSERS[name]
     use(read_corpus_file(path), toy_taxonomy)
-    lean = lean_read(path, toy_taxonomy)
+    lean = _read_corpus_file(path, seeds=_seeding(toy_taxonomy))
     assert lean.refs.tolist() == []
     with pytest.raises(TypeError, match="lacks the references of its seeding rows"):
         use(lean, toy_taxonomy)
@@ -1520,14 +1334,15 @@ def test_a_lean_read_is_refused_where_it_lacks_the_rows_read(toy_taxonomy, tmp_p
         config = IndicatorConfig(if_year_range=years, pub_window=(2010, 2010))
         return cube_counts(corpus, config)
 
-    by_classify = lean_read(path, toy_taxonomy)  # J1's rows P1 and P3 uncoded
+    # J1's rows P1 and P3 uncoded
+    by_classify = _read_corpus_file(path, seeds=_seeding(toy_taxonomy))
     assert cube(by_classify, (2012, 2012)) == cube(full, (2012, 2012))
     with pytest.raises(TypeError, match="lacks the references of its seeding rows$"):
         cube(by_classify, (2011, 2012))
 
-    by_year = year_read(path, (2012, 2012))  # P1 and P3 uncoded, P2 coded
+    by_year = _read_corpus_file(path, years=(2012, 2012))  # P1 and P3 uncoded, P2 coded
     assert classify_outcome(by_year, toy_taxonomy) == classify_outcome(full, toy_taxonomy)
-    by_year = year_read(path, (2010, 2011))  # P2, the one open row, uncoded
+    by_year = _read_corpus_file(path, years=(2010, 2011))  # P2, the one open row, uncoded
     with pytest.raises(TypeError, match="lacks the references of its rows published outside"):
         classify(by_year, toy_taxonomy)
     both = _read_corpus_file(path, seeds=_seeding(toy_taxonomy), years=(2010, 2011))
@@ -1553,7 +1368,7 @@ def test_classify_refuses_a_corpus_read_lean_under_another_taxonomy(tmp_path):
     c1 = classify(read_corpus_file(path), run_under).assignments["C1"]
     assert (c1.status, c1.broad_area) == ("reference-classified", "Astronomy")
     with pytest.raises(TypeError, match="lacks the references of its seeding rows$"):
-        classify(lean_read(path, read_under), run_under)
+        classify(_read_corpus_file(path, seeds=_seeding(read_under)), run_under)
 
 
 def test_row_blocks_split_every_reference_into_blocks_of_whole_rows():

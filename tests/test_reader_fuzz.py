@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import os
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -13,9 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from naive_assignments import naive_read_assignments
 
-from conftest import assert_lean_read_agrees, assert_year_read_agrees
+from conftest import READINGS, read_every_way
 
-import refclass.corpus as corpus_module
 from refclass.classifier import STATUS_UNCLASSIFIED, Assignment, VoteTally, read_assignments
 from refclass.corpus import emit_corpus, read_corpus
 from refclass.errors import RefclassError, UnknownNameError
@@ -247,27 +245,7 @@ def test_read_assignments_matches_the_line_by_line_reader(assignments):
     assert_reads_like_the_naive_reader(assignments, (small, read_corpus([])))
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
-@given(corpus=text_of(corpus_row, JOURNAL_ROWS))
-@example(corpus=JOURNAL_ROWS + "A\tP1\tJ1\t2010\tarticle\tP2,X1\nA\tP2\tJ2\t2011\treview\tP1,X2\n")
-@example(corpus="A\tP1\tJ1\t2010\tarticle\tP2\n" + JOURNAL_ROWS + "A\tP2\tJ1\t2010\tother\tP1\n")
-@example(corpus=JOURNAL_ROWS + "A\tP1\tJ1\t2010\tarticle\tX1,P1\n")
-def test_lean_read_agrees_with_the_full_read(corpus):
-    """The corpus read that ``classify`` makes of a fuzzed file, in one
-    process and forked from one byte on: the full read's error, or its rows
-    with the references of every row but those of a leading seeding journal
-    (J1 under the taxonomy rows), and the same assignments."""
-    taxonomy = load_taxonomy(lines_of(TAXONOMY_ROWS))
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        path = Path(tmp) / "corpus.tsv"
-        path.write_bytes(corpus.encode())
-        patch.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
-        assert_lean_read_agrees(path, taxonomy)
-        patch.setattr(corpus_module, "_FORK_BYTES", 1)
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert_lean_read_agrees(path, taxonomy)
-
-
+@pytest.mark.parametrize("reading", READINGS)
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(
     corpus=text_of(corpus_row, JOURNAL_ROWS),
@@ -277,20 +255,20 @@ def test_lean_read_agrees_with_the_full_read(corpus):
     corpus=JOURNAL_ROWS + "A\tP1\tJ1\t2010\tarticle\tP2,X1\nA\tP2\tJ2\t2011\treview\tP1,X2\n",
     years=(2011, 2011),
 )
+@example(
+    corpus="A\tP1\tJ1\t2010\tarticle\tP2\n" + JOURNAL_ROWS + "A\tP2\tJ1\t2010\tother\tP1\n",
+    years=(2010, 2010),
+)
 @example(corpus=JOURNAL_ROWS + "A\tP1\tJ1\t2010\tarticle\tX1,P1\n", years=(2011, 2012))
-def test_year_read_agrees_with_the_full_read(corpus, years):
-    """The corpus read that ``indicators`` makes of a fuzzed file for impact
-    years around its 2010-2011 rows, in one process and forked from one
-    byte on: the full read's error, or its rows with the references of the
-    rows published in those years only, and the same cube counts."""
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+def test_every_read_path_agrees_on_fuzzed_corpora(reading, corpus, years):
+    """A fuzzed file along every read path, under ``classify``'s reading
+    with the taxonomy rows (J1 seeds) or ``indicators``' for impact years
+    around its 2010-2011 rows, or in full (see :func:`read_every_way`)."""
+    taxonomy = load_taxonomy(lines_of(TAXONOMY_ROWS))
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.tsv"
         path.write_bytes(corpus.encode())
-        patch.setattr(corpus_module, "_FORK_BYTES", path.stat().st_size + 1)
-        assert_year_read_agrees(path, years)
-        patch.setattr(corpus_module, "_FORK_BYTES", 1)
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert_year_read_agrees(path, years)
+        read_every_way(path, reading, taxonomy, years)
 
 
 NAME_CHARS = "Onc# \t\r\n\x85\xa0\u3000"
